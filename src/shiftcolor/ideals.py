@@ -460,22 +460,15 @@ def ideal_axioms_check(
     return report
 
 
-def col_window_check(omega: PartialColoring, P: IdealSpec) -> bool:
-    """Is every restriction of the window coloring a member of P?
-
-    For kinds whose used colors all have finite locality radius this is
-    evaluated through the local criterion — the window of radius r(color)
-    around every colored point must be a member — which coincides with plain
-    membership for these restriction-closed ideals. Kinds with non-local
-    colors are checked by direct membership.
+def col_window_check(
+    omega: PartialColoring, P: IdealSpec, r: Optional[Callable[[int], Radius]] = None
+) -> bool:
+    """The local window criterion: around every colored point of color c,
+    the window of radius r(c) must be a member of P, where r defaults to
+    P's locality radii. At a color whose radius is infinite the window is
+    all of omega. For radii under which P is local this coincides with
+    plain membership.
     """
-    local_radii = {}
-    for c in omega.colors_used():
-        r = P.locality_radius(c)
-        if isinstance(r, Infinity):
-            return P.contains(omega)
-        local_radii[c] = r
-    for gamma, c in omega.entries.items():
-        if not P.contains(omega.window(gamma, local_radii[c])):
-            return False
-    return True
+    if r is None:
+        r = P.locality_radius
+    return all(P.contains(omega.window(gamma, r(c))) for gamma, c in omega.entries.items())

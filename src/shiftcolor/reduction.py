@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .groups import BudgetError, set_dist
-from .ideals import ConstantJoin, IdealSpec, JoinFn, SupRadiiJoin, grow_random_member
+from .ideals import ConstantJoin, IdealSpec, JoinFn, SupRadiiJoin, col_window_check, grow_random_member
 from .patterns import PartialColoring, shift, truncated_window
 from .radii import INF, Infinity, Radius, radius_ceil, radius_to_json
 
@@ -205,13 +205,6 @@ class LocalReport:
         }
 
 
-def _loc_criterion(phi: PartialColoring, P: IdealSpec, r) -> bool:
-    for gamma, c in phi.entries.items():
-        if not P.contains(phi.window(gamma, r(c))):
-            return False
-    return True
-
-
 def check_local(
     P: IdealSpec,
     r: Callable[[int], Radius],
@@ -242,7 +235,7 @@ def check_local(
         budget -= 1
         phi = grow_random_member(P, rng, rng.randint(0, max_size), radius)
         report.members_checked += 1
-        if not _loc_criterion(phi, P, r):
+        if not col_window_check(phi, P, r):
             report.containment_violations.append({"pattern": phi.to_json()})
 
     while budget > 0:
@@ -252,7 +245,7 @@ def check_local(
         for _ in range(size):
             entries[pts[rng.randrange(len(pts))]] = rng.randint(0, color_bound)
         phi = PartialColoring(g, entries)
-        if not _loc_criterion(phi, P, r):
+        if not col_window_check(phi, P, r):
             continue
         report.loc_members_examined += 1
         if not P.contains(phi):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -33,41 +34,74 @@ from .patterns import PartialColoring, shift
 from .radii import Infinity, Radius, radius_ceil, radius_floor
 from .rng import RandomField, element_codes
 
-_REGION_CACHE: Dict[tuple, list] = {}
-_NBR_CACHE: Dict[tuple, np.ndarray] = {}
+
+@lru_cache(maxsize=8)
+def _offsets(group: Group, r: Radius) -> tuple:
+    """Ball(1, r) in breadth-first order."""
+    return tuple(group.ball(group.identity(), r))
 
 
-def _region(group: Group, radius: int) -> list:
-    key = (group.spec_string(), radius)
-    if key not in _REGION_CACHE:
-        _REGION_CACHE[key] = group.ball(group.identity(), radius)
-    return _REGION_CACHE[key]
+def _window(g: Group, cur: Mapping, center, r: Radius) -> dict:
+    """The entries of ``cur`` within distance r of ``center``. By right
+    invariance dist(center, w*center) = |w|, so they sit at w*center for w
+    in Ball(1, r)."""
+    near = (g.mul(w, center) for w in _offsets(g, r))
+    return {x: cur[x] for x in near if x in cur}
 
 
-def _neighbor_matrix(group: Group, region_radius: int, s: int) -> np.ndarray:
-    """Row i: indices of the region points within distance s of point i
-    (itself included), padded with the sentinel index len(region)."""
-    key = (group.spec_string(), region_radius, s)
-    if key not in _NBR_CACHE:
-        region = _region(group, region_radius)
-        index = {e: i for i, e in enumerate(region)}
-        offsets = group.ball(group.identity(), s)
-        rows = []
-        width = 0
-        for e in region:
-            row = []
-            for w in offsets:
-                j = index.get(group.mul(w, e))
-                if j is not None:
-                    row.append(j)
-            width = max(width, len(row))
-            rows.append(row)
-        sentinel = len(region)
-        mat = np.full((len(region), width), sentinel, dtype=np.int64)
-        for i, row in enumerate(rows):
-            mat[i, : len(row)] = row
-        _NBR_CACHE[key] = mat
-    return _NBR_CACHE[key]
+class Region:
+    """Ball(1, radius) with what the window process reads about it: the
+    elements in breadth-first order, their norms and element codes, a
+    neighbour table, and the greedy colourings of the sparse run."""
+
+    def __init__(self, group: Group, radius: int):
+        self.group = group
+        self.radius = radius
+        self.elements = group.ball(group.identity(), radius)
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.norms = np.array([group.norm(e) for e in self.elements], dtype=np.int64)
+        self.codes = element_codes(group, self.elements)
+        self.norms.flags.writeable = self.codes.flags.writeable = False  # shared by every caller
+        self.etas: Dict[int, list] = {}  # d_c -> greedy colouring, see _greedy_distance_coloring
+        self._table = np.arange(len(self.elements), dtype=np.int64)[:, None]
+
+    def neighbors(self, s: int) -> np.ndarray:
+        """Column j of row i: the index of w_j * x_i, where w_j is offset j of
+        Ball(1, s), or the sentinel len(elements) where that leaves the
+        region. The table is built for the widest s asked for so far; a
+        narrower s reads its first |Ball(1, s)| columns."""
+        width = len(_offsets(self.group, s))
+        if self._table.shape[1] < width:
+            self._table = self._build_table(s)
+        return self._table[:, :width]
+
+    def _build_table(self, s: int) -> np.ndarray:
+        # Column w*x is composed from column w'*x, where w = a*w' for a
+        # generator a and |w'| = |w| - 1, taking whichever such path stays in
+        # the region. That is exact for Z^d and F_k: any two points of a ball
+        # about the identity are joined by a geodesic inside it.
+        g = self.group
+        n = len(self.elements)
+        gens = g.generators()
+        rows = [[self.index.get(g.mul(a, x), n) for a in gens] for x in self.elements]
+        step = np.array(rows + [[n] * len(gens)], dtype=np.int64)
+        offsets = _offsets(g, s)
+        column = {w: j for j, w in enumerate(offsets)}
+        table = np.full((n, len(offsets)), n, dtype=np.int64)
+        table[:, 0] = np.arange(n)
+        for j, w in enumerate(offsets):
+            for k, a in enumerate(gens):
+                t = column.get(g.mul(a, w))
+                if t is not None and g.norm(offsets[t]) > g.norm(w):
+                    np.minimum(table[:, t], step[table[:, j], k], out=table[:, t])
+        table.flags.writeable = False
+        return table
+
+
+@lru_cache(maxsize=2)
+def _region_of(group: Group, radius: int) -> Region:
+    """The cached Region of the given radius about the identity."""
+    return Region(group, radius)
 
 
 @dataclass
@@ -212,13 +246,10 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
     ideal = config.ideal
     g = ideal.group
     T = config.window_radius + config.margin
-    region = _region(g, T)
-    n_pts = len(region)
-    index = {e: i for i, e in enumerate(region)}
-    norms = np.array([g.dist(g.identity(), e) for e in region], dtype=np.int64)
-    interior_mask = norms <= config.window_radius
-    interior = [e for e, keep in zip(region, interior_mask) if keep]
-    codes = element_codes(g, region) if _field_codes is None else _field_codes
+    region = _region_of(g, T)
+    n_pts = len(region.elements)
+    interior_mask = region.norms <= config.window_radius
+    codes = region.codes if _field_codes is None else _field_codes
     if len(codes) != n_pts:
         raise ValueError("field codes must cover the region")
     field_rng = RandomField(g, config.seed, Fraction(config.p))
@@ -227,7 +258,6 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
     r_of = {c: ideal.locality_radius(c) for c in cycle}
     max_r = max(r_of.values())
 
-    colors = np.full(n_pts, -1, dtype=np.int64)
     colored = np.zeros(n_pts, dtype=bool)
     interior_count = int(interior_mask.sum())
 
@@ -246,54 +276,42 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
         schedule_used.append(c_i)
         s = radius_floor(2 * reach)
 
-        new_elems: List[Tuple[int, object]] = []
         if i in forced:
-            # Fixture path: support sets are tiny, so isolation and window
-            # construction go point by point (no neighbor matrix needed even
-            # when 2*reach is large relative to the region).
-            supp = []
-            for e in forced[i]:
+            # Fixture path: support sets are tiny, so isolation goes pairwise
+            # (a neighbour table for a large 2*reach would dwarf the region).
+            supp = forced[i]
+            for e in supp:
                 g.validate(e)
-                if e not in index:
+                if e not in region.index:
                     raise ValueError(f"forced support point {e!r} lies outside the region")
-                supp.append(e)
-            for e in sorted(supp, key=lambda x: index[x]):
-                j = index[e]
-                if colored[j] or norms[j] + s > T:
-                    continue
-                if any(other != e and g.dist(e, other) <= s for other in supp):
-                    continue
-                window_entries = {d: c for d, c in cur.items() if g.dist(e, d) <= s}
-                window_entries[e] = c_i
-                if ideal.contains(PartialColoring(g, window_entries)):
-                    new_elems.append((j, e))
+            if len(set(supp)) != len(supp):
+                raise ValueError(f"forced supports at step {i} repeat a point")
+            candidates = [
+                region.index[e]
+                for e in sorted(supp, key=region.index.__getitem__)
+                if not any(other != e and g.dist(e, other) <= s for other in supp)
+            ]
         elif config.warmup and reach < max_r:
-            pass  # warm-up round: empty support (the schedule still advances)
+            candidates = []  # warm-up round: empty support (the schedule still advances)
         else:
             supp_mask = field_rng.mask(i, codes)
-            if supp_mask.any():
-                nbrs = _neighbor_matrix(g, T, s)
-                padded = np.append(supp_mask, False)
-                iso_counts = padded[nbrs].sum(axis=1)
-                candidates = np.nonzero(
-                    supp_mask & ~colored & (norms + s <= T) & (iso_counts == 1)
-                )[0]
-                for j in candidates:
-                    e = region[j]
-                    window_entries = {}
-                    for k in nbrs[j]:
-                        if k < n_pts and colored[k]:
-                            window_entries[region[k]] = int(colors[k])
-                    window_entries[e] = c_i
-                    if ideal.contains(PartialColoring(g, window_entries)):
-                        new_elems.append((int(j), e))
+            iso_counts = np.append(supp_mask, False)[region.neighbors(s)].sum(axis=1)
+            candidates = np.nonzero(supp_mask & (iso_counts == 1))[0]
 
-        for j, e in new_elems:
-            colors[j] = c_i
-            colored[j] = True
+        new_elems = []
+        for j in candidates:
+            e = region.elements[j]
+            if colored[j] or region.norms[j] + s > T:
+                continue
+            window_entries = _window(g, cur, e, s)
+            window_entries[e] = c_i
+            if ideal.contains(PartialColoring(g, window_entries)):
+                new_elems.append(e)
+                colored[j] = True
+        for e in new_elems:
             cur[e] = c_i
 
-        assigned_sets.append((c_i, tuple(e for _j, e in new_elems)))
+        assigned_sets.append((c_i, tuple(new_elems)))
         fills.append(float((colored & interior_mask).sum()) / interior_count if interior_count else 0.0)
         r_c = r_of[c_i]
         if r_c > reach:
@@ -302,8 +320,8 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
     reaches.append(reach)
     return SimulationTrace(
         config=config,
-        region=region,
-        interior=interior,
+        region=region.elements,
+        interior=region.elements[:interior_count],  # breadth-first: the interior is a prefix
         assigned_sets=assigned_sets,
         fill_fractions=fills,
         reaches=reaches,
@@ -330,14 +348,13 @@ class ValidationReport:
         }
 
 
-def trace_validate(trace: SimulationTrace, ideal: IdealSpec, r=None) -> ValidationReport:
+def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport:
     """Check every step of the trace against the local criterion: around
     each colored point whose window fits inside the region, the window must
     be a member. Windows are re-examined whenever a step adds a point that
     touches them; untouched windows cannot change, so this covers every
     (step, point) pair the direct definition would."""
-    if r is None:
-        r = ideal.locality_radius
+    r = ideal.locality_radius
     g = trace.group
     T = trace.config.window_radius + trace.config.margin
     report = ValidationReport()
@@ -355,30 +372,21 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec, r=None) -> Validati
         if isinstance(rc, Infinity):
             report.skipped_nonlocal += 1
             return
-        if g.dist(g.identity(), gamma) + rc > T:
+        if g.norm(gamma) + rc > T:
             return
-        window = {e: c for e, c in cur.items() if g.dist(gamma, e) <= rc}
+        window = PartialColoring(g, _window(g, cur, gamma, rc))
         report.windows_checked += 1
-        if not ideal.contains(PartialColoring(g, window)):
+        if not ideal.contains(window):
             report.failures.append(
-                {
-                    "step": step,
-                    "element": g.element_to_json(gamma),
-                    "window": PartialColoring(g, window).to_json(),
-                }
+                {"step": step, "element": g.element_to_json(gamma), "window": window.to_json()}
             )
 
     for step_index, (color, elems) in enumerate(trace.assigned_sets, start=1):
-        if not elems:
-            continue
         for e in elems:
             cur[e] = color
-        affected = set(elems)
-        for e in cur:
-            if e in affected:
-                continue
-            if any(g.dist(e, a) <= max_reach for a in elems):
-                affected.add(e)
+        affected = set()
+        for e in elems:
+            affected.update(_window(g, cur, e, max_reach))
         for gamma in sorted(affected, key=g.sort_key):
             check_window(gamma, step_index)
     return report
@@ -416,30 +424,31 @@ def equivariance_check(config: SimulationConfig, gamma) -> EquivarianceReport:
     if config.forced_supports:
         raise ValueError("equivariance checks need field-driven supports, not fixtures")
     T = config.window_radius + config.margin
-    region = _region(g, T)
+    region = _region_of(g, T)
 
     base = run(config)
-    shifted_codes = element_codes(g, [g.mul(e, gamma) for e in region])
-    moved = run(config, _field_codes=shifted_codes)
+    targets = [g.mul(e, gamma) for e in region.elements]
+    moved = run(config, _field_codes=element_codes(g, targets))
 
     cone = 0
     for R_i in base.reaches[:-1]:
         cone = cone + 2 * R_i
-    cone_int = radius_ceil(cone)
+    safe = region.norms + radius_ceil(cone) <= T
 
     base_final = base.final_coloring
     moved_final = moved.final_coloring
     report = EquivarianceReport(
         shift_element=g.element_to_json(gamma), safe_size=0, cone_radius=cone
     )
-    one = g.identity()
-    for e in region:
-        target = g.mul(e, gamma)
-        if g.dist(one, e) + cone_int > T or g.dist(one, target) + cone_int > T:
+    for i in np.nonzero(safe)[0]:
+        # a target outside the region has norm > T, so it is not safe
+        j = region.index.get(targets[i])
+        if j is None or not safe[j]:
             continue
+        e = region.elements[i]
         report.safe_size += 1
         a = moved_final.get(e)
-        b = base_final.get(target)
+        b = base_final.get(targets[i])
         if a != b:
             report.mismatches.append(
                 {
@@ -454,19 +463,16 @@ def equivariance_check(config: SimulationConfig, gamma) -> EquivarianceReport:
 # -- sparse multi-scale coloring ---------------------------------------------------
 
 
-_ETA_CACHE: Dict[tuple, list] = {}
-
-
-def _greedy_distance_coloring(group: Group, window: list, d_c: int, window_radius: int) -> list:
+def _greedy_distance_coloring(region: Region, d_c: int) -> list:
     """Greedy proper coloring of the graph joining points at distance <= d_c,
-    visiting the window in its fixed breadth-first order. When d_c reaches
-    the window diameter the graph is complete and the result is the visit
-    index itself."""
-    key = (group.spec_string(), window_radius, d_c)
-    if key in _ETA_CACHE:
-        return _ETA_CACHE[key]
+    visiting the region in its fixed breadth-first order. When d_c reaches
+    the region's diameter the graph is complete and the result is the visit
+    index itself. Kept on the region, per d_c."""
+    if d_c in region.etas:
+        return region.etas[d_c]
+    group, window = region.group, region.elements
     n = len(window)
-    if d_c >= 2 * window_radius:
+    if d_c >= 2 * region.radius:
         eta = list(range(n))
     else:
         eta = [0] * n
@@ -479,7 +485,7 @@ def _greedy_distance_coloring(group: Group, window: list, d_c: int, window_radiu
             while c in used:
                 c += 1
             eta[i] = c
-    _ETA_CACHE[key] = eta
+    region.etas[d_c] = eta
     return eta
 
 
@@ -520,13 +526,14 @@ def sparse_run(group, d: Sequence[int], window_radius: int, m: int, seed: int):
     d = list(d)
     if m < 0 or m > len(d):
         raise ValueError(f"need 0 <= m <= len(d), got m={m} with {len(d)} scales")
-    window = _region(group, window_radius)
+    region = _region_of(group, window_radius)
+    window = region.elements
     n = len(window)
     rng = random.Random(seed)
     etas = []
     targets = []
     for c in range(m):
-        eta = _greedy_distance_coloring(group, window, int(d[c]), window_radius)
+        eta = _greedy_distance_coloring(region, int(d[c]))
         realized = sorted(set(eta))
         targets.append(realized[rng.randrange(len(realized))])
         etas.append(eta)

@@ -16,19 +16,26 @@ Laws under test:
 5. Sparse runs: the frozen greedy table on the line, hard separation for
    the final colors, the complete-graph shortcut, coverage reporting.
 6. Extraction: recurring patterns are found, normalized to the identity.
+7. The region's neighbour table, the offset windows and the validator
+   agree with brute force over g.dist.
 """
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftcolor.groups import FreeAbelian, FreeGroup
-from shiftcolor.ideals import NotUniversal, ProperColoring
+from shiftcolor.ideals import DistanceConstrained, NotUniversal, ProperColoring
 from shiftcolor.patterns import PartialColoring
+from shiftcolor.radii import INF, Infinity, radius_floor
 from shiftcolor.simulate import (
     SimulationConfig,
+    SimulationTrace,
+    ValidationReport,
     _greedy_distance_coloring,
-    _region,
+    _region_of,
+    _window,
     equivariance_check,
     extract_patterns,
     run,
@@ -37,6 +44,7 @@ from shiftcolor.simulate import (
 )
 
 Z1 = FreeAbelian(1)
+Z2 = FreeAbelian(2)
 F2 = FreeGroup(2)
 PC3 = ProperColoring(Z1, 3)
 
@@ -86,6 +94,15 @@ class TestStepRule:
         report = trace_validate(trace, PC3)
         assert not report.ok
         assert {f["element"] for f in report.failures} == {0, 1}
+
+    def test_forced_duplicate_point_rejected(self):
+        """A repeated forced point would be reported twice in the step's
+        assigned set while colouring only one point."""
+        cfg = SimulationConfig(
+            ideal=PC3, window_radius=5, margin=2, steps=1, forced_supports={0: [0, 0]}
+        )
+        with pytest.raises(ValueError):
+            run(cfg)
 
     def test_forced_point_outside_region_rejected(self):
         cfg = SimulationConfig(
@@ -169,6 +186,125 @@ class TestNotUniversalRuns:
         assert trace_validate(trace, nu).ok
 
 
+# (group, largest region radius, largest neighbourhood radius) kept small
+# enough for brute force
+KERNEL_CASES = [
+    (Z1, 8, 4),
+    (Z2, 5, 3),
+    (FreeAbelian(3), 3, 2),
+    (F2, 3, 3),
+    (FreeGroup(3), 2, 2),
+]
+
+
+class TestRegionKernel:
+    """The neighbour table and the offset windows against g.dist."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_rows_and_windows_match_brute_force(self, data):
+        g, max_T, max_s = data.draw(st.sampled_from(KERNEL_CASES))
+        T = data.draw(st.integers(0, max_T))
+        s = data.draw(st.integers(0, max_s))
+        region = _region_of(g, T)
+        points = region.elements
+        i = data.draw(st.integers(0, len(points) - 1))
+        center = points[i]
+        cur = {e: k % 3 for k, e in enumerate(points) if data.draw(st.booleans())}
+        table = region.neighbors(s)
+        offsets = g.ball(g.identity(), s)
+        assert table[i].tolist() == [region.index.get(g.mul(w, center), len(points)) for w in offsets]
+        for r in range(s + 1):
+            near = {k for k, x in enumerate(points) if g.dist(center, x) <= r}
+            width = len(g.ball(g.identity(), r))
+            row = set(table[i, :width].tolist()) - {len(points)}
+            assert row == near
+            assert _window(g, cur, center, r) == {
+                x: c for x, c in cur.items() if g.dist(center, x) <= r
+            }
+
+
+def brute_force_validate(trace, ideal):
+    """The quadratic validator: after each step, every colored point within
+    the largest finite radius of a new point has its window rebuilt by
+    scanning the whole coloring with g.dist."""
+    r = ideal.locality_radius
+    g = trace.group
+    T = trace.config.window_radius + trace.config.margin
+    report = ValidationReport()
+    cur = {}
+    finite = [r(c) for c, _ in trace.assigned_sets if not isinstance(r(c), Infinity)]
+    max_reach = radius_floor(max(finite)) if finite else 0
+    for step, (color, elems) in enumerate(trace.assigned_sets, start=1):
+        for e in elems:
+            cur[e] = color
+        affected = {e for e in cur if any(g.dist(e, a) <= max_reach for a in elems)}
+        for gamma in sorted(affected, key=g.sort_key):
+            rc = r(cur[gamma])
+            if isinstance(rc, Infinity):
+                report.skipped_nonlocal += 1
+                continue
+            if g.dist(g.identity(), gamma) + rc > T:
+                continue
+            window = PartialColoring(g, {e: c for e, c in cur.items() if g.dist(gamma, e) <= rc})
+            report.windows_checked += 1
+            if not ideal.contains(window):
+                report.failures.append(
+                    {"step": step, "element": g.element_to_json(gamma), "window": window.to_json()}
+                )
+    return report
+
+
+DC = DistanceConstrained(Z1, (1, 3), (3, 7))
+NU = NotUniversal(Z1, (1, 3), (5, 13))
+
+
+def _hand_trace(ideal, window_radius, margin, assigned_sets):
+    config = SimulationConfig(ideal=ideal, window_radius=window_radius, margin=margin, steps=0)
+    return SimulationTrace(config, [], [], assigned_sets, [], [], [])
+
+
+class TestValidatorAgainstBruteForce:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SimulationConfig(PC3, 60, 2, 30, Fraction(1, 2), seed)
+            for seed in range(3)
+        ]
+        + [
+            SimulationConfig(ProperColoring(Z2, 5), 8, 2, 30, Fraction(1, 8), seed)
+            for seed in range(2)
+        ]
+        + [SimulationConfig(DC, 80, 12, 40, Fraction(1, 8), seed) for seed in range(2)]
+        + [SimulationConfig(NU, 40, 26, 40, Fraction(1, 54), seed) for seed in range(2)]
+        + [
+            SimulationConfig(PC3, 5, 2, 1, seed=0, forced_supports={0: [0, 1]}),
+            SimulationConfig(PC3, 20, 2, 12, Fraction(1, 2), seed=4, warmup=False),
+        ],
+    )
+    def test_runs(self, config):
+        trace = run(config)
+        fast = trace_validate(trace, config.ideal)
+        slow = brute_force_validate(trace, config.ideal)
+        assert fast.windows_checked > 0
+        assert fast.to_jsonable() == slow.to_jsonable()
+
+    def test_hand_traces_with_nonlocal_colors_and_failures(self):
+        dc_inf = DistanceConstrained(Z1, (1, 3), (3, INF))
+        traces = [
+            # color 1 has infinite radius: its windows are skipped, not checked
+            (dc_inf, _hand_trace(dc_inf, 10, 4, [(0, (0, 4)), (1, (2,)), (0, (1, 8)), (1, (9,))])),
+            # same-color neighbours and points near the boundary
+            (PC3, _hand_trace(PC3, 6, 1, [(0, (0, 6, 7)), (1, (3,)), (0, (1, -7)), (2, (4, 5))])),
+        ]
+        for ideal, trace in traces:
+            fast = trace_validate(trace, ideal)
+            slow = brute_force_validate(trace, ideal)
+            assert fast.failures
+            assert fast.to_jsonable() == slow.to_jsonable()
+        assert trace_validate(traces[0][1], dc_inf).skipped_nonlocal > 0
+
+
 class TestEquivariance:
     def test_z1(self):
         cfg = SimulationConfig(
@@ -199,16 +335,16 @@ class TestEquivariance:
 class TestSparse:
     def test_greedy_frozen_table(self):
         # window visited 0, -1, 1, -2, 2, ...: alternating 0/1 at scale 1
-        window = _region(Z1, 5)
-        eta = _greedy_distance_coloring(Z1, window, 1, 5)
-        assert dict(zip(window, eta)) == {
+        window = _region_of(Z1, 5)
+        eta = _greedy_distance_coloring(window, 1)
+        assert dict(zip(window.elements, eta)) == {
             0: 0, -1: 1, 1: 1, -2: 0, 2: 0, -3: 1, 3: 1, -4: 0, 4: 0, -5: 1, 5: 1
         }
 
     def test_complete_graph_shortcut(self):
-        window = _region(Z1, 3)
-        eta = _greedy_distance_coloring(Z1, window, 6, 3)
-        assert eta == list(range(len(window)))
+        window = _region_of(Z1, 3)
+        eta = _greedy_distance_coloring(window, 6)
+        assert eta == list(range(len(window.elements)))
 
     def test_separation_hard_invariant(self):
         d = (1, 3, 7, 15)
