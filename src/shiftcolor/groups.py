@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 import string
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -240,33 +241,37 @@ class FreeGroup(Group):
     def generators(self):
         return self._generators
 
-    @staticmethod
-    def _inverse_letter(c: str) -> str:
-        return c.lower() if c.isupper() else c.upper()
-
     def validate(self, g):
         if not isinstance(g, str):
             raise ValueError(f"not a {self.name} element: {g!r}")
         for i, c in enumerate(g):
             if c not in self._letters:
                 raise ValueError(f"letter {c!r} is not a generator of {self.name}")
-            if i > 0 and g[i - 1] == self._inverse_letter(c):
+            if i > 0 and g[i - 1] == c.swapcase():
                 raise ValueError(f"word {g!r} is not reduced at position {i}")
 
     def mul(self, g, h):
         # Cancellation only happens at the seam of two reduced words.
         i = len(g)
         j = 0
-        while i > 0 and j < len(h) and g[i - 1] == self._inverse_letter(h[j]):
+        while i > 0 and j < len(h) and g[i - 1] == h[j].swapcase():
             i -= 1
             j += 1
         return g[:i] + h[j:]
 
     def inv(self, g):
-        return "".join(self._inverse_letter(c) for c in reversed(g))
+        return g[::-1].swapcase()
 
     def norm(self, g):
         return len(g)
+
+    def dist(self, g, h):
+        # h * g^-1 cancels exactly the longest common suffix of g and h.
+        k = 0
+        n = min(len(g), len(h))
+        while k < n and g[-1 - k] == h[-1 - k]:
+            k += 1
+        return len(g) + len(h) - 2 * k
 
     def sort_key(self, g):
         return (len(g), g)
@@ -348,6 +353,17 @@ def d_sequence(group, count: int, budget: int = 64) -> DSequence:
     one packing witness per step (None for the d_0 entry).
 
     Raises BudgetError when a step would need a radius beyond ``budget``.
+
+    The search visits enclosing radii E in increasing order and, for each,
+    the pairs (x, y) of Ball(1, E - d) in breadth-first order, returning the
+    first pair more than 2d apart. It is pruned by the bound
+    dist(x, y) <= |x| + |y|, which holds in any group: no E <= 2d can work,
+    since two points of Ball(1, E - d) are then at most 2d apart, and since
+    norms never decrease along the breadth-first order, the partners y of x
+    with |y| <= 2d - |x| form a prefix that is skipped. Only pairs that
+    cannot be witnesses are skipped and the visiting order is kept, so the
+    first witness, hence every value and witness, is that of the all-pairs
+    search.
     """
     group = parse_group(group)
     if count < 0:
@@ -365,12 +381,14 @@ def d_sequence(group, count: int, budget: int = 64) -> DSequence:
     for _ in range(count):
         d = values[-1]
         found = None
-        for enclosing in range(d + 1, budget + 1):
+        for enclosing in range(2 * d + 1, budget + 1):
             # Ball(z, d) fits inside Ball(1, enclosing) iff |z| <= enclosing - d,
             # and two radius-d balls are disjoint iff their centers are > 2d apart.
             candidates = group.ball(one, enclosing - d)
+            norms = [group.norm(x) for x in candidates]
             for i, x in enumerate(candidates):
-                for y in candidates[i + 1 :]:
+                start = max(i + 1, bisect_right(norms, 2 * d - norms[i]))
+                for y in candidates[start:]:
                     if group.dist(x, y) > 2 * d:
                         found = PackingWitness(x, y, d, enclosing)
                         break
@@ -404,11 +422,10 @@ def annulus_D(group, d: int, budget: int = 64) -> Tuple[int, AnnulusWitness]:
     group = parse_group(group)
     if not isinstance(d, int) or d < 0:
         raise ValueError(f"d must be a nonnegative integer, got {d!r}")
-    one = group.identity()
     for D in range(2 * d + 1, budget + 1):
         for t in range(2 * d + 1, D - d + 1):
             z = group.element_at_distance(t)
-            if all(2 * d < group.dist(one, w) <= D for w in group.ball(z, d)):
+            if all(2 * d < group.norm(w) <= D for w in group.ball(z, d)):
                 return D, AnnulusWitness(z, d, 2 * d, D)
     raise BudgetError(
         f"annulus search for d={d} in {group.name} exceeded the radius budget {budget}"

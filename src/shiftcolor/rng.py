@@ -1,7 +1,7 @@
 """Counter-based randomness for the window simulations.
 
 Each random bit is a pure function of (seed, step, element): the element is
-packed into a 64-bit code, mixed with the seed and step through a splitmix64
+packed (or, when too large to pack, hashed) into a 64-bit code, mixed with the seed and step through a splitmix64
 finalizer chain, and compared against an exact rational threshold. Results
 are therefore independent of iteration order and of the size of the region
 being sampled — the properties the equivariance checks rely on.
@@ -48,26 +48,56 @@ def _zigzag(n: int) -> int:
     return 2 * n if n >= 0 else -2 * n - 1
 
 
+def _limbs(n: int) -> list:
+    """A nonnegative integer as its count of 64-bit limbs, then the limbs,
+    lowest first: distinct integers give distinct word lists."""
+    limbs = [n & _MASK]
+    while n >> 64:
+        n >>= 64
+        limbs.append(n & _MASK)
+    return [len(limbs)] + limbs
+
+
+# Leads the chain of every element too large to pack (ASCII "unpacked").
+_UNPACKED_TAG = 0x756E7061636B6564
+
+
+def _unpacked_code(numbers) -> int:
+    """Code of an element too large to pack, given as nonnegative integers."""
+    return mix(_UNPACKED_TAG, *(w for n in numbers for w in _limbs(n)))
+
+
 def element_code(group: Group, g) -> int:
-    """Stable 64-bit code of an element, independent of any region."""
+    """Stable 64-bit code of an element, independent of any region.
+
+    Elements of Z^1..Z^3 whose zigzagged coordinates fit 21 bits each, and
+    F_k words whose base-(2k+1) digit value fits 64 bits, are packed
+    exactly; Z^d for d >= 4 chains its 64-bit zigzagged coordinates through
+    splitmix64. Any other element is hashed by a chain led by a tag, so
+    packing never wraps two elements onto one code."""
     if isinstance(group, FreeAbelian):
         coords = (g,) if group.dimension == 1 else g
         if group.dimension <= 3:
             code = 0
             for c in coords:
-                code = (code << 21) | (_zigzag(c) & ((1 << 21) - 1))
+                z = _zigzag(c)
+                if z >> 21:
+                    return _unpacked_code(_zigzag(c) for c in coords)
+                code = (code << 21) | z
             return code
         h = 0
         for c in coords:
-            h = splitmix64(h ^ (_zigzag(c) & _MASK))
+            z = _zigzag(c)
+            if z >> 64:
+                return _unpacked_code(_zigzag(c) for c in coords)
+            h = splitmix64(h ^ z)
         return h
     if isinstance(group, FreeGroup):
         base = 2 * group.rank + 1
         code = 0
         for ch in g:
-            digit = group._letters.index(ch) + 1
-            code = (code * base + digit) & _MASK
-        return code
+            code = code * base + group._letters.index(ch) + 1
+        return code if code >> 64 == 0 else _unpacked_code([code])
     raise ValueError(f"no element coding for group {group!r}")
 
 

@@ -61,6 +61,9 @@ class Region:
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.norms = np.array([group.norm(e) for e in self.elements], dtype=np.int64)
         self.codes = element_codes(group, self.elements)
+        ordered = np.sort(self.codes)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise RuntimeError(f"element codes collide on the radius-{radius} region of {group.name}")
         self.norms.flags.writeable = self.codes.flags.writeable = False  # shared by every caller
         self.etas: Dict[int, list] = {}  # d_c -> greedy colouring, see _greedy_distance_coloring
         self._table = np.arange(len(self.elements), dtype=np.int64)[:, None]

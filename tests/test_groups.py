@@ -6,8 +6,11 @@ Laws under test:
 2. Frozen small facts: reduced-word products, ball sizes, specific distances.
 3. Packing searches return the frozen minimal sequences, and every returned
    certificate re-verifies by direct ball enumeration (independent of the
-   search code path).
-4. Conventions: minimum distance between sets is infinite when a set is
+   search code path). The pruned d-sequence search returns exactly what the
+   all-pairs search kept here returns, errors included.
+4. F_k arithmetic on strings agrees with letter-by-letter reference versions
+   kept here.
+5. Conventions: minimum distance between sets is infinite when a set is
    empty; budget exhaustion raises loudly.
 """
 
@@ -16,8 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 from shiftcolor.groups import (
     BudgetError,
+    DSequence,
     FreeAbelian,
     FreeGroup,
+    PackingWitness,
     annulus_D,
     d_sequence,
     parse_group,
@@ -195,6 +200,138 @@ class TestDSequence:
     def test_budget_error(self):
         with pytest.raises(BudgetError):
             d_sequence(Z1, 10, budget=20)
+
+
+def _all_pairs_d_sequence(group, count, budget=64):
+    """The packing search without pruning: every enclosing radius above d,
+    every pair of candidates in breadth-first order."""
+    group = parse_group(group)
+    one = group.identity()
+    d0 = None
+    for r in range(0, budget + 1):
+        if len(group.ball(one, r)) >= 2:
+            d0 = r
+            break
+    if d0 is None:
+        raise BudgetError(f"no radius <= {budget} gives a two-element ball in {group.name}")
+    values = [d0]
+    witnesses = [None]
+    for _ in range(count):
+        d = values[-1]
+        found = None
+        for enclosing in range(d + 1, budget + 1):
+            candidates = group.ball(one, enclosing - d)
+            for i, x in enumerate(candidates):
+                for y in candidates[i + 1 :]:
+                    if group.dist(x, y) > 2 * d:
+                        found = PackingWitness(x, y, d, enclosing)
+                        break
+                if found:
+                    break
+            if found:
+                break
+        if not found:
+            raise BudgetError(
+                f"packing search for the successor of d={d} in {group.name} "
+                f"exceeded the radius budget {budget}"
+            )
+        values.append(found.enclosing_radius)
+        witnesses.append(found)
+    return DSequence(group, tuple(values), tuple(witnesses))
+
+
+def _outcome(search, spec, count, budget):
+    try:
+        seq = search(spec, count, budget=budget)
+    except BudgetError as exc:
+        return "budget", str(exc)
+    return "found", seq.values, seq.witnesses
+
+
+class TestPrunedSearchAgainstAllPairs:
+    CASES = [("Z^1", 6, 128), ("Z^2", 3, 64), ("Z^3", 2, 64), ("F_1", 4, 64), ("F_2", 2, 64), ("F_3", 2, 64)]
+
+    @pytest.mark.parametrize("spec,count,budget", CASES)
+    def test_values_and_witnesses(self, spec, count, budget):
+        seq = d_sequence(spec, count, budget=budget)
+        reference = _all_pairs_d_sequence(spec, count, budget=budget)
+        assert seq.values == reference.values
+        assert seq.witnesses == reference.witnesses
+
+    @pytest.mark.parametrize("spec,count,budget", CASES)
+    def test_same_budget_errors(self, spec, count, budget):
+        values = _all_pairs_d_sequence(spec, count, budget=budget).values
+        # no two-element ball, the first step cut short, the last step cut
+        # short, and a budget that is just enough
+        for b in (0, values[1] - 1, values[-1] - 1, values[-1]):
+            pruned = _outcome(d_sequence, spec, count, b)
+            assert pruned == _outcome(_all_pairs_d_sequence, spec, count, b)
+            assert pruned[0] == ("found" if b == values[-1] else "budget")
+
+    @pytest.mark.parametrize("spec,count,budget", [("F_2", 3, 64), ("Z^1", 12, 10000)])
+    def test_witnesses_valid_beyond_all_pairs_reach(self, spec, count, budget):
+        """Sizes the all-pairs search took minutes on: each witness packs two
+        disjoint radius-d balls into the enclosing ball."""
+        seq = d_sequence(spec, count, budget=budget)
+        g = seq.group
+        assert len(seq.values) == count + 1
+        for d, E, w in zip(seq.values, seq.values[1:], seq.witnesses[1:]):
+            assert (w.inner_radius, w.enclosing_radius) == (d, E)
+            assert g.norm(w.center_a) <= E - d and g.norm(w.center_b) <= E - d
+            assert g.dist(w.center_a, w.center_b) > 2 * d
+        if spec == "Z^1":
+            assert seq.values == tuple(2 ** (i + 1) - 1 for i in range(count + 1))
+
+
+def _inverse_letter(c):
+    return c.lower() if c.isupper() else c.upper()
+
+
+def _ref_inv(g):
+    """Reverse the word and invert each letter."""
+    return "".join(_inverse_letter(c) for c in reversed(g))
+
+
+def _ref_mul(g, h):
+    """Append h to g one letter at a time, cancelling at the seam."""
+    out = list(g)
+    for c in h:
+        if out and out[-1] == _inverse_letter(c):
+            out.pop()
+        else:
+            out.append(c)
+    return "".join(out)
+
+
+def _reduced_words(group):
+    return st.lists(st.sampled_from(group.generators()), max_size=10).map(
+        lambda letters: _ref_mul("", letters)
+    )
+
+
+@st.composite
+def _word_pairs(draw, group):
+    """Two reduced words that often share a suffix."""
+    words = _reduced_words(group)
+    tail = draw(words)
+    return _ref_mul(draw(words), tail), _ref_mul(draw(words), tail)
+
+
+class TestFreeGroupArithmetic:
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_against_letter_reference(self, rank, data):
+        F = FreeGroup(rank)
+        g, h = data.draw(_word_pairs(F))
+        assert F.inv(g) == _ref_inv(g)
+        assert F.mul(g, h) == _ref_mul(g, h)
+        assert F.mul(h, g) == _ref_mul(h, g)
+        assert F.dist(g, h) == F.norm(_ref_mul(h, _ref_inv(g)))
+        F.validate(F.mul(g, h))
+        if g:
+            with pytest.raises(ValueError):
+                F.validate(g + _inverse_letter(g[-1]))
 
 
 class TestAnnulus:

@@ -4,11 +4,14 @@ Laws under test:
 1. The 64-bit finalizer matches the published reference outputs (state 0
    produces 0xE220A8397B1DCDAF, then 0x6E789E6AA1B965F4, ...).
 2. Scalar and vectorized evaluation are bit-identical.
-3. Element codes are injective on the balls the simulations touch.
+3. Element codes are injective on the balls the simulations touch; in-range
+   elements are packed exactly, and elements too large to pack (which the
+   packing once wrapped onto other elements' codes) get codes of their own.
 4. Acceptance thresholds are exact binary fractions: p = 1/2 maps to 2^63.
 5. Same key, same bit — across instances; different seeds decorrelate.
 """
 
+import string
 from fractions import Fraction
 
 import numpy as np
@@ -28,8 +31,43 @@ from shiftcolor.rng import (
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
+Z3 = FreeAbelian(3)
 Z4 = FreeAbelian(4)
 F2 = FreeGroup(2)
+F3 = FreeGroup(3)
+
+
+def _packed(group, g):
+    """The packing formula without any wrap: 21 bits per zigzagged
+    coordinate on Z^1..Z^3, base-(2k+1) digits (a=1, b=2, ..., A=k+1, ...)
+    on F_k."""
+    if isinstance(group, FreeGroup):
+        letters = string.ascii_lowercase[: group.rank] + string.ascii_uppercase[: group.rank]
+        code = 0
+        for ch in g:
+            code = code * (2 * group.rank + 1) + letters.index(ch) + 1
+        return code
+    code = 0
+    for c in (g,) if group.dimension == 1 else g:
+        code = (code << 21) | (2 * c if c >= 0 else -2 * c - 1)
+    return code
+
+
+# Zigzagged coordinates fit 21 bits exactly on [-2^20, 2^20).
+_in_range = st.integers(-(2**20), 2**20 - 1)
+
+
+def _fk_words(group, max_size):
+    def reduce(letters):
+        out = []
+        for c in letters:
+            if out and out[-1] == c.swapcase():
+                out.pop()
+            else:
+                out.append(c)
+        return "".join(out)
+
+    return st.lists(st.sampled_from(group.generators()), max_size=max_size).map(reduce)
 
 
 class TestSplitmix:
@@ -62,6 +100,53 @@ class TestElementCodes:
 
     def test_fk_identity_is_zero(self):
         assert element_code(F2, "") == 0
+
+    @settings(max_examples=60)
+    @given(
+        n=_in_range,
+        pair=st.tuples(_in_range, _in_range),
+        triple=st.tuples(_in_range, _in_range, _in_range),
+        w2=_fk_words(F2, 40),
+        w3=_fk_words(F3, 40),
+    )
+    def test_in_range_codes_match_packing_formula(self, n, pair, triple, w2, w3):
+        assert element_code(Z1, n) == _packed(Z1, n)
+        assert element_code(Z2, pair) == _packed(Z2, pair)
+        assert element_code(Z3, triple) == _packed(Z3, triple)
+        for g, w in ((F2, w2), (F3, w3)):
+            if _packed(g, w) < 2**64:
+                assert element_code(g, w) == _packed(g, w)
+
+    def test_far_coordinates_do_not_reuse_codes(self):
+        # 21-bit packing sent 2^20 (zigzag 2^21) onto 0, and Z^4's 64-bit
+        # zigzag sent 2^63 onto 0 too
+        assert _packed(Z1, 2**20) & (2**21 - 1) == 0
+        assert element_code(Z1, 0) != element_code(Z1, 2**20)
+        assert element_code(Z2, (0, 0)) != element_code(Z2, (2**20, 0))
+        assert element_code(Z4, (0,) * 4) != element_code(Z4, (2**63, 0, 0, 0))
+        assert element_code(Z1, 2**20 - 1) == _packed(Z1, 2**20 - 1)
+        assert element_code(Z1, -(2**20)) == _packed(Z1, -(2**20))
+
+    def test_long_words_do_not_reuse_codes(self):
+        # two reduced 28-letter words whose base-5 values differ by exactly
+        # 2^64, so packing modulo 2^64 gave them one code
+        u = "AAAAAAbbbbbAbaababbAAbAbabaB"
+        v = "aaaBaaaBaBaabbaaaBAbaaaBAbAA"
+        F2.validate(u)
+        F2.validate(v)
+        assert _packed(F2, u) - _packed(F2, v) == 2**64
+        assert element_code(F2, u) != element_code(F2, v)
+        assert element_code(F2, v) == _packed(F2, v)
+
+    def test_injective_across_the_packing_boundary(self):
+        near = [n for k in (20, 21, 40, 63, 64, 100) for n in range(2**k - 40, 2**k + 40)]
+        pts = sorted(set(Z1.ball(0, 50) + near + [-n for n in near]))
+        assert len(set(element_codes(Z1, pts))) == len(pts)
+        pts2 = [(x, y) for x in (0, 1, -1, 2**20, -(2**20), 2**63, 2**64) for y in (0, 1, 2**20, 2**70)]
+        assert len({element_code(Z2, p) for p in pts2}) == len(pts2)
+        words = F2.ball("", 3) + ["a" * n for n in range(20, 60)]
+        words += [w + "b" * 30 for w in F2.ball("", 2) if not w.endswith("B")]
+        assert len({element_code(F2, w) for w in words}) == len(words)
 
     def test_vector_matches_scalar(self):
         pts = F2.ball("", 3)

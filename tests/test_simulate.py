@@ -17,14 +17,17 @@ Laws under test:
    the final colors, the complete-graph shortcut, coverage reporting.
 6. Extraction: recurring patterns are found, normalized to the identity.
 7. The region's neighbour table, the offset windows and the validator
-   agree with brute force over g.dist.
+   agree with brute force over g.dist; a region refuses colliding element
+   codes.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftcolor import simulate
 from shiftcolor.groups import FreeAbelian, FreeGroup
 from shiftcolor.ideals import DistanceConstrained, NotUniversal, ProperColoring
 from shiftcolor.patterns import PartialColoring
@@ -222,6 +225,11 @@ class TestRegionKernel:
             assert _window(g, cur, center, r) == {
                 x: c for x, c in cur.items() if g.dist(center, x) <= r
             }
+
+    def test_colliding_codes_refused(self, monkeypatch):
+        monkeypatch.setattr(simulate, "element_codes", lambda g, pts: np.zeros(len(pts), dtype=np.uint64))
+        with pytest.raises(RuntimeError, match="element codes collide"):
+            simulate.Region(Z1, 2)
 
 
 def brute_force_validate(trace, ideal):
