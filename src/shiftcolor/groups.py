@@ -25,7 +25,10 @@ import re
 import string
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .radii import INF, Infinity, Radius, radius_floor
 
@@ -101,6 +104,16 @@ class Group:
             out.extend(nxt)
             frontier = nxt
         return out
+
+    def ball_arrays(self, radius: int) -> tuple:
+        """Ball(1, radius) as arrays, built with no loop over its elements:
+        ``(elements, norms, step, distances)``. ``elements`` is
+        ``ball(identity(), radius)``, ``norms`` their word lengths,
+        ``step[i, k]`` the index of generators()[k] * elements[i] (n where
+        that leaves the ball), and ``distances(i)`` gives dist(elements[j],
+        elements[i]) for every j < i. A negative radius gives the empty
+        ball."""
+        raise NotImplementedError
 
     def element_at_distance(self, t: int):
         """Some element at distance exactly t from the identity."""
@@ -183,6 +196,43 @@ class FreeAbelian(Group):
 
     def sort_key(self, g):
         return (g,) if self.dimension == 1 else g
+
+    def ball_arrays(self, radius):
+        # Ball_{d+1}(r) is {(x0, y) : y in Ball_d(r - |x0|)}, and each such
+        # Ball_d(r - |x0|) is a prefix of the norm-sorted Ball_d(r), so every
+        # dimension costs one gather and one lexsort by (norm, coordinates),
+        # which is BFS order with layers sorted by sort_key.
+        radius = max(radius, -1)
+        k = np.arange(2 * radius + 1)
+        norms = (k + 1) // 2
+        coords = np.where(k % 2 == 1, -norms, norms)[:, None]  # 0, -1, 1, -2, 2, ...
+        for _ in range(self.dimension - 1):
+            sizes = np.bincount(norms, minlength=radius + 1).cumsum()
+            x0 = np.arange(-radius, radius + 1)
+            lengths = sizes[radius - np.abs(x0)]
+            head = np.repeat(x0, lengths)
+            tail = np.arange(len(head)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+            coords = np.column_stack([head, coords[tail]])
+            norms = np.abs(head) + norms[tail]
+            order = np.lexsort([*coords.T[::-1], norms])
+            coords, norms = coords[order], norms[order]
+        n, d = coords.shape
+        elements = coords[:, 0].tolist() if d == 1 else list(map(tuple, coords.tolist()))
+
+        # Table entries: each row's neighbours along the generators (±e_i in
+        # order), looked up by searchsorted on the rows' bytes as sort keys.
+        coords = np.ascontiguousarray(coords)
+        moved = (coords[:, None, :] + np.array(self._generators).reshape(2 * d, d)).reshape(-1, d)
+        row = np.dtype((np.void, coords.itemsize * d))
+        keys, wanted = coords.view(row).ravel(), moved.view(row).ravel()
+        order = np.argsort(keys)
+        hit = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), n - 1)]
+        step = np.where(keys[hit] == wanted, hit, n).reshape(n, 2 * d)
+
+        def distances(i):
+            return np.abs(coords[:i] - coords[i]).sum(axis=1)  # the L1 norm, as in dist
+
+        return elements, norms, step, distances
 
     def element_to_json(self, g):
         return g if self.dimension == 1 else list(g)
@@ -275,6 +325,60 @@ class FreeGroup(Group):
 
     def sort_key(self, g):
         return (len(g), g)
+
+    def ball_arrays(self, radius):
+        # Layer t+1 prepends each letter, in ASCII order, to the words of
+        # layer t it does not cancel, so it comes out in shortlex order. The
+        # Cayley graph is a tree: gens[j] * x is x's child with first letter
+        # gens[j], or x's parent (x without its first letter) when x starts
+        # with the inverse letter gens[j ^ 1].
+        gens = self._generators
+        if radius < 0:
+            nothing = np.zeros(0, dtype=np.int64)
+            return [], nothing, nothing.reshape(0, len(gens)), lambda i: nothing
+        elements = [""]
+        # per layer: the gens index of each word's first letter (-1 for the
+        # identity) and the index of its parent (the identity is its own)
+        firsts, parents = [np.array([-1])], [np.array([0])]
+        lo = 0
+        for _ in range(radius):
+            layer_first, hi = firsts[-1], len(elements)
+            new_first, new_parent = [], []
+            for j in sorted(range(len(gens)), key=gens.__getitem__):
+                keep = lo + np.flatnonzero(layer_first != j ^ 1)
+                elements.extend(map(gens[j].__add__, map(elements.__getitem__, keep.tolist())))
+                new_first.append(np.full(len(keep), j))
+                new_parent.append(keep)
+            firsts.append(np.concatenate(new_first))
+            parents.append(np.concatenate(new_parent))
+            lo = hi
+        first, parent = np.concatenate(firsts), np.concatenate(parents)
+        norms = np.repeat(np.arange(radius + 1), [len(f) for f in firsts])
+        n = len(elements)
+        step = np.full((n, len(gens)), n, dtype=np.int64)
+        child = np.arange(1, n)
+        step[parent[child], first[child]] = child
+        step[child, first[child] ^ 1] = parent[child]
+
+        @cache
+        def ancestors():
+            # row i, column t: the index of x_i's length-t suffix, its
+            # ancestor at depth t (-1 for t > |x_i|)
+            table = np.full((n, radius + 1), -1, dtype=np.int64)
+            rows = node = np.arange(n)
+            for _ in range(radius + 1):
+                table[rows, norms[node]] = node
+                node = parent[node]
+            return table
+
+        def distances(i):
+            # as in dist: |x_i| + |x_j| - 2 (length of the common suffix)
+            depth = norms[i]
+            up = ancestors()[:, : depth + 1]
+            common = (up[:i] == up[i]).sum(axis=1) - 1
+            return norms[:i] + depth - 2 * common
+
+        return elements, norms, step, distances
 
     def element_to_json(self, g):
         return g

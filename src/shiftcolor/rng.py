@@ -13,6 +13,7 @@ produce bit-identical results.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, repeat
 from typing import Sequence
 
 import numpy as np
@@ -101,9 +102,53 @@ def element_code(group: Group, g) -> int:
     raise ValueError(f"no element coding for group {group!r}")
 
 
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
 def element_codes(group: Group, elements: Sequence) -> np.ndarray:
-    """Vector of element codes as uint64."""
-    return np.array([element_code(group, g) for g in elements], dtype=np.uint64)
+    """Vector of element codes as uint64, each equal to ``element_code``.
+
+    Z^d elements whose coordinates fit int64 are zigzagged and packed (or
+    chained) as whole arrays. F_k words (k <= 17) short enough to pack are
+    read as base-(2k+1) numerals by ``int``, after ``str.translate`` maps
+    each letter to its digit. Every other element, and every element of a
+    sequence whose coordinates overflow int64, goes through the scalar
+    ``element_code``."""
+    n = len(elements)
+    if isinstance(group, FreeAbelian):
+        try:
+            coords = np.array(elements, dtype=np.int64).reshape(n, group.dimension)
+        except OverflowError:
+            return np.array([element_code(group, g) for g in elements], dtype=np.uint64)
+        zig = ((coords << 1) ^ (coords >> 63)).view(np.uint64)
+        codes = np.zeros(n, dtype=np.uint64)
+        if group.dimension <= 3:
+            for column in zig.T:
+                codes = (codes << np.uint64(21)) | column
+            far = (zig >> np.uint64(21)).any(axis=1)
+        else:  # a zigzagged int64 always fits 64 bits
+            for column in zig.T:
+                codes = _vector_splitmix64(codes ^ column)
+            far = np.zeros(n, dtype=bool)
+    elif isinstance(group, FreeGroup) and 2 * group.rank + 1 <= len(_DIGITS):
+        base = 2 * group.rank + 1
+        packable = 0  # the longest word length whose every numeral fits 64 bits
+        while base ** (packable + 1) <= 1 << 64:
+            packable += 1
+        lengths = np.fromiter(map(len, elements), dtype=np.int64, count=n)
+        far = lengths > packable
+        short = (lengths > 0) & ~far
+        to_digits = str.maketrans(group._letters, _DIGITS[1:base])
+        numerals = map(str.translate, compress(elements, short), repeat(to_digits))
+        codes = np.zeros(n, dtype=np.uint64)
+        codes[short] = np.fromiter(map(int, numerals, repeat(base)), dtype=np.uint64,
+                                   count=int(short.sum()))
+    else:
+        far = np.ones(n, dtype=bool)
+        codes = np.zeros(n, dtype=np.uint64)
+    for i in np.flatnonzero(far).tolist():
+        codes[i] = element_code(group, elements[i])
+    return codes
 
 
 def _threshold(p: Fraction) -> int:

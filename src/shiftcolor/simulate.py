@@ -50,23 +50,30 @@ def _window(g: Group, cur: Mapping, center, r: Radius) -> dict:
 
 
 class Region:
-    """Ball(1, radius) with what the window process reads about it: the
-    elements in breadth-first order, their norms and element codes, a
-    neighbour table, and the greedy colourings of the sparse run."""
+    """Ball(1, radius) with what the window process reads about it, built
+    from integer arrays by ``Group.ball_arrays`` with no loop over its
+    elements: the elements in ``Group.ball``'s order and their index, their
+    norms (the breadth-first layer), their element codes, the generator
+    table ``step[i, k]``, the index of gens[k] * x_i (n where that leaves
+    the region), and ``distances(i)``, the distances from x_i to the points
+    before it. Built lazily on top: a neighbour table and the sparse run's
+    greedy colourings."""
 
     def __init__(self, group: Group, radius: int):
         self.group = group
         self.radius = radius
-        self.elements = group.ball(group.identity(), radius)
-        self.index = {e: i for i, e in enumerate(self.elements)}
-        self.norms = np.array([group.norm(e) for e in self.elements], dtype=np.int64)
+        self.elements, self.norms, step, self.distances = group.ball_arrays(radius)
+        n = len(self.elements)
+        self.index = dict(zip(self.elements, range(n)))
         self.codes = element_codes(group, self.elements)
         ordered = np.sort(self.codes)
         if (ordered[1:] == ordered[:-1]).any():
             raise RuntimeError(f"element codes collide on the radius-{radius} region of {group.name}")
-        self.norms.flags.writeable = self.codes.flags.writeable = False  # shared by every caller
+        self._step = np.vstack([step, np.full((1, step.shape[1]), n)])
+        for a in (self.norms, self.codes, self._step):
+            a.flags.writeable = False  # shared by every caller
         self.etas: Dict[int, list] = {}  # d_c -> greedy colouring, see _greedy_distance_coloring
-        self._table = np.arange(len(self.elements), dtype=np.int64)[:, None]
+        self._table = np.arange(n, dtype=np.int64)[:, None]
 
     def neighbors(self, s: int) -> np.ndarray:
         """Column j of row i: the index of w_j * x_i, where w_j is offset j of
@@ -79,29 +86,27 @@ class Region:
         return self._table[:, :width]
 
     def _build_table(self, s: int) -> np.ndarray:
-        # Column w*x is composed from column w'*x, where w = a*w' for a
-        # generator a and |w'| = |w| - 1, taking whichever such path stays in
-        # the region. That is exact for Z^d and F_k: any two points of a ball
-        # about the identity are joined by a geodesic inside it.
+        # Column w*x is composed from column w'*x through the generator table
+        # (whose sentinel row maps the sentinel to itself), where w = a*w'
+        # for a generator a and |w'| = |w| - 1, taking whichever such path
+        # stays in the region. That is exact for Z^d and F_k: any two points
+        # of a ball about the identity are joined by a geodesic inside it.
         g = self.group
         n = len(self.elements)
-        gens = g.generators()
-        rows = [[self.index.get(g.mul(a, x), n) for a in gens] for x in self.elements]
-        step = np.array(rows + [[n] * len(gens)], dtype=np.int64)
         offsets = _offsets(g, s)
         column = {w: j for j, w in enumerate(offsets)}
         table = np.full((n, len(offsets)), n, dtype=np.int64)
         table[:, 0] = np.arange(n)
         for j, w in enumerate(offsets):
-            for k, a in enumerate(gens):
+            for k, a in enumerate(g.generators()):
                 t = column.get(g.mul(a, w))
                 if t is not None and g.norm(offsets[t]) > g.norm(w):
-                    np.minimum(table[:, t], step[table[:, j], k], out=table[:, t])
+                    np.minimum(table[:, t], self._step[table[:, j], k], out=table[:, t])
         table.flags.writeable = False
         return table
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def _region_of(group: Group, radius: int) -> Region:
     """The cached Region of the given radius about the identity."""
     return Region(group, radius)
@@ -468,26 +473,24 @@ def equivariance_check(config: SimulationConfig, gamma) -> EquivarianceReport:
 
 def _greedy_distance_coloring(region: Region, d_c: int) -> list:
     """Greedy proper coloring of the graph joining points at distance <= d_c,
-    visiting the region in its fixed breadth-first order. When d_c reaches
-    the region's diameter the graph is complete and the result is the visit
-    index itself. Kept on the region, per d_c."""
+    visiting the region in its fixed breadth-first order: each point takes
+    the least colour none of its earlier neighbours has, read one row of
+    distances at a time. When d_c reaches the region's diameter the graph is
+    complete and the result is the visit index itself. Kept on the region,
+    per d_c."""
     if d_c in region.etas:
         return region.etas[d_c]
-    group, window = region.group, region.elements
-    n = len(window)
+    n = len(region.elements)
     if d_c >= 2 * region.radius:
         eta = list(range(n))
     else:
-        eta = [0] * n
-        for i, e in enumerate(window):
-            used = set()
-            for j in range(i):
-                if group.dist(window[j], e) <= d_c:
-                    used.add(eta[j])
-            c = 0
-            while c in used:
-                c += 1
-            eta[i] = c
+        colors = np.zeros(n, dtype=np.int64)
+        for i in range(1, n):
+            near = colors[:i][region.distances(i) <= d_c]
+            taken = np.zeros(len(near) + 1, dtype=bool)  # the least free colour is <= len(near)
+            taken[near[near <= len(near)]] = True
+            colors[i] = taken.argmin()
+        eta = colors.tolist()
     region.etas[d_c] = eta
     return eta
 

@@ -4,7 +4,8 @@ Laws under test:
 1. Construction validates elements and colors and refuses conflicting
    duplicate assignments.
 2. Shift: dom(g . phi) = dom(phi) shifted, values follow; the action law
-   shift(shift(phi, g), d) = shift(phi, d*g) holds exactly (left action).
+   shift(shift(phi, g), d) = shift(phi, d*g) holds exactly (left action);
+   the shifted entries, built without a second validation, are valid.
 3. Window / restrict / union behave as set operations on graphs of maps.
 4. JSON round trip is the identity; canonical keys are order-insensitive.
 """
@@ -92,6 +93,24 @@ class TestShift:
     def test_identity_and_inverse(self, phi, g):
         assert shift(phi, Z1.identity()) == phi
         assert shift(shift(phi, g), Z1.inv(g)) == phi
+
+    @settings(max_examples=60)
+    @given(phi=f2_patterns(), g=f2_word())
+    def test_shifted_entries_pass_validation(self, phi, g):
+        """shift builds its result without validating it again; the same
+        entries pass the validating constructor unchanged."""
+        moved = shift(phi, g)
+        assert PartialColoring(F2, moved.entries) == moved
+
+    def test_validating_constructor_still_rejects(self):
+        with pytest.raises(ValueError, match="not reduced"):
+            PartialColoring(F2, {"aA": 0})
+        with pytest.raises(ValueError):
+            PartialColoring(F2, {"ab": -1})
+        with pytest.raises(ValueError):
+            PartialColoring(F2, {"ab": True})
+        with pytest.raises(ValueError, match="not reduced"):
+            shift(PartialColoring(F2, {"a": 0}), "bB")
 
     @given(phi=z1_patterns(), g=st.integers(-5, 5))
     def test_preserves_size_and_colors(self, phi, g):

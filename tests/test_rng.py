@@ -153,6 +153,43 @@ class TestElementCodes:
         vec = element_codes(F2, pts)
         assert list(vec) == [element_code(F2, e) for e in pts]
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_vector_matches_scalar_across_the_packing_boundary(self, data):
+        # Z^1..Z^3 pack coordinates in [-2^20, 2^20); Z^4 chains any int64;
+        # F_1 packs words of up to 40 letters (3^40 < 2^64 < 3^41), F_2 up
+        # to 27 (5^27 < 2^64 < 5^28). Coordinates past int64 send the whole
+        # sequence through the scalar code.
+        edge = st.sampled_from([2**20, -(2**20), 2**20 - 1, -(2**20) - 1, 2**63 - 1, -(2**63)])
+        coord = st.one_of(st.integers(-3, 3), edge.flatmap(lambda c: st.integers(c - 2, c + 2)))
+        g, element = data.draw(
+            st.sampled_from(
+                [
+                    (Z1, coord),
+                    (Z2, st.tuples(coord, coord)),
+                    (Z3, st.tuples(coord, coord, coord)),
+                    (Z4, st.tuples(coord, coord, coord, coord)),
+                    (FreeGroup(1), st.integers(0, 45).flatmap(lambda n: st.sampled_from(["a" * n, "A" * n]))),
+                    (F2, _fk_words(F2, 40)),
+                    (F3, _fk_words(F3, 40)),
+                ]
+            )
+        )
+        pts = data.draw(st.lists(element, max_size=12))
+        assert element_codes(g, pts).tolist() == [element_code(g, e) for e in pts]
+
+    def test_vector_matches_scalar_at_named_boundaries(self):
+        F1 = FreeGroup(1)
+        cases = [
+            (Z1, [0, 2**20 - 1, 2**20, -(2**20), -(2**20) - 1, 5]),
+            (Z2, [(0, 0), (2**20, 0), (2**20 - 1, 0), (0, -(2**20) - 1)]),
+            (Z1, [0, 2**64, -(2**70)]),  # past int64
+            (F1, ["a" * 40, "a" * 41, "A" * 41, "A" * 60, ""]),
+            (F2, ["ab" * 13 + "a", "ab" * 14, "B" * 28, "AAAAAAbbbbbAbaababbAAbAbabaB", ""]),
+        ]
+        for g, pts in cases:
+            assert element_codes(g, pts).tolist() == [element_code(g, e) for e in pts]
+
 
 class TestBernoulli:
     def test_half_threshold_exact(self):

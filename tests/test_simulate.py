@@ -13,12 +13,14 @@ Laws under test:
    of the final coloring is a member.
 4. Equivariance: runs driven by a translated field agree with the original
    on the safe interior, exactly.
-5. Sparse runs: the frozen greedy table on the line, hard separation for
-   the final colors, the complete-graph shortcut, coverage reporting.
+5. Sparse runs: the greedy colouring equals the all-pairs greedy, the
+   frozen greedy table on the line, hard separation for the final colors,
+   the complete-graph shortcut, coverage reporting.
 6. Extraction: recurring patterns are found, normalized to the identity.
-7. The region's neighbour table, the offset windows and the validator
-   agree with brute force over g.dist; a region refuses colliding element
-   codes.
+7. The array-built region agrees with Group.ball, group.norm, the scalar
+   element code, an index-plus-mul generator table and g.dist; its
+   neighbour table, the offset windows and the validator agree with brute
+   force over g.dist; a region refuses colliding element codes.
 """
 
 from fractions import Fraction
@@ -32,6 +34,7 @@ from shiftcolor.groups import FreeAbelian, FreeGroup
 from shiftcolor.ideals import DistanceConstrained, NotUniversal, ProperColoring
 from shiftcolor.patterns import PartialColoring
 from shiftcolor.radii import INF, Infinity, radius_floor
+from shiftcolor.rng import element_code
 from shiftcolor.simulate import (
     SimulationConfig,
     SimulationTrace,
@@ -200,8 +203,23 @@ KERNEL_CASES = [
 ]
 
 
+# (group, largest radius) for the array-built Region against its references;
+# Z^28 has rows of 224 bytes, the widest table keys
+REGION_CASES = [
+    (Z1, 12),
+    (Z2, 6),
+    (FreeAbelian(3), 4),
+    (FreeAbelian(4), 3),
+    (FreeAbelian(28), 2),
+    (FreeGroup(1), 12),
+    (F2, 4),
+    (FreeGroup(3), 3),
+]
+
+
 class TestRegionKernel:
-    """The neighbour table and the offset windows against g.dist."""
+    """The array-built region, its neighbour table and the offset windows
+    against their references."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -225,6 +243,28 @@ class TestRegionKernel:
             assert _window(g, cur, center, r) == {
                 x: c for x, c in cur.items() if g.dist(center, x) <= r
             }
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_array_built_region_matches_references(self, data):
+        """Elements, index, norms, codes, generator table and distances
+        against Group.ball, group.norm, the scalar element_code, an index
+        plus mul, and g.dist."""
+        g, max_r = data.draw(st.sampled_from(REGION_CASES))
+        r = data.draw(st.integers(-1, max_r))
+        region = simulate.Region(g, r)
+        ball = g.ball(g.identity(), r)
+        n = len(ball)
+        assert region.elements == ball
+        assert region.index == {e: i for i, e in enumerate(ball)}
+        assert region.norms.tolist() == [g.norm(e) for e in ball]
+        assert region.codes.tolist() == [element_code(g, e) for e in ball]
+        gens = g.generators()
+        table = [[region.index.get(g.mul(a, x), n) for a in gens] for x in ball]
+        assert region._step.tolist() == table + [[n] * len(gens)]
+        if n:
+            i = data.draw(st.integers(0, n - 1))
+            assert region.distances(i).tolist() == [g.dist(x, ball[i]) for x in ball[:i]]
 
     def test_colliding_codes_refused(self, monkeypatch):
         monkeypatch.setattr(simulate, "element_codes", lambda g, pts: np.zeros(len(pts), dtype=np.uint64))
@@ -340,7 +380,27 @@ class TestEquivariance:
             equivariance_check(cfg, 1)
 
 
+def all_pairs_greedy(region, d_c):
+    """The quadratic greedy colouring: each point, in region order, takes
+    the least colour of no earlier point within d_c by g.dist."""
+    g, points = region.group, region.elements
+    eta = []
+    for i, x in enumerate(points):
+        used = {eta[j] for j in range(i) if g.dist(points[j], x) <= d_c}
+        c = 0
+        while c in used:
+            c += 1
+        eta.append(c)
+    return eta
+
+
 class TestSparse:
+    @pytest.mark.parametrize("g, radius", [(Z1, 30), (Z2, 6), (F2, 4), (FreeGroup(3), 3)])
+    def test_greedy_matches_all_pairs(self, g, radius):
+        region = simulate.Region(g, radius)
+        for d_c in range(2 * radius + 2):
+            assert _greedy_distance_coloring(region, d_c) == all_pairs_greedy(region, d_c)
+
     def test_greedy_frozen_table(self):
         # window visited 0, -1, 1, -2, 2, ...: alternating 0/1 at scale 1
         window = _region_of(Z1, 5)
