@@ -241,3 +241,82 @@ class TestUsageErrors:
     def test_unwritable_out_exits_two(self, tmp_path, pc3_spec):
         target = str(tmp_path / "no" / "such" / "dir" / "x.json")
         assert main(["ball", "Z^1", "0", "1", "--out", target]) == 2
+
+
+# -- recorded report digests -------------------------------------------------
+
+_DIGEST_SPECS = {
+    "pc3z1": {"kind": "ProperColoring", "group": "Z^1", "k": 3},
+    "pc5z2": {"kind": "ProperColoring", "group": "Z^2", "k": 5},
+    "pc5f2": {"kind": "ProperColoring", "group": "F_2", "k": 5},
+    "dcz1": {"kind": "DistanceConstrained", "group": "Z^1", "d": [1, 3], "h": [3, 7]},
+    "nuz1": {"kind": "NotUniversal", "group": "Z^1", "d": [1, 3], "D": [5, 13]},
+    "pc2z1": {"kind": "ProperColoring", "group": "Z^1", "k": 2},
+    "blocked": {"group": "Z^1", "entries": [[0, 0], [3, 0]]},
+}
+
+_SIMULATIONS = {
+    "pc3z1": ["--window", "200", "--margin", "2", "--steps", "30", "--seed", "3"],
+    "pc5z2": ["--window", "8", "--margin", "2", "--steps", "30", "--p", "1/8", "--seed", "1"],
+    "pc5f2": ["--window", "3", "--margin", "2", "--steps", "20", "--p", "1/8", "--seed", "2"],
+    "dcz1": ["--window", "300", "--margin", "12", "--steps", "40", "--p", "1/8", "--seed", "4"],
+    "nuz1": ["--window", "150", "--margin", "26", "--steps", "60", "--p", "1/20", "--seed", "5"],
+}
+
+# command name -> (exit code, sha256 of the canonical payload)
+_RECORDED_DIGESTS = {
+    "simulate/pc3z1": (0, "1905f92f49f7103507fe3f738c3817f1059dde775582248f0094c714cbb84ef7"),
+    "simulate/pc3z1/no-warmup": (1, "d3440f60ab23354139c14974c5f1614981ab993ba8ff6842e84213853c793faa"),
+    "simulate/pc5z2": (0, "9adc367b506ab0fd881f50ee45bdbe56cf375890dae90345fa1e2d818eccab61"),
+    "simulate/pc5z2/no-warmup": (1, "25969ea6e0512f0cd89a66823a95e892d450b2a2b61de6ef68979971589b004e"),
+    "simulate/pc5f2": (0, "6f2db3f8af14b24e1811a9398d0e9d75d435c546d4d96de83017e9ff15342319"),
+    "simulate/pc5f2/no-warmup": (1, "674ba51d15e20d34efa4d4ba1ddc613e57f85bc57c42d0589d030ac7c24f1d37"),
+    "simulate/dcz1": (0, "ee8f9b36a8692c080ef8c210be5ea0dd8da87d81d8e0b9a21eb03f5d353025ac"),
+    "simulate/dcz1/no-warmup": (1, "9474be9b948b0948811ff6d82066b362afb652ffd4851f36a4e03d878bfc96f4"),
+    "simulate/nuz1": (0, "db287f88a5f74c41ec097988d7bffa5ee392627584b46c7864573475fcaf3b6e"),
+    "simulate/nuz1/no-warmup": (1, "d77d6a75bd760605b42e3b0af004a55c57c970bcd197b5776b1502998948c29e"),
+    "check/pc3z1/ideal-axioms": (0, "de824aadd7ca34e41e872491c8b7665e814f095f50b9d9209e9e2340edece42f"),
+    "check/pc3z1/local": (0, "2710c5b2fe747d4f12026000ea4d44202cde62e1fbd82b7ae6a4d11bbbc6796b"),
+    "check/pc3z1/join": (0, "6ac2dfc0ea8339671a234d5af19907d97b93ae57ee5b3c42f1f63afb7a982a92"),
+    "check/nuz1/ideal-axioms": (0, "a7b028c91631ef6b15bebff88a38346770fc05367a3ecf23dcf748138949c043"),
+    "check/nuz1/local": (0, "e1e6d3fc81d875c2957b1e2e93bad771e54764c13b235e5f94afa3c87203a0f7"),
+    "check/nuz1/join": (0, "9c8678735e498fd3e929c77ed808db8a179648b030816ee0833e782f2940eba2"),
+    "reduce/pc3z1": (0, "3e423b94ea7027e04c2038fb975b690307361a0aa66a4923f174cef5598c0a70"),
+    "oracle-extend/dead-end": (0, "1ece8d85562a315ece6c8b5495defea6df243bb3522a864411cbc075256c6a2a"),
+}
+
+
+def _digest_commands():
+    cases = {}
+    for spec, args in _SIMULATIONS.items():
+        argv = ["simulate", "{%s}" % spec, *args, "--dump"]
+        cases[f"simulate/{spec}"] = argv
+        cases[f"simulate/{spec}/no-warmup"] = [*argv, "--no-warmup"]
+    for spec in ("pc3z1", "nuz1"):
+        for mode in ("ideal-axioms", "local", "join"):
+            cases[f"check/{spec}/{mode}"] = ["check", "{%s}" % spec, "--mode", mode,
+                                             "--budget", "40", "--seed", "1"]
+    cases["reduce/pc3z1"] = ["reduce", "{pc3z1}", "--budget", "25", "--seed", "2", "--dump"]
+    cases["oracle-extend/dead-end"] = ["oracle-extend", "{pc2z1}", "{blocked}", "--radius", "3"]
+    return cases
+
+
+def test_reports_match_recorded_digests(tmp_path):
+    """Report payloads of a fixed list of commands are pinned byte for byte.
+    Only the payload is hashed: the manifest records the spec paths, which
+    vary with the temporary directory."""
+    from hashlib import sha256
+
+    from shiftcolor.reports import canonical_json_bytes
+
+    paths = {}
+    for name, obj in _DIGEST_SPECS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths[name] = str(path)
+    got = {}
+    for name, argv in _digest_commands().items():
+        argv = [a.format(**paths) if a.startswith("{") else a for a in argv]
+        code, data = run_to_file(tmp_path, argv)
+        got[name] = (code, sha256(canonical_json_bytes(payload_of(data))).hexdigest())
+    assert got == _RECORDED_DIGESTS
