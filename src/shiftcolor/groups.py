@@ -25,7 +25,7 @@ import re
 import string
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -411,6 +411,13 @@ def parse_group(spec: str) -> Group:
     if m.group(2):
         return FreeAbelian(int(m.group(2)))
     return FreeGroup(int(m.group(3)))
+
+
+@lru_cache(maxsize=8)
+def identity_ball(group: Group, r: Radius) -> tuple:
+    """Ball(1, r) in ``Group.ball``'s order, cached: the package's one copy
+    of the balls about the identity. A tuple, so no caller can change it."""
+    return tuple(group.ball(group.identity(), r))
 
 
 def set_dist(group: Group, a: Iterable, b: Iterable) -> Radius:

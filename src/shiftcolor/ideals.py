@@ -1,19 +1,24 @@
 """Declarative pattern ideals: shift-invariant, restriction-closed families
 of finite partial colorings, given by kind-specific pairwise/local rules.
 
-Shipped kinds:
+The shipped kinds are pairwise: a pattern is a member iff its colors lie
+in the palette and no two of its points sit at a distance in the forbidden
+band [lo, hi] of their color pair.
 
-* ProperColoring(k) — adjacent elements (distance exactly 1) get distinct
-  colors, all colors < k. This is the hereditary pairwise ideal; it agrees
-  with the family of patterns extendable to total proper colorings exactly
-  when k >= |S| + 1 (greedy extension always succeeds then). For smaller k
-  the two differ — see the extension oracle, which witnesses the gap.
-* DistanceConstrained(d, h) — two occurrences of color c must be at distance
-  >= max(2*d_c + 1, h_c); an infinite h_c means the color is used at most
-  once per pattern. Colors at or beyond len(h) are a palette error.
-* NotUniversal(d, D) — around a point of color c, closer points (distance
-  <= 2*d_c) must avoid c and mid-range points (distance in (2*d_c, D_c])
-  must carry a strictly larger color. Local with radius D_c per color.
+* ProperColoring(k) — (c, c) -> [1, 1]; colors >= k are never members. The
+  hereditary pairwise ideal; it agrees with the patterns extendable to total
+  proper colorings exactly when k >= |S| + 1 (greedy extension always
+  succeeds then). For smaller k see the extension oracle, which witnesses
+  the gap.
+* DistanceConstrained(d, h) — (c, c) -> [1, gap_c - 1] with gap_c =
+  max(2*d_c + 1, h_c), or [1, inf] when h_c = inf (a one-shot color).
+* NotUniversal(d, D) — (c, c) -> [1, D_c]; (c_x, c_y) with c_y < c_x ->
+  [2*d_{c_x} + 1, D_{c_x}]: near a point of color c, points within 2*d_c
+  avoid c and points in (2*d_c, D_c] carry a larger color. Local with
+  radius D_c per color.
+
+The palette of DistanceConstrained is 0..len(h)-1 and of NotUniversal
+0..len(d)-1; a color beyond it raises PaletteExhausted.
 
 Reduced (product-coded) ideals live in the reduction module; they subclass
 IdealSpec and plug into everything here.
@@ -23,12 +28,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from .groups import Group, parse_group
+from .groups import Group, identity_ball, parse_group
 from .patterns import PartialColoring, shift
-from .radii import INF, Infinity, Radius, as_radius, radius_to_json
+from .radii import Infinity, Radius, as_radius, radius_to_json
 
 
 class PaletteExhausted(ValueError):
@@ -61,18 +67,28 @@ class IdealSpec:
     def empty(self) -> PartialColoring:
         return PartialColoring(self.group, {})
 
+    def admits(self, phi: PartialColoring, gamma, c) -> bool:
+        """Whether phi + (gamma, c) is a member, for phi - gamma a member."""
+        return self.contains(phi.with_entry(gamma, c))
+
     def extend_at(self, phi: PartialColoring, gamma, c_max: Optional[int] = None):
         """Least color c <= c_max with phi + (gamma, c) a member, or None.
+        phi + (gamma, c) restricts to phi - gamma, so membership of phi -
+        gamma is checked once and each color then goes through ``admits``.
         Preconditions are the caller's business; see is_extendable_at."""
         if c_max is None:
             c_max = _default_c_max(self, phi, gamma)
         bound = self.max_color()
         if bound is not None:
             c_max = min(c_max, bound)
-        for c in range(c_max + 1):
-            if self.contains(phi.with_entry(gamma, c)):
-                return c
-        return None
+        if c_max < 0:
+            return None
+        self.group.validate(gamma)
+        if gamma in phi:
+            phi = phi.remove([gamma])
+        if not self.contains(phi):
+            return None
+        return next((c for c in range(c_max + 1) if self.admits(phi, gamma, c)), None)
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -89,43 +105,110 @@ class IdealSpec:
         return hash(json.dumps(self.to_json(), sort_keys=True))
 
 
-def _plain_colors(phi: PartialColoring):
+def _plain_colors(phi: PartialColoring, palette_size: int) -> bool:
+    """Raise ValueError unless every color of phi is a plain natural; then
+    tell whether they all lie below palette_size."""
+    inside = True
     for e, c in phi.entries.items():
         if not isinstance(c, int):
             raise ValueError(f"expected plain natural colors, got {c!r} at {e!r}")
-    return phi.entries
+        if c >= palette_size:
+            inside = False
+    return inside
 
 
-class ProperColoring(IdealSpec):
+class _Table(dict):
+    """A dict that fills each missing key with ``fill(key)`` on first use."""
+
+    def __init__(self, fill):
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
+class PairwiseIdeal(IdealSpec):
+    """A pattern is a member iff its colors lie in 0..palette_size-1 and no
+    two of its points x, y have lo <= dist(x, y) <= hi for (lo, hi) the band
+    of their colors. A subclass sets ``palette_size`` and
+    ``outside_palette_raises`` (raise PaletteExhausted, or just reject) and
+    defines ``band``, which is compiled on first use into a palette x
+    palette table. Every band has lo >= 1, so no point clashes with itself."""
+
+    palette_size: int
+    outside_palette_raises = True
+
+    def band(self, a: int, b: int) -> Optional[Tuple[int, Radius]]:
+        """The distances (lo, hi) at which colors a >= b may not meet, or
+        None when they may meet at any distance."""
+        raise NotImplementedError
+
+    @cached_property
+    def _bands(self) -> _Table:
+        return _Table(lambda a: _Table(lambda b: self.band(max(a, b), min(a, b))))
+
+    def _in_palette(self, c) -> bool:
+        if 0 <= c < self.palette_size:
+            return True
+        if self.outside_palette_raises:
+            raise PaletteExhausted(
+                f"color {c} is outside the palette of {self.palette_size} colors"
+            )
+        return False
+
+    def contains(self, phi: PartialColoring) -> bool:
+        if not _plain_colors(phi, self.palette_size):
+            # False, or PaletteExhausted at the first color outside the palette
+            return all(map(self._in_palette, phi.entries.values()))
+        bands, dist = self._bands, self.group.dist
+        items = list(phi.entries.items())
+        for i, (x, cx) in enumerate(items):
+            row = bands[cx]
+            for y, cy in items[i + 1 :]:
+                band = row[cy]
+                if band is not None and band[0] <= dist(x, y) <= band[1]:
+                    return False
+        return True
+
+    def admits(self, phi: PartialColoring, gamma, c) -> bool:
+        """Whether phi + (gamma, c) is a member, for phi - gamma a member:
+        only the pairs through gamma are tested."""
+        if not self._in_palette(c):
+            return False
+        row, dist = self._bands[c], self.group.dist
+        for y, cy in phi.entries.items():
+            band = row[cy]
+            if band is not None and band[0] <= dist(gamma, y) <= band[1]:
+                return False
+        return True
+
+    def palette(self):
+        return range(self.palette_size)
+
+    def max_color(self):
+        return self.palette_size - 1
+
+
+class ProperColoring(PairwiseIdeal):
     kind = "ProperColoring"
+    outside_palette_raises = False
 
     def __init__(self, group, k: int):
         group = parse_group(group)
         if k < 1:
             raise ValueError(f"need at least one color, got k={k}")
         self.group = group
-        self.k = k
+        self.k = self.palette_size = k
 
-    def contains(self, phi: PartialColoring) -> bool:
-        entries = _plain_colors(phi)
-        if any(c >= self.k for c in entries.values()):
-            return False
-        g = self.group
-        items = list(entries.items())
-        for i, (x, cx) in enumerate(items):
-            for y, cy in items[i + 1 :]:
-                if cx == cy and g.dist(x, y) == 1:
-                    return False
-        return True
+    # the engine, bound by name in each kind: perfbench/tracer.py wraps it per kind
+    contains = PairwiseIdeal.contains
+
+    def band(self, a, b):
+        return (1, 1) if a == b else None
 
     def locality_radius(self, color) -> Radius:
         return 1
-
-    def palette(self):
-        return range(self.k)
-
-    def max_color(self):
-        return self.k - 1
 
     def to_json(self):
         return {"kind": self.kind, "group": self.group.spec_string(), "k": self.k}
@@ -154,7 +237,7 @@ def _check_d_sequence(d):
     return out
 
 
-class DistanceConstrained(IdealSpec):
+class DistanceConstrained(PairwiseIdeal):
     kind = "DistanceConstrained"
 
     def __init__(self, group, d: Sequence[int], h: Sequence):
@@ -164,36 +247,19 @@ class DistanceConstrained(IdealSpec):
         self.h = _check_h_sequence(h)
         if len(self.h) > len(self.d):
             raise ValueError("h sequence may not be longer than the d sequence")
+        self.palette_size = len(self.h)
 
-    def _min_gap(self, c: int) -> Radius:
-        return max(2 * self.d[c] + 1, self.h[c])
+    contains = PairwiseIdeal.contains
 
-    def contains(self, phi: PartialColoring) -> bool:
-        entries = _plain_colors(phi)
-        for c in entries.values():
-            if c >= len(self.h):
-                raise PaletteExhausted(
-                    f"color {c} is outside the palette of {len(self.h)} colors"
-                )
-        g = self.group
-        items = list(entries.items())
-        for i, (x, cx) in enumerate(items):
-            for y, cy in items[i + 1 :]:
-                if cx == cy and not g.dist(x, y) >= self._min_gap(cx):
-                    return False
-        return True
+    def band(self, a, b):
+        if a != b:
+            return None
+        gap = max(2 * self.d[a] + 1, self.h[a])
+        return (1, gap if isinstance(gap, Infinity) else gap - 1)
 
     def locality_radius(self, color) -> Radius:
-        gap = self._min_gap(color)
-        if isinstance(gap, Infinity):
-            return INF
-        return gap - 1
-
-    def palette(self):
-        return range(len(self.h))
-
-    def max_color(self):
-        return len(self.h) - 1
+        self._in_palette(color)  # raises PaletteExhausted outside the palette
+        return self.band(color, color)[1]
 
     def to_json(self):
         return {
@@ -204,7 +270,7 @@ class DistanceConstrained(IdealSpec):
         }
 
 
-class NotUniversal(IdealSpec):
+class NotUniversal(PairwiseIdeal):
     kind = "NotUniversal"
 
     def __init__(self, group, d: Sequence[int], D: Sequence[int]):
@@ -217,38 +283,16 @@ class NotUniversal(IdealSpec):
         for c, (dc, Dc) in enumerate(zip(self.d, self.D)):
             if Dc < 2 * dc + 1:
                 raise ValueError(f"need D_c >= 2*d_c + 1, violated at color {c}")
+        self.palette_size = len(self.d)
 
-    def contains(self, phi: PartialColoring) -> bool:
-        entries = _plain_colors(phi)
-        for c in entries.values():
-            if c >= len(self.d):
-                raise PaletteExhausted(
-                    f"color {c} is outside the palette of {len(self.d)} colors"
-                )
-        g = self.group
-        items = list(entries.items())
-        for x, cx in items:
-            near, far = 2 * self.d[cx], self.D[cx]
-            for y, cy in items:
-                if y == x:
-                    continue
-                t = g.dist(x, y)
-                if t <= near:
-                    if cy == cx:
-                        return False
-                elif t <= far:
-                    if cy <= cx:
-                        return False
-        return True
+    contains = PairwiseIdeal.contains
+
+    def band(self, a, b):
+        return (1 if a == b else 2 * self.d[a] + 1, self.D[a])
 
     def locality_radius(self, color) -> Radius:
+        self._in_palette(color)  # raises PaletteExhausted outside the palette
         return self.D[color]
-
-    def palette(self):
-        return range(len(self.d))
-
-    def max_color(self):
-        return len(self.d) - 1
 
     def to_json(self):
         return {
@@ -383,7 +427,7 @@ def grow_random_member(
     point in Ball(1, radius) and give it the least color that keeps the
     pattern in P. Growth that cannot proceed is simply skipped, so the
     result is always a member (possibly smaller than ``size``)."""
-    ballpts = P.group.ball(P.group.identity(), radius)
+    ballpts = identity_ball(P.group, radius)
     phi = P.empty()
     for _ in range(size * 3):
         if len(phi) >= size:
@@ -433,7 +477,7 @@ def ideal_axioms_check(
     nearby element stays in P."""
     rng = random.Random(seed)
     g = P.group
-    shifts = g.ball(g.identity(), shift_radius)
+    shifts = identity_ball(g, shift_radius)
     report = AxiomsReport()
     for _ in range(sample_budget):
         phi = grow_random_member(P, rng, rng.randint(0, max_size), radius)

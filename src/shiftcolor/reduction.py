@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .groups import BudgetError, set_dist
+from .groups import BudgetError, identity_ball, set_dist
 from .ideals import ConstantJoin, IdealSpec, JoinFn, SupRadiiJoin, col_window_check, grow_random_member
 from .patterns import PartialColoring, shift, truncated_window
 from .radii import INF, Infinity, Radius, radius_ceil, radius_to_json
@@ -224,7 +224,7 @@ def check_local(
     rng = random.Random(seed)
     g = P.group
     report = LocalReport()
-    pts = g.ball(g.identity(), radius)
+    pts = identity_ball(g, radius)
     if color_bound is None:
         color_bound = P.max_color()
     if color_bound is None:

@@ -28,24 +28,18 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import Group, parse_group
+from .groups import Group, identity_ball, parse_group
 from .ideals import IdealSpec
-from .patterns import PartialColoring, shift
+from .patterns import PartialColoring, _validate_color, shift
 from .radii import Infinity, Radius, radius_ceil, radius_floor
 from .rng import RandomField, element_codes
-
-
-@lru_cache(maxsize=8)
-def _offsets(group: Group, r: Radius) -> tuple:
-    """Ball(1, r) in breadth-first order."""
-    return tuple(group.ball(group.identity(), r))
 
 
 def _window(g: Group, cur: Mapping, center, r: Radius) -> dict:
     """The entries of ``cur`` within distance r of ``center``. By right
     invariance dist(center, w*center) = |w|, so they sit at w*center for w
     in Ball(1, r)."""
-    near = (g.mul(w, center) for w in _offsets(g, r))
+    near = (g.mul(w, center) for w in identity_ball(g, r))
     return {x: cur[x] for x in near if x in cur}
 
 
@@ -80,7 +74,7 @@ class Region:
         Ball(1, s), or the sentinel len(elements) where that leaves the
         region. The table is built for the widest s asked for so far; a
         narrower s reads its first |Ball(1, s)| columns."""
-        width = len(_offsets(self.group, s))
+        width = len(identity_ball(self.group, s))
         if self._table.shape[1] < width:
             self._table = self._build_table(s)
         return self._table[:, :width]
@@ -93,7 +87,7 @@ class Region:
         # of a ball about the identity are joined by a geodesic inside it.
         g = self.group
         n = len(self.elements)
-        offsets = _offsets(g, s)
+        offsets = identity_ball(g, s)
         column = {w: j for j, w in enumerate(offsets)}
         table = np.full((n, len(offsets)), n, dtype=np.int64)
         table[:, 0] = np.arange(n)
@@ -126,7 +120,7 @@ class SimulationConfig:
 
     def cycle(self) -> List[int]:
         if self.schedule is not None:
-            cycle = list(self.schedule)
+            cycle = [_validate_color(c) for c in self.schedule]
         else:
             palette = self.ideal.palette()
             if palette is None:
@@ -285,8 +279,6 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
         s = radius_floor(2 * reach)
 
         if i in forced:
-            # Fixture path: support sets are tiny, so isolation goes pairwise
-            # (a neighbour table for a large 2*reach would dwarf the region).
             supp = forced[i]
             for e in supp:
                 g.validate(e)
@@ -294,15 +286,14 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
                     raise ValueError(f"forced support point {e!r} lies outside the region")
             if len(set(supp)) != len(supp):
                 raise ValueError(f"forced supports at step {i} repeat a point")
-            candidates = [
-                region.index[e]
-                for e in sorted(supp, key=region.index.__getitem__)
-                if not any(other != e and g.dist(e, other) <= s for other in supp)
-            ]
+            supp_mask = np.zeros(n_pts, dtype=bool)
+            supp_mask[[region.index[e] for e in supp]] = True
         elif config.warmup and reach < max_r:
-            candidates = []  # warm-up round: empty support (the schedule still advances)
+            supp_mask = None  # warm-up round: empty support (the schedule still advances)
         else:
             supp_mask = field_rng.mask(i, codes)
+        candidates = []
+        if supp_mask is not None:
             iso_counts = np.append(supp_mask, False)[region.neighbors(s)].sum(axis=1)
             candidates = np.nonzero(supp_mask & (iso_counts == 1))[0]
 
@@ -313,7 +304,7 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
                 continue
             window_entries = _window(g, cur, e, s)
             window_entries[e] = c_i
-            if ideal.contains(PartialColoring(g, window_entries)):
+            if ideal.contains(PartialColoring._of_valid(g, window_entries)):
                 new_elems.append(e)
                 colored[j] = True
         for e in new_elems:
@@ -382,7 +373,7 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
             return
         if g.norm(gamma) + rc > T:
             return
-        window = PartialColoring(g, _window(g, cur, gamma, rc))
+        window = PartialColoring._of_valid(g, _window(g, cur, gamma, rc))
         report.windows_checked += 1
         if not ideal.contains(window):
             report.failures.append(
@@ -390,7 +381,9 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
             )
 
     for step_index, (color, elems) in enumerate(trace.assigned_sets, start=1):
+        color = _validate_color(color)
         for e in elems:
+            g.validate(e)  # each entry is validated once, as it enters cur
             cur[e] = color
         affected = set()
         for e in elems:

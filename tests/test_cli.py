@@ -238,6 +238,36 @@ class TestUsageErrors:
         bad.write_text("{не json")
         assert main(["check", str(bad), "--mode", "local"]) == 2
 
+    @pytest.mark.parametrize("schedule", ["5", "-1"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "DistanceConstrained", "group": "Z^1", "d": [1, 3], "h": [3, 7]},
+            {"kind": "NotUniversal", "group": "Z^1", "d": [1, 3], "D": [5, 13]},
+        ],
+        ids=["distance", "not-universal"],
+    )
+    def test_schedule_outside_palette_exits_two(self, tmp_path, capsys, spec, schedule):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, data = run_to_file(
+            tmp_path,
+            ["simulate", str(path), "--window", "10", "--margin", "30", "--steps", "4",
+             "--schedule", schedule],
+        )
+        assert code == 2 and data == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_proper_coloring_schedule_beyond_k_exits_zero(self, tmp_path, pc3_spec):
+        code, data = run_to_file(
+            tmp_path,
+            ["simulate", pc3_spec, "--window", "10", "--margin", "2", "--steps", "4",
+             "--schedule", "3"],
+        )
+        assert code == 0
+        assert payload_of(data)["trace"]["assigned_counts"] == [0, 0, 0, 0]
+
     def test_unwritable_out_exits_two(self, tmp_path, pc3_spec):
         target = str(tmp_path / "no" / "such" / "dir" / "x.json")
         assert main(["ball", "Z^1", "0", "1", "--out", target]) == 2

@@ -15,9 +15,15 @@ Laws under test:
    that is deliberately not shift-closed is caught.
 5. The windowed membership check agrees with plain membership on the
    shipped local kinds.
+6. The pairwise-rule engine behind the three shipped kinds gives the same
+   answers, exceptions included, as the three hand-written loops it
+   replaced (kept below as references), on every small colouring; its
+   extend_at equals the least colour c with phi + (gamma, c) a member, also
+   on non-members, on coloured gamma and on out-of-palette patterns.
 """
 
 import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 from shiftcolor.groups import FreeAbelian, FreeGroup
 from shiftcolor.ideals import (
     ConstantJoin,
+    PairwiseIdeal,
     DistanceConstrained,
     IdealSpec,
     NotUniversal,
@@ -278,3 +285,147 @@ class TestJson:
         assert clone == kind
         probe = PartialColoring(kind.group, {kind.group.identity(): 0})
         assert clone.contains(probe) == kind.contains(probe)
+
+
+# -- the pairwise-rule engine against the loops it replaced ----------------------
+
+
+def _reference_contains(P, phi):
+    """The hand-written membership loops of ProperColoring,
+    DistanceConstrained and NotUniversal before the pairwise-rule engine."""
+    entries = phi.entries
+    for e, c in entries.items():
+        if not isinstance(c, int):
+            raise ValueError(f"expected plain natural colors, got {c!r} at {e!r}")
+    g = P.group
+    items = list(entries.items())
+    if isinstance(P, ProperColoring):
+        if any(c >= P.k for c in entries.values()):
+            return False
+        for i, (x, cx) in enumerate(items):
+            for y, cy in items[i + 1 :]:
+                if cx == cy and g.dist(x, y) == 1:
+                    return False
+        return True
+    palette = len(P.h) if isinstance(P, DistanceConstrained) else len(P.d)
+    for c in entries.values():
+        if c >= palette:
+            raise PaletteExhausted(f"color {c} is outside the palette of {palette} colors")
+    if isinstance(P, DistanceConstrained):
+        for i, (x, cx) in enumerate(items):
+            for y, cy in items[i + 1 :]:
+                if cx == cy and not g.dist(x, y) >= max(2 * P.d[cx] + 1, P.h[cx]):
+                    return False
+        return True
+    for x, cx in items:
+        near, far = 2 * P.d[cx], P.D[cx]
+        for y, cy in items:
+            if y == x:
+                continue
+            t = g.dist(x, y)
+            if t <= near:
+                if cy == cx:
+                    return False
+            elif t <= far:
+                if cy <= cx:
+                    return False
+    return True
+
+
+def _reference_extend_at(P, phi, gamma, c_max):
+    """extend_at before the engine: one full membership test per colour."""
+    bound = P.max_color()
+    if c_max is None:
+        c_max = bound
+    for c in range(min(c_max, bound) + 1):
+        if _reference_contains(P, phi.with_entry(gamma, c)):
+            return c
+    return None
+
+
+def _outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except Exception as exc:  # the exception is part of the answer
+        return ("raised", type(exc), str(exc))
+
+
+def _kinds(g):
+    return [
+        ProperColoring(g, 2),
+        ProperColoring(g, 3),
+        DistanceConstrained(g, (1, 3), (3, 7)),
+        DistanceConstrained(g, (0, 1, 2), (1, 2, INF)),  # an empty band, an infinite one
+        NotUniversal(g, (1, 3), (5, 13)),
+        NotUniversal(g, (0, 1, 2), (1, 3, 5)),
+    ]
+
+
+def _colorings(points, max_size, colors):
+    for size in range(max_size + 1):
+        for dom in combinations(points, size):
+            for cols in product(colors, repeat=size):
+                yield dict(zip(dom, cols))
+
+
+ENGINE_CASES = [(Z1, 4), (FreeAbelian(2), 1), (F2, 1)]
+
+
+class TestPairwiseEngine:
+    def test_shipped_kinds_share_one_engine(self):
+        for kind in (ProperColoring, DistanceConstrained, NotUniversal):
+            assert issubclass(kind, PairwiseIdeal)
+            assert kind.contains is PairwiseIdeal.contains
+
+    @pytest.mark.parametrize("g,radius", ENGINE_CASES, ids=["Z1-r4", "Z2-r1", "F2-r1"])
+    def test_contains_matches_reference_loops(self, g, radius):
+        points = g.ball(g.identity(), radius)
+        checked = 0
+        for P in _kinds(g):
+            for entries in _colorings(points, 3, range(4)):
+                phi = PartialColoring(g, entries)
+                assert _outcome(P.contains, phi) == _outcome(_reference_contains, P, phi), (
+                    P, entries)
+                checked += 1
+        assert checked == 6 * sum(
+            len(list(combinations(points, m))) * 4**m for m in range(4)
+        )
+
+    def test_product_colors_raise_as_before(self):
+        for P in _kinds(Z1):
+            phi = PartialColoring(Z1, {0: 1, 2: (1, 0)})
+            assert _outcome(P.contains, phi) == _outcome(_reference_contains, P, phi)
+            assert _outcome(P.contains, phi)[0] == "raised"
+
+    @pytest.mark.parametrize("g,radius", ENGINE_CASES, ids=["Z1-r4", "Z2-r1", "F2-r1"])
+    def test_extend_at_matches_reference(self, g, radius):
+        """Every pattern of up to two points, members or not, in or out of
+        the palette, extended at every point of the ball, coloured or not."""
+        points = g.ball(g.identity(), radius)
+        seen = {"non-member": 0, "colored": 0, "outside": 0}
+        for P in _kinds(g):
+            for entries in _colorings(points, 2, range(4)):
+                phi = PartialColoring(g, entries)
+                member = _outcome(_reference_contains, P, phi)
+                for gamma in points:
+                    for c_max in (None, 1):
+                        got = _outcome(P.extend_at, phi, gamma, c_max)
+                        want = _outcome(_reference_extend_at, P, phi, gamma, c_max)
+                        assert got == want, (P, entries, gamma, c_max)
+                    seen["colored"] += gamma in phi
+                seen["non-member"] += member == ("value", False)
+                seen["outside"] += member[0] == "raised"
+        assert all(seen.values()), seen
+
+    def test_extend_at_on_product_colors_and_invalid_points(self):
+        for P in _kinds(Z1):
+            phi = PartialColoring(Z1, {0: (1, 0), 3: 1})
+            for gamma in (0, 1, "x"):
+                got = _outcome(P.extend_at, phi, gamma, None)
+                assert got == _outcome(_reference_extend_at, P, phi, gamma, None), (P, gamma)
+
+    def test_locality_radius_checks_the_palette(self):
+        for P in _kinds(Z1)[2:]:
+            for c in (-1, P.palette_size):
+                with pytest.raises(PaletteExhausted):
+                    P.locality_radius(c)

@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 from shiftcolor import simulate
 from shiftcolor.groups import FreeAbelian, FreeGroup
-from shiftcolor.ideals import DistanceConstrained, NotUniversal, ProperColoring
+from shiftcolor.ideals import DistanceConstrained, NotUniversal, PaletteExhausted, ProperColoring
 from shiftcolor.patterns import PartialColoring
 from shiftcolor.radii import INF, Infinity, radius_floor
 from shiftcolor.rng import element_code
@@ -79,6 +79,24 @@ class TestConfigValidation:
     def test_good_config_passes(self):
         SimulationConfig(ideal=PC3, window_radius=5, margin=2, steps=3).validate()
 
+    def test_schedule_colors_validated_up_front(self):
+        for ideal in (PC3, DC, NU):
+            for bad in (-1, True, "0"):
+                cfg = SimulationConfig(ideal=ideal, window_radius=5, margin=26, steps=1,
+                                       schedule=[0, bad])
+                with pytest.raises(ValueError):
+                    cfg.validate()
+        for ideal in (DC, NU):  # no negative indexing, no IndexError
+            cfg = SimulationConfig(ideal=ideal, window_radius=5, margin=26, steps=1, schedule=[2])
+            with pytest.raises(PaletteExhausted):
+                cfg.validate()
+
+    def test_proper_coloring_schedule_beyond_palette_is_never_accepted(self):
+        cfg = SimulationConfig(ideal=PC3, window_radius=10, margin=2, steps=6, schedule=[3])
+        trace = run(cfg)
+        assert all(elems == () for _c, elems in trace.assigned_sets)
+        assert trace_validate(trace, PC3).ok
+
 
 class TestStepRule:
     def test_forced_single_point(self):
@@ -109,6 +127,14 @@ class TestStepRule:
         )
         with pytest.raises(ValueError):
             run(cfg)
+
+    def test_forced_isolation_reads_the_neighbour_table(self):
+        """At reach 1 (s = 2) the forced points 0 and 2 see each other and
+        neither is isolated; -3 and 6 are, and come out in region order."""
+        cfg = SimulationConfig(
+            ideal=PC3, window_radius=10, margin=2, steps=2, forced_supports={1: [6, -3, 0, 2]}
+        )
+        assert run(cfg).assigned_sets == [(0, ()), (1, (-3, 6))]
 
     def test_forced_point_outside_region_rejected(self):
         cfg = SimulationConfig(
@@ -351,6 +377,11 @@ class TestValidatorAgainstBruteForce:
             assert fast.failures
             assert fast.to_jsonable() == slow.to_jsonable()
         assert trace_validate(traces[0][1], dc_inf).skipped_nonlocal > 0
+
+    def test_hand_trace_entries_are_validated(self):
+        for assigned in ([(0, (0,)), (-1, (5,))], [(0, (0, "x"))], [(True, (0,))]):
+            with pytest.raises(ValueError):
+                trace_validate(_hand_trace(PC3, 10, 2, assigned), PC3)
 
 
 class TestEquivariance:
