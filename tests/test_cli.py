@@ -259,6 +259,19 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_oracle_palette_max_beyond_palette_exits_two(self, tmp_path, capsys):
+        spec = tmp_path / "nu.json"
+        spec.write_text(json.dumps({"kind": "NotUniversal", "group": "Z^1", "d": [1, 3],
+                                    "D": [5, 13]}))
+        pattern = tmp_path / "pattern.json"
+        pattern.write_text(json.dumps({"group": "Z^1", "entries": [[0, 0]]}))
+        code, data = run_to_file(
+            tmp_path,
+            ["oracle-extend", str(spec), str(pattern), "--radius", "2", "--palette-max", "5"],
+        )
+        assert code == 2 and data == b""
+        assert capsys.readouterr().err == "error: color 2 is outside the palette of 2 colors\n"
+
     def test_proper_coloring_schedule_beyond_k_exits_zero(self, tmp_path, pc3_spec):
         code, data = run_to_file(
             tmp_path,
