@@ -9,9 +9,11 @@ symmetric generating set:
     dist(g, h) = word length of h * g^-1
 
 which is right-invariant: dist(g*x, h*x) = dist(g, h). Closed balls are
-finite (the metric is proper) and are enumerated breadth-first, each layer
-sorted by the group's canonical element order, so every downstream greedy
-procedure is deterministic.
+finite (the metric is proper) and listed breadth-first, each layer sorted by
+the group's canonical element order, so every downstream greedy procedure is
+deterministic. Each group builds Ball(1, r) from integer arrays
+(``ball_arrays``); every other ball is its right translate,
+Ball(g, r) = Ball(1, r)*g, re-sorted within each layer.
 
 Also here: the packing searches producing the radius sequences used by the
 distance-constrained ideals — minimal d-sequences (two disjoint radius-d_c
@@ -82,37 +84,21 @@ class Group:
         return self.norm(self.mul(h, self.inv(g)))
 
     def ball(self, center, r: Radius) -> list:
-        """Closed ball {x : dist(center, x) <= r}, BFS layer by layer, each
-        layer sorted canonically. A rational radius acts as its floor."""
-        if isinstance(r, Infinity):
-            raise ValueError("cannot enumerate a ball of infinite radius")
-        depth = radius_floor(r) if r >= 0 else -1
-        if depth < 0:
-            return []
-        out = [center]
-        seen = {center}
-        frontier = [center]
-        for _ in range(depth):
-            nxt = []
-            for x in frontier:
-                for s in self.generators():
-                    y = self.mul(s, x)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            nxt.sort(key=self.sort_key)
-            out.extend(nxt)
-            frontier = nxt
-        return out
+        """Closed ball {x : dist(center, x) <= r}, breadth-first, each layer
+        sorted canonically. A rational radius acts as its floor. By right
+        invariance it is Ball(1, r)*center, with w*center in layer |w|."""
+        layered = [(self.norm(w), self.mul(w, center)) for w in identity_ball(self, r)]
+        layered.sort(key=lambda t: (t[0], self.sort_key(t[1])))
+        return [x for _t, x in layered]
 
     def ball_arrays(self, radius: int) -> tuple:
         """Ball(1, radius) as arrays, built with no loop over its elements:
-        ``(elements, norms, step, distances)``. ``elements`` is
-        ``ball(identity(), radius)``, ``norms`` their word lengths,
-        ``step[i, k]`` the index of generators()[k] * elements[i] (n where
-        that leaves the ball), and ``distances(i)`` gives dist(elements[j],
-        elements[i]) for every j < i. A negative radius gives the empty
-        ball."""
+        ``(elements, norms, step, distances)``. ``elements`` lists the ball
+        breadth-first, each layer sorted by ``sort_key``; ``norms`` are their
+        word lengths, ``step[i, k]`` the index of generators()[k] *
+        elements[i] (n where that leaves the ball), and ``distances(i)``
+        gives dist(elements[j], elements[i]) for every j < i. A negative
+        radius gives the empty ball."""
         raise NotImplementedError
 
     def element_at_distance(self, t: int):
@@ -201,7 +187,7 @@ class FreeAbelian(Group):
         # Ball_{d+1}(r) is {(x0, y) : y in Ball_d(r - |x0|)}, and each such
         # Ball_d(r - |x0|) is a prefix of the norm-sorted Ball_d(r), so every
         # dimension costs one gather and one lexsort by (norm, coordinates),
-        # which is BFS order with layers sorted by sort_key.
+        # which is breadth-first order with layers sorted by sort_key.
         radius = max(radius, -1)
         k = np.arange(2 * radius + 1)
         norms = (k + 1) // 2
@@ -415,9 +401,12 @@ def parse_group(spec: str) -> Group:
 
 @lru_cache(maxsize=8)
 def identity_ball(group: Group, r: Radius) -> tuple:
-    """Ball(1, r) in ``Group.ball``'s order, cached: the package's one copy
-    of the balls about the identity. A tuple, so no caller can change it."""
-    return tuple(group.ball(group.identity(), r))
+    """Ball(1, r) from ``Group.ball_arrays``, cached: the package's one copy
+    of the balls about the identity. A tuple, so no caller can change it. A
+    rational radius acts as its floor; a negative one gives the empty ball."""
+    if isinstance(r, Infinity):
+        raise ValueError("cannot enumerate a ball of infinite radius")
+    return tuple(group.ball_arrays(radius_floor(r))[0])
 
 
 def set_dist(group: Group, a: Iterable, b: Iterable) -> Radius:
@@ -479,10 +468,9 @@ def d_sequence(group, count: int, budget: int = 64) -> DSequence:
     group = parse_group(group)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    one = group.identity()
     d0 = None
     for r in range(0, budget + 1):
-        if len(group.ball(one, r)) >= 2:
+        if len(identity_ball(group, r)) >= 2:
             d0 = r
             break
     if d0 is None:
@@ -495,7 +483,7 @@ def d_sequence(group, count: int, budget: int = 64) -> DSequence:
         for enclosing in range(2 * d + 1, budget + 1):
             # Ball(z, d) fits inside Ball(1, enclosing) iff |z| <= enclosing - d,
             # and two radius-d balls are disjoint iff their centers are > 2d apart.
-            candidates = group.ball(one, enclosing - d)
+            candidates = identity_ball(group, enclosing - d)
             norms = [group.norm(x) for x in candidates]
             for i, x in enumerate(candidates):
                 start = max(i + 1, bisect_right(norms, 2 * d - norms[i]))

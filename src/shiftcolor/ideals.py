@@ -34,7 +34,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .groups import Group, identity_ball, parse_group
 from .patterns import PartialColoring, shift
-from .radii import Infinity, Radius, as_radius, radius_to_json
+from .radii import Infinity, Radius, as_radius, radius_ceil, radius_to_json
 
 
 class PaletteExhausted(ValueError):
@@ -410,10 +410,9 @@ def _default_c_max(P: IdealSpec, phi: PartialColoring, gamma) -> int:
         r = P.locality_radius(c)
         if not isinstance(r, Infinity):
             radii.append(r)
-    from .radii import radius_ceil
-
     reach = radius_ceil(max(radii)) if radii else 1
-    return (max(used) if used else 0) + len(P.group.ball(gamma, reach)) + 1
+    # |Ball(gamma, reach)| = |Ball(1, reach)| by right invariance
+    return (max(used) if used else 0) + len(identity_ball(P.group, reach)) + 1
 
 
 def grow_random_member(

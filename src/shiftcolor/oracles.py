@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from .groups import Group, parse_group
-from .ideals import DistanceConstrained, IdealSpec, col_window_check
+from .groups import Group, identity_ball, parse_group
+from .ideals import DistanceConstrained, IdealSpec, _check_d_sequence, col_window_check
 from .patterns import PartialColoring
 from .radii import INF, Infinity, as_radius, radius_floor
 
@@ -66,12 +66,10 @@ def infty_check(group, d: Sequence[int], c: int, node_budget: int = 2_000_000) -
     point. Budget exhaustion yields "inconclusive", never "refuted".
     """
     group = parse_group(group)
-    d = [int(x) for x in d]
+    d = list(_check_d_sequence(d))
     if not 0 <= c < len(d):
         raise ValueError(f"color {c} has no scale: need c < len(d) = {len(d)}")
-    if any(b <= a for a, b in zip(d, d[1:])):
-        raise ValueError(f"scales must be strictly increasing, got {tuple(d)}")
-    points = group.ball(group.identity(), d[c])
+    points = identity_ball(group, d[c])
     n = len(points)
     search_space = (c + 1) ** n
     dist_cache: Dict[tuple, int] = {}
@@ -134,7 +132,7 @@ def infty_counting_bound(d: Sequence[int], c: int) -> dict:
     2*d_c + 1 holds at most floor(2*d_c / (2*d_c' + 1)) + 1 points of color
     c'; when these capacities sum below the ball size, no full coloring with
     colors {0..c} can exist."""
-    d = [int(x) for x in d]
+    d = _check_d_sequence(d)
     if not 0 <= c < len(d):
         raise ValueError(f"color {c} has no scale: need c < len(d) = {len(d)}")
     ball_size = 2 * d[c] + 1

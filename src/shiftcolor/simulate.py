@@ -36,9 +36,9 @@ from .rng import RandomField, element_codes
 
 
 def _window(g: Group, cur: Mapping, center, r: Radius) -> dict:
-    """The entries of ``cur`` within distance r of ``center``. By right
-    invariance dist(center, w*center) = |w|, so they sit at w*center for w
-    in Ball(1, r)."""
+    """The entries of ``cur`` within distance r of ``center``, for the
+    validator, which takes any trace. By right invariance dist(center,
+    w*center) = |w|, so they sit at w*center for w in Ball(1, r)."""
     near = (g.mul(w, center) for w in identity_ball(g, r))
     return {x: cur[x] for x in near if x in cur}
 
@@ -260,7 +260,9 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
     r_of = {c: ideal.locality_radius(c) for c in cycle}
     max_r = max(r_of.values())
 
-    colored = np.zeros(n_pts, dtype=bool)
+    elements = region.elements
+    colors = [None] * n_pts  # each point's colour, recorded after its step
+    colored = np.zeros(n_pts, dtype=bool)  # set on acceptance, before the colour is recorded
     interior_count = int(interior_mask.sum())
 
     assigned_sets: List[Tuple[int, Tuple]] = []
@@ -270,7 +272,6 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
 
     reach: Radius = 0  # sup of r over consumed colors; 0 before anything is consumed
     forced = config.forced_supports or {}
-    cur: Dict[object, int] = {}
 
     for i in range(config.steps):
         c_i = cycle[i % len(cycle)]
@@ -294,23 +295,24 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
             supp_mask = field_rng.mask(i, codes)
         candidates = []
         if supp_mask is not None:
-            iso_counts = np.append(supp_mask, False)[region.neighbors(s)].sum(axis=1)
+            nbrs = region.neighbors(s)
+            iso_counts = np.append(supp_mask, False)[nbrs].sum(axis=1)
             candidates = np.nonzero(supp_mask & (iso_counts == 1))[0]
 
-        new_elems = []
+        accepted = []
         for j in candidates:
-            e = region.elements[j]
             if colored[j] or region.norms[j] + s > T:
                 continue
-            window_entries = _window(g, cur, e, s)
-            window_entries[e] = c_i
-            if ideal.contains(PartialColoring._of_valid(g, window_entries)):
-                new_elems.append(e)
+            # row j is Ball(1, s)*x_j in offset order, inside the region here
+            window = {elements[k]: colors[k] for k in nbrs[j].tolist() if colors[k] is not None}
+            window[elements[j]] = c_i
+            if ideal.contains(PartialColoring._of_valid(g, window)):
+                accepted.append(j)
                 colored[j] = True
-        for e in new_elems:
-            cur[e] = c_i
+        for j in accepted:
+            colors[j] = c_i
 
-        assigned_sets.append((c_i, tuple(new_elems)))
+        assigned_sets.append((c_i, tuple(elements[j] for j in accepted)))
         fills.append(float((colored & interior_mask).sum()) / interior_count if interior_count else 0.0)
         r_c = r_of[c_i]
         if r_c > reach:
@@ -319,8 +321,8 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
     reaches.append(reach)
     return SimulationTrace(
         config=config,
-        region=region.elements,
-        interior=region.elements[:interior_count],  # breadth-first: the interior is a prefix
+        region=elements,
+        interior=elements[:interior_count],  # breadth-first: the interior is a prefix
         assigned_sets=assigned_sets,
         fill_fractions=fills,
         reaches=reaches,
@@ -584,16 +586,16 @@ def extract_patterns(
     ``min_occurrences`` times. Sorted canonically for determinism."""
     g = omega.group
     dom = set(omega.domain())
-    counts: Dict[tuple, PartialColoring] = {}
-    seen: Dict[tuple, int] = {}
+    patterns: Dict[tuple, PartialColoring] = {}
+    occurrences: Dict[tuple, int] = {}
     for gamma in omega.domain():
         ball_pts = g.ball(gamma, shape_radius)
         if not all(e in dom for e in ball_pts):
             continue
         normalized = shift(omega.restrict(ball_pts), gamma)
         key = normalized.canonical_key()
-        counts[key] = normalized
-        seen[key] = seen.get(key, 0) + 1
-    out = [counts[k] for k, c in seen.items() if c >= min_occurrences]
+        patterns[key] = normalized
+        occurrences[key] = occurrences.get(key, 0) + 1
+    out = [patterns[k] for k, c in occurrences.items() if c >= min_occurrences]
     out.sort(key=lambda p: p.canonical_key())
     return out

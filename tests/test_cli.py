@@ -131,6 +131,15 @@ class TestSearchCommands:
         assert payload["search"]["outcome"] == "witness"
         assert payload["agree"] is True
 
+    @pytest.mark.parametrize(
+        "argv", [["Z^2", "--d=-2", "--c", "0"], ["Z^1", "--d=-1,3", "--c", "1"]]
+    )
+    def test_verify_infty_negative_scale_exits_two(self, tmp_path, capsys, argv):
+        code, data = run_to_file(tmp_path, ["verify-infty", *argv])
+        assert code == 2 and data == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: d entries must be nonnegative") and err.count("\n") == 1
+
     def test_verify_infty_budget_exits_three(self, tmp_path):
         code, data = run_to_file(
             tmp_path, ["verify-infty", "Z^1", "--d", "1,3,7", "--c", "2", "--budget", "10"]
@@ -296,6 +305,9 @@ _DIGEST_SPECS = {
     "nuz1": {"kind": "NotUniversal", "group": "Z^1", "d": [1, 3], "D": [5, 13]},
     "pc2z1": {"kind": "ProperColoring", "group": "Z^1", "k": 2},
     "blocked": {"group": "Z^1", "entries": [[0, 0], [3, 0]]},
+    "pc3z2": {"kind": "ProperColoring", "group": "Z^2", "k": 3},
+    "pair_z2": {"group": "Z^2", "entries": [[[0, 0], 0], [[2, -1], 1]]},
+    "parity": {"group": "Z^1", "entries": [[i, i % 2] for i in range(-6, 7)]},
 }
 
 _SIMULATIONS = {
@@ -324,8 +336,27 @@ _RECORDED_DIGESTS = {
     "check/nuz1/ideal-axioms": (0, "a7b028c91631ef6b15bebff88a38346770fc05367a3ecf23dcf748138949c043"),
     "check/nuz1/local": (0, "e1e6d3fc81d875c2957b1e2e93bad771e54764c13b235e5f94afa3c87203a0f7"),
     "check/nuz1/join": (0, "9c8678735e498fd3e929c77ed808db8a179648b030816ee0833e782f2940eba2"),
+    "check/pc5f2/ideal-axioms": (0, "b5833de06ce7f2e5f412a1ac7ee9a74b68428cb68640c7772a0c5f2315b4a12d"),
+    "check/pc5f2/local": (0, "0ca8dff2c4a98cabffc77284968f963b8517298f1c26e6612518f2fcfd307d8d"),
+    "check/pc5f2/join": (0, "3e5e1df6b332c33476c29001aa970bc65988eed7e6f0a0b2496504d3d30cce45"),
     "reduce/pc3z1": (0, "3e423b94ea7027e04c2038fb975b690307361a0aa66a4923f174cef5598c0a70"),
     "oracle-extend/dead-end": (0, "1ece8d85562a315ece6c8b5495defea6df243bb3522a864411cbc075256c6a2a"),
+    "oracle-extend/z2-witness": (0, "8628cb564f37bce90731cfa245d3280c51cf2a41b28634dd50434d8e66968e9a"),
+    "ball/z2": (0, "87828ad0b23c3dfbbea5382dbe589b8b068a39c26a8c8bdfc0befa2cea5451e2"),
+    "ball/z3": (0, "caa9ac3769e590e4917e4f0b1e3c15d627f722f7ee8bfd2682fb4dd1bd482f1a"),
+    "ball/f2": (0, "5f14eb34e04f8e6911ba570ca01cf25d808d673d2962110fe9c5186315446334"),
+    "ball/f3": (0, "a783a1ee45d99c5dc9ffa9e1458590e2442b4f7b0e6ccd9ee8420644e17f3e3d"),
+    "ball/negative": (0, "1888cb0eb18ec4f0e621de9839de2c908f490d688af7d0c7e976a644566da959"),
+    "dseq/z1": (0, "3248a5f0e5d604da2850a070e20e818ea25d5733db7f2231c9d6e664eb7a873f"),
+    "dseq/f2": (0, "0d0523bee08414ecd574b931cd2d0eed2270626ae8771beecdb11d127600eb6b"),
+    "annulus/z1": (0, "0643848bd58487f25c8fa369a9924cb874095435fd20faa60199ba8c1dadd603"),
+    "annulus/z2": (0, "6808952b70b8ce488fb72455148003bd81bd8ceeadef82785b8ec6072c0de29d"),
+    "annulus/f2": (0, "f295fb3bc249e1895ed637fc5cf803c89aa05362e0c4b60a153c6fa1cace5cbc"),
+    "verify-infty/z1": (0, "92b05199c2c24d6c9281fa51426731a0cb8e38b00ed5a817cfe035e019863f72"),
+    "verify-infty/z2": (0, "ef83c676b1f5bde829ea7ecae2af4411a83ee082e5958232577e309d45daeaaa"),
+    "sparse/z1": (0, "6be8b13f029794c493f67fdd1b1bd4c97313c5ec97c88f62b15724b25287cfbb"),
+    "sparse/f2": (0, "bcf690dc074d87b515b06dc25e5e345d8b8ed2dbc859c3a9c41aafb18291d917"),
+    "extract/parity": (0, "e5e94f742a0ed2c5032253410eaecdf97747077d0f83f763e591c33d3bc1eedf"),
 }
 
 
@@ -335,12 +366,28 @@ def _digest_commands():
         argv = ["simulate", "{%s}" % spec, *args, "--dump"]
         cases[f"simulate/{spec}"] = argv
         cases[f"simulate/{spec}/no-warmup"] = [*argv, "--no-warmup"]
-    for spec in ("pc3z1", "nuz1"):
+    for spec in ("pc3z1", "nuz1", "pc5f2"):
         for mode in ("ideal-axioms", "local", "join"):
             cases[f"check/{spec}/{mode}"] = ["check", "{%s}" % spec, "--mode", mode,
                                              "--budget", "40", "--seed", "1"]
     cases["reduce/pc3z1"] = ["reduce", "{pc3z1}", "--budget", "25", "--seed", "2", "--dump"]
     cases["oracle-extend/dead-end"] = ["oracle-extend", "{pc2z1}", "{blocked}", "--radius", "3"]
+    cases["oracle-extend/z2-witness"] = ["oracle-extend", "{pc3z2}", "{pair_z2}", "--radius", "1"]
+    cases["ball/z2"] = ["ball", "Z^2", "[3,-2]", "6"]
+    cases["ball/z3"] = ["ball", "Z^3", "[1,0,-2]", "3"]
+    cases["ball/f2"] = ["ball", "F_2", "aB", "3"]
+    cases["ball/f3"] = ["ball", "F_3", "cA", "2"]
+    cases["ball/negative"] = ["ball", "F_2", "a", "-1"]
+    cases["dseq/z1"] = ["dseq", "Z^1", "4"]
+    cases["dseq/f2"] = ["dseq", "F_2", "2"]
+    cases["annulus/z1"] = ["annulus", "Z^1", "3"]
+    cases["annulus/z2"] = ["annulus", "Z^2", "2"]
+    cases["annulus/f2"] = ["annulus", "F_2", "2"]
+    cases["verify-infty/z1"] = ["verify-infty", "Z^1", "--d", "1,3,7", "--c", "2"]
+    cases["verify-infty/z2"] = ["verify-infty", "Z^2", "--d", "1,3", "--c", "1"]
+    cases["sparse/z1"] = ["sparse", "Z^1", "--d", "1,3,7", "--window", "10", "--m", "3", "--dump"]
+    cases["sparse/f2"] = ["sparse", "F_2", "--d", "1,3", "--window", "3", "--m", "2", "--dump"]
+    cases["extract/parity"] = ["extract", "{parity}", "--radius", "1", "--min-occurrences", "2"]
     return cases
 
 

@@ -4,6 +4,8 @@ Laws under test:
 1. Metric laws, exactly: symmetry, right-invariance dist(ag, bg) = dist(a, b),
    triangle inequality, identity of indiscernibles.
 2. Frozen small facts: reduced-word products, ball sizes, specific distances.
+   Every ball, about the identity or translated, is exactly the list the
+   breadth-first search kept here returns.
 3. Packing searches return the frozen minimal sequences, and every returned
    certificate re-verifies by direct ball enumeration (independent of the
    search code path). The pruned d-sequence search returns exactly what the
@@ -13,6 +15,8 @@ Laws under test:
 5. Conventions: minimum distance between sets is infinite when a set is
    empty; budget exhaustion raises loudly.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,10 +29,11 @@ from shiftcolor.groups import (
     PackingWitness,
     annulus_D,
     d_sequence,
+    identity_ball,
     parse_group,
     set_dist,
 )
-from shiftcolor.radii import INF
+from shiftcolor.radii import INF, Infinity, radius_floor
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -144,7 +149,62 @@ def _metric_laws(g, a, b, c):
     assert g.dist(a, c) <= g.dist(a, b) + g.dist(b, c)
 
 
+def _bfs_ball(group, center, r):
+    """Ball(center, r) by breadth-first search from the center, applying
+    each generator on the left, each layer sorted canonically."""
+    if isinstance(r, Infinity):
+        raise ValueError("cannot enumerate a ball of infinite radius")
+    depth = radius_floor(r) if r >= 0 else -1
+    if depth < 0:
+        return []
+    out = [center]
+    seen = {center}
+    frontier = [center]
+    for _ in range(depth):
+        nxt = []
+        for x in frontier:
+            for s in group.generators():
+                y = group.mul(s, x)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        nxt.sort(key=group.sort_key)
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+def _centers(group):
+    if isinstance(group, FreeGroup):
+        return _reduced_words(group)
+    coords = st.integers(-6, 6)
+    if group.dimension == 1:
+        return coords
+    return st.tuples(*[coords] * group.dimension)
+
+
+_BALL_GROUPS = ["Z^1", "Z^2", "Z^3", "Z^4", "F_1", "F_2", "F_3"]
+
+
 class TestBall:
+    @pytest.mark.parametrize("spec", _BALL_GROUPS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), r=st.integers(-2, 12).map(lambda k: Fraction(k, 2)))
+    def test_matches_breadth_first_reference(self, spec, data, r):
+        g = parse_group(spec)
+        center = data.draw(_centers(g))
+        assert g.ball(center, r) == _bfs_ball(g, center, r)
+        assert identity_ball(g, r) == tuple(_bfs_ball(g, g.identity(), r))
+
+    @pytest.mark.parametrize("spec", _BALL_GROUPS)
+    def test_infinite_radius_is_refused(self, spec):
+        g = parse_group(spec)
+        message = "^cannot enumerate a ball of infinite radius$"
+        with pytest.raises(ValueError, match=message):
+            g.ball(g.identity(), INF)
+        with pytest.raises(ValueError, match=message):
+            identity_ball(g, INF)
+
     @given(r=st.integers(min_value=0, max_value=4))
     def test_membership_matches_distance(self, r):
         pts = set(F2.ball("a", r))
@@ -209,7 +269,7 @@ def _all_pairs_d_sequence(group, count, budget=64):
     one = group.identity()
     d0 = None
     for r in range(0, budget + 1):
-        if len(group.ball(one, r)) >= 2:
+        if len(_bfs_ball(group, one, r)) >= 2:
             d0 = r
             break
     if d0 is None:
@@ -220,7 +280,7 @@ def _all_pairs_d_sequence(group, count, budget=64):
         d = values[-1]
         found = None
         for enclosing in range(d + 1, budget + 1):
-            candidates = group.ball(one, enclosing - d)
+            candidates = _bfs_ball(group, one, enclosing - d)
             for i, x in enumerate(candidates):
                 for y in candidates[i + 1 :]:
                     if group.dist(x, y) > 2 * d:

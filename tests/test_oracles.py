@@ -8,6 +8,8 @@ Laws under test:
 2. A witness outcome really is a witness (the degenerate scale-0 instance),
    and the counting bound agrees there too by NOT refuting.
 3. Budget exhaustion is reported as inconclusive, never as a refusal.
+   Scales that are negative or not strictly increasing are refused by the
+   search and the counting bound alike, before any search.
 4. The extension oracle refuses exactly the patterns that cannot be
    extended on the ball: the two-point parity fixture on two colors, and
    its colorable twin.
@@ -78,6 +80,12 @@ class TestBallColoringSearch:
         with pytest.raises(ValueError):
             infty_check(Z1, (3, 1), 0)
 
+    @pytest.mark.parametrize("d,c", [((-2,), 0), ((-1, 3), 1), ((-1, 3), 0)])
+    def test_negative_scales_are_refused(self, d, c):
+        # a negative scale would search the empty ball and report a witness
+        with pytest.raises(ValueError, match="nonnegative"):
+            infty_check(Z1, d, c)
+
     def test_deterministic(self):
         a = infty_check(Z1, (1, 3), 1)
         b = infty_check(Z1, (1, 3), 1)
@@ -107,6 +115,10 @@ class TestCountingBound:
     def test_validation(self):
         with pytest.raises(ValueError):
             infty_counting_bound((1,), 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            infty_counting_bound((-1, 3), 1)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            infty_counting_bound((3, 1), 1)
 
 
 class TestExtensionOracle:
