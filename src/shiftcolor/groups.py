@@ -9,11 +9,10 @@ symmetric generating set:
     dist(g, h) = word length of h * g^-1
 
 which is right-invariant: dist(g*x, h*x) = dist(g, h). Closed balls are
-finite (the metric is proper) and listed breadth-first, each layer sorted by
-the group's canonical element order, so every downstream greedy procedure is
-deterministic. Each group builds Ball(1, r) from integer arrays
-(``ball_arrays``); every other ball is its right translate,
-Ball(g, r) = Ball(1, r)*g, re-sorted within each layer.
+finite (the metric is proper) and listed breadth-first, each layer sorted
+canonically, so every downstream greedy procedure is deterministic. Ball(1, r)
+is built from integer arrays (``ball_arrays``); every other ball is its right
+translate Ball(g, r) = Ball(1, r)*g, re-sorted within each layer.
 
 Also here: the packing searches producing the radius sequences used by the
 distance-constrained ideals — minimal d-sequences (two disjoint radius-d_c
@@ -28,6 +27,7 @@ import string
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from itertools import groupby
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,9 +87,10 @@ class Group:
         """Closed ball {x : dist(center, x) <= r}, breadth-first, each layer
         sorted canonically. A rational radius acts as its floor. By right
         invariance it is Ball(1, r)*center, with w*center in layer |w|."""
-        layered = [(self.norm(w), self.mul(w, center)) for w in identity_ball(self, r)]
-        layered.sort(key=lambda t: (t[0], self.sort_key(t[1])))
-        return [x for _t, x in layered]
+        out = []
+        for _t, layer in groupby(identity_ball(self, r), key=self.norm):
+            out.extend(sorted((self.mul(w, center) for w in layer), key=self.sort_key))
+        return out
 
     def ball_arrays(self, radius: int) -> tuple:
         """Ball(1, radius) as arrays, built with no loop over its elements:
@@ -100,6 +101,10 @@ class Group:
         gives dist(elements[j], elements[i]) for every j < i. A negative
         radius gives the empty ball."""
         raise NotImplementedError
+
+    def _ball_elements(self, radius: int) -> list:
+        """``ball_arrays(radius)[0]``, which a group may list without the tables."""
+        return self.ball_arrays(radius)[0]
 
     def element_at_distance(self, t: int):
         """Some element at distance exactly t from the identity."""
@@ -183,7 +188,7 @@ class FreeAbelian(Group):
     def sort_key(self, g):
         return (g,) if self.dimension == 1 else g
 
-    def ball_arrays(self, radius):
+    def _ball_rows(self, radius):
         # Ball_{d+1}(r) is {(x0, y) : y in Ball_d(r - |x0|)}, and each such
         # Ball_d(r - |x0|) is a prefix of the norm-sorted Ball_d(r), so every
         # dimension costs one gather and one lexsort by (norm, coordinates),
@@ -202,9 +207,15 @@ class FreeAbelian(Group):
             norms = np.abs(head) + norms[tail]
             order = np.lexsort([*coords.T[::-1], norms])
             coords, norms = coords[order], norms[order]
-        n, d = coords.shape
-        elements = coords[:, 0].tolist() if d == 1 else list(map(tuple, coords.tolist()))
+        columns = coords.T.tolist()
+        return (columns[0] if len(columns) == 1 else list(zip(*columns))), coords, norms
 
+    def _ball_elements(self, radius):
+        return self._ball_rows(radius)[0]
+
+    def ball_arrays(self, radius):
+        elements, coords, norms = self._ball_rows(radius)
+        n, d = coords.shape
         # Table entries: each row's neighbours along the generators (±e_i in
         # order), looked up by searchsorted on the rows' bytes as sort keys.
         coords = np.ascontiguousarray(coords)
@@ -401,12 +412,12 @@ def parse_group(spec: str) -> Group:
 
 @lru_cache(maxsize=8)
 def identity_ball(group: Group, r: Radius) -> tuple:
-    """Ball(1, r) from ``Group.ball_arrays``, cached: the package's one copy
-    of the balls about the identity. A tuple, so no caller can change it. A
-    rational radius acts as its floor; a negative one gives the empty ball."""
+    """Ball(1, r) as ``Group.ball_arrays`` lists it, cached: the package's one
+    copy of the balls about the identity, a tuple so no caller can change it.
+    A rational r acts as its floor; a negative one gives the empty ball."""
     if isinstance(r, Infinity):
         raise ValueError("cannot enumerate a ball of infinite radius")
-    return tuple(group.ball_arrays(radius_floor(r))[0])
+    return tuple(group._ball_elements(radius_floor(r)))
 
 
 def set_dist(group: Group, a: Iterable, b: Iterable) -> Radius:

@@ -262,8 +262,8 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
 
     elements = region.elements
     colors = [None] * n_pts  # each point's colour, recorded after its step
-    colored = np.zeros(n_pts, dtype=bool)  # set on acceptance, before the colour is recorded
     interior_count = int(interior_mask.sum())
+    filled = 0  # coloured points of the interior
 
     assigned_sets: List[Tuple[int, Tuple]] = []
     fills = [0.0]
@@ -301,19 +301,19 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
 
         accepted = []
         for j in candidates:
-            if colored[j] or region.norms[j] + s > T:
+            if colors[j] is not None or region.norms[j] + s > T:
                 continue
             # row j is Ball(1, s)*x_j in offset order, inside the region here
             window = {elements[k]: colors[k] for k in nbrs[j].tolist() if colors[k] is not None}
             window[elements[j]] = c_i
             if ideal.contains(PartialColoring._of_valid(g, window)):
                 accepted.append(j)
-                colored[j] = True
         for j in accepted:
             colors[j] = c_i
+        filled += int(interior_mask[accepted].sum())
 
         assigned_sets.append((c_i, tuple(elements[j] for j in accepted)))
-        fills.append(float((colored & interior_mask).sum()) / interior_count if interior_count else 0.0)
+        fills.append(filled / interior_count if interior_count else 0.0)
         r_c = r_of[c_i]
         if r_c > reach:
             reach = r_c
@@ -586,16 +586,16 @@ def extract_patterns(
     ``min_occurrences`` times. Sorted canonically for determinism."""
     g = omega.group
     dom = set(omega.domain())
-    patterns: Dict[tuple, PartialColoring] = {}
-    occurrences: Dict[tuple, int] = {}
+    counts: Dict[tuple, PartialColoring] = {}
+    seen: Dict[tuple, int] = {}
     for gamma in omega.domain():
         ball_pts = g.ball(gamma, shape_radius)
         if not all(e in dom for e in ball_pts):
             continue
         normalized = shift(omega.restrict(ball_pts), gamma)
         key = normalized.canonical_key()
-        patterns[key] = normalized
-        occurrences[key] = occurrences.get(key, 0) + 1
-    out = [patterns[k] for k, c in occurrences.items() if c >= min_occurrences]
+        counts[key] = normalized
+        seen[key] = seen.get(key, 0) + 1
+    out = [counts[k] for k, c in seen.items() if c >= min_occurrences]
     out.sort(key=lambda p: p.canonical_key())
     return out

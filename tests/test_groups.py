@@ -33,7 +33,9 @@ from shiftcolor.groups import (
     parse_group,
     set_dist,
 )
-from shiftcolor.radii import INF, Infinity, radius_floor
+from shiftcolor.radii import INF
+
+from ball_reference import bfs_ball
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -149,31 +151,6 @@ def _metric_laws(g, a, b, c):
     assert g.dist(a, c) <= g.dist(a, b) + g.dist(b, c)
 
 
-def _bfs_ball(group, center, r):
-    """Ball(center, r) by breadth-first search from the center, applying
-    each generator on the left, each layer sorted canonically."""
-    if isinstance(r, Infinity):
-        raise ValueError("cannot enumerate a ball of infinite radius")
-    depth = radius_floor(r) if r >= 0 else -1
-    if depth < 0:
-        return []
-    out = [center]
-    seen = {center}
-    frontier = [center]
-    for _ in range(depth):
-        nxt = []
-        for x in frontier:
-            for s in group.generators():
-                y = group.mul(s, x)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        nxt.sort(key=group.sort_key)
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
 def _centers(group):
     if isinstance(group, FreeGroup):
         return _reduced_words(group)
@@ -193,8 +170,8 @@ class TestBall:
     def test_matches_breadth_first_reference(self, spec, data, r):
         g = parse_group(spec)
         center = data.draw(_centers(g))
-        assert g.ball(center, r) == _bfs_ball(g, center, r)
-        assert identity_ball(g, r) == tuple(_bfs_ball(g, g.identity(), r))
+        assert g.ball(center, r) == bfs_ball(g, center, r)
+        assert identity_ball(g, r) == tuple(bfs_ball(g, g.identity(), r))
 
     @pytest.mark.parametrize("spec", _BALL_GROUPS)
     def test_infinite_radius_is_refused(self, spec):
@@ -251,9 +228,9 @@ class TestDSequence:
             seq = d_sequence(g, 2)
             assert seq.witnesses[0] is None
             for w in seq.witnesses[1:]:
-                ball_a = set(g.ball(w.center_a, w.inner_radius))
-                ball_b = set(g.ball(w.center_b, w.inner_radius))
-                enclosing = set(g.ball(g.identity(), w.enclosing_radius))
+                ball_a = set(bfs_ball(g, w.center_a, w.inner_radius))
+                ball_b = set(bfs_ball(g, w.center_b, w.inner_radius))
+                enclosing = set(bfs_ball(g, g.identity(), w.enclosing_radius))
                 assert ball_a.isdisjoint(ball_b)
                 assert ball_a <= enclosing and ball_b <= enclosing
 
@@ -269,7 +246,7 @@ def _all_pairs_d_sequence(group, count, budget=64):
     one = group.identity()
     d0 = None
     for r in range(0, budget + 1):
-        if len(_bfs_ball(group, one, r)) >= 2:
+        if len(bfs_ball(group, one, r)) >= 2:
             d0 = r
             break
     if d0 is None:
@@ -280,7 +257,7 @@ def _all_pairs_d_sequence(group, count, budget=64):
         d = values[-1]
         found = None
         for enclosing in range(d + 1, budget + 1):
-            candidates = _bfs_ball(group, one, enclosing - d)
+            candidates = bfs_ball(group, one, enclosing - d)
             for i, x in enumerate(candidates):
                 for y in candidates[i + 1 :]:
                     if group.dist(x, y) > 2 * d:
@@ -407,7 +384,7 @@ class TestAnnulus:
         for g, d in ((Z1, 1), (Z1, 3), (Z2, 1), (F2, 1)):
             D, w = annulus_D(g, d)
             one = g.identity()
-            ball = g.ball(w.center, d)
+            ball = bfs_ball(g, w.center, d)
             assert all(2 * d < g.dist(one, x) <= D for x in ball)
 
     def test_minimality_z1(self):

@@ -17,7 +17,7 @@ Laws under test:
    frozen greedy table on the line, hard separation for the final colors,
    the complete-graph shortcut, coverage reporting.
 6. Extraction: recurring patterns are found, normalized to the identity.
-7. The array-built region agrees with Group.ball, group.norm, the scalar
+7. The array-built region agrees with the breadth-first ball, group.norm, the scalar
    element code, an index-plus-mul generator table and g.dist; its
    neighbour table, the offset windows and the validator agree with brute
    force over g.dist; a region refuses colliding element codes.
@@ -48,6 +48,8 @@ from shiftcolor.simulate import (
     sparse_run,
     trace_validate,
 )
+
+from ball_reference import bfs_ball
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -259,11 +261,11 @@ class TestRegionKernel:
         center = points[i]
         cur = {e: k % 3 for k, e in enumerate(points) if data.draw(st.booleans())}
         table = region.neighbors(s)
-        offsets = g.ball(g.identity(), s)
+        offsets = bfs_ball(g, g.identity(), s)
         assert table[i].tolist() == [region.index.get(g.mul(w, center), len(points)) for w in offsets]
         for r in range(s + 1):
             near = {k for k, x in enumerate(points) if g.dist(center, x) <= r}
-            width = len(g.ball(g.identity(), r))
+            width = len(bfs_ball(g, g.identity(), r))
             row = set(table[i, :width].tolist()) - {len(points)}
             assert row == near
             assert _window(g, cur, center, r) == {
@@ -274,12 +276,12 @@ class TestRegionKernel:
     @given(data=st.data())
     def test_array_built_region_matches_references(self, data):
         """Elements, index, norms, codes, generator table and distances
-        against Group.ball, group.norm, the scalar element_code, an index
+        against the breadth-first ball, group.norm, the scalar element_code, an index
         plus mul, and g.dist."""
         g, max_r = data.draw(st.sampled_from(REGION_CASES))
         r = data.draw(st.integers(-1, max_r))
         region = simulate.Region(g, r)
-        ball = g.ball(g.identity(), r)
+        ball = bfs_ball(g, g.identity(), r)
         n = len(ball)
         assert region.elements == ball
         assert region.index == {e: i for i, e in enumerate(ball)}
