@@ -33,7 +33,6 @@ from .reduction import (
     check_join,
     check_local,
     decompose,
-    derived_join_from_local,
     join_fn_from_json,
     reduced_contains,
     separated,
@@ -47,10 +46,9 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _read_json_file(path: str) -> Tuple[Any, str]:
+def _read_json_file(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return json.loads(text), text
+        return json.load(fh)
 
 
 def _parse_element(group, text: str):
@@ -75,14 +73,15 @@ def _emit(manifest: Dict[str, Any], payload: Any, out: Optional[str]) -> None:
         sys.stdout.buffer.write(data)
 
 
-def _load_ideal_spec(path: str) -> Tuple[IdealSpec, Optional[Any], str]:
+def _load_ideal_spec(path: str) -> Tuple[IdealSpec, Any]:
     """A spec file is either a bare ideal object (has "kind") or a wrapper
-    {"ideal": ..., "R": ...} carrying a join-bound spec alongside."""
-    obj, text = _read_json_file(path)
+    {"ideal": ..., "R": ...} carrying a join-bound spec alongside. The join
+    bound defaults to "derived", the one derived from the ideal's radii."""
+    obj = _read_json_file(path)
     if isinstance(obj, dict) and "ideal" in obj:
-        ideal = ideal_from_json(obj["ideal"])
-        return ideal, obj.get("R"), text
-    return ideal_from_json(obj), None, text
+        R = obj.get("R")
+        return ideal_from_json(obj["ideal"]), "derived" if R is None else R
+    return ideal_from_json(obj), "derived"
 
 
 # -- subcommand handlers (each returns payload, exit code) -----------------------
@@ -141,32 +140,22 @@ def _cmd_annulus(args) -> Tuple[dict, int]:
 
 
 def _cmd_check(args) -> Tuple[dict, int]:
-    ideal, R_json, _text = _load_ideal_spec(args.spec)
+    ideal, R_json = _load_ideal_spec(args.spec)
     budget = args.budget if args.budget is not None else 200
     if args.mode == "ideal-axioms":
         report = ideal_axioms_check(ideal, sample_budget=budget, seed=args.seed)
-        ok = report.ok
     elif args.mode == "local":
         report = check_local(ideal, ideal.locality_radius, enumeration_budget=budget, seed=args.seed)
-        ok = report.ok
     else:  # join
-        if R_json is not None:
-            R = join_fn_from_json(R_json, ideal)
-        else:
-            R = derived_join_from_local(ideal.locality_radius)
+        R = join_fn_from_json(R_json, ideal)
         report = check_join(ideal, R, tuple_size_max=3, samples=budget, seed=args.seed)
-        ok = report.ok
     payload = {"mode": args.mode, "ideal": ideal.to_json(), "report": report.to_jsonable()}
-    return payload, EXIT_CLEAN if ok else EXIT_VIOLATION
+    return payload, EXIT_CLEAN if report.ok else EXIT_VIOLATION
 
 
 def _cmd_reduce(args) -> Tuple[dict, int]:
-    base, R_json, _text = _load_ideal_spec(args.spec)
-    if R_json is not None:
-        R = join_fn_from_json(R_json, base)
-    else:
-        R = derived_join_from_local(base.locality_radius)
-    reduced = ReducedIdeal(base, R)
+    base, R_json = _load_ideal_spec(args.spec)
+    reduced = ReducedIdeal(base, join_fn_from_json(R_json, base))
     samples = args.budget if args.budget is not None else 50
     rng = random.Random(args.seed)
     violations: List[dict] = []
@@ -214,7 +203,7 @@ def _cmd_reduce(args) -> Tuple[dict, int]:
 
 
 def _cmd_simulate(args) -> Tuple[dict, int]:
-    ideal, _R, _text = _load_ideal_spec(args.spec)
+    ideal, _R = _load_ideal_spec(args.spec)
     schedule = _parse_int_list(args.schedule) if args.schedule else None
     config = SimulationConfig(
         ideal=ideal,
@@ -264,9 +253,8 @@ def _cmd_verify_infty(args) -> Tuple[dict, int]:
 
 
 def _cmd_oracle_extend(args) -> Tuple[dict, int]:
-    ideal, _R, _text = _load_ideal_spec(args.spec)
-    obj, _ptext = _read_json_file(args.pattern)
-    phi = PartialColoring.from_json(obj, group=ideal.group)
+    ideal, _R = _load_ideal_spec(args.spec)
+    phi = PartialColoring.from_json(_read_json_file(args.pattern), group=ideal.group)
     report = extension_oracle(
         ideal, phi, args.radius, palette_max=args.palette_max, node_budget=args.budget
     )
@@ -277,8 +265,7 @@ def _cmd_oracle_extend(args) -> Tuple[dict, int]:
 
 
 def _cmd_extract(args) -> Tuple[dict, int]:
-    obj, _text = _read_json_file(args.pattern)
-    phi = PartialColoring.from_json(obj)
+    phi = PartialColoring.from_json(_read_json_file(args.pattern))
     patterns = extract_patterns(phi, args.radius, args.min_occurrences)
     payload = {
         "shape_radius": args.radius,
@@ -394,8 +381,6 @@ def _manifest_for(args) -> Dict[str, Any]:
             spec_paths.append(value)
             with open(value, "r", encoding="utf-8") as fh:
                 spec_contents.append(fh.read())
-            params[key] = value
-            continue
         params[key] = value
     return build_manifest(
         command=args.command,

@@ -149,7 +149,7 @@ class PairwiseIdeal(IdealSpec):
         return _Table(lambda a: _Table(lambda b: self.band(max(a, b), min(a, b))))
 
     def _in_palette(self, c) -> bool:
-        if 0 <= c < self.palette_size:
+        if isinstance(c, int) and 0 <= c < self.palette_size:
             return True
         if self.outside_palette_raises:
             raise PaletteExhausted(

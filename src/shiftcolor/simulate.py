@@ -35,14 +35,6 @@ from .radii import Infinity, Radius, radius_ceil, radius_floor
 from .rng import RandomField, element_codes
 
 
-def _window(g: Group, cur: Mapping, center, r: Radius) -> dict:
-    """The entries of ``cur`` within distance r of ``center``, for the
-    validator, which takes any trace. By right invariance dist(center,
-    w*center) = |w|, so they sit at w*center for w in Ball(1, r)."""
-    near = (g.mul(w, center) for w in identity_ball(g, r))
-    return {x: cur[x] for x in near if x in cur}
-
-
 class Region:
     """Ball(1, radius) with what the window process reads about it, built
     from integer arrays by ``Group.ball_arrays`` with no loop over its
@@ -98,6 +90,16 @@ class Region:
                     np.minimum(table[:, t], self._step[table[:, j], k], out=table[:, t])
         table.flags.writeable = False
         return table
+
+
+def _window(region: Region, colors: list, j: int, r: int) -> dict:
+    """The coloured entries within distance r of point j, for a window that
+    fits inside the region: row j of ``region.neighbors(r)`` is
+    Ball(1, r)*x_j in offset order. ``colors`` holds each point's colour or
+    None, and None in the extra slot at the sentinel index."""
+    elements = region.elements
+    row = region.neighbors(r)[j].tolist()
+    return {elements[k]: colors[k] for k in row if colors[k] is not None}
 
 
 @lru_cache(maxsize=1)
@@ -261,7 +263,8 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
     max_r = max(r_of.values())
 
     elements = region.elements
-    colors = [None] * n_pts  # each point's colour, recorded after its step
+    # each point's colour, recorded after its step, and None at the sentinel index
+    colors = [None] * (n_pts + 1)
     interior_count = int(interior_mask.sum())
     filled = 0  # coloured points of the interior
 
@@ -303,8 +306,7 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
         for j in candidates:
             if colors[j] is not None or region.norms[j] + s > T:
                 continue
-            # row j is Ball(1, s)*x_j in offset order, inside the region here
-            window = {elements[k]: colors[k] for k in nbrs[j].tolist() if colors[k] is not None}
+            window = _window(region, colors, j, s)
             window[elements[j]] = c_i
             if ideal.contains(PartialColoring._of_valid(g, window)):
                 accepted.append(j)
@@ -354,44 +356,46 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     each colored point whose window fits inside the region, the window must
     be a member. Windows are re-examined whenever a step adds a point that
     touches them; untouched windows cannot change, so this covers every
-    (step, point) pair the direct definition would."""
-    r = ideal.locality_radius
+    (step, point) pair the direct definition would. Every point of the trace
+    must lie in the region Ball(1, window + margin); windows are read from
+    its neighbour table, as ``run`` reads them."""
     g = trace.group
     T = trace.config.window_radius + trace.config.margin
+    region = _region_of(g, T)
+    elements = region.elements
     report = ValidationReport()
-    cur: Dict[object, int] = {}
+    colors = [None] * (len(elements) + 1)  # as in run
 
-    finite_radii = []
-    for c, _elems in trace.assigned_sets:
-        rc = r(c)
-        if not isinstance(rc, Infinity):
-            finite_radii.append(rc)
-    max_reach = radius_floor(max(finite_radii)) if finite_radii else 0
+    steps = [(_validate_color(c), elems) for c, elems in trace.assigned_sets]
+    radius = {c: ideal.locality_radius(c) for c, _elems in steps}
+    finite = [rc for rc in radius.values() if not isinstance(rc, Infinity)]
+    reach = region.neighbors(radius_floor(max(finite)) if finite else 0)
 
-    def check_window(gamma, step):
-        rc = r(cur[gamma])
-        if isinstance(rc, Infinity):
-            report.skipped_nonlocal += 1
-            return
-        if g.norm(gamma) + rc > T:
-            return
-        window = PartialColoring._of_valid(g, _window(g, cur, gamma, rc))
-        report.windows_checked += 1
-        if not ideal.contains(window):
-            report.failures.append(
-                {"step": step, "element": g.element_to_json(gamma), "window": window.to_json()}
-            )
-
-    for step_index, (color, elems) in enumerate(trace.assigned_sets, start=1):
-        color = _validate_color(color)
+    for step_index, (color, elems) in enumerate(steps, start=1):
+        new = []
         for e in elems:
-            g.validate(e)  # each entry is validated once, as it enters cur
-            cur[e] = color
-        affected = set()
-        for e in elems:
-            affected.update(_window(g, cur, e, max_reach))
-        for gamma in sorted(affected, key=g.sort_key):
-            check_window(gamma, step_index)
+            g.validate(e)  # each entry is validated once, as it enters the colouring
+            k = region.index.get(e)
+            if k is None:
+                raise ValueError(f"trace point {e!r} lies outside the region")
+            colors[k] = color
+            new.append(k)
+        affected = {k for k in reach[new].ravel().tolist() if colors[k] is not None}
+        # failures are listed in sort_key order, which region order is not on Z^d
+        for j in sorted(affected, key=lambda k: g.sort_key(elements[k])):
+            rc = radius[colors[j]]
+            if isinstance(rc, Infinity):
+                report.skipped_nonlocal += 1
+                continue
+            if region.norms[j] + rc > T:
+                continue
+            window = PartialColoring._of_valid(g, _window(region, colors, j, radius_floor(rc)))
+            report.windows_checked += 1
+            if not ideal.contains(window):
+                gamma = g.element_to_json(elements[j])
+                report.failures.append(
+                    {"step": step_index, "element": gamma, "window": window.to_json()}
+                )
     return report
 
 

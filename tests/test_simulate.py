@@ -19,8 +19,12 @@ Laws under test:
 6. Extraction: recurring patterns are found, normalized to the identity.
 7. The array-built region agrees with the breadth-first ball, group.norm, the scalar
    element code, an index-plus-mul generator table and g.dist; its
-   neighbour table, the offset windows and the validator agree with brute
+   neighbour table and the one window helper that reads it agree with brute
    force over g.dist; a region refuses colliding element codes.
+8. The validator reads its windows from the region that ``run`` cached and
+   agrees with a brute-force validator over g.dist on Z^1, Z^2, Z^3 and F_2,
+   with and without warm-up, and on hand traces with failures; it refuses
+   invalid colours and points outside the region with ValueError.
 """
 
 from fractions import Fraction
@@ -260,6 +264,7 @@ class TestRegionKernel:
         i = data.draw(st.integers(0, len(points) - 1))
         center = points[i]
         cur = {e: k % 3 for k, e in enumerate(points) if data.draw(st.booleans())}
+        colors = [cur.get(e) for e in points] + [None]
         table = region.neighbors(s)
         offsets = bfs_ball(g, g.identity(), s)
         assert table[i].tolist() == [region.index.get(g.mul(w, center), len(points)) for w in offsets]
@@ -268,7 +273,7 @@ class TestRegionKernel:
             width = len(bfs_ball(g, g.identity(), r))
             row = set(table[i, :width].tolist()) - {len(points)}
             assert row == near
-            assert _window(g, cur, center, r) == {
+            assert _window(region, colors, i, r) == {
                 x: c for x, c in cur.items() if g.dist(center, x) <= r
             }
 
@@ -333,6 +338,7 @@ def brute_force_validate(trace, ideal):
 
 DC = DistanceConstrained(Z1, (1, 3), (3, 7))
 NU = NotUniversal(Z1, (1, 3), (5, 13))
+PC3_F2 = ProperColoring(F2, 3)
 
 
 def _hand_trace(ideal, window_radius, margin, assigned_sets):
@@ -356,6 +362,10 @@ class TestValidatorAgainstBruteForce:
         + [
             SimulationConfig(PC3, 5, 2, 1, seed=0, forced_supports={0: [0, 1]}),
             SimulationConfig(PC3, 20, 2, 12, Fraction(1, 2), seed=4, warmup=False),
+            SimulationConfig(ProperColoring(Z2, 5), 8, 2, 15, Fraction(1, 4), seed=3, warmup=False),
+            SimulationConfig(ProperColoring(F2, 5), 4, 2, 30, Fraction(1, 16), seed=0),
+            SimulationConfig(ProperColoring(F2, 5), 4, 2, 12, Fraction(1, 4), seed=0, warmup=False),
+            SimulationConfig(ProperColoring(FreeAbelian(3), 7), 4, 2, 21, Fraction(1, 8), seed=0),
         ],
     )
     def test_runs(self, config):
@@ -372,6 +382,8 @@ class TestValidatorAgainstBruteForce:
             (dc_inf, _hand_trace(dc_inf, 10, 4, [(0, (0, 4)), (1, (2,)), (0, (1, 8)), (1, (9,))])),
             # same-color neighbours and points near the boundary
             (PC3, _hand_trace(PC3, 6, 1, [(0, (0, 6, 7)), (1, (3,)), (0, (1, -7)), (2, (4, 5))])),
+            # on F_2: same-colour neighbours in the tree
+            (PC3_F2, _hand_trace(PC3_F2, 3, 2, [(0, ("", "a", "ab")), (1, ("b",)), (0, ("Ab", "aB"))])),
         ]
         for ideal, trace in traces:
             fast = trace_validate(trace, ideal)
@@ -384,6 +396,24 @@ class TestValidatorAgainstBruteForce:
         for assigned in ([(0, (0,)), (-1, (5,))], [(0, (0, "x"))], [(True, (0,))]):
             with pytest.raises(ValueError):
                 trace_validate(_hand_trace(PC3, 10, 2, assigned), PC3)
+        # a colour is checked before its window radius is asked for
+        for ideal in (DC, NU):
+            for bad in ("x", (1, 2)):
+                with pytest.raises(ValueError):
+                    trace_validate(_hand_trace(ideal, 10, 12, [(0, (0,)), (bad, (5,))]), ideal)
+
+    def test_hand_trace_point_outside_region_rejected(self):
+        trace = _hand_trace(DC, 10, 12, [(0, (0,)), (0, (99,))])
+        with pytest.raises(ValueError, match="lies outside the region"):
+            trace_validate(trace, DC)
+
+    def test_reuses_the_region_run_cached(self):
+        config = SimulationConfig(ProperColoring(Z2, 5), 8, 2, 30, Fraction(1, 8), seed=0)
+        trace = run(config)
+        before = _region_of.cache_info()
+        assert trace_validate(trace, config.ideal).windows_checked > 0
+        after = _region_of.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
 
 
 class TestEquivariance:
