@@ -20,6 +20,13 @@ band [lo, hi] of their color pair.
 The palette of DistanceConstrained is 0..len(h)-1 and of NotUniversal
 0..len(d)-1; a color beyond it raises PaletteExhausted.
 
+Windows laid out on the offsets of one ball about the identity can also be
+judged many at once, as integer rows of color codes (``color_code``) with
+the distances between the slots (``contains_windows``). The pairwise kinds
+answer with one lookup into their bands compiled as a boolean table over
+(color, color, distance); every other ideal asks ``contains`` of each
+window, which stays the reference.
+
 Reduced (product-coded) ideals live in the reduction module; they subclass
 IdealSpec and plug into everything here.
 """
@@ -32,6 +39,8 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .groups import Group, identity_ball, parse_group
 from .patterns import PartialColoring, shift
 from .radii import Infinity, Radius, as_radius, radius_ceil, radius_to_json
@@ -39,6 +48,12 @@ from .radii import Infinity, Radius, as_radius, radius_ceil, radius_to_json
 
 class PaletteExhausted(ValueError):
     """A pattern uses a color outside the ideal's declared palette."""
+
+
+# Color codes below zero, read by ``contains_windows``: a slot with no
+# color, a color outside the palette that is never a member, and a color
+# left to ``contains``.
+NO_COLOR, OFF_PALETTE, UNCODED = -1, -2, -3
 
 
 class IdealSpec:
@@ -70,6 +85,23 @@ class IdealSpec:
     def admits(self, phi: PartialColoring, gamma, c) -> bool:
         """Whether phi + (gamma, c) is a member, for phi - gamma a member."""
         return self.contains(phi.with_entry(gamma, c))
+
+    def color_code(self, c) -> int:
+        """The integer that stands for color c in the rows
+        ``contains_windows`` reads. By default every color is UNCODED, so
+        every window goes to ``contains``."""
+        return UNCODED
+
+    def contains_windows(self, C: np.ndarray, D: np.ndarray, window) -> np.ndarray:
+        """Whether each of many windows is a member. The windows are laid
+        out on the offsets w_0, w_1, ... of Ball(1, s) in the ideal's group:
+        C[i, a] codes the color at slot a of window i (``color_code``, or
+        NO_COLOR for none), D[a, b] = |w_a w_b^-1| is the distance between
+        slots a and b of every window, so D depends only on its width, and
+        ``window(i)`` builds window i as a pattern. This default asks
+        ``contains`` of each window in row order; it is the reference for
+        every override."""
+        return np.array([self.contains(window(i)) for i in range(len(C))], dtype=bool)
 
     def extend_at(self, phi: PartialColoring, gamma, c_max: Optional[int] = None):
         """Least color c <= c_max with phi + (gamma, c) a member, or None.
@@ -128,6 +160,11 @@ class _Table(dict):
         return value
 
 
+# Rows of windows times slot pairs gathered at once by contains_windows,
+# which bounds its scratch memory to a few megabytes whatever the window.
+_GATHER_CELLS = 1 << 18
+
+
 class PairwiseIdeal(IdealSpec):
     """A pattern is a member iff its colors lie in 0..palette_size-1 and no
     two of its points x, y have lo <= dist(x, y) <= hi for (lo, hi) the band
@@ -138,6 +175,7 @@ class PairwiseIdeal(IdealSpec):
 
     palette_size: int
     outside_palette_raises = True
+    _forbid: Optional[np.ndarray] = None  # the compiled bands, see _compiled
 
     def band(self, a: int, b: int) -> Optional[Tuple[int, Radius]]:
         """The distances (lo, hi) at which colors a >= b may not meet, or
@@ -182,6 +220,73 @@ class PairwiseIdeal(IdealSpec):
             if band is not None and band[0] <= dist(gamma, y) <= band[1]:
                 return False
         return True
+
+    def color_code(self, c) -> int:
+        """c itself inside the palette. Outside it, OFF_PALETTE where
+        ``contains`` rejects, UNCODED where it raises (PaletteExhausted, or
+        ValueError on a pair color), so that it raises here too."""
+        if not isinstance(c, int) or c < 0:
+            return UNCODED
+        if c < self.palette_size:
+            return c
+        return UNCODED if self.outside_palette_raises else OFF_PALETTE
+
+    def _compiled(self, colors: int, t_max: int) -> np.ndarray:
+        """The bands as forbid[a + 2, b + 2, t]: whether color codes a, b
+        may not meet at distance t, for colors a, b < colors and t <=
+        t_max. OFF_PALETTE clashes with itself at t = 0, that is in its own
+        slot; NO_COLOR clashes with nothing. Like ``Region.neighbors``, the
+        table is built for the most colors and the longest distance asked
+        for so far, so a large palette costs only the colors in use."""
+        table = self._forbid
+        if table is not None and len(table) >= colors + 2 and table.shape[2] > t_max:
+            return table
+        if table is not None:
+            colors, t_max = max(colors, len(table) - 2), max(t_max, table.shape[2] - 1)
+        t = np.arange(t_max + 1)
+        table = np.zeros((colors + 2, colors + 2, t_max + 1), dtype=bool)
+        for a in range(colors):
+            for b in range(colors):
+                band = self._bands[a][b]
+                if band is not None:
+                    lo, hi = band
+                    table[a + 2, b + 2] = (lo <= t) & (t <= (t_max if isinstance(hi, Infinity) else hi))
+        table[OFF_PALETTE + 2, OFF_PALETTE + 2, 0] = True
+        table.flags.writeable = False
+        self._forbid = table
+        return table
+
+    @cached_property
+    def _slot_pairs(self) -> dict:
+        """(width of D, shape of the compiled table) -> the slot pairs
+        (a, b) that contains_windows reads, and their distances."""
+        return {}
+
+    def contains_windows(self, C, D, window):
+        """One gather through the compiled bands: a window is a member iff
+        no two of its slots a <= b hold colors forbidden at distance
+        D[a, b]. The table is symmetric in its colors, so only those slot
+        pairs are read, and only at distances some color pair forbids."""
+        if (C == UNCODED).any():
+            return super().contains_windows(C, D, window)
+        forbid = self._compiled(int(C.max()) + 1, int(D.max()))
+        key = (len(D), *forbid.shape)  # D depends only on its width
+        if key not in self._slot_pairs:
+            a, b = np.nonzero(np.triu(forbid.any(axis=(0, 1))[D]))
+            self._slot_pairs[key] = a, b, D[a, b]
+        a, b, t = self._slot_pairs[key]
+        # flat indices into forbid, one stride per axis
+        n_codes, n_t = forbid.shape[1:]
+        first, second = (C + 2) * (n_codes * n_t), (C + 2) * n_t
+        flat = forbid.ravel()
+        out = np.empty(len(C), dtype=bool)
+        rows = max(1, _GATHER_CELLS // len(t))
+        for lo in range(0, len(C), rows):
+            index = first[lo : lo + rows, a]
+            index += second[lo : lo + rows, b]
+            index += t
+            out[lo : lo + rows] = ~flat[index].any(axis=1)
+        return out
 
     def palette(self):
         return range(self.palette_size)

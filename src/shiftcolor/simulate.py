@@ -16,6 +16,19 @@ rounds before R_i reaches its maximum get empty supports (the schedule still
 advances). This keeps every accepted assignment checked at full window
 radius — without it, two adjacent points could legally take the same color
 in a round with R_i = 0, which the fixtures demonstrate on purpose.
+
+Both the run and its validator judge windows a whole step at a time. Every
+window of radius r about x is the row Ball(1, r)*x of the region's
+neighbour table, so a step's windows form one matrix of colour codes over
+the same offsets, and the distance between two slots is the distance
+between their offsets (right invariance). ``IdealSpec.contains_windows``
+takes that matrix: the pairwise kinds answer in one array lookup, and any
+other ideal builds each window as a pattern and asks ``contains``. A step's
+candidates are more than 2R_i apart, so no candidate's window holds
+another and they are judged independently; the validator groups the
+windows a step touches by radius. Every pair in a window is judged, not
+only the pairs through the new point: without warm-up an old pair may
+already violate.
 """
 
 from __future__ import annotations
@@ -29,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import Group, identity_ball, parse_group
-from .ideals import IdealSpec
+from .ideals import NO_COLOR, IdealSpec
 from .patterns import PartialColoring, _validate_color, shift
 from .radii import Infinity, Radius, radius_ceil, radius_floor
 from .rng import RandomField, element_codes
@@ -42,8 +55,8 @@ class Region:
     norms (the breadth-first layer), their element codes, the generator
     table ``step[i, k]``, the index of gens[k] * x_i (n where that leaves
     the region), and ``distances(i)``, the distances from x_i to the points
-    before it. Built lazily on top: a neighbour table and the sparse run's
-    greedy colourings."""
+    before it. Built lazily on top: a neighbour table, the distances
+    between its columns, and the sparse run's greedy colourings."""
 
     def __init__(self, group: Group, radius: int):
         self.group = group
@@ -60,18 +73,34 @@ class Region:
             a.flags.writeable = False  # shared by every caller
         self.etas: Dict[int, list] = {}  # d_c -> greedy colouring, see _greedy_distance_coloring
         self._table = np.arange(n, dtype=np.int64)[:, None]
+        self._widths = [1]  # |Ball(1, s)| for each s the table covers
+        self._dists = np.zeros((1, 1), dtype=np.int64)
 
     def neighbors(self, s: int) -> np.ndarray:
         """Column j of row i: the index of w_j * x_i, where w_j is offset j of
         Ball(1, s), or the sentinel len(elements) where that leaves the
         region. The table is built for the widest s asked for so far; a
         narrower s reads its first |Ball(1, s)| columns."""
-        width = len(identity_ball(self.group, s))
-        if self._table.shape[1] < width:
-            self._table = self._build_table(s)
-        return self._table[:, :width]
+        if s >= len(self._widths):
+            self._table, self._widths = self._build_table(s)
+        return self._table[:, : self._widths[s]]
 
-    def _build_table(self, s: int) -> np.ndarray:
+    def pair_distances(self, s: int) -> np.ndarray:
+        """D[a, b] = |w_a w_b^-1| for offsets w_a, w_b of Ball(1, s): by right
+        invariance the distance between columns a and b of every row of
+        ``neighbors(s)``. Read from ``distances`` on the prefix Ball(1, s) of
+        the region, so s may not exceed its radius; built, like the
+        neighbour table, for the widest s asked for so far."""
+        width = self.neighbors(s).shape[1]
+        if len(self._dists) < width:
+            D = np.zeros((width, width), dtype=np.int64)
+            for i in range(1, width):
+                D[i, :i] = D[:i, i] = self.distances(i)
+            D.flags.writeable = False
+            self._dists = D
+        return self._dists[:width, :width]
+
+    def _build_table(self, s: int) -> Tuple[np.ndarray, List[int]]:
         # Column w*x is composed from column w'*x through the generator table
         # (whose sentinel row maps the sentinel to itself), where w = a*w'
         # for a generator a and |w'| = |w| - 1, taking whichever such path
@@ -89,14 +118,16 @@ class Region:
                 if t is not None and g.norm(offsets[t]) > g.norm(w):
                     np.minimum(table[:, t], self._step[table[:, j], k], out=table[:, t])
         table.flags.writeable = False
-        return table
+        widths = np.bincount([g.norm(w) for w in offsets], minlength=s + 1).cumsum()
+        return table, widths.tolist()
 
 
 def _window(region: Region, colors: list, j: int, r: int) -> dict:
     """The coloured entries within distance r of point j, for a window that
     fits inside the region: row j of ``region.neighbors(r)`` is
     Ball(1, r)*x_j in offset order. ``colors`` holds each point's colour or
-    None, and None in the extra slot at the sentinel index."""
+    None, and None in the extra slot at the sentinel index. Only failure
+    records and ideals judged window by window read it."""
     elements = region.elements
     row = region.neighbors(r)[j].tolist()
     return {elements[k]: colors[k] for k in row if colors[k] is not None}
@@ -263,8 +294,10 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
     max_r = max(r_of.values())
 
     elements = region.elements
-    # each point's colour, recorded after its step, and None at the sentinel index
+    # each point's colour, recorded after its step, and None at the sentinel
+    # index; and the same as the ideal's colour codes
     colors = [None] * (n_pts + 1)
+    color_codes = np.full(n_pts + 1, NO_COLOR, dtype=np.int64)
     interior_count = int(interior_mask.sum())
     filled = 0  # coloured points of the interior
 
@@ -278,6 +311,7 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
 
     for i in range(config.steps):
         c_i = cycle[i % len(cycle)]
+        code_i = ideal.color_code(c_i)
         reaches.append(reach)
         schedule_used.append(c_i)
         s = radius_floor(2 * reach)
@@ -296,22 +330,30 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
             supp_mask = None  # warm-up round: empty support (the schedule still advances)
         else:
             supp_mask = field_rng.mask(i, codes)
-        candidates = []
+        accepted = []
         if supp_mask is not None:
             nbrs = region.neighbors(s)
-            iso_counts = np.append(supp_mask, False)[nbrs].sum(axis=1)
-            candidates = np.nonzero(supp_mask & (iso_counts == 1))[0]
-
-        accepted = []
-        for j in candidates:
-            if colors[j] is not None or region.norms[j] + s > T:
-                continue
-            window = _window(region, colors, j, s)
-            window[elements[j]] = c_i
-            if ideal.contains(PartialColoring._of_valid(g, window)):
-                accepted.append(j)
+            supp = np.flatnonzero(supp_mask)
+            # isolated: the only support point in its own row
+            cand = supp[np.append(supp_mask, False)[nbrs[supp]].sum(axis=1) == 1]
+            cand = cand[(color_codes[cand] == NO_COLOR) & (region.norms[cand] + s <= T)]
+            if len(cand):
+                # candidates are more than s apart, so no window holds another
+                # one: each is judged against the colours before the step,
+                # with the candidate itself, in column 0, coloured c_i
+                C = color_codes[nbrs[cand]]
+                C[:, 0] = code_i
+                member = ideal.contains_windows(
+                    C,
+                    region.pair_distances(s),
+                    lambda row: PartialColoring._of_valid(
+                        g, {**_window(region, colors, cand[row], s), elements[cand[row]]: c_i}
+                    ),
+                )
+                accepted = cand[member].tolist()
         for j in accepted:
             colors[j] = c_i
+        color_codes[accepted] = code_i
         filled += int(interior_mask[accepted].sum())
 
         assigned_sets.append((c_i, tuple(elements[j] for j in accepted)))
@@ -351,6 +393,10 @@ class ValidationReport:
         }
 
 
+# window_radius entries of trace_validate for windows it does not check
+_LEAVES, _NONLOCAL = -1, -2
+
+
 def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport:
     """Check every step of the trace against the local criterion: around
     each colored point whose window fits inside the region, the window must
@@ -363,13 +409,19 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     T = trace.config.window_radius + trace.config.margin
     region = _region_of(g, T)
     elements = region.elements
+    n = len(elements)
     report = ValidationReport()
-    colors = [None] * (len(elements) + 1)  # as in run
+    colors = [None] * (n + 1)  # as in run
+    color_codes = np.full(n + 1, NO_COLOR, dtype=np.int64)
+    # each coloured point's window radius floor(r_c), or _LEAVES where that
+    # window leaves the region, or _NONLOCAL where r_c is infinite
+    window_radius = np.full(n + 1, _LEAVES, dtype=np.int64)
 
     steps = [(_validate_color(c), elems) for c, elems in trace.assigned_sets]
     radius = {c: ideal.locality_radius(c) for c, _elems in steps}
     finite = [rc for rc in radius.values() if not isinstance(rc, Infinity)]
     reach = region.neighbors(radius_floor(max(finite)) if finite else 0)
+    window_radii = sorted({radius_floor(rc) for rc in finite})
 
     for step_index, (color, elems) in enumerate(steps, start=1):
         new = []
@@ -380,22 +432,38 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
                 raise ValueError(f"trace point {e!r} lies outside the region")
             colors[k] = color
             new.append(k)
-        affected = {k for k in reach[new].ravel().tolist() if colors[k] is not None}
+        rc = radius[color]
+        color_codes[new] = ideal.color_code(color)
+        if isinstance(rc, Infinity):
+            window_radius[new] = _NONLOCAL
+        else:  # the window fits iff |x| + r_c <= T, that is |x| + ceil(r_c) <= T
+            window_radius[new] = np.where(
+                region.norms[new] + radius_ceil(rc) <= T, radius_floor(rc), _LEAVES
+            )
+        hit = np.zeros(n + 1, dtype=bool)
+        hit[reach[new]] = True
+        affected = np.flatnonzero(hit & (color_codes != NO_COLOR))  # never the sentinel
+        radii = window_radius[affected]
+        report.skipped_nonlocal += int((radii == _NONLOCAL).sum())
+        failing = []
+        for r in window_radii:
+            rows = affected[radii == r]
+            if not len(rows):
+                continue
+            member = ideal.contains_windows(
+                color_codes[region.neighbors(r)[rows]],
+                region.pair_distances(r),
+                lambda row: PartialColoring._of_valid(g, _window(region, colors, rows[row], r)),
+            )
+            report.windows_checked += len(rows)
+            failing.extend(rows[~member].tolist())
         # failures are listed in sort_key order, which region order is not on Z^d
-        for j in sorted(affected, key=lambda k: g.sort_key(elements[k])):
-            rc = radius[colors[j]]
-            if isinstance(rc, Infinity):
-                report.skipped_nonlocal += 1
-                continue
-            if region.norms[j] + rc > T:
-                continue
-            window = PartialColoring._of_valid(g, _window(region, colors, j, radius_floor(rc)))
-            report.windows_checked += 1
-            if not ideal.contains(window):
-                gamma = g.element_to_json(elements[j])
-                report.failures.append(
-                    {"step": step_index, "element": gamma, "window": window.to_json()}
-                )
+        for j in sorted(failing, key=lambda k: g.sort_key(elements[k])):
+            window = PartialColoring._of_valid(g, _window(region, colors, j, int(window_radius[j])))
+            report.failures.append(
+                {"step": step_index, "element": g.element_to_json(elements[j]),
+                 "window": window.to_json()}
+            )
     return report
 
 

@@ -20,16 +20,23 @@ Laws under test:
    replaced (kept below as references), on every small colouring; its
    extend_at equals the least colour c with phi + (gamma, c) a member, also
    on non-members, on coloured gamma and on out-of-palette patterns.
+7. The engine's array window check (contains_windows over colour codes and
+   slot distances) gives the same answers, exceptions included, as the
+   generic default that asks contains of each window, on random windows of
+   every radius the window process reaches on Z^1, Z^2, Z^3 and F_2.
 """
 
 import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftcolor.groups import FreeAbelian, FreeGroup
+from shiftcolor.groups import FreeAbelian, FreeGroup, identity_ball
 from shiftcolor.ideals import (
+    NO_COLOR,
+    OFF_PALETTE,
     ConstantJoin,
     PairwiseIdeal,
     DistanceConstrained,
@@ -46,6 +53,7 @@ from shiftcolor.ideals import (
 )
 from shiftcolor.patterns import PartialColoring, shift
 from shiftcolor.radii import INF, Infinity
+from shiftcolor.simulate import Region
 
 Z1 = FreeAbelian(1)
 F2 = FreeGroup(2)
@@ -429,3 +437,81 @@ class TestPairwiseEngine:
             for c in (-1, P.palette_size):
                 with pytest.raises(PaletteExhausted):
                     P.locality_radius(c)
+
+
+# (group, largest window radius): on Z^1 and F_2 the largest s = floor(2R)
+# that the window-process tests reach (NotUniversal with D = 13 on Z^1 and
+# D = 3 on F_2); on Z^2 and Z^3, whose runs use radius 1 and s = 2, a few
+# radii more
+WINDOW_CASES = [(Z1, 26), (FreeAbelian(2), 6), (FreeAbelian(3), 4), (F2, 6)]
+
+
+def _window_batch(P, offsets, centers, rng, colors):
+    """Random windows about the given centres, laid out on the offsets: per
+    window up to 24 coloured slots (every slot of a small window can be),
+    colours drawn from ``colors``. Returns the code matrix and the patterns."""
+    g = P.group
+    C = np.full((len(centers), len(offsets)), NO_COLOR, dtype=np.int64)
+    patterns = []
+    for i, x in enumerate(centers):
+        entries = {}
+        for a in rng.sample(range(len(offsets)), rng.randint(0, min(len(offsets), 24))):
+            c = rng.choice(colors)
+            C[i, a] = P.color_code(c)
+            entries[g.mul(offsets[a], x)] = c
+        patterns.append(PartialColoring(g, entries))
+    return C, patterns
+
+
+class TestWindowCheck:
+    """contains_windows of the pairwise kinds against the generic default."""
+
+    @pytest.mark.parametrize("g,max_r", WINDOW_CASES, ids=["Z1", "Z2", "Z3", "F2"])
+    def test_array_check_matches_contains(self, g, max_r):
+        rng = random.Random(11)
+        kinds = [
+            ProperColoring(g, 3),
+            ProperColoring(g, 5),
+            DistanceConstrained(g, (1, 3), (3, 7)),
+            DistanceConstrained(g, (0, 1, 2), (1, 2, INF)),  # an h = inf band
+            NotUniversal(g, (1, 3), (5, 13)),  # the cross-colour band [3, 5]
+            NotUniversal(g, (0, 1, 2), (1, 3, 5)),
+        ]
+        region = Region(g, max_r)
+        near = identity_ball(g, 3)
+        seen = {"rejected": 0, "accepted": 0, "off palette": 0}
+        for r in range(max_r + 1):
+            offsets = identity_ball(g, r)
+            D = region.pair_distances(r)
+            for P in kinds:
+                centers = [rng.choice(near) for _ in range(8)]
+                # colours up to k + 1 on ProperColoring, inside the palette elsewhere
+                top = P.palette_size + (2 if isinstance(P, ProperColoring) else 0)
+                C, patterns = _window_batch(P, offsets, centers, rng, range(top))
+                got = P.contains_windows(C, D, patterns.__getitem__)
+                want = IdealSpec.contains_windows(P, C, D, patterns.__getitem__)
+                assert got.tolist() == want.tolist(), (P, r)
+                seen["rejected"] += int((~got).sum())
+                seen["accepted"] += int(got.sum())
+                seen["off palette"] += int((C == OFF_PALETTE).any())
+        assert all(seen.values()), seen
+
+    def test_off_palette_and_pair_colours_raise_as_contains(self):
+        """A pair colour raises ValueError on every kind, a colour beyond
+        the palette PaletteExhausted on DistanceConstrained and
+        NotUniversal, exactly as contains raises them."""
+        rng = random.Random(5)
+        offsets = identity_ball(Z1, 4)
+        D = Region(Z1, 4).pair_distances(4)
+        for P in _kinds(Z1):
+            for bad in ((1, 0), P.palette_size):
+                C, patterns = _window_batch(P, offsets, [0, 3, -2], rng, range(P.palette_size))
+                C[1, 2] = P.color_code(bad)
+                patterns[1] = patterns[1].with_entry(offsets[2] + 3, bad)
+                got = _outcome(P.contains_windows, C, D, patterns.__getitem__)
+                want = _outcome(IdealSpec.contains_windows, P, C, D, patterns.__getitem__)
+                if got[0] == "value":
+                    got = ("value", got[1].tolist())
+                    want = ("value", want[1].tolist())
+                assert got == want, (P, bad)
+                assert (got[0] == "raised") == (bad != P.palette_size or P.outside_palette_raises)

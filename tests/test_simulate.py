@@ -19,14 +19,22 @@ Laws under test:
 6. Extraction: recurring patterns are found, normalized to the identity.
 7. The array-built region agrees with the breadth-first ball, group.norm, the scalar
    element code, an index-plus-mul generator table and g.dist; its
-   neighbour table and the one window helper that reads it agree with brute
-   force over g.dist; a region refuses colliding element codes.
+   neighbour table, its slot distances and the one window helper that
+   reads the table agree with brute force over g.dist; a region refuses
+   colliding element codes.
 8. The validator reads its windows from the region that ``run`` cached and
    agrees with a brute-force validator over g.dist on Z^1, Z^2, Z^3 and F_2,
    with and without warm-up, and on hand traces with failures; it refuses
    invalid colours and points outside the region with ValueError.
+9. Batched admission: ``run`` and the validator, judging each step's
+   windows in one array check, give the same assigned sets, fills and
+   validation reports (counts and failures in order) as the same ideal
+   judged window by window through ``contains``, on the runs and hand
+   traces of law 8.
 """
 
+import copy
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -35,7 +43,13 @@ from hypothesis import given, settings, strategies as st
 
 from shiftcolor import simulate
 from shiftcolor.groups import FreeAbelian, FreeGroup
-from shiftcolor.ideals import DistanceConstrained, NotUniversal, PaletteExhausted, ProperColoring
+from shiftcolor.ideals import (
+    DistanceConstrained,
+    IdealSpec,
+    NotUniversal,
+    PaletteExhausted,
+    ProperColoring,
+)
 from shiftcolor.patterns import PartialColoring
 from shiftcolor.radii import INF, Infinity, radius_floor
 from shiftcolor.rng import element_code
@@ -268,6 +282,8 @@ class TestRegionKernel:
         table = region.neighbors(s)
         offsets = bfs_ball(g, g.identity(), s)
         assert table[i].tolist() == [region.index.get(g.mul(w, center), len(points)) for w in offsets]
+        if s <= T:
+            assert region.pair_distances(s).tolist() == [[g.dist(a, b) for b in offsets] for a in offsets]
         for r in range(s + 1):
             near = {k for k, x in enumerate(points) if g.dist(center, x) <= r}
             width = len(bfs_ball(g, g.identity(), r))
@@ -341,6 +357,18 @@ NU = NotUniversal(Z1, (1, 3), (5, 13))
 PC3_F2 = ProperColoring(F2, 3)
 
 
+def per_window(ideal):
+    """The same ideal, forced onto IdealSpec's generic contains_windows,
+    which builds every window as a pattern and asks contains."""
+    clone = copy.copy(ideal)
+    clone.__class__ = type(
+        "PerWindow" + type(ideal).__name__,
+        (type(ideal),),
+        {"contains_windows": IdealSpec.contains_windows},
+    )
+    return clone
+
+
 def _hand_trace(ideal, window_radius, margin, assigned_sets):
     config = SimulationConfig(ideal=ideal, window_radius=window_radius, margin=margin, steps=0)
     return SimulationTrace(config, [], [], assigned_sets, [], [], [])
@@ -366,6 +394,10 @@ class TestValidatorAgainstBruteForce:
             SimulationConfig(ProperColoring(F2, 5), 4, 2, 30, Fraction(1, 16), seed=0),
             SimulationConfig(ProperColoring(F2, 5), 4, 2, 12, Fraction(1, 4), seed=0, warmup=False),
             SimulationConfig(ProperColoring(FreeAbelian(3), 7), 4, 2, 21, Fraction(1, 8), seed=0),
+            SimulationConfig(ProperColoring(FreeAbelian(3), 7), 3, 2, 14, Fraction(1, 4), seed=1,
+                             warmup=False),
+            SimulationConfig(NotUniversal(F2, (1,), (3,)), 2, 6, 4, seed=0,
+                             forced_supports={1: [""], 2: ["aa"], 3: ["bb"]}),
         ],
     )
     def test_runs(self, config):
@@ -374,6 +406,12 @@ class TestValidatorAgainstBruteForce:
         slow = brute_force_validate(trace, config.ideal)
         assert fast.windows_checked > 0
         assert fast.to_jsonable() == slow.to_jsonable()
+        # batched admission and validation against window-by-window contains
+        generic = per_window(config.ideal)
+        reference = run(dataclasses.replace(config, ideal=generic))
+        assert trace.assigned_sets == reference.assigned_sets
+        assert trace.fill_fractions == reference.fill_fractions
+        assert trace_validate(trace, generic).to_jsonable() == fast.to_jsonable()
 
     def test_hand_traces_with_nonlocal_colors_and_failures(self):
         dc_inf = DistanceConstrained(Z1, (1, 3), (3, INF))
@@ -390,6 +428,7 @@ class TestValidatorAgainstBruteForce:
             slow = brute_force_validate(trace, ideal)
             assert fast.failures
             assert fast.to_jsonable() == slow.to_jsonable()
+            assert trace_validate(trace, per_window(ideal)).to_jsonable() == fast.to_jsonable()
         assert trace_validate(traces[0][1], dc_inf).skipped_nonlocal > 0
 
     def test_hand_trace_entries_are_validated(self):
