@@ -420,6 +420,21 @@ def identity_ball(group: Group, r: Radius) -> tuple:
     return tuple(group._ball_elements(radius_floor(r)))
 
 
+@lru_cache(maxsize=8)
+def offset_distances(group: Group, r: int) -> np.ndarray:
+    """D[a, b] = |w_a w_b^-1| for the offsets w of ``identity_ball(group,
+    r)``, read-only: by right invariance the distance between slots a and
+    b of every window Ball(1, r)*x. Built from ``ball_arrays(r)``, one row
+    of distances at a time, and cached like the ball."""
+    distances = group.ball_arrays(r)[3]
+    n = len(identity_ball(group, r))
+    D = np.zeros((n, n), dtype=np.int64)
+    for i in range(1, n):
+        D[i, :i] = D[:i, i] = distances(i)
+    D.flags.writeable = False
+    return D
+
+
 def set_dist(group: Group, a: Iterable, b: Iterable) -> Radius:
     """Minimum pairwise distance between two finite sets; INF when either is
     empty (the minimum over an empty collection is infinite)."""

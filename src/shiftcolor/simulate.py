@@ -21,7 +21,7 @@ Both the run and its validator judge windows a whole step at a time. Every
 window of radius r about x is the row Ball(1, r)*x of the region's
 neighbour table, so a step's windows form one matrix of colour codes over
 the same offsets, and the distance between two slots is the distance
-between their offsets (right invariance). ``IdealSpec.contains_windows``
+between their offsets (right invariance, ``offset_distances``). ``IdealSpec.contains_windows``
 takes that matrix: the pairwise kinds answer in one array lookup, and any
 other ideal builds each window as a pattern and asks ``contains``. A step's
 candidates are more than 2R_i apart, so no candidate's window holds
@@ -41,7 +41,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import Group, identity_ball, parse_group
+from .groups import Group, identity_ball, offset_distances, parse_group
 from .ideals import NO_COLOR, IdealSpec
 from .patterns import PartialColoring, _validate_color, shift
 from .radii import Infinity, Radius, radius_ceil, radius_floor
@@ -55,8 +55,8 @@ class Region:
     norms (the breadth-first layer), their element codes, the generator
     table ``step[i, k]``, the index of gens[k] * x_i (n where that leaves
     the region), and ``distances(i)``, the distances from x_i to the points
-    before it. Built lazily on top: a neighbour table, the distances
-    between its columns, and the sparse run's greedy colourings."""
+    before it. Built lazily on top: a neighbour table and the sparse run's
+    greedy colourings."""
 
     def __init__(self, group: Group, radius: int):
         self.group = group
@@ -74,7 +74,6 @@ class Region:
         self.etas: Dict[int, list] = {}  # d_c -> greedy colouring, see _greedy_distance_coloring
         self._table = np.arange(n, dtype=np.int64)[:, None]
         self._widths = [1]  # |Ball(1, s)| for each s the table covers
-        self._dists = np.zeros((1, 1), dtype=np.int64)
 
     def neighbors(self, s: int) -> np.ndarray:
         """Column j of row i: the index of w_j * x_i, where w_j is offset j of
@@ -84,21 +83,6 @@ class Region:
         if s >= len(self._widths):
             self._table, self._widths = self._build_table(s)
         return self._table[:, : self._widths[s]]
-
-    def pair_distances(self, s: int) -> np.ndarray:
-        """D[a, b] = |w_a w_b^-1| for offsets w_a, w_b of Ball(1, s): by right
-        invariance the distance between columns a and b of every row of
-        ``neighbors(s)``. Read from ``distances`` on the prefix Ball(1, s) of
-        the region, so s may not exceed its radius; built, like the
-        neighbour table, for the widest s asked for so far."""
-        width = self.neighbors(s).shape[1]
-        if len(self._dists) < width:
-            D = np.zeros((width, width), dtype=np.int64)
-            for i in range(1, width):
-                D[i, :i] = D[:i, i] = self.distances(i)
-            D.flags.writeable = False
-            self._dists = D
-        return self._dists[:width, :width]
 
     def _build_table(self, s: int) -> Tuple[np.ndarray, List[int]]:
         # Column w*x is composed from column w'*x through the generator table
@@ -131,6 +115,21 @@ def _window(region: Region, colors: list, j: int, r: int) -> dict:
     elements = region.elements
     row = region.neighbors(r)[j].tolist()
     return {elements[k]: colors[k] for k in row if colors[k] is not None}
+
+
+# Entries of the neighbour table that _isolated reads at once: 512 KB of
+# indices, whatever the region and the support density.
+_ROW_CELLS = 1 << 16
+
+
+def _isolated(nbrs: np.ndarray, supp_mask: np.ndarray) -> np.ndarray:
+    """The support points, in region order, whose row of ``nbrs`` holds no
+    other support point. Only the support rows are read, a block at a time."""
+    padded = np.append(supp_mask, False)  # the sentinel is never a support point
+    supp = np.flatnonzero(supp_mask)
+    rows = max(1, _ROW_CELLS // nbrs.shape[1])
+    blocks = [supp[lo : lo + rows] for lo in range(0, len(supp), rows)] or [supp]
+    return np.concatenate([b[padded[nbrs[b]].sum(axis=1) == 1] for b in blocks])
 
 
 @lru_cache(maxsize=1)
@@ -333,9 +332,7 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
         accepted = []
         if supp_mask is not None:
             nbrs = region.neighbors(s)
-            supp = np.flatnonzero(supp_mask)
-            # isolated: the only support point in its own row
-            cand = supp[np.append(supp_mask, False)[nbrs[supp]].sum(axis=1) == 1]
+            cand = _isolated(nbrs, supp_mask)
             cand = cand[(color_codes[cand] == NO_COLOR) & (region.norms[cand] + s <= T)]
             if len(cand):
                 # candidates are more than s apart, so no window holds another
@@ -345,7 +342,7 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
                 C[:, 0] = code_i
                 member = ideal.contains_windows(
                     C,
-                    region.pair_distances(s),
+                    offset_distances(g, s),
                     lambda row: PartialColoring._of_valid(
                         g, {**_window(region, colors, cand[row], s), elements[cand[row]]: c_i}
                     ),
@@ -452,7 +449,7 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
                 continue
             member = ideal.contains_windows(
                 color_codes[region.neighbors(r)[rows]],
-                region.pair_distances(r),
+                offset_distances(g, r),
                 lambda row: PartialColoring._of_valid(g, _window(region, colors, rows[row], r)),
             )
             report.windows_checked += len(rows)

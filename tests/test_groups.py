@@ -5,7 +5,8 @@ Laws under test:
    triangle inequality, identity of indiscernibles.
 2. Frozen small facts: reduced-word products, ball sizes, specific distances.
    Every ball, about the identity or translated, is exactly the list the
-   breadth-first search kept here returns.
+   breadth-first search kept here returns, and the cached distances between
+   the offsets of a ball about the identity are g.dist's.
 3. Packing searches return the frozen minimal sequences, and every returned
    certificate re-verifies by direct ball enumeration (independent of the
    search code path). The pruned d-sequence search returns exactly what the
@@ -30,6 +31,7 @@ from shiftcolor.groups import (
     annulus_D,
     d_sequence,
     identity_ball,
+    offset_distances,
     parse_group,
     set_dist,
 )
@@ -187,6 +189,14 @@ class TestBall:
         pts = set(F2.ball("a", r))
         for e in F2.ball("", r + 1):
             assert (e in pts) == (F2.dist("a", e) <= r)
+
+    @pytest.mark.parametrize("spec", _BALL_GROUPS)
+    @settings(max_examples=10, deadline=None)
+    @given(r=st.integers(0, 4))
+    def test_offset_distances_match_dist(self, spec, r):
+        g = parse_group(spec)
+        ball = identity_ball(g, r)
+        assert offset_distances(g, r).tolist() == [[g.dist(a, b) for b in ball] for a in ball]
 
     def test_nested(self):
         small = set(Z2.ball((1, 1), 2))

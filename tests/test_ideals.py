@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftcolor.groups import FreeAbelian, FreeGroup, identity_ball
+from shiftcolor.groups import FreeAbelian, FreeGroup, identity_ball, offset_distances
 from shiftcolor.ideals import (
     NO_COLOR,
     OFF_PALETTE,
@@ -53,7 +53,6 @@ from shiftcolor.ideals import (
 )
 from shiftcolor.patterns import PartialColoring, shift
 from shiftcolor.radii import INF, Infinity
-from shiftcolor.simulate import Region
 
 Z1 = FreeAbelian(1)
 F2 = FreeGroup(2)
@@ -477,12 +476,11 @@ class TestWindowCheck:
             NotUniversal(g, (1, 3), (5, 13)),  # the cross-colour band [3, 5]
             NotUniversal(g, (0, 1, 2), (1, 3, 5)),
         ]
-        region = Region(g, max_r)
         near = identity_ball(g, 3)
         seen = {"rejected": 0, "accepted": 0, "off palette": 0}
         for r in range(max_r + 1):
             offsets = identity_ball(g, r)
-            D = region.pair_distances(r)
+            D = offset_distances(g, r)
             for P in kinds:
                 centers = [rng.choice(near) for _ in range(8)]
                 # colours up to k + 1 on ProperColoring, inside the palette elsewhere
@@ -502,7 +500,7 @@ class TestWindowCheck:
         NotUniversal, exactly as contains raises them."""
         rng = random.Random(5)
         offsets = identity_ball(Z1, 4)
-        D = Region(Z1, 4).pair_distances(4)
+        D = offset_distances(Z1, 4)
         for P in _kinds(Z1):
             for bad in ((1, 0), P.palette_size):
                 C, patterns = _window_batch(P, offsets, [0, 3, -2], rng, range(P.palette_size))
