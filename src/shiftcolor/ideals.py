@@ -42,7 +42,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import Group, identity_ball, parse_group
-from .patterns import PartialColoring, shift
+from .patterns import PartialColoring, _shift_valid
 from .radii import Infinity, Radius, as_radius, radius_ceil, radius_to_json
 
 
@@ -600,8 +600,8 @@ def ideal_axioms_check(
                 report.restriction_violations.append(
                     {"pattern": phi.to_json(), "subset": [g.element_to_json(e) for e in sub]}
                 )
-        for gamma in shifts:
-            if not P.contains(shift(phi, gamma)):
+        for gamma in shifts:  # the ball's elements are canonical
+            if not P.contains(_shift_valid(phi, gamma)):
                 report.shift_violations.append(
                     {"pattern": phi.to_json(), "shift": g.element_to_json(gamma)}
                 )

@@ -180,8 +180,13 @@ class PartialColoring:
 def shift(phi: PartialColoring, gamma) -> PartialColoring:
     """The shift action: dom moves to dom*gamma^-1 and the value at x is the
     old value at x*gamma."""
+    phi.group.validate(gamma)
+    return _shift_valid(phi, gamma)
+
+
+def _shift_valid(phi: PartialColoring, gamma) -> PartialColoring:
+    """``shift`` by a gamma already known to be canonical, not checked again."""
     g = phi.group
-    g.validate(gamma)
     ginv = g.inv(gamma)
     # phi's entries are valid, and right multiplication by ginv maps
     # canonical elements one-to-one onto canonical products

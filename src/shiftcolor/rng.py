@@ -105,21 +105,34 @@ def element_code(group: Group, g) -> int:
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
+def packable_length(group: FreeGroup) -> int:
+    """The longest word length of F_k whose every code is its base-(2k+1)
+    numeral: the largest L with (2k+1)^L <= 2^64."""
+    base, length = 2 * group.rank + 1, 0
+    while base ** (length + 1) <= 1 << 64:
+        length += 1
+    return length
+
+
 def element_codes(group: Group, elements: Sequence) -> np.ndarray:
     """Vector of element codes as uint64, each equal to ``element_code``.
 
     Z^d elements whose coordinates fit int64 are zigzagged and packed (or
-    chained) as whole arrays. F_k words (k <= 17) short enough to pack are
+    chained) as whole arrays; they may also be given as that (n, d) int64
+    coordinate array. F_k words (k <= 17) short enough to pack are
     read as base-(2k+1) numerals by ``int``, after ``str.translate`` maps
     each letter to its digit. Every other element, and every element of a
     sequence whose coordinates overflow int64, goes through the scalar
     ``element_code``."""
     n = len(elements)
     if isinstance(group, FreeAbelian):
-        try:
-            coords = np.array(elements, dtype=np.int64).reshape(n, group.dimension)
-        except OverflowError:
-            return np.array([element_code(group, g) for g in elements], dtype=np.uint64)
+        if isinstance(elements, np.ndarray):
+            coords = elements = elements.reshape(n, group.dimension)
+        else:
+            try:
+                coords = np.array(elements, dtype=np.int64).reshape(n, group.dimension)
+            except OverflowError:
+                return np.array([element_code(group, g) for g in elements], dtype=np.uint64)
         zig = ((coords << 1) ^ (coords >> 63)).view(np.uint64)
         codes = np.zeros(n, dtype=np.uint64)
         if group.dimension <= 3:
@@ -132,9 +145,7 @@ def element_codes(group: Group, elements: Sequence) -> np.ndarray:
             far = np.zeros(n, dtype=bool)
     elif isinstance(group, FreeGroup) and 2 * group.rank + 1 <= len(_DIGITS):
         base = 2 * group.rank + 1
-        packable = 0  # the longest word length whose every numeral fits 64 bits
-        while base ** (packable + 1) <= 1 << 64:
-            packable += 1
+        packable = packable_length(group)
         lengths = np.fromiter(map(len, elements), dtype=np.int64, count=n)
         far = lengths > packable
         short = (lengths > 0) & ~far
@@ -147,8 +158,42 @@ def element_codes(group: Group, elements: Sequence) -> np.ndarray:
         far = np.ones(n, dtype=bool)
         codes = np.zeros(n, dtype=np.uint64)
     for i in np.flatnonzero(far).tolist():
-        codes[i] = element_code(group, elements[i])
+        e = elements[i]
+        if isinstance(e, np.ndarray):  # a row of a coordinate array
+            e = tuple(e.tolist()) if group.dimension > 1 else int(e[0])
+        codes[i] = element_code(group, e)
     return codes
+
+
+def right_translate_codes(group: FreeGroup, codes: np.ndarray, lengths: np.ndarray,
+                          gamma: str) -> tuple:
+    """``(codes, lengths)`` of the words x*gamma, each code equal to
+    ``element_code(group, group.mul(x, gamma))``, given the codes and the
+    lengths of the words x; every x*gamma must be short enough to pack.
+
+    A packed code is the word's base-(2k+1) numeral with its last letter as
+    the lowest digit. The first c letters of gamma cancel the last c letters
+    of x exactly when the c lowest digits of code(x) are the inverses of
+    those letters (a word shorter than c has the digit 0 there, which is no
+    letter's), and then x*gamma is x without them followed by gamma[c:]:
+    code(x*gamma) = code(x) // b^c * b^(L-c) + numeral(gamma[c:]) and
+    |x*gamma| = |x| + L - 2c, where L = |gamma|."""
+    base, L = 2 * group.rank + 1, len(gamma)
+    depth = min(L, int(lengths.max(initial=0)))  # the most letters that can cancel
+    digit = {ch: i + 1 for i, ch in enumerate(group._letters)}
+    b = np.uint64(base)
+    cancel = np.zeros(len(codes), dtype=np.int64)
+    matching = np.ones(len(codes), dtype=bool)
+    rest = codes
+    for ch in gamma[:depth]:
+        matching &= rest % b == digit[ch.swapcase()]
+        cancel += matching
+        rest = rest // b
+    # per c: b^c, b^(L-c) and numeral(gamma[c:])
+    powers = np.array([base**c for c in range(depth + 1)], dtype=np.uint64)
+    scales = np.array([base ** (L - c) for c in range(depth + 1)], dtype=np.uint64)
+    tails = np.array([element_code(group, gamma[c:]) for c in range(depth + 1)], dtype=np.uint64)
+    return codes // powers[cancel] * scales[cancel] + tails[cancel], lengths + L - 2 * cancel
 
 
 def _threshold(p: Fraction) -> int:

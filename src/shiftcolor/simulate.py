@@ -29,6 +29,12 @@ another and they are judged independently; the validator groups the
 windows a step touches by radius. Every pair in a window is judged, not
 only the pairs through the new point: without warm-up an old pair may
 already violate.
+
+The equivariance check reads the field at x*gamma through one translation
+kernel, ``Region.right_translate``, which gives every translate's region
+index and element code from arrays (``coords + gamma`` on Z^d, digit
+arithmetic on the codes on F_k). It forms a product per point only where
+coordinates pass int64 or words pass the length that packs.
 """
 
 from __future__ import annotations
@@ -41,18 +47,19 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import Group, identity_ball, offset_distances, parse_group
-from .ideals import NO_COLOR, IdealSpec
+from .groups import FreeAbelian, FreeGroup, Group, identity_ball, offset_distances, parse_group
+from .ideals import NO_COLOR, IdealSpec, _check_d_sequence
 from .patterns import PartialColoring, _validate_color, shift
 from .radii import Infinity, Radius, radius_ceil, radius_floor
-from .rng import RandomField, element_codes
+from .rng import RandomField, element_codes, packable_length, right_translate_codes
 
 
 class Region:
     """Ball(1, radius) with what the window process reads about it, built
     from integer arrays by ``Group.ball_arrays`` with no loop over its
     elements: the elements in ``Group.ball``'s order and their index, their
-    norms (the breadth-first layer), their element codes, the generator
+    norms (the breadth-first layer), on Z^d their int64 coordinates
+    ``coords``, their element codes, the generator
     table ``step[i, k]``, the index of gens[k] * x_i (n where that leaves
     the region), and ``distances(i)``, the distances from x_i to the points
     before it. Built lazily on top: a neighbour table and the sparse run's
@@ -64,7 +71,11 @@ class Region:
         self.elements, self.norms, step, self.distances = group.ball_arrays(radius)
         n = len(self.elements)
         self.index = dict(zip(self.elements, range(n)))
-        self.codes = element_codes(group, self.elements)
+        points = self.elements
+        if isinstance(group, FreeAbelian):  # coordinates, read by codes and by translates
+            points = self.coords = np.array(points, dtype=np.int64).reshape(n, group.dimension)
+            self.coords.flags.writeable = False
+        self.codes = element_codes(group, points)
         ordered = np.sort(self.codes)
         if (ordered[1:] == ordered[:-1]).any():
             raise RuntimeError(f"element codes collide on the radius-{radius} region of {group.name}")
@@ -83,6 +94,32 @@ class Region:
         if s >= len(self._widths):
             self._table, self._widths = self._build_table(s)
         return self._table[:, : self._widths[s]]
+
+    def right_translate(self, gamma) -> Tuple[np.ndarray, np.ndarray]:
+        """``(index, codes)`` of the right translates x_i*gamma: index[i] is
+        the region index of x_i*gamma, or the sentinel len(elements) where
+        that leaves the region, and codes[i] its element code. On Z^d the
+        translates are ``coords + gamma``, coded as arrays; on F_k their codes
+        are computed from the region's codes (``rng.right_translate_codes``).
+        A translate of norm <= radius is a region point, and the region's
+        codes are distinct, so its index is found among them by code.
+        Coordinates past int64, and words x*gamma that may be too long to
+        pack, take one product and one dict lookup per point."""
+        g, n = self.group, len(self.elements)
+        if isinstance(g, FreeAbelian) and self.radius + g.norm(gamma) < 1 << 63:
+            moved = self.coords + np.array(gamma, dtype=np.int64)
+            codes, norms = element_codes(g, moved), np.abs(moved).sum(axis=1)
+        elif isinstance(g, FreeGroup) and self.radius + len(gamma) <= packable_length(g):
+            codes, norms = right_translate_codes(g, self.codes, self.norms, gamma)
+        else:
+            targets = [g.mul(e, gamma) for e in self.elements]
+            index = np.array([self.index.get(t, n) for t in targets], dtype=np.int64)
+            return index, element_codes(g, targets)
+        inside = np.flatnonzero(norms <= self.radius)
+        order = np.argsort(self.codes)
+        index = np.full(n, n, dtype=np.int64)
+        index[inside] = order[np.searchsorted(self.codes, codes[inside], sorter=order)]
+        return index, codes
 
     def _build_table(self, s: int) -> Tuple[np.ndarray, List[int]]:
         # Column w*x is composed from column w'*x through the generator table
@@ -499,37 +536,41 @@ def equivariance_check(config: SimulationConfig, gamma) -> EquivarianceReport:
     region = _region_of(g, T)
 
     base = run(config)
-    targets = [g.mul(e, gamma) for e in region.elements]
-    moved = run(config, _field_codes=element_codes(g, targets))
+    index, codes = region.right_translate(gamma)
+    moved = run(config, _field_codes=codes)
 
     cone = 0
     for R_i in base.reaches[:-1]:
         cone = cone + 2 * R_i
-    safe = region.norms + radius_ceil(cone) <= T
+    safe = np.append(region.norms + radius_ceil(cone) <= T, False)  # the sentinel is never safe
+    counted = np.flatnonzero(safe[:-1] & safe[index])
 
-    base_final = base.final_coloring
-    moved_final = moved.final_coloring
+    ids: Dict[object, int] = {}  # each colour seen, as a small int
+    shifted = _final_colors(moved, region, ids)[counted]
+    at_target = _final_colors(base, region, ids)[index[counted]]
     report = EquivarianceReport(
-        shift_element=g.element_to_json(gamma), safe_size=0, cone_radius=cone
+        shift_element=g.element_to_json(gamma), safe_size=len(counted), cone_radius=cone
     )
-    for i in np.nonzero(safe)[0]:
-        # a target outside the region has norm > T, so it is not safe
-        j = region.index.get(targets[i])
-        if j is None or not safe[j]:
-            continue
-        e = region.elements[i]
-        report.safe_size += 1
-        a = moved_final.get(e)
-        b = base_final.get(targets[i])
-        if a != b:
-            report.mismatches.append(
-                {
-                    "element": g.element_to_json(e),
-                    "shifted_run": a,
-                    "base_run_at_shifted_point": b,
-                }
-            )
+    colors = [*ids, None]  # id -1, no colour, reads the last entry
+    differ = shifted != at_target
+    for i, a, b in zip(counted[differ].tolist(), shifted[differ].tolist(), at_target[differ].tolist()):
+        report.mismatches.append(
+            {
+                "element": g.element_to_json(region.elements[i]),
+                "shifted_run": colors[a],
+                "base_run_at_shifted_point": colors[b],
+            }
+        )
     return report
+
+
+def _final_colors(trace: SimulationTrace, region: Region, ids: Dict[object, int]) -> np.ndarray:
+    """The trace's final colour of each region point, as its id in ``ids``
+    (a new colour gets the next id), or -1 where the point has none."""
+    out = np.full(len(region.elements), -1, dtype=np.int64)
+    for color, elems in trace.assigned_sets:
+        out[[region.index[e] for e in elems]] = ids.setdefault(color, len(ids))
+    return out
 
 
 # -- sparse multi-scale coloring ---------------------------------------------------
@@ -593,7 +634,7 @@ def sparse_run(group, d: Sequence[int], window_radius: int, m: int, seed: int):
     were adjacent in the scale-c graph otherwise); the report re-verifies
     that by brute force and records coverage."""
     group = parse_group(group)
-    d = list(d)
+    d = list(_check_d_sequence(d))
     if m < 0 or m > len(d):
         raise ValueError(f"need 0 <= m <= len(d), got m={m} with {len(d)} scales")
     region = _region_of(group, window_radius)

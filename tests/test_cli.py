@@ -196,6 +196,17 @@ class TestRunCommands:
         assert payload["report"]["ok"] is True
         assert "coloring" in payload
 
+    @pytest.mark.parametrize(
+        "d, message",
+        [("--d=-1,3", "nonnegative"), ("--d=1,-3", "nonnegative"),
+         ("--d=3,1", "strictly increasing"), ("--d=3,3", "strictly increasing")],
+    )
+    def test_sparse_bad_scales_exit_two(self, tmp_path, capsys, d, message):
+        code, data = run_to_file(tmp_path, ["sparse", "Z^1", d, "--window", "5", "--m", "2"])
+        assert code == 2 and data == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: d ") and message in err and err.count("\n") == 1
+
     def test_oracle_extend_refusal_and_witness(self, tmp_path, pc3_spec):
         spec = tmp_path / "pc2.json"
         spec.write_text(json.dumps({"kind": "ProperColoring", "group": "Z^1", "k": 2}))

@@ -5,7 +5,9 @@ Laws under test:
    duplicate assignments.
 2. Shift: dom(g . phi) = dom(phi) shifted, values follow; the action law
    shift(shift(phi, g), d) = shift(phi, d*g) holds exactly (left action);
-   the shifted entries, built without a second validation, are valid.
+   the shifted entries, built without a second validation, are valid;
+   ``shift`` still rejects a non-canonical gamma, and the private path for
+   a gamma known canonical agrees with it.
 3. Window / restrict / union behave as set operations on graphs of maps.
 4. JSON round trip is the identity; canonical keys are order-insensitive.
 """
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftcolor.groups import FreeAbelian, FreeGroup
-from shiftcolor.patterns import PartialColoring, shift, truncated_window
+from shiftcolor.patterns import PartialColoring, _shift_valid, shift, truncated_window
 from shiftcolor.radii import INF
 
 Z1 = FreeAbelian(1)
@@ -111,6 +113,17 @@ class TestShift:
             PartialColoring(F2, {"ab": True})
         with pytest.raises(ValueError, match="not reduced"):
             shift(PartialColoring(F2, {"a": 0}), "bB")
+
+    @settings(max_examples=60)
+    @given(phi=f2_patterns(), g=f2_word())
+    def test_public_shift_validates_gamma_private_path_agrees(self, phi, g):
+        """``shift`` checks gamma before shifting; ``_shift_valid``, the path
+        for a gamma known canonical, skips that check and gives the same
+        pattern."""
+        assert _shift_valid(phi, g) == shift(phi, g)
+        for bad in (g + "aA", "Bb" + g, g + "c", 3):
+            with pytest.raises(ValueError):
+                shift(phi, bad)
 
     @given(phi=z1_patterns(), g=st.integers(-5, 5))
     def test_preserves_size_and_colors(self, phi, g):

@@ -12,7 +12,9 @@ Laws under test:
    points are farther apart than twice the step's reach, every local window
    of the final coloring is a member.
 4. Equivariance: runs driven by a translated field agree with the original
-   on the safe interior, exactly.
+   on the safe interior, exactly. Whole reports equal those of the
+   per-point check (one g.mul and one index lookup per point), also when a
+   skewed kernel makes records differ.
 5. Sparse runs: the greedy colouring equals the all-pairs greedy, the
    frozen greedy table on the line, hard separation for the final colors,
    the complete-graph shortcut, coverage reporting.
@@ -20,7 +22,9 @@ Laws under test:
 7. The array-built region agrees with the breadth-first ball, group.norm, the scalar
    element code, an index-plus-mul generator table and g.dist; its
    neighbour table and the one window helper that reads it agree with brute
-   force over g.dist; a region refuses colliding element codes.
+   force over g.dist; a region refuses colliding element codes. Its
+   translation kernel agrees with g.mul, the scalar element code and the
+   index dict, on the array paths and on the per-point fallback.
 8. The validator reads its windows from the region that ``run`` cached and
    agrees with a brute-force validator over g.dist on Z^1, Z^2, Z^3 and F_2,
    with and without warm-up, and on hand traces with failures; it refuses
@@ -50,9 +54,11 @@ from shiftcolor.ideals import (
     ProperColoring,
 )
 from shiftcolor.patterns import PartialColoring
-from shiftcolor.radii import INF, Infinity, radius_floor
-from shiftcolor.rng import element_code
+from shiftcolor.radii import INF, Infinity, radius_ceil, radius_floor
+from shiftcolor.reduction import ReducedIdeal, SupRadiiJoin
+from shiftcolor.rng import element_code, element_codes
 from shiftcolor.simulate import (
+    EquivarianceReport,
     SimulationConfig,
     SimulationTrace,
     ValidationReport,
@@ -262,6 +268,49 @@ REGION_CASES = [
 ]
 
 
+# (group, largest radius) for the translation kernel; F_1 reaches past its
+# packable length of 40 letters
+TRANSLATE_CASES = [
+    (Z1, 8),
+    (Z2, 4),
+    (FreeAbelian(3), 3),
+    (FreeAbelian(4), 2),
+    (FreeGroup(1), 44),
+    (F2, 3),
+    (FreeGroup(3), 2),
+]
+
+# coordinates near the 21-bit packing limit and past int64
+_FAR = [2**20 - 1, 2**20, -(2**20), -(2**20) - 1, 2**62, 2**63 - 1, 2**63, -(2**63), 2**64 + 3]
+
+
+@st.composite
+def shift_elements(draw, g):
+    """An element of g: small, long, or near the limits of the array paths."""
+    if isinstance(g, FreeAbelian):
+        coord = st.one_of(st.integers(-6, 6), st.sampled_from(_FAR), st.integers(-(2**70), 2**70))
+        coords = [draw(coord) for _ in range(g.dimension)]
+        return coords[0] if g.dimension == 1 else tuple(coords)
+    length = draw(st.one_of(st.integers(0, 8), st.sampled_from([26, 27, 28, 40, 41, 45])))
+    word = ""
+    for k in draw(st.lists(st.integers(0, 2 * g.rank - 2), min_size=length, max_size=length)):
+        # 2k - 1 letters follow each letter without cancelling it
+        letters = [a for a in g.generators() if not word or a != word[-1].swapcase()]
+        word += letters[k]
+    return word
+
+
+def assert_translate_matches(region, gamma):
+    """``right_translate`` against g.mul, the scalar element_code and the
+    region's index dict."""
+    g, n = region.group, len(region.elements)
+    index, codes = region.right_translate(gamma)
+    targets = [g.mul(x, gamma) for x in region.elements]
+    assert index.tolist() == [region.index.get(t, n) for t in targets]
+    assert codes.dtype == np.uint64
+    assert codes.tolist() == [element_code(g, t) for t in targets]
+
+
 class TestRegionKernel:
     """The array-built region, its neighbour table and the offset windows
     against their references."""
@@ -316,6 +365,52 @@ class TestRegionKernel:
         monkeypatch.setattr(simulate, "element_codes", lambda g, pts: np.zeros(len(pts), dtype=np.uint64))
         with pytest.raises(RuntimeError, match="element codes collide"):
             simulate.Region(Z1, 2)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_right_translate_matches_mul(self, data):
+        g, max_r = data.draw(st.sampled_from(TRANSLATE_CASES))
+        region = simulate.Region(g, data.draw(st.integers(0, max_r)))
+        assert_translate_matches(region, data.draw(shift_elements(g)))
+
+    @pytest.mark.parametrize(
+        "g, r, gamma, products",
+        [
+            (Z1, 5, 0, "none"),
+            (Z2, 4, (0, 0), "none"),
+            (F2, 3, "", "none"),
+            (Z1, 5, 2**20 - 3, "none"),  # translates cross the 21-bit packing limit
+            (FreeAbelian(3), 3, (-(2**20), 2**20, 1), "none"),
+            (FreeAbelian(4), 2, (2**62, -1, 0, 3), "none"),
+            (Z2, 3, (2**63 - 2, 0), "every"),  # translates past int64
+            (Z1, 4, -(2**64), "every"),
+            (FreeAbelian(3), 2, (2**70, 0, -(2**70)), "every"),
+            # F_k translates in arrays while |x| + |gamma| fits the packable length
+            (F2, 3, "abAB" * 6, "none"),  # 3 + 24 letters: F_2 packs 27
+            (F2, 1, "abAB" * 6 + "abA", "every"),
+            (F2, 3, "abAB" * 7, "every"),
+            (FreeGroup(3), 2, "abcacb" * 3 + "ab", "none"),  # 2 + 20 letters: F_3 packs 22
+            (FreeGroup(3), 2, "abcacb" * 3 + "abcac", "every"),
+            (FreeGroup(18), 1, "raQ", "none"),  # past the 36 digits that element_codes reads by int
+            (FreeGroup(1), 39, "a", "none"),  # 39 + 1 letters: F_1 packs 40
+            (FreeGroup(1), 40, "A", "every"),
+            (FreeGroup(1), 44, "A" * 3, "every"),  # a region past 40 letters
+        ],
+    )
+    def test_right_translate_edge_cases(self, monkeypatch, g, r, gamma, products):
+        """Identity, long shifts, coordinates at the packing and int64
+        limits, words at F_2's 27/28-letter packing limit, and an F_1 region
+        too long to pack. ``products`` says for how many points the kernel
+        calls g.mul: none on the array paths, every point on the fallback."""
+        region = simulate.Region(g, r)
+        n = len(region.elements)
+        calls = []
+        mul = type(g).mul
+        monkeypatch.setattr(g, "mul", lambda x, y: calls.append(x) or mul(g, x, y), raising=False)
+        region.right_translate(gamma)
+        monkeypatch.undo()
+        assert len(calls) == (0 if products == "none" else n)
+        assert_translate_matches(region, gamma)
 
 
 def brute_force_validate(trace, ideal):
@@ -471,12 +566,102 @@ class TestEquivariance:
         assert report.safe_size > 0
         assert report.ok
 
+    @pytest.mark.parametrize(
+        "ideal, window, margin, steps, p, gammas, schedule",
+        [
+            (PC3, 16, 2, 4, Fraction(1, 4), [0, 1, -2, 5], None),
+            (ProperColoring(Z2, 5), 8, 2, 3, Fraction(1, 8), [(0, 0), (1, 0), (-1, 2)], None),
+            (ProperColoring(FreeAbelian(3), 7), 5, 2, 3, Fraction(1, 8), [(0, 0, -1), (1, 1, 0)], None),
+            (ProperColoring(FreeAbelian(4), 9), 4, 2, 3, Fraction(1, 8), [(0, 1, 0, 0)], None),
+            (DistanceConstrained(Z1, (1, 3), (3, 7)), 80, 12, 6, Fraction(1, 25), [1, -4], None),
+            (NotUniversal(Z1, (1, 3), (3, 7)), 80, 14, 6, Fraction(1, 25), [2], None),
+            (ReducedIdeal(PC3, SupRadiiJoin(lambda c: 1, description=[1, 1, 1])), 30, 6, 3,
+             Fraction(1, 8), [2, -1], [(1, 0), (1, 1), (1, 2)]),
+            (ProperColoring(FreeGroup(1), 3), 9, 2, 4, Fraction(1, 4), ["a", "AA"], None),
+            (ProperColoring(F2, 5), 5, 2, 3, Fraction(1, 16), ["", "a", "ab", "Ba", "aBAb"], None),
+            (ProperColoring(FreeGroup(3), 7), 4, 2, 3, Fraction(1, 16), ["c", "Ab"], None),
+        ],
+    )
+    def test_reports_equal_per_point_reference(self, ideal, window, margin, steps, p, gammas,
+                                               schedule):
+        """Whole reports against the per-point check, on every kind, pair
+        colours included, and on Z^1-Z^4 and F_1-F_3."""
+        for seed in (0, 5):
+            cfg = SimulationConfig(ideal=ideal, window_radius=window, margin=margin,
+                                   steps=steps, p=p, seed=seed, schedule=schedule)
+            for gamma in gammas:
+                report = equivariance_check(cfg, gamma)
+                assert report.safe_size > 0
+                assert report.to_jsonable() == reference_equivariance_check(cfg, gamma).to_jsonable()
+
+    @pytest.mark.parametrize(
+        "ideal, window, steps, p, seed, gamma, other",
+        [
+            (PC3, 40, 8, Fraction(1, 4), 3, 1, 7),
+            (ProperColoring(Z2, 5), 14, 6, Fraction(1, 8), 3, (1, 0), (0, 3)),
+            (ProperColoring(F2, 5), 6, 3, Fraction(1, 16), 0, "a", "bA"),
+        ],
+    )
+    def test_mismatch_records_equal_per_point_reference(self, monkeypatch, ideal, window, steps, p,
+                                                        seed, gamma, other):
+        """A kernel that returns the codes of another shift: the moved run
+        reads the wrong field, so the records (in region order, None for an
+        uncoloured point) must be those of the reference fed the same codes."""
+        translate = simulate.Region.right_translate
+
+        def skewed(region, shift_by):
+            return translate(region, shift_by)[0], translate(region, other)[1]
+
+        cfg = SimulationConfig(ideal=ideal, window_radius=window, margin=2, steps=steps, p=p,
+                               seed=seed)
+        expected = reference_equivariance_check(cfg, gamma, field_gamma=other)
+        monkeypatch.setattr(simulate.Region, "right_translate", skewed)
+        report = equivariance_check(cfg, gamma)
+        assert report.to_jsonable() == expected.to_jsonable()
+        pairs = [(m["shifted_run"], m["base_run_at_shifted_point"]) for m in report.mismatches]
+        assert any(None in pair for pair in pairs)
+        if ideal.group is not F2:  # F_2's fill is too thin for two coloured points to differ
+            assert any(None not in pair for pair in pairs)
+
     def test_rejects_fixture_runs(self):
         cfg = SimulationConfig(
             ideal=PC3, window_radius=8, margin=2, steps=2, forced_supports={0: [0]}
         )
         with pytest.raises(ValueError):
             equivariance_check(cfg, 1)
+
+
+def reference_equivariance_check(config, gamma, field_gamma=None):
+    """The per-point equivariance check: one g.mul per region point for the
+    targets, coded again by element_codes, and one region.index lookup and
+    one comparison per safe point. The moved run reads the field at
+    x*field_gamma (gamma by default)."""
+    config.validate()
+    g = config.ideal.group
+    T = config.window_radius + config.margin
+    region = _region_of(g, T)
+    base = run(config)
+    targets = [g.mul(e, gamma) for e in region.elements]
+    field = targets if field_gamma is None else [g.mul(e, field_gamma) for e in region.elements]
+    moved = run(config, _field_codes=element_codes(g, field))
+    cone = 0
+    for R_i in base.reaches[:-1]:
+        cone = cone + 2 * R_i
+    safe = region.norms + radius_ceil(cone) <= T
+    base_final, moved_final = base.final_coloring, moved.final_coloring
+    report = EquivarianceReport(shift_element=g.element_to_json(gamma), safe_size=0, cone_radius=cone)
+    for i in np.nonzero(safe)[0]:
+        j = region.index.get(targets[i])
+        if j is None or not safe[j]:
+            continue
+        e = region.elements[i]
+        report.safe_size += 1
+        a, b = moved_final.get(e), base_final.get(targets[i])
+        if a != b:
+            report.mismatches.append(
+                {"element": g.element_to_json(e), "shifted_run": a, "base_run_at_shifted_point": b}
+            )
+    return report
 
 
 def all_pairs_greedy(region, d_c):
@@ -534,6 +719,12 @@ class TestSparse:
     def test_m_validated(self):
         with pytest.raises(ValueError):
             sparse_run(Z1, (1, 3), 10, 3, seed=0)
+
+    @pytest.mark.parametrize("d", [(-1, 3), (1, -3), (3, 1), (3, 3)])
+    def test_scales_validated(self, d):
+        # negative or non-increasing scales used to colour every point 0 and report ok
+        with pytest.raises(ValueError, match="d entries must be nonnegative|strictly increasing"):
+            sparse_run(Z1, d, 5, 2, seed=0)
 
     def test_deterministic(self):
         a, _ = sparse_run(Z1, (1, 3, 7), 20, 3, seed=4)
