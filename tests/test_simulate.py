@@ -293,10 +293,10 @@ def shift_elements(draw, g):
         return coords[0] if g.dimension == 1 else tuple(coords)
     length = draw(st.one_of(st.integers(0, 8), st.sampled_from([26, 27, 28, 40, 41, 45])))
     word = ""
-    for k in draw(st.lists(st.integers(0, 2 * g.rank - 2), min_size=length, max_size=length)):
+    for i in draw(st.lists(st.integers(0, 2 * g.rank - 2), min_size=length, max_size=length)):
         # 2k - 1 letters follow each letter without cancelling it
         letters = [a for a in g.generators() if not word or a != word[-1].swapcase()]
-        word += letters[k]
+        word += letters[i]
     return word
 
 
