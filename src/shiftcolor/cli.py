@@ -13,6 +13,8 @@ always ``{"schema_version", "manifest", "payload"}``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import random
 import sys
@@ -37,7 +39,7 @@ from .reduction import (
     reduced_contains,
     separated,
 )
-from .reports import build_manifest, canonical_json_bytes, envelope
+from .reports import build_manifest, envelope, json_bytes
 from .simulate import SimulationConfig, run, sparse_run, trace_validate, extract_patterns
 
 EXIT_CLEAN = 0
@@ -65,7 +67,7 @@ def _parse_int_list(text: str) -> List[int]:
 
 
 def _emit(manifest: Dict[str, Any], payload: Any, out: Optional[str]) -> None:
-    data = canonical_json_bytes(envelope(manifest, payload))
+    data = json_bytes(envelope(manifest, payload))
     if out:
         with open(out, "wb") as fh:
             fh.write(data)
@@ -107,17 +109,7 @@ def _cmd_dseq(args) -> Tuple[dict, int]:
         "group": g.spec_string(),
         "count": args.count,
         "values": list(seq.values),
-        "witnesses": [
-            None
-            if w is None
-            else {
-                "center_a": g.element_to_json(w.center_a),
-                "center_b": g.element_to_json(w.center_b),
-                "inner_radius": w.inner_radius,
-                "enclosing_radius": w.enclosing_radius,
-            }
-            for w in seq.witnesses
-        ],
+        "witnesses": [None if w is None else dataclasses.asdict(w) for w in seq.witnesses],
     }
     return payload, EXIT_CLEAN
 
@@ -129,12 +121,7 @@ def _cmd_annulus(args) -> Tuple[dict, int]:
         "group": g.spec_string(),
         "d": args.d,
         "D": D,
-        "witness": {
-            "center": g.element_to_json(witness.center),
-            "inner_radius": witness.inner_radius,
-            "annulus_low": witness.annulus_low,
-            "annulus_high": witness.annulus_high,
-        },
+        "witness": dataclasses.asdict(witness),
     }
     return payload, EXIT_CLEAN
 
@@ -149,7 +136,7 @@ def _cmd_check(args) -> Tuple[dict, int]:
     else:  # join
         R = join_fn_from_json(R_json, ideal)
         report = check_join(ideal, R, tuple_size_max=3, samples=budget, seed=args.seed)
-    payload = {"mode": args.mode, "ideal": ideal.to_json(), "report": report.to_jsonable()}
+    payload = {"mode": args.mode, "ideal": ideal.to_json(), "report": report}
     return payload, EXIT_CLEAN if report.ok else EXIT_VIOLATION
 
 
@@ -157,6 +144,8 @@ def _cmd_reduce(args) -> Tuple[dict, int]:
     base, R_json = _load_ideal_spec(args.spec)
     reduced = ReducedIdeal(base, join_fn_from_json(R_json, base))
     samples = args.budget if args.budget is not None else 50
+    if samples < 0:
+        raise ValueError(f"sample count must be nonnegative, got {samples}")
     rng = random.Random(args.seed)
     violations: List[dict] = []
     dumped: List[dict] = []
@@ -219,7 +208,7 @@ def _cmd_simulate(args) -> Tuple[dict, int]:
     validation = trace_validate(trace, ideal)
     payload = {
         "trace": trace.to_summary_jsonable(dump=args.dump),
-        "validation": validation.to_jsonable(),
+        "validation": validation,
     }
     return payload, EXIT_CLEAN if validation.ok else EXIT_VIOLATION
 
@@ -228,7 +217,7 @@ def _cmd_sparse(args) -> Tuple[dict, int]:
     g = parse_group(args.group)
     d = _parse_int_list(args.d)
     coloring, report = sparse_run(g, d, window_radius=args.window, m=args.m, seed=args.seed)
-    payload: Dict[str, Any] = {"report": report.to_jsonable()}
+    payload: Dict[str, Any] = {"report": report}
     if args.dump:
         payload["coloring"] = coloring.to_json()
     return payload, EXIT_CLEAN if report.ok else EXIT_VIOLATION
@@ -238,7 +227,7 @@ def _cmd_verify_infty(args) -> Tuple[dict, int]:
     g = parse_group(args.group)
     d = _parse_int_list(args.d)
     report = infty_check(g, d, args.c, node_budget=args.budget)
-    payload: Dict[str, Any] = {"search": report.to_jsonable()}
+    payload: Dict[str, Any] = {"search": report}
     if g.spec_string() == "Z^1":
         counting = infty_counting_bound(d, args.c)
         payload["counting"] = counting
@@ -252,16 +241,13 @@ def _cmd_verify_infty(args) -> Tuple[dict, int]:
     return payload, EXIT_CLEAN
 
 
-def _cmd_oracle_extend(args) -> Tuple[dict, int]:
+def _cmd_oracle_extend(args) -> Tuple[Any, int]:
     ideal, _R = _load_ideal_spec(args.spec)
     phi = PartialColoring.from_json(_read_json_file(args.pattern), group=ideal.group)
     report = extension_oracle(
         ideal, phi, args.radius, palette_max=args.palette_max, node_budget=args.budget
     )
-    payload = report.to_jsonable()
-    if report.outcome == INCONCLUSIVE:
-        return payload, EXIT_BUDGET
-    return payload, EXIT_CLEAN
+    return report, EXIT_BUDGET if report.outcome == INCONCLUSIVE else EXIT_CLEAN
 
 
 def _cmd_extract(args) -> Tuple[dict, int]:
@@ -276,7 +262,9 @@ def _cmd_extract(args) -> Tuple[dict, int]:
     return payload, EXIT_CLEAN
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="shiftcolor",
         description="Shift-invariant coloring ideals on finitely generated groups: "

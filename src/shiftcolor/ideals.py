@@ -44,6 +44,7 @@ import numpy as np
 from .groups import Group, identity_ball, parse_group
 from .patterns import PartialColoring, _shift_valid
 from .radii import Infinity, Radius, as_radius, radius_ceil, radius_to_json
+from .reports import Report
 
 
 class PaletteExhausted(ValueError):
@@ -549,7 +550,7 @@ def grow_random_member(
 
 
 @dataclass
-class AxiomsReport:
+class AxiomsReport(Report):
     samples: int = 0
     restriction_violations: List[dict] = field(default_factory=list)
     shift_violations: List[dict] = field(default_factory=list)
@@ -557,14 +558,6 @@ class AxiomsReport:
     @property
     def ok(self) -> bool:
         return not self.restriction_violations and not self.shift_violations
-
-    def to_jsonable(self):
-        return {
-            "samples": self.samples,
-            "restriction_violations": self.restriction_violations,
-            "shift_violations": self.shift_violations,
-            "ok": self.ok,
-        }
 
 
 def ideal_axioms_check(
@@ -579,6 +572,8 @@ def ideal_axioms_check(
     ideal axioms on each: every restriction stays in P (exhaustive over
     subsets for small domains, sampled otherwise) and every shift by a
     nearby element stays in P."""
+    if sample_budget < 0:
+        raise ValueError(f"sample budget must be nonnegative, got {sample_budget}")
     rng = random.Random(seed)
     g = P.group
     shifts = identity_ball(g, shift_radius)

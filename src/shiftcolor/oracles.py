@@ -17,6 +17,7 @@ from .groups import Group, identity_ball, parse_group
 from .ideals import DistanceConstrained, IdealSpec, _check_d_sequence, col_window_check
 from .patterns import PartialColoring
 from .radii import INF, Infinity, as_radius, radius_floor
+from .reports import Report
 
 REFUTED = "refuted"
 WITNESS = "witness"
@@ -24,7 +25,7 @@ INCONCLUSIVE = "inconclusive"
 
 
 @dataclass
-class ExhaustiveSearchReport:
+class ExhaustiveSearchReport(Report):
     outcome: str  # "refuted" | "witness" | "inconclusive"
     search_space: int
     valid_count: int
@@ -36,19 +37,6 @@ class ExhaustiveSearchReport:
     @property
     def conclusive(self) -> bool:
         return self.outcome != INCONCLUSIVE
-
-    def to_jsonable(self):
-        out = {
-            "outcome": self.outcome,
-            "search_space": self.search_space,
-            "valid_count": self.valid_count,
-            "nodes": self.nodes,
-            "budget": self.budget,
-            "witness": None if self.witness is None else self.witness.to_json(),
-        }
-        if self.detail:
-            out["detail"] = self.detail
-        return out
 
 
 def infty_check(group, d: Sequence[int], c: int, node_budget: int = 2_000_000) -> ExhaustiveSearchReport:
@@ -270,7 +258,7 @@ def extension_oracle(
 
 
 @dataclass
-class RareColorReport:
+class RareColorReport(Report):
     membership_ok: bool
     counts: Dict[int, int]
     violations: List[dict] = field(default_factory=list)
@@ -278,14 +266,6 @@ class RareColorReport:
     @property
     def ok(self) -> bool:
         return self.membership_ok and not self.violations
-
-    def to_jsonable(self):
-        return {
-            "membership_ok": self.membership_ok,
-            "counts": {str(k): v for k, v in sorted(self.counts.items())},
-            "violations": self.violations,
-            "ok": self.ok,
-        }
 
 
 def rare_color_check(spec: DistanceConstrained, omega: PartialColoring) -> RareColorReport:

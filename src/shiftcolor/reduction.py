@@ -26,6 +26,7 @@ from .groups import BudgetError, identity_ball, set_dist
 from .ideals import ConstantJoin, IdealSpec, JoinFn, SupRadiiJoin, col_window_check, grow_random_member
 from .patterns import PartialColoring, shift, truncated_window
 from .radii import INF, Infinity, Radius, radius_ceil, radius_to_json
+from .reports import Report
 
 
 def monotone_R(R: JoinFn, phi: PartialColoring) -> Radius:
@@ -70,7 +71,7 @@ def derived_join_from_local(r: Callable[[int], Radius], description=None) -> Joi
 
 
 @dataclass
-class JoinReport:
+class JoinReport(Report):
     samples: int = 0
     empty_member: Optional[bool] = None
     violations: List[dict] = field(default_factory=list)
@@ -78,14 +79,6 @@ class JoinReport:
     @property
     def ok(self) -> bool:
         return self.empty_member is not False and not self.violations
-
-    def to_jsonable(self):
-        return {
-            "samples": self.samples,
-            "empty_member": self.empty_member,
-            "violations": self.violations,
-            "ok": self.ok,
-        }
 
 
 def _place_separated(
@@ -135,6 +128,8 @@ def check_join(
     R-separated positions, and test that the union is still a member.
     Explicit fixture tuples, when given, are checked first, at their stated
     positions when already separated (otherwise after placement)."""
+    if samples < 0:
+        raise ValueError(f"sample count must be nonnegative, got {samples}")
     rng = random.Random(seed)
     report = JoinReport()
     report.empty_member = P.contains(P.empty())
@@ -185,7 +180,7 @@ def check_join(
 
 
 @dataclass
-class LocalReport:
+class LocalReport(Report):
     members_checked: int = 0
     loc_members_examined: int = 0
     containment_violations: List[dict] = field(default_factory=list)
@@ -194,15 +189,6 @@ class LocalReport:
     @property
     def ok(self) -> bool:
         return not self.containment_violations and not self.counterexamples
-
-    def to_jsonable(self):
-        return {
-            "members_checked": self.members_checked,
-            "loc_members_examined": self.loc_members_examined,
-            "containment_violations": self.containment_violations,
-            "counterexamples": self.counterexamples,
-            "ok": self.ok,
-        }
 
 
 def check_local(
@@ -221,6 +207,8 @@ def check_local(
     patterns satisfying the window criterion are then tested for membership;
     each one that fails is a counterexample to locality.
     """
+    if enumeration_budget < 0:
+        raise ValueError(f"enumeration budget must be nonnegative, got {enumeration_budget}")
     rng = random.Random(seed)
     g = P.group
     report = LocalReport()
@@ -344,15 +332,9 @@ def reduced_contains(RI: ReducedIdeal, phi: PartialColoring) -> bool:
 
 
 @dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Report):
     pieces: Tuple[PartialColoring, ...]
     h_bound: int
-
-    def to_jsonable(self):
-        return {
-            "pieces": [p.to_json() for p in self.pieces],
-            "h_bound": self.h_bound,
-        }
 
 
 def decompose(RI: ReducedIdeal, phi: PartialColoring) -> Decomposition:

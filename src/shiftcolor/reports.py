@@ -1,5 +1,6 @@
 """Report plumbing shared by the command-line front end and the tests:
-canonical JSON encoding, config hashing, and the manifest envelope.
+the report base class, canonical JSON encoding, config hashing, and the
+manifest envelope.
 
 Reports must be byte-identical across reruns with the same inputs, so the
 encoder is fully canonical (sorted keys, fixed indentation, trailing
@@ -9,6 +10,7 @@ Timing, when wanted, belongs on stderr.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -21,6 +23,18 @@ from .radii import Infinity
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
+
+
+class Report:
+    """Base of the report dataclasses. A report's JSON is its fields, plus
+    ``ok`` where the class defines it; the values are encoded by
+    ``to_jsonable``."""
+
+    def to_jsonable(self) -> Dict[str, Any]:
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        if hasattr(type(self), "ok"):
+            out["ok"] = self.ok
+        return out
 
 
 def to_jsonable(obj: Any) -> Any:
@@ -59,11 +73,17 @@ def to_jsonable(obj: Any) -> Any:
     raise TypeError(f"cannot encode {type(obj).__name__} into a report")
 
 
+def json_bytes(plain: Any) -> bytes:
+    """Sorted keys, two-space indent, UTF-8, trailing newline, for a value
+    that is already plain JSON (as ``to_jsonable`` and ``envelope`` give)."""
+    text = json.dumps(plain, sort_keys=True, indent=2, ensure_ascii=False)
+    return (text + "\n").encode("utf-8")
+
+
 def canonical_json_bytes(obj: Any) -> bytes:
     """The one true serialization: sorted keys, two-space indent, UTF-8,
     trailing newline. Byte-identical reports are a hard requirement."""
-    text = json.dumps(to_jsonable(obj), sort_keys=True, indent=2, ensure_ascii=False)
-    return (text + "\n").encode("utf-8")
+    return json_bytes(to_jsonable(obj))
 
 
 def config_hash(description: Dict[str, Any]) -> str:

@@ -51,6 +51,7 @@ from .groups import FreeAbelian, FreeGroup, Group, identity_ball, offset_distanc
 from .ideals import NO_COLOR, IdealSpec, _check_d_sequence
 from .patterns import PartialColoring, _validate_color, shift
 from .radii import Infinity, Radius, radius_ceil, radius_floor
+from .reports import Report
 from .rng import RandomField, element_codes, packable_length, right_translate_codes
 
 
@@ -259,21 +260,8 @@ class SimulationTrace:
     def group(self) -> Group:
         return self.config.ideal.group
 
-    def iter_colorings(self):
-        """Yields the monotone chain of partial colorings, one per step
-        boundary (steps + 1 entries)."""
-        cur: Dict[object, int] = {}
-        yield PartialColoring(self.group, cur)
-        for color, elems in self.assigned_sets:
-            for e in elems:
-                cur[e] = color
-            yield PartialColoring(self.group, dict(cur))
-
-    @property
-    def colorings(self) -> List[PartialColoring]:
-        return list(self.iter_colorings())
-
     def coloring_at(self, i: int) -> PartialColoring:
+        """The partial coloring after the first i steps."""
         cur: Dict[object, int] = {}
         for color, elems in self.assigned_sets[:i]:
             for e in elems:
@@ -409,7 +397,7 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
 
 
 @dataclass
-class ValidationReport:
+class ValidationReport(Report):
     windows_checked: int = 0
     skipped_nonlocal: int = 0
     failures: List[dict] = field(default_factory=list)
@@ -417,14 +405,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    def to_jsonable(self):
-        return {
-            "windows_checked": self.windows_checked,
-            "skipped_nonlocal": self.skipped_nonlocal,
-            "failures": self.failures,
-            "ok": self.ok,
-        }
 
 
 # window_radius entries of trace_validate for windows it does not check
@@ -601,7 +581,7 @@ def _greedy_distance_coloring(region: Region, d_c: int) -> list:
 
 
 @dataclass
-class SparseReport:
+class SparseReport(Report):
     window_size: int
     m: int
     coverage: float
@@ -612,17 +592,6 @@ class SparseReport:
     @property
     def ok(self) -> bool:
         return not self.separation_violations
-
-    def to_jsonable(self):
-        return {
-            "window_size": self.window_size,
-            "m": self.m,
-            "coverage": self.coverage,
-            "color_counts": {str(k): v for k, v in sorted(self.color_counts.items())},
-            "targets": self.targets,
-            "separation_violations": self.separation_violations,
-            "ok": self.ok,
-        }
 
 
 def sparse_run(group, d: Sequence[int], window_radius: int, m: int, seed: int):

@@ -102,6 +102,23 @@ class TestSearchCommands:
         assert payload["witnesses"][0] is None
         assert all(w is not None for w in payload["witnesses"][1:])
 
+    def test_dseq_z2_witness_layout(self, tmp_path):
+        # Z^2 centres are tuples; the report writes them as lists
+        code, data = run_to_file(tmp_path, ["dseq", "Z^2", "2"])
+        assert code == 0
+        assert payload_of(data) == {
+            "count": 2,
+            "group": "Z^2",
+            "values": [1, 3, 7],
+            "witnesses": [
+                None,
+                {"center_a": [-1, 0], "center_b": [0, -2], "enclosing_radius": 3,
+                 "inner_radius": 1},
+                {"center_a": [-3, 0], "center_b": [0, -4], "enclosing_radius": 7,
+                 "inner_radius": 3},
+            ],
+        }
+
     def test_dseq_budget_exhaustion(self, tmp_path):
         code, data = run_to_file(tmp_path, ["dseq", "Z^1", "10", "--budget", "20"])
         assert code == 3
@@ -173,6 +190,27 @@ class TestIdealCommands:
         assert code == 0
         payload = payload_of(data)
         assert payload["ok"] is True and payload["samples"] == 30
+
+    _BUDGETED = [
+        ["check", "--mode", "ideal-axioms"],
+        ["check", "--mode", "local"],
+        ["check", "--mode", "join"],
+        ["reduce"],
+    ]
+
+    @pytest.mark.parametrize("argv", _BUDGETED)
+    def test_negative_budget_exits_two(self, tmp_path, capsys, pc3_spec, argv):
+        code, data = run_to_file(tmp_path, [argv[0], pc3_spec, *argv[1:], "--budget", "-1"])
+        assert code == 2 and data == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nonnegative" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", _BUDGETED)
+    def test_zero_budget_checks_nothing_cleanly(self, tmp_path, pc3_spec, argv):
+        code, data = run_to_file(tmp_path, [argv[0], pc3_spec, *argv[1:], "--budget", "0"])
+        assert code == 0
+        payload = payload_of(data)
+        assert (payload["report"] if argv[0] == "check" else payload)["ok"] is True
 
 
 class TestRunCommands:
@@ -304,6 +342,38 @@ class TestUsageErrors:
     def test_unwritable_out_exits_two(self, tmp_path, pc3_spec):
         target = str(tmp_path / "no" / "such" / "dir" / "x.json")
         assert main(["ball", "Z^1", "0", "1", "--out", target]) == 2
+
+
+def test_cached_parser_gives_the_bytes_of_a_fresh_one(tmp_path, pc3_spec):
+    """main reuses one parser; a sequence of subcommands, with flags given
+    and then left at their defaults, reads as it does with a new parser
+    built for every call."""
+    from shiftcolor import cli
+
+    argvs = [
+        ["ball", "Z^2", "[1,0]", "2"],
+        ["check", pc3_spec, "--mode", "local", "--budget", "20", "--seed", "4"],
+        ["simulate", pc3_spec, "--window", "10", "--margin", "2", "--steps", "5", "--dump",
+         "--no-warmup", "--schedule", "2,1"],
+        ["check", pc3_spec, "--mode", "join"],
+        ["simulate", pc3_spec, "--window", "10", "--margin", "2", "--steps", "5"],
+        ["dseq", "Z^1", "2"],
+        ["reduce", pc3_spec, "--budget", "3", "--dump"],
+        ["reduce", pc3_spec, "--budget", "3"],
+    ]
+
+    def outputs(fresh):
+        out = []
+        for i, argv in enumerate(argvs):
+            if fresh:
+                cli._build_parser.cache_clear()
+            out.append(run_to_file(tmp_path, argv, name=f"{i}.json"))
+        return out
+
+    cached = outputs(fresh=False)
+    assert cli._build_parser() is cli._build_parser()
+    assert cached == outputs(fresh=True)
+    assert all(data for _code, data in cached)
 
 
 # -- recorded report digests -------------------------------------------------

@@ -42,6 +42,7 @@ from shiftcolor.oracles import (
 )
 from shiftcolor.patterns import PartialColoring
 from shiftcolor.radii import INF
+from shiftcolor.reports import to_jsonable
 
 Z1 = FreeAbelian(1)
 F2 = FreeGroup(2)
@@ -226,6 +227,17 @@ class TestRareColorAudit:
         omega = PartialColoring(Z1, {0: 0, 10: 0, 5: 1, 30: 1})
         report = rare_color_check(dc, omega)
         assert report.membership_ok and report.violations == []
+
+    def test_json_layout(self):
+        # counts are keyed by int colours; the report writes the keys as strings
+        dc = DistanceConstrained(Z1, (1, 3), (2, INF))
+        omega = PartialColoring(Z1, {0: 1, 100: 1, 5: 0, 12: 0, 40: 0})
+        assert to_jsonable(rare_color_check(dc, omega)) == {
+            "membership_ok": False,
+            "counts": {"0": 3, "1": 2},
+            "violations": [{"color": 1, "occurrences": 2}],
+            "ok": False,
+        }
 
     def test_type_checked(self):
         with pytest.raises(TypeError):

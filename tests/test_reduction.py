@@ -29,6 +29,7 @@ from shiftcolor.ideals import (
 )
 from shiftcolor.patterns import PartialColoring
 from shiftcolor.radii import INF
+from shiftcolor.reports import to_jsonable
 from shiftcolor.reduction import (
     ReducedIdeal,
     check_join,
@@ -212,6 +213,16 @@ class TestDecompose:
         for i in range(len(dec.pieces)):
             for j in range(i + 1, len(dec.pieces)):
                 assert separated(project(dec.pieces[i]), project(dec.pieces[j]), R_ONE)
+
+    def test_json_layout(self):
+        dec = decompose(RED, pat({0: (1, 0), 1: (1, 1), 9: (2, 2)}))
+        assert to_jsonable(dec) == {
+            "pieces": [
+                {"group": "Z^1", "entries": [[9, [2, 2]]]},
+                {"group": "Z^1", "entries": [[0, [1, 0]], [1, [1, 1]]]},
+            ],
+            "h_bound": 2,
+        }
 
     def test_rejects_non_member(self):
         with pytest.raises(ValueError):

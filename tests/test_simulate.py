@@ -203,7 +203,7 @@ class TestHardInvariants:
     def test_colorings_chain_is_monotone(self):
         cfg = SimulationConfig(ideal=PC3, window_radius=20, margin=2, steps=15, seed=3)
         trace = run(cfg)
-        chain = trace.colorings
+        chain = [trace.coloring_at(i) for i in range(len(trace.assigned_sets) + 1)]
         for small, big in zip(chain, chain[1:]):
             for e, c in small.entries.items():
                 assert big[e] == c
