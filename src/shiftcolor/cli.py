@@ -216,6 +216,8 @@ def _cmd_simulate(args) -> Tuple[dict, int]:
 def _cmd_sparse(args) -> Tuple[dict, int]:
     g = parse_group(args.group)
     d = _parse_int_list(args.d)
+    if args.window < 0:
+        raise ValueError(f"--window must be nonnegative, got {args.window}")
     coloring, report = sparse_run(g, d, window_radius=args.window, m=args.m, seed=args.seed)
     payload: Dict[str, Any] = {"report": report}
     if args.dump:

@@ -14,10 +14,16 @@ canonically, so every downstream greedy procedure is deterministic. Ball(1, r)
 is built from integer arrays (``ball_arrays``); every other ball is its right
 translate Ball(g, r) = Ball(1, r)*g, re-sorted within each layer.
 
-Also here: the packing searches producing the radius sequences used by the
-distance-constrained ideals — minimal d-sequences (two disjoint radius-d_c
-balls inside a single radius-d_{c+1} ball) and minimal annulus radii D
-(the annulus (2d, D] around the identity contains a radius-d ball).
+Elements also have a packed form, one row of an integer array per element,
+on which products and distances are computed for many elements at once
+(``pack``, ``mul_packed``, ``dist_packed``); the scalar ``mul`` and ``dist``
+are their references.
+
+Also here: the closed-form ball sizes, and the packing searches producing
+the radius sequences used by the distance-constrained ideals — minimal
+d-sequences (two disjoint radius-d_c balls inside a single radius-d_{c+1}
+ball) and minimal annulus radii D (the annulus (2d, D] around the identity
+contains a radius-d ball).
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ import string
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import groupby
+from itertools import compress, groupby, repeat
+from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,6 +115,27 @@ class Group:
 
     def element_at_distance(self, t: int):
         """Some element at distance exactly t from the identity."""
+        raise NotImplementedError
+
+    # -- packed arrays ----------------------------------------------------
+
+    pack_limit: int  # the largest norm of a packed element
+
+    def pack(self, elements: Sequence, reach: int = 0) -> Optional[np.ndarray]:
+        """The elements as the rows of one integer array, the form that
+        ``mul_packed`` and ``dist_packed`` read, or None when some element x
+        has |x| + reach > pack_limit. So the product of a packed element
+        with any element of norm <= reach packs too."""
+        return None
+
+    def mul_packed(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """The products a*b of packed elements, packed, broadcast over every
+        axis but the last; each |a| + |b| must be at most pack_limit."""
+        raise NotImplementedError
+
+    def dist_packed(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        """dist(a, b) of packed elements as int64, broadcast like
+        ``mul_packed``."""
         raise NotImplementedError
 
     def spec_string(self) -> str:
@@ -231,6 +259,31 @@ class FreeAbelian(Group):
 
         return elements, norms, step, distances
 
+    # Packed: int64 coordinate rows of L1 norm at most 2^62 - 1, so that the
+    # distance of two packed elements fits int64.
+    pack_limit = (1 << 62) - 1
+
+    def pack(self, elements, reach=0):
+        n, room = len(elements), self.pack_limit - reach
+        if room < 0:
+            return None
+        try:
+            coords = np.array(elements, dtype=np.int64).reshape(n, self.dimension)
+        except OverflowError:  # a coordinate past int64
+            return None
+        norms = np.zeros(n, dtype=np.uint64)
+        for column in np.abs(coords).view(np.uint64).T:  # |-2^63| reads 2^63 unsigned
+            norms += column  # at most 2^62 + 2^63, so it cannot wrap
+            if (norms > room).any():
+                return None
+        return coords
+
+    def mul_packed(self, A, B):
+        return A + B
+
+    def dist_packed(self, A, B):
+        return np.abs(B - A).sum(axis=-1)  # the L1 norm, as in dist
+
     def element_to_json(self, g):
         return g if self.dimension == 1 else list(g)
 
@@ -265,6 +318,7 @@ class FreeAbelian(Group):
 
 _LOWER = string.ascii_lowercase
 _UPPER = string.ascii_uppercase
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"  # the digits ``int`` reads, base <= 36
 
 
 class FreeGroup(Group):
@@ -281,6 +335,12 @@ class FreeGroup(Group):
         self.name = f"F_{rank}"
         self._letters = _LOWER[:rank] + _UPPER[:rank]
         self._generators = [c for pair in zip(_LOWER[:rank], _UPPER[:rank]) for c in pair]
+        # the longest words whose every numeral fits 64 bits: the largest L
+        # with base^L <= 2^64, and base^t for t <= L, the powers numerals meet
+        base, self.pack_limit = 2 * rank + 1, 0
+        while base ** (self.pack_limit + 1) <= 1 << 64:
+            self.pack_limit += 1
+        self._powers = np.array([base**t for t in range(self.pack_limit + 1)], dtype=np.uint64)
 
     def identity(self):
         return ""
@@ -377,6 +437,75 @@ class FreeGroup(Group):
 
         return elements, norms, step, distances
 
+    # Packed: (numeral, length) rows of uint64, the numeral being the word
+    # read in base 2k+1 with letter i of "ab..AB.." as digit i + 1 and the
+    # last letter lowest, as in the element code. F_1 numerals reach 3^40 >
+    # 2^63, hence uint64.
+
+    def _numerals(self, words, mask: np.ndarray) -> np.ndarray:
+        """Each word's numeral where mask holds, read by ``int`` (so only for
+        2k + 1 <= 36), and 0 elsewhere. The words there must be non-empty
+        and at most pack_limit letters long."""
+        base = 2 * self.rank + 1
+        to_digits = str.maketrans(self._letters, _DIGITS[1:base])
+        numerals = map(str.translate, compress(words, mask), repeat(to_digits))
+        out = np.zeros(len(words), dtype=np.uint64)
+        out[mask] = np.fromiter(map(int, numerals, repeat(base)), dtype=np.uint64,
+                                count=int(mask.sum()))
+        return out
+
+    def pack(self, elements, reach=0):
+        if 2 * self.rank + 1 > len(_DIGITS):
+            return None
+        lengths = np.fromiter(map(len, elements), dtype=np.int64, count=len(elements))
+        if lengths.max(initial=0) + reach > self.pack_limit:
+            return None
+        return np.column_stack([self._numerals(elements, lengths > 0), lengths.astype(np.uint64)])
+
+    def mul_packed(self, A, B):
+        # The first c letters of b cancel the last c letters of a exactly when
+        # the c lowest digits of a are the inverses of b's c leading digits
+        # (past a's end its digits are 0, which is no letter), and then a*b
+        # is a without them followed by b[c:]: numeral(a) // base^c *
+        # base^(|b| - c) + numeral(b) mod base^(|b| - c), of length |a| + |b|
+        # - 2c. Digits d and (d + k - 1) mod 2k + 1 are inverse letters.
+        # Division by the scalar base is fast in numpy and % is not, so
+        # digits are taken as n - (n // base) * base.
+        k, powers, base = self.rank, self._powers, np.uint64(2 * self.rank + 1)
+        na, la = A[..., 0], A[..., 1].astype(np.int64)
+        nb, lb = B[..., 0], B[..., 1].astype(np.int64)
+        cancel = np.zeros(np.broadcast_shapes(na.shape, nb.shape), dtype=np.int64)
+        matching = np.ones(cancel.shape, dtype=bool)
+        rest = na
+        for j in range(min(int(la.max(initial=0)), int(lb.max(initial=0)))):
+            high = rest // base
+            low, rest = rest - high * base, high  # a's letter j from the end
+            lead = nb // powers[np.maximum(lb - 1 - j, 0)]
+            lead -= lead // base * base  # b's letter j
+            matching &= (low == (lead + (k - 1)) % (2 * k) + 1) & (j < lb)  # its inverse
+            if not matching.any():
+                break
+            cancel += matching
+        kept = powers[lb - cancel]
+        numerals = na // powers[cancel] * kept + nb % kept
+        return np.stack([numerals, (la + lb - 2 * cancel).astype(np.uint64)], axis=-1)
+
+    def dist_packed(self, A, B):
+        # as in dist: |a| + |b| - 2 (the length of the common suffix), which is
+        # the count of equal low digits that are letters (not 0); digits are
+        # taken as in mul_packed, until no pair still matches
+        base = np.uint64(2 * self.rank + 1)
+        na, nb = A[..., 0], B[..., 0]
+        common = np.zeros(np.broadcast_shapes(na.shape, nb.shape), dtype=np.int64)
+        matching = np.ones(common.shape, dtype=bool)
+        while matching.any():
+            high_a, high_b = na // base, nb // base
+            low = na - high_a * base
+            matching &= (low == nb - high_b * base) & (low != 0)
+            common += matching
+            na, nb = high_a, high_b
+        return A[..., 1].astype(np.int64) + B[..., 1].astype(np.int64) - 2 * common
+
     def element_to_json(self, g):
         return g
 
@@ -418,6 +547,19 @@ def identity_ball(group: Group, r: Radius) -> tuple:
     if isinstance(r, Infinity):
         raise ValueError("cannot enumerate a ball of infinite radius")
     return tuple(group._ball_elements(radius_floor(r)))
+
+
+def ball_size(group: Group, r: int) -> int:
+    """|Ball(1, r)| in closed form (0 for r < 0): 1 + k((2k-1)^r - 1)/(k-1) on
+    F_k with k >= 2, 2r + 1 on F_1, and sum_i 2^i C(d, i) C(r, i) on Z^d,
+    counting the points with i non-zero coordinates."""
+    if r < 0:
+        return 0
+    if isinstance(group, FreeGroup):
+        k = group.rank
+        return 2 * r + 1 if k == 1 else 1 + k * ((2 * k - 1) ** r - 1) // (k - 1)
+    d = group.dimension
+    return sum(2**i * comb(d, i) * comb(r, i) for i in range(min(d, r) + 1))
 
 
 @lru_cache(maxsize=8)

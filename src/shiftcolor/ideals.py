@@ -20,12 +20,14 @@ band [lo, hi] of their color pair.
 The palette of DistanceConstrained is 0..len(h)-1 and of NotUniversal
 0..len(d)-1; a color beyond it raises PaletteExhausted.
 
-Windows laid out on the offsets of one ball about the identity can also be
-judged many at once, as integer rows of color codes (``color_code``) with
-the distances between the slots (``contains_windows``). The pairwise kinds
-answer with one lookup into their bands compiled as a boolean table over
-(color, color, distance); every other ideal asks ``contains`` of each
-window, which stays the reference.
+Many patterns can also be judged at once, as integer rows of color codes
+(``color_code``) over slots with the distances between the slots
+(``contains_windows``): windows laid out on the offsets of one ball about
+the identity, which share one distance matrix, or rows with a matrix each.
+The pairwise kinds answer with one lookup into their bands compiled as a
+boolean table over (color, color, distance); every other ideal asks
+``contains`` of each row's pattern, which stays the reference. The axioms
+check judges a sample's restrictions and shifts that way.
 
 Reduced (product-coded) ideals live in the reduction module; they subclass
 IdealSpec and plug into everything here.
@@ -41,7 +43,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import Group, identity_ball, parse_group
+from .groups import Group, ball_size, identity_ball, parse_group
 from .patterns import PartialColoring, _shift_valid
 from .radii import Infinity, Radius, as_radius, radius_ceil, radius_to_json
 from .reports import Report
@@ -94,14 +96,19 @@ class IdealSpec:
         return UNCODED
 
     def contains_windows(self, C: np.ndarray, D: np.ndarray, window) -> np.ndarray:
-        """Whether each of many windows is a member. The windows are laid
-        out on the offsets w_0, w_1, ... of Ball(1, s) in the ideal's group:
-        C[i, a] codes the color at slot a of window i (``color_code``, or
-        NO_COLOR for none), D[a, b] = |w_a w_b^-1| is the distance between
-        slots a and b of every window, so D depends only on its width, and
-        ``window(i)`` builds window i as a pattern. This default asks
-        ``contains`` of each window in row order; it is the reference for
-        every override."""
+        """Whether each of many patterns, laid out on slots, is a member.
+        C[i, a] codes the color at slot a of pattern i (``color_code``, or
+        NO_COLOR for none) and ``window(i)`` builds pattern i. D gives the
+        distances between the slots, in one of two shapes:
+
+        * (w, w), for windows laid out on the offsets w_0, w_1, ... of
+          Ball(1, s): D[a, b] = |w_a w_b^-1| is the distance between slots a
+          and b of every window, so D depends only on its width;
+        * (rows, w, w), one matrix per row: D[i, a, b] is the distance
+          between the elements at slots a and b of pattern i.
+
+        This default asks ``contains`` of each pattern in row order; it is
+        the reference for every override."""
         return np.array([self.contains(window(i)) for i in range(len(C))], dtype=bool)
 
     def extend_at(self, phi: PartialColoring, gamma, c_max: Optional[int] = None):
@@ -264,28 +271,33 @@ class PairwiseIdeal(IdealSpec):
         return {}
 
     def contains_windows(self, C, D, window):
-        """One gather through the compiled bands: a window is a member iff
+        """One gather through the compiled bands: a pattern is a member iff
         no two of its slots a <= b hold colors forbidden at distance
-        D[a, b]. The table is symmetric in its colors, so only those slot
-        pairs are read, and only at distances some color pair forbids."""
+        D[a, b] (D[i, a, b] for per-row distances). The table is symmetric
+        in its colors, so only those slot pairs are read; with one D for
+        every window, only at distances some color pair forbids."""
         if (C == UNCODED).any():
             return super().contains_windows(C, D, window)
-        forbid = self._compiled(int(C.max()) + 1, int(D.max()))
-        key = (len(D), *forbid.shape)  # D depends only on its width
-        if key not in self._slot_pairs:
-            a, b = np.nonzero(np.triu(forbid.any(axis=(0, 1))[D]))
-            self._slot_pairs[key] = a, b, D[a, b]
-        a, b, t = self._slot_pairs[key]
+        forbid = self._compiled(int(C.max(initial=NO_COLOR)) + 1, int(D.max(initial=0)))
+        if D.ndim == 2:
+            key = (len(D), *forbid.shape)  # D depends only on its width
+            if key not in self._slot_pairs:
+                a, b = np.nonzero(np.triu(forbid.any(axis=(0, 1))[D]))
+                self._slot_pairs[key] = a, b, D[a, b]
+            a, b, t = self._slot_pairs[key]
+        else:
+            a, b = np.triu_indices(C.shape[1])
+            t = D[:, a, b]
         # flat indices into forbid, one stride per axis
         n_codes, n_t = forbid.shape[1:]
         first, second = (C + 2) * (n_codes * n_t), (C + 2) * n_t
         flat = forbid.ravel()
         out = np.empty(len(C), dtype=bool)
-        rows = max(1, _GATHER_CELLS // len(t))
+        rows = max(1, _GATHER_CELLS // max(len(a), 1))
         for lo in range(0, len(C), rows):
             index = first[lo : lo + rows, a]
             index += second[lo : lo + rows, b]
-            index += t
+            index += t if t.ndim == 1 else t[lo : lo + rows]
             out[lo : lo + rows] = ~flat[index].any(axis=1)
         return out
 
@@ -518,7 +530,7 @@ def _default_c_max(P: IdealSpec, phi: PartialColoring, gamma) -> int:
             radii.append(r)
     reach = radius_ceil(max(radii)) if radii else 1
     # |Ball(gamma, reach)| = |Ball(1, reach)| by right invariance
-    return (max(used) if used else 0) + len(identity_ball(P.group, reach)) + 1
+    return (max(used) if used else 0) + ball_size(P.group, reach) + 1
 
 
 def grow_random_member(
@@ -571,12 +583,21 @@ def ideal_axioms_check(
     """Sample members of P by randomized greedy growth and verify the two
     ideal axioms on each: every restriction stays in P (exhaustive over
     subsets for small domains, sampled otherwise) and every shift by a
-    nearby element stays in P."""
+    nearby element stays in P.
+
+    Each sample's restrictions are judged in one ``contains_windows`` call,
+    as masks of its entries with one distance matrix, and its shifts in a
+    second: the shifted entries x*gamma^-1 and their distances are computed
+    in packed arrays (``Group.mul_packed``, ``Group.dist_packed``), never
+    inferred from right invariance, which is one of the things audited. A
+    sample whose entries or products do not pack is judged pattern by
+    pattern."""
     if sample_budget < 0:
         raise ValueError(f"sample budget must be nonnegative, got {sample_budget}")
     rng = random.Random(seed)
     g = P.group
     shifts = identity_ball(g, shift_radius)
+    inverses = g.pack([g.inv(gamma) for gamma in shifts])
     report = AxiomsReport()
     for _ in range(sample_budget):
         phi = grow_random_member(P, rng, rng.randint(0, max_size), radius)
@@ -590,13 +611,37 @@ def ideal_axioms_check(
             subsets = [
                 rng.sample(dom, rng.randint(0, len(dom))) for _ in range(40)
             ]
-        for sub in subsets:
-            if not P.contains(phi.restrict(sub)):
+        X = None if inverses is None else g.pack(dom, reach=shift_radius)
+        if X is None:
+            restricted = [P.contains(phi.restrict(sub)) for sub in subsets]
+            shifted = [P.contains(_shift_valid(phi, gamma)) for gamma in shifts]
+        else:
+            codes = np.array([P.color_code(c) for c in phi.entries.values()], dtype=np.int64)
+            slot = {e: a for a, e in enumerate(dom)}
+            keep = np.zeros((len(subsets), len(dom)), dtype=bool)
+            for i, sub in enumerate(subsets):
+                keep[i, [slot[e] for e in sub]] = True
+            D = g.dist_packed(X[:, None], X[None, :])
+            # one D per row: a (w, w) D would stand for the windows of a ball
+            restricted = P.contains_windows(
+                np.where(keep, codes, NO_COLOR), np.broadcast_to(D, (len(subsets), *D.shape)),
+                lambda i: phi.restrict(subsets[i]),
+            )
+            moved = g.mul_packed(X[None, :], inverses[:, None])  # row i: x*gamma_i^-1 per slot
+            a, b = np.triu_indices(len(dom), 1)
+            D = np.zeros((len(shifts), len(dom), len(dom)), dtype=np.int64)
+            D[:, a, b] = D[:, b, a] = g.dist_packed(moved[:, a], moved[:, b])
+            shifted = P.contains_windows(
+                np.broadcast_to(codes, (len(shifts), len(dom))), D,
+                lambda i: _shift_valid(phi, shifts[i]),
+            )
+        for sub, member in zip(subsets, restricted):
+            if not member:
                 report.restriction_violations.append(
                     {"pattern": phi.to_json(), "subset": [g.element_to_json(e) for e in sub]}
                 )
-        for gamma in shifts:  # the ball's elements are canonical
-            if not P.contains(_shift_valid(phi, gamma)):
+        for gamma, member in zip(shifts, shifted):
+            if not member:
                 report.shift_violations.append(
                     {"pattern": phi.to_json(), "shift": g.element_to_json(gamma)}
                 )

@@ -37,13 +37,20 @@ class Report:
         return out
 
 
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
 def to_jsonable(obj: Any) -> Any:
     """Recursively reduce report objects to plain JSON values. Fractions
     render as "p/q", the infinite radius as "inf"; report dataclasses are
-    asked for their own JSON form."""
-    if obj is None or isinstance(obj, (bool, int, str)):
+    asked for their own JSON form. Plain scalars, and lists that hold only
+    plain scalars, are returned as they are."""
+    kind = type(obj)
+    if kind in _SCALARS:
         return obj
-    if isinstance(obj, float):
+    if kind is list and all(map(_SCALARS.__contains__, map(type, obj))):
+        return obj
+    if isinstance(obj, (bool, int, str, float)):
         return obj
     if isinstance(obj, Infinity):
         return "inf"
@@ -73,11 +80,55 @@ def to_jsonable(obj: Any) -> Any:
     raise TypeError(f"cannot encode {type(obj).__name__} into a report")
 
 
+# What json_bytes reads in a byte: 0 nothing, then the kinds below, and
+# the step each kind takes in the depth of nesting.
+_OPEN, _CLOSE, _COMMA, _COLON, _QUOTE = 1, 2, 3, 4, 5
+_KIND = np.zeros(256, dtype=np.int8)
+for _byte, _kind in zip(b"[{]},:\"", (_OPEN, _OPEN, _CLOSE, _CLOSE, _COMMA, _COLON, _QUOTE)):
+    _KIND[_byte] = _kind
+_STEP = np.array([0, 1, -1, 0, 0, 0], dtype=np.int64)
+
+
 def json_bytes(plain: Any) -> bytes:
     """Sorted keys, two-space indent, UTF-8, trailing newline, for a value
-    that is already plain JSON (as ``to_jsonable`` and ``envelope`` give)."""
-    text = json.dumps(plain, sort_keys=True, indent=2, ensure_ascii=False)
-    return (text + "\n").encode("utf-8")
+    that is already plain JSON (as ``to_jsonable`` and ``envelope`` give):
+    the bytes of ``json.dumps(plain, sort_keys=True, indent=2,
+    ensure_ascii=False)`` and a newline.
+
+    CPython encodes an indented dump in pure Python, so the value is encoded
+    compactly by its C encoder and laid out here, on the UTF-8 bytes, whose
+    multi-byte characters hold no ASCII byte. Outside strings, a newline and
+    two spaces per open container follow each '[', '{' and ',', and come
+    before each ']' and '}'; a space follows each ':'; empty containers stay
+    "[]" and "{}"."""
+    raw = json.dumps(plain, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    # Blank the escapes, pairing backslashes from the left as the decoder
+    # does (the dump holds no raw NUL), so the quotes left delimit strings,
+    # and blank "[]" and "{}", which are left as they are. Outside a string
+    # a '[' is followed by a value or ']', so no "[]" spans a string's end.
+    scan = raw.replace(b"\\\\", b"\0\0").replace(b'\\"', b"\0\0")
+    scan = scan.replace(b"[]", b"\0\0").replace(b"{}", b"\0\0")
+    kinds = _KIND[np.frombuffer(scan, dtype=np.uint8)]
+    marks = np.flatnonzero(kinds)
+    kind = kinds[marks]
+    quote = kind == _QUOTE
+    outside = ~(quote | np.logical_xor.accumulate(quote))
+    marks, kind = marks[outside], kind[outside]
+    colon = kind == _COLON
+    depth = np.add.accumulate(_STEP[kind])  # after each mark: a close's is that of its line
+    extra = np.where(colon, 1, 1 + 2 * depth)
+    # a mark's bytes go just before byte ``at``, which exists: the last byte
+    # ends a value, and no mark inserts after it
+    at = marks + (kind != _CLOSE)
+    n = len(raw)
+    shift = np.zeros(n, dtype=np.int64)
+    shift[at] = extra
+    place = np.add.accumulate(shift)
+    place += np.arange(n)
+    out = np.full(n + int(extra.sum()), ord(" "), dtype=np.uint8)
+    out[place] = np.frombuffer(raw, dtype=np.uint8)
+    out[place[at[~colon]] - extra[~colon]] = ord("\n")
+    return out.tobytes() + b"\n"
 
 
 def canonical_json_bytes(obj: Any) -> bytes:

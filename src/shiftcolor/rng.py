@@ -13,12 +13,11 @@ produce bit-identical results.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, repeat
 from typing import Sequence
 
 import numpy as np
 
-from .groups import FreeAbelian, FreeGroup, Group
+from .groups import _DIGITS, FreeAbelian, FreeGroup, Group
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -102,28 +101,15 @@ def element_code(group: Group, g) -> int:
     raise ValueError(f"no element coding for group {group!r}")
 
 
-_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-
-
-def packable_length(group: FreeGroup) -> int:
-    """The longest word length of F_k whose every code is its base-(2k+1)
-    numeral: the largest L with (2k+1)^L <= 2^64."""
-    base, length = 2 * group.rank + 1, 0
-    while base ** (length + 1) <= 1 << 64:
-        length += 1
-    return length
-
-
 def element_codes(group: Group, elements: Sequence) -> np.ndarray:
     """Vector of element codes as uint64, each equal to ``element_code``.
 
     Z^d elements whose coordinates fit int64 are zigzagged and packed (or
     chained) as whole arrays; they may also be given as that (n, d) int64
-    coordinate array. F_k words (k <= 17) short enough to pack are
-    read as base-(2k+1) numerals by ``int``, after ``str.translate`` maps
-    each letter to its digit. Every other element, and every element of a
-    sequence whose coordinates overflow int64, goes through the scalar
-    ``element_code``."""
+    coordinate array. F_k words (k <= 17) short enough to pack are their
+    base-(2k+1) numerals, as ``FreeGroup.pack`` reads them. Every other
+    element, and every element of a sequence whose coordinates overflow
+    int64, goes through the scalar ``element_code``."""
     n = len(elements)
     if isinstance(group, FreeAbelian):
         if isinstance(elements, np.ndarray):
@@ -144,16 +130,9 @@ def element_codes(group: Group, elements: Sequence) -> np.ndarray:
                 codes = _vector_splitmix64(codes ^ column)
             far = np.zeros(n, dtype=bool)
     elif isinstance(group, FreeGroup) and 2 * group.rank + 1 <= len(_DIGITS):
-        base = 2 * group.rank + 1
-        packable = packable_length(group)
         lengths = np.fromiter(map(len, elements), dtype=np.int64, count=n)
-        far = lengths > packable
-        short = (lengths > 0) & ~far
-        to_digits = str.maketrans(group._letters, _DIGITS[1:base])
-        numerals = map(str.translate, compress(elements, short), repeat(to_digits))
-        codes = np.zeros(n, dtype=np.uint64)
-        codes[short] = np.fromiter(map(int, numerals, repeat(base)), dtype=np.uint64,
-                                   count=int(short.sum()))
+        far = lengths > group.pack_limit
+        codes = group._numerals(elements, (lengths > 0) & ~far)
     else:
         far = np.ones(n, dtype=bool)
         codes = np.zeros(n, dtype=np.uint64)
@@ -163,37 +142,6 @@ def element_codes(group: Group, elements: Sequence) -> np.ndarray:
             e = tuple(e.tolist()) if group.dimension > 1 else int(e[0])
         codes[i] = element_code(group, e)
     return codes
-
-
-def right_translate_codes(group: FreeGroup, codes: np.ndarray, lengths: np.ndarray,
-                          gamma: str) -> tuple:
-    """``(codes, lengths)`` of the words x*gamma, each code equal to
-    ``element_code(group, group.mul(x, gamma))``, given the codes and the
-    lengths of the words x; every x*gamma must be short enough to pack.
-
-    A packed code is the word's base-(2k+1) numeral with its last letter as
-    the lowest digit. The first c letters of gamma cancel the last c letters
-    of x exactly when the c lowest digits of code(x) are the inverses of
-    those letters (a word shorter than c has the digit 0 there, which is no
-    letter's), and then x*gamma is x without them followed by gamma[c:]:
-    code(x*gamma) = code(x) // b^c * b^(L-c) + numeral(gamma[c:]) and
-    |x*gamma| = |x| + L - 2c, where L = |gamma|."""
-    base, L = 2 * group.rank + 1, len(gamma)
-    depth = min(L, int(lengths.max(initial=0)))  # the most letters that can cancel
-    digit = {ch: i + 1 for i, ch in enumerate(group._letters)}
-    b = np.uint64(base)
-    cancel = np.zeros(len(codes), dtype=np.int64)
-    matching = np.ones(len(codes), dtype=bool)
-    rest = codes
-    for ch in gamma[:depth]:
-        matching &= rest % b == digit[ch.swapcase()]
-        cancel += matching
-        rest = rest // b
-    # per c: b^c, b^(L-c) and numeral(gamma[c:])
-    powers = np.array([base**c for c in range(depth + 1)], dtype=np.uint64)
-    scales = np.array([base ** (L - c) for c in range(depth + 1)], dtype=np.uint64)
-    tails = np.array([element_code(group, gamma[c:]) for c in range(depth + 1)], dtype=np.uint64)
-    return codes // powers[cancel] * scales[cancel] + tails[cancel], lengths + L - 2 * cancel
 
 
 def _threshold(p: Fraction) -> int:

@@ -32,16 +32,18 @@ already violate.
 
 The equivariance check reads the field at x*gamma through one translation
 kernel, ``Region.right_translate``, which gives every translate's region
-index and element code from arrays (``coords + gamma`` on Z^d, digit
-arithmetic on the codes on F_k). It forms a product per point only where
-coordinates pass int64 or words pass the length that packs.
+index and element code from arrays (``coords + gamma`` on Z^d,
+``FreeGroup.mul_packed`` on the codes on F_k). It forms a product per point
+only where coordinates pass int64 or words pass the length that packs. The
+sparse run re-verifies its separation from packed distances
+(``Group.dist_packed``), a block of pairs at a time.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -52,7 +54,7 @@ from .ideals import NO_COLOR, IdealSpec, _check_d_sequence
 from .patterns import PartialColoring, _validate_color, shift
 from .radii import Infinity, Radius, radius_ceil, radius_floor
 from .reports import Report
-from .rng import RandomField, element_codes, packable_length, right_translate_codes
+from .rng import RandomField, element_code, element_codes
 
 
 class Region:
@@ -96,22 +98,35 @@ class Region:
             self._table, self._widths = self._build_table(s)
         return self._table[:, : self._widths[s]]
 
+    @cached_property
+    def packed(self) -> Optional[np.ndarray]:
+        """The elements in ``Group.pack``'s form, read from the coordinates
+        on Z^d and from the codes, which are the numerals, on F_k; None where
+        the words are too long to pack."""
+        if isinstance(self.group, FreeAbelian):
+            return self.coords
+        if self.radius > self.group.pack_limit:
+            return None
+        return np.column_stack([self.codes, self.norms.astype(np.uint64)])
+
     def right_translate(self, gamma) -> Tuple[np.ndarray, np.ndarray]:
         """``(index, codes)`` of the right translates x_i*gamma: index[i] is
         the region index of x_i*gamma, or the sentinel len(elements) where
         that leaves the region, and codes[i] its element code. On Z^d the
-        translates are ``coords + gamma``, coded as arrays; on F_k their codes
-        are computed from the region's codes (``rng.right_translate_codes``).
-        A translate of norm <= radius is a region point, and the region's
-        codes are distinct, so its index is found among them by code.
-        Coordinates past int64, and words x*gamma that may be too long to
-        pack, take one product and one dict lookup per point."""
+        translates are ``coords + gamma``, coded as arrays; on F_k they are
+        ``mul_packed`` of the packed region and gamma, and their numerals
+        are their codes. A translate of norm <= radius is a region point,
+        and the region's codes are distinct, so its index is found among
+        them by code. Coordinates past int64, and words x*gamma that may be
+        too long to pack, take one product and one dict lookup per point."""
         g, n = self.group, len(self.elements)
         if isinstance(g, FreeAbelian) and self.radius + g.norm(gamma) < 1 << 63:
             moved = self.coords + np.array(gamma, dtype=np.int64)
             codes, norms = element_codes(g, moved), np.abs(moved).sum(axis=1)
-        elif isinstance(g, FreeGroup) and self.radius + len(gamma) <= packable_length(g):
-            codes, norms = right_translate_codes(g, self.codes, self.norms, gamma)
+        elif isinstance(g, FreeGroup) and self.radius + len(gamma) <= g.pack_limit:
+            word = np.array([element_code(g, gamma), len(gamma)], dtype=np.uint64)
+            moved = g.mul_packed(self.packed, word)
+            codes, norms = moved[:, 0], moved[:, 1].astype(np.int64)
         else:
             targets = [g.mul(e, gamma) for e in self.elements]
             index = np.array([self.index.get(t, n) for t in targets], dtype=np.int64)
@@ -580,6 +595,33 @@ def _greedy_distance_coloring(region: Region, d_c: int) -> list:
     return eta
 
 
+# Pairs that _close_pairs measures at once: its scratch arrays take 128 KB
+# each, so the sparse run's re-verification barely moves its peak memory.
+_PAIR_CELLS = 1 << 14
+
+
+def _close_pairs(region: Region, points: list, limit: int):
+    """(i, j, dist(x_i, x_j)) for the pairs of region indices i before j in
+    ``points`` at distance <= limit, in that pair order: from one
+    ``dist_packed`` triangle, a block of rows at a time, or pair by pair with
+    ``dist`` where the region's words are too long to pack."""
+    g, elements, packed = region.group, region.elements, region.packed
+    if packed is None:
+        for a, i in enumerate(points):
+            for j in points[a + 1 :]:
+                t = g.dist(elements[i], elements[j])
+                if t <= limit:
+                    yield i, j, t
+        return
+    points = np.array(points, dtype=np.int64)
+    P = packed[points]
+    rows = max(1, _PAIR_CELLS // max(len(P), 1))
+    for lo in range(0, len(P), rows):
+        D = g.dist_packed(P[lo : lo + rows, None], P[None, lo:])  # row a: point lo + a
+        a, b = np.nonzero(np.triu(D <= limit, 1))
+        yield from zip(points[lo + a].tolist(), points[lo + b].tolist(), D[a, b].tolist())
+
+
 @dataclass
 class SparseReport(Report):
     window_size: int
@@ -606,6 +648,8 @@ def sparse_run(group, d: Sequence[int], window_radius: int, m: int, seed: int):
     d = list(_check_d_sequence(d))
     if m < 0 or m > len(d):
         raise ValueError(f"need 0 <= m <= len(d), got m={m} with {len(d)} scales")
+    if window_radius < 0:
+        raise ValueError(f"the window radius must be nonnegative, got {window_radius}")
     region = _region_of(group, window_radius)
     window = region.elements
     n = len(window)
@@ -619,37 +663,25 @@ def sparse_run(group, d: Sequence[int], window_radius: int, m: int, seed: int):
         etas.append(eta)
 
     entries = {}
+    by_color: Dict[int, list] = {}  # colour -> its points' region indices, in region order
     for i, e in enumerate(window):
         for c in range(m):
             if etas[c][i] == targets[c]:
                 entries[e] = c
+                by_color.setdefault(c, []).append(i)
                 break
     coloring = PartialColoring(group, entries)
-
-    counts: Dict[int, int] = {}
-    for c in entries.values():
-        counts[c] = counts.get(c, 0) + 1
-    violations = []
-    by_color: Dict[int, list] = {}
-    for e, c in entries.items():
-        by_color.setdefault(c, []).append(e)
-    for c, pts in by_color.items():
-        for i, x in enumerate(pts):
-            for y in pts[i + 1 :]:
-                if group.dist(x, y) <= d[c]:
-                    violations.append(
-                        {
-                            "color": c,
-                            "a": group.element_to_json(x),
-                            "b": group.element_to_json(y),
-                            "dist": group.dist(x, y),
-                        }
-                    )
+    violations = [
+        {"color": c, "a": group.element_to_json(window[i]), "b": group.element_to_json(window[j]),
+         "dist": t}
+        for c, points in by_color.items()
+        for i, j, t in _close_pairs(region, points, d[c])
+    ]
     report = SparseReport(
         window_size=n,
         m=m,
         coverage=len(entries) / n if n else 0.0,
-        color_counts=counts,
+        color_counts={c: len(points) for c, points in by_color.items()},
         separation_violations=violations,
         targets=targets,
     )

@@ -245,6 +245,15 @@ class TestRunCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: d ") and message in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("m", ["0", "1"])
+    def test_sparse_negative_window_exits_two(self, tmp_path, capsys, m):
+        # it reported ok on an empty window with --m 0, and with --m 1 gave
+        # only "empty range for randrange()"
+        code, data = run_to_file(tmp_path, ["sparse", "Z^1", "--d", "1,3", "--window", "-1", "--m", m])
+        assert code == 2 and data == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: --window must be nonnegative") and err.count("\n") == 1
+
     def test_oracle_extend_refusal_and_witness(self, tmp_path, pc3_spec):
         spec = tmp_path / "pc2.json"
         spec.write_text(json.dumps({"kind": "ProperColoring", "group": "Z^1", "k": 2}))

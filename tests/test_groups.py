@@ -12,13 +12,18 @@ Laws under test:
    search code path). The pruned d-sequence search returns exactly what the
    all-pairs search kept here returns, errors included.
 4. F_k arithmetic on strings agrees with letter-by-letter reference versions
-   kept here.
+   kept here. The packed arithmetic (mul_packed, dist_packed) agrees with
+   the scalar mul, dist and element_code on Z^1-Z^4 and F_1-F_3, up to the
+   packable length and the int64 edge, and pack refuses exactly what lies
+   past them, and every F_k whose digits int cannot read.
+6. The closed-form ball sizes equal the length of the enumerated balls.
 5. Conventions: minimum distance between sets is infinite when a set is
    empty; budget exhaustion raises loudly.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +34,7 @@ from shiftcolor.groups import (
     FreeGroup,
     PackingWitness,
     annulus_D,
+    ball_size,
     d_sequence,
     identity_ball,
     offset_distances,
@@ -36,6 +42,7 @@ from shiftcolor.groups import (
     set_dist,
 )
 from shiftcolor.radii import INF
+from shiftcolor.rng import element_code
 
 from ball_reference import bfs_ball
 
@@ -407,3 +414,110 @@ class TestAnnulus:
     def test_budget_error(self):
         with pytest.raises(BudgetError):
             annulus_D(Z1, 40, budget=30)
+
+
+def _word_of_length(draw, group, n):
+    word = ""
+    for _ in range(n):
+        word += draw(st.sampled_from([a for a in group.generators()
+                                      if not word or a != _inverse_letter(word[-1])]))
+    return word
+
+
+@st.composite
+def _packable_lists(draw, group):
+    """Two lists of elements with |x| + |y| <= pack_limit for every x of the
+    first and y of the second, often at that limit; on F_k the y's often
+    cancel into some x."""
+    room = draw(st.sampled_from([6, group.pack_limit]))
+    split = draw(st.integers(0, room))
+    sizes = st.integers(1, 3)
+    if isinstance(group, FreeGroup):
+        xs = [_word_of_length(draw, group, draw(st.integers(0, split))) for _ in range(draw(sizes))]
+        ys = []
+        for _ in range(draw(sizes)):
+            x = draw(st.sampled_from(xs))
+            c = draw(st.integers(0, min(len(x), room - split)))  # letters of x that y cancels
+            tail = _word_of_length(draw, group, draw(st.integers(0, room - split - c)))
+            ys.append(_ref_mul(_ref_inv(x[len(x) - c :]), tail))
+        return xs, ys
+
+    def element(budget):
+        coords = []
+        for _ in range(group.dimension):
+            coords.append(draw(st.integers(-budget, budget)))
+            budget -= abs(coords[-1])
+        return coords[0] if group.dimension == 1 else tuple(coords)
+
+    return ([element(split) for _ in range(draw(sizes))],
+            [element(room - split) for _ in range(draw(sizes))])
+
+
+class TestPackedArithmetic:
+    @pytest.mark.parametrize("spec", _BALL_GROUPS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_against_scalar_arithmetic(self, spec, data):
+        g = parse_group(spec)
+        xs, ys = data.draw(_packable_lists(g))
+        X, Y = g.pack(xs), g.pack(ys)
+        products = g.mul_packed(X[:, None], Y[None, :])
+        distances = g.dist_packed(X[:, None], Y[None, :])
+        assert distances.dtype == np.int64
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                xy = g.mul(x, y)
+                assert products[i, j].tolist() == g.pack([xy])[0].tolist()
+                if isinstance(g, FreeGroup):
+                    assert products[i, j].tolist() == [element_code(g, xy), len(xy)]
+                else:
+                    assert products[i, j].tolist() == list(g.sort_key(xy))
+                assert distances[i, j] == g.dist(x, y)
+        assert g.dist_packed(products[:, :, None], products[:, None, :]).tolist() == [
+            [[g.dist(g.mul(x, a), g.mul(x, b)) for b in ys] for a in ys] for x in xs
+        ]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_packable_length_boundary(self, rank):
+        g = FreeGroup(rank)
+        word = "ab" * g.pack_limit if rank > 1 else "a" * g.pack_limit
+        word = word[: g.pack_limit]
+        assert g.pack([word])[0].tolist() == [element_code(g, word), g.pack_limit]
+        assert g.pack([word], reach=1) is None
+        assert g.pack(["", word + word[-1]]) is None
+        assert g.pack(["a"], reach=g.pack_limit - 1) is not None
+
+    @pytest.mark.parametrize(
+        "spec, element, packs",
+        [
+            ("Z^1", 2**62 - 1, True),
+            ("Z^1", -(2**62) + 1, True),
+            ("Z^1", 2**62, False),
+            ("Z^1", -(2**63), False),  # fits int64; its absolute value does not
+            ("Z^1", 2**63, False),  # past int64
+            ("Z^2", (2**61, 2**61 - 1), True),
+            ("Z^2", (2**62, 2**62), False),
+            ("Z^4", (-(2**63), -(2**63), -(2**63), -(2**63)), False),  # norms that wrap uint64
+            ("Z^3", (2**64, 0, 0), False),
+        ],
+    )
+    def test_int64_edge(self, spec, element, packs):
+        g = parse_group(spec)
+        packed = g.pack([g.identity(), element])
+        assert (packed is not None) == packs
+        if packs:
+            assert g.dist_packed(packed[0], packed[1]) == g.dist(g.identity(), element)
+            assert g.pack([element], reach=1) is None
+
+    def test_f18_does_not_pack(self):
+        # 2k + 1 = 37 digits: more than int reads
+        assert FreeGroup(18).pack(["a"]) is None
+        assert FreeGroup(17).pack(["a"]) is not None
+
+
+class TestBallSize:
+    @pytest.mark.parametrize("spec", _BALL_GROUPS)
+    def test_closed_form_equals_enumeration(self, spec):
+        g = parse_group(spec)
+        for r in range(-1, 7):
+            assert ball_size(g, r) == len(identity_ball(g, r))

@@ -12,7 +12,11 @@ Laws under test:
    to distance 2d_c and smaller-or-equal colors are forbidden in the annulus
    (2d_c, D_c].
 4. Every kind passes the closure axioms (restriction + shift); a fixture
-   that is deliberately not shift-closed is caught.
+   that is deliberately not shift-closed is caught. The batched audit gives
+   the report of the per-pattern loop kept in axioms_reference.py on every
+   kind, a reduced ideal, the broken fixture, F_18 (which does not pack) and
+   an F_2 whose products multiply on the left, where the audit must find the
+   shift violations that inferring distances from right invariance hides.
 5. The windowed membership check agrees with plain membership on the
    shipped local kinds.
 6. The pairwise-rule engine behind the three shipped kinds gives the same
@@ -53,6 +57,9 @@ from shiftcolor.ideals import (
 )
 from shiftcolor.patterns import PartialColoring, shift
 from shiftcolor.radii import INF, Infinity
+from shiftcolor.reduction import ReducedIdeal
+
+from axioms_reference import axioms_check_per_pattern
 
 Z1 = FreeAbelian(1)
 F2 = FreeGroup(2)
@@ -189,6 +196,17 @@ class TestExtendability:
                 assert kind.contains(phi)
 
 
+class _LeftMultiplied(FreeGroup):
+    """Deliberately broken F_k: products multiply on the left, in ``mul`` and
+    in ``mul_packed`` alike, while the metric stays right-invariant."""
+
+    def mul(self, g, h):
+        return FreeGroup.mul(self, h, g)
+
+    def mul_packed(self, A, B):
+        return FreeGroup.mul_packed(self, B, A)
+
+
 class _EvenDomainsOnly(IdealSpec):
     """Deliberately broken: restriction-closed but not shift-invariant."""
 
@@ -229,6 +247,40 @@ class TestAxiomsCheck:
     def test_broken_fixture_caught(self):
         report = ideal_axioms_check(_EvenDomainsOnly(Z1), sample_budget=60, seed=1)
         assert report.shift_violations
+
+    @pytest.mark.parametrize(
+        "kind, options",
+        [
+            (ProperColoring(Z1, 3), {}),
+            (ProperColoring(FreeAbelian(2), 3), {}),
+            (ProperColoring(FreeAbelian(2), 5), {"max_size": 11}),  # sampled subsets past 8 entries
+            (DistanceConstrained(Z1, (1, 3), (1, 2)), {}),
+            (NotUniversal(Z1, (1, 3), (5, 13)), {}),
+            (NotUniversal(F2, (0, 2), (1, 6)), {}),
+            (ProperColoring(F2, 5), {}),
+            (ProperColoring(FreeGroup(1), 2), {"max_size": 11}),
+            (ProperColoring(FreeGroup(3), 3), {"radius": 4, "shift_radius": 3}),
+            (ReducedIdeal(ProperColoring(Z1, 3), SupRadiiJoin(lambda c: 1, [1, 1, 1])), {}),
+            (_EvenDomainsOnly(Z1), {}),
+            # 37 digits do not pack, so F_18 is judged pattern by pattern
+            (ProperColoring(FreeGroup(18), 3), {"radius": 1, "shift_radius": 1}),
+            (DistanceConstrained(_LeftMultiplied(2), (2,), (1,)), {}),
+        ],
+        ids=["pc3-z1", "pc3-z2", "pc5-z2-large", "distance", "not-universal", "nu-f2", "pc5-f2",
+             "pc2-f1-large", "pc3-f3", "reduced", "even-domains", "pc3-f18", "left-f2"],
+    )
+    def test_batched_audit_equals_per_pattern(self, kind, options):
+        batched = ideal_axioms_check(kind, sample_budget=20, seed=3, **options)
+        reference = axioms_check_per_pattern(kind, sample_budget=20, seed=3, **options)
+        assert batched.to_jsonable() == reference.to_jsonable()
+
+    def test_left_multiplication_is_caught(self):
+        """Shifting by left products keeps no distances, so the audit, which
+        computes the shifted elements and their distances, finds violations."""
+        kind = DistanceConstrained(_LeftMultiplied(2), (2,), (1,))
+        report = ideal_axioms_check(kind, sample_budget=25, seed=0)
+        assert report.shift_violations and not report.restriction_violations
+        assert ideal_axioms_check(DistanceConstrained(F2, (2,), (1,)), sample_budget=25, seed=0).ok
 
     def test_empty_always_member(self):
         for kind in (ProperColoring(Z1, 2), NotUniversal(Z1, (1,), (3,))):

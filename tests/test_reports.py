@@ -5,17 +5,22 @@ Laws under test:
    the infinite radius, numpy scalars and arrays, patterns, nested report
    dataclasses — and refuses anything else loudly.
 2. Canonical bytes are deterministic: key order never matters, the text
-   ends in exactly one newline, and equal values give equal bytes.
+   ends in exactly one newline, and equal values give equal bytes. They
+   are exactly json.dumps(sort_keys=True, indent=2, ensure_ascii=False)
+   and a newline on any nested plain JSON, though laid out from the C
+   encoder's compact dump; plain values pass the reducer unchanged.
 3. The config hash changes when any determining input changes (parameters,
    seed, spec file contents) and only then.
 4. Envelopes carry the fixed schema version, the manifest, and a fully
    reduced payload.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftcolor.groups import FreeAbelian
 from shiftcolor.ideals import ProperColoring
@@ -29,10 +34,21 @@ from shiftcolor.reports import (
     canonical_json_bytes,
     config_hash,
     envelope,
+    json_bytes,
     to_jsonable,
 )
 
 Z1 = FreeAbelian(1)
+
+# strings rich in the bytes the layout reads: brackets, commas, colons,
+# quotes, backslashes and their escapes, control characters, non-ASCII
+_TEXT = st.text(st.one_of(st.sampled_from('[]{},:"\\ \n\t\x00\x1fé\u2028😀'),
+                          st.characters(blacklist_categories=("Cs",))), max_size=8)
+_PLAIN = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True) | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
 
 
 class TestToJsonable:
@@ -93,6 +109,17 @@ class TestCanonicalBytes:
 
     def test_unicode_is_not_escaped(self):
         assert "é".encode("utf-8") in canonical_json_bytes({"s": "é"})
+
+    @settings(max_examples=150, deadline=None)
+    @given(value=_PLAIN)
+    def test_equals_indented_python_encoder(self, value):
+        expected = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+        assert json_bytes(value) == expected.encode("utf-8")
+
+    @settings(max_examples=40, deadline=None)
+    @given(value=_PLAIN)
+    def test_plain_values_pass_the_reducer(self, value):
+        assert json.dumps(to_jsonable(value), sort_keys=True) == json.dumps(value, sort_keys=True)
 
 
 class TestConfigHash:

@@ -17,7 +17,10 @@ Laws under test:
    skewed kernel makes records differ.
 5. Sparse runs: the greedy colouring equals the all-pairs greedy, the
    frozen greedy table on the line, hard separation for the final colors,
-   the complete-graph shortcut, coverage reporting.
+   the complete-graph shortcut, coverage reporting. With every point given
+   one colour, the packed re-verification records the violations of a
+   per-pair loop over g.dist, in its order, in blocks of any size and on an
+   F_1 window too long to pack. A negative window is refused.
 6. Extraction: recurring patterns are found, normalized to the identity.
 7. The array-built region agrees with the breadth-first ball, group.norm, the scalar
    element code, an index-plus-mul generator table and g.dist; its
@@ -725,6 +728,30 @@ class TestSparse:
         # negative or non-increasing scales used to colour every point 0 and report ok
         with pytest.raises(ValueError, match="d entries must be nonnegative|strictly increasing"):
             sparse_run(Z1, d, 5, 2, seed=0)
+
+    @pytest.mark.parametrize(
+        "g, radius, cells",
+        [(Z1, 30, None), (Z1, 30, 7), (Z2, 4, 50), (F2, 3, None), (F2, 3, 100),
+         (FreeGroup(1), 45, None)],  # F_1 words past 40 letters: pair by pair
+    )
+    def test_separation_violations_equal_per_pair_loop(self, monkeypatch, g, radius, cells):
+        monkeypatch.setattr(simulate, "_greedy_distance_coloring",
+                            lambda region, d_c: [0] * len(region.elements))
+        if cells is not None:
+            monkeypatch.setattr(simulate, "_PAIR_CELLS", cells)
+        d = (1, 3)
+        coloring, report = sparse_run(g, d, radius, 2, seed=0)
+        points = list(coloring.domain())
+        assert len(points) == len(_region_of(g, radius).elements)  # all colour 0
+        expected = [
+            {"color": 0, "a": g.element_to_json(x), "b": g.element_to_json(y), "dist": g.dist(x, y)}
+            for i, x in enumerate(points) for y in points[i + 1 :] if g.dist(x, y) <= d[0]
+        ]
+        assert expected and report.separation_violations == expected
+
+    def test_negative_window_refused(self):
+        with pytest.raises(ValueError, match="window radius must be nonnegative, got -1"):
+            sparse_run(Z1, (1, 3), -1, 0, seed=0)
 
     def test_deterministic(self):
         a, _ = sparse_run(Z1, (1, 3, 7), 20, 3, seed=4)
