@@ -21,7 +21,9 @@ import sys
 from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
-from .groups import BudgetError, annulus_D, d_sequence, parse_group
+import numpy as np
+
+from .groups import BudgetError, FreeAbelian, annulus_D, d_sequence, parse_group
 from .ideals import (
     IdealSpec,
     grow_random_member,
@@ -92,12 +94,17 @@ def _load_ideal_spec(path: str) -> Tuple[IdealSpec, Any]:
 def _cmd_ball(args) -> Tuple[dict, int]:
     g = parse_group(args.group)
     center = _parse_element(g, args.center)
-    pts = sorted(g.ball(center, args.radius), key=g.sort_key)
+    packed = g.pack([center], reach=args.radius) if isinstance(g, FreeAbelian) else None
+    if packed is None:
+        result = [g.element_to_json(e) for e in sorted(g.ball(center, args.radius), key=g.sort_key)]
+    else:  # Ball(c, r) = Ball(1, r) + c in int64, in sort_key (lexicographic) order
+        coords = g.ball_coords(args.radius)[0] + packed
+        result = (coords if g.dimension > 1 else coords[:, 0])[np.lexsort(coords.T[::-1])].tolist()
     payload = {
         "group": g.spec_string(),
         "center": g.element_to_json(center),
         "radius": args.radius,
-        "result": [g.element_to_json(e) for e in pts],
+        "result": result,
     }
     return payload, EXIT_CLEAN
 

@@ -11,13 +11,16 @@ symmetric generating set:
 which is right-invariant: dist(g*x, h*x) = dist(g, h). Closed balls are
 finite (the metric is proper) and listed breadth-first, each layer sorted
 canonically, so every downstream greedy procedure is deterministic. Ball(1, r)
-is built from integer arrays (``ball_arrays``); every other ball is its right
-translate Ball(g, r) = Ball(1, r)*g, re-sorted within each layer.
+is built from integer arrays (``ball_arrays``), refused before allocation
+when it cannot fit in memory; every other ball is its right translate
+Ball(g, r) = Ball(1, r)*g, re-sorted within each layer.
 
 Elements also have a packed form, one row of an integer array per element,
 on which products and distances are computed for many elements at once
-(``pack``, ``mul_packed``, ``dist_packed``); the scalar ``mul`` and ``dist``
-are their references.
+(``pack``, ``mul_packed``, ``dist_packed``, ``distance_block``); the scalar
+``mul`` and ``dist`` are their references. ``ball_arrays`` returns the ball
+in that form: its coordinates on Z^d, and on F_k numerals filled a layer at
+a time from each word's parent and first letter.
 
 Also here: the closed-form ball sizes, and the packing searches producing
 the radius sequences used by the distance-constrained ideals — minimal
@@ -28,11 +31,12 @@ contains a radius-d ball).
 
 from __future__ import annotations
 
+import os
 import re
 import string
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import compress, groupby, repeat
 from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -101,17 +105,14 @@ class Group:
 
     def ball_arrays(self, radius: int) -> tuple:
         """Ball(1, radius) as arrays, built with no loop over its elements:
-        ``(elements, norms, step, distances)``. ``elements`` lists the ball
+        ``(elements, norms, step, packed)``. ``elements`` lists the ball
         breadth-first, each layer sorted by ``sort_key``; ``norms`` are their
         word lengths, ``step[i, k]`` the index of generators()[k] *
-        elements[i] (n where that leaves the ball), and ``distances(i)``
-        gives dist(elements[j], elements[i]) for every j < i. A negative
-        radius gives the empty ball."""
+        elements[i] (n where that leaves the ball), and ``packed`` the ball
+        in ``pack``'s form, None when radius > pack_limit. A negative radius
+        gives the empty ball. Raises BudgetError, before allocating, when
+        the ball and its table cannot fit in memory."""
         raise NotImplementedError
-
-    def _ball_elements(self, radius: int) -> list:
-        """``ball_arrays(radius)[0]``, which a group may list without the tables."""
-        return self.ball_arrays(radius)[0]
 
     def element_at_distance(self, t: int):
         """Some element at distance exactly t from the identity."""
@@ -216,11 +217,14 @@ class FreeAbelian(Group):
     def sort_key(self, g):
         return (g,) if self.dimension == 1 else g
 
-    def _ball_rows(self, radius):
+    def ball_coords(self, radius: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Ball(1, radius) as int64 coordinate rows in ``ball_arrays``' order,
+        and their norms."""
         # Ball_{d+1}(r) is {(x0, y) : y in Ball_d(r - |x0|)}, and each such
         # Ball_d(r - |x0|) is a prefix of the norm-sorted Ball_d(r), so every
         # dimension costs one gather and one lexsort by (norm, coordinates),
         # which is breadth-first order with layers sorted by sort_key.
+        _refuse_oversize(self, radius)
         radius = max(radius, -1)
         k = np.arange(2 * radius + 1)
         norms = (k + 1) // 2
@@ -235,29 +239,27 @@ class FreeAbelian(Group):
             norms = np.abs(head) + norms[tail]
             order = np.lexsort([*coords.T[::-1], norms])
             coords, norms = coords[order], norms[order]
-        columns = coords.T.tolist()
-        return (columns[0] if len(columns) == 1 else list(zip(*columns))), coords, norms
-
-    def _ball_elements(self, radius):
-        return self._ball_rows(radius)[0]
+        return coords, norms
 
     def ball_arrays(self, radius):
-        elements, coords, norms = self._ball_rows(radius)
+        coords, norms = self.ball_coords(radius)
         n, d = coords.shape
         # Table entries: each row's neighbours along the generators (±e_i in
-        # order), looked up by searchsorted on the rows' bytes as sort keys.
-        coords = np.ascontiguousarray(coords)
+        # order), found by searchsorted on the key norm * R^d + the digits
+        # c_i + T + 1 in base R = 2T + 3. Keys are ascending in the ball's
+        # (norm, coordinates) order, and Python ints where they pass int64.
+        T, R = max(radius, 0), 2 * max(radius, 0) + 3
+        dtype = np.int64 if (T + 2) * R**d <= 1 << 63 else object
         moved = (coords[:, None, :] + np.array(self._generators).reshape(2 * d, d)).reshape(-1, d)
-        row = np.dtype((np.void, coords.itemsize * d))
-        keys, wanted = coords.view(row).ravel(), moved.view(row).ravel()
-        order = np.argsort(keys)
-        hit = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), n - 1)]
+        def key(rows):
+            rows = rows.astype(dtype)
+            return np.abs(rows).sum(axis=1) * R**d + sum((rows[:, i] + T + 1) * R ** (d - 1 - i) for i in range(d))
+
+        keys, wanted = key(coords), key(moved)
+        hit = np.minimum(np.searchsorted(keys, wanted), n - 1)
         step = np.where(keys[hit] == wanted, hit, n).reshape(n, 2 * d)
-
-        def distances(i):
-            return np.abs(coords[:i] - coords[i]).sum(axis=1)  # the L1 norm, as in dist
-
-        return elements, norms, step, distances
+        columns = coords.T.tolist()
+        return (columns[0] if d == 1 else list(zip(*columns))), norms, step, coords
 
     # Packed: int64 coordinate rows of L1 norm at most 2^62 - 1, so that the
     # distance of two packed elements fits int64.
@@ -388,17 +390,23 @@ class FreeGroup(Group):
         # layer t it does not cancel, so it comes out in shortlex order. The
         # Cayley graph is a tree: gens[j] * x is x's child with first letter
         # gens[j], or x's parent (x without its first letter) when x starts
-        # with the inverse letter gens[j ^ 1].
+        # with the inverse letter gens[j ^ 1]. A child's numeral is its
+        # parent's plus its first letter's digit times base^(t - 1), so the
+        # numerals are filled a layer at a time when the words pack.
+        _refuse_oversize(self, radius)
         gens = self._generators
         if radius < 0:
             nothing = np.zeros(0, dtype=np.int64)
-            return [], nothing, nothing.reshape(0, len(gens)), lambda i: nothing
+            return [], nothing, nothing.reshape(0, len(gens)), np.zeros((0, 2), dtype=np.uint64)
+        digit = np.array([self._letters.index(a) + 1 for a in gens], dtype=np.uint64)
+        fits = radius <= self.pack_limit
         elements = [""]
         # per layer: the gens index of each word's first letter (-1 for the
-        # identity) and the index of its parent (the identity is its own)
-        firsts, parents = [np.array([-1])], [np.array([0])]
+        # identity), the index of its parent (the identity is its own), and
+        # its numeral
+        firsts, parents, numerals = [np.array([-1])], [np.array([0])], [np.zeros(1, dtype=np.uint64)]
         lo = 0
-        for _ in range(radius):
+        for t in range(1, radius + 1):
             layer_first, hi = firsts[-1], len(elements)
             new_first, new_parent = [], []
             for j in sorted(range(len(gens)), key=gens.__getitem__):
@@ -408,6 +416,8 @@ class FreeGroup(Group):
                 new_parent.append(keep)
             firsts.append(np.concatenate(new_first))
             parents.append(np.concatenate(new_parent))
+            if fits:
+                numerals.append(digit[firsts[-1]] * self._powers[t - 1] + numerals[-1][parents[-1] - lo])
             lo = hi
         first, parent = np.concatenate(firsts), np.concatenate(parents)
         norms = np.repeat(np.arange(radius + 1), [len(f) for f in firsts])
@@ -416,51 +426,26 @@ class FreeGroup(Group):
         child = np.arange(1, n)
         step[parent[child], first[child]] = child
         step[child, first[child] ^ 1] = parent[child]
-
-        @cache
-        def ancestors():
-            # row i, column t: the index of x_i's length-t suffix, its
-            # ancestor at depth t (-1 for t > |x_i|)
-            table = np.full((n, radius + 1), -1, dtype=np.int64)
-            rows = node = np.arange(n)
-            for _ in range(radius + 1):
-                table[rows, norms[node]] = node
-                node = parent[node]
-            return table
-
-        def distances(i):
-            # as in dist: |x_i| + |x_j| - 2 (length of the common suffix)
-            depth = norms[i]
-            up = ancestors()[:, : depth + 1]
-            common = (up[:i] == up[i]).sum(axis=1) - 1
-            return norms[:i] + depth - 2 * common
-
-        return elements, norms, step, distances
+        packed = np.column_stack([np.concatenate(numerals), norms.astype(np.uint64)]) if fits else None
+        return elements, norms, step, packed
 
     # Packed: (numeral, length) rows of uint64, the numeral being the word
     # read in base 2k+1 with letter i of "ab..AB.." as digit i + 1 and the
     # last letter lowest, as in the element code. F_1 numerals reach 3^40 >
     # 2^63, hence uint64.
 
-    def _numerals(self, words, mask: np.ndarray) -> np.ndarray:
-        """Each word's numeral where mask holds, read by ``int`` (so only for
-        2k + 1 <= 36), and 0 elsewhere. The words there must be non-empty
-        and at most pack_limit letters long."""
-        base = 2 * self.rank + 1
-        to_digits = str.maketrans(self._letters, _DIGITS[1:base])
-        numerals = map(str.translate, compress(words, mask), repeat(to_digits))
-        out = np.zeros(len(words), dtype=np.uint64)
-        out[mask] = np.fromiter(map(int, numerals, repeat(base)), dtype=np.uint64,
-                                count=int(mask.sum()))
-        return out
-
     def pack(self, elements, reach=0):
-        if 2 * self.rank + 1 > len(_DIGITS):
+        base = 2 * self.rank + 1
+        if base > len(_DIGITS):  # numerals are read by ``int``
             return None
         lengths = np.fromiter(map(len, elements), dtype=np.int64, count=len(elements))
         if lengths.max(initial=0) + reach > self.pack_limit:
             return None
-        return np.column_stack([self._numerals(elements, lengths > 0), lengths.astype(np.uint64)])
+        to_digits = str.maketrans(self._letters, _DIGITS[1:base])
+        words = map(str.translate, compress(elements, lengths > 0), repeat(to_digits))
+        numerals = np.zeros(len(elements), dtype=np.uint64)
+        numerals[lengths > 0] = np.fromiter(map(int, words, repeat(base)), dtype=np.uint64)
+        return np.column_stack([numerals, lengths.astype(np.uint64)])
 
     def mul_packed(self, A, B):
         # The first c letters of b cancel the last c letters of a exactly when
@@ -546,7 +531,7 @@ def identity_ball(group: Group, r: Radius) -> tuple:
     A rational r acts as its floor; a negative one gives the empty ball."""
     if isinstance(r, Infinity):
         raise ValueError("cannot enumerate a ball of infinite radius")
-    return tuple(group._ball_elements(radius_floor(r)))
+    return tuple(group.ball_arrays(radius_floor(r))[0])
 
 
 def ball_size(group: Group, r: int) -> int:
@@ -562,17 +547,48 @@ def ball_size(group: Group, r: int) -> int:
     return sum(2**i * comb(d, i) * comb(r, i) for i in range(min(d, r) + 1))
 
 
+def _refuse_oversize(group: Group, radius: int) -> None:
+    """Raise BudgetError, before anything is allocated, when Ball(1, radius)
+    with its generator table, (|gens| + 1) int64 per point, needs more bytes
+    than the machine's physical memory. F_k balls with k >= 2 hold over
+    2^radius points, so there a radius past the memory's bit length is
+    refused without computing the size."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    huge = isinstance(group, FreeGroup) and group.rank > 1 and radius > memory.bit_length()
+    if huge or ball_size(group, radius) * 8 * (len(group.generators()) + 1) > memory:
+        raise BudgetError(f"Ball(1, {radius}) of {group.name} needs more than {memory} bytes "
+                          "of physical memory")
+
+
+# Pairs that dist_packed measures at once in a distance_block: its scratch
+# arrays take 128 KB each, so distance tables barely move the peak memory.
+_PAIR_CELLS = 1 << 14
+
+
+def distance_block(group: Group, elements: Sequence, packed: Optional[np.ndarray],
+                   rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """dist(elements[i], elements[j]) for i in rows and j in cols, an int64
+    array of shape (len(rows), len(cols)): by ``dist_packed`` over
+    ``packed``, the elements in ``pack``'s form, a block of rows at a time,
+    or by ``dist`` where that is None."""
+    if packed is None:
+        D = [[group.dist(elements[i], elements[j]) for j in cols.tolist()] for i in rows.tolist()]
+        return np.array(D, dtype=np.int64).reshape(len(rows), len(cols))
+    D = np.empty((len(rows), len(cols)), dtype=np.int64)
+    step = max(1, _PAIR_CELLS // max(len(cols), 1))
+    for lo in range(0, len(rows), step):
+        D[lo : lo + step] = group.dist_packed(packed[rows[lo : lo + step], None], packed[None, cols])
+    return D
+
+
 @lru_cache(maxsize=8)
 def offset_distances(group: Group, r: int) -> np.ndarray:
     """D[a, b] = |w_a w_b^-1| for the offsets w of ``identity_ball(group,
     r)``, read-only: by right invariance the distance between slots a and
-    b of every window Ball(1, r)*x. Built from ``ball_arrays(r)``, one row
-    of distances at a time, and cached like the ball."""
-    distances = group.ball_arrays(r)[3]
-    n = len(identity_ball(group, r))
-    D = np.zeros((n, n), dtype=np.int64)
-    for i in range(1, n):
-        D[i, :i] = D[:i, i] = distances(i)
+    b of every window Ball(1, r)*x. Built by ``distance_block`` over the
+    packed ball, and cached like the ball."""
+    ball, _norms, _step, packed = group.ball_arrays(r)
+    D = distance_block(group, ball, packed, np.arange(len(ball)), np.arange(len(ball)))
     D.flags.writeable = False
     return D
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .groups import _DIGITS, FreeAbelian, FreeGroup, Group
+from .groups import FreeAbelian, FreeGroup, Group
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -106,41 +106,32 @@ def element_codes(group: Group, elements: Sequence) -> np.ndarray:
 
     Z^d elements whose coordinates fit int64 are zigzagged and packed (or
     chained) as whole arrays; they may also be given as that (n, d) int64
-    coordinate array. F_k words (k <= 17) short enough to pack are their
-    base-(2k+1) numerals, as ``FreeGroup.pack`` reads them. Every other
-    element, and every element of a sequence whose coordinates overflow
-    int64, goes through the scalar ``element_code``."""
+    coordinate array. Every other element, F_k words among them, and every
+    element of a sequence whose coordinates overflow int64, goes through the
+    scalar ``element_code``; a region's F_k codes are the numerals that
+    ``FreeGroup.ball_arrays`` fills a layer at a time."""
     n = len(elements)
-    if isinstance(group, FreeAbelian):
-        if isinstance(elements, np.ndarray):
-            coords = elements = elements.reshape(n, group.dimension)
-        else:
-            try:
-                coords = np.array(elements, dtype=np.int64).reshape(n, group.dimension)
-            except OverflowError:
-                return np.array([element_code(group, g) for g in elements], dtype=np.uint64)
-        zig = ((coords << 1) ^ (coords >> 63)).view(np.uint64)
-        codes = np.zeros(n, dtype=np.uint64)
-        if group.dimension <= 3:
-            for column in zig.T:
-                codes = (codes << np.uint64(21)) | column
-            far = (zig >> np.uint64(21)).any(axis=1)
-        else:  # a zigzagged int64 always fits 64 bits
-            for column in zig.T:
-                codes = _vector_splitmix64(codes ^ column)
-            far = np.zeros(n, dtype=bool)
-    elif isinstance(group, FreeGroup) and 2 * group.rank + 1 <= len(_DIGITS):
-        lengths = np.fromiter(map(len, elements), dtype=np.int64, count=n)
-        far = lengths > group.pack_limit
-        codes = group._numerals(elements, (lengths > 0) & ~far)
-    else:
-        far = np.ones(n, dtype=bool)
-        codes = np.zeros(n, dtype=np.uint64)
+    try:
+        coords = None
+        if isinstance(group, FreeAbelian):
+            coords = np.asarray(elements, dtype=np.int64).reshape(n, group.dimension)
+    except OverflowError:  # a coordinate past int64
+        pass
+    if coords is None:
+        return np.fromiter((element_code(group, g) for g in elements), dtype=np.uint64, count=n)
+    zig = ((coords << 1) ^ (coords >> 63)).view(np.uint64)
+    codes = np.zeros(n, dtype=np.uint64)
+    if group.dimension <= 3:
+        for column in zig.T:
+            codes = (codes << np.uint64(21)) | column
+        far = (zig >> np.uint64(21)).any(axis=1)
+    else:  # a zigzagged int64 always fits 64 bits
+        for column in zig.T:
+            codes = _vector_splitmix64(codes ^ column)
+        far = np.zeros(n, dtype=bool)
     for i in np.flatnonzero(far).tolist():
-        e = elements[i]
-        if isinstance(e, np.ndarray):  # a row of a coordinate array
-            e = tuple(e.tolist()) if group.dimension > 1 else int(e[0])
-        codes[i] = element_code(group, e)
+        row = coords[i].tolist()
+        codes[i] = element_code(group, tuple(row) if group.dimension > 1 else row[0])
     return codes
 
 

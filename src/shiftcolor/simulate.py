@@ -35,21 +35,22 @@ kernel, ``Region.right_translate``, which gives every translate's region
 index and element code from arrays (``coords + gamma`` on Z^d,
 ``FreeGroup.mul_packed`` on the codes on F_k). It forms a product per point
 only where coordinates pass int64 or words pass the length that packs. The
-sparse run re-verifies its separation from packed distances
-(``Group.dist_packed``), a block of pairs at a time.
+sparse run's greedy colourings and its separation check read packed
+distances (``groups.distance_block``), a block of pairs at a time.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import FreeAbelian, FreeGroup, Group, identity_ball, offset_distances, parse_group
+from .groups import (_PAIR_CELLS, FreeAbelian, FreeGroup, Group, distance_block, identity_ball,
+                     offset_distances, parse_group)
 from .ideals import NO_COLOR, IdealSpec, _check_d_sequence
 from .patterns import PartialColoring, _validate_color, shift
 from .radii import Infinity, Radius, radius_ceil, radius_floor
@@ -61,30 +62,31 @@ class Region:
     """Ball(1, radius) with what the window process reads about it, built
     from integer arrays by ``Group.ball_arrays`` with no loop over its
     elements: the elements in ``Group.ball``'s order and their index, their
-    norms (the breadth-first layer), on Z^d their int64 coordinates
-    ``coords``, their element codes, the generator
-    table ``step[i, k]``, the index of gens[k] * x_i (n where that leaves
-    the region), and ``distances(i)``, the distances from x_i to the points
-    before it. Built lazily on top: a neighbour table and the sparse run's
-    greedy colourings."""
+    norms (the breadth-first layer), the elements in ``Group.pack``'s form
+    ``packed`` (int64 coordinates on Z^d; None where the words are too long
+    to pack), their element codes (on F_k the numerals of the packed words),
+    and the generator table ``step[i, k]``, the index of gens[k] * x_i (n
+    where that leaves the region). Built lazily on top: a neighbour table
+    and the sparse run's greedy colourings."""
 
     def __init__(self, group: Group, radius: int):
         self.group = group
         self.radius = radius
-        self.elements, self.norms, step, self.distances = group.ball_arrays(radius)
+        self.elements, self.norms, step, self.packed = group.ball_arrays(radius)
         n = len(self.elements)
         self.index = dict(zip(self.elements, range(n)))
-        points = self.elements
-        if isinstance(group, FreeAbelian):  # coordinates, read by codes and by translates
-            points = self.coords = np.array(points, dtype=np.int64).reshape(n, group.dimension)
-            self.coords.flags.writeable = False
-        self.codes = element_codes(group, points)
-        ordered = np.sort(self.codes)
+        if isinstance(group, FreeGroup) and self.packed is not None:
+            self.codes = self.packed[:, 0]  # the numerals are the element codes
+        else:  # Z^d coordinates as arrays, F_k words too long to pack one at a time
+            self.codes = element_codes(group, self.elements if self.packed is None else self.packed)
+        self._code_order = np.argsort(self.codes)  # read by right_translate
+        ordered = self.codes[self._code_order]
         if (ordered[1:] == ordered[:-1]).any():
             raise RuntimeError(f"element codes collide on the radius-{radius} region of {group.name}")
         self._step = np.vstack([step, np.full((1, step.shape[1]), n)])
-        for a in (self.norms, self.codes, self._step):
-            a.flags.writeable = False  # shared by every caller
+        for a in (self.norms, self.codes, self._code_order, self._step, self.packed):
+            if a is not None:
+                a.flags.writeable = False  # shared by every caller
         self.etas: Dict[int, list] = {}  # d_c -> greedy colouring, see _greedy_distance_coloring
         self._table = np.arange(n, dtype=np.int64)[:, None]
         self._widths = [1]  # |Ball(1, s)| for each s the table covers
@@ -98,17 +100,6 @@ class Region:
             self._table, self._widths = self._build_table(s)
         return self._table[:, : self._widths[s]]
 
-    @cached_property
-    def packed(self) -> Optional[np.ndarray]:
-        """The elements in ``Group.pack``'s form, read from the coordinates
-        on Z^d and from the codes, which are the numerals, on F_k; None where
-        the words are too long to pack."""
-        if isinstance(self.group, FreeAbelian):
-            return self.coords
-        if self.radius > self.group.pack_limit:
-            return None
-        return np.column_stack([self.codes, self.norms.astype(np.uint64)])
-
     def right_translate(self, gamma) -> Tuple[np.ndarray, np.ndarray]:
         """``(index, codes)`` of the right translates x_i*gamma: index[i] is
         the region index of x_i*gamma, or the sentinel len(elements) where
@@ -121,7 +112,7 @@ class Region:
         too long to pack, take one product and one dict lookup per point."""
         g, n = self.group, len(self.elements)
         if isinstance(g, FreeAbelian) and self.radius + g.norm(gamma) < 1 << 63:
-            moved = self.coords + np.array(gamma, dtype=np.int64)
+            moved = self.packed + np.array(gamma, dtype=np.int64)
             codes, norms = element_codes(g, moved), np.abs(moved).sum(axis=1)
         elif isinstance(g, FreeGroup) and self.radius + len(gamma) <= g.pack_limit:
             word = np.array([element_code(g, gamma), len(gamma)], dtype=np.uint64)
@@ -132,7 +123,7 @@ class Region:
             index = np.array([self.index.get(t, n) for t in targets], dtype=np.int64)
             return index, element_codes(g, targets)
         inside = np.flatnonzero(norms <= self.radius)
-        order = np.argsort(self.codes)
+        order = self._code_order
         index = np.full(n, n, dtype=np.int64)
         index[inside] = order[np.searchsorted(self.codes, codes[inside], sorter=order)]
         return index, codes
@@ -574,51 +565,46 @@ def _final_colors(trace: SimulationTrace, region: Region, ids: Dict[object, int]
 def _greedy_distance_coloring(region: Region, d_c: int) -> list:
     """Greedy proper coloring of the graph joining points at distance <= d_c,
     visiting the region in its fixed breadth-first order: each point takes
-    the least colour none of its earlier neighbours has, read one row of
-    distances at a time. When d_c reaches the region's diameter the graph is
-    complete and the result is the visit index itself. Kept on the region,
-    per d_c."""
+    the least colour none of its earlier neighbours has. The neighbours come
+    from ``dist_packed`` over the packed region, a block of rows at a time
+    (from ``dist`` where the words are too long to pack). When d_c reaches
+    the region's diameter the graph is complete and the result is the visit
+    index itself. Kept on the region, per d_c."""
     if d_c in region.etas:
         return region.etas[d_c]
-    n = len(region.elements)
+    g, elements, packed = region.group, region.elements, region.packed
+    n = len(elements)
     if d_c >= 2 * region.radius:
         eta = list(range(n))
     else:
-        colors = np.zeros(n, dtype=np.int64)
-        for i in range(1, n):
-            near = colors[:i][region.distances(i) <= d_c]
-            taken = np.zeros(len(near) + 1, dtype=bool)  # the least free colour is <= len(near)
-            taken[near[near <= len(near)]] = True
-            colors[i] = taken.argmin()
-        eta = colors.tolist()
+        eta = []
+        rows = max(1, _PAIR_CELLS // max(n, 1))
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            D = distance_block(g, elements, packed, np.arange(lo, hi), np.arange(hi))
+            a, b = np.nonzero(np.tril(D <= d_c, lo - 1))  # row a: point lo + a and the points before it
+            ends = np.searchsorted(a, np.arange(1, hi - lo + 1)).tolist()
+            near = b.tolist()
+            for start, end in zip([0, *ends], ends):
+                taken = {eta[j] for j in near[start:end]}
+                color = 0
+                while color in taken:
+                    color += 1
+                eta.append(color)
     region.etas[d_c] = eta
     return eta
-
-
-# Pairs that _close_pairs measures at once: its scratch arrays take 128 KB
-# each, so the sparse run's re-verification barely moves its peak memory.
-_PAIR_CELLS = 1 << 14
 
 
 def _close_pairs(region: Region, points: list, limit: int):
     """(i, j, dist(x_i, x_j)) for the pairs of region indices i before j in
     ``points`` at distance <= limit, in that pair order: from one
-    ``dist_packed`` triangle, a block of rows at a time, or pair by pair with
-    ``dist`` where the region's words are too long to pack."""
+    ``distance_block`` triangle, a block of rows at a time."""
     g, elements, packed = region.group, region.elements, region.packed
-    if packed is None:
-        for a, i in enumerate(points):
-            for j in points[a + 1 :]:
-                t = g.dist(elements[i], elements[j])
-                if t <= limit:
-                    yield i, j, t
-        return
     points = np.array(points, dtype=np.int64)
-    P = packed[points]
-    rows = max(1, _PAIR_CELLS // max(len(P), 1))
-    for lo in range(0, len(P), rows):
-        D = g.dist_packed(P[lo : lo + rows, None], P[None, lo:])  # row a: point lo + a
-        a, b = np.nonzero(np.triu(D <= limit, 1))
+    rows = max(1, _PAIR_CELLS // max(len(points), 1))
+    for lo in range(0, len(points), rows):
+        D = distance_block(g, elements, packed, points[lo : lo + rows], points[lo:])
+        a, b = np.nonzero(np.triu(D <= limit, 1))  # row a: point lo + a
         yield from zip(points[lo + a].tolist(), points[lo + b].tolist(), D[a, b].tolist())
 
 

@@ -13,11 +13,17 @@ Laws under test:
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftcolor.cli import main
+from shiftcolor.groups import FreeAbelian, ball_size
 from shiftcolor.reports import SCHEMA_VERSION, TOOL_VERSION
+
+from ball_reference import bfs_ball
 
 
 def run_to_file(tmp_path, argv, name="report.json"):
@@ -118,6 +124,30 @@ class TestSearchCommands:
                  "inner_radius": 3},
             ],
         }
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_zd_ball_matches_sorted_breadth_first_reference(self, data):
+        """Z^d balls come from int64 arrays while centre and radius pack,
+        and from Group.ball past that; both equal the sorted BFS ball."""
+        g = FreeAbelian(data.draw(st.integers(1, 3)))
+        edges = [2**62 - 1, -(2**62) + 1, 2**63 - 1, -(2**63), 2**64]  # pack limit, int64
+        near_edge = st.sampled_from(edges).flatmap(lambda c: st.integers(c - 3, c + 3))
+        coords = [data.draw(st.one_of(st.integers(-5, 5), near_edge)) for _ in range(g.dimension)]
+        center = coords[0] if g.dimension == 1 else tuple(coords)
+        r = data.draw(st.integers(-1, 4))
+        with tempfile.TemporaryDirectory() as tmp:
+            code, data_bytes = run_to_file(Path(tmp), ["ball", g.name, json.dumps(coords), str(r)])
+        assert code == 0
+        expected = sorted(bfs_ball(g, center, r), key=g.sort_key)
+        assert payload_of(data_bytes)["result"] == [g.element_to_json(e) for e in expected]
+
+    def test_ball_past_memory_exits_three(self, tmp_path, capsys):
+        g = FreeAbelian(3)
+        assert ball_size(g, 10**6) * (2 * 3 + 1) * 8 > 1 << 40  # refused, never allocated
+        code, data = run_to_file(tmp_path, ["ball", "Z^3", "[0,0,0]", "1000000"])
+        assert code == 3 and data == b""
+        assert "physical memory" in capsys.readouterr().err
 
     def test_dseq_budget_exhaustion(self, tmp_path):
         code, data = run_to_file(tmp_path, ["dseq", "Z^1", "10", "--budget", "20"])

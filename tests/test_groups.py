@@ -17,10 +17,14 @@ Laws under test:
    packable length and the int64 edge, and pack refuses exactly what lies
    past them, and every F_k whose digits int cannot read.
 6. The closed-form ball sizes equal the length of the enumerated balls.
+   The packed ball of ``ball_arrays`` is ``pack``'s form, coded as the
+   scalar element_code codes it, up to the packable length; a ball whose table
+   cannot fit in memory is refused before anything is allocated.
 5. Conventions: minimum distance between sets is infinite when a set is
    empty; budget exhaustion raises loudly.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +46,8 @@ from shiftcolor.groups import (
     set_dist,
 )
 from shiftcolor.radii import INF
-from shiftcolor.rng import element_code
+from shiftcolor.ideals import ProperColoring, grow_random_member, ideal_axioms_check
+from shiftcolor.rng import element_code, element_codes
 
 from ball_reference import bfs_ball
 
@@ -521,3 +526,69 @@ class TestBallSize:
         g = parse_group(spec)
         for r in range(-1, 7):
             assert ball_size(g, r) == len(identity_ball(g, r))
+
+
+# (group, largest radius): F_1 crosses its packable length of 40 letters, and
+# F_18's base 37 is past the digits int reads
+_PACKED_BALL_CASES = [("Z^1", 12), ("Z^2", 6), ("Z^3", 4), ("Z^4", 3), ("F_1", 44),
+                      ("F_2", 4), ("F_3", 3), ("F_18", 2)]
+
+
+class TestPackedBall:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_codes_match_element_code(self, data):
+        spec, max_r = data.draw(st.sampled_from(_PACKED_BALL_CASES))
+        g = parse_group(spec)
+        r = data.draw(st.integers(-1, max_r))
+        elements, norms, _step, packed = g.ball_arrays(r)
+        if r > g.pack_limit:
+            assert packed is None
+            return
+        reference = g.pack(elements)
+        if reference is not None:
+            assert packed.tolist() == reference.tolist()
+        if isinstance(g, FreeAbelian):
+            codes = element_codes(g, packed)
+        else:
+            assert packed[:, 1].tolist() == norms.tolist()
+            codes = packed[:, 0]
+        assert codes.dtype == np.uint64
+        assert codes.tolist() == [element_code(g, e) for e in elements]
+
+
+@pytest.mark.parametrize("r", [41, 43])
+def test_offset_distances_past_the_packable_length(r):
+    """F_1 offsets longer than 40 letters do not pack: D comes from dist."""
+    g = FreeGroup(1)
+    ball = identity_ball(g, r)
+    assert offset_distances(g, r).tolist() == [[g.dist(a, b) for b in ball] for a in ball]
+
+
+def _floor_bytes(g, r):
+    return ball_size(g, r) * (len(g.generators()) + 1) * 8
+
+
+class TestMemoryFloor:
+    """Every case needs more than 1 TB for its table alone, so no machine
+    this runs on allocates it; each must be refused before allocating."""
+
+    @pytest.mark.parametrize(
+        "g, r", [(FreeGroup(18), 7), (FreeAbelian(3), 10**6), (FreeAbelian(2), 10**6),
+                 (FreeGroup(1), 10**12), (F2, 40), (F2, 10**9)]
+    )
+    def test_enumerations_refused(self, g, r):
+        exponential = isinstance(g, FreeGroup) and g.rank > 1
+        assert _floor_bytes(g, min(r, 40) if exponential else r) > 1 << 40  # sizes grow with r
+        for enumerate_ball in (g.ball_arrays, lambda r: identity_ball(g, r),
+                               lambda r: g.ball(g.identity(), r)):
+            with pytest.raises(BudgetError, match="physical memory"):
+                enumerate_ball(r)
+
+    def test_axioms_audit_and_growth_refused(self):
+        P = ProperColoring(FreeGroup(18), 3)
+        assert _floor_bytes(P.group, 7) > 1 << 40
+        with pytest.raises(BudgetError, match="physical memory"):
+            ideal_axioms_check(P, 1, 0, radius=7, shift_radius=7)
+        with pytest.raises(BudgetError, match="physical memory"):
+            grow_random_member(P, random.Random(0), 3, radius=7)

@@ -47,7 +47,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftcolor import simulate
+from shiftcolor import groups, simulate
 from shiftcolor.groups import FreeAbelian, FreeGroup
 from shiftcolor.ideals import (
     DistanceConstrained,
@@ -345,9 +345,9 @@ class TestRegionKernel:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_array_built_region_matches_references(self, data):
-        """Elements, index, norms, codes, generator table and distances
-        against the breadth-first ball, group.norm, the scalar element_code, an index
-        plus mul, and g.dist."""
+        """Elements, index, norms, codes, generator table and packed
+        distances against the breadth-first ball, group.norm, the scalar
+        element_code, an index plus mul, and g.dist."""
         g, max_r = data.draw(st.sampled_from(REGION_CASES))
         r = data.draw(st.integers(-1, max_r))
         region = simulate.Region(g, r)
@@ -362,7 +362,14 @@ class TestRegionKernel:
         assert region._step.tolist() == table + [[n] * len(gens)]
         if n:
             i = data.draw(st.integers(0, n - 1))
-            assert region.distances(i).tolist() == [g.dist(x, ball[i]) for x in ball[:i]]
+            distances = g.dist_packed(region.packed[:i], region.packed[i])
+            assert distances.tolist() == [g.dist(x, ball[i]) for x in ball[:i]]
+
+    def test_codes_past_the_packable_length(self):
+        """F_1 words past 40 letters do not pack and take the scalar element_code."""
+        region = simulate.Region(FreeGroup(1), 44)
+        assert region.packed is None
+        assert region.codes.tolist() == [element_code(region.group, e) for e in region.elements]
 
     def test_colliding_codes_refused(self, monkeypatch):
         monkeypatch.setattr(simulate, "element_codes", lambda g, pts: np.zeros(len(pts), dtype=np.uint64))
@@ -681,12 +688,44 @@ def all_pairs_greedy(region, d_c):
     return eta
 
 
+def per_row_greedy(region, d_c):
+    """The greedy colouring one row of distances at a time, as the sparse
+    run computed it before blocked packed distances (its rows then came
+    from per-region closures, here from g.dist): each point takes the least
+    colour that no earlier point within d_c has."""
+    g, ball = region.group, region.elements
+    colors = np.zeros(len(ball), dtype=np.int64)
+    for i in range(1, len(ball)):
+        near = colors[:i][np.array([g.dist(x, ball[i]) for x in ball[:i]]) <= d_c]
+        taken = np.zeros(len(near) + 1, dtype=bool)  # the least free colour is <= len(near)
+        taken[near[near <= len(near)]] = True
+        colors[i] = taken.argmin()
+    return colors.tolist()
+
+
 class TestSparse:
     @pytest.mark.parametrize("g, radius", [(Z1, 30), (Z2, 6), (F2, 4), (FreeGroup(3), 3)])
     def test_greedy_matches_all_pairs(self, g, radius):
         region = simulate.Region(g, radius)
         for d_c in range(2 * radius + 2):
             assert _greedy_distance_coloring(region, d_c) == all_pairs_greedy(region, d_c)
+
+    @pytest.mark.parametrize(
+        "g, radius, cells",
+        [(Z1, 20, None), (Z1, 20, 5), (Z2, 5, None), (Z2, 5, 64), (FreeAbelian(3), 3, None),
+         (FreeGroup(1), 12, None), (FreeGroup(1), 44, None),  # F_1 words past 40 letters
+         (FreeGroup(1), 44, 200), (F2, 3, None), (F2, 3, 100), (FreeGroup(3), 2, None)],
+    )
+    def test_greedy_matches_per_row_reference(self, monkeypatch, g, radius, cells):
+        """Blocked packed distances (one row per block where cells is
+        smaller than the region) against the per-row loop."""
+        if cells is not None:
+            monkeypatch.setattr(simulate, "_PAIR_CELLS", cells)
+            monkeypatch.setattr(groups, "_PAIR_CELLS", cells)
+        region = simulate.Region(g, radius)
+        assert (region.packed is None) == (radius > g.pack_limit)
+        for d_c in {*range(0, 2 * radius, 1 + radius // 8), 2 * radius - 1, 2 * radius}:
+            assert _greedy_distance_coloring(region, d_c) == per_row_greedy(region, d_c)
 
     def test_greedy_frozen_table(self):
         # window visited 0, -1, 1, -2, 2, ...: alternating 0/1 at scale 1
