@@ -246,18 +246,19 @@ class FreeAbelian(Group):
         n, d = coords.shape
         # Table entries: each row's neighbours along the generators (±e_i in
         # order), found by searchsorted on the key norm * R^d + the digits
-        # c_i + T + 1 in base R = 2T + 3. Keys are ascending in the ball's
-        # (norm, coordinates) order, and Python ints where they pass int64.
+        # c_i + T + 1 in base R = 2T + 3, ascending in the ball's (norm,
+        # coordinates) order, Python ints where they pass int64. A move by
+        # ±e_i adds ±R^(d-1-i), and ±R^d as it grows or shrinks |c_i|.
         T, R = max(radius, 0), 2 * max(radius, 0) + 3
         dtype = np.int64 if (T + 2) * R**d <= 1 << 63 else object
-        moved = (coords[:, None, :] + np.array(self._generators).reshape(2 * d, d)).reshape(-1, d)
-        def key(rows):
-            rows = rows.astype(dtype)
-            return np.abs(rows).sum(axis=1) * R**d + sum((rows[:, i] + T + 1) * R ** (d - 1 - i) for i in range(d))
-
-        keys, wanted = key(coords), key(moved)
+        rows = coords.astype(dtype)
+        keys = np.abs(rows).sum(axis=1) * R**d + sum((rows[:, i] + T + 1) * R ** (d - 1 - i) for i in range(d))
+        wanted = np.column_stack([
+            keys + (2 * grows - 1).astype(dtype) * R**d + sign * R ** (d - 1 - i)
+            for i in range(d) for sign, grows in ((1, coords[:, i] >= 0), (-1, coords[:, i] <= 0))
+        ])
         hit = np.minimum(np.searchsorted(keys, wanted), n - 1)
-        step = np.where(keys[hit] == wanted, hit, n).reshape(n, 2 * d)
+        step = np.where(keys[hit] == wanted, hit, n)
         columns = coords.T.tolist()
         return (columns[0] if d == 1 else list(zip(*columns))), norms, step, coords
 
@@ -578,18 +579,6 @@ def distance_block(group: Group, elements: Sequence, packed: Optional[np.ndarray
     step = max(1, _PAIR_CELLS // max(len(cols), 1))
     for lo in range(0, len(rows), step):
         D[lo : lo + step] = group.dist_packed(packed[rows[lo : lo + step], None], packed[None, cols])
-    return D
-
-
-@lru_cache(maxsize=8)
-def offset_distances(group: Group, r: int) -> np.ndarray:
-    """D[a, b] = |w_a w_b^-1| for the offsets w of ``identity_ball(group,
-    r)``, read-only: by right invariance the distance between slots a and
-    b of every window Ball(1, r)*x. Built by ``distance_block`` over the
-    packed ball, and cached like the ball."""
-    ball, _norms, _step, packed = group.ball_arrays(r)
-    D = distance_block(group, ball, packed, np.arange(len(ball)), np.arange(len(ball)))
-    D.flags.writeable = False
     return D
 
 

@@ -422,6 +422,8 @@ class NotUniversal(PairwiseIdeal):
 
 
 def ideal_from_json(obj: dict) -> IdealSpec:
+    if not isinstance(obj, dict):
+        raise ValueError(f"an ideal spec is a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "ProperColoring":
         return ProperColoring(obj["group"], int(obj["k"]))

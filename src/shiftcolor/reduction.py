@@ -289,7 +289,7 @@ def join_fn_from_json(obj, base: Optional[IdealSpec] = None) -> JoinFn:
         if base is None:
             raise ValueError("'derived' join function needs an ideal to derive from")
         return derived_join_from_local(base.locality_radius)
-    form = obj.get("form")
+    form = obj.get("form") if isinstance(obj, dict) else None
     if form == "Constant":
         return ConstantJoin(obj["value"])
     if form == "SupOfRadii":

@@ -21,14 +21,14 @@ Both the run and its validator judge windows a whole step at a time. Every
 window of radius r about x is the row Ball(1, r)*x of the region's
 neighbour table, so a step's windows form one matrix of colour codes over
 the same offsets, and the distance between two slots is the distance
-between their offsets (right invariance, ``offset_distances``). ``IdealSpec.contains_windows``
-takes that matrix: the pairwise kinds answer in one array lookup, and any
-other ideal builds each window as a pattern and asks ``contains``. A step's
-candidates are more than 2R_i apart, so no candidate's window holds
-another and they are judged independently; the validator groups the
-windows a step touches by radius. Every pair in a window is judged, not
-only the pairs through the new point: without warm-up an old pair may
-already violate.
+between their offsets (right invariance, ``Region.slot_distances``).
+``IdealSpec.contains_windows`` takes that matrix: the pairwise kinds answer
+in one array lookup, and any other ideal builds each window as a pattern
+and asks ``contains``. A step's candidates are more than 2R_i apart, so no
+candidate's window holds another and they are judged independently; the
+validator groups the windows a step touches by radius. Every pair in a
+window is judged, not only the pairs through the new point: without
+warm-up an old pair may already violate.
 
 The equivariance check reads the field at x*gamma through one translation
 kernel, ``Region.right_translate``, which gives every translate's region
@@ -49,8 +49,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import (_PAIR_CELLS, FreeAbelian, FreeGroup, Group, distance_block, identity_ball,
-                     offset_distances, parse_group)
+from .groups import _PAIR_CELLS, FreeAbelian, FreeGroup, Group, distance_block, parse_group
 from .ideals import NO_COLOR, IdealSpec, _check_d_sequence
 from .patterns import PartialColoring, _validate_color, shift
 from .radii import Infinity, Radius, radius_ceil, radius_floor
@@ -59,27 +58,25 @@ from .rng import RandomField, element_code, element_codes
 
 
 class Region:
-    """Ball(1, radius) with what the window process reads about it, built
-    from integer arrays by ``Group.ball_arrays`` with no loop over its
-    elements: the elements in ``Group.ball``'s order and their index, their
-    norms (the breadth-first layer), the elements in ``Group.pack``'s form
-    ``packed`` (int64 coordinates on Z^d; None where the words are too long
-    to pack), their element codes (on F_k the numerals of the packed words),
-    and the generator table ``step[i, k]``, the index of gens[k] * x_i (n
-    where that leaves the region). Built lazily on top: a neighbour table
-    and the sparse run's greedy colourings."""
+    """Ball(1, radius) as the window process reads it, built from integer
+    arrays by ``Group.ball_arrays`` with no loop over its elements: the
+    elements in ``Group.ball``'s order, their norms (the breadth-first
+    layer), the elements in ``Group.pack``'s form ``packed`` (None where the
+    words are too long to pack), their element codes (on F_k the packed
+    numerals), and the generator table ``step[i, k]``, the index of gens[k]
+    * x_i (n where that leaves the region). Built lazily on top: a neighbour
+    table with the distances between its slots, and greedy colourings."""
 
     def __init__(self, group: Group, radius: int):
         self.group = group
         self.radius = radius
         self.elements, self.norms, step, self.packed = group.ball_arrays(radius)
         n = len(self.elements)
-        self.index = dict(zip(self.elements, range(n)))
         if isinstance(group, FreeGroup) and self.packed is not None:
             self.codes = self.packed[:, 0]  # the numerals are the element codes
         else:  # Z^d coordinates as arrays, F_k words too long to pack one at a time
             self.codes = element_codes(group, self.elements if self.packed is None else self.packed)
-        self._code_order = np.argsort(self.codes)  # read by right_translate
+        self._code_order = np.argsort(self.codes)
         ordered = self.codes[self._code_order]
         if (ordered[1:] == ordered[:-1]).any():
             raise RuntimeError(f"element codes collide on the radius-{radius} region of {group.name}")
@@ -88,8 +85,7 @@ class Region:
             if a is not None:
                 a.flags.writeable = False  # shared by every caller
         self.etas: Dict[int, list] = {}  # d_c -> greedy colouring, see _greedy_distance_coloring
-        self._table = np.arange(n, dtype=np.int64)[:, None]
-        self._widths = [1]  # |Ball(1, s)| for each s the table covers
+        self._table, self._distances, self._widths = self._build_table(0)
 
     def neighbors(self, s: int) -> np.ndarray:
         """Column j of row i: the index of w_j * x_i, where w_j is offset j of
@@ -97,8 +93,22 @@ class Region:
         region. The table is built for the widest s asked for so far; a
         narrower s reads its first |Ball(1, s)| columns."""
         if s >= len(self._widths):
-            self._table, self._widths = self._build_table(s)
+            self._table, self._distances, self._widths = self._build_table(s)
         return self._table[:, : self._widths[s]]
+
+    def slot_distances(self, s: int) -> np.ndarray:
+        """D[a, b] = |w_a w_b^-1| for the offsets w of Ball(1, s): by right
+        invariance the distance between slots a and b of every row of
+        ``neighbors(s)``, kept with the table as its columns are."""
+        w = self.neighbors(s).shape[1]
+        return self._distances[:w, :w]
+
+    def locate(self, elements: Sequence) -> np.ndarray:
+        """Each valid element's region index, or the sentinel len(elements)
+        outside the region. Elements of norm <= radius are region points,
+        and the region's codes are distinct: each is found by its code."""
+        inside = np.array([self.group.norm(e) <= self.radius for e in elements], dtype=bool)
+        return self._index_of(inside, element_codes(self.group, [e for e, k in zip(elements, inside) if k]))
 
     def right_translate(self, gamma) -> Tuple[np.ndarray, np.ndarray]:
         """``(index, codes)`` of the right translates x_i*gamma: index[i] is
@@ -106,48 +116,44 @@ class Region:
         that leaves the region, and codes[i] its element code. On Z^d the
         translates are ``coords + gamma``, coded as arrays; on F_k they are
         ``mul_packed`` of the packed region and gamma, and their numerals
-        are their codes. A translate of norm <= radius is a region point,
-        and the region's codes are distinct, so its index is found among
-        them by code. Coordinates past int64, and words x*gamma that may be
-        too long to pack, take one product and one dict lookup per point."""
-        g, n = self.group, len(self.elements)
+        are their codes, by which they are found as ``locate`` finds points.
+        Coordinates past int64, and words x*gamma that may be too long to
+        pack, take one product per point and are located."""
+        g = self.group
         if isinstance(g, FreeAbelian) and self.radius + g.norm(gamma) < 1 << 63:
             moved = self.packed + np.array(gamma, dtype=np.int64)
-            codes, norms = element_codes(g, moved), np.abs(moved).sum(axis=1)
+            codes, inside = element_codes(g, moved), np.abs(moved).sum(axis=1) <= self.radius
         elif isinstance(g, FreeGroup) and self.radius + len(gamma) <= g.pack_limit:
-            word = np.array([element_code(g, gamma), len(gamma)], dtype=np.uint64)
-            moved = g.mul_packed(self.packed, word)
-            codes, norms = moved[:, 0], moved[:, 1].astype(np.int64)
+            moved = g.mul_packed(self.packed, np.array([element_code(g, gamma), len(gamma)], dtype=np.uint64))
+            codes, inside = moved[:, 0], moved[:, 1].astype(np.int64) <= self.radius
         else:
             targets = [g.mul(e, gamma) for e in self.elements]
-            index = np.array([self.index.get(t, n) for t in targets], dtype=np.int64)
-            return index, element_codes(g, targets)
-        inside = np.flatnonzero(norms <= self.radius)
-        order = self._code_order
-        index = np.full(n, n, dtype=np.int64)
-        index[inside] = order[np.searchsorted(self.codes, codes[inside], sorter=order)]
-        return index, codes
+            return self.locate(targets), element_codes(g, targets)
+        return self._index_of(inside, codes[inside]), codes
 
-    def _build_table(self, s: int) -> Tuple[np.ndarray, List[int]]:
+    def _index_of(self, inside: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        index = np.full(len(inside), len(self.elements), dtype=np.int64)
+        index[inside] = self._code_order[np.searchsorted(self.codes, codes, sorter=self._code_order)]
+        return index
+
+    def _build_table(self, s: int) -> Tuple[np.ndarray, np.ndarray, List[int]]:
         # Column w*x is composed from column w'*x through the generator table
         # (whose sentinel row maps the sentinel to itself), where w = a*w'
         # for a generator a and |w'| = |w| - 1, taking whichever such path
         # stays in the region. That is exact for Z^d and F_k: any two points
         # of a ball about the identity are joined by a geodesic inside it.
-        g = self.group
-        n = len(self.elements)
-        offsets = identity_ball(g, s)
-        column = {w: j for j, w in enumerate(offsets)}
+        # The pairs (w', a) come from the offsets' own generator table.
+        g, n = self.group, len(self.elements)
+        offsets, norms, step, packed = g.ball_arrays(s)
         table = np.full((n, len(offsets)), n, dtype=np.int64)
         table[:, 0] = np.arange(n)
-        for j, w in enumerate(offsets):
-            for k, a in enumerate(g.generators()):
-                t = column.get(g.mul(a, w))
-                if t is not None and g.norm(offsets[t]) > g.norm(w):
-                    np.minimum(table[:, t], self._step[table[:, j], k], out=table[:, t])
-        table.flags.writeable = False
-        widths = np.bincount([g.norm(w) for w in offsets], minlength=s + 1).cumsum()
-        return table, widths.tolist()
+        pairs = np.nonzero(np.append(norms, -1)[step] > norms[:, None])  # a*w' one layer out
+        for j, k, t in zip(pairs[0].tolist(), pairs[1].tolist(), step[pairs].tolist()):
+            np.minimum(table[:, t], self._step[table[:, j], k], out=table[:, t])
+        every = np.arange(len(offsets))
+        distances = distance_block(g, offsets, packed, every, every)
+        table.flags.writeable = distances.flags.writeable = False
+        return table, distances, np.bincount(norms, minlength=s + 1).cumsum().tolist()
 
 
 def _window(region: Region, colors: list, j: int, r: int) -> dict:
@@ -350,12 +356,13 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
             supp = forced[i]
             for e in supp:
                 g.validate(e)
-                if e not in region.index:
-                    raise ValueError(f"forced support point {e!r} lies outside the region")
+            at = region.locate(supp)
+            if n_pts in at:
+                raise ValueError(f"forced support point {supp[at.tolist().index(n_pts)]!r} lies outside the region")
             if len(set(supp)) != len(supp):
                 raise ValueError(f"forced supports at step {i} repeat a point")
             supp_mask = np.zeros(n_pts, dtype=bool)
-            supp_mask[[region.index[e] for e in supp]] = True
+            supp_mask[at] = True
         elif config.warmup and reach < max_r:
             supp_mask = None  # warm-up round: empty support (the schedule still advances)
         else:
@@ -373,7 +380,7 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
                 C[:, 0] = code_i
                 member = ideal.contains_windows(
                     C,
-                    offset_distances(g, s),
+                    region.slot_distances(s),
                     lambda row: PartialColoring._of_valid(
                         g, {**_window(region, colors, cand[row], s), elements[cand[row]]: c_i}
                     ),
@@ -442,16 +449,16 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     finite = [rc for rc in radius.values() if not isinstance(rc, Infinity)]
     reach = region.neighbors(radius_floor(max(finite)) if finite else 0)
     window_radii = sorted({radius_floor(rc) for rc in finite})
-
-    for step_index, (color, elems) in enumerate(steps, start=1):
-        new = []
-        for e in elems:
-            g.validate(e)  # each entry is validated once, as it enters the colouring
-            k = region.index.get(e)
-            if k is None:
-                raise ValueError(f"trace point {e!r} lies outside the region")
+    points = [e for _c, elems in steps for e in elems]
+    for e in points:
+        g.validate(e)  # each entry is validated once, before any is located
+    at = region.locate(points)
+    if n in at:
+        raise ValueError(f"trace point {points[at.tolist().index(n)]!r} lies outside the region")
+    ends = np.cumsum([len(elems) for _c, elems in steps])[:-1]
+    for step_index, ((color, _elems), new) in enumerate(zip(steps, np.split(at, ends)), start=1):
+        for k in new.tolist():
             colors[k] = color
-            new.append(k)
         rc = radius[color]
         color_codes[new] = ideal.color_code(color)
         if isinstance(rc, Infinity):
@@ -472,7 +479,7 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
                 continue
             member = ideal.contains_windows(
                 color_codes[region.neighbors(r)[rows]],
-                offset_distances(g, r),
+                region.slot_distances(r),
                 lambda row: PartialColoring._of_valid(g, _window(region, colors, rows[row], r)),
             )
             report.windows_checked += len(rows)
@@ -553,9 +560,9 @@ def equivariance_check(config: SimulationConfig, gamma) -> EquivarianceReport:
 def _final_colors(trace: SimulationTrace, region: Region, ids: Dict[object, int]) -> np.ndarray:
     """The trace's final colour of each region point, as its id in ``ids``
     (a new colour gets the next id), or -1 where the point has none."""
+    pairs = [(e, ids.setdefault(color, len(ids))) for color, elems in trace.assigned_sets for e in elems]
     out = np.full(len(region.elements), -1, dtype=np.int64)
-    for color, elems in trace.assigned_sets:
-        out[[region.index[e] for e in elems]] = ids.setdefault(color, len(ids))
+    out[region.locate([e for e, _id in pairs])] = [i for _e, i in pairs]
     return out
 
 

@@ -335,6 +335,38 @@ class TestUsageErrors:
         bad.write_text("{не json")
         assert main(["check", str(bad), "--mode", "local"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--mode", "local"], ["check", "--mode", "join"],
+         ["simulate", "--window", "2", "--margin", "2", "--steps", "2"], ["reduce"],
+         ["oracle-extend", "--radius", "1"]],
+        ids=["check-local", "check-join", "simulate", "reduce", "oracle-extend"],
+    )
+    @pytest.mark.parametrize(
+        "spec",
+        [[1, 2], "x", {"kind": "Reduced", "base": [1], "R": "derived"},
+         {"ideal": [1], "R": "derived"}],
+        ids=["list", "string", "reduced-base-list", "wrapped-list"],
+    )
+    def test_spec_not_an_object_exits_two(self, tmp_path, capsys, spec, argv):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        pattern = tmp_path / "pattern.json"
+        pattern.write_text(json.dumps({"group": "Z^1", "entries": []}))
+        files = [str(path), str(pattern)] if argv[0] == "oracle-extend" else [str(path)]
+        code, data = run_to_file(tmp_path, [argv[0], *files, *argv[1:]])
+        assert code == 2 and data == b""
+        assert capsys.readouterr().err.startswith("error: an ideal spec is a JSON object, got ")
+
+    @pytest.mark.parametrize("argv", [["check", "--mode", "join"], ["reduce"]], ids=["check-join", "reduce"])
+    @pytest.mark.parametrize("R", [[1], "x", 3], ids=["list", "string", "number"])
+    def test_join_spec_not_an_object_exits_two(self, tmp_path, capsys, R, argv):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"ideal": {"kind": "ProperColoring", "group": "Z^1", "k": 3}, "R": R}))
+        code, data = run_to_file(tmp_path, [argv[0], str(path), *argv[1:]])
+        assert code == 2 and data == b""
+        assert capsys.readouterr().err == f"error: unknown join function form {R!r}\n"
+
     @pytest.mark.parametrize("schedule", ["5", "-1"])
     @pytest.mark.parametrize(
         "spec",

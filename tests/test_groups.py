@@ -5,8 +5,9 @@ Laws under test:
    triangle inequality, identity of indiscernibles.
 2. Frozen small facts: reduced-word products, ball sizes, specific distances.
    Every ball, about the identity or translated, is exactly the list the
-   breadth-first search kept here returns, and the cached distances between
-   the offsets of a ball about the identity are g.dist's.
+   breadth-first search kept here returns, and a region's distances between
+   the offsets of a ball about the identity (``Region.slot_distances``) are
+   g.dist's.
 3. Packing searches return the frozen minimal sequences, and every returned
    certificate re-verifies by direct ball enumeration (independent of the
    search code path). The pruned d-sequence search returns exactly what the
@@ -41,13 +42,13 @@ from shiftcolor.groups import (
     ball_size,
     d_sequence,
     identity_ball,
-    offset_distances,
     parse_group,
     set_dist,
 )
 from shiftcolor.radii import INF
 from shiftcolor.ideals import ProperColoring, grow_random_member, ideal_axioms_check
 from shiftcolor.rng import element_code, element_codes
+from shiftcolor.simulate import Region
 
 from ball_reference import bfs_ball
 
@@ -208,7 +209,7 @@ class TestBall:
     def test_offset_distances_match_dist(self, spec, r):
         g = parse_group(spec)
         ball = identity_ball(g, r)
-        assert offset_distances(g, r).tolist() == [[g.dist(a, b) for b in ball] for a in ball]
+        assert Region(g, r).slot_distances(r).tolist() == [[g.dist(a, b) for b in ball] for a in ball]
 
     def test_nested(self):
         small = set(Z2.ball((1, 1), 2))
@@ -562,7 +563,7 @@ def test_offset_distances_past_the_packable_length(r):
     """F_1 offsets longer than 40 letters do not pack: D comes from dist."""
     g = FreeGroup(1)
     ball = identity_ball(g, r)
-    assert offset_distances(g, r).tolist() == [[g.dist(a, b) for b in ball] for a in ball]
+    assert Region(g, r).slot_distances(r).tolist() == [[g.dist(a, b) for b in ball] for a in ball]
 
 
 def _floor_bytes(g, r):

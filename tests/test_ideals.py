@@ -37,7 +37,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftcolor.groups import FreeAbelian, FreeGroup, identity_ball, offset_distances
+from shiftcolor.groups import FreeAbelian, FreeGroup, identity_ball
 from shiftcolor.ideals import (
     NO_COLOR,
     OFF_PALETTE,
@@ -58,6 +58,7 @@ from shiftcolor.ideals import (
 from shiftcolor.patterns import PartialColoring, shift
 from shiftcolor.radii import INF, Infinity
 from shiftcolor.reduction import ReducedIdeal
+from shiftcolor.simulate import Region
 
 from axioms_reference import axioms_check_per_pattern
 
@@ -532,7 +533,7 @@ class TestWindowCheck:
         seen = {"rejected": 0, "accepted": 0, "off palette": 0}
         for r in range(max_r + 1):
             offsets = identity_ball(g, r)
-            D = offset_distances(g, r)
+            D = Region(g, r).slot_distances(r)
             for P in kinds:
                 centers = [rng.choice(near) for _ in range(8)]
                 # colours up to k + 1 on ProperColoring, inside the palette elsewhere
@@ -552,7 +553,7 @@ class TestWindowCheck:
         NotUniversal, exactly as contains raises them."""
         rng = random.Random(5)
         offsets = identity_ball(Z1, 4)
-        D = offset_distances(Z1, 4)
+        D = Region(Z1, 4).slot_distances(4)
         for P in _kinds(Z1):
             for bad in ((1, 0), P.palette_size):
                 C, patterns = _window_batch(P, offsets, [0, 3, -2], rng, range(P.palette_size))

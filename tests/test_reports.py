@@ -10,12 +10,14 @@ Laws under test:
    and a newline on any nested plain JSON, though laid out from the C
    encoder's compact dump; plain values pass the reducer unchanged.
 3. The config hash changes when any determining input changes (parameters,
-   seed, spec file contents) and only then.
+   seed, spec file contents) and only then; it is the SHA-256 of the
+   description's canonical bytes.
 4. Envelopes carry the fixed schema version, the manifest, and a fully
    reduced payload.
 """
 
 import json
+from hashlib import sha256
 from fractions import Fraction
 
 import numpy as np
@@ -140,6 +142,12 @@ class TestConfigHash:
     def test_key_order_does_not_change_hash(self):
         reordered = {k: self.BASE[k] for k in reversed(list(self.BASE))}
         assert config_hash(self.BASE) == config_hash(reordered)
+
+    @settings(max_examples=60, deadline=None)
+    @given(value=_PLAIN)
+    def test_hashes_the_canonical_bytes(self, value):
+        description = dict(self.BASE, params={"value": value, "p": Fraction(1, 3), "r": INF})
+        assert config_hash(description) == sha256(canonical_json_bytes(description)).hexdigest()
 
 
 class TestManifestAndEnvelope:

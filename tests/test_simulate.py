@@ -23,11 +23,13 @@ Laws under test:
    F_1 window too long to pack. A negative window is refused.
 6. Extraction: recurring patterns are found, normalized to the identity.
 7. The array-built region agrees with the breadth-first ball, group.norm, the scalar
-   element code, an index-plus-mul generator table and g.dist; its
-   neighbour table and the one window helper that reads it agree with brute
-   force over g.dist; a region refuses colliding element codes. Its
-   translation kernel agrees with g.mul, the scalar element code and the
-   index dict, on the array paths and on the per-point fallback.
+   element code, an index-plus-mul generator table and g.dist; it locates
+   points inside it, just outside and past int64 as an index dict does; its
+   neighbour table, the slot distances kept beside it and the one window
+   helper that reads it agree with brute force over g.dist; a region
+   refuses colliding element codes. Its translation kernel agrees with
+   g.mul, the scalar element code and an index dict, on the array paths and
+   on the per-point fallback.
 8. The validator reads its windows from the region that ``run`` cached and
    agrees with a brute-force validator over g.dist on Z^1, Z^2, Z^3 and F_2,
    with and without warm-up, and on hand traces with failures; it refuses
@@ -165,11 +167,12 @@ class TestStepRule:
         assert run(cfg).assigned_sets == [(0, ()), (1, (-3, 6))]
 
     def test_forced_point_outside_region_rejected(self):
-        cfg = SimulationConfig(
-            ideal=PC3, window_radius=2, margin=2, steps=1, forced_supports={0: [99]}
-        )
-        with pytest.raises(ValueError):
-            run(cfg)
+        for far in (99, 2**63, -(2**64) - 5):  # also past int64
+            cfg = SimulationConfig(
+                ideal=PC3, window_radius=2, margin=2, steps=1, forced_supports={0: [0, far]}
+            )
+            with pytest.raises(ValueError, match="lies outside the region"):
+                run(cfg)
 
     def test_warmup_blocks_early_rounds(self):
         cfg = SimulationConfig(ideal=PC3, window_radius=10, margin=2, steps=3, seed=1)
@@ -283,6 +286,20 @@ TRANSLATE_CASES = [
     (FreeGroup(3), 2),
 ]
 
+# (group, largest radius) for locating points by code; F_1 at 44 letters
+# does not pack, and F_18 has more digits than int reads
+LOCATE_CASES = [
+    (Z1, 12),
+    (Z2, 5),
+    (FreeAbelian(3), 3),
+    (FreeAbelian(4), 2),
+    (FreeGroup(1), 12),
+    (F2, 3),
+    (FreeGroup(3), 2),
+    (FreeGroup(18), 1),
+    (FreeGroup(1), 44),
+]
+
 # coordinates near the 21-bit packing limit and past int64
 _FAR = [2**20 - 1, 2**20, -(2**20), -(2**20) - 1, 2**62, 2**63 - 1, 2**63, -(2**63), 2**64 + 3]
 
@@ -303,13 +320,20 @@ def shift_elements(draw, g):
     return word
 
 
+def index_dict(region):
+    """Each region point's index, as a dict: the reference for locating
+    points by code."""
+    return {e: i for i, e in enumerate(region.elements)}
+
+
 def assert_translate_matches(region, gamma):
-    """``right_translate`` against g.mul, the scalar element_code and the
-    region's index dict."""
+    """``right_translate`` against g.mul, the scalar element_code and an
+    index dict of the region."""
     g, n = region.group, len(region.elements)
     index, codes = region.right_translate(gamma)
     targets = [g.mul(x, gamma) for x in region.elements]
-    assert index.tolist() == [region.index.get(t, n) for t in targets]
+    reference = index_dict(region)
+    assert index.tolist() == [reference.get(t, n) for t in targets]
     assert codes.dtype == np.uint64
     assert codes.tolist() == [element_code(g, t) for t in targets]
 
@@ -332,7 +356,8 @@ class TestRegionKernel:
         colors = [cur.get(e) for e in points] + [None]
         table = region.neighbors(s)
         offsets = bfs_ball(g, g.identity(), s)
-        assert table[i].tolist() == [region.index.get(g.mul(w, center), len(points)) for w in offsets]
+        index = index_dict(region)
+        assert table[i].tolist() == [index.get(g.mul(w, center), len(points)) for w in offsets]
         for r in range(s + 1):
             near = {k for k, x in enumerate(points) if g.dist(center, x) <= r}
             width = len(bfs_ball(g, g.identity(), r))
@@ -345,25 +370,54 @@ class TestRegionKernel:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_array_built_region_matches_references(self, data):
-        """Elements, index, norms, codes, generator table and packed
-        distances against the breadth-first ball, group.norm, the scalar
-        element_code, an index plus mul, and g.dist."""
+        """Elements, located indices, norms, codes, generator table and
+        packed distances against the breadth-first ball, group.norm, the
+        scalar element_code, an index dict plus mul, and g.dist."""
         g, max_r = data.draw(st.sampled_from(REGION_CASES))
         r = data.draw(st.integers(-1, max_r))
         region = simulate.Region(g, r)
         ball = bfs_ball(g, g.identity(), r)
         n = len(ball)
         assert region.elements == ball
-        assert region.index == {e: i for i, e in enumerate(ball)}
+        assert region.locate(ball).tolist() == list(range(n))
         assert region.norms.tolist() == [g.norm(e) for e in ball]
         assert region.codes.tolist() == [element_code(g, e) for e in ball]
         gens = g.generators()
-        table = [[region.index.get(g.mul(a, x), n) for a in gens] for x in ball]
+        index = {e: i for i, e in enumerate(ball)}
+        table = [[index.get(g.mul(a, x), n) for a in gens] for x in ball]
         assert region._step.tolist() == table + [[n] * len(gens)]
         if n:
             i = data.draw(st.integers(0, n - 1))
             distances = g.dist_packed(region.packed[:i], region.packed[i])
             assert distances.tolist() == [g.dist(x, ball[i]) for x in ball[:i]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_locate_matches_index_dict(self, data):
+        """``locate`` against an index dict of the region, on points inside
+        it, just outside it (one layer out) and far away: coordinates past
+        int64 on Z^d, words past the packable length on F_k."""
+        g, max_r = data.draw(st.sampled_from(LOCATE_CASES))
+        region = simulate.Region(g, data.draw(st.integers(0, max_r)))
+        near = bfs_ball(g, g.identity(), region.radius + 1)
+        elements = data.draw(st.lists(st.one_of(st.sampled_from(near), shift_elements(g)), max_size=12))
+        index = index_dict(region)
+        located = region.locate(elements)
+        assert located.dtype == np.int64
+        assert located.tolist() == [index.get(e, len(index)) for e in elements]
+
+    @pytest.mark.parametrize("g, r, wide", [(Z1, 6, 9), (Z2, 3, 5), (F2, 2, 3), (FreeGroup(1), 40, 43)])
+    def test_slot_distances_after_a_wider_build(self, g, r, wide):
+        """``slot_distances(s)`` read from a table built for a wider s equals
+        a fresh build's and g.dist between the offsets of Ball(1, s); F_1
+        offsets past 40 letters do not pack."""
+        region = simulate.Region(g, r)
+        region.neighbors(wide)
+        for s in range(wide + 1):
+            offsets = bfs_ball(g, g.identity(), s)
+            D = region.slot_distances(s)
+            assert D.tolist() == simulate.Region(g, r).slot_distances(s).tolist()
+            assert D.tolist() == [[g.dist(a, b) for b in offsets] for a in offsets]
 
     def test_codes_past_the_packable_length(self):
         """F_1 words past 40 letters do not pack and take the scalar element_code."""
@@ -544,9 +598,10 @@ class TestValidatorAgainstBruteForce:
                     trace_validate(_hand_trace(ideal, 10, 12, [(0, (0,)), (bad, (5,))]), ideal)
 
     def test_hand_trace_point_outside_region_rejected(self):
-        trace = _hand_trace(DC, 10, 12, [(0, (0,)), (0, (99,))])
-        with pytest.raises(ValueError, match="lies outside the region"):
-            trace_validate(trace, DC)
+        for far in (99, 2**63, -(2**64) - 5):  # also past int64
+            trace = _hand_trace(DC, 10, 12, [(0, (0,)), (0, (far,))])
+            with pytest.raises(ValueError, match="lies outside the region"):
+                trace_validate(trace, DC)
 
     def test_reuses_the_region_run_cached(self):
         config = SimulationConfig(ProperColoring(Z2, 5), 8, 2, 30, Fraction(1, 8), seed=0)
@@ -643,7 +698,7 @@ class TestEquivariance:
 
 def reference_equivariance_check(config, gamma, field_gamma=None):
     """The per-point equivariance check: one g.mul per region point for the
-    targets, coded again by element_codes, and one region.index lookup and
+    targets, coded again by element_codes, and one index dict lookup and
     one comparison per safe point. The moved run reads the field at
     x*field_gamma (gamma by default)."""
     config.validate()
@@ -658,10 +713,11 @@ def reference_equivariance_check(config, gamma, field_gamma=None):
     for R_i in base.reaches[:-1]:
         cone = cone + 2 * R_i
     safe = region.norms + radius_ceil(cone) <= T
+    index = index_dict(region)
     base_final, moved_final = base.final_coloring, moved.final_coloring
     report = EquivarianceReport(shift_element=g.element_to_json(gamma), safe_size=0, cone_radius=cone)
     for i in np.nonzero(safe)[0]:
-        j = region.index.get(targets[i])
+        j = index.get(targets[i])
         if j is None or not safe[j]:
             continue
         e = region.elements[i]
