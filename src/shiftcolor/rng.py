@@ -157,15 +157,14 @@ def _vector_splitmix64(x: np.ndarray) -> np.ndarray:
 
 
 def bernoulli_mask(seed: int, step: int, codes: np.ndarray, p: Fraction) -> np.ndarray:
-    """Vectorized ``bit`` over an array of element codes."""
-    h = np.full(codes.shape, np.uint64(0))
-    for word in (seed, step):
-        h = _vector_splitmix64(h ^ np.uint64(word & _MASK))
-    h = _vector_splitmix64(h ^ codes)
+    """Vectorized ``bit``: ``mix(seed, step)`` is folded once, and the codes
+    take the last link of its chain in one splitmix64 pass."""
     threshold = _threshold(p)
+    if threshold <= 0:
+        return np.zeros(codes.shape, dtype=bool)
     if threshold >= 1 << 64:
         return np.ones(codes.shape, dtype=bool)
-    return h < np.uint64(threshold)
+    return _vector_splitmix64(codes ^ np.uint64(mix(seed, step))) < np.uint64(threshold)
 
 
 class RandomField:

@@ -24,11 +24,13 @@ the same offsets, and the distance between two slots is the distance
 between their offsets (right invariance, ``Region.slot_distances``).
 ``IdealSpec.contains_windows`` takes that matrix: the pairwise kinds answer
 in one array lookup, and any other ideal builds each window as a pattern
-and asks ``contains``. A step's candidates are more than 2R_i apart, so no
-candidate's window holds another and they are judged independently; the
-validator groups the windows a step touches by radius. Every pair in a
-window is judged, not only the pairs through the new point: without
-warm-up an old pair may already violate.
+and asks ``contains``. Isolation is tested on candidates first, the
+uncoloured support points whose window fits, then a column of the table at
+a time, so a row drops at its first other support point. Candidates are
+more than 2R_i apart, so no candidate's window holds another and they are
+judged independently; the validator groups the windows a step touches by
+radius. Every pair in a window is judged, not only the pairs through the
+new point: without warm-up an old pair may already violate.
 
 The equivariance check reads the field at x*gamma through one translation
 kernel, ``Region.right_translate``, which gives every translate's region
@@ -167,19 +169,16 @@ def _window(region: Region, colors: list, j: int, r: int) -> dict:
     return {elements[k]: colors[k] for k in row if colors[k] is not None}
 
 
-# Entries of the neighbour table that _isolated reads at once: 512 KB of
-# indices, whatever the region and the support density.
-_ROW_CELLS = 1 << 16
-
-
-def _isolated(nbrs: np.ndarray, supp_mask: np.ndarray) -> np.ndarray:
-    """The support points, in region order, whose row of ``nbrs`` holds no
-    other support point. Only the support rows are read, a block at a time."""
+def _isolated(nbrs: np.ndarray, supp_mask: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """The candidates (support points, in region order) whose row of ``nbrs``
+    holds no other support point. Past column 0, the point itself, a column
+    is read at a time, and a row drops at its first other support point."""
     padded = np.append(supp_mask, False)  # the sentinel is never a support point
-    supp = np.flatnonzero(supp_mask)
-    rows = max(1, _ROW_CELLS // nbrs.shape[1])
-    blocks = [supp[lo : lo + rows] for lo in range(0, len(supp), rows)] or [supp]
-    return np.concatenate([b[padded[nbrs[b]].sum(axis=1) == 1] for b in blocks])
+    for column in nbrs.T[1:]:
+        if not len(cand):
+            break
+        cand = cand[~padded[column[cand]]]
+    return cand
 
 
 @lru_cache(maxsize=1)
@@ -370,8 +369,9 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
         accepted = []
         if supp_mask is not None:
             nbrs = region.neighbors(s)
-            cand = _isolated(nbrs, supp_mask)
-            cand = cand[(color_codes[cand] == NO_COLOR) & (region.norms[cand] + s <= T)]
+            # coloured and boundary support points still block their neighbours
+            fresh = supp_mask & (color_codes[:-1] == NO_COLOR) & (region.norms + s <= T)
+            cand = _isolated(nbrs, supp_mask, np.flatnonzero(fresh))
             if len(cand):
                 # candidates are more than s apart, so no window holds another
                 # one: each is judged against the colours before the step,

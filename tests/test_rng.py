@@ -3,7 +3,10 @@
 Laws under test:
 1. The 64-bit finalizer matches the published reference outputs (state 0
    produces 0xE220A8397B1DCDAF, then 0x6E789E6AA1B965F4, ...).
-2. Scalar and vectorized evaluation are bit-identical.
+2. Scalar and vectorized evaluation are bit-identical: on codes across all
+   of uint64 (above 2^63, F_k numerals, hashes of unpacked elements), for
+   seeds and steps past 64 bits or negative, and for densities outside
+   (0, 1), which the mask answers all-False or all-True before hashing.
 3. Element codes are injective on the balls the simulations touch; in-range
    elements are packed exactly, and elements too large to pack (which the
    packing once wrapped onto other elements' codes) get codes of their own.
@@ -16,11 +19,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shiftcolor.groups import FreeAbelian, FreeGroup
+from shiftcolor import rng
 from shiftcolor.rng import (
     RandomField,
+    _unpacked_code,
     bernoulli_mask,
     bit,
     element_code,
@@ -199,14 +204,46 @@ class TestBernoulli:
         assert _threshold(Fraction(1, 4)) == 2**62
 
     @given(
-        seed=st.integers(0, 2**32), step=st.integers(0, 1000), n=st.integers(-100, 100)
+        seed=st.one_of(st.integers(0, 2**32), st.integers(-(2**70), -1), st.integers(2**64, 2**70)),
+        step=st.one_of(st.integers(0, 1000), st.integers(2**64, 2**70)),
+        codes=st.lists(
+            st.one_of(
+                st.integers(-100, 100).map(lambda n: element_code(Z1, n)),
+                st.integers(0, 2**64 - 1),
+                st.integers(2**63, 2**64 - 1),
+                _fk_words(F2, 40).map(lambda w: element_code(F2, w)),  # numerals, and hashes past 27 letters
+                st.lists(st.integers(0, 2**80), max_size=3).map(_unpacked_code),
+            ),
+            max_size=24,
+        ),
+        p=st.sampled_from(
+            [Fraction(1, 2), Fraction(1, 3), Fraction(1, 8), Fraction(7, 8), Fraction(1, 2**64),
+             Fraction(2**64 - 1, 2**64)]
+        ),
     )
-    @settings(max_examples=60)
-    def test_scalar_vector_agree(self, seed, step, n):
-        code = element_code(Z1, n)
-        scalar = bit(seed, step, code, Fraction(1, 2))
-        vec = bernoulli_mask(seed, step, np.array([code], dtype=np.uint64), Fraction(1, 2))
-        assert bool(vec[0]) == scalar
+    @example(seed=-1, step=2**64, codes=[0, 2**63, 2**64 - 1], p=Fraction(1, 2))
+    @settings(max_examples=100)
+    def test_scalar_vector_agree(self, seed, step, codes, p):
+        """The mask hashes (seed, step) once as a Python int: the same chain
+        as ``bit``'s, on any code and on seeds and steps past 64 bits."""
+        vec = bernoulli_mask(seed, step, np.array(codes, dtype=np.uint64), p)
+        assert vec.tolist() == [bit(seed, step, c, p) for c in codes]
+
+    def test_density_outside_the_open_interval_answers_as_bit(self, monkeypatch):
+        """p <= 0 gives no support and p >= 1 full support, as ``bit`` does
+        (p < 0 once raised OverflowError), and without hashing a code."""
+        codes = np.append(element_codes(Z1, Z1.ball(0, 20)), np.array([2**63, 2**64 - 1], dtype=np.uint64))
+        expected = {p: [bit(3, 4, c, p) for c in codes.tolist()]
+                    for p in (Fraction(-1, 2), Fraction(0), Fraction(1), Fraction(3, 2))}
+
+        def no_hashing(x):
+            raise AssertionError("hashed the codes of a constant mask")
+
+        monkeypatch.setattr(rng, "_vector_splitmix64", no_hashing)
+        for p, bits in expected.items():
+            mask = bernoulli_mask(3, 4, codes, p)
+            assert mask.dtype == bool and mask.tolist() == bits
+            assert bits == [p >= 1] * len(codes)
 
     def test_field_mask_equals_scalar_loop(self):
         field = RandomField(Z1, 42, Fraction(1, 3))

@@ -7,7 +7,10 @@ Laws under test:
 2. Step rule fixtures: a single forced support point gets the scheduled
    color; two adjacent forced points at reach 0 both get colored — an
    invalid outcome that the validator must catch (this is why the warm-up
-   exists).
+   exists). A support point that is already coloured, or too near the
+   boundary to be a candidate, still blocks its neighbours. The isolation
+   kernel, a column at a time over the candidates, keeps exactly the
+   candidates the row rule keeps, in region order, on Z^1-Z^3 and F_1-F_3.
 3. Hard invariants on live runs: colorings grow monotonically, same-step
    points are farther apart than twice the step's reach, every local window
    of the final coloring is a member.
@@ -61,7 +64,7 @@ from shiftcolor.ideals import (
 from shiftcolor.patterns import PartialColoring
 from shiftcolor.radii import INF, Infinity, radius_ceil, radius_floor
 from shiftcolor.reduction import ReducedIdeal, SupRadiiJoin
-from shiftcolor.rng import element_code, element_codes
+from shiftcolor.rng import bernoulli_mask, element_code, element_codes
 from shiftcolor.simulate import (
     EquivarianceReport,
     SimulationConfig,
@@ -166,6 +169,26 @@ class TestStepRule:
         )
         assert run(cfg).assigned_sets == [(0, ()), (1, (-3, 6))]
 
+    def test_coloured_support_point_still_blocks(self):
+        """Point 0, coloured at step 0 and so no candidate at step 1, is a
+        support point there again and blocks 2 (distance 2 <= s = 2); 3 is
+        farther and is coloured."""
+        for fresh, assigned in ((2, ()), (3, (3,))):
+            cfg = SimulationConfig(
+                ideal=PC3, window_radius=10, margin=2, steps=2, forced_supports={0: [0], 1: [0, fresh]}
+            )
+            assert run(cfg).assigned_sets == [(0, (0,)), (1, assigned)]
+
+    def test_boundary_support_point_still_blocks(self):
+        """At T = 7 and s = 2 the support point 7 is never a candidate
+        (7 + 2 > T), yet it blocks the candidate 5; 4 is farther and is
+        coloured."""
+        for fresh, assigned in ((5, ()), (4, (4,))):
+            cfg = SimulationConfig(
+                ideal=PC3, window_radius=5, margin=2, steps=2, forced_supports={1: [7, fresh]}
+            )
+            assert run(cfg).assigned_sets == [(0, ()), (1, assigned)]
+
     def test_forced_point_outside_region_rejected(self):
         for far in (99, 2**63, -(2**64) - 5):  # also past int64
             cfg = SimulationConfig(
@@ -189,6 +212,63 @@ class TestStepRule:
     def test_determinism(self):
         cfg = SimulationConfig(ideal=PC3, window_radius=30, margin=2, steps=20, seed=9)
         assert run(cfg).assigned_sets == run(cfg).assigned_sets
+
+
+# (group, region radius) for the isolation kernel
+ISOLATION_CASES = [
+    (Z1, 30),
+    (Z2, 6),
+    (FreeAbelian(3), 3),
+    (FreeGroup(1), 30),
+    (F2, 3),
+    (FreeGroup(3), 2),
+]
+
+
+def row_rule_isolated(nbrs, supp_mask, cand):
+    """The brute-force row rule: a candidate is kept iff its whole row of
+    ``nbrs`` holds exactly one support point, itself."""
+    padded = np.append(supp_mask, False)
+    return [x for x in cand.tolist() if padded[nbrs[x]].sum() == 1]
+
+
+class TestIsolationKernel:
+    """``_isolated`` reads a column at a time and agrees with the row rule."""
+
+    @staticmethod
+    def assert_matches_row_rule(region, s, supp_mask, cand):
+        nbrs = region.neighbors(s)
+        got = simulate._isolated(nbrs, supp_mask, cand)
+        assert got.tolist() == row_rule_isolated(nbrs, supp_mask, cand)
+        assert (np.diff(got) > 0).all()  # region order
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=st.sampled_from(ISOLATION_CASES),
+        s=st.integers(0, 3),
+        p=st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(7, 8)]),
+        seed=st.integers(0, 2**64),
+        pick=st.sampled_from(["all", "some", "none"]),
+    )
+    def test_matches_row_rule(self, case, s, p, seed, pick):
+        region = _region_of(*case)
+        supp_mask = bernoulli_mask(seed, s, region.codes, p)
+        supp = np.flatnonzero(supp_mask)
+        if pick == "some":
+            supp = supp[bernoulli_mask(seed, -1, region.codes[supp], Fraction(1, 2))]
+        self.assert_matches_row_rule(region, s, supp_mask, supp[:0] if pick == "none" else supp)
+
+    def test_empty_support_and_one_column(self):
+        """Empty support, empty candidates, and s = 0, where the row is the
+        point alone and every candidate stands."""
+        for case in ISOLATION_CASES:
+            region = _region_of(*case)
+            n = len(region.elements)
+            full = np.ones(n, dtype=bool)
+            for s in range(4):
+                self.assert_matches_row_rule(region, s, np.zeros(n, dtype=bool), np.zeros(0, dtype=np.int64))
+                self.assert_matches_row_rule(region, s, full, np.zeros(0, dtype=np.int64))
+            assert simulate._isolated(region.neighbors(0), full, np.arange(n)).tolist() == list(range(n))
 
 
 class TestHardInvariants:
