@@ -45,7 +45,7 @@ config = SimulationConfig(
 )
 trace = run(config)
 
-print("region:", len(trace.region), "points; interior window:", len(trace.interior))
+print("region:", len(trace.region), "points; interior window:", trace.interior_size)
 print("fill fraction every 10 steps:",
       [round(trace.fill_fractions[i], 3) for i in range(0, 61, 10)])
 print("colors assigned per step (first 9):",

@@ -9,7 +9,11 @@ round's random field inside its own radius-2R_i ball, provided the local
 window around it plus the new entry stays in the ideal, and provided that
 ball sits inside the region so both conditions are evaluated exactly.
 Supports are iid Bernoulli(p) bits keyed by (seed, round, element), so runs
-are reproducible and shift-equivariant up to boundary effects.
+are reproducible and shift-equivariant up to boundary effects. A trace holds
+each step's points as region indices, which the validator and the
+equivariance check read as they are; elements are decoded only on read
+(``SimulationTrace.assigned_sets``, dumps and reports), and a trace given
+as elements is validated and located once, by ``from_elements``.
 
 The default schedule cycles through the ideal's palette with a warm-up:
 rounds before R_i reaches its maximum get empty supports (the schedule still
@@ -231,8 +235,8 @@ class SimulationConfig:
             )
         if self.forced_supports is not None:
             for i in self.forced_supports:
-                if not isinstance(i, int) or i < 0:
-                    raise ValueError(f"forced support step {i!r} is not a step index")
+                if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.steps:
+                    raise ValueError(f"forced support step {i!r} is not a step index of the run")
 
     def to_jsonable(self) -> dict:
         out = {
@@ -248,49 +252,70 @@ class SimulationConfig:
         if self.forced_supports is not None:
             g = self.ideal.group
             out["forced_supports"] = {
-                str(i): sorted(
-                    (g.element_to_json(e) for e in elems),
-                    key=lambda x: str(x),
-                )
+                str(i): sorted((g.element_to_json(e) for e in elems), key=str)
                 for i, elems in self.forced_supports.items()
             }
         return out
 
 
+def _locate_strictly(region: Region, elements: Sequence, what: str) -> np.ndarray:
+    """The region index of each element, after validating each once; an
+    element outside the region raises, named as ``what``."""
+    for e in elements:
+        region.group.validate(e)
+    at = region.locate(elements)
+    outside = len(region.elements)
+    if outside in at:
+        raise ValueError(f"{what} {elements[at.tolist().index(outside)]!r} lies outside the region")
+    return at
+
+
 @dataclass
 class SimulationTrace:
+    """Per step, the colour and the region indices of the points it coloured
+    in Ball(1, window + margin). Elements are decoded where they are read."""
     config: SimulationConfig
-    region: list
-    interior: list
-    assigned_sets: List[Tuple[int, Tuple]]  # per step: (color, elements in region order)
+    region: list  # the region's elements, in region order
+    interior_size: int  # the interior Ball(1, window) is a prefix of the region
+    steps: List[Tuple[int, np.ndarray]]
     fill_fractions: List[float]
     reaches: List[Radius]  # R_i consumed by step i, plus the final value
     schedule_used: List[int]
+
+    @classmethod
+    def from_elements(cls, config: SimulationConfig, assigned_sets) -> "SimulationTrace":
+        """A trace given as (colour, elements) per step: each colour and
+        element is validated once and located in the config's region."""
+        region = _region_of(config.ideal.group, config.window_radius + config.margin)
+        steps = [(_validate_color(c), _locate_strictly(region, elems, "trace point")) for c, elems in assigned_sets]
+        return cls(config, region.elements, int((region.norms <= config.window_radius).sum()), steps, [], [], [])
 
     @property
     def group(self) -> Group:
         return self.config.ideal.group
 
+    @property
+    def assigned_sets(self) -> List[Tuple[int, Tuple]]:
+        """Per step: (colour, the coloured elements)."""
+        return [(c, tuple(self.region[j] for j in at.tolist())) for c, at in self.steps]
+
     def coloring_at(self, i: int) -> PartialColoring:
         """The partial coloring after the first i steps."""
-        cur: Dict[object, int] = {}
-        for color, elems in self.assigned_sets[:i]:
-            for e in elems:
-                cur[e] = color
-        return PartialColoring(self.group, cur)
+        cur = {self.region[j]: color for color, at in self.steps[:i] for j in at.tolist()}
+        return PartialColoring._of_valid(self.group, cur)
 
     @property
     def final_coloring(self) -> PartialColoring:
-        return self.coloring_at(len(self.assigned_sets))
+        return self.coloring_at(len(self.steps))
 
     def to_summary_jsonable(self, dump: bool = False) -> dict:
         g = self.group
         out = {
             "config": self.config.to_jsonable(),
             "region_size": len(self.region),
-            "interior_size": len(self.interior),
-            "steps": len(self.assigned_sets),
-            "assigned_counts": [len(elems) for _c, elems in self.assigned_sets],
+            "interior_size": self.interior_size,
+            "steps": len(self.steps),
+            "assigned_counts": [len(at) for _c, at in self.steps],
             "schedule_used": list(self.schedule_used),
             "reaches": [str(r) for r in self.reaches],
             "fill_fractions": self.fill_fractions,
@@ -336,7 +361,7 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
     interior_count = int(interior_mask.sum())
     filled = 0  # coloured points of the interior
 
-    assigned_sets: List[Tuple[int, Tuple]] = []
+    steps: List[Tuple[int, np.ndarray]] = []
     fills = [0.0]
     reaches: List[Radius] = []
     schedule_used: List[int] = []
@@ -353,11 +378,7 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
 
         if i in forced:
             supp = forced[i]
-            for e in supp:
-                g.validate(e)
-            at = region.locate(supp)
-            if n_pts in at:
-                raise ValueError(f"forced support point {supp[at.tolist().index(n_pts)]!r} lies outside the region")
+            at = _locate_strictly(region, supp, "forced support point")
             if len(set(supp)) != len(supp):
                 raise ValueError(f"forced supports at step {i} repeat a point")
             supp_mask = np.zeros(n_pts, dtype=bool)
@@ -366,7 +387,7 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
             supp_mask = None  # warm-up round: empty support (the schedule still advances)
         else:
             supp_mask = field_rng.mask(i, codes)
-        accepted = []
+        accepted = np.zeros(0, dtype=np.int64)
         if supp_mask is not None:
             nbrs = region.neighbors(s)
             # coloured and boundary support points still block their neighbours
@@ -385,24 +406,22 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
                         g, {**_window(region, colors, cand[row], s), elements[cand[row]]: c_i}
                     ),
                 )
-                accepted = cand[member].tolist()
-        for j in accepted:
+                accepted = cand[member]
+        for j in accepted.tolist():
             colors[j] = c_i
         color_codes[accepted] = code_i
         filled += int(interior_mask[accepted].sum())
 
-        assigned_sets.append((c_i, tuple(elements[j] for j in accepted)))
+        steps.append((c_i, accepted))
         fills.append(filled / interior_count if interior_count else 0.0)
-        r_c = r_of[c_i]
-        if r_c > reach:
-            reach = r_c
+        reach = max(reach, r_of[c_i])
 
     reaches.append(reach)
     return SimulationTrace(
         config=config,
         region=elements,
-        interior=elements[:interior_count],  # breadth-first: the interior is a prefix
-        assigned_sets=assigned_sets,
+        interior_size=interior_count,
+        steps=steps,
         fill_fractions=fills,
         reaches=reaches,
         schedule_used=schedule_used,
@@ -429,8 +448,8 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     each colored point whose window fits inside the region, the window must
     be a member. Windows are re-examined whenever a step adds a point that
     touches them; untouched windows cannot change, so this covers every
-    (step, point) pair the direct definition would. Every point of the trace
-    must lie in the region Ball(1, window + margin); windows are read from
+    (step, point) pair the direct definition would. The trace's points are
+    indices of the region Ball(1, window + margin); windows are read from
     its neighbour table, as ``run`` reads them."""
     g = trace.group
     T = trace.config.window_radius + trace.config.margin
@@ -444,19 +463,11 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     # window leaves the region, or _NONLOCAL where r_c is infinite
     window_radius = np.full(n + 1, _LEAVES, dtype=np.int64)
 
-    steps = [(_validate_color(c), elems) for c, elems in trace.assigned_sets]
-    radius = {c: ideal.locality_radius(c) for c, _elems in steps}
+    radius = {c: ideal.locality_radius(c) for c, _at in trace.steps}
     finite = [rc for rc in radius.values() if not isinstance(rc, Infinity)]
     reach = region.neighbors(radius_floor(max(finite)) if finite else 0)
     window_radii = sorted({radius_floor(rc) for rc in finite})
-    points = [e for _c, elems in steps for e in elems]
-    for e in points:
-        g.validate(e)  # each entry is validated once, before any is located
-    at = region.locate(points)
-    if n in at:
-        raise ValueError(f"trace point {points[at.tolist().index(n)]!r} lies outside the region")
-    ends = np.cumsum([len(elems) for _c, elems in steps])[:-1]
-    for step_index, ((color, _elems), new) in enumerate(zip(steps, np.split(at, ends)), start=1):
+    for step_index, (color, new) in enumerate(trace.steps, start=1):
         for k in new.tolist():
             colors[k] = color
         rc = radius[color]
@@ -532,15 +543,16 @@ def equivariance_check(config: SimulationConfig, gamma) -> EquivarianceReport:
     index, codes = region.right_translate(gamma)
     moved = run(config, _field_codes=codes)
 
-    cone = 0
-    for R_i in base.reaches[:-1]:
-        cone = cone + 2 * R_i
+    cone = sum((2 * R_i for R_i in base.reaches[:-1]), 0)
     safe = np.append(region.norms + radius_ceil(cone) <= T, False)  # the sentinel is never safe
     counted = np.flatnonzero(safe[:-1] & safe[index])
 
     ids: Dict[object, int] = {}  # each colour seen, as a small int
-    shifted = _final_colors(moved, region, ids)[counted]
-    at_target = _final_colors(base, region, ids)[index[counted]]
+    final = np.full((2, len(region.elements)), -1, dtype=np.int64)  # per run: each point's colour id, or -1
+    for row, trace in zip(final, (moved, base)):
+        for color, at in trace.steps:
+            row[at] = ids.setdefault(color, len(ids))
+    shifted, at_target = final[0][counted], final[1][index[counted]]
     report = EquivarianceReport(
         shift_element=g.element_to_json(gamma), safe_size=len(counted), cone_radius=cone
     )
@@ -548,22 +560,10 @@ def equivariance_check(config: SimulationConfig, gamma) -> EquivarianceReport:
     differ = shifted != at_target
     for i, a, b in zip(counted[differ].tolist(), shifted[differ].tolist(), at_target[differ].tolist()):
         report.mismatches.append(
-            {
-                "element": g.element_to_json(region.elements[i]),
-                "shifted_run": colors[a],
-                "base_run_at_shifted_point": colors[b],
-            }
+            {"element": g.element_to_json(region.elements[i]), "shifted_run": colors[a],
+             "base_run_at_shifted_point": colors[b]}
         )
     return report
-
-
-def _final_colors(trace: SimulationTrace, region: Region, ids: Dict[object, int]) -> np.ndarray:
-    """The trace's final colour of each region point, as its id in ``ids``
-    (a new colour gets the next id), or -1 where the point has none."""
-    pairs = [(e, ids.setdefault(color, len(ids))) for color, elems in trace.assigned_sets for e in elems]
-    out = np.full(len(region.elements), -1, dtype=np.int64)
-    out[region.locate([e for e, _id in pairs])] = [i for _e, i in pairs]
-    return out
 
 
 # -- sparse multi-scale coloring ---------------------------------------------------

@@ -3,7 +3,8 @@ multi-scale coloring, and pattern extraction.
 
 Laws under test:
 1. Config validation: the margin absorbs twice the largest window radius;
-   densities are proper fractions; palette-less ideals need a schedule.
+   densities are proper fractions; palette-less ideals need a schedule;
+   forced supports are keyed by steps of the run, never by bools.
 2. Step rule fixtures: a single forced support point gets the scheduled
    color; two adjacent forced points at reach 0 both get colored — an
    invalid outcome that the validator must catch (this is why the warm-up
@@ -35,8 +36,12 @@ Laws under test:
    on the per-point fallback.
 8. The validator reads its windows from the region that ``run`` cached and
    agrees with a brute-force validator over g.dist on Z^1, Z^2, Z^3 and F_2,
-   with and without warm-up, and on hand traces with failures; it refuses
-   invalid colours and points outside the region with ValueError.
+   with and without warm-up, and on hand traces with failures. A run's
+   trace holds region indices: it is validated and compared with no point
+   located or validated again, and decoding it and building it again with
+   ``SimulationTrace.from_elements`` gives the same indices and report.
+   Hand traces are refused with ValueError for invalid colours and points
+   outside the region.
 9. Batched admission: ``run`` and the validator, judging each step's
    windows in one array check, give the same assigned sets, fills and
    validation reports (counts and failures in order) as the same ideal
@@ -111,6 +116,15 @@ class TestConfigValidation:
 
     def test_good_config_passes(self):
         SimulationConfig(ideal=PC3, window_radius=5, margin=2, steps=3).validate()
+
+    def test_forced_support_steps_are_steps_of_the_run(self):
+        """A bool is no step index (True would force step 1), and a step
+        past the run would be ignored while the report recorded it."""
+        for forced in ({True: [0]}, {False: [0]}, {2: [0]}, {7: [0]}, {-1: [0]}, {"0": [0]}):
+            cfg = SimulationConfig(ideal=PC3, window_radius=5, margin=2, steps=2, forced_supports=forced)
+            with pytest.raises(ValueError, match="not a step index"):
+                cfg.validate()
+        SimulationConfig(ideal=PC3, window_radius=5, margin=2, steps=2, forced_supports={1: [0]}).validate()
 
     def test_schedule_colors_validated_up_front(self):
         for ideal in (PC3, DC, NU):
@@ -607,7 +621,18 @@ def per_window(ideal):
 
 def _hand_trace(ideal, window_radius, margin, assigned_sets):
     config = SimulationConfig(ideal=ideal, window_radius=window_radius, margin=margin, steps=0)
-    return SimulationTrace(config, [], [], assigned_sets, [], [], [])
+    return SimulationTrace.from_elements(config, assigned_sets)
+
+
+def forbid_locating(monkeypatch, g, allowed=None):
+    """Make ``Region.locate``, and ``g.validate`` on anything but the
+    object ``allowed``, raise."""
+    def refuse(*args):
+        raise AssertionError("a point was located or validated again")
+
+    validate = g.validate
+    monkeypatch.setattr(simulate.Region, "locate", refuse)
+    monkeypatch.setattr(g, "validate", lambda e: validate(e) if e is allowed else refuse(), raising=False)
 
 
 class TestValidatorAgainstBruteForce:
@@ -648,6 +673,11 @@ class TestValidatorAgainstBruteForce:
         assert trace.assigned_sets == reference.assigned_sets
         assert trace.fill_fractions == reference.fill_fractions
         assert trace_validate(trace, generic).to_jsonable() == fast.to_jsonable()
+        # the run's trace decoded to elements and located again
+        hand = SimulationTrace.from_elements(config, trace.assigned_sets)
+        assert [c for c, _at in hand.steps] == [c for c, _at in trace.steps]
+        assert all(np.array_equal(a, b) for (_c, a), (_d, b) in zip(hand.steps, trace.steps))
+        assert trace_validate(hand, config.ideal).to_jsonable() == fast.to_jsonable()
 
     def test_hand_traces_with_nonlocal_colors_and_failures(self):
         dc_inf = DistanceConstrained(Z1, (1, 3), (3, INF))
@@ -679,9 +709,25 @@ class TestValidatorAgainstBruteForce:
 
     def test_hand_trace_point_outside_region_rejected(self):
         for far in (99, 2**63, -(2**64) - 5):  # also past int64
-            trace = _hand_trace(DC, 10, 12, [(0, (0,)), (0, (far,))])
             with pytest.raises(ValueError, match="lies outside the region"):
+                trace = _hand_trace(DC, 10, 12, [(0, (0,)), (0, (far,))])
                 trace_validate(trace, DC)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SimulationConfig(ProperColoring(Z2, 5), 8, 2, 30, Fraction(1, 8), seed=0),
+            SimulationConfig(ProperColoring(F2, 5), 4, 2, 12, Fraction(1, 4), seed=0, warmup=False),
+        ],
+    )
+    def test_run_traces_are_read_without_locating(self, monkeypatch, config):
+        """A run's trace holds region indices: the validator neither
+        validates nor locates its points again."""
+        trace = run(config)
+        assert any(elems for _c, elems in trace.assigned_sets)
+        expected = brute_force_validate(trace, config.ideal).to_jsonable()
+        forbid_locating(monkeypatch, config.ideal.group)
+        assert trace_validate(trace, config.ideal).to_jsonable() == expected
 
     def test_reuses_the_region_run_cached(self):
         config = SimulationConfig(ProperColoring(Z2, 5), 8, 2, 30, Fraction(1, 8), seed=0)
@@ -767,6 +813,23 @@ class TestEquivariance:
         assert any(None in pair for pair in pairs)
         if ideal.group is not F2:  # F_2's fill is too thin for two coloured points to differ
             assert any(None not in pair for pair in pairs)
+
+    @pytest.mark.parametrize(
+        "ideal, window, steps, p, gamma",
+        [
+            (ProperColoring(Z2, 5), 8, 3, Fraction(1, 8), (1, -2)),
+            (ProperColoring(F2, 5), 5, 3, Fraction(1, 16), "aB"),  # packed: no per-point fallback
+        ],
+    )
+    def test_runs_are_compared_without_locating(self, monkeypatch, ideal, window, steps, p, gamma):
+        """Both runs' final colours are scattered from their index traces:
+        no point is located, and only the shift element is validated."""
+        cfg = SimulationConfig(ideal=ideal, window_radius=window, margin=2, steps=steps, p=p, seed=0)
+        assert any(elems for _c, elems in run(cfg).assigned_sets)
+        expected = reference_equivariance_check(cfg, gamma).to_jsonable()
+        forbid_locating(monkeypatch, ideal.group, allowed=gamma)
+        report = equivariance_check(cfg, gamma)
+        assert report.safe_size > 0 and report.to_jsonable() == expected
 
     def test_rejects_fixture_runs(self):
         cfg = SimulationConfig(
