@@ -156,15 +156,22 @@ def _vector_splitmix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def bernoulli_mask(seed: int, step: int, codes: np.ndarray, p: Fraction) -> np.ndarray:
-    """Vectorized ``bit``: ``mix(seed, step)`` is folded once, and the codes
-    take the last link of its chain in one splitmix64 pass."""
+def bernoulli_mask(seed: int, step, codes: np.ndarray, p: Fraction) -> np.ndarray:
+    """Vectorized ``bit``: for one step a mask shaped like ``codes``, for a
+    sequence of steps one such mask per step, stacked. ``mix(seed, step)``
+    is folded once per step, and the codes take the last link of every
+    step's chain in one splitmix64 pass."""
+    steps = [step] if np.isscalar(step) else step
+    shape = (len(steps), *codes.shape)
     threshold = _threshold(p)
     if threshold <= 0:
-        return np.zeros(codes.shape, dtype=bool)
-    if threshold >= 1 << 64:
-        return np.ones(codes.shape, dtype=bool)
-    return _vector_splitmix64(codes ^ np.uint64(mix(seed, step))) < np.uint64(threshold)
+        masks = np.zeros(shape, dtype=bool)
+    elif threshold >= 1 << 64:
+        masks = np.ones(shape, dtype=bool)
+    else:
+        heads = np.array([mix(seed, t) for t in steps], dtype=np.uint64).reshape(-1, *[1] * codes.ndim)
+        masks = _vector_splitmix64(codes ^ heads) < np.uint64(threshold)
+    return masks[0] if np.isscalar(step) else masks
 
 
 class RandomField:
@@ -183,5 +190,7 @@ class RandomField:
     def value(self, step: int, element) -> bool:
         return bit(self.seed, step, element_code(self.group, element), self.p)
 
-    def mask(self, step: int, codes: np.ndarray) -> np.ndarray:
-        return bernoulli_mask(self.seed, step, codes, self.p)
+    def mask(self, steps, codes: np.ndarray) -> np.ndarray:
+        """The masks of a sequence of steps over ``codes``, one row per
+        step, from one splitmix64 pass (for one step, its mask alone)."""
+        return bernoulli_mask(self.seed, steps, codes, self.p)

@@ -21,20 +21,27 @@ advances). This keeps every accepted assignment checked at full window
 radius — without it, two adjacent points could legally take the same color
 in a round with R_i = 0, which the fixtures demonstrate on purpose.
 
-Both the run and its validator judge windows a whole step at a time. Every
-window of radius r about x is the row Ball(1, r)*x of the region's
-neighbour table, so a step's windows form one matrix of colour codes over
-the same offsets, and the distance between two slots is the distance
-between their offsets (right invariance, ``Region.slot_distances``).
+Neither the run nor its validator judges a window at a time. Every window
+of radius r about x is the row Ball(1, r)*x of the region's neighbour
+table, so many windows form one matrix of colour codes over the same
+offsets, and the distance between two slots is the distance between their
+offsets (right invariance, ``Region.slot_distances``).
 ``IdealSpec.contains_windows`` takes that matrix: the pairwise kinds answer
 in one array lookup, and any other ideal builds each window as a pattern
-and asks ``contains``. Isolation is tested on candidates first, the
-uncoloured support points whose window fits, then a column of the table at
-a time, so a row drops at its first other support point. Candidates are
-more than 2R_i apart, so no candidate's window holds another and they are
-judged independently; the validator groups the windows a step touches by
-radius. Every pair in a window is judged, not only the pairs through the
-new point: without warm-up an old pair may already violate.
+and asks ``contains``.
+
+The schedule alone fixes each step's colour and reach, so ``run`` draws
+and isolates every step's supports before the first step: the steps that
+share one isolation radius are drawn, a block of steps per hash pass, and
+isolated together, a column of the table at a time, so a row drops at its
+first other support point. A step then drops its isolated points that are
+already coloured and judges the rest in one call. They are more than 2R_i
+apart, so no candidate's window holds another and they are judged
+independently. The validator judges a whole trace in one pass per window
+radius: every (step, point) pair whose window the step touched, on the
+window as it stood after that step. Every pair in a window is judged, not
+only the pairs through the new point: without warm-up an old pair may
+already violate.
 
 The equivariance check reads the field at x*gamma through one translation
 kernel, ``Region.right_translate``, which gives every translate's region
@@ -174,15 +181,26 @@ def _window(region: Region, colors: list, j: int, r: int) -> dict:
 
 
 def _isolated(nbrs: np.ndarray, supp_mask: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """The candidates (support points, in region order) whose row of ``nbrs``
-    holds no other support point. Past column 0, the point itself, a column
-    is read at a time, and a row drops at its first other support point."""
-    padded = np.append(supp_mask, False)  # the sentinel is never a support point
+    """The candidates whose row of ``nbrs`` holds no other support point of
+    their step. ``supp_mask`` is (k, n), a step's support per row (a 1-D
+    mask is one step), and ``cand`` indexes it flat, in increasing order.
+    Past column 0, the point itself, a column is read at a time, and a row
+    drops at its first other support point."""
+    masks = supp_mask.reshape(-1, supp_mask.shape[-1])
+    k, n = masks.shape
+    free = np.ones((k, n + 1), dtype=bool)  # the sentinel is never a support point
+    np.logical_not(masks, out=free[:, :n])
+    free = free.ravel()
+    # each candidate's step and point, and its step's offset in free
+    row = np.repeat(np.arange(k), np.diff(np.searchsorted(cand, np.arange(k + 1) * n)))
+    point = cand - row * n
+    base = row * (n + 1)
     for column in nbrs.T[1:]:
-        if not len(cand):
+        if not len(point):
             break
-        cand = cand[~padded[column[cand]]]
-    return cand
+        keep = free[column[point] + base].nonzero()[0]
+        point, base = point[keep], base[keep]
+    return base - base // (n + 1) + point  # row * n + point
 
 
 @lru_cache(maxsize=1)
@@ -273,7 +291,10 @@ def _locate_strictly(region: Region, elements: Sequence, what: str) -> np.ndarra
 @dataclass
 class SimulationTrace:
     """Per step, the colour and the region indices of the points it coloured
-    in Ball(1, window + margin). Elements are decoded where they are read."""
+    in Ball(1, window + margin). Elements are decoded where they are read.
+    A point coloured twice, in one step or in two, is refused: the process
+    colours only uncoloured points, and the validator reads each point's
+    colour as its only one."""
     config: SimulationConfig
     region: list  # the region's elements, in region order
     interior_size: int  # the interior Ball(1, window) is a prefix of the region
@@ -281,6 +302,12 @@ class SimulationTrace:
     fill_fractions: List[float]
     reaches: List[Radius]  # R_i consumed by step i, plus the final value
     schedule_used: List[int]
+
+    def __post_init__(self):
+        points = np.concatenate([np.zeros(0, dtype=np.int64), *(at for _c, at in self.steps)])
+        twice = np.flatnonzero(np.bincount(points, minlength=len(self.region)) > 1)
+        if len(twice):
+            raise ValueError(f"trace point {self.region[twice[0]]!r} is coloured more than once")
 
     @classmethod
     def from_elements(cls, config: SimulationConfig, assigned_sets) -> "SimulationTrace":
@@ -330,6 +357,51 @@ class SimulationTrace:
         return out
 
 
+def _isolated_supports(config: SimulationConfig, region: Region, codes: np.ndarray,
+                       reaches: List[Radius], max_r: Radius) -> List[np.ndarray]:
+    """Per step i, the region indices of its support points, in region
+    order, whose radius-s_i ball (s_i = floor(2R_i)) fits inside the region
+    and holds no other support point of the step. Warm-up steps have none;
+    a forced step's support is its located points, any other step's is the
+    field's. The schedule fixes every R_i, so the steps that share one s
+    are isolated together, a block of at most _PAIR_CELLS mask cells at a
+    time, and a block's field steps are drawn in one pass."""
+    T = config.window_radius + config.margin
+    n = len(region.elements)
+    forced = {}
+    for i in sorted(config.forced_supports or {}):
+        supp = config.forced_supports[i]
+        forced[i] = _locate_strictly(region, supp, "forced support point")
+        if len(set(supp)) != len(supp):
+            raise ValueError(f"forced supports at step {i} repeat a point")
+    by_s: Dict[int, List[int]] = {}
+    for i, reach in enumerate(reaches[:-1]):
+        if i in forced or not (config.warmup and reach < max_r):
+            by_s.setdefault(radius_floor(2 * reach), []).append(i)
+    field_rng = RandomField(config.ideal.group, config.seed, Fraction(config.p))
+    isolated = [np.zeros(0, dtype=np.int64) for _ in reaches[:-1]]
+    rows = max(1, _PAIR_CELLS // n)
+    for s, at in by_s.items():
+        nbrs = region.neighbors(s)
+        inside = region.norms + s <= T
+        for lo in range(0, len(at), rows):
+            block = at[lo : lo + rows]
+            supp = np.zeros((len(block), n), dtype=bool)
+            drawn = [k for k, i in enumerate(block) if i not in forced]
+            if drawn:
+                supp[drawn] = field_rng.mask([block[k] for k in drawn], codes)
+            for k, i in enumerate(block):
+                if i in forced:
+                    supp[k, forced[i]] = True
+            # points outside or at the boundary are no candidates, but they
+            # still block their neighbours
+            row, point = np.divmod(_isolated(nbrs, supp, np.flatnonzero(supp & inside)), n)
+            ends = np.searchsorted(row, np.arange(len(block) + 1)).tolist()
+            for k, i in enumerate(block):
+                isolated[i] = point[ends[k] : ends[k + 1]]
+    return isolated
+
+
 def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> SimulationTrace:
     """Execute the iterative randomized coloring on the configured window.
 
@@ -340,18 +412,23 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
     config.validate()
     ideal = config.ideal
     g = ideal.group
-    T = config.window_radius + config.margin
-    region = _region_of(g, T)
+    region = _region_of(g, config.window_radius + config.margin)
     n_pts = len(region.elements)
     interior_mask = region.norms <= config.window_radius
     codes = region.codes if _field_codes is None else _field_codes
     if len(codes) != n_pts:
         raise ValueError("field codes must cover the region")
-    field_rng = RandomField(g, config.seed, Fraction(config.p))
 
     cycle = config.cycle()
     r_of = {c: ideal.locality_radius(c) for c in cycle}
-    max_r = max(r_of.values())
+    code_of = {c: ideal.color_code(c) for c in cycle}
+    schedule_used = [cycle[i % len(cycle)] for i in range(config.steps)]
+    # R_i, the sup of r over the colours before step i (0 before any), and
+    # the final value
+    reaches: List[Radius] = [0]
+    for c in schedule_used:
+        reaches.append(max(reaches[-1], r_of[c]))
+    isolated = _isolated_supports(config, region, codes, reaches, max(r_of.values()))
 
     elements = region.elements
     # each point's colour, recorded after its step, and None at the sentinel
@@ -360,63 +437,33 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
     color_codes = np.full(n_pts + 1, NO_COLOR, dtype=np.int64)
     interior_count = int(interior_mask.sum())
     filled = 0  # coloured points of the interior
-
     steps: List[Tuple[int, np.ndarray]] = []
     fills = [0.0]
-    reaches: List[Radius] = []
-    schedule_used: List[int] = []
-
-    reach: Radius = 0  # sup of r over consumed colors; 0 before anything is consumed
-    forced = config.forced_supports or {}
-
-    for i in range(config.steps):
-        c_i = cycle[i % len(cycle)]
-        code_i = ideal.color_code(c_i)
-        reaches.append(reach)
-        schedule_used.append(c_i)
-        s = radius_floor(2 * reach)
-
-        if i in forced:
-            supp = forced[i]
-            at = _locate_strictly(region, supp, "forced support point")
-            if len(set(supp)) != len(supp):
-                raise ValueError(f"forced supports at step {i} repeat a point")
-            supp_mask = np.zeros(n_pts, dtype=bool)
-            supp_mask[at] = True
-        elif config.warmup and reach < max_r:
-            supp_mask = None  # warm-up round: empty support (the schedule still advances)
-        else:
-            supp_mask = field_rng.mask(i, codes)
-        accepted = np.zeros(0, dtype=np.int64)
-        if supp_mask is not None:
-            nbrs = region.neighbors(s)
-            # coloured and boundary support points still block their neighbours
-            fresh = supp_mask & (color_codes[:-1] == NO_COLOR) & (region.norms + s <= T)
-            cand = _isolated(nbrs, supp_mask, np.flatnonzero(fresh))
-            if len(cand):
-                # candidates are more than s apart, so no window holds another
-                # one: each is judged against the colours before the step,
-                # with the candidate itself, in column 0, coloured c_i
-                C = color_codes[nbrs[cand]]
-                C[:, 0] = code_i
-                member = ideal.contains_windows(
-                    C,
-                    region.slot_distances(s),
-                    lambda row: PartialColoring._of_valid(
-                        g, {**_window(region, colors, cand[row], s), elements[cand[row]]: c_i}
-                    ),
-                )
-                accepted = cand[member]
-        for j in accepted.tolist():
-            colors[j] = c_i
-        color_codes[accepted] = code_i
-        filled += int(interior_mask[accepted].sum())
-
+    for c_i, reach, cand in zip(schedule_used, reaches, isolated):
+        # coloured support points blocked their neighbours, and take no colour
+        accepted = cand = cand[color_codes[cand] == NO_COLOR]
+        if len(cand):
+            s = radius_floor(2 * reach)
+            # candidates are more than s apart, so no window holds another
+            # one: each is judged against the colours before the step,
+            # with the candidate itself, in column 0, coloured c_i
+            C = color_codes[region.neighbors(s)[cand]]
+            C[:, 0] = code_of[c_i]
+            member = ideal.contains_windows(
+                C,
+                region.slot_distances(s),
+                lambda row: PartialColoring._of_valid(
+                    g, {**_window(region, colors, cand[row], s), elements[cand[row]]: c_i}
+                ),
+            )
+            accepted = cand[member]
+            for j in accepted.tolist():
+                colors[j] = c_i
+            color_codes[accepted] = code_of[c_i]
+            filled += int(interior_mask[accepted].sum())
         steps.append((c_i, accepted))
         fills.append(filled / interior_count if interior_count else 0.0)
-        reach = max(reach, r_of[c_i])
 
-    reaches.append(reach)
     return SimulationTrace(
         config=config,
         region=elements,
@@ -446,62 +493,97 @@ _LEAVES, _NONLOCAL = -1, -2
 def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport:
     """Check every step of the trace against the local criterion: around
     each colored point whose window fits inside the region, the window must
-    be a member. Windows are re-examined whenever a step adds a point that
-    touches them; untouched windows cannot change, so this covers every
-    (step, point) pair the direct definition would. The trace's points are
-    indices of the region Ball(1, window + margin); windows are read from
-    its neighbour table, as ``run`` reads them."""
+    be a member. A window is judged again at each step that colours a point
+    within the largest finite radius R of its centre; windows no step
+    touches cannot change, so this covers every (step, point) pair the
+    direct definition would. The distance is symmetric, so the steps that
+    touch x's window are the steps of the points in x's row of
+    ``neighbors(R)``.
+
+    The trace is judged whole, in region indices: each point's step, colour
+    code and window radius are scattered from the step arrays once, and
+    for each window radius one ``contains_windows`` call judges every
+    (step t, point x) pair of a block of coloured points, on x's window as
+    it stood after step t (slots coloured later read NO_COLOR). Blocks keep
+    every scratch array within _PAIR_CELLS cells. Failures are listed by
+    step, then in ``sort_key`` order. A trace colours each point at most
+    once (``SimulationTrace``), so a point's colour is its only one."""
     g = trace.group
+    if ideal.group != g:
+        raise ValueError(f"the ideal is on {ideal.group.spec_string()}, the trace on {g.spec_string()}")
     T = trace.config.window_radius + trace.config.margin
     region = _region_of(g, T)
     elements = region.elements
     n = len(elements)
     report = ValidationReport()
-    colors = [None] * (n + 1)  # as in run
-    color_codes = np.full(n + 1, NO_COLOR, dtype=np.int64)
-    # each coloured point's window radius floor(r_c), or _LEAVES where that
-    # window leaves the region, or _NONLOCAL where r_c is infinite
-    window_radius = np.full(n + 1, _LEAVES, dtype=np.int64)
-
-    radius = {c: ideal.locality_radius(c) for c, _at in trace.steps}
-    finite = [rc for rc in radius.values() if not isinstance(rc, Infinity)]
+    index: Dict[object, int] = {}  # each colour used, as a small int
+    kinds = [index.setdefault(c, len(index)) for c, _at in trace.steps]
+    palette = list(index)
+    radius = [ideal.locality_radius(c) for c in palette]
+    finite = [rc for rc in radius if not isinstance(rc, Infinity)]
     reach = region.neighbors(radius_floor(max(finite)) if finite else 0)
     window_radii = sorted({radius_floor(rc) for rc in finite})
-    for step_index, (color, new) in enumerate(trace.steps, start=1):
-        for k in new.tolist():
-            colors[k] = color
-        rc = radius[color]
-        color_codes[new] = ideal.color_code(color)
-        if isinstance(rc, Infinity):
-            window_radius[new] = _NONLOCAL
-        else:  # the window fits iff |x| + r_c <= T, that is |x| + ceil(r_c) <= T
-            window_radius[new] = np.where(
-                region.norms[new] + radius_ceil(rc) <= T, radius_floor(rc), _LEAVES
-            )
-        hit = np.zeros(n + 1, dtype=bool)
-        hit[reach[new]] = True
-        affected = np.flatnonzero(hit & (color_codes != NO_COLOR))  # never the sentinel
-        radii = window_radius[affected]
+
+    # per point, and at the sentinel index: its step (1-based; past the
+    # last where never coloured), its colour as an index into palette
+    # (-1 for none), and from that its colour code and window radius:
+    # floor(r_c), or _NONLOCAL where r_c is infinite, or _LEAVES where the
+    # point is uncoloured or its window leaves the region (the window fits
+    # iff |x| + ceil(r_c) <= T)
+    last = len(trace.steps)
+    counts = [len(at) for _c, at in trace.steps]
+    points = np.concatenate([np.zeros(0, dtype=np.int64), *(at for _c, at in trace.steps)])
+    step_of = np.full(n + 1, last + 1, dtype=np.int64)
+    step_of[points] = np.repeat(np.arange(1, last + 1), counts)
+    kind = np.full(n + 1, -1, dtype=np.int64)
+    kind[points] = np.repeat(np.array(kinds, dtype=np.int64), counts)
+    color_codes = np.array([*map(ideal.color_code, palette), NO_COLOR], dtype=np.int64)[kind]
+    floors = [_NONLOCAL if isinstance(rc, Infinity) else radius_floor(rc) for rc in radius]
+    ceils = [0 if isinstance(rc, Infinity) else radius_ceil(rc) for rc in radius]
+    window_radius = np.array([*floors, _LEAVES], dtype=np.int64)[kind]
+    leaves = np.append(region.norms, 0) + np.array([*ceils, 0], dtype=np.int64)[kind] > T
+    window_radius[(window_radius >= 0) & leaves] = _LEAVES
+
+    def window_at(j: int, r: int, t: int) -> PartialColoring:
+        """Point j's radius-r window after step t."""
+        row = region.neighbors(r)[j]
+        row = row[step_of[row] <= t]
+        return PartialColoring._of_valid(
+            g, {elements[k]: palette[c] for k, c in zip(row.tolist(), kind[row].tolist())}
+        )
+
+    failing = []  # (t, x) of each window judged not a member
+    centres = np.flatnonzero(window_radius[:-1] != _LEAVES)  # judged, or skipped as non-local
+    rows = max(1, _PAIR_CELLS // reach.shape[1] ** 2)
+    for lo in range(0, len(centres), rows):
+        block = centres[lo : lo + rows]
+        # the distinct steps, from x's own on, that colour a point of x's row
+        touched = np.sort(step_of[reach[block]], axis=1)
+        keep = (touched >= step_of[block, None]) & (touched <= last)
+        keep[:, 1:] &= touched[:, 1:] != touched[:, :-1]
+        a, b = np.nonzero(keep)
+        t, x = touched[a, b], block[a]
+        radii = window_radius[x]
         report.skipped_nonlocal += int((radii == _NONLOCAL).sum())
-        failing = []
         for r in window_radii:
-            rows = affected[radii == r]
-            if not len(rows):
+            on = radii == r
+            if not on.any():
                 continue
+            tr, xr = t[on], x[on]
+            W = region.neighbors(r)[xr]
             member = ideal.contains_windows(
-                color_codes[region.neighbors(r)[rows]],
+                np.where(step_of[W] <= tr[:, None], color_codes[W], NO_COLOR),
                 region.slot_distances(r),
-                lambda row: PartialColoring._of_valid(g, _window(region, colors, rows[row], r)),
+                lambda row: window_at(xr[row], r, tr[row]),
             )
-            report.windows_checked += len(rows)
-            failing.extend(rows[~member].tolist())
-        # failures are listed in sort_key order, which region order is not on Z^d
-        for j in sorted(failing, key=lambda k: g.sort_key(elements[k])):
-            window = PartialColoring._of_valid(g, _window(region, colors, j, int(window_radius[j])))
-            report.failures.append(
-                {"step": step_index, "element": g.element_to_json(elements[j]),
-                 "window": window.to_json()}
-            )
+            report.windows_checked += len(xr)
+            failing.extend(zip(tr[~member].tolist(), xr[~member].tolist()))
+    # region order is not sort_key order on Z^d
+    for t, j in sorted(failing, key=lambda tj: (tj[0], g.sort_key(elements[tj[1]]))):
+        report.failures.append(
+            {"step": t, "element": g.element_to_json(elements[j]),
+             "window": window_at(j, int(window_radius[j]), t).to_json()}
+        )
     return report
 
 

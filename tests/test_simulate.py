@@ -11,7 +11,10 @@ Laws under test:
    exists). A support point that is already coloured, or too near the
    boundary to be a candidate, still blocks its neighbours. The isolation
    kernel, a column at a time over the candidates, keeps exactly the
-   candidates the row rule keeps, in region order, on Z^1-Z^3 and F_1-F_3.
+   candidates the row rule keeps, in region order, on Z^1-Z^3 and F_1-F_3,
+   also for each step of a stack of steps' masks read through flat
+   candidates; a stacked mask of many steps equals their masks one at a
+   time and ``bit``, on every density.
 3. Hard invariants on live runs: colorings grow monotonically, same-step
    points are farther apart than twice the step's reach, every local window
    of the final coloring is a member.
@@ -41,16 +44,24 @@ Laws under test:
    located or validated again, and decoding it and building it again with
    ``SimulationTrace.from_elements`` gives the same indices and report.
    Hand traces are refused with ValueError for invalid colours and points
-   outside the region.
-9. Batched admission: ``run`` and the validator, judging each step's
-   windows in one array check, give the same assigned sets, fills and
+   outside the region, any trace that colours a point twice is refused,
+   and the validator refuses an ideal on another group. Random hand traces on Z^1, Z^2 and F_2, most
+   with failures, equal the brute-force validator.
+9. Batched admission: ``run`` and the validator, judging many windows in
+   one array check, give the same assigned sets, fills and
    validation reports (counts and failures in order) as the same ideal
    judged window by window through ``contains``, on the runs and hand
    traces of law 8.
+10. Whole-run passes: ``run`` draws and isolates the supports of a block
+   of steps in one call each, and the validator makes at most one
+   membership call per window radius per block of coloured points, however
+   many steps the trace has; blocks of one cell give the same traces and
+   reports.
 """
 
 import copy
 import dataclasses
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -69,7 +80,7 @@ from shiftcolor.ideals import (
 from shiftcolor.patterns import PartialColoring
 from shiftcolor.radii import INF, Infinity, radius_ceil, radius_floor
 from shiftcolor.reduction import ReducedIdeal, SupRadiiJoin
-from shiftcolor.rng import bernoulli_mask, element_code, element_codes
+from shiftcolor.rng import RandomField, bernoulli_mask, bit, element_code, element_codes
 from shiftcolor.simulate import (
     EquivarianceReport,
     SimulationConfig,
@@ -283,6 +294,57 @@ class TestIsolationKernel:
                 self.assert_matches_row_rule(region, s, np.zeros(n, dtype=bool), np.zeros(0, dtype=np.int64))
                 self.assert_matches_row_rule(region, s, full, np.zeros(0, dtype=np.int64))
             assert simulate._isolated(region.neighbors(0), full, np.arange(n)).tolist() == list(range(n))
+
+
+class TestStackedSupports:
+    """``run`` draws and isolates many steps' supports at once: a stacked
+    mask equals the masks of its steps, one at a time, and ``bit``; and the
+    isolation kernel on a (k, n) mask, with flat candidates, keeps of each
+    step exactly what the row rule keeps."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(0, 2**32), st.integers(2**64, 2**70)),
+        steps=st.lists(st.one_of(st.integers(0, 1000), st.integers(2**64, 2**70)), max_size=6),
+        codes=st.lists(st.integers(0, 2**64 - 1), max_size=12),
+        p=st.sampled_from(
+            [Fraction(1, 2), Fraction(1, 3), Fraction(7, 8), Fraction(1, 2**64), Fraction(-1, 2), Fraction(0),
+             Fraction(1), Fraction(3, 2)]
+        ),
+    )
+    def test_mask_of_many_steps_equals_scalar_masks_and_bits(self, seed, steps, codes, p):
+        codes = np.array(codes, dtype=np.uint64)
+        masks = bernoulli_mask(seed, steps, codes, p)
+        assert masks.dtype == bool and masks.shape == (len(steps), len(codes))
+        assert masks.tolist() == [bernoulli_mask(seed, t, codes, p).tolist() for t in steps]
+        assert masks.tolist() == [[bit(seed, t, c, p) for c in codes.tolist()] for t in steps]
+        if 0 < p < 1:
+            assert RandomField(Z1, seed, p).mask(steps, codes).tolist() == masks.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        case=st.sampled_from(ISOLATION_CASES),
+        s=st.integers(0, 3),
+        k=st.sampled_from([1, 2, 7]),
+        p=st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(7, 8)]),
+        seed=st.integers(0, 2**64),
+        pick=st.sampled_from(["all", "some", "none"]),
+    )
+    def test_isolation_of_stacked_steps_matches_row_rule(self, case, s, k, p, seed, pick):
+        region = _region_of(*case)
+        n = len(region.elements)
+        nbrs = region.neighbors(s)
+        supp = np.stack([bernoulli_mask(seed, t, region.codes, p) for t in range(k)])
+        cand = np.flatnonzero(supp)
+        if pick == "some":
+            cand = cand[bernoulli_mask(seed, -1, cand.astype(np.uint64), Fraction(1, 2))]
+        if pick == "none":
+            cand = cand[:0]
+        got = simulate._isolated(nbrs, supp, cand)
+        assert (np.diff(got) > 0).all()
+        for t in range(k):
+            mine = got[got // n == t] % n
+            assert mine.tolist() == row_rule_isolated(nbrs, supp[t], cand[cand // n == t] % n)
 
 
 class TestHardInvariants:
@@ -635,6 +697,18 @@ def forbid_locating(monkeypatch, g, allowed=None):
     monkeypatch.setattr(g, "validate", lambda e: validate(e) if e is allowed else refuse(), raising=False)
 
 
+# (ideal, window, margin) of the random hand traces
+HAND_CASES = [
+    (PC3, 10, 3),
+    (ProperColoring(Z2, 3), 3, 2),
+    (PC3_F2, 2, 1),
+    (DC, 12, 4),
+    (DistanceConstrained(Z1, (1, 3), (3, INF)), 10, 4),
+    (NU, 12, 4),
+    (NotUniversal(F2, (1,), (3,)), 2, 2),
+]
+
+
 class TestValidatorAgainstBruteForce:
     @pytest.mark.parametrize(
         "config",
@@ -659,6 +733,8 @@ class TestValidatorAgainstBruteForce:
                              warmup=False),
             SimulationConfig(NotUniversal(F2, (1,), (3,)), 2, 6, 4, seed=0,
                              forced_supports={1: [""], 2: ["aa"], 3: ["bb"]}),
+            # forced and drawn supports isolated in one pass
+            SimulationConfig(PC3, 10, 2, 8, Fraction(1, 2), seed=3, forced_supports={4: [0, 3, -5]}),
         ],
     )
     def test_runs(self, config):
@@ -713,6 +789,53 @@ class TestValidatorAgainstBruteForce:
                 trace = _hand_trace(DC, 10, 12, [(0, (0,)), (0, (far,))])
                 trace_validate(trace, DC)
 
+    def test_random_hand_traces(self):
+        """Random traces, most with failures, some with colours of infinite
+        radius or off the palette, equal the brute-force validator and the
+        window-by-window one."""
+        rng = random.Random(18)
+        failing = passing = 0
+        for _ in range(400):
+            ideal, window, margin = rng.choice(HAND_CASES)
+            region = _region_of(ideal.group, window + margin)
+            points = rng.sample(region.elements, rng.randint(1, min(len(region.elements), 24)))
+            cuts = sorted(rng.choices(range(len(points) + 1), k=rng.randint(0, 6)))
+            palette = ideal.palette_size + isinstance(ideal, ProperColoring)
+            trace = _hand_trace(ideal, window, margin, [
+                (rng.randrange(palette), tuple(points[lo:hi]))
+                for lo, hi in zip([0, *cuts], [*cuts, len(points)])
+            ])
+            fast = trace_validate(trace, ideal)
+            assert fast.to_jsonable() == brute_force_validate(trace, ideal).to_jsonable()
+            assert trace_validate(trace, per_window(ideal)).to_jsonable() == fast.to_jsonable()
+            failing += not fast.ok
+            passing += fast.ok and fast.windows_checked > 0
+        assert failing >= 100 and passing >= 20
+
+    def test_ideal_on_another_group_refused(self):
+        """The windows come from the trace's region, so an ideal on another
+        group would be asked about distances it does not measure."""
+        trace = run(SimulationConfig(PC3, 20, 2, 12, Fraction(1, 2), seed=0))
+        assert any(at.size for _c, at in trace.steps)
+        for other in (ProperColoring(Z2, 3), ProperColoring(FreeGroup(1), 3)):
+            with pytest.raises(ValueError, match="the ideal is on"):
+                trace_validate(trace, other)
+
+    def test_hand_trace_point_coloured_twice_rejected(self):
+        """The process never colours a point twice, and the validator reads
+        each point's colour as its only one: a recolouring cannot repair a
+        failure, however the trace is built."""
+        for ideal, assigned in (
+            (PC3, [(0, (0,)), (0, (1,)), (1, (1,))]),
+            (PC3, [(0, (0, 0))]),
+            (PC3_F2, [(0, ("a", "b")), (1, ("Ab",)), (2, ("b",))]),
+        ):
+            with pytest.raises(ValueError, match="coloured more than once"):
+                _hand_trace(ideal, 3, 2, assigned)
+        trace = _hand_trace(PC3, 3, 2, [(0, (0,)), (0, (1,))])
+        with pytest.raises(ValueError, match="trace point 1 is coloured more than once"):
+            dataclasses.replace(trace, steps=[*trace.steps, (1, trace.steps[1][1])])
+
     @pytest.mark.parametrize(
         "config",
         [
@@ -736,6 +859,71 @@ class TestValidatorAgainstBruteForce:
         assert trace_validate(trace, config.ideal).windows_checked > 0
         after = _region_of.cache_info()
         assert after.misses == before.misses and after.hits > before.hits
+
+
+BLOCK_CONFIGS = [
+    SimulationConfig(PC3, 60, 2, 60, Fraction(1, 2), seed=1),
+    SimulationConfig(ProperColoring(Z2, 5), 8, 2, 40, Fraction(1, 8), seed=0),
+    SimulationConfig(DC, 80, 12, 40, Fraction(1, 8), seed=1),
+    SimulationConfig(PC3, 20, 2, 12, Fraction(1, 2), seed=4, warmup=False),
+    SimulationConfig(ProperColoring(F2, 5), 3, 2, 12, Fraction(1, 4), seed=0, warmup=False),
+    SimulationConfig(PC3, 10, 2, 8, Fraction(1, 2), seed=3, forced_supports={4: [0, 3, -5]}),
+]
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` to record its calls; returns the record."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestWholeRunPasses:
+    """``run`` draws and isolates supports, and ``trace_validate`` judges
+    windows, a block at a time, never a step at a time; and a block of one
+    cell changes no trace and no report."""
+
+    @pytest.mark.parametrize("config", BLOCK_CONFIGS)
+    def test_calls_per_block_not_per_step(self, monkeypatch, config):
+        region = _region_of(config.ideal.group, config.window_radius + config.margin)
+        masks = count_calls(monkeypatch, RandomField, "mask")
+        isolations = count_calls(monkeypatch, simulate, "_isolated")
+        trace = run(config)
+        # every region here fits one block of steps per isolation radius
+        assert simulate._PAIR_CELLS // len(region.elements) >= config.steps
+        support_s = {radius_floor(2 * R) for R, (_c, at) in zip(trace.reaches, trace.steps)
+                     if not config.warmup or R == max(trace.reaches)}
+        assert len(isolations) == len(support_s)
+        assert len(masks) == len(support_s)
+        judged = count_calls(monkeypatch, config.ideal, "contains_windows")
+        report = trace_validate(trace, config.ideal)
+        radii = {radius_floor(config.ideal.locality_radius(c)) for c, _at in trace.steps}
+        w = region.neighbors(max(radii)).shape[1]
+        coloured = sum(len(at) for _c, at in trace.steps)
+        blocks = -(-coloured // max(1, simulate._PAIR_CELLS // w**2))
+        assert 0 < len(judged) <= len(radii) * blocks < report.windows_checked
+
+    @pytest.mark.parametrize("config", BLOCK_CONFIGS)
+    def test_one_cell_blocks_change_nothing(self, monkeypatch, config):
+        trace = run(config)
+        report = trace_validate(trace, config.ideal).to_jsonable()
+        monkeypatch.setattr(simulate, "_PAIR_CELLS", 1)
+        capped = run(config)
+        assert capped.to_summary_jsonable(dump=True) == trace.to_summary_jsonable(dump=True)
+        assert trace_validate(capped, config.ideal).to_jsonable() == report
+        for ideal, window, margin, assigned in (
+            (PC3, 6, 1, [(0, (0, 6, 7)), (1, (3,)), (0, (1, -7)), (2, (4, 5))]),
+            (PC3_F2, 3, 2, [(0, ("", "a", "ab")), (1, ("b",)), (0, ("Ab", "aB"))]),
+        ):
+            hand = _hand_trace(ideal, window, margin, assigned)
+            assert not trace_validate(hand, ideal).ok
+            assert trace_validate(hand, ideal).to_jsonable() == brute_force_validate(hand, ideal).to_jsonable()
 
 
 class TestEquivariance:
