@@ -18,7 +18,6 @@ import functools
 import json
 import random
 import sys
-from fractions import Fraction
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -32,6 +31,7 @@ from .ideals import (
 )
 from .oracles import INCONCLUSIVE, WITNESS, extension_oracle, infty_check, infty_counting_bound
 from .patterns import PartialColoring
+from .radii import parse_fraction
 from .reduction import (
     ReducedIdeal,
     check_join,
@@ -157,7 +157,7 @@ def _cmd_reduce(args) -> Tuple[dict, int]:
     violations: List[dict] = []
     dumped: List[dict] = []
     checked = 0
-    if not reduced_contains(reduced, PartialColoring(base.group, {})):
+    if not reduced_contains(reduced, reduced.empty()):
         violations.append({"kind": "empty-not-member"})
     for _ in range(samples):
         phi = grow_random_member(reduced, rng, size=rng.randint(0, 3), radius=4)
@@ -206,7 +206,7 @@ def _cmd_simulate(args) -> Tuple[dict, int]:
         window_radius=args.window,
         margin=args.margin,
         steps=args.steps,
-        p=Fraction(args.p),
+        p=parse_fraction(args.p),
         seed=args.seed,
         schedule=schedule,
         warmup=not args.no_warmup,

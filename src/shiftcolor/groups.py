@@ -303,7 +303,7 @@ class FreeAbelian(Group):
                 return obj[0]
             raise ValueError(f"not a {self.name} element: {obj!r}")
         if isinstance(obj, (list, tuple)) and len(obj) == self.dimension:
-            g = tuple(int(c) for c in obj)
+            g = tuple(obj)
             self.validate(g)
             return g
         raise ValueError(f"not a {self.name} element: {obj!r}")
@@ -496,7 +496,7 @@ class FreeGroup(Group):
         return g
 
     def element_from_json(self, obj):
-        if obj == 1 or obj == "1":
+        if obj == "1" or (type(obj) is int and obj == 1):
             return ""
         if isinstance(obj, str):
             self.validate(obj)

@@ -44,8 +44,8 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import Group, ball_size, identity_ball, parse_group
-from .patterns import PartialColoring, _shift_valid
-from .radii import Infinity, Radius, as_radius, radius_ceil, radius_to_json
+from .patterns import PartialColoring, shift
+from .radii import Infinity, Radius, as_int, as_radius, radius_ceil, radius_to_json
 from .reports import Report
 
 
@@ -83,7 +83,7 @@ class IdealSpec:
         return None
 
     def empty(self) -> PartialColoring:
-        return PartialColoring(self.group, {})
+        return PartialColoring._of_valid(self.group, {})
 
     def admits(self, phi: PartialColoring, gamma, c) -> bool:
         """Whether phi + (gamma, c) is a member, for phi - gamma a member."""
@@ -346,7 +346,7 @@ def _check_h_sequence(h):
 
 
 def _check_d_sequence(d):
-    out = tuple(int(v) for v in d)
+    out = tuple(as_int(v, "each d entry") for v in d)
     if any(v < 0 for v in out):
         raise ValueError(f"d entries must be nonnegative, got {out!r}")
     for a, b in zip(out, out[1:]):
@@ -395,7 +395,7 @@ class NotUniversal(PairwiseIdeal):
         group = parse_group(group)
         self.group = group
         self.d = _check_d_sequence(d)
-        self.D = tuple(int(v) for v in D)
+        self.D = tuple(as_int(v, "each D entry") for v in D)
         if len(self.D) != len(self.d):
             raise ValueError("d and D must have the same length")
         for c, (dc, Dc) in enumerate(zip(self.d, self.D)):
@@ -426,7 +426,7 @@ def ideal_from_json(obj: dict) -> IdealSpec:
         raise ValueError(f"an ideal spec is a JSON object, got {obj!r}")
     kind = obj.get("kind")
     if kind == "ProperColoring":
-        return ProperColoring(obj["group"], int(obj["k"]))
+        return ProperColoring(obj["group"], as_int(obj["k"], "k"))
     if kind == "DistanceConstrained":
         return DistanceConstrained(obj["group"], obj["d"], obj["h"])
     if kind == "NotUniversal":
@@ -616,7 +616,7 @@ def ideal_axioms_check(
         X = None if inverses is None else g.pack(dom, reach=shift_radius)
         if X is None:
             restricted = [P.contains(phi.restrict(sub)) for sub in subsets]
-            shifted = [P.contains(_shift_valid(phi, gamma)) for gamma in shifts]
+            shifted = [P.contains(shift(phi, gamma)) for gamma in shifts]
         else:
             codes = np.array([P.color_code(c) for c in phi.entries.values()], dtype=np.int64)
             slot = {e: a for a, e in enumerate(dom)}
@@ -635,7 +635,7 @@ def ideal_axioms_check(
             D[:, a, b] = D[:, b, a] = g.dist_packed(moved[:, a], moved[:, b])
             shifted = P.contains_windows(
                 np.broadcast_to(codes, (len(shifts), len(dom))), D,
-                lambda i: _shift_valid(phi, shifts[i]),
+                lambda i: shift(phi, shifts[i]),
             )
         for sub, member in zip(subsets, restricted):
             if not member:

@@ -78,7 +78,7 @@ def infty_check(group, d: Sequence[int], c: int, node_budget: int = 2_000_000) -
         nonlocal nodes, witness, valid, exhausted
         if i == n:
             valid += 1
-            witness = PartialColoring(group, {points[j]: assignment[j] for j in range(n)})
+            witness = PartialColoring._of_valid(group, {points[j]: assignment[j] for j in range(n)})
             return True
         for color in range(c + 1):
             nodes += 1
@@ -203,7 +203,7 @@ def extension_oracle(
         relaxation otherwise (complete assignments get a full re-check)."""
         cur[e] = color
         try:
-            pattern = PartialColoring(g, cur)
+            pattern = PartialColoring._of_valid(g, cur)
             if isinstance(check_radius, Infinity):
                 return P.contains(pattern)
             return P.contains(pattern.window(e, check_radius))
@@ -213,7 +213,7 @@ def extension_oracle(
     def backtrack(i: int) -> bool:
         nonlocal nodes, witness, valid, exhausted
         if i == n:
-            candidate = PartialColoring(g, dict(cur))
+            candidate = PartialColoring._of_valid(g, dict(cur))
             if P.contains(candidate):
                 valid += 1
                 witness = candidate

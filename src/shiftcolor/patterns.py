@@ -8,6 +8,12 @@ reduction machinery. The shift action moves domains on the right:
     shift(phi, g)(x)   = phi(x * g),
 
 so shifting by g and then by h equals shifting by h*g (a left action).
+
+Patterns are validated once, at the boundary: the public constructor and
+``from_json`` check every element and color, ``with_entry`` checks its new
+entry and ``shift`` its gamma. Every pattern derived from valid ones — a
+restriction, window, union, shift or truncation — is built through
+``PartialColoring._of_valid`` and checks nothing again.
 """
 
 from __future__ import annotations
@@ -54,13 +60,10 @@ class PartialColoring:
 
     @classmethod
     def _of_valid(cls, group: Group, table: Dict[object, Color]) -> "PartialColoring":
-        """A pattern over entries already known to be valid: canonical
-        elements with valid colours. Nothing is checked again.
-
-        It skips ``__init__``, so the benchmark tracer's
-        ``patterns.PartialColoring.constructed`` counter, which wraps
-        ``__init__``, does not count these patterns until perfbench/tracer.py
-        wraps this method too (an open item on ROADMAP.md)."""
+        """The internal constructor: a pattern over entries already known to
+        be valid. Nothing is checked again, and ``table`` is kept, not copied.
+        The benchmark tracer's ``patterns.PartialColoring.constructed``
+        counter wraps ``__init__``, so it counts only boundary constructions."""
         out = object.__new__(cls)
         object.__setattr__(out, "group", group)
         object.__setattr__(out, "entries", table)
@@ -115,19 +118,20 @@ class PartialColoring:
     # -- derived patterns --------------------------------------------------
 
     def with_entry(self, element, color) -> "PartialColoring":
+        self.group.validate(element)
         new = dict(self.entries)
-        new[element] = color
-        return PartialColoring(self.group, new)
+        new[element] = _validate_color(color)
+        return PartialColoring._of_valid(self.group, new)
 
     def restrict(self, elements) -> "PartialColoring":
         keep = set(elements)
-        return PartialColoring(
+        return PartialColoring._of_valid(
             self.group, {e: c for e, c in self.entries.items() if e in keep}
         )
 
     def remove(self, elements) -> "PartialColoring":
         drop = set(elements)
-        return PartialColoring(
+        return PartialColoring._of_valid(
             self.group, {e: c for e, c in self.entries.items() if e not in drop}
         )
 
@@ -139,14 +143,14 @@ class PartialColoring:
             if e in merged and merged[e] != c:
                 raise ValueError(f"union conflict at {e!r}")
             merged[e] = c
-        return PartialColoring(self.group, merged)
+        return PartialColoring._of_valid(self.group, merged)
 
     def window(self, center, r: Radius) -> "PartialColoring":
         """The pattern restricted to the closed radius-r ball around center."""
         if isinstance(r, Infinity):
             return self
         g = self.group
-        return PartialColoring(
+        return PartialColoring._of_valid(
             g, {e: c for e, c in self.entries.items() if g.dist(center, e) <= r}
         )
 
@@ -179,17 +183,12 @@ class PartialColoring:
 
 def shift(phi: PartialColoring, gamma) -> PartialColoring:
     """The shift action: dom moves to dom*gamma^-1 and the value at x is the
-    old value at x*gamma."""
-    phi.group.validate(gamma)
-    return _shift_valid(phi, gamma)
-
-
-def _shift_valid(phi: PartialColoring, gamma) -> PartialColoring:
-    """``shift`` by a gamma already known to be canonical, not checked again."""
+    old value at x*gamma. Only gamma is checked: right multiplication by
+    gamma^-1 maps phi's canonical elements one-to-one onto canonical
+    products."""
     g = phi.group
+    g.validate(gamma)
     ginv = g.inv(gamma)
-    # phi's entries are valid, and right multiplication by ginv maps
-    # canonical elements one-to-one onto canonical products
     return PartialColoring._of_valid(g, {g.mul(e, ginv): c for e, c in phi.entries.items()})
 
 
@@ -203,4 +202,4 @@ def truncated_window(phi: PartialColoring, center, r: Radius, h: int) -> Partial
             raise ValueError("truncated_window expects a product-coded pattern")
         if c[0] <= h and (isinstance(r, Infinity) or g.dist(center, e) <= r):
             out[e] = c
-    return PartialColoring(g, out)
+    return PartialColoring._of_valid(g, out)

@@ -9,6 +9,7 @@ floats are never involved. The empty-set conventions used throughout are
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import Union
 
@@ -62,11 +63,28 @@ INF = Infinity()
 Radius = Union[int, Fraction, Infinity]
 
 
+def as_int(value, name: str) -> int:
+    """value as an int, refusing bools, floats and strings, so that a JSON
+    2.9, true or "3" is an error naming ``name`` instead of a coerced int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator refused as a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 def as_radius(value) -> Radius:
     """Coerce ``value`` to a Radius.
 
     Accepts ints, Fractions, the INF sentinel, the string "inf", strings of
-    the form "p/q" or "n", and two-element [numerator, denominator] lists.
+    the form "p/q" or "n", and two-element [numerator, denominator] lists of
+    integers. A zero denominator is a ValueError.
     """
     if isinstance(value, Infinity):
         return INF
@@ -75,11 +93,14 @@ def as_radius(value) -> Radius:
     if isinstance(value, str):
         if value.strip().lower() == "inf":
             return INF
-        value = Fraction(value)
+        value = parse_fraction(value)
     if isinstance(value, (list, tuple)):
         if len(value) != 2:
             raise ValueError(f"radius pair must have two entries, got {value!r}")
-        value = Fraction(int(value[0]), int(value[1]))
+        num, den = (as_int(v, "each radius pair entry") for v in value)
+        if den == 0:
+            raise ValueError(f"radius pair {value!r} has a zero denominator")
+        value = Fraction(num, den)
     if isinstance(value, float):
         raise ValueError("float radii are not accepted; pass an int, Fraction, or 'p/q' string")
     if isinstance(value, Fraction):

@@ -232,7 +232,7 @@ def check_local(
         entries = {}
         for _ in range(size):
             entries[pts[rng.randrange(len(pts))]] = rng.randint(0, color_bound)
-        phi = PartialColoring(g, entries)
+        phi = PartialColoring._of_valid(g, entries)
         if not col_window_check(phi, P, r):
             continue
         report.loc_members_examined += 1
@@ -251,7 +251,7 @@ def project(phi: PartialColoring) -> PartialColoring:
         if not isinstance(c, tuple):
             raise ValueError("project expects a product-coded pattern")
         out[e] = c[1]
-    return PartialColoring(phi.group, out)
+    return PartialColoring._of_valid(phi.group, out)
 
 
 class ReducedIdeal(IdealSpec):

@@ -745,7 +745,7 @@ def sparse_run(group, d: Sequence[int], window_radius: int, m: int, seed: int):
                 entries[e] = c
                 by_color.setdefault(c, []).append(i)
                 break
-    coloring = PartialColoring(group, entries)
+    coloring = PartialColoring._of_valid(group, entries)
     violations = [
         {"color": c, "a": group.element_to_json(window[i]), "b": group.element_to_json(window[j]),
          "dist": t}

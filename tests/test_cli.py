@@ -388,6 +388,75 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @staticmethod
+    def _usage_error(tmp_path, capsys, argv, spec_text=None):
+        """Run argv with a spec file holding spec_text (raw JSON, so that
+        1e999 stays a number) in place of SPEC; the one stderr line."""
+        if spec_text is not None:
+            spec = tmp_path / "spec.json"
+            spec.write_text(spec_text)
+            argv = [str(spec) if a == "SPEC" else a for a in argv]
+        code, data = run_to_file(tmp_path, argv)
+        assert code == 2 and data == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize(
+        "argv, spec_text",
+        [
+            (["simulate", "SPEC", "--window", "3", "--margin", "2", "--steps", "2", "--p", "1/0"],
+             '{"kind": "ProperColoring", "group": "Z^1", "k": 3}'),
+            (["simulate", "SPEC", "--window", "3", "--margin", "30", "--steps", "2"],
+             '{"kind": "DistanceConstrained", "group": "Z^1", "d": [1, 3], "h": ["1/0", 7]}'),
+            (["check", "SPEC", "--mode", "join"],
+             '{"ideal": {"kind": "ProperColoring", "group": "Z^1", "k": 3},'
+             ' "R": {"form": "Constant", "value": [1, 0]}}'),
+        ],
+        ids=["simulate-p", "spec-h", "join-R"],
+    )
+    def test_zero_denominator_exits_two(self, tmp_path, capsys, argv, spec_text):
+        """A zero denominator is bad input, not a crash (exit 1 reads as a
+        found violation)."""
+        err = self._usage_error(tmp_path, capsys, argv, spec_text)
+        assert "zero denominator" in err
+
+    @pytest.mark.parametrize(
+        "argv, spec_text, named",
+        [
+            (["ball", "Z^2", "[2.7,0]", "0"], None, "not a Z^2 element: (2.7, 0)"),
+            (["ball", "Z^2", '["1",0]', "0"], None, "not a Z^2 element: ('1', 0)"),
+            (["ball", "F_2", "true", "0"], None, "not a F_2 element: True"),
+            (["extract", "SPEC", "--radius", "0"],
+             '{"group": "Z^2", "entries": [[[0.5, 0], 0]]}', "not a Z^2 element: (0.5, 0)"),
+            (["check", "SPEC", "--mode", "local"],
+             '{"kind": "ProperColoring", "group": "Z^1", "k": 2.9}', "k must be an integer"),
+            (["check", "SPEC", "--mode", "local"],
+             '{"kind": "ProperColoring", "group": "Z^1", "k": true}', "k must be an integer"),
+            (["check", "SPEC", "--mode", "local"],
+             '{"kind": "ProperColoring", "group": "Z^1", "k": "3"}', "k must be an integer"),
+            (["check", "SPEC", "--mode", "local"],
+             '{"kind": "ProperColoring", "group": "Z^1", "k": 1e999}', "k must be an integer"),
+            (["check", "SPEC", "--mode", "local"],
+             '{"kind": "DistanceConstrained", "group": "Z^1", "d": [1.5, 3.7], "h": [3, 7]}',
+             "each d entry must be an integer"),
+            (["check", "SPEC", "--mode", "local"],
+             '{"kind": "NotUniversal", "group": "Z^1", "d": [1, 3], "D": [5, 13.0]}',
+             "each D entry must be an integer"),
+            (["check", "SPEC", "--mode", "join"],
+             '{"ideal": {"kind": "ProperColoring", "group": "Z^1", "k": 3},'
+             ' "R": {"form": "Constant", "value": [true, 2]}}',
+             "each radius pair entry must be an integer"),
+        ],
+        ids=["ball-float", "ball-string", "ball-f2-bool", "pattern-float", "k-float", "k-bool",
+             "k-string", "k-overflow", "d-float", "D-float", "radius-pair-bool"],
+    )
+    def test_non_integer_number_exits_two(self, tmp_path, capsys, argv, spec_text, named):
+        """Numbers are not coerced at the boundary: 2.9 is not read as 2, nor
+        true as 1."""
+        err = self._usage_error(tmp_path, capsys, argv, spec_text)
+        assert named in err
+
     def test_oracle_palette_max_beyond_palette_exits_two(self, tmp_path, capsys):
         spec = tmp_path / "nu.json"
         spec.write_text(json.dumps({"kind": "NotUniversal", "group": "Z^1", "d": [1, 3],

@@ -4,19 +4,23 @@ Laws under test:
 1. Ordering: the infinite radius exceeds every finite radius, from both sides.
 2. Absorption: infinity + finite = infinity.
 3. Parsing accepts ints, Fractions, "p/q" strings, [num, den] pairs, "inf";
-   rejects floats, bools, and negatives.
+   rejects floats, bools, negatives, pairs of non-integers and zero
+   denominators, each as a ValueError.
 4. JSON round trip is the identity on canonical values.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from shiftcolor.radii import (
     INF,
     Infinity,
+    as_int,
     as_radius,
+    parse_fraction,
     radius_ceil,
     radius_floor,
     radius_from_json,
@@ -81,6 +85,39 @@ class TestAsRadius:
             as_radius(-1)
         with pytest.raises(ValueError):
             as_radius(Fraction(-1, 2))
+
+    @pytest.mark.parametrize("value", ["1/0", " 3/0 ", [1, 0], (0, 0)])
+    def test_zero_denominator_is_a_value_error(self, value):
+        """Not a ZeroDivisionError, which the command line would report as
+        a crash instead of a usage error."""
+        with pytest.raises(ValueError, match="zero denominator"):
+            as_radius(value)
+
+    @pytest.mark.parametrize(
+        "pair", [[1.5, 2], [2, 2.0], ["1", 2], [True, 2], [1, False], [None, 1]]
+    )
+    def test_pair_entries_must_be_integers(self, pair):
+        with pytest.raises(ValueError, match="radius pair entry must be an integer"):
+            as_radius(pair)
+
+
+class TestStrictParsers:
+    @pytest.mark.parametrize("value", [2.9, 2.0, True, "3", None, float("inf")])
+    def test_as_int_refuses_non_integers(self, value):
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            as_int(value, "k")
+
+    def test_as_int_keeps_integers(self):
+        assert as_int(-7, "k") == -7
+        assert as_int(10**30, "k") == 10**30
+        assert type(as_int(np.int64(4), "k")) is int
+
+    def test_parse_fraction(self):
+        assert parse_fraction("3/6") == Fraction(1, 2)
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_fraction("1/0")
+        with pytest.raises(ValueError):
+            parse_fraction("half")
 
 
 class TestFloorCeil:
