@@ -277,7 +277,7 @@ def rare_color_check(spec: DistanceConstrained, omega: PartialColoring) -> RareC
         raise TypeError("rare_color_check audits distance-constrained kinds")
     try:
         membership_ok = col_window_check(omega, spec)
-    except Exception:
+    except ValueError:  # PaletteExhausted: a colour past the palette
         membership_ok = False
     counts: Dict[int, int] = {}
     for c in omega.entries.values():

@@ -120,14 +120,11 @@ def check_join(
     tuple_size_max: int,
     samples: int,
     seed: int,
-    fixtures: Optional[Sequence[Sequence[PartialColoring]]] = None,
     radius: int = 6,
     piece_size: int = 4,
 ) -> JoinReport:
     """Sample tuples of members of P, move them to verified pairwise
-    R-separated positions, and test that the union is still a member.
-    Explicit fixture tuples, when given, are checked first, at their stated
-    positions when already separated (otherwise after placement)."""
+    R-separated positions, and test that the union is still a member."""
     if samples < 0:
         raise ValueError(f"sample count must be nonnegative, got {samples}")
     rng = random.Random(seed)
@@ -148,18 +145,6 @@ def check_join(
                     "union": union.to_json(),
                 }
             )
-
-    for fixture in fixtures or ():
-        pieces = list(fixture)
-        if all(
-            separated(a, b, R) for i, a in enumerate(pieces) for b in pieces[i + 1 :]
-        ):
-            assess(pieces)
-        else:
-            placed = _place_separated(P, R, pieces, rng)
-            if placed is not None:
-                assess(placed)
-        report.samples += 1
 
     for _ in range(samples):
         k = rng.randint(0, tuple_size_max)
@@ -198,14 +183,16 @@ def check_local(
     seed: int,
     radius: int = 6,
     max_size: int = 4,
-    color_bound: Optional[int] = None,
 ) -> LocalReport:
     """Two-sided locality check for P against the window radii r.
 
     Sampled members of P must satisfy the window criterion (they always do
     for restriction-closed ideals — a failure is reported loudly). Random
     patterns satisfying the window criterion are then tested for membership;
-    each one that fails is a counterexample to locality.
+    each one that fails is a counterexample to locality. Their colours are
+    drawn up to P's largest colour (8 when unbounded); on a reduced ideal
+    they are pairs (h, c), with h at most the sampling radius and c up to
+    the base's largest colour.
     """
     if enumeration_budget < 0:
         raise ValueError(f"enumeration budget must be nonnegative, got {enumeration_budget}")
@@ -213,10 +200,10 @@ def check_local(
     g = P.group
     report = LocalReport()
     pts = identity_ball(g, radius)
-    if color_bound is None:
-        color_bound = P.max_color()
-    if color_bound is None:
-        color_bound = 8
+    reduced = isinstance(P, ReducedIdeal)
+    c_max = (P.base if reduced else P).max_color()
+    if c_max is None:
+        c_max = 8
 
     budget = enumeration_budget
     while budget > 0 and report.members_checked < enumeration_budget // 2:
@@ -231,7 +218,10 @@ def check_local(
         size = rng.randint(1, max_size)
         entries = {}
         for _ in range(size):
-            entries[pts[rng.randrange(len(pts))]] = rng.randint(0, color_bound)
+            color = rng.randint(0, c_max)  # drawn before its point
+            if reduced:
+                color = (rng.randint(0, radius), color)
+            entries[pts[rng.randrange(len(pts))]] = color
         phi = PartialColoring._of_valid(g, entries)
         if not col_window_check(phi, P, r):
             continue
@@ -271,6 +261,8 @@ class ReducedIdeal(IdealSpec):
         return reduced_contains(self, phi)
 
     def locality_radius(self, color) -> Radius:
+        if not (isinstance(color, tuple) and len(color) == 2):
+            raise ValueError(f"reduced colours are pairs (h, c), got {color!r}")
         h, _ = color
         return 3 * h
 

@@ -18,8 +18,9 @@ as elements is validated and located once, by ``from_elements``.
 The default schedule cycles through the ideal's palette with a warm-up:
 rounds before R_i reaches its maximum get empty supports (the schedule still
 advances). This keeps every accepted assignment checked at full window
-radius — without it, two adjacent points could legally take the same color
-in a round with R_i = 0, which the fixtures demonstrate on purpose.
+radius — without it, two adjacent support points could legally take the
+same color in a round with R_i = 0: each is alone in its radius-0 ball, and
+its window holds only itself.
 
 Neither the run nor its validator judges a window at a time. Every window
 of radius r about x is the row Ball(1, r)*x of the region's neighbour
@@ -58,7 +59,7 @@ import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,7 +98,6 @@ class Region:
         for a in (self.norms, self.codes, self._code_order, self._step, self.packed):
             if a is not None:
                 a.flags.writeable = False  # shared by every caller
-        self.etas: Dict[int, list] = {}  # d_c -> greedy colouring, see _greedy_distance_coloring
         self._table, self._distances, self._widths = self._build_table(0)
 
     def neighbors(self, s: int) -> np.ndarray:
@@ -219,7 +219,6 @@ class SimulationConfig:
     seed: int = 0
     schedule: Optional[Sequence[int]] = None
     warmup: bool = True
-    forced_supports: Optional[Mapping[int, Sequence]] = None
 
     def cycle(self) -> List[int]:
         if self.schedule is not None:
@@ -251,13 +250,9 @@ class SimulationConfig:
             raise ValueError(
                 f"margin {self.margin} is smaller than twice the largest window radius ({max_r})"
             )
-        if self.forced_supports is not None:
-            for i in self.forced_supports:
-                if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i < self.steps:
-                    raise ValueError(f"forced support step {i!r} is not a step index of the run")
 
     def to_jsonable(self) -> dict:
-        out = {
+        return {
             "ideal": self.ideal.to_json(),
             "window_radius": self.window_radius,
             "margin": self.margin,
@@ -267,24 +262,17 @@ class SimulationConfig:
             "schedule": None if self.schedule is None else list(self.schedule),
             "warmup": self.warmup,
         }
-        if self.forced_supports is not None:
-            g = self.ideal.group
-            out["forced_supports"] = {
-                str(i): sorted((g.element_to_json(e) for e in elems), key=str)
-                for i, elems in self.forced_supports.items()
-            }
-        return out
 
 
-def _locate_strictly(region: Region, elements: Sequence, what: str) -> np.ndarray:
-    """The region index of each element, after validating each once; an
-    element outside the region raises, named as ``what``."""
+def _locate_strictly(region: Region, elements: Sequence) -> np.ndarray:
+    """The region index of each trace point, after validating each once; a
+    point outside the region raises."""
     for e in elements:
         region.group.validate(e)
     at = region.locate(elements)
     outside = len(region.elements)
     if outside in at:
-        raise ValueError(f"{what} {elements[at.tolist().index(outside)]!r} lies outside the region")
+        raise ValueError(f"trace point {elements[at.tolist().index(outside)]!r} lies outside the region")
     return at
 
 
@@ -314,7 +302,7 @@ class SimulationTrace:
         """A trace given as (colour, elements) per step: each colour and
         element is validated once and located in the config's region."""
         region = _region_of(config.ideal.group, config.window_radius + config.margin)
-        steps = [(_validate_color(c), _locate_strictly(region, elems, "trace point")) for c, elems in assigned_sets]
+        steps = [(_validate_color(c), _locate_strictly(region, elems)) for c, elems in assigned_sets]
         return cls(config, region.elements, int((region.norms <= config.window_radius).sum()), steps, [], [], [])
 
     @property
@@ -361,22 +349,16 @@ def _isolated_supports(config: SimulationConfig, region: Region, codes: np.ndarr
                        reaches: List[Radius], max_r: Radius) -> List[np.ndarray]:
     """Per step i, the region indices of its support points, in region
     order, whose radius-s_i ball (s_i = floor(2R_i)) fits inside the region
-    and holds no other support point of the step. Warm-up steps have none;
-    a forced step's support is its located points, any other step's is the
-    field's. The schedule fixes every R_i, so the steps that share one s
-    are isolated together, a block of at most _PAIR_CELLS mask cells at a
-    time, and a block's field steps are drawn in one pass."""
+    and holds no other support point of the step. Warm-up steps have none,
+    and every other step's support is the field's. The schedule fixes every
+    R_i, so the steps that share one s are isolated together, a block of at
+    most _PAIR_CELLS mask cells at a time, and a block's steps are drawn in
+    one pass."""
     T = config.window_radius + config.margin
     n = len(region.elements)
-    forced = {}
-    for i in sorted(config.forced_supports or {}):
-        supp = config.forced_supports[i]
-        forced[i] = _locate_strictly(region, supp, "forced support point")
-        if len(set(supp)) != len(supp):
-            raise ValueError(f"forced supports at step {i} repeat a point")
     by_s: Dict[int, List[int]] = {}
     for i, reach in enumerate(reaches[:-1]):
-        if i in forced or not (config.warmup and reach < max_r):
+        if not (config.warmup and reach < max_r):
             by_s.setdefault(radius_floor(2 * reach), []).append(i)
     field_rng = RandomField(config.ideal.group, config.seed, Fraction(config.p))
     isolated = [np.zeros(0, dtype=np.int64) for _ in reaches[:-1]]
@@ -386,13 +368,7 @@ def _isolated_supports(config: SimulationConfig, region: Region, codes: np.ndarr
         inside = region.norms + s <= T
         for lo in range(0, len(at), rows):
             block = at[lo : lo + rows]
-            supp = np.zeros((len(block), n), dtype=bool)
-            drawn = [k for k, i in enumerate(block) if i not in forced]
-            if drawn:
-                supp[drawn] = field_rng.mask([block[k] for k in drawn], codes)
-            for k, i in enumerate(block):
-                if i in forced:
-                    supp[k, forced[i]] = True
+            supp = field_rng.mask(block, codes)
             # points outside or at the boundary are no candidates, but they
             # still block their neighbours
             row, point = np.divmod(_isolated(nbrs, supp, np.flatnonzero(supp & inside)), n)
@@ -616,8 +592,6 @@ def equivariance_check(config: SimulationConfig, gamma) -> EquivarianceReport:
     config.validate()
     g = config.ideal.group
     g.validate(gamma)
-    if config.forced_supports:
-        raise ValueError("equivariance checks need field-driven supports, not fixtures")
     T = config.window_radius + config.margin
     region = _region_of(g, T)
 
@@ -658,9 +632,7 @@ def _greedy_distance_coloring(region: Region, d_c: int) -> list:
     from ``dist_packed`` over the packed region, a block of rows at a time
     (from ``dist`` where the words are too long to pack). When d_c reaches
     the region's diameter the graph is complete and the result is the visit
-    index itself. Kept on the region, per d_c."""
-    if d_c in region.etas:
-        return region.etas[d_c]
+    index itself."""
     g, elements, packed = region.group, region.elements, region.packed
     n = len(elements)
     if d_c >= 2 * region.radius:
@@ -680,7 +652,6 @@ def _greedy_distance_coloring(region: Region, d_c: int) -> list:
                 while color in taken:
                     color += 1
                 eta.append(color)
-    region.etas[d_c] = eta
     return eta
 
 
@@ -770,6 +741,10 @@ def extract_patterns(
     interior centers (centers whose whole ball lies in the colored window),
     normalized by shifting the center to the identity, that occur at least
     ``min_occurrences`` times. Sorted canonically for determinism."""
+    if shape_radius < 0:
+        raise ValueError(f"the shape radius must be nonnegative, got {shape_radius}")
+    if min_occurrences < 0:
+        raise ValueError(f"the occurrence count must be nonnegative, got {min_occurrences}")
     g = omega.group
     dom = set(omega.domain())
     counts: Dict[tuple, PartialColoring] = {}

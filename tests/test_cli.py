@@ -4,7 +4,8 @@ Laws under test:
 1. Every subcommand produces a canonical envelope — schema version,
    manifest, payload — and the exit code contract holds: 0 clean, 1 a
    checked property was found violated, 2 usage or I/O trouble, 3 budget
-   exhausted before a conclusion.
+   exhausted before a conclusion. Negative ``extract`` arguments, and a
+   plain colour scheduled on a reduced spec, are usage errors.
 2. Reports are byte-identical across reruns with identical inputs, and the
    config hash tracks spec file *contents*, not just paths.
 3. Payload fixtures: sorted ball enumerations, the frozen packing scales,
@@ -24,6 +25,10 @@ from shiftcolor.groups import FreeAbelian, ball_size
 from shiftcolor.reports import SCHEMA_VERSION, TOOL_VERSION
 
 from ball_reference import bfs_ball
+
+
+REDUCED_PC3_SPEC = {"kind": "Reduced", "base": {"kind": "ProperColoring", "group": "Z^1", "k": 3},
+                    "R": {"form": "Constant", "value": 1}}
 
 
 def run_to_file(tmp_path, argv, name="report.json"):
@@ -206,6 +211,16 @@ class TestIdealCommands:
             tmp_path, ["check", pc3_spec, "--mode", "ideal-axioms", "--budget", "60"]
         )
         assert code == 0
+
+    def test_check_local_reduced_spec_clean(self, tmp_path):
+        """Reduced colours are pairs (h, c), and the sampled patterns carry
+        pairs."""
+        spec = tmp_path / "reduced.json"
+        spec.write_text(json.dumps(REDUCED_PC3_SPEC))
+        code, data = run_to_file(tmp_path, ["check", str(spec), "--mode", "local"])
+        assert code == 0
+        report = payload_of(data)["report"]
+        assert report["ok"] and report["loc_members_examined"] > 0
 
     def test_check_join_violation_exits_one(self, tmp_path, pc2_join_refuted_spec):
         code, data = run_to_file(
@@ -478,6 +493,27 @@ class TestUsageErrors:
         )
         assert code == 0
         assert payload_of(data)["trace"]["assigned_counts"] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--radius", "-1"], "shape radius"),
+         (["--radius", "1", "--min-occurrences", "-3"], "occurrence count")],
+        ids=["radius", "min-occurrences"],
+    )
+    def test_extract_negative_arguments_exit_two(self, tmp_path, capsys, flags, named):
+        """As ``oracle-extend --radius -1`` does: a negative radius would
+        count every centre as interior and report one empty pattern."""
+        err = self._usage_error(tmp_path, capsys, ["extract", "SPEC", *flags],
+                                '{"group": "Z^1", "entries": [[0, 0], [1, 1], [2, 0]]}')
+        assert named in err
+
+    def test_reduced_spec_plain_colour_schedule_exits_two(self, tmp_path, capsys):
+        err = self._usage_error(
+            tmp_path, capsys,
+            ["simulate", "SPEC", "--window", "5", "--margin", "6", "--steps", "3", "--schedule", "1"],
+            json.dumps(REDUCED_PC3_SPEC),
+        )
+        assert err == "error: reduced colours are pairs (h, c), got 1\n"
 
     def test_unwritable_out_exits_two(self, tmp_path, pc3_spec):
         target = str(tmp_path / "no" / "such" / "dir" / "x.json")

@@ -16,7 +16,9 @@ Laws under test:
 5. Witnesses returned by the oracle extend the input and are members.
 6. Greedy extension and the oracle agree on sampled members when the
    palette dominates the graph degree.
-7. The rare-color audit counts one-shot colors and flags repeats.
+7. The rare-color audit counts one-shot colors and flags repeats; a colour
+   past the palette reads as a failed membership check, and any other
+   error propagates.
 """
 
 from fractions import Fraction
@@ -24,6 +26,7 @@ import random
 
 import pytest
 
+from shiftcolor import oracles
 from shiftcolor.groups import FreeAbelian, FreeGroup
 from shiftcolor.ideals import (
     DistanceConstrained,
@@ -242,3 +245,17 @@ class TestRareColorAudit:
     def test_type_checked(self):
         with pytest.raises(TypeError):
             rare_color_check(ProperColoring(Z1, 2), PartialColoring(Z1, {}))
+
+    def test_palette_exhausted_fails_membership(self):
+        dc = DistanceConstrained(Z1, (1, 3), (2, INF))
+        report = rare_color_check(dc, PartialColoring(Z1, {0: 0, 5: 2}))
+        assert not report.membership_ok and report.counts == {0: 1, 2: 1}
+
+    def test_faults_propagate(self, monkeypatch):
+        def fault(*args):
+            raise KeyError("fault")
+
+        monkeypatch.setattr(oracles, "col_window_check", fault)
+        dc = DistanceConstrained(Z1, (1, 3), (2, INF))
+        with pytest.raises(KeyError):
+            rare_color_check(dc, PartialColoring(Z1, {0: 1}))

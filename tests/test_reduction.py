@@ -7,10 +7,13 @@ Laws under test:
    empty domains are infinitely far, hence always separated.
 3. check_join: unions of pairwise separated members stay members for local
    kinds with their derived join bound; the constant-0 bound on proper
-   2-colorings is refuted by an explicit near-pair fixture.
+   2-colorings is refuted by sampled near pairs, each a pair of members
+   whose union is not one.
 4. check_local: the window criterion characterizes membership for proper
    colorings at radius 1; distance-constrained kinds at radius 1 admit
-   counterexamples (their true radius is larger).
+   counterexamples (their true radius is larger). A reduced ideal is
+   sampled with pair colours (h, c) and is local on Z^1, Z^2 and F_2; its
+   window radius refuses a colour that is not a pair.
 5. Product-coded reduction: membership via capped windows, the peeling
    decomposition (projections in base, R bounded by the height cap,
    pairwise separation), and point extension with the frozen (height,
@@ -19,7 +22,7 @@ Laws under test:
 
 import pytest
 
-from shiftcolor.groups import FreeAbelian
+from shiftcolor.groups import FreeAbelian, FreeGroup
 from shiftcolor.ideals import (
     ConstantJoin,
     DistanceConstrained,
@@ -107,14 +110,17 @@ class TestCheckJoin:
         assert report.ok
 
     def test_constant_zero_refuted_on_proper_two(self):
-        # {0->0} and {1->0} are members, distance 1 > 0+0, union clashes
+        # {0->0} and {1->0} are members, distance 1 > 0+0, union clashes;
+        # the sampled tuples meet such near pairs
         pc2 = ProperColoring(Z1, 2)
-        fixtures = [(pat({0: 0}), pat({1: 0}))]
-        report = check_join(
-            pc2, ConstantJoin(0), tuple_size_max=2, samples=40, seed=0, fixtures=fixtures
-        )
+        assert separated(pat({0: 0}), pat({1: 0}), ConstantJoin(0))
+        assert not pc2.contains(pat({0: 0, 1: 0}))
+        report = check_join(pc2, ConstantJoin(0), tuple_size_max=2, samples=40, seed=0)
         assert not report.ok
         assert report.violations
+        for violation in report.violations:
+            assert all(pc2.contains(PartialColoring.from_json(p)) for p in violation["pieces"])
+            assert not pc2.contains(PartialColoring.from_json(violation["union"]))
 
     def test_empty_union_case(self):
         report = check_join(PC3, R_ONE, tuple_size_max=0, samples=5, seed=0)
@@ -138,6 +144,25 @@ class TestCheckLocal:
         dc = DistanceConstrained(Z1, (1, 3), (1, 2))
         report = check_local(dc, dc.locality_radius, enumeration_budget=150, seed=0)
         assert report.ok
+
+    @pytest.mark.parametrize("group", [Z1, FreeAbelian(2), FreeGroup(2)])
+    def test_reduced_ideal_sampled_with_pair_colours(self, group):
+        """Plain colours would have no window radius here: every sampled
+        pattern carries pairs (h, c), and those that pass the window
+        criterion are members, as the reduction promises."""
+        red = ReducedIdeal(ProperColoring(group, 3), ConstantJoin(1))
+        for seed in (0, 1):
+            report = check_local(red, red.locality_radius, enumeration_budget=200, seed=seed)
+            assert report.ok, report.to_jsonable()
+            assert report.members_checked == 100 and report.loc_members_examined > 0
+
+
+class TestReducedLocalityRadius:
+    def test_pairs_only(self):
+        assert RED.locality_radius((2, 1)) == 6
+        for bad in (1, (1, 2, 3), "x", [1, 2]):
+            with pytest.raises(ValueError, match="pairs"):
+                RED.locality_radius(bad)
 
 
 class TestProject:

@@ -3,13 +3,14 @@ multi-scale coloring, and pattern extraction.
 
 Laws under test:
 1. Config validation: the margin absorbs twice the largest window radius;
-   densities are proper fractions; palette-less ideals need a schedule;
-   forced supports are keyed by steps of the run, never by bools.
-2. Step rule fixtures: a single forced support point gets the scheduled
-   color; two adjacent forced points at reach 0 both get colored — an
-   invalid outcome that the validator must catch (this is why the warm-up
-   exists). A support point that is already coloured, or too near the
-   boundary to be a candidate, still blocks its neighbours. The isolation
+   densities are proper fractions; palette-less ideals need a schedule.
+2. Step rule, with the field's support substituted at listed steps
+   (``substitute_supports``; supports come only from the field): a single
+   support point gets the scheduled color; two adjacent support points at
+   reach 0 both get colored — an invalid outcome that the validator must
+   catch (this is why the warm-up exists). A support point that is already
+   coloured, or too near the boundary to be a candidate, still blocks its
+   neighbours; unlisted steps read the real field. The isolation
    kernel, a column at a time over the candidates, keeps exactly the
    candidates the row rule keeps, in region order, on Z^1-Z^3 and F_1-F_3,
    also for each step of a stack of steps' masks read through flat
@@ -21,14 +22,16 @@ Laws under test:
 4. Equivariance: runs driven by a translated field agree with the original
    on the safe interior, exactly. Whole reports equal those of the
    per-point check (one g.mul and one index lookup per point), also when a
-   skewed kernel makes records differ.
+   skewed kernel makes records differ. A substituted field is a field on
+   elements, so its runs are equivariant too.
 5. Sparse runs: the greedy colouring equals the all-pairs greedy, the
    frozen greedy table on the line, hard separation for the final colors,
    the complete-graph shortcut, coverage reporting. With every point given
    one colour, the packed re-verification records the violations of a
    per-pair loop over g.dist, in its order, in blocks of any size and on an
    F_1 window too long to pack. A negative window is refused.
-6. Extraction: recurring patterns are found, normalized to the identity.
+6. Extraction: recurring patterns are found, normalized to the identity;
+   a negative shape radius or occurrence count is refused.
 7. The array-built region agrees with the breadth-first ball, group.norm, the scalar
    element code, an index-plus-mul generator table and g.dist; it locates
    points inside it, just outside and past int64 as an index dict does; its
@@ -42,7 +45,8 @@ Laws under test:
    with and without warm-up, and on hand traces with failures. A run's
    trace holds region indices: it is validated and compared with no point
    located or validated again, and decoding it and building it again with
-   ``SimulationTrace.from_elements`` gives the same indices and report.
+   ``SimulationTrace.from_elements`` gives the same indices and report, on
+   drawn and on substituted supports alike.
    Hand traces are refused with ValueError for invalid colours and points
    outside the region, any trace that colours a point twice is refused,
    and the validator refuses an ideal on another group. Random hand traces on Z^1, Z^2 and F_2, most
@@ -128,15 +132,6 @@ class TestConfigValidation:
     def test_good_config_passes(self):
         SimulationConfig(ideal=PC3, window_radius=5, margin=2, steps=3).validate()
 
-    def test_forced_support_steps_are_steps_of_the_run(self):
-        """A bool is no step index (True would force step 1), and a step
-        past the run would be ignored while the report recorded it."""
-        for forced in ({True: [0]}, {False: [0]}, {2: [0]}, {7: [0]}, {-1: [0]}, {"0": [0]}):
-            cfg = SimulationConfig(ideal=PC3, window_radius=5, margin=2, steps=2, forced_supports=forced)
-            with pytest.raises(ValueError, match="not a step index"):
-                cfg.validate()
-        SimulationConfig(ideal=PC3, window_radius=5, margin=2, steps=2, forced_supports={1: [0]}).validate()
-
     def test_schedule_colors_validated_up_front(self):
         for ideal in (PC3, DC, NU):
             for bad in (-1, True, "0"):
@@ -156,71 +151,88 @@ class TestConfigValidation:
         assert trace_validate(trace, PC3).ok
 
 
+def substitute_supports(monkeypatch, g, supports):
+    """Substitute the field at the listed steps: at step i the support is
+    exactly the points of g listed in ``supports[i]``, read by their element
+    codes, and every other step reads the real field. ``RandomField.mask``
+    is the one place a run reads its supports, so warm-up steps, which read
+    none, stay empty."""
+    draw = RandomField.mask
+    listed = {i: [element_code(g, e) for e in points] for i, points in supports.items()}
+
+    def mask(field, steps, codes):
+        masks = draw(field, steps, codes)
+        for row, i in enumerate(steps):
+            if i in listed:
+                masks[row] = np.isin(codes, np.array(listed[i], dtype=codes.dtype))
+        return masks
+
+    monkeypatch.setattr(RandomField, "mask", mask)
+
+
+def substituted(monkeypatch, case):
+    """The config of a case: a config, or a pair (config, supports) whose
+    supports are substituted into the field (``substitute_supports``)."""
+    if isinstance(case, SimulationConfig):
+        return case
+    config, supports = case
+    substitute_supports(monkeypatch, config.ideal.group, supports)
+    return config
+
+
 class TestStepRule:
-    def test_forced_single_point(self):
-        cfg = SimulationConfig(
-            ideal=PC3, window_radius=5, margin=2, steps=1, seed=0, forced_supports={0: [0]}
-        )
+    def test_forced_single_point(self, monkeypatch):
+        substitute_supports(monkeypatch, Z1, {0: [0]})
+        cfg = SimulationConfig(ideal=PC3, window_radius=5, margin=2, steps=1, seed=0, warmup=False)
         trace = run(cfg)
         assert trace.assigned_sets == [(0, (0,))]
 
-    def test_forced_adjacent_pair_slips_through_at_reach_zero(self):
+    def test_forced_adjacent_pair_slips_through_at_reach_zero(self, monkeypatch):
         """At reach 0 two adjacent support points are both 'isolated', and
         each local window check sees only itself: the step accepts both with
         the same color. The validator must flag the resulting pattern."""
-        cfg = SimulationConfig(
-            ideal=PC3, window_radius=5, margin=2, steps=1, seed=0, forced_supports={0: [0, 1]}
-        )
+        substitute_supports(monkeypatch, Z1, {0: [0, 1]})
+        cfg = SimulationConfig(ideal=PC3, window_radius=5, margin=2, steps=1, seed=0, warmup=False)
         trace = run(cfg)
         assert trace.assigned_sets == [(0, (0, 1))]
         report = trace_validate(trace, PC3)
         assert not report.ok
         assert {f["element"] for f in report.failures} == {0, 1}
 
-    def test_forced_duplicate_point_rejected(self):
-        """A repeated forced point would be reported twice in the step's
-        assigned set while colouring only one point."""
-        cfg = SimulationConfig(
-            ideal=PC3, window_radius=5, margin=2, steps=1, forced_supports={0: [0, 0]}
-        )
-        with pytest.raises(ValueError):
-            run(cfg)
-
-    def test_forced_isolation_reads_the_neighbour_table(self):
-        """At reach 1 (s = 2) the forced points 0 and 2 see each other and
+    def test_forced_isolation_reads_the_neighbour_table(self, monkeypatch):
+        """At reach 1 (s = 2) the support points 0 and 2 see each other and
         neither is isolated; -3 and 6 are, and come out in region order."""
-        cfg = SimulationConfig(
-            ideal=PC3, window_radius=10, margin=2, steps=2, forced_supports={1: [6, -3, 0, 2]}
-        )
+        substitute_supports(monkeypatch, Z1, {1: [6, -3, 0, 2]})
+        cfg = SimulationConfig(ideal=PC3, window_radius=10, margin=2, steps=2)
         assert run(cfg).assigned_sets == [(0, ()), (1, (-3, 6))]
 
-    def test_coloured_support_point_still_blocks(self):
+    def test_coloured_support_point_still_blocks(self, monkeypatch):
         """Point 0, coloured at step 0 and so no candidate at step 1, is a
         support point there again and blocks 2 (distance 2 <= s = 2); 3 is
         farther and is coloured."""
+        cfg = SimulationConfig(ideal=PC3, window_radius=10, margin=2, steps=2, warmup=False)
         for fresh, assigned in ((2, ()), (3, (3,))):
-            cfg = SimulationConfig(
-                ideal=PC3, window_radius=10, margin=2, steps=2, forced_supports={0: [0], 1: [0, fresh]}
-            )
+            substitute_supports(monkeypatch, Z1, {0: [0], 1: [0, fresh]})
             assert run(cfg).assigned_sets == [(0, (0,)), (1, assigned)]
 
-    def test_boundary_support_point_still_blocks(self):
+    def test_boundary_support_point_still_blocks(self, monkeypatch):
         """At T = 7 and s = 2 the support point 7 is never a candidate
         (7 + 2 > T), yet it blocks the candidate 5; 4 is farther and is
         coloured."""
+        cfg = SimulationConfig(ideal=PC3, window_radius=5, margin=2, steps=2)
         for fresh, assigned in ((5, ()), (4, (4,))):
-            cfg = SimulationConfig(
-                ideal=PC3, window_radius=5, margin=2, steps=2, forced_supports={1: [7, fresh]}
-            )
+            substitute_supports(monkeypatch, Z1, {1: [7, fresh]})
             assert run(cfg).assigned_sets == [(0, ()), (1, assigned)]
 
-    def test_forced_point_outside_region_rejected(self):
-        for far in (99, 2**63, -(2**64) - 5):  # also past int64
-            cfg = SimulationConfig(
-                ideal=PC3, window_radius=2, margin=2, steps=1, forced_supports={0: [0, far]}
-            )
-            with pytest.raises(ValueError, match="lies outside the region"):
-                run(cfg)
+    def test_unlisted_steps_read_the_real_field(self, monkeypatch):
+        """Substituting step 4 leaves the steps before it as drawn, and
+        step 4 colours only listed points."""
+        cfg = SimulationConfig(PC3, 10, 2, 8, Fraction(1, 2), seed=3)
+        drawn = run(cfg).assigned_sets
+        substitute_supports(monkeypatch, Z1, {4: [0, 3, -5]})
+        assigned = run(cfg).assigned_sets
+        assert assigned[:4] == drawn[:4] and any(elems for _c, elems in drawn[:4])
+        assert assigned[4] == (1, (3, -5))  # 0 is coloured at step 2 and blocks none at s = 2
 
     def test_warmup_blocks_early_rounds(self):
         cfg = SimulationConfig(ideal=PC3, window_radius=10, margin=2, steps=3, seed=1)
@@ -388,18 +400,12 @@ class TestNotUniversalRuns:
         assert final.colors_used() == {0, 1}
         assert trace_validate(trace, nu).ok
 
-    def test_f2_forced_fixture(self):
+    def test_f2_forced_fixture(self, monkeypatch):
         """Identity gets colored; aa and bb are then refused: they are
         within distance 2*d_0 of the identity with the same color."""
         nu = NotUniversal(F2, (1,), (3,))
-        cfg = SimulationConfig(
-            ideal=nu,
-            window_radius=2,
-            margin=6,
-            steps=4,
-            seed=0,
-            forced_supports={1: [""], 2: ["aa"], 3: ["bb"]},
-        )
+        substitute_supports(monkeypatch, F2, {1: [""], 2: ["aa"], 3: ["bb"]})
+        cfg = SimulationConfig(ideal=nu, window_radius=2, margin=6, steps=4, seed=0)
         trace = run(cfg)
         assert trace.assigned_sets == [(0, ()), (0, ("",)), (0, ()), (0, ())]
         assert trace_validate(trace, nu).ok
@@ -723,7 +729,7 @@ class TestValidatorAgainstBruteForce:
         + [SimulationConfig(DC, 80, 12, 40, Fraction(1, 8), seed) for seed in range(2)]
         + [SimulationConfig(NU, 40, 26, 40, Fraction(1, 54), seed) for seed in range(2)]
         + [
-            SimulationConfig(PC3, 5, 2, 1, seed=0, forced_supports={0: [0, 1]}),
+            (SimulationConfig(PC3, 5, 2, 1, seed=0, warmup=False), {0: [0, 1]}),
             SimulationConfig(PC3, 20, 2, 12, Fraction(1, 2), seed=4, warmup=False),
             SimulationConfig(ProperColoring(Z2, 5), 8, 2, 15, Fraction(1, 4), seed=3, warmup=False),
             SimulationConfig(ProperColoring(F2, 5), 4, 2, 30, Fraction(1, 16), seed=0),
@@ -731,13 +737,14 @@ class TestValidatorAgainstBruteForce:
             SimulationConfig(ProperColoring(FreeAbelian(3), 7), 4, 2, 21, Fraction(1, 8), seed=0),
             SimulationConfig(ProperColoring(FreeAbelian(3), 7), 3, 2, 14, Fraction(1, 4), seed=1,
                              warmup=False),
-            SimulationConfig(NotUniversal(F2, (1,), (3,)), 2, 6, 4, seed=0,
-                             forced_supports={1: [""], 2: ["aa"], 3: ["bb"]}),
-            # forced and drawn supports isolated in one pass
-            SimulationConfig(PC3, 10, 2, 8, Fraction(1, 2), seed=3, forced_supports={4: [0, 3, -5]}),
+            (SimulationConfig(NotUniversal(F2, (1,), (3,)), 2, 6, 4, seed=0),
+             {1: [""], 2: ["aa"], 3: ["bb"]}),
+            # substituted and drawn supports isolated in one pass
+            (SimulationConfig(PC3, 10, 2, 8, Fraction(1, 2), seed=3), {4: [0, 3, -5]}),
         ],
     )
-    def test_runs(self, config):
+    def test_runs(self, monkeypatch, config):
+        config = substituted(monkeypatch, config)
         trace = run(config)
         fast = trace_validate(trace, config.ideal)
         slow = brute_force_validate(trace, config.ideal)
@@ -867,7 +874,7 @@ BLOCK_CONFIGS = [
     SimulationConfig(DC, 80, 12, 40, Fraction(1, 8), seed=1),
     SimulationConfig(PC3, 20, 2, 12, Fraction(1, 2), seed=4, warmup=False),
     SimulationConfig(ProperColoring(F2, 5), 3, 2, 12, Fraction(1, 4), seed=0, warmup=False),
-    SimulationConfig(PC3, 10, 2, 8, Fraction(1, 2), seed=3, forced_supports={4: [0, 3, -5]}),
+    (SimulationConfig(PC3, 10, 2, 8, Fraction(1, 2), seed=3), {4: [0, 3, -5]}),
 ]
 
 
@@ -891,6 +898,7 @@ class TestWholeRunPasses:
 
     @pytest.mark.parametrize("config", BLOCK_CONFIGS)
     def test_calls_per_block_not_per_step(self, monkeypatch, config):
+        config = substituted(monkeypatch, config)
         region = _region_of(config.ideal.group, config.window_radius + config.margin)
         masks = count_calls(monkeypatch, RandomField, "mask")
         isolations = count_calls(monkeypatch, simulate, "_isolated")
@@ -911,6 +919,7 @@ class TestWholeRunPasses:
 
     @pytest.mark.parametrize("config", BLOCK_CONFIGS)
     def test_one_cell_blocks_change_nothing(self, monkeypatch, config):
+        config = substituted(monkeypatch, config)
         trace = run(config)
         report = trace_validate(trace, config.ideal).to_jsonable()
         monkeypatch.setattr(simulate, "_PAIR_CELLS", 1)
@@ -1019,12 +1028,16 @@ class TestEquivariance:
         report = equivariance_check(cfg, gamma)
         assert report.safe_size > 0 and report.to_jsonable() == expected
 
-    def test_rejects_fixture_runs(self):
-        cfg = SimulationConfig(
-            ideal=PC3, window_radius=8, margin=2, steps=2, forced_supports={0: [0]}
-        )
-        with pytest.raises(ValueError):
-            equivariance_check(cfg, 1)
+    def test_substituted_field_is_equivariant(self, monkeypatch):
+        """A substituted support is a set of elements, read by their codes,
+        so the moved run reads it translated: the runs agree, and the
+        listed points are coloured."""
+        substitute_supports(monkeypatch, Z1, {1: [0, 5, -6]})
+        cfg = SimulationConfig(ideal=PC3, window_radius=16, margin=2, steps=3, seed=11)
+        assert run(cfg).assigned_sets[1] == (1, (0, 5, -6))  # region order
+        for gamma in (1, -3):
+            report = equivariance_check(cfg, gamma)
+            assert report.safe_size > 0 and report.ok, report.to_jsonable()
 
 
 def reference_equivariance_check(config, gamma, field_gamma=None):
@@ -1200,6 +1213,14 @@ class TestExtract:
         some = extract_patterns(omega, 1, min_occurrences=1)
         none = extract_patterns(omega, 1, min_occurrences=5)
         assert some and not none
+
+    def test_negative_arguments_refused(self):
+        omega = PartialColoring(Z1, {0: 0, 1: 1, 2: 0})
+        with pytest.raises(ValueError, match="shape radius"):
+            extract_patterns(omega, -1, min_occurrences=1)
+        with pytest.raises(ValueError, match="occurrence count"):
+            extract_patterns(omega, 1, min_occurrences=-3)
+        assert len(extract_patterns(omega, 0, min_occurrences=0)) == 2
 
     def test_patterns_are_centered(self):
         omega = PartialColoring(Z1, {i: 0 if i < 3 else 1 for i in range(7)})
