@@ -68,6 +68,17 @@ def _parse_int_list(text: str) -> List[int]:
     return [int(t) for t in items]
 
 
+def _parse_schedule(text: str) -> list:
+    """A JSON list when the text starts with '[', which can name pair
+    colours ("[[1,0],[1,1]]"); otherwise comma-separated integers."""
+    if not text.startswith("["):
+        return _parse_int_list(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--schedule {text!r} is not a JSON list: {exc}") from None
+
+
 def _emit(manifest: Dict[str, Any], payload: Any, out: Optional[str]) -> None:
     data = json_bytes(envelope(manifest, payload))
     if out:
@@ -200,7 +211,7 @@ def _cmd_reduce(args) -> Tuple[dict, int]:
 
 def _cmd_simulate(args) -> Tuple[dict, int]:
     ideal, _R = _load_ideal_spec(args.spec)
-    schedule = _parse_int_list(args.schedule) if args.schedule else None
+    schedule = _parse_schedule(args.schedule) if args.schedule else None
     config = SimulationConfig(
         ideal=ideal,
         window_radius=args.window,
@@ -329,7 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin", type=int, required=True, help="margin beyond the window")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--p", default="1/2", help="support density as a fraction, e.g. 1/2")
-    p.add_argument("--schedule", help="comma-separated color schedule (default: cycle the palette)")
+    p.add_argument("--schedule", help="color schedule: comma-separated integers, or a JSON list "
+                   "such as [[1,0],[1,1]] for pair colors (default: cycle the palette)")
     p.add_argument("--no-warmup", action="store_true", help="sample supports before full reach")
     common(p, seed=True, dump=True)
     p.set_defaults(handler=_cmd_simulate)

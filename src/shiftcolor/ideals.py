@@ -27,7 +27,7 @@ the identity, which share one distance matrix, or rows with a matrix each.
 The pairwise kinds answer with one lookup into their bands compiled as a
 boolean table over (color, color, distance); every other ideal asks
 ``contains`` of each row's pattern, which stays the reference. The axioms
-check judges a sample's restrictions and shifts that way.
+check judges the restrictions and shifts of a block of samples that way.
 
 Reduced (product-coded) ideals live in the reduction module; they subclass
 IdealSpec and plug into everything here.
@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import combinations
+from functools import cached_property, lru_cache
+from itertools import combinations, compress
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import Group, ball_size, identity_ball, parse_group
+from .groups import _PAIR_CELLS, Group, ball_size, identity_ball, parse_group
 from .patterns import PartialColoring, shift
 from .radii import Infinity, Radius, as_int, as_radius, radius_ceil, radius_to_json
 from .reports import Report
@@ -587,67 +587,118 @@ def ideal_axioms_check(
     subsets for small domains, sampled otherwise) and every shift by a
     nearby element stays in P.
 
-    Each sample's restrictions are judged in one ``contains_windows`` call,
-    as masks of its entries with one distance matrix, and its shifts in a
-    second: the shifted entries x*gamma^-1 and their distances are computed
-    in packed arrays (``Group.mul_packed``, ``Group.dist_packed``), never
-    inferred from right invariance, which is one of the things audited. A
-    sample whose entries or products do not pack is judged pattern by
-    pattern."""
+    Samples are grown a block at a time, and a block is judged before the
+    next one grows, so memory stays within the block. A block holds as many
+    samples as keep its shifts times slot pairs within _PAIR_CELLS. All of
+    its restrictions are judged in one ``contains_windows`` call, as masks
+    of each sample's entries, and all of its shifts in a second. The
+    shifted entries x*gamma^-1 and every distance are computed in packed
+    arrays (``Group.mul_packed``, ``Group.dist_packed``), never inferred
+    from right invariance, which is one of the things audited. A sample
+    whose entries or products do not pack is judged pattern by pattern."""
     if sample_budget < 0:
         raise ValueError(f"sample budget must be nonnegative, got {sample_budget}")
     rng = random.Random(seed)
     g = P.group
     shifts = identity_ball(g, shift_radius)
     inverses = g.pack([g.inv(gamma) for gamma in shifts])
+    block = max(1, _PAIR_CELLS // (len(shifts) * max(1, max_size * (max_size - 1) // 2)))
     report = AxiomsReport()
-    for _ in range(sample_budget):
-        phi = grow_random_member(P, rng, rng.randint(0, max_size), radius)
-        report.samples += 1
-        dom = list(phi.domain())
-        if len(dom) <= 8:
-            subsets = [
-                list(sub) for k in range(len(dom) + 1) for sub in combinations(dom, k)
-            ]
-        else:
-            subsets = [
-                rng.sample(dom, rng.randint(0, len(dom))) for _ in range(40)
-            ]
-        X = None if inverses is None else g.pack(dom, reach=shift_radius)
-        if X is None:
-            restricted = [P.contains(phi.restrict(sub)) for sub in subsets]
-            shifted = [P.contains(shift(phi, gamma)) for gamma in shifts]
-        else:
-            codes = np.array([P.color_code(c) for c in phi.entries.values()], dtype=np.int64)
-            slot = {e: a for a, e in enumerate(dom)}
-            keep = np.zeros((len(subsets), len(dom)), dtype=bool)
-            for i, sub in enumerate(subsets):
-                keep[i, [slot[e] for e in sub]] = True
-            D = g.dist_packed(X[:, None], X[None, :])
-            # one D per row: a (w, w) D would stand for the windows of a ball
-            restricted = P.contains_windows(
-                np.where(keep, codes, NO_COLOR), np.broadcast_to(D, (len(subsets), *D.shape)),
-                lambda i: phi.restrict(subsets[i]),
-            )
-            moved = g.mul_packed(X[None, :], inverses[:, None])  # row i: x*gamma_i^-1 per slot
-            a, b = np.triu_indices(len(dom), 1)
-            D = np.zeros((len(shifts), len(dom), len(dom)), dtype=np.int64)
-            D[:, a, b] = D[:, b, a] = g.dist_packed(moved[:, a], moved[:, b])
-            shifted = P.contains_windows(
-                np.broadcast_to(codes, (len(shifts), len(dom))), D,
-                lambda i: shift(phi, shifts[i]),
-            )
-        for sub, member in zip(subsets, restricted):
-            if not member:
+    for start in range(0, sample_budget, block):
+        samples = []  # (pattern, domain, subset masks, drawn subsets or None, packed domain)
+        for _ in range(min(block, sample_budget - start)):
+            phi = grow_random_member(P, rng, rng.randint(0, max_size), radius)
+            dom = list(phi.domain())
+            if len(dom) <= 8:
+                keep, drawn = _subset_masks(len(dom)), None
+            else:
+                drawn = [rng.sample(dom, rng.randint(0, len(dom))) for _ in range(40)]
+                slot = {e: a for a, e in enumerate(dom)}
+                keep = np.zeros((len(drawn), len(dom)), dtype=bool)
+                for row, sub in zip(keep, drawn):
+                    row[[slot[e] for e in sub]] = True
+            X = None if inverses is None else g.pack(dom, reach=shift_radius)
+            samples.append((phi, dom, keep, drawn, X))
+        verdicts = _judge_packed(P, [s for s in samples if s[4] is not None], shifts, inverses)
+        for phi, dom, keep, drawn, X in samples:
+            if X is None:
+                restricted = [P.contains(phi.restrict(compress(dom, row))) for row in keep]
+                shifted = [P.contains(shift(phi, gamma)) for gamma in shifts]
+            else:
+                restricted, shifted = next(verdicts)
+            report.samples += 1
+            for i in np.flatnonzero(np.logical_not(restricted)):
+                subset = drawn[i] if drawn else compress(dom, keep[i])  # drawn in the rng's order
                 report.restriction_violations.append(
-                    {"pattern": phi.to_json(), "subset": [g.element_to_json(e) for e in sub]}
+                    {"pattern": phi.to_json(), "subset": [g.element_to_json(e) for e in subset]}
                 )
-        for gamma, member in zip(shifts, shifted):
-            if not member:
+            for i in np.flatnonzero(np.logical_not(shifted)):
                 report.shift_violations.append(
-                    {"pattern": phi.to_json(), "shift": g.element_to_json(gamma)}
+                    {"pattern": phi.to_json(), "shift": g.element_to_json(shifts[i])}
                 )
     return report
+
+
+@lru_cache(maxsize=None)
+def _subset_masks(m: int) -> np.ndarray:
+    """Every subset of m slots as a boolean row, in the order in which
+    ``combinations(range(m), k)`` for k = 0..m, and so ``combinations(dom,
+    k)`` over an m-point domain, visit them. Only m <= 8 is asked for, so
+    the cache holds at most nine tables."""
+    keep = np.zeros((1 << m, m), dtype=bool)
+    for row, sub in zip(keep, (s for k in range(m + 1) for s in combinations(range(m), k))):
+        row[list(sub)] = True
+    keep.flags.writeable = False
+    return keep
+
+
+def _judge_packed(P: IdealSpec, samples: list, shifts, inverses):
+    """The (restricted, shifted) verdicts of packed samples, in order. Their
+    entries are laid out on one width, padded with uncoloured slots; only
+    each sample's own slot pairs are measured, in one ``dist_packed`` call
+    before the shift and one after, and one ``contains_windows`` call
+    judges every restriction and one every shift."""
+    if not samples:
+        return iter(())
+    g, n = P.group, len(shifts)
+    sizes = np.array([len(dom) for _, dom, *_ in samples])
+    w = int(sizes.max())
+    codes = np.full((len(samples), w), NO_COLOR, dtype=np.int64)
+    codes[np.arange(w) < sizes[:, None]] = [
+        P.color_code(c) for phi, *_ in samples for c in phi.entries.values()
+    ]
+    flat = np.concatenate([X for *_, X in samples])  # every entry, sample by sample
+    a, b = np.triu_indices(w, 1)
+    rows, pairs = np.nonzero(b < sizes[:, None])  # each sample's slot pairs, in order
+    a, b = a[pairs], b[pairs]
+    x, y = (np.cumsum(sizes) - sizes)[rows] + (a, b)  # their entries in flat
+
+    def distances(shape, dist):
+        D = np.zeros(shape, dtype=np.int64)
+        D[rows, ..., a, b] = D[rows, ..., b, a] = dist
+        return D
+
+    ends = np.cumsum([len(keep) for _, _, keep, *_ in samples])
+    owner = np.repeat(np.arange(len(samples)), np.diff(ends, prepend=0))  # of each restriction
+    keep = np.zeros((ends[-1], w), dtype=bool)
+    for (_, dom, mask, *_), end in zip(samples, ends):
+        keep[end - len(mask) : end, : len(dom)] = mask
+
+    def restriction(i):
+        phi, dom, mask, *_ = samples[owner[i]]
+        return phi.restrict(compress(dom, mask[i - ends[owner[i]] + len(mask)]))
+
+    restricted = P.contains_windows(
+        np.where(keep, codes[owner], NO_COLOR),
+        distances((len(samples), w, w), g.dist_packed(flat[x], flat[y]))[owner], restriction,
+    )
+    moved = g.mul_packed(flat[:, None], inverses[None, :])  # [x, i] = x * gamma_i^-1
+    D = distances((len(samples), n, w, w), g.dist_packed(moved[x], moved[y]))
+    shifted = P.contains_windows(
+        np.repeat(codes, n, axis=0), D.reshape(len(samples) * n, w, w),
+        lambda i: shift(samples[i // n][0], shifts[i % n]),
+    )
+    return zip(np.split(restricted, ends[:-1]), shifted.reshape(len(samples), n))
 
 
 def col_window_check(

@@ -1,6 +1,7 @@
 """The per-pattern axioms audit, kept as the tests' independent reference
-for ``ideal_axioms_check``, which judges each sample's restrictions and
-shifts in batches over packed arrays."""
+for ``ideal_axioms_check``, which grows a block of samples and judges all of
+the block's restrictions in one batch and all of its shifts in another,
+over packed arrays."""
 
 import random
 from itertools import combinations

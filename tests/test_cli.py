@@ -4,8 +4,9 @@ Laws under test:
 1. Every subcommand produces a canonical envelope — schema version,
    manifest, payload — and the exit code contract holds: 0 clean, 1 a
    checked property was found violated, 2 usage or I/O trouble, 3 budget
-   exhausted before a conclusion. Negative ``extract`` arguments, and a
-   plain colour scheduled on a reduced spec, are usage errors.
+   exhausted before a conclusion. Negative ``extract`` arguments, a plain
+   colour scheduled on a reduced spec, and a malformed JSON schedule are
+   usage errors; a JSON schedule of pair colours runs as the library does.
 2. Reports are byte-identical across reruns with identical inputs, and the
    config hash tracks spec file *contents*, not just paths.
 3. Payload fixtures: sorted ball enumerations, the frozen packing scales,
@@ -15,6 +16,7 @@ Laws under test:
 
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,9 @@ from hypothesis import given, settings, strategies as st
 
 from shiftcolor.cli import main
 from shiftcolor.groups import FreeAbelian, ball_size
-from shiftcolor.reports import SCHEMA_VERSION, TOOL_VERSION
+from shiftcolor.ideals import ideal_from_json
+from shiftcolor.reports import SCHEMA_VERSION, TOOL_VERSION, to_jsonable
+from shiftcolor.simulate import SimulationConfig, run, trace_validate
 
 from ball_reference import bfs_ball
 
@@ -269,6 +273,25 @@ class TestRunCommands:
         assert payload["validation"]["ok"] is True
         assert payload["trace"]["steps"] == 12
 
+    def test_simulate_pair_colour_schedule_runs_as_in_the_library(self, tmp_path):
+        """A JSON --schedule names the pair colours of a reduced spec, and
+        the run is the library's with the same colours as tuples."""
+        spec = tmp_path / "reduced.json"
+        spec.write_text(json.dumps(REDUCED_PC3_SPEC))
+        code, data = run_to_file(
+            tmp_path,
+            ["simulate", str(spec), "--window", "40", "--margin", "6", "--steps", "12",
+             "--p", "1/13", "--seed", "2", "--dump", "--schedule", "[[1,0],[1,1],[1,2]]"],
+        )
+        assert code == 0
+        ideal = ideal_from_json(REDUCED_PC3_SPEC)
+        trace = run(SimulationConfig(ideal=ideal, window_radius=40, margin=6, steps=12,
+                                     p=Fraction(1, 13), seed=2, schedule=[(1, 0), (1, 1), (1, 2)]))
+        expected = {"trace": trace.to_summary_jsonable(dump=True),
+                    "validation": trace_validate(trace, ideal)}
+        assert payload_of(data) == to_jsonable(expected)
+        assert sum(payload_of(data)["trace"]["assigned_counts"]) > 0
+
     def test_sparse_clean(self, tmp_path):
         code, data = run_to_file(
             tmp_path,
@@ -514,6 +537,16 @@ class TestUsageErrors:
             json.dumps(REDUCED_PC3_SPEC),
         )
         assert err == "error: reduced colours are pairs (h, c), got 1\n"
+
+    @pytest.mark.parametrize("schedule", ["[1,0],[1,1],[1,2]", "[[1,0],[1,1]", "[1,"])
+    def test_malformed_schedule_list_exits_two(self, tmp_path, capsys, schedule):
+        err = self._usage_error(
+            tmp_path, capsys,
+            ["simulate", "SPEC", "--window", "5", "--margin", "6", "--steps", "3",
+             "--schedule", schedule],
+            json.dumps(REDUCED_PC3_SPEC),
+        )
+        assert err.startswith(f"error: --schedule {schedule!r} is not a JSON list: ")
 
     def test_unwritable_out_exits_two(self, tmp_path, pc3_spec):
         target = str(tmp_path / "no" / "such" / "dir" / "x.json")

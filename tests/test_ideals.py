@@ -17,6 +17,9 @@ Laws under test:
    kind, a reduced ideal, the broken fixture, F_18 (which does not pack) and
    an F_2 whose products multiply on the left, where the audit must find the
    shift violations that inferring distances from right invariance hides.
+   It does so too with blocks of 1, 2 and 7 samples, keeping every
+   violation in its place, and each block is judged before the next grows,
+   in calls of at most _PAIR_CELLS rows times slot pairs.
 5. The windowed membership check agrees with plain membership on the
    shipped local kinds.
 6. The pairwise-rule engine behind the three shipped kinds gives the same
@@ -31,12 +34,13 @@ Laws under test:
 """
 
 import random
-from itertools import combinations, product
+from itertools import combinations, groupby, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftcolor import ideals
 from shiftcolor.groups import FreeAbelian, FreeGroup, identity_ball
 from shiftcolor.ideals import (
     NO_COLOR,
@@ -230,6 +234,30 @@ class _EvenDomainsOnly(IdealSpec):
         return {"kind": self.kind, "group": self.group.spec_string()}
 
 
+class _FarPointNeeded(IdealSpec):
+    """Deliberately broken on both axioms: a member is a ProperColoring(3)
+    pattern that is empty or has a point at distance at least ``reach``
+    from the identity. Growth keeps it (a far point comes first and stays),
+    while subsets without a far point and shifts towards the identity
+    leave it."""
+
+    kind = "FarPointNeeded"
+
+    def __init__(self, group, reach):
+        self.group, self.reach = group, reach
+        self._inner = ProperColoring(group, 3)
+
+    def contains(self, phi):
+        far = not phi or max(map(self.group.norm, phi.domain())) >= self.reach
+        return far and self._inner.contains(phi)
+
+    def locality_radius(self, color):
+        return 1
+
+    def to_json(self):
+        return {"kind": self.kind, "group": self.group.spec_string(), "reach": self.reach}
+
+
 class TestAxiomsCheck:
     @pytest.mark.parametrize(
         "kind",
@@ -274,6 +302,87 @@ class TestAxiomsCheck:
         batched = ideal_axioms_check(kind, sample_budget=20, seed=3, **options)
         reference = axioms_check_per_pattern(kind, sample_budget=20, seed=3, **options)
         assert batched.to_jsonable() == reference.to_jsonable()
+
+    @pytest.mark.parametrize("per_block", [1, 2, 7])
+    @pytest.mark.parametrize(
+        "kind, options",
+        [
+            (_EvenDomainsOnly(Z1), {}),
+            (DistanceConstrained(_LeftMultiplied(2), (2,), (1,)), {}),
+            (_FarPointNeeded(Z1, 6), {}),
+            (ProperColoring(FreeAbelian(2), 5), {"max_size": 11}),
+            (_FarPointNeeded(FreeAbelian(2), 6), {"max_size": 11}),
+            # words of 37 or 38 letters pass F_1's pack_limit of 40 once shifted by 4
+            (_FarPointNeeded(FreeGroup(1), 36), {"radius": 38, "shift_radius": 4}),
+        ],
+        ids=["even-domains", "left-f2", "far-z1", "pc5-z2-large", "far-z2-large",
+             "far-f1-pack-limit"],
+    )
+    def test_block_boundaries(self, monkeypatch, kind, options, per_block):
+        """Blocks of 1, 2 and 7 samples, over a budget that none divides,
+        give the per-pattern report: every violation in its place."""
+        shift_radius, max_size = options.get("shift_radius", 5), options.get("max_size", 5)
+        shifts = identity_ball(kind.group, shift_radius)
+        monkeypatch.setattr(ideals, "_PAIR_CELLS",
+                            len(shifts) * (max_size * (max_size - 1) // 2) * per_block)
+        packed = []  # (entries, whether they packed) of each sample
+        pack = type(kind.group).pack
+
+        def spy(g, elements, reach=0):
+            X = pack(g, elements, reach)
+            if reach == shift_radius:
+                packed.append((len(elements), X is not None))
+            return X
+
+        monkeypatch.setattr(type(kind.group), "pack", spy)
+        batched = ideal_axioms_check(kind, sample_budget=23, seed=3, **options)
+        reference = axioms_check_per_pattern(kind, sample_budget=23, seed=3, **options)
+        assert batched.to_jsonable() == reference.to_jsonable()
+        assert len(packed) == 23
+        if isinstance(kind, _FarPointNeeded):
+            assert batched.restriction_violations
+        if max_size > 8:  # some samples have their subsets drawn by the rng
+            assert max(size for size, _ in packed) > 8
+        if isinstance(kind.group, FreeGroup) and kind.group.rank == 1:
+            assert {fits for _, fits in packed} == {True, False}  # both paths in one audit
+
+    def test_blocks_stream_within_pair_cells(self, monkeypatch):
+        """Each block is judged before the next one grows, and no judging
+        call holds more than _PAIR_CELLS shift-or-subset rows times slot
+        pairs: a deterministic stand-in for the audit's peak memory."""
+        kind = ProperColoring(FreeGroup(2), 5)
+        g, events, cells = kind.group, [], []
+
+        def spy(name, fn, size):
+            def wrapped(*args):
+                events.append("judge")
+                cells.append(size(*args))
+                return fn(*args)
+
+            monkeypatch.setattr(g if name != "contains_windows" else kind, name, wrapped)
+
+        def broadcast(A, B):
+            return int(np.prod(np.broadcast_shapes(A.shape[:-1], B.shape[:-1])))
+
+        spy("dist_packed", g.dist_packed, broadcast)
+        spy("mul_packed", g.mul_packed, broadcast)
+        spy("contains_windows", kind.contains_windows,
+            lambda C, D, window: C.shape[0] * (C.shape[1] * (C.shape[1] - 1) // 2))
+        grow = ideals.grow_random_member
+
+        def growing(*args):
+            events.append("grow")
+            return grow(*args)
+
+        monkeypatch.setattr(ideals, "grow_random_member", growing)
+        report = ideal_axioms_check(kind, sample_budget=60, seed=0)
+        block = ideals._PAIR_CELLS // (len(identity_ball(g, 5)) * 10)
+        assert report.ok and report.samples == 60 and block == 3
+        runs = [(event, len(list(run))) for event, run in groupby(events)]
+        assert [n for event, n in runs if event == "grow"] == [block] * 20
+        assert runs[0] == ("grow", block)
+        assert max(cells) <= ideals._PAIR_CELLS
+        assert max(cells) > ideals._PAIR_CELLS // 2  # blocks are not needlessly small
 
     def test_left_multiplication_is_caught(self):
         """Shifting by left products keeps no distances, so the audit, which
