@@ -548,13 +548,19 @@ def ball_size(group: Group, r: int) -> int:
     return sum(2**i * comb(d, i) * comb(r, i) for i in range(min(d, r) + 1))
 
 
+def physical_memory() -> int:
+    """The machine's physical memory in bytes, the one reading that memory
+    bounds are judged against."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _refuse_oversize(group: Group, radius: int) -> None:
     """Raise BudgetError, before anything is allocated, when Ball(1, radius)
     with its generator table, (|gens| + 1) int64 per point, needs more bytes
     than the machine's physical memory. F_k balls with k >= 2 hold over
     2^radius points, so there a radius past the memory's bit length is
     refused without computing the size."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    memory = physical_memory()
     huge = isinstance(group, FreeGroup) and group.rank > 1 and radius > memory.bit_length()
     if huge or ball_size(group, radius) * 8 * (len(group.generators()) + 1) > memory:
         raise BudgetError(f"Ball(1, {radius}) of {group.name} needs more than {memory} bytes "

@@ -594,8 +594,10 @@ def ideal_axioms_check(
     of each sample's entries, and all of its shifts in a second. The
     shifted entries x*gamma^-1 and every distance are computed in packed
     arrays (``Group.mul_packed``, ``Group.dist_packed``), never inferred
-    from right invariance, which is one of the things audited. A sample
-    whose entries or products do not pack is judged pattern by pattern."""
+    from right invariance, which is one of the things audited. A block's
+    entries are packed in one call, and a sample at a time only where that
+    fails; a sample whose entries or products do not pack is judged
+    pattern by pattern."""
     if sample_budget < 0:
         raise ValueError(f"sample budget must be nonnegative, got {sample_budget}")
     rng = random.Random(seed)
@@ -605,7 +607,7 @@ def ideal_axioms_check(
     block = max(1, _PAIR_CELLS // (len(shifts) * max(1, max_size * (max_size - 1) // 2)))
     report = AxiomsReport()
     for start in range(0, sample_budget, block):
-        samples = []  # (pattern, domain, subset masks, drawn subsets or None, packed domain)
+        samples = []  # (pattern, domain, subset masks, drawn subsets or None)
         for _ in range(min(block, sample_budget - start)):
             phi = grow_random_member(P, rng, rng.randint(0, max_size), radius)
             dom = list(phi.domain())
@@ -617,11 +619,13 @@ def ideal_axioms_check(
                 keep = np.zeros((len(drawn), len(dom)), dtype=bool)
                 for row, sub in zip(keep, drawn):
                     row[[slot[e] for e in sub]] = True
-            X = None if inverses is None else g.pack(dom, reach=shift_radius)
-            samples.append((phi, dom, keep, drawn, X))
-        verdicts = _judge_packed(P, [s for s in samples if s[4] is not None], shifts, inverses)
-        for phi, dom, keep, drawn, X in samples:
-            if X is None:
+            samples.append((phi, dom, keep, drawn))
+        flat, packs = None, [False] * len(samples)
+        if inverses is not None:
+            flat, packs = _pack_block(g, [dom for _, dom, *_ in samples], shift_radius)
+        verdicts = _judge_packed(P, list(compress(samples, packs)), flat, shifts, inverses)
+        for (phi, dom, keep, drawn), packed in zip(samples, packs):
+            if not packed:
                 restricted = [P.contains(phi.restrict(compress(dom, row))) for row in keep]
                 shifted = [P.contains(shift(phi, gamma)) for gamma in shifts]
             else:
@@ -639,6 +643,19 @@ def ideal_axioms_check(
     return report
 
 
+def _pack_block(g: Group, domains: list, reach: int):
+    """``(flat, packs)``: the entries of the domains that pack, in ``pack``'s
+    form and in order (None if none does), and whether each domain packs.
+    One ``pack`` call covers every domain; only where it returns None for
+    more than one domain is each packed on its own."""
+    X = g.pack([e for dom in domains for e in dom], reach=reach)
+    if X is not None or len(domains) == 1:
+        return X, [X is not None] * len(domains)
+    each = [g.pack(dom, reach=reach) for dom in domains]
+    packs = [x is not None for x in each]
+    return (np.concatenate(list(compress(each, packs))) if any(packs) else None), packs
+
+
 @lru_cache(maxsize=None)
 def _subset_masks(m: int) -> np.ndarray:
     """Every subset of m slots as a boolean row, in the order in which
@@ -652,12 +669,13 @@ def _subset_masks(m: int) -> np.ndarray:
     return keep
 
 
-def _judge_packed(P: IdealSpec, samples: list, shifts, inverses):
-    """The (restricted, shifted) verdicts of packed samples, in order. Their
-    entries are laid out on one width, padded with uncoloured slots; only
-    each sample's own slot pairs are measured, in one ``dist_packed`` call
-    before the shift and one after, and one ``contains_windows`` call
-    judges every restriction and one every shift."""
+def _judge_packed(P: IdealSpec, samples: list, flat, shifts, inverses):
+    """The (restricted, shifted) verdicts of packed samples, in order, whose
+    entries ``flat`` holds packed, sample by sample. Their entries are laid
+    out on one width, padded with uncoloured slots; only each sample's own
+    slot pairs are measured, in one ``dist_packed`` call before the shift
+    and one after, and one ``contains_windows`` call judges every
+    restriction and one every shift."""
     if not samples:
         return iter(())
     g, n = P.group, len(shifts)
@@ -667,7 +685,6 @@ def _judge_packed(P: IdealSpec, samples: list, shifts, inverses):
     codes[np.arange(w) < sizes[:, None]] = [
         P.color_code(c) for phi, *_ in samples for c in phi.entries.values()
     ]
-    flat = np.concatenate([X for *_, X in samples])  # every entry, sample by sample
     a, b = np.triu_indices(w, 1)
     rows, pairs = np.nonzero(b < sizes[:, None])  # each sample's slot pairs, in order
     a, b = a[pairs], b[pairs]

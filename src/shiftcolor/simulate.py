@@ -48,9 +48,15 @@ The equivariance check reads the field at x*gamma through one translation
 kernel, ``Region.right_translate``, which gives every translate's region
 index and element code from arrays (``coords + gamma`` on Z^d,
 ``FreeGroup.mul_packed`` on the codes on F_k). It forms a product per point
-only where coordinates pass int64 or words pass the length that packs. The
-sparse run's greedy colourings and its separation check read packed
-distances (``groups.distance_block``), a block of pairs at a time.
+only where coordinates pass int64 or words pass the length that packs.
+
+The sparse run's greedy colouring at scale d_c reads each point's earlier
+neighbours from its row of ``Region.neighbors(d_c)`` when Ball(1, d_c) is
+smaller than the region and the table fits its memory bound
+(``_tabled``), and otherwise from packed distances over every earlier
+pair (``groups.distance_block``), a block at a time. Its separation check
+re-verifies the final colours from ``distance_block`` alone, independently
+of the table.
 """
 
 from __future__ import annotations
@@ -63,7 +69,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import _PAIR_CELLS, FreeAbelian, FreeGroup, Group, distance_block, parse_group
+from .groups import (_PAIR_CELLS, FreeAbelian, FreeGroup, Group, ball_size, distance_block, parse_group,
+                     physical_memory)
 from .ideals import NO_COLOR, IdealSpec, _check_d_sequence
 from .patterns import PartialColoring, _validate_color, shift
 from .radii import Infinity, Radius, radius_ceil, radius_floor
@@ -79,7 +86,7 @@ class Region:
     words are too long to pack), their element codes (on F_k the packed
     numerals), and the generator table ``step[i, k]``, the index of gens[k]
     * x_i (n where that leaves the region). Built lazily on top: a neighbour
-    table with the distances between its slots, and greedy colourings."""
+    table with the distances between its slots."""
 
     def __init__(self, group: Group, radius: int):
         self.group = group
@@ -625,33 +632,62 @@ def equivariance_check(config: SimulationConfig, gamma) -> EquivarianceReport:
 # -- sparse multi-scale coloring ---------------------------------------------------
 
 
+# The greedy reads neighbour-table rows only while the table's int64 cells
+# take at most 1/_TABLE_SHARE of physical memory; past that, pair blocks
+# keep its memory O(block).
+_TABLE_SHARE = 16
+
+
+def _tabled(region: Region, d_c: int) -> bool:
+    """Whether the greedy at scale d_c reads rows of ``region.neighbors(d_c)``,
+    decided from closed forms before anything is allocated: below the
+    complete-graph shortcut (d_c < 2 * radius, checked first because on F_k
+    |Ball(1, d_c)| is exponential in d_c), when Ball(1, d_c) is smaller than
+    the region, and when the table's n * |Ball(1, d_c)| int64 cells take at
+    most 1/16 of physical memory. Its slot distances take fewer cells, as
+    |Ball(1, d_c)| < n."""
+    n = len(region.elements)
+    if d_c >= 2 * region.radius:
+        return False
+    w = ball_size(region.group, d_c)
+    return w < n and 8 * n * w <= physical_memory() // _TABLE_SHARE
+
+
 def _greedy_distance_coloring(region: Region, d_c: int) -> list:
     """Greedy proper coloring of the graph joining points at distance <= d_c,
     visiting the region in its fixed breadth-first order: each point takes
-    the least colour none of its earlier neighbours has. The neighbours come
-    from ``dist_packed`` over the packed region, a block of rows at a time
-    (from ``dist`` where the words are too long to pack). When d_c reaches
+    the least colour none of its earlier neighbours has. When d_c reaches
     the region's diameter the graph is complete and the result is the visit
-    index itself."""
+    index itself. Otherwise the earlier neighbours come a block of rows at a
+    time, where ``_tabled`` allows from the neighbour table: row i of
+    ``region.neighbors(d_c)`` holds w*x_i for every |w| <= d_c, and
+    dist(w*x_i, x_i) = |w| by right invariance, so its entries below i are
+    exactly the earlier points within d_c. Elsewhere they come from
+    ``distance_block`` over every earlier pair, which needs O(block) memory."""
     g, elements, packed = region.group, region.elements, region.packed
     n = len(elements)
     if d_c >= 2 * region.radius:
-        eta = list(range(n))
-    else:
-        eta = []
-        rows = max(1, _PAIR_CELLS // max(n, 1))
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
+        return list(range(n))
+    table = region.neighbors(d_c) if _tabled(region, d_c) else None
+    rows = max(1, _PAIR_CELLS // (n if table is None else table.shape[1]))
+    eta = []
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        if table is None:
             D = distance_block(g, elements, packed, np.arange(lo, hi), np.arange(hi))
-            a, b = np.nonzero(np.tril(D <= d_c, lo - 1))  # row a: point lo + a and the points before it
-            ends = np.searchsorted(a, np.arange(1, hi - lo + 1)).tolist()
-            near = b.tolist()
-            for start, end in zip([0, *ends], ends):
-                taken = {eta[j] for j in near[start:end]}
-                color = 0
-                while color in taken:
-                    color += 1
-                eta.append(color)
+            a, near = np.nonzero(np.tril(D <= d_c, lo - 1))  # row a: point lo + a and the points before it
+        else:
+            block = table[lo:hi]
+            a, b = np.nonzero(block < np.arange(lo, hi)[:, None])  # never the sentinel n
+            near = block[a, b]
+        ends = np.searchsorted(a, np.arange(1, hi - lo + 1)).tolist()
+        near = near.tolist()
+        for start, end in zip([0, *ends], ends):
+            taken = {eta[j] for j in near[start:end]}
+            color = 0
+            while color in taken:
+                color += 1
+            eta.append(color)
     return eta
 
 
@@ -700,6 +736,9 @@ def sparse_run(group, d: Sequence[int], window_radius: int, m: int, seed: int):
     window = region.elements
     n = len(window)
     rng = random.Random(seed)
+    tabled = [d_c for d_c in map(int, d[:m]) if _tabled(region, d_c)]
+    if tabled:
+        region.neighbors(max(tabled))  # the widest first, or each wider scale rebuilds the table
     etas = []
     targets = []
     for c in range(m):

@@ -19,7 +19,8 @@ Laws under test:
    shift violations that inferring distances from right invariance hides.
    It does so too with blocks of 1, 2 and 7 samples, keeping every
    violation in its place, and each block is judged before the next grows,
-   in calls of at most _PAIR_CELLS rows times slot pairs.
+   in calls of at most _PAIR_CELLS rows times slot pairs. A block's entries
+   are packed in one call, and a sample at a time only where that fails.
 5. The windowed membership check agrees with plain membership on the
    shipped local kinds.
 6. The pairwise-rule engine behind the three shipped kinds gives the same
@@ -325,26 +326,65 @@ class TestAxiomsCheck:
         shifts = identity_ball(kind.group, shift_radius)
         monkeypatch.setattr(ideals, "_PAIR_CELLS",
                             len(shifts) * (max_size * (max_size - 1) // 2) * per_block)
-        packed = []  # (entries, whether they packed) of each sample
-        pack = type(kind.group).pack
+        calls = []  # (entries, whether they packed) of each pack call at the shift reach
+        sizes = []  # entries of each grown sample
+        pack, grow = type(kind.group).pack, ideals.grow_random_member
 
         def spy(g, elements, reach=0):
             X = pack(g, elements, reach)
             if reach == shift_radius:
-                packed.append((len(elements), X is not None))
+                calls.append((len(elements), X is not None))
             return X
 
+        def growing(*args):
+            phi = grow(*args)
+            sizes.append(len(phi.entries))
+            return phi
+
         monkeypatch.setattr(type(kind.group), "pack", spy)
+        monkeypatch.setattr(ideals, "grow_random_member", growing)
         batched = ideal_axioms_check(kind, sample_budget=23, seed=3, **options)
         reference = axioms_check_per_pattern(kind, sample_budget=23, seed=3, **options)
         assert batched.to_jsonable() == reference.to_jsonable()
-        assert len(packed) == 23
+        # one pack call per block of samples, then one per sample where it fails
+        assert len(sizes) == 23
+        fits = []  # whether each sample packed
+        remaining = iter(calls)
+        for lo in range(0, 23, per_block):
+            block = sizes[lo : lo + per_block]
+            entries, block_fits = next(remaining)
+            assert entries == sum(block)
+            if block_fits or len(block) == 1:
+                fits += [block_fits] * len(block)
+            else:
+                each = [next(remaining) for _ in block]
+                assert [entries for entries, _ in each] == block
+                fits += [sample_fits for _, sample_fits in each]
+        assert next(remaining, None) is None
         if isinstance(kind, _FarPointNeeded):
             assert batched.restriction_violations
         if max_size > 8:  # some samples have their subsets drawn by the rng
-            assert max(size for size, _ in packed) > 8
+            assert max(sizes) > 8
         if isinstance(kind.group, FreeGroup) and kind.group.rank == 1:
-            assert {fits for _, fits in packed} == {True, False}  # both paths in one audit
+            assert set(fits) == {True, False}  # both paths in one audit
+        else:
+            assert all(fits)
+
+    def test_one_pack_call_per_block(self, monkeypatch):
+        """A 60-sample F_2 audit packs its entries once per block of 3
+        samples, besides packing the shifts' inverses once."""
+        kind = ProperColoring(F2, 5)
+        reaches = []
+        pack = FreeGroup.pack
+
+        def spy(g, elements, reach=0):
+            reaches.append(reach)
+            return pack(g, elements, reach)
+
+        monkeypatch.setattr(FreeGroup, "pack", spy)
+        report = ideal_axioms_check(kind, sample_budget=60, seed=0)
+        assert report.ok and report.samples == 60
+        assert reaches == [0] + [5] * 20
 
     def test_blocks_stream_within_pair_cells(self, monkeypatch):
         """Each block is judged before the next one grows, and no judging

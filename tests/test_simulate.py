@@ -24,19 +24,26 @@ Laws under test:
    per-point check (one g.mul and one index lookup per point), also when a
    skewed kernel makes records differ. A substituted field is a field on
    elements, so its runs are equivariant too.
-5. Sparse runs: the greedy colouring equals the all-pairs greedy, the
-   frozen greedy table on the line, hard separation for the final colors,
-   the complete-graph shortcut, coverage reporting. With every point given
-   one colour, the packed re-verification records the violations of a
-   per-pair loop over g.dist, in its order, in blocks of any size and on an
-   F_1 window too long to pack. A negative window is refused.
+5. Sparse runs: the greedy colouring equals the all-pairs greedy, on
+   Z^1-Z^3 and F_1-F_3 at every d_c in [0, 2T], so from table rows, from
+   pair blocks and by the complete-graph shortcut; the frozen greedy table
+   on the line, hard separation for the final colors, coverage reporting.
+   A tabled scale makes no distance_block call once its table exists; a
+   scale whose ball is wider than the region measures pairs and builds no
+   table, and so does one whose table passes the memory bound, with the
+   same colouring and a small fraction of the table's bytes. With every
+   point given one colour, the packed re-verification records the
+   violations of a per-pair loop over g.dist, in its order, in blocks of
+   any size and on an F_1 window too long to pack. A negative window is
+   refused.
 6. Extraction: recurring patterns are found, normalized to the identity;
    a negative shape radius or occurrence count is refused.
 7. The array-built region agrees with the breadth-first ball, group.norm, the scalar
    element code, an index-plus-mul generator table and g.dist; it locates
    points inside it, just outside and past int64 as an index dict does; its
    neighbour table, the slot distances kept beside it and the one window
-   helper that reads it agree with brute force over g.dist; a region
+   helper that reads it agree with brute force over g.dist, every row of
+   the table at every width up to 2T - 1; a region
    refuses colliding element codes. Its translation kernel agrees with
    g.mul, the scalar element code and an index dict, on the array paths and
    on the per-point fallback.
@@ -66,6 +73,7 @@ Laws under test:
 import copy
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -528,6 +536,23 @@ class TestRegionKernel:
             assert _window(region, colors, i, r) == {
                 x: c for x, c in cur.items() if g.dist(center, x) <= r
             }
+
+    @pytest.mark.parametrize(
+        "g, T", [(Z1, 6), (Z2, 3), (FreeAbelian(3), 2), (FreeGroup(1), 6), (F2, 3), (FreeGroup(3), 2)]
+    )
+    def test_every_row_is_the_ball_past_the_region(self, g, T):
+        """Every row of ``neighbors(s)``, for every s up to 2T - 1 (wider
+        than the region, as the sparse greedy reads it), less the sentinel,
+        is the set of region points within s by g.dist."""
+        region = simulate.Region(g, T)
+        points = region.elements
+        n = len(points)
+        D = np.array([[g.dist(x, y) for y in points] for x in points])
+        region.neighbors(2 * T - 1)  # the widest first; narrower s read its columns
+        for s in range(2 * T):
+            table = region.neighbors(s)
+            for i, row in enumerate(table.tolist()):
+                assert sorted(k for k in row if k != n) == np.flatnonzero(D[i] <= s).tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -1074,6 +1099,10 @@ def reference_equivariance_check(config, gamma, field_gamma=None):
     return report
 
 
+# (group, largest radius) for the greedy against the all-pairs reference
+GREEDY_CASES = [(Z1, 12), (Z2, 5), (FreeAbelian(3), 3), (FreeGroup(1), 12), (F2, 3), (FreeGroup(3), 2)]
+
+
 def all_pairs_greedy(region, d_c):
     """The quadratic greedy colouring: each point, in region order, takes
     the least colour of no earlier point within d_c by g.dist."""
@@ -1117,8 +1146,9 @@ class TestSparse:
          (FreeGroup(1), 44, 200), (F2, 3, None), (F2, 3, 100), (FreeGroup(3), 2, None)],
     )
     def test_greedy_matches_per_row_reference(self, monkeypatch, g, radius, cells):
-        """Blocked packed distances (one row per block where cells is
-        smaller than the region) against the per-row loop."""
+        """Blocked table rows or packed distances (one row per block where
+        cells is smaller than a row) against the per-row loop; F_1 at 44
+        letters reads the table below d_c = 44."""
         if cells is not None:
             monkeypatch.setattr(simulate, "_PAIR_CELLS", cells)
             monkeypatch.setattr(groups, "_PAIR_CELLS", cells)
@@ -1126,6 +1156,63 @@ class TestSparse:
         assert (region.packed is None) == (radius > g.pack_limit)
         for d_c in {*range(0, 2 * radius, 1 + radius // 8), 2 * radius - 1, 2 * radius}:
             assert _greedy_distance_coloring(region, d_c) == per_row_greedy(region, d_c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_greedy_matches_all_pairs_on_every_source(self, data):
+        """Every d_c in [0, 2T]: table rows where Ball(1, d_c) is smaller
+        than the region, pair blocks where it is not, and the complete-graph
+        shortcut from 2T on."""
+        g, max_T = data.draw(st.sampled_from(GREEDY_CASES))
+        region = simulate.Region(g, data.draw(st.integers(0, max_T)))
+        for d_c in range(2 * region.radius + 1):
+            assert _greedy_distance_coloring(region, d_c) == all_pairs_greedy(region, d_c)
+
+    def test_table_rows_replace_pair_distances(self, monkeypatch):
+        """A tabled scale reads no distance_block once its table exists; at
+        F_2 r5, d_c = 7 (|Ball(1, 7)| = 4,373 > 485 points) the greedy
+        measures pairs and builds no table."""
+        calls = []
+        block = simulate.distance_block
+
+        def spy(*args):
+            calls.append(args)
+            return block(*args)
+
+        monkeypatch.setattr(simulate, "distance_block", spy)
+        for g, T, d_c in [(Z1, 400, 15), (Z2, 20, 7), (F2, 5, 3), (FreeGroup(1), 44, 30)]:
+            region = simulate.Region(g, T)
+            region.neighbors(d_c)
+            calls.clear()
+            assert _greedy_distance_coloring(region, d_c) == per_row_greedy(region, d_c)
+            assert not calls
+        region = simulate.Region(F2, 5)
+        calls.clear()
+        assert _greedy_distance_coloring(region, 7) == per_row_greedy(region, 7)
+        assert calls and all(args[1] is region.elements for args in calls)
+        assert len(region._widths) == 1  # the radius-0 table of the constructor alone
+
+    def test_small_memory_takes_the_pair_path(self, monkeypatch):
+        """With physical memory read as just under _TABLE_SHARE tables, the
+        greedy measures pairs instead, with the same colouring, never builds
+        the table, and allocates a small fraction of it; at _TABLE_SHARE
+        tables it reads the table."""
+        g, T, d_c = Z1, 1000, 300
+        tabled = _greedy_distance_coloring(simulate.Region(g, T), d_c)
+        region = simulate.Region(g, T)
+        table_bytes = 8 * len(region.elements) * groups.ball_size(g, d_c)
+        monkeypatch.setattr(simulate, "physical_memory", lambda: simulate._TABLE_SHARE * table_bytes - 1)
+        tracemalloc.start()
+        try:
+            eta = _greedy_distance_coloring(region, d_c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eta == tabled
+        assert len(region._widths) == 1  # the radius-0 table of the constructor alone
+        assert peak < table_bytes / 8
+        monkeypatch.setattr(simulate, "physical_memory", lambda: simulate._TABLE_SHARE * table_bytes)
+        assert simulate._tabled(region, d_c)
 
     def test_greedy_frozen_table(self):
         # window visited 0, -1, 1, -2, 2, ...: alternating 0/1 at scale 1
