@@ -24,10 +24,13 @@ Many patterns can also be judged at once, as integer rows of color codes
 (``color_code``) over slots with the distances between the slots
 (``contains_windows``): windows laid out on the offsets of one ball about
 the identity, which share one distance matrix, or rows with a matrix each.
-The pairwise kinds answer with one lookup into their bands compiled as a
-boolean table over (color, color, distance); every other ideal asks
-``contains`` of each row's pattern, which stays the reference. The axioms
-check judges the restrictions and shifts of a block of samples that way.
+For the first, ``window_judge`` prepares once what every call on that
+matrix and those codes shares, as the window process does once per
+radius. The pairwise kinds answer with one gather from their bands
+compiled as a boolean table over (color, color, distance); every other
+ideal asks ``contains`` of each row's pattern, which stays the reference.
+The axioms check judges the restrictions and shifts of a block of samples
+with a matrix each.
 
 Reduced (product-coded) ideals live in the reduction module; they subclass
 IdealSpec and plug into everything here.
@@ -111,6 +114,14 @@ class IdealSpec:
         the reference for every override."""
         return np.array([self.contains(window(i)) for i in range(len(C))], dtype=bool)
 
+    def window_judge(self, D: np.ndarray, codes) -> Callable[[np.ndarray, Callable], np.ndarray]:
+        """``judge(C, window)``, the verdicts of ``contains_windows(C, D,
+        window)`` for windows laid out on the one (w, w) slot-distance matrix
+        D whose colour codes lie in ``codes`` or are NO_COLOR. What is fixed
+        for every such call is prepared once, here; by default nothing is,
+        and the judge is the per-row reference."""
+        return lambda C, window: IdealSpec.contains_windows(self, C, D, window)
+
     def extend_at(self, phi: PartialColoring, gamma, c_max: Optional[int] = None):
         """Least color c <= c_max with phi + (gamma, c) a member, or None.
         phi + (gamma, c) restricts to phi - gamma, so membership of phi -
@@ -168,9 +179,27 @@ class _Table(dict):
         return value
 
 
-# Rows of windows times slot pairs gathered at once by contains_windows,
-# which bounds its scratch memory to a few megabytes whatever the window.
+# Rows of windows times slot pairs gathered at once by _gather, which bounds
+# its scratch memory to a few megabytes whatever the window.
 _GATHER_CELLS = 1 << 18
+
+
+def _gather(flat, C, a, b, strides, base) -> np.ndarray:
+    """``~flat[C[:, a] * s1 + C[:, b] * s2 + base].any(1)``: no slot pair (a,
+    b) of a row holds colour codes forbidden at its distance, for ``flat``
+    the compiled bands and ``base`` the pairs' offsets in it, one per pair
+    or one per row and pair. Rows go a block of _GATHER_CELLS cells at a
+    time."""
+    rows = max(1, _GATHER_CELLS // max(len(a), 1))
+    if len(C) > rows:
+        return np.concatenate([
+            _gather(flat, C[lo : lo + rows], a, b, strides, base if base.ndim == 1 else base[lo : lo + rows])
+            for lo in range(0, len(C), rows)
+        ])
+    index = C[:, a] * strides[0]
+    index += C[:, b] * strides[1]
+    index += base
+    return ~flat[index].any(axis=1)
 
 
 class PairwiseIdeal(IdealSpec):
@@ -264,42 +293,40 @@ class PairwiseIdeal(IdealSpec):
         self._forbid = table
         return table
 
-    @cached_property
-    def _slot_pairs(self) -> dict:
-        """(width of D, shape of the compiled table) -> the slot pairs
-        (a, b) that contains_windows reads, and their distances."""
-        return {}
+    def window_judge(self, D, codes):
+        """The bands compiled once for the codes and D: only the slot pairs
+        a <= b at a distance D[a, b] where some pair of the codes is
+        forbidden are read, and each as a fixed offset into the flat table,
+        so a judge is one gather (``_gather``). With UNCODED among the
+        codes, the per-row reference."""
+        codes = {int(c) for c in codes} | {NO_COLOR}
+        if UNCODED in codes:
+            return super().window_judge(D, codes)
+        forbid = self._compiled(max(codes) + 1, int(D.max(initial=0)))
+        used = np.array(sorted(codes)) + 2
+        a, b = np.nonzero(np.triu(forbid[np.ix_(used, used)].any(axis=(0, 1))[D]))
+        n_codes, n_t = forbid.shape[1:]
+        strides = n_codes * n_t, n_t
+        base = D[a, b] + 2 * sum(strides)  # codes are stored shifted by 2
+        flat = forbid.ravel()
+        return lambda C, window: _gather(flat, C, a, b, strides, base)
 
     def contains_windows(self, C, D, window):
         """One gather through the compiled bands: a pattern is a member iff
         no two of its slots a <= b hold colors forbidden at distance
         D[a, b] (D[i, a, b] for per-row distances). The table is symmetric
         in its colors, so only those slot pairs are read; with one D for
-        every window, only at distances some color pair forbids."""
+        every window, through ``window_judge``, only at distances some
+        color pair forbids."""
         if (C == UNCODED).any():
             return super().contains_windows(C, D, window)
-        forbid = self._compiled(int(C.max(initial=NO_COLOR)) + 1, int(D.max(initial=0)))
         if D.ndim == 2:
-            key = (len(D), *forbid.shape)  # D depends only on its width
-            if key not in self._slot_pairs:
-                a, b = np.nonzero(np.triu(forbid.any(axis=(0, 1))[D]))
-                self._slot_pairs[key] = a, b, D[a, b]
-            a, b, t = self._slot_pairs[key]
-        else:
-            a, b = np.triu_indices(C.shape[1])
-            t = D[:, a, b]
-        # flat indices into forbid, one stride per axis
+            return self.window_judge(D, np.unique(C).tolist())(C, window)
+        forbid = self._compiled(int(C.max(initial=NO_COLOR)) + 1, int(D.max(initial=0)))
+        a, b = np.triu_indices(C.shape[1])
         n_codes, n_t = forbid.shape[1:]
-        first, second = (C + 2) * (n_codes * n_t), (C + 2) * n_t
-        flat = forbid.ravel()
-        out = np.empty(len(C), dtype=bool)
-        rows = max(1, _GATHER_CELLS // max(len(a), 1))
-        for lo in range(0, len(C), rows):
-            index = first[lo : lo + rows, a]
-            index += second[lo : lo + rows, b]
-            index += t if t.ndim == 1 else t[lo : lo + rows]
-            out[lo : lo + rows] = ~flat[index].any(axis=1)
-        return out
+        strides = n_codes * n_t, n_t
+        return _gather(forbid.ravel(), C, a, b, strides, D[:, a, b] + 2 * sum(strides))
 
     def palette(self):
         return range(self.palette_size)

@@ -27,17 +27,21 @@ of radius r about x is the row Ball(1, r)*x of the region's neighbour
 table, so many windows form one matrix of colour codes over the same
 offsets, and the distance between two slots is the distance between their
 offsets (right invariance, ``Region.slot_distances``).
-``IdealSpec.contains_windows`` takes that matrix: the pairwise kinds answer
-in one array lookup, and any other ideal builds each window as a pattern
-and asks ``contains``.
+A window judge (``IdealSpec.window_judge``) takes that matrix: it is
+built once per window radius, for the one D and the colour codes in use,
+and each call is then one array lookup on the pairwise kinds; any other
+ideal builds each window as a pattern and asks ``contains``, decoding it
+from each point's step and the steps' colours (``_window_after``).
 
 The schedule alone fixes each step's colour and reach, so ``run`` draws
 and isolates every step's supports before the first step: the steps that
 share one isolation radius are drawn, a block of steps per hash pass, and
 isolated together, a column of the table at a time, so a row drops at its
 first other support point. A step then drops its isolated points that are
-already coloured and judges the rest in one call. They are more than 2R_i
-apart, so no candidate's window holds another and they are judged
+already coloured and judges the rest in one call of its radius's judge,
+then scatters the accepted points' colour code and step; the fill
+fractions come from the steps at the end. The candidates are more than
+2R_i apart, so no candidate's window holds another and they are judged
 independently. The validator judges a whole trace in one pass per window
 radius: every (step, point) pair whose window the step touched, on the
 window as it stood after that step. Every pair in a window is judged, not
@@ -86,7 +90,7 @@ class Region:
     words are too long to pack), their element codes (on F_k the packed
     numerals), and the generator table ``step[i, k]``, the index of gens[k]
     * x_i (n where that leaves the region). Built lazily on top: a neighbour
-    table with the distances between its slots."""
+    table, and the distances between its slots."""
 
     def __init__(self, group: Group, radius: int):
         self.group = group
@@ -105,7 +109,8 @@ class Region:
         for a in (self.norms, self.codes, self._code_order, self._step, self.packed):
             if a is not None:
                 a.flags.writeable = False  # shared by every caller
-        self._table, self._distances, self._widths = self._build_table(0)
+        self._table, self._widths = self._build_table(0)
+        self._distances = np.zeros((0, 0), dtype=np.int64)
 
     def neighbors(self, s: int) -> np.ndarray:
         """Column j of row i: the index of w_j * x_i, where w_j is offset j of
@@ -113,14 +118,20 @@ class Region:
         region. The table is built for the widest s asked for so far; a
         narrower s reads its first |Ball(1, s)| columns."""
         if s >= len(self._widths):
-            self._table, self._distances, self._widths = self._build_table(s)
+            self._table, self._widths = self._build_table(s)
         return self._table[:, : self._widths[s]]
 
     def slot_distances(self, s: int) -> np.ndarray:
         """D[a, b] = |w_a w_b^-1| for the offsets w of Ball(1, s): by right
         invariance the distance between slots a and b of every row of
-        ``neighbors(s)``, kept with the table as its columns are."""
+        ``neighbors(s)``. Measured on first use, for the widest s asked for
+        so far, as the table is built; a narrower s reads a corner."""
         w = self.neighbors(s).shape[1]
+        if len(self._distances) < w:
+            offsets, _norms, _step, packed = self.group.ball_arrays(s)
+            every = np.arange(w)
+            self._distances = distance_block(self.group, offsets, packed, every, every)
+            self._distances.flags.writeable = False
         return self._distances[:w, :w]
 
     def locate(self, elements: Sequence) -> np.ndarray:
@@ -156,7 +167,7 @@ class Region:
         index[inside] = self._code_order[np.searchsorted(self.codes, codes, sorter=self._code_order)]
         return index
 
-    def _build_table(self, s: int) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+    def _build_table(self, s: int) -> Tuple[np.ndarray, List[int]]:
         # Column w*x is composed from column w'*x through the generator table
         # (whose sentinel row maps the sentinel to itself), where w = a*w'
         # for a generator a and |w'| = |w| - 1, taking whichever such path
@@ -164,27 +175,27 @@ class Region:
         # of a ball about the identity are joined by a geodesic inside it.
         # The pairs (w', a) come from the offsets' own generator table.
         g, n = self.group, len(self.elements)
-        offsets, norms, step, packed = g.ball_arrays(s)
+        offsets, norms, step, _packed = g.ball_arrays(s)
         table = np.full((n, len(offsets)), n, dtype=np.int64)
         table[:, 0] = np.arange(n)
         pairs = np.nonzero(np.append(norms, -1)[step] > norms[:, None])  # a*w' one layer out
         for j, k, t in zip(pairs[0].tolist(), pairs[1].tolist(), step[pairs].tolist()):
             np.minimum(table[:, t], self._step[table[:, j], k], out=table[:, t])
-        every = np.arange(len(offsets))
-        distances = distance_block(g, offsets, packed, every, every)
-        table.flags.writeable = distances.flags.writeable = False
-        return table, distances, np.bincount(norms, minlength=s + 1).cumsum().tolist()
+        table.flags.writeable = False
+        return table, np.bincount(norms, minlength=s + 1).cumsum().tolist()
 
 
-def _window(region: Region, colors: list, j: int, r: int) -> dict:
-    """The coloured entries within distance r of point j, for a window that
-    fits inside the region: row j of ``region.neighbors(r)`` is
-    Ball(1, r)*x_j in offset order. ``colors`` holds each point's colour or
-    None, and None in the extra slot at the sentinel index. Only failure
+def _window_after(region: Region, step_of: np.ndarray, colors: Sequence, j: int, r: int, t: int) -> dict:
+    """The entries within distance r of point j after step t, for a window
+    that fits inside the region: row j of ``region.neighbors(r)`` is
+    Ball(1, r)*x_j in offset order. ``step_of`` holds each point's 1-based
+    step, and a later one at the sentinel index and where a point is not
+    (yet) coloured; ``colors`` holds each step's colour. Only failure
     records and ideals judged window by window read it."""
-    elements = region.elements
-    row = region.neighbors(r)[j].tolist()
-    return {elements[k]: colors[k] for k in row if colors[k] is not None}
+    row = region.neighbors(r)[j]
+    steps = step_of[row]
+    keep = steps <= t
+    return {region.elements[k]: colors[i - 1] for k, i in zip(row[keep].tolist(), steps[keep].tolist())}
 
 
 def _isolated(nbrs: np.ndarray, supp_mask: np.ndarray, cand: np.ndarray) -> np.ndarray:
@@ -353,22 +364,22 @@ class SimulationTrace:
 
 
 def _isolated_supports(config: SimulationConfig, region: Region, codes: np.ndarray,
-                       reaches: List[Radius], max_r: Radius) -> List[np.ndarray]:
+                       radii: List[Optional[int]]) -> List[np.ndarray]:
     """Per step i, the region indices of its support points, in region
-    order, whose radius-s_i ball (s_i = floor(2R_i)) fits inside the region
-    and holds no other support point of the step. Warm-up steps have none,
-    and every other step's support is the field's. The schedule fixes every
-    R_i, so the steps that share one s are isolated together, a block of at
-    most _PAIR_CELLS mask cells at a time, and a block's steps are drawn in
-    one pass."""
+    order, whose radius-s_i ball fits inside the region and holds no other
+    support point of the step, for s_i = radii[i]; None marks a warm-up
+    step, which has none. Every other step's support is the field's. The
+    steps that share one s are isolated together, a block of at most
+    _PAIR_CELLS mask cells at a time, and a block's steps are drawn in one
+    pass."""
     T = config.window_radius + config.margin
     n = len(region.elements)
     by_s: Dict[int, List[int]] = {}
-    for i, reach in enumerate(reaches[:-1]):
-        if not (config.warmup and reach < max_r):
-            by_s.setdefault(radius_floor(2 * reach), []).append(i)
+    for i, s in enumerate(radii):
+        if s is not None:
+            by_s.setdefault(s, []).append(i)
     field_rng = RandomField(config.ideal.group, config.seed, Fraction(config.p))
-    isolated = [np.zeros(0, dtype=np.int64) for _ in reaches[:-1]]
+    isolated = [np.zeros(0, dtype=np.int64) for _ in radii]
     rows = max(1, _PAIR_CELLS // n)
     for s, at in by_s.items():
         nbrs = region.neighbors(s)
@@ -397,7 +408,6 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
     g = ideal.group
     region = _region_of(g, config.window_radius + config.margin)
     n_pts = len(region.elements)
-    interior_mask = region.norms <= config.window_radius
     codes = region.codes if _field_codes is None else _field_codes
     if len(codes) != n_pts:
         raise ValueError("field codes must cover the region")
@@ -407,52 +417,52 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
     code_of = {c: ideal.color_code(c) for c in cycle}
     schedule_used = [cycle[i % len(cycle)] for i in range(config.steps)]
     # R_i, the sup of r over the colours before step i (0 before any), and
-    # the final value
+    # the final value; and s_i = floor(2R_i), or None for a warm-up step
     reaches: List[Radius] = [0]
     for c in schedule_used:
         reaches.append(max(reaches[-1], r_of[c]))
-    isolated = _isolated_supports(config, region, codes, reaches, max(r_of.values()))
+    max_r = max(r_of.values())
+    radii = [None if config.warmup and R < max_r else radius_floor(2 * R) for R in reaches[:-1]]
+    isolated = _isolated_supports(config, region, codes, radii)
+    # one judge per isolation radius, on its rows of the neighbour table
+    judges = {
+        s: (region.neighbors(s), ideal.window_judge(region.slot_distances(s), code_of.values()))
+        for s in {s for s, cand in zip(radii, isolated) if len(cand)}
+    }
 
-    elements = region.elements
-    # each point's colour, recorded after its step, and None at the sentinel
-    # index; and the same as the ideal's colour codes
-    colors = [None] * (n_pts + 1)
+    # each point's colour code and 1-based step, and past every step where
+    # it is uncoloured, as at the sentinel index
     color_codes = np.full(n_pts + 1, NO_COLOR, dtype=np.int64)
-    interior_count = int(interior_mask.sum())
-    filled = 0  # coloured points of the interior
+    step_of = np.full(n_pts + 1, config.steps + 1, dtype=np.int64)
     steps: List[Tuple[int, np.ndarray]] = []
-    fills = [0.0]
-    for c_i, reach, cand in zip(schedule_used, reaches, isolated):
+    for i, (c_i, s, cand) in enumerate(zip(schedule_used, radii, isolated)):
         # coloured support points blocked their neighbours, and take no colour
         accepted = cand = cand[color_codes[cand] == NO_COLOR]
         if len(cand):
-            s = radius_floor(2 * reach)
             # candidates are more than s apart, so no window holds another
             # one: each is judged against the colours before the step,
             # with the candidate itself, in column 0, coloured c_i
-            C = color_codes[region.neighbors(s)[cand]]
+            nbrs, judge = judges[s]
+            C = color_codes[nbrs[cand]]
             C[:, 0] = code_of[c_i]
-            member = ideal.contains_windows(
-                C,
-                region.slot_distances(s),
-                lambda row: PartialColoring._of_valid(
-                    g, {**_window(region, colors, cand[row], s), elements[cand[row]]: c_i}
-                ),
-            )
+            member = judge(C, lambda row: PartialColoring._of_valid(
+                g, {**_window_after(region, step_of, schedule_used, cand[row], s, i),
+                    region.elements[cand[row]]: c_i}))
             accepted = cand[member]
-            for j in accepted.tolist():
-                colors[j] = c_i
             color_codes[accepted] = code_of[c_i]
-            filled += int(interior_mask[accepted].sum())
+            step_of[accepted] = i + 1
         steps.append((c_i, accepted))
-        fills.append(filled / interior_count if interior_count else 0.0)
 
+    interior = region.norms <= config.window_radius
+    interior_count = int(interior.sum())
+    # the interior points each step coloured, summed over the steps so far
+    filled = np.bincount(step_of[:n_pts][interior], minlength=config.steps + 2)[1:-1].cumsum()
     return SimulationTrace(
         config=config,
-        region=elements,
+        region=region.elements,
         interior_size=interior_count,
         steps=steps,
-        fill_fractions=fills,
+        fill_fractions=[0.0, *(f / interior_count for f in filled.tolist())],
         reaches=reaches,
         schedule_used=schedule_used,
     )
@@ -485,12 +495,13 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
 
     The trace is judged whole, in region indices: each point's step, colour
     code and window radius are scattered from the step arrays once, and
-    for each window radius one ``contains_windows`` call judges every
-    (step t, point x) pair of a block of coloured points, on x's window as
-    it stood after step t (slots coloured later read NO_COLOR). Blocks keep
-    every scratch array within _PAIR_CELLS cells. Failures are listed by
-    step, then in ``sort_key`` order. A trace colours each point at most
-    once (``SimulationTrace``), so a point's colour is its only one."""
+    for each window radius one judge (``IdealSpec.window_judge``), built
+    once, judges every (step t, point x) pair of a block of coloured
+    points in one call, on x's window as it stood after step t (slots
+    coloured later read NO_COLOR). Blocks keep every scratch array within
+    _PAIR_CELLS cells. Failures are listed by step, then in ``sort_key``
+    order. A trace colours each point at most once (``SimulationTrace``),
+    so a point's colour is its only one."""
     g = trace.group
     if ideal.group != g:
         raise ValueError(f"the ideal is on {ideal.group.spec_string()}, the trace on {g.spec_string()}")
@@ -505,7 +516,6 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     radius = [ideal.locality_radius(c) for c in palette]
     finite = [rc for rc in radius if not isinstance(rc, Infinity)]
     reach = region.neighbors(radius_floor(max(finite)) if finite else 0)
-    window_radii = sorted({radius_floor(rc) for rc in finite})
 
     # per point, and at the sentinel index: its step (1-based; past the
     # last where never coloured), its colour as an index into palette
@@ -520,23 +530,25 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     step_of[points] = np.repeat(np.arange(1, last + 1), counts)
     kind = np.full(n + 1, -1, dtype=np.int64)
     kind[points] = np.repeat(np.array(kinds, dtype=np.int64), counts)
-    color_codes = np.array([*map(ideal.color_code, palette), NO_COLOR], dtype=np.int64)[kind]
+    palette_codes = [*map(ideal.color_code, palette)]
+    color_codes = np.array([*palette_codes, NO_COLOR], dtype=np.int64)[kind]
     floors = [_NONLOCAL if isinstance(rc, Infinity) else radius_floor(rc) for rc in radius]
     ceils = [0 if isinstance(rc, Infinity) else radius_ceil(rc) for rc in radius]
     window_radius = np.array([*floors, _LEAVES], dtype=np.int64)[kind]
     leaves = np.append(region.norms, 0) + np.array([*ceils, 0], dtype=np.int64)[kind] > T
     window_radius[(window_radius >= 0) & leaves] = _LEAVES
 
+    colors = [c for c, _at in trace.steps]
+
     def window_at(j: int, r: int, t: int) -> PartialColoring:
         """Point j's radius-r window after step t."""
-        row = region.neighbors(r)[j]
-        row = row[step_of[row] <= t]
-        return PartialColoring._of_valid(
-            g, {elements[k]: palette[c] for k, c in zip(row.tolist(), kind[row].tolist())}
-        )
+        return PartialColoring._of_valid(g, _window_after(region, step_of, colors, j, r, t))
 
     failing = []  # (t, x) of each window judged not a member
     centres = np.flatnonzero(window_radius[:-1] != _LEAVES)  # judged, or skipped as non-local
+    # one judge per window radius that some centre has
+    judges = {r: ideal.window_judge(region.slot_distances(r), palette_codes)
+              for r in sorted(set(window_radius[centres].tolist()) - {_NONLOCAL})}
     rows = max(1, _PAIR_CELLS // reach.shape[1] ** 2)
     for lo in range(0, len(centres), rows):
         block = centres[lo : lo + rows]
@@ -548,15 +560,14 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
         t, x = touched[a, b], block[a]
         radii = window_radius[x]
         report.skipped_nonlocal += int((radii == _NONLOCAL).sum())
-        for r in window_radii:
+        for r, judge in judges.items():
             on = radii == r
             if not on.any():
                 continue
             tr, xr = t[on], x[on]
             W = region.neighbors(r)[xr]
-            member = ideal.contains_windows(
+            member = judge(
                 np.where(step_of[W] <= tr[:, None], color_codes[W], NO_COLOR),
-                region.slot_distances(r),
                 lambda row: window_at(xr[row], r, tr[row]),
             )
             report.windows_checked += len(xr)

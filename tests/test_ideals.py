@@ -32,10 +32,17 @@ Laws under test:
    slot distances) gives the same answers, exceptions included, as the
    generic default that asks contains of each window, on random windows of
    every radius the window process reaches on Z^1, Z^2, Z^3 and F_2.
+8. A window judge built once for one slot-distance matrix and a set of
+   colour codes (``window_judge``) gives the per-row contains reference's
+   answers on the slot distances of Ball(1, s) over Z^1-Z^3 and F_1-F_3,
+   for all three kinds, with off-palette and uncoloured slots, and in
+   gathers of one cell; with UNCODED among its codes it is the reference,
+   exceptions included.
 """
 
 import random
 from itertools import combinations, groupby, product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,6 +53,7 @@ from shiftcolor.groups import FreeAbelian, FreeGroup, identity_ball
 from shiftcolor.ideals import (
     NO_COLOR,
     OFF_PALETTE,
+    UNCODED,
     ConstantJoin,
     PairwiseIdeal,
     DistanceConstrained,
@@ -715,3 +723,83 @@ class TestWindowCheck:
                     want = ("value", want[1].tolist())
                 assert got == want, (P, bad)
                 assert (got[0] == "raised") == (bad != P.palette_size or P.outside_palette_raises)
+
+
+# (group, largest s) of the window judge tests
+JUDGE_CASES = [(Z1, 6), (FreeAbelian(2), 4), (FreeAbelian(3), 3), (FreeGroup(1), 6), (F2, 3),
+               (FreeGroup(3), 2)]
+
+
+def _judge_kinds(g):
+    return [
+        ProperColoring(g, 3),
+        DistanceConstrained(g, (1, 3), (3, 7)),
+        DistanceConstrained(g, (0, 1, 2), (1, 2, INF)),
+        NotUniversal(g, (1, 3), (5, 13)),
+        NotUniversal(g, (0, 1, 2), (1, 3, 5)),
+    ]
+
+
+class TestWindowJudge:
+    """``window_judge(D, codes)`` against the per-row contains reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_judge_matches_contains(self, data):
+        g, max_s = data.draw(st.sampled_from(JUDGE_CASES))
+        s = data.draw(st.integers(0, max_s))
+        P = data.draw(st.sampled_from(_judge_kinds(g)))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        offsets = identity_ball(g, s)
+        D = Region(g, s).slot_distances(s)
+        # colours up to k + 1 on ProperColoring (OFF_PALETTE), inside the
+        # palette elsewhere; a subset of them, so that some rows are dense
+        top = P.palette_size + (2 if isinstance(P, ProperColoring) else 0)
+        colors = rng.sample(range(top), rng.randint(1, top))
+        centers = [rng.choice(offsets) for _ in range(rng.randint(0, 12))]
+        C, patterns = _window_batch(P, offsets, centers, rng, colors)
+        # the judge's codes: those of the colours drawn, and perhaps more
+        extra = data.draw(st.sets(st.sampled_from(range(top))))
+        judge = P.window_judge(D, [P.color_code(c) for c in {*colors, *extra}])
+        want = IdealSpec.contains_windows(P, C, D, patterns.__getitem__)
+        assert judge(C, patterns.__getitem__).tolist() == want.tolist()
+        with mock.patch.object(ideals, "_GATHER_CELLS", 1):
+            assert judge(C, patterns.__getitem__).tolist() == want.tolist()
+        assert P.contains_windows(C, D, patterns.__getitem__).tolist() == want.tolist()
+
+    def test_judges_see_off_palette_and_rejections(self):
+        """The drawn windows reach every verdict: members, non-members, and
+        rows with an OFF_PALETTE slot."""
+        rng = random.Random(3)
+        seen = {"rejected": 0, "accepted": 0, "off palette": 0}
+        for g, s in JUDGE_CASES:
+            offsets = identity_ball(g, s)
+            D = Region(g, s).slot_distances(s)
+            for P in _judge_kinds(g):
+                top = P.palette_size + (2 if isinstance(P, ProperColoring) else 0)
+                C, patterns = _window_batch(P, offsets, [rng.choice(offsets) for _ in range(8)], rng,
+                                            range(top))
+                got = P.window_judge(D, [P.color_code(c) for c in range(top)])(C, patterns.__getitem__)
+                assert got.tolist() == IdealSpec.contains_windows(P, C, D, patterns.__getitem__).tolist()
+                seen["rejected"] += int((~got).sum())
+                seen["accepted"] += int(got.sum())
+                seen["off palette"] += int((C == OFF_PALETTE).any())
+        assert all(seen.values()), seen
+
+    def test_uncoded_codes_take_the_reference(self, monkeypatch):
+        """With UNCODED among the codes the judge is the per-row reference:
+        it asks contains of each window, and raises as contains raises."""
+        offsets = identity_ball(Z1, 2)
+        D = Region(Z1, 2).slot_distances(2)
+        for P in _kinds(Z1):
+            C, patterns = _window_batch(P, offsets, [0, 1], random.Random(1), range(P.palette_size))
+            C[1, 2] = UNCODED
+            patterns[1] = patterns[1].with_entry(offsets[2] + 1, (1, 0))
+            judge = P.window_judge(D, [0, UNCODED])
+            got = _outcome(judge, C, patterns.__getitem__)
+            assert got[0] == "raised" and got == _outcome(IdealSpec.contains_windows, P, C, D,
+                                                          patterns.__getitem__)
+            asked = []
+            monkeypatch.setattr(P, "contains", lambda phi: asked.append(phi) or True)
+            assert judge(C[:1], patterns.__getitem__).tolist() == [True] and asked == [patterns[0]]
+            monkeypatch.undo()

@@ -205,7 +205,7 @@ class TestBernoulli:
 
     @given(
         seed=st.one_of(st.integers(0, 2**32), st.integers(-(2**70), -1), st.integers(2**64, 2**70)),
-        step=st.one_of(st.integers(0, 1000), st.integers(2**64, 2**70)),
+        step=st.one_of(st.integers(0, 1000), st.integers(-(2**70), -1), st.integers(2**64, 2**70)),
         codes=st.lists(
             st.one_of(
                 st.integers(-100, 100).map(lambda n: element_code(Z1, n)),
@@ -224,8 +224,9 @@ class TestBernoulli:
     @example(seed=-1, step=2**64, codes=[0, 2**63, 2**64 - 1], p=Fraction(1, 2))
     @settings(max_examples=100)
     def test_scalar_vector_agree(self, seed, step, codes, p):
-        """The mask hashes (seed, step) once as a Python int: the same chain
-        as ``bit``'s, on any code and on seeds and steps past 64 bits."""
+        """The mask folds (seed, step) in a vector pass over the step mod
+        2^64: the same chain as ``bit``'s, on any code and on seeds and
+        steps past 64 bits."""
         vec = bernoulli_mask(seed, step, np.array(codes, dtype=np.uint64), p)
         assert vec.tolist() == [bit(seed, step, c, p) for c in codes]
 

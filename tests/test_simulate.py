@@ -38,13 +38,14 @@ Laws under test:
    refused.
 6. Extraction: recurring patterns are found, normalized to the identity;
    a negative shape radius or occurrence count is refused.
-7. The array-built region agrees with the breadth-first ball, group.norm, the scalar
-   element code, an index-plus-mul generator table and g.dist; it locates
-   points inside it, just outside and past int64 as an index dict does; its
-   neighbour table, the slot distances kept beside it and the one window
-   helper that reads it agree with brute force over g.dist, every row of
-   the table at every width up to 2T - 1; a region
-   refuses colliding element codes. Its translation kernel agrees with
+7. The array-built region agrees with the breadth-first ball, group.norm,
+   the scalar element code, an index-plus-mul generator table and g.dist;
+   it locates points inside it, just outside and past int64 as an index
+   dict does; its neighbour table, the slot distances measured beside it
+   on first use (and never by ``neighbors`` alone) and the one window
+   decoder that reads it agree with brute force over g.dist, every row of
+   the table at every width up to 2T - 1; a region refuses colliding
+   element codes. Its translation kernel agrees with
    g.mul, the scalar element code and an index dict, on the array paths and
    on the per-point fallback.
 8. The validator reads its windows from the region that ``run`` cached and
@@ -67,7 +68,14 @@ Laws under test:
    of steps in one call each, and the validator makes at most one
    membership call per window radius per block of coloured points, however
    many steps the trace has; blocks of one cell give the same traces and
-   reports.
+   reports. A pairwise run builds at most one window judge per isolation
+   radius and makes no contains_windows call; the validator builds at most
+   one per window radius.
+11. The scalar reference run (``run_reference``: ``RandomField.value``
+   bits, ``g.ball`` windows, ``contains``) gives identical summaries and
+   dumps to ``run``, on Z^1-Z^3 and F_1-F_2, for the three pairwise kinds
+   and for a Reduced spec with a pair schedule (the per-row fallback),
+   with warm-up on and off.
 """
 
 import copy
@@ -100,7 +108,7 @@ from shiftcolor.simulate import (
     ValidationReport,
     _greedy_distance_coloring,
     _region_of,
-    _window,
+    _window_after,
     equivariance_check,
     extract_patterns,
     run,
@@ -109,6 +117,7 @@ from shiftcolor.simulate import (
 )
 
 from ball_reference import bfs_ball
+from run_reference import reference_run
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -523,7 +532,10 @@ class TestRegionKernel:
         i = data.draw(st.integers(0, len(points) - 1))
         center = points[i]
         cur = {e: k % 3 for k, e in enumerate(points) if data.draw(st.booleans())}
-        colors = [cur.get(e) for e in points] + [None]
+        # colour c is coloured at step c + 1; the rest, and the sentinel,
+        # read past every step
+        step_of = np.array([cur.get(e, 3) + 1 for e in points] + [4])
+        t = data.draw(st.integers(0, 3))
         table = region.neighbors(s)
         offsets = bfs_ball(g, g.identity(), s)
         index = index_dict(region)
@@ -533,8 +545,8 @@ class TestRegionKernel:
             width = len(bfs_ball(g, g.identity(), r))
             row = set(table[i, :width].tolist()) - {len(points)}
             assert row == near
-            assert _window(region, colors, i, r) == {
-                x: c for x, c in cur.items() if g.dist(center, x) <= r
+            assert _window_after(region, step_of, [0, 1, 2], i, r, t) == {
+                x: c for x, c in cur.items() if g.dist(center, x) <= r and c < t
             }
 
     @pytest.mark.parametrize(
@@ -605,6 +617,21 @@ class TestRegionKernel:
             D = region.slot_distances(s)
             assert D.tolist() == simulate.Region(g, r).slot_distances(s).tolist()
             assert D.tolist() == [[g.dist(a, b) for b in offsets] for a in offsets]
+
+    @pytest.mark.parametrize("g, r, s", [(Z1, 6, 5), (Z2, 3, 4), (F2, 3, 4)])
+    def test_slot_distances_are_measured_on_first_use(self, monkeypatch, g, r, s):
+        """``neighbors(s)`` alone measures no distance between offsets; the
+        first ``slot_distances(s)`` does, once, and a narrower s reads its
+        corner without measuring again."""
+        calls = count_calls(monkeypatch, simulate, "distance_block")
+        region = simulate.Region(g, r)
+        width = region.neighbors(s).shape[1]
+        assert calls == []
+        assert region.slot_distances(s).shape == (width, width)
+        assert len(calls) == 1
+        region.slot_distances(s - 1)
+        region.slot_distances(s)
+        assert len(calls) == 1
 
     def test_codes_past_the_packable_length(self):
         """F_1 words past 40 letters do not pack and take the scalar element_code."""
@@ -701,13 +728,13 @@ PC3_F2 = ProperColoring(F2, 3)
 
 
 def per_window(ideal):
-    """The same ideal, forced onto IdealSpec's generic contains_windows,
-    which builds every window as a pattern and asks contains."""
+    """The same ideal, forced onto IdealSpec's generic contains_windows and
+    window_judge, which build every window as a pattern and ask contains."""
     clone = copy.copy(ideal)
     clone.__class__ = type(
         "PerWindow" + type(ideal).__name__,
         (type(ideal),),
-        {"contains_windows": IdealSpec.contains_windows},
+        {"contains_windows": IdealSpec.contains_windows, "window_judge": IdealSpec.window_judge},
     )
     return clone
 
@@ -916,6 +943,26 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def count_judges(monkeypatch, ideal):
+    """Wrap ``ideal.window_judge`` to record each judge built (its D and
+    codes) and each call of a judge; returns both records."""
+    built, judged = [], []
+    build = ideal.window_judge
+
+    def counted_build(D, codes):
+        built.append((D, list(codes)))
+        judge = build(D, codes)
+
+        def counted_judge(C, window):
+            judged.append(C)
+            return judge(C, window)
+
+        return counted_judge
+
+    monkeypatch.setattr(ideal, "window_judge", counted_build)
+    return built, judged
+
+
 class TestWholeRunPasses:
     """``run`` draws and isolates supports, and ``trace_validate`` judges
     windows, a block at a time, never a step at a time; and a block of one
@@ -927,6 +974,8 @@ class TestWholeRunPasses:
         region = _region_of(config.ideal.group, config.window_radius + config.margin)
         masks = count_calls(monkeypatch, RandomField, "mask")
         isolations = count_calls(monkeypatch, simulate, "_isolated")
+        per_call = count_calls(monkeypatch, config.ideal, "contains_windows")
+        built, judged = count_judges(monkeypatch, config.ideal)
         trace = run(config)
         # every region here fits one block of steps per isolation radius
         assert simulate._PAIR_CELLS // len(region.elements) >= config.steps
@@ -934,13 +983,35 @@ class TestWholeRunPasses:
                      if not config.warmup or R == max(trace.reaches)}
         assert len(isolations) == len(support_s)
         assert len(masks) == len(support_s)
-        judged = count_calls(monkeypatch, config.ideal, "contains_windows")
+        # at most one judge per isolation radius, each on that radius's D,
+        # called once per step that has candidates, and no per-step
+        # contains_windows call
+        widths = {region.neighbors(s).shape[1] for s in support_s}
+        assert 0 < len(built) <= len(support_s)
+        assert {len(D) for D, _codes in built} <= widths
+        assert len({len(D) for D, _codes in built}) == len(built)
+        assert 0 < len(judged) <= config.steps and not per_call
+        assert sum(len(at) > 0 for _c, at in trace.steps) <= len(judged)
+        built.clear()
+        judged.clear()
         report = trace_validate(trace, config.ideal)
         radii = {radius_floor(config.ideal.locality_radius(c)) for c, _at in trace.steps}
         w = region.neighbors(max(radii)).shape[1]
         coloured = sum(len(at) for _c, at in trace.steps)
         blocks = -(-coloured // max(1, simulate._PAIR_CELLS // w**2))
+        # at most one judge per window radius, built only for a radius some
+        # coloured centre has
+        assert 0 < len(built) <= len(radii) and not per_call
+        assert len({len(D) for D, _codes in built}) == len(built)
         assert 0 < len(judged) <= len(radii) * blocks < report.windows_checked
+
+    def test_no_judge_without_a_coloured_centre(self, monkeypatch):
+        """Steps that colour nothing, or only points whose window leaves the
+        region, give the validator no window radius to judge."""
+        built, judged = count_judges(monkeypatch, PC3)
+        for assigned in ([(0, ()), (1, ())], [(0, (6,)), (1, (-6,))]):
+            report = trace_validate(_hand_trace(PC3, 5, 1, assigned), PC3)
+            assert report.windows_checked == 0 and built == [] and judged == []
 
     @pytest.mark.parametrize("config", BLOCK_CONFIGS)
     def test_one_cell_blocks_change_nothing(self, monkeypatch, config):
@@ -958,6 +1029,71 @@ class TestWholeRunPasses:
             hand = _hand_trace(ideal, window, margin, assigned)
             assert not trace_validate(hand, ideal).ok
             assert trace_validate(hand, ideal).to_jsonable() == brute_force_validate(hand, ideal).to_jsonable()
+
+
+def _reduced(g):
+    return ReducedIdeal(ProperColoring(g, 3), SupRadiiJoin(lambda c: 1, description=[1, 1, 1]))
+
+
+_PAIRS = [(1, 0), (1, 1), (1, 2)]
+F1 = FreeGroup(1)
+Z3 = FreeAbelian(3)
+# (ideal, schedule, largest window): per group a ProperColoring, a
+# DistanceConstrained with radii 0 and 2 and a NotUniversal, and on Z^1,
+# Z^2 and F_1 a Reduced spec with a pair schedule (window radius 3)
+REFERENCE_CASES = [
+    (PC3, None, 6), (DistanceConstrained(Z1, (0, 1), (1, 3)), None, 6),
+    (NotUniversal(Z1, (0, 1), (1, 3)), None, 6), (_reduced(Z1), _PAIRS, 4),
+    (ProperColoring(Z2, 5), None, 4), (DistanceConstrained(Z2, (0, 1), (1, 3)), None, 3),
+    (NotUniversal(Z2, (0, 1), (1, 3)), None, 2), (_reduced(Z2), _PAIRS, 1),
+    (ProperColoring(Z3, 7), None, 2), (DistanceConstrained(Z3, (0, 1), (1, 3)), None, 2),
+    (NotUniversal(Z3, (0,), (1,)), None, 2),
+    (ProperColoring(F1, 3), None, 6), (DistanceConstrained(F1, (0, 1), (1, 3)), None, 6),
+    (NotUniversal(F1, (0, 1), (1, 3)), None, 6), (_reduced(F1), _PAIRS, 4),
+    (ProperColoring(F2, 5), None, 2), (DistanceConstrained(F2, (0, 1), (1, 3)), None, 1),
+    (NotUniversal(F2, (0,), (1,)), None, 2),
+]
+
+
+def _reference_config(ideal, schedule, window, extra, steps, p, seed, warmup):
+    """p = None stands for 1/|Ball(1, s)| at the largest isolation radius
+    s, the density at which an isolated support point is likeliest."""
+    radius = max(ideal.locality_radius(c) for c in schedule or ideal.palette())
+    if p is None:
+        p = Fraction(1, groups.ball_size(ideal.group, radius_floor(2 * radius)))
+    return SimulationConfig(ideal, window, radius_ceil(2 * radius) + extra, steps, p, seed,
+                            schedule=schedule, warmup=warmup)
+
+
+class TestReferenceRun:
+    """``run`` against the scalar reference run, which shares none of its
+    kernels: same summaries and dumps."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, data):
+        ideal, schedule, max_window = data.draw(st.sampled_from(REFERENCE_CASES))
+        config = _reference_config(
+            ideal, schedule, data.draw(st.integers(0, max_window)), data.draw(st.integers(0, 1)),
+            data.draw(st.integers(0, 8)), data.draw(st.sampled_from([Fraction(1, 2), Fraction(1, 8), None])),
+            data.draw(st.integers(0, 2**32)), data.draw(st.booleans()),
+        )
+        assert run(config).to_summary_jsonable(dump=True) == \
+            reference_run(config).to_summary_jsonable(dump=True)
+
+    @pytest.mark.parametrize("case", REFERENCE_CASES)
+    @pytest.mark.parametrize("warmup", [True, False])
+    def test_colours_points(self, case, warmup):
+        """Every case at its largest window, over a few seeds, some of
+        which colour points, so the comparison is not vacuous."""
+        ideal, schedule, window = case
+        coloured = 0
+        for seed in range(4):
+            config = _reference_config(ideal, schedule, window, 0, 10, None, seed, warmup)
+            summary = run(config).to_summary_jsonable(dump=True)
+            assert summary == reference_run(config).to_summary_jsonable(dump=True)
+            coloured += sum(summary["assigned_counts"])
+        assert coloured > 0
 
 
 class TestEquivariance:
