@@ -647,6 +647,8 @@ def d_sequence(group, count: int, budget: int = 64) -> DSequence:
     group = parse_group(group)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if budget < 0:
+        raise ValueError(f"radius budget must be nonnegative, got {budget}")
     d0 = None
     for r in range(0, budget + 1):
         if len(identity_ball(group, r)) >= 2:
@@ -700,6 +702,8 @@ def annulus_D(group, d: int, budget: int = 64) -> Tuple[int, AnnulusWitness]:
     group = parse_group(group)
     if not isinstance(d, int) or d < 0:
         raise ValueError(f"d must be a nonnegative integer, got {d!r}")
+    if budget < 0:
+        raise ValueError(f"radius budget must be nonnegative, got {budget}")
     for D in range(2 * d + 1, budget + 1):
         for t in range(2 * d + 1, D - d + 1):
             z = group.element_at_distance(t)

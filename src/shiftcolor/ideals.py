@@ -21,16 +21,15 @@ The palette of DistanceConstrained is 0..len(h)-1 and of NotUniversal
 0..len(d)-1; a color beyond it raises PaletteExhausted.
 
 Many patterns can also be judged at once, as integer rows of color codes
-(``color_code``) over slots with the distances between the slots
-(``contains_windows``): windows laid out on the offsets of one ball about
-the identity, which share one distance matrix, or rows with a matrix each.
-For the first, ``window_judge`` prepares once what every call on that
-matrix and those codes shares, as the window process does once per
-radius. The pairwise kinds answer with one gather from their bands
-compiled as a boolean table over (color, color, distance); every other
-ideal asks ``contains`` of each row's pattern, which stays the reference.
-The axioms check judges the restrictions and shifts of a block of samples
-with a matrix each.
+(``color_code``) over slots with the distances between the slots. A window
+judge (``window_judge``) is built once for a slot-distance matrix and the
+codes its rows may hold: one matrix shared by every row, for windows laid
+out on the offsets of one ball about the identity, as the window process
+builds one per radius; or one matrix per row, as the axioms check judges
+the restrictions and shifts of a block of samples. The pairwise kinds
+answer with one gather from their bands compiled as a boolean table over
+(color, color, distance); every other ideal asks ``contains`` of each
+row's pattern, which stays the reference.
 
 Reduced (product-coded) ideals live in the reduction module; they subclass
 IdealSpec and plug into everything here.
@@ -56,7 +55,7 @@ class PaletteExhausted(ValueError):
     """A pattern uses a color outside the ideal's declared palette."""
 
 
-# Color codes below zero, read by ``contains_windows``: a slot with no
+# Color codes below zero, read by ``window_judge``: a slot with no
 # color, a color outside the palette that is never a member, and a color
 # left to ``contains``.
 NO_COLOR, OFF_PALETTE, UNCODED = -1, -2, -3
@@ -93,16 +92,17 @@ class IdealSpec:
         return self.contains(phi.with_entry(gamma, c))
 
     def color_code(self, c) -> int:
-        """The integer that stands for color c in the rows
-        ``contains_windows`` reads. By default every color is UNCODED, so
+        """The integer that stands for color c in the rows a
+        ``window_judge`` reads. By default every color is UNCODED, so
         every window goes to ``contains``."""
         return UNCODED
 
-    def contains_windows(self, C: np.ndarray, D: np.ndarray, window) -> np.ndarray:
-        """Whether each of many patterns, laid out on slots, is a member.
-        C[i, a] codes the color at slot a of pattern i (``color_code``, or
-        NO_COLOR for none) and ``window(i)`` builds pattern i. D gives the
-        distances between the slots, in one of two shapes:
+    def window_judge(self, D: np.ndarray, codes) -> Callable[[np.ndarray, Callable], np.ndarray]:
+        """``judge(C, window)``: whether each of many patterns, laid out on
+        slots, is a member. C[i, a] codes the color at slot a of pattern i
+        (``color_code``: one of ``codes``, or NO_COLOR for none) and
+        ``window(i)`` builds pattern i. D gives the distances between the
+        slots, in one of two shapes:
 
         * (w, w), for windows laid out on the offsets w_0, w_1, ... of
           Ball(1, s): D[a, b] = |w_a w_b^-1| is the distance between slots a
@@ -110,17 +110,10 @@ class IdealSpec:
         * (rows, w, w), one matrix per row: D[i, a, b] is the distance
           between the elements at slots a and b of pattern i.
 
-        This default asks ``contains`` of each pattern in row order; it is
-        the reference for every override."""
-        return np.array([self.contains(window(i)) for i in range(len(C))], dtype=bool)
-
-    def window_judge(self, D: np.ndarray, codes) -> Callable[[np.ndarray, Callable], np.ndarray]:
-        """``judge(C, window)``, the verdicts of ``contains_windows(C, D,
-        window)`` for windows laid out on the one (w, w) slot-distance matrix
-        D whose colour codes lie in ``codes`` or are NO_COLOR. What is fixed
-        for every such call is prepared once, here; by default nothing is,
-        and the judge is the per-row reference."""
-        return lambda C, window: IdealSpec.contains_windows(self, C, D, window)
+        What is fixed for every call on D and those codes is prepared once,
+        here. This default prepares nothing and asks ``contains`` of each
+        pattern in row order; it is the reference for every override."""
+        return lambda C, window: np.array([self.contains(window(i)) for i in range(len(C))], dtype=bool)
 
     def extend_at(self, phi: PartialColoring, gamma, c_max: Optional[int] = None):
         """Least color c <= c_max with phi + (gamma, c) a member, or None.
@@ -294,39 +287,26 @@ class PairwiseIdeal(IdealSpec):
         return table
 
     def window_judge(self, D, codes):
-        """The bands compiled once for the codes and D: only the slot pairs
-        a <= b at a distance D[a, b] where some pair of the codes is
-        forbidden are read, and each as a fixed offset into the flat table,
-        so a judge is one gather (``_gather``). With UNCODED among the
-        codes, the per-row reference."""
+        """One gather through the bands compiled once for the codes and D: a
+        pattern is a member iff no two of its slots a <= b hold colors
+        forbidden at their distance. The table is symmetric in its colors,
+        so only slot pairs a <= b are read, and of those only the ones that
+        some row holds at a distance where some pair of the codes is
+        forbidden, each at a fixed offset into the flat table (one per row
+        and pair for per-row distances). With UNCODED among the codes, the
+        per-row reference."""
         codes = {int(c) for c in codes} | {NO_COLOR}
         if UNCODED in codes:
             return super().window_judge(D, codes)
         forbid = self._compiled(max(codes) + 1, int(D.max(initial=0)))
         used = np.array(sorted(codes)) + 2
-        a, b = np.nonzero(np.triu(forbid[np.ix_(used, used)].any(axis=(0, 1))[D]))
+        near = forbid[np.ix_(used, used)].any(axis=(0, 1))[D].any(axis=tuple(range(D.ndim - 2)))
+        a, b = np.nonzero(np.triu(near))
         n_codes, n_t = forbid.shape[1:]
         strides = n_codes * n_t, n_t
-        base = D[a, b] + 2 * sum(strides)  # codes are stored shifted by 2
+        base = D[..., a, b] + 2 * sum(strides)  # codes are stored shifted by 2
         flat = forbid.ravel()
         return lambda C, window: _gather(flat, C, a, b, strides, base)
-
-    def contains_windows(self, C, D, window):
-        """One gather through the compiled bands: a pattern is a member iff
-        no two of its slots a <= b hold colors forbidden at distance
-        D[a, b] (D[i, a, b] for per-row distances). The table is symmetric
-        in its colors, so only those slot pairs are read; with one D for
-        every window, through ``window_judge``, only at distances some
-        color pair forbids."""
-        if (C == UNCODED).any():
-            return super().contains_windows(C, D, window)
-        if D.ndim == 2:
-            return self.window_judge(D, np.unique(C).tolist())(C, window)
-        forbid = self._compiled(int(C.max(initial=NO_COLOR)) + 1, int(D.max(initial=0)))
-        a, b = np.triu_indices(C.shape[1])
-        n_codes, n_t = forbid.shape[1:]
-        strides = n_codes * n_t, n_t
-        return _gather(forbid.ravel(), C, a, b, strides, D[:, a, b] + 2 * sum(strides))
 
     def palette(self):
         return range(self.palette_size)
@@ -617,8 +597,8 @@ def ideal_axioms_check(
     Samples are grown a block at a time, and a block is judged before the
     next one grows, so memory stays within the block. A block holds as many
     samples as keep its shifts times slot pairs within _PAIR_CELLS. All of
-    its restrictions are judged in one ``contains_windows`` call, as masks
-    of each sample's entries, and all of its shifts in a second. The
+    its restrictions are judged by one window judge, as masks of each
+    sample's entries, and all of its shifts by a second. The
     shifted entries x*gamma^-1 and every distance are computed in packed
     arrays (``Group.mul_packed``, ``Group.dist_packed``), never inferred
     from right invariance, which is one of the things audited. A block's
@@ -701,8 +681,8 @@ def _judge_packed(P: IdealSpec, samples: list, flat, shifts, inverses):
     entries ``flat`` holds packed, sample by sample. Their entries are laid
     out on one width, padded with uncoloured slots; only each sample's own
     slot pairs are measured, in one ``dist_packed`` call before the shift
-    and one after, and one ``contains_windows`` call judges every
-    restriction and one every shift."""
+    and one after. Two window judges on per-row slot distances, both for
+    the codes of the block, judge every restriction and every shift."""
     if not samples:
         return iter(())
     g, n = P.group, len(shifts)
@@ -732,15 +712,13 @@ def _judge_packed(P: IdealSpec, samples: list, flat, shifts, inverses):
         phi, dom, mask, *_ = samples[owner[i]]
         return phi.restrict(compress(dom, mask[i - ends[owner[i]] + len(mask)]))
 
-    restricted = P.contains_windows(
-        np.where(keep, codes[owner], NO_COLOR),
-        distances((len(samples), w, w), g.dist_packed(flat[x], flat[y]))[owner], restriction,
-    )
+    used = np.unique(codes).tolist()
+    D = distances((len(samples), w, w), g.dist_packed(flat[x], flat[y]))[owner]
+    restricted = P.window_judge(D, used)(np.where(keep, codes[owner], NO_COLOR), restriction)
     moved = g.mul_packed(flat[:, None], inverses[None, :])  # [x, i] = x * gamma_i^-1
     D = distances((len(samples), n, w, w), g.dist_packed(moved[x], moved[y]))
-    shifted = P.contains_windows(
-        np.repeat(codes, n, axis=0), D.reshape(len(samples) * n, w, w),
-        lambda i: shift(samples[i // n][0], shifts[i % n]),
+    shifted = P.window_judge(D.reshape(len(samples) * n, w, w), used)(
+        np.repeat(codes, n, axis=0), lambda i: shift(samples[i // n][0], shifts[i % n])
     )
     return zip(np.split(restricted, ends[:-1]), shifted.reshape(len(samples), n))
 

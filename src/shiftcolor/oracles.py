@@ -55,6 +55,8 @@ def infty_check(group, d: Sequence[int], c: int, node_budget: int = 2_000_000) -
     """
     group = parse_group(group)
     d = list(_check_d_sequence(d))
+    if node_budget < 0:
+        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
     if not 0 <= c < len(d):
         raise ValueError(f"color {c} has no scale: need c < len(d) = {len(d)}")
     points = identity_ball(group, d[c])
@@ -160,6 +162,10 @@ def extension_oracle(
         palette_max = P.max_color()
         if palette_max is None:
             raise ValueError("the ideal has no finite palette; pass palette_max")
+    if palette_max < 0:
+        raise ValueError(f"palette_max must be nonnegative, got {palette_max}")
+    if node_budget < 0:
+        raise ValueError(f"node budget must be nonnegative, got {node_budget}")
     if not phi:
         # Ball(empty domain, rho) is empty: phi extends itself, vacuously.
         return ExhaustiveSearchReport(

@@ -4,9 +4,11 @@ Laws under test:
 1. Every subcommand produces a canonical envelope — schema version,
    manifest, payload — and the exit code contract holds: 0 clean, 1 a
    checked property was found violated, 2 usage or I/O trouble, 3 budget
-   exhausted before a conclusion. Negative ``extract`` arguments, a plain
-   colour scheduled on a reduced spec, and a malformed JSON schedule are
-   usage errors; a JSON schedule of pair colours runs as the library does.
+   exhausted before a conclusion. A negative ``--budget`` on every budgeted
+   subcommand, a negative ``--palette-max``, negative ``extract``
+   arguments, a plain colour scheduled on a reduced spec, and a malformed
+   JSON schedule are usage errors; a JSON schedule of pair colours runs as
+   the library does.
 2. Reports are byte-identical across reruns with identical inputs, and the
    config hash tracks spec file *contents*, not just paths.
 3. Payload fixtures: sorted ball enumerations, the frozen packing scales,
@@ -247,9 +249,18 @@ class TestIdealCommands:
         ["reduce"],
     ]
 
-    @pytest.mark.parametrize("argv", _BUDGETED)
+    @pytest.mark.parametrize("argv", [[argv[0], "{spec}", *argv[1:]] for argv in _BUDGETED] + [
+        ["verify-infty", "Z^1", "--d", "1,3", "--c", "1"],
+        ["oracle-extend", "{spec}", "{pattern}", "--radius", "1"],
+        ["dseq", "Z^1", "3"],
+        ["annulus", "Z^1", "1"],
+    ])
     def test_negative_budget_exits_two(self, tmp_path, capsys, pc3_spec, argv):
-        code, data = run_to_file(tmp_path, [argv[0], pc3_spec, *argv[1:], "--budget", "-1"])
+        """Not exit 3, "budget exhausted": no search starts."""
+        pattern = tmp_path / "pattern.json"
+        pattern.write_text(json.dumps({"group": "Z^1", "entries": [[0, 0]]}))
+        argv = [arg.format(spec=pc3_spec, pattern=pattern) for arg in argv]
+        code, data = run_to_file(tmp_path, [*argv, "--budget", "-1"])
         assert code == 2 and data == b""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "nonnegative" in err and err.count("\n") == 1
@@ -494,6 +505,17 @@ class TestUsageErrors:
         true as 1."""
         err = self._usage_error(tmp_path, capsys, argv, spec_text)
         assert named in err
+
+    def test_oracle_negative_palette_max_exits_two(self, tmp_path, capsys, pc3_spec):
+        """Not a refusal certificate over a palette of -4 colours."""
+        pattern = tmp_path / "pattern.json"
+        pattern.write_text(json.dumps({"group": "Z^1", "entries": [[0, 0]]}))
+        code, data = run_to_file(
+            tmp_path,
+            ["oracle-extend", pc3_spec, str(pattern), "--radius", "1", "--palette-max", "-5"],
+        )
+        assert code == 2 and data == b""
+        assert capsys.readouterr().err == "error: palette_max must be nonnegative, got -5\n"
 
     def test_oracle_palette_max_beyond_palette_exits_two(self, tmp_path, capsys):
         spec = tmp_path / "nu.json"

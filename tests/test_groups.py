@@ -22,7 +22,8 @@ Laws under test:
    scalar element_code codes it, up to the packable length; a ball whose table
    cannot fit in memory is refused before anything is allocated.
 5. Conventions: minimum distance between sets is infinite when a set is
-   empty; budget exhaustion raises loudly.
+   empty; budget exhaustion raises loudly, and a negative budget is refused
+   as a usage error.
 """
 
 import random
@@ -261,6 +262,10 @@ class TestDSequence:
         with pytest.raises(BudgetError):
             d_sequence(Z1, 10, budget=20)
 
+    def test_negative_budget_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            d_sequence(Z1, 3, budget=-1)
+
 
 def _all_pairs_d_sequence(group, count, budget=64):
     """The packing search without pruning: every enclosing radius above d,
@@ -420,6 +425,10 @@ class TestAnnulus:
     def test_budget_error(self):
         with pytest.raises(BudgetError):
             annulus_D(Z1, 40, budget=30)
+
+    def test_negative_budget_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            annulus_D(Z1, 1, budget=-1)
 
 
 def _word_of_length(draw, group, n):

@@ -28,16 +28,17 @@ Laws under test:
    replaced (kept below as references), on every small colouring; its
    extend_at equals the least colour c with phi + (gamma, c) a member, also
    on non-members, on coloured gamma and on out-of-palette patterns.
-7. The engine's array window check (contains_windows over colour codes and
-   slot distances) gives the same answers, exceptions included, as the
-   generic default that asks contains of each window, on random windows of
-   every radius the window process reaches on Z^1, Z^2, Z^3 and F_2.
-8. A window judge built once for one slot-distance matrix and a set of
+7. A window judge built once for a slot-distance matrix and a set of
    colour codes (``window_judge``) gives the per-row contains reference's
-   answers on the slot distances of Ball(1, s) over Z^1-Z^3 and F_1-F_3,
-   for all three kinds, with off-palette and uncoloured slots, and in
-   gathers of one cell; with UNCODED among its codes it is the reference,
-   exceptions included.
+   answers, for all three kinds, with off-palette and uncoloured slots, and
+   in gathers of one cell: on the one matrix of Ball(1, s) shared by every
+   row, over Z^1-Z^3 and F_1-F_3 and at every radius the window process
+   reaches; with UNCODED among its codes it is the reference, exceptions
+   included, so a pair colour or a colour beyond the palette raises as
+   contains raises.
+8. The same holds with one matrix per row (the axioms audit's form), each
+   row laying a random choice of the offsets on its slots in an order of
+   its own, also on blocks of no rows and on rows of no slots.
 """
 
 import random
@@ -407,15 +408,15 @@ class TestAxiomsCheck:
                 cells.append(size(*args))
                 return fn(*args)
 
-            monkeypatch.setattr(g if name != "contains_windows" else kind, name, wrapped)
+            monkeypatch.setattr(g if name != "window_judge" else kind, name, wrapped)
 
         def broadcast(A, B):
             return int(np.prod(np.broadcast_shapes(A.shape[:-1], B.shape[:-1])))
 
         spy("dist_packed", g.dist_packed, broadcast)
         spy("mul_packed", g.mul_packed, broadcast)
-        spy("contains_windows", kind.contains_windows,
-            lambda C, D, window: C.shape[0] * (C.shape[1] * (C.shape[1] - 1) // 2))
+        spy("window_judge", kind.window_judge,
+            lambda D, codes: D.shape[0] * (D.shape[1] * (D.shape[1] - 1) // 2))
         grow = ideals.grow_random_member
 
         def growing(*args):
@@ -672,42 +673,90 @@ def _window_batch(P, offsets, centers, rng, colors):
     return C, patterns
 
 
+# (group, largest s) of the random window judge tests
+JUDGE_CASES = [(Z1, 6), (FreeAbelian(2), 4), (FreeAbelian(3), 3), (FreeGroup(1), 6), (F2, 3),
+               (FreeGroup(3), 2)]
+
+
+def _judge_kinds(g):
+    return [
+        ProperColoring(g, 3),
+        ProperColoring(g, 5),
+        DistanceConstrained(g, (1, 3), (3, 7)),
+        DistanceConstrained(g, (0, 1, 2), (1, 2, INF)),  # an h = inf band
+        NotUniversal(g, (1, 3), (5, 13)),  # the cross-colour band [3, 5]
+        NotUniversal(g, (0, 1, 2), (1, 3, 5)),
+    ]
+
+
+def _top(P):
+    """Colours up to k + 1 on ProperColoring (OFF_PALETTE), inside the
+    palette elsewhere."""
+    return P.palette_size + (2 if isinstance(P, ProperColoring) else 0)
+
+
+def _reference(P, C, D, window):
+    """The per-row contains reference's verdicts."""
+    return IdealSpec.window_judge(P, D, ())(C, window)
+
+
+def _per_row_batch(P, offsets, D, rng, colors, rows, width):
+    """Random windows that each lay ``width`` of the offsets, drawn and
+    ordered for that row alone, on their slots, so that rows differ in their
+    slot distances; D holds the distances between the offsets. Returns the
+    code matrix, the (rows, width, width) slot distances and the patterns."""
+    g = P.group
+    C = np.full((rows, width), NO_COLOR, dtype=np.int64)
+    Ds = np.zeros((rows, width, width), dtype=D.dtype)
+    patterns = []
+    for i in range(rows):
+        x = rng.choice(offsets)
+        slots = rng.sample(range(len(offsets)), width)
+        Ds[i] = D[np.ix_(slots, slots)]
+        entries = {}
+        for a in rng.sample(range(width), rng.randint(0, min(width, 24))):
+            c = rng.choice(colors)
+            C[i, a] = P.color_code(c)
+            entries[g.mul(offsets[slots[a]], x)] = c
+        patterns.append(PartialColoring(g, entries))
+    return C, Ds, patterns
+
+
+def _judge_every_kind(g, s, near, rng, seen):
+    """On the shared slot distances of Ball(1, s), the judge of every kind
+    with every colour code gives the reference's verdicts on random windows
+    centred in ``near``; ``seen`` counts the verdicts and OFF_PALETTE rows."""
+    offsets = identity_ball(g, s)
+    D = Region(g, s).slot_distances(s)
+    for P in _judge_kinds(g):
+        C, patterns = _window_batch(P, offsets, [rng.choice(near) for _ in range(8)], rng,
+                                    range(_top(P)))
+        got = P.window_judge(D, [P.color_code(c) for c in range(_top(P))])(C, patterns.__getitem__)
+        assert got.tolist() == _reference(P, C, D, patterns.__getitem__).tolist(), (P, s)
+        seen["rejected"] += int((~got).sum())
+        seen["accepted"] += int(got.sum())
+        seen["off palette"] += int((C == OFF_PALETTE).any())
+
+
 class TestWindowCheck:
-    """contains_windows of the pairwise kinds against the generic default."""
+    """The judge on the shared matrix at every radius the window process
+    reaches, and on windows whose colours contains refuses."""
 
     @pytest.mark.parametrize("g,max_r", WINDOW_CASES, ids=["Z1", "Z2", "Z3", "F2"])
     def test_array_check_matches_contains(self, g, max_r):
         rng = random.Random(11)
-        kinds = [
-            ProperColoring(g, 3),
-            ProperColoring(g, 5),
-            DistanceConstrained(g, (1, 3), (3, 7)),
-            DistanceConstrained(g, (0, 1, 2), (1, 2, INF)),  # an h = inf band
-            NotUniversal(g, (1, 3), (5, 13)),  # the cross-colour band [3, 5]
-            NotUniversal(g, (0, 1, 2), (1, 3, 5)),
-        ]
         near = identity_ball(g, 3)
         seen = {"rejected": 0, "accepted": 0, "off palette": 0}
         for r in range(max_r + 1):
-            offsets = identity_ball(g, r)
-            D = Region(g, r).slot_distances(r)
-            for P in kinds:
-                centers = [rng.choice(near) for _ in range(8)]
-                # colours up to k + 1 on ProperColoring, inside the palette elsewhere
-                top = P.palette_size + (2 if isinstance(P, ProperColoring) else 0)
-                C, patterns = _window_batch(P, offsets, centers, rng, range(top))
-                got = P.contains_windows(C, D, patterns.__getitem__)
-                want = IdealSpec.contains_windows(P, C, D, patterns.__getitem__)
-                assert got.tolist() == want.tolist(), (P, r)
-                seen["rejected"] += int((~got).sum())
-                seen["accepted"] += int(got.sum())
-                seen["off palette"] += int((C == OFF_PALETTE).any())
+            _judge_every_kind(g, r, near, rng, seen)
         assert all(seen.values()), seen
 
     def test_off_palette_and_pair_colours_raise_as_contains(self):
-        """A pair colour raises ValueError on every kind, a colour beyond
-        the palette PaletteExhausted on DistanceConstrained and
-        NotUniversal, exactly as contains raises them."""
+        """A pair colour is UNCODED on every kind, and so is a colour beyond
+        the palette where contains raises PaletteExhausted
+        (DistanceConstrained and NotUniversal): the judge raises them exactly
+        as contains raises them. On ProperColoring that colour is
+        OFF_PALETTE and its window is rejected."""
         rng = random.Random(5)
         offsets = identity_ball(Z1, 4)
         D = Region(Z1, 4).slot_distances(4)
@@ -716,8 +765,8 @@ class TestWindowCheck:
                 C, patterns = _window_batch(P, offsets, [0, 3, -2], rng, range(P.palette_size))
                 C[1, 2] = P.color_code(bad)
                 patterns[1] = patterns[1].with_entry(offsets[2] + 3, bad)
-                got = _outcome(P.contains_windows, C, D, patterns.__getitem__)
-                want = _outcome(IdealSpec.contains_windows, P, C, D, patterns.__getitem__)
+                got = _outcome(P.window_judge(D, np.unique(C).tolist()), C, patterns.__getitem__)
+                want = _outcome(_reference, P, C, D, patterns.__getitem__)
                 if got[0] == "value":
                     got = ("value", got[1].tolist())
                     want = ("value", want[1].tolist())
@@ -725,23 +774,9 @@ class TestWindowCheck:
                 assert (got[0] == "raised") == (bad != P.palette_size or P.outside_palette_raises)
 
 
-# (group, largest s) of the window judge tests
-JUDGE_CASES = [(Z1, 6), (FreeAbelian(2), 4), (FreeAbelian(3), 3), (FreeGroup(1), 6), (F2, 3),
-               (FreeGroup(3), 2)]
-
-
-def _judge_kinds(g):
-    return [
-        ProperColoring(g, 3),
-        DistanceConstrained(g, (1, 3), (3, 7)),
-        DistanceConstrained(g, (0, 1, 2), (1, 2, INF)),
-        NotUniversal(g, (1, 3), (5, 13)),
-        NotUniversal(g, (0, 1, 2), (1, 3, 5)),
-    ]
-
-
 class TestWindowJudge:
-    """``window_judge(D, codes)`` against the per-row contains reference."""
+    """``window_judge(D, codes)`` against the per-row contains reference, on
+    one shared slot-distance matrix and on one matrix per row."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -752,20 +787,50 @@ class TestWindowJudge:
         rng = random.Random(data.draw(st.integers(0, 2**32)))
         offsets = identity_ball(g, s)
         D = Region(g, s).slot_distances(s)
-        # colours up to k + 1 on ProperColoring (OFF_PALETTE), inside the
-        # palette elsewhere; a subset of them, so that some rows are dense
-        top = P.palette_size + (2 if isinstance(P, ProperColoring) else 0)
-        colors = rng.sample(range(top), rng.randint(1, top))
+        # a subset of the colours, so that some rows are dense
+        colors = rng.sample(range(_top(P)), rng.randint(1, _top(P)))
         centers = [rng.choice(offsets) for _ in range(rng.randint(0, 12))]
         C, patterns = _window_batch(P, offsets, centers, rng, colors)
         # the judge's codes: those of the colours drawn, and perhaps more
-        extra = data.draw(st.sets(st.sampled_from(range(top))))
+        extra = data.draw(st.sets(st.sampled_from(range(_top(P)))))
         judge = P.window_judge(D, [P.color_code(c) for c in {*colors, *extra}])
-        want = IdealSpec.contains_windows(P, C, D, patterns.__getitem__)
+        want = _reference(P, C, D, patterns.__getitem__)
         assert judge(C, patterns.__getitem__).tolist() == want.tolist()
         with mock.patch.object(ideals, "_GATHER_CELLS", 1):
             assert judge(C, patterns.__getitem__).tolist() == want.tolist()
-        assert P.contains_windows(C, D, patterns.__getitem__).tolist() == want.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_per_row_judge_matches_contains(self, data):
+        """Each row has slot distances of its own; blocks of no rows and
+        rows of no slots (an audit block of empty samples) included."""
+        g, max_s = data.draw(st.sampled_from(JUDGE_CASES))
+        s = data.draw(st.integers(0, max_s))
+        P = data.draw(st.sampled_from(_judge_kinds(g)))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        offsets = identity_ball(g, s)
+        rows = data.draw(st.integers(0, 12))
+        width = data.draw(st.integers(0, len(offsets)))
+        colors = rng.sample(range(_top(P)), rng.randint(1, _top(P)))
+        C, D, patterns = _per_row_batch(P, offsets, Region(g, s).slot_distances(s), rng, colors,
+                                        rows, width)
+        judge = P.window_judge(D, [P.color_code(c) for c in colors])
+        want = _reference(P, C, D, patterns.__getitem__)
+        assert judge(C, patterns.__getitem__).tolist() == want.tolist()
+        with mock.patch.object(ideals, "_GATHER_CELLS", 1):
+            assert judge(C, patterns.__getitem__).tolist() == want.tolist()
+
+    def test_per_row_judge_on_no_rows_and_no_slots(self):
+        """Blocks of no rows, and rows of no slots, every pattern empty."""
+        D = Region(F2, 2).slot_distances(2)
+        for P in _judge_kinds(F2):
+            codes = [P.color_code(c) for c in range(_top(P))]
+            for rows, width in ((0, 0), (0, len(D)), (3, 0)):
+                C, Ds, patterns = _per_row_batch(P, identity_ball(F2, 2), D, random.Random(0),
+                                                 range(_top(P)), rows, width)
+                got = P.window_judge(Ds, codes)(C, patterns.__getitem__)
+                want = _reference(P, C, Ds, patterns.__getitem__)
+                assert got.tolist() == want.tolist() == [True] * rows
 
     def test_judges_see_off_palette_and_rejections(self):
         """The drawn windows reach every verdict: members, non-members, and
@@ -773,17 +838,7 @@ class TestWindowJudge:
         rng = random.Random(3)
         seen = {"rejected": 0, "accepted": 0, "off palette": 0}
         for g, s in JUDGE_CASES:
-            offsets = identity_ball(g, s)
-            D = Region(g, s).slot_distances(s)
-            for P in _judge_kinds(g):
-                top = P.palette_size + (2 if isinstance(P, ProperColoring) else 0)
-                C, patterns = _window_batch(P, offsets, [rng.choice(offsets) for _ in range(8)], rng,
-                                            range(top))
-                got = P.window_judge(D, [P.color_code(c) for c in range(top)])(C, patterns.__getitem__)
-                assert got.tolist() == IdealSpec.contains_windows(P, C, D, patterns.__getitem__).tolist()
-                seen["rejected"] += int((~got).sum())
-                seen["accepted"] += int(got.sum())
-                seen["off palette"] += int((C == OFF_PALETTE).any())
+            _judge_every_kind(g, s, identity_ball(g, s), rng, seen)
         assert all(seen.values()), seen
 
     def test_uncoded_codes_take_the_reference(self, monkeypatch):
@@ -797,8 +852,7 @@ class TestWindowJudge:
             patterns[1] = patterns[1].with_entry(offsets[2] + 1, (1, 0))
             judge = P.window_judge(D, [0, UNCODED])
             got = _outcome(judge, C, patterns.__getitem__)
-            assert got[0] == "raised" and got == _outcome(IdealSpec.contains_windows, P, C, D,
-                                                          patterns.__getitem__)
+            assert got[0] == "raised" and got == _outcome(_reference, P, C, D, patterns.__getitem__)
             asked = []
             monkeypatch.setattr(P, "contains", lambda phi: asked.append(phi) or True)
             assert judge(C[:1], patterns.__getitem__).tolist() == [True] and asked == [patterns[0]]

@@ -9,10 +9,12 @@ Laws under test:
    and the counting bound agrees there too by NOT refuting.
 3. Budget exhaustion is reported as inconclusive, never as a refusal.
    Scales that are negative or not strictly increasing are refused by the
-   search and the counting bound alike, before any search.
+   search and the counting bound alike, before any search, and so is a
+   negative node budget by both searches; a budget of 0 is a budget.
 4. The extension oracle refuses exactly the patterns that cannot be
    extended on the ball: the two-point parity fixture on two colors, and
-   its colorable twin.
+   its colorable twin. A negative palette bound is refused, never read as
+   an empty palette that nothing extends to.
 5. Witnesses returned by the oracle extend the input and are members.
 6. Greedy extension and the oracle agree on sampled members when the
    palette dominates the graph degree.
@@ -83,6 +85,11 @@ class TestBallColoringSearch:
             infty_check(Z1, (1, 3), 2)
         with pytest.raises(ValueError):
             infty_check(Z1, (3, 1), 0)
+
+    def test_negative_budget_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            infty_check(Z1, (1, 3), 1, node_budget=-1)
+        assert infty_check(Z1, (1, 3), 1, node_budget=0).outcome == INCONCLUSIVE
 
     @pytest.mark.parametrize("d,c", [((-2,), 0), ((-1, 3), 1), ((-1, 3), 0)])
     def test_negative_scales_are_refused(self, d, c):
@@ -159,6 +166,18 @@ class TestExtensionOracle:
         report = extension_oracle(pc2, phi, 3, node_budget=3)
         assert report.outcome == INCONCLUSIVE
         assert report.witness is None
+
+    @pytest.mark.parametrize("phi", [{}, {0: 0}])
+    def test_negative_palette_max_and_budget_are_refused(self, phi):
+        """palette_max = -5 once read as the palette of (-4)^n assignments,
+        none of them valid, and so refused to extend {0: 0}."""
+        pc3 = ProperColoring(Z1, 3)
+        phi = PartialColoring(Z1, phi)
+        with pytest.raises(ValueError, match="nonnegative"):
+            extension_oracle(pc3, phi, 1, palette_max=-5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            extension_oracle(pc3, phi, 1, node_budget=-1)
+        assert extension_oracle(pc3, phi, 1, palette_max=0).conclusive
 
     def test_non_member_rejected(self):
         pc2 = ProperColoring(Z1, 2)

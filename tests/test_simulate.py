@@ -68,9 +68,9 @@ Laws under test:
    of steps in one call each, and the validator makes at most one
    membership call per window radius per block of coloured points, however
    many steps the trace has; blocks of one cell give the same traces and
-   reports. A pairwise run builds at most one window judge per isolation
-   radius and makes no contains_windows call; the validator builds at most
-   one per window radius.
+   reports. A run builds at most one window judge per isolation radius and
+   calls it at most once per step; the validator builds at most one per
+   window radius.
 11. The scalar reference run (``run_reference``: ``RandomField.value``
    bits, ``g.ball`` windows, ``contains``) gives identical summaries and
    dumps to ``run``, on Z^1-Z^3 and F_1-F_2, for the three pairwise kinds
@@ -728,13 +728,13 @@ PC3_F2 = ProperColoring(F2, 3)
 
 
 def per_window(ideal):
-    """The same ideal, forced onto IdealSpec's generic contains_windows and
-    window_judge, which build every window as a pattern and ask contains."""
+    """The same ideal, forced onto IdealSpec's generic window_judge, which
+    builds every window as a pattern and asks contains."""
     clone = copy.copy(ideal)
     clone.__class__ = type(
         "PerWindow" + type(ideal).__name__,
         (type(ideal),),
-        {"contains_windows": IdealSpec.contains_windows, "window_judge": IdealSpec.window_judge},
+        {"window_judge": IdealSpec.window_judge},
     )
     return clone
 
@@ -974,7 +974,6 @@ class TestWholeRunPasses:
         region = _region_of(config.ideal.group, config.window_radius + config.margin)
         masks = count_calls(monkeypatch, RandomField, "mask")
         isolations = count_calls(monkeypatch, simulate, "_isolated")
-        per_call = count_calls(monkeypatch, config.ideal, "contains_windows")
         built, judged = count_judges(monkeypatch, config.ideal)
         trace = run(config)
         # every region here fits one block of steps per isolation radius
@@ -984,13 +983,12 @@ class TestWholeRunPasses:
         assert len(isolations) == len(support_s)
         assert len(masks) == len(support_s)
         # at most one judge per isolation radius, each on that radius's D,
-        # called once per step that has candidates, and no per-step
-        # contains_windows call
+        # called once per step that has candidates
         widths = {region.neighbors(s).shape[1] for s in support_s}
         assert 0 < len(built) <= len(support_s)
         assert {len(D) for D, _codes in built} <= widths
         assert len({len(D) for D, _codes in built}) == len(built)
-        assert 0 < len(judged) <= config.steps and not per_call
+        assert 0 < len(judged) <= config.steps
         assert sum(len(at) > 0 for _c, at in trace.steps) <= len(judged)
         built.clear()
         judged.clear()
@@ -1001,7 +999,7 @@ class TestWholeRunPasses:
         blocks = -(-coloured // max(1, simulate._PAIR_CELLS // w**2))
         # at most one judge per window radius, built only for a radius some
         # coloured centre has
-        assert 0 < len(built) <= len(radii) and not per_call
+        assert 0 < len(built) <= len(radii)
         assert len({len(D) for D, _codes in built}) == len(built)
         assert 0 < len(judged) <= len(radii) * blocks < report.windows_checked
 
