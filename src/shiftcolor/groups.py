@@ -12,15 +12,18 @@ which is right-invariant: dist(g*x, h*x) = dist(g, h). Closed balls are
 finite (the metric is proper) and listed breadth-first, each layer sorted
 canonically, so every downstream greedy procedure is deterministic. Ball(1, r)
 is built from integer arrays (``ball_arrays``), refused before allocation
-when it cannot fit in memory; every other ball is its right translate
-Ball(g, r) = Ball(1, r)*g, re-sorted within each layer.
+when it cannot fit in memory, and its elements are decoded from those
+arrays only where they are read (``decode_ball``); every other ball is its
+right translate Ball(g, r) = Ball(1, r)*g, re-sorted within each layer.
 
 Elements also have a packed form, one row of an integer array per element,
 on which products and distances are computed for many elements at once
 (``pack``, ``mul_packed``, ``dist_packed``, ``distance_block``); the scalar
 ``mul`` and ``dist`` are their references. ``ball_arrays`` returns the ball
 in that form: its coordinates on Z^d, and on F_k numerals filled a layer at
-a time from each word's parent and first letter.
+a time from each word's parent and first letter. ``decode_ball`` reads the
+elements back: Z^d points from their coordinates, F_k words from the
+generator table, so words too long to pack decode too.
 
 Also here: the closed-form ball sizes, and the packing searches producing
 the radius sequences used by the distance-constrained ideals — minimal
@@ -104,14 +107,20 @@ class Group:
         return out
 
     def ball_arrays(self, radius: int) -> tuple:
-        """Ball(1, radius) as arrays, built with no loop over its elements:
-        ``(elements, norms, step, packed)``. ``elements`` lists the ball
-        breadth-first, each layer sorted by ``sort_key``; ``norms`` are their
-        word lengths, ``step[i, k]`` the index of generators()[k] *
-        elements[i] (n where that leaves the ball), and ``packed`` the ball
-        in ``pack``'s form, None when radius > pack_limit. A negative radius
-        gives the empty ball. Raises BudgetError, before allocating, when
-        the ball and its table cannot fit in memory."""
+        """Ball(1, radius) as arrays, built with no loop over its elements
+        and no element object: ``(norms, step, packed)``. The ball is listed
+        breadth-first, each layer sorted by ``sort_key``: ``norms`` are its
+        points' word lengths, ``step[i, k]`` the index of generators()[k] *
+        x_i (n where that leaves the ball), and ``packed`` the ball in
+        ``pack``'s form, None when radius > pack_limit. ``decode_ball``
+        gives the elements themselves. A negative radius gives the empty
+        ball. Raises BudgetError, before allocating, when the ball and its
+        table cannot fit in memory."""
+        raise NotImplementedError
+
+    def decode_ball(self, norms: np.ndarray, step: np.ndarray, packed: Optional[np.ndarray]) -> list:
+        """The elements of the ball that ``ball_arrays`` gave as these
+        arrays, in its order."""
         raise NotImplementedError
 
     def element_at_distance(self, t: int):
@@ -259,8 +268,11 @@ class FreeAbelian(Group):
         ])
         hit = np.minimum(np.searchsorted(keys, wanted), n - 1)
         step = np.where(keys[hit] == wanted, hit, n)
-        columns = coords.T.tolist()
-        return (columns[0] if d == 1 else list(zip(*columns))), norms, step, coords
+        return norms, step, coords
+
+    def decode_ball(self, norms, step, packed):
+        columns = packed.T.tolist()  # the coordinate rows
+        return columns[0] if self.dimension == 1 else list(zip(*columns))
 
     # Packed: int64 coordinate rows of L1 norm at most 2^62 - 1, so that the
     # distance of two packed elements fits int64.
@@ -398,37 +410,52 @@ class FreeGroup(Group):
         gens = self._generators
         if radius < 0:
             nothing = np.zeros(0, dtype=np.int64)
-            return [], nothing, nothing.reshape(0, len(gens)), np.zeros((0, 2), dtype=np.uint64)
+            return nothing, nothing.reshape(0, len(gens)), np.zeros((0, 2), dtype=np.uint64)
         digit = np.array([self._letters.index(a) + 1 for a in gens], dtype=np.uint64)
         fits = radius <= self.pack_limit
-        elements = [""]
+        letter_order = sorted(range(len(gens)), key=gens.__getitem__)
         # per layer: the gens index of each word's first letter (-1 for the
         # identity), the index of its parent (the identity is its own), and
         # its numeral
         firsts, parents, numerals = [np.array([-1])], [np.array([0])], [np.zeros(1, dtype=np.uint64)]
         lo = 0
         for t in range(1, radius + 1):
-            layer_first, hi = firsts[-1], len(elements)
-            new_first, new_parent = [], []
-            for j in sorted(range(len(gens)), key=gens.__getitem__):
-                keep = lo + np.flatnonzero(layer_first != j ^ 1)
-                elements.extend(map(gens[j].__add__, map(elements.__getitem__, keep.tolist())))
-                new_first.append(np.full(len(keep), j))
-                new_parent.append(keep)
-            firsts.append(np.concatenate(new_first))
-            parents.append(np.concatenate(new_parent))
+            layer_first = firsts[-1]
+            keep = [lo + np.flatnonzero(layer_first != j ^ 1) for j in letter_order]
+            firsts.append(np.repeat(letter_order, [len(k) for k in keep]))
+            parents.append(np.concatenate(keep))
             if fits:
                 numerals.append(digit[firsts[-1]] * self._powers[t - 1] + numerals[-1][parents[-1] - lo])
-            lo = hi
+            lo += len(layer_first)
         first, parent = np.concatenate(firsts), np.concatenate(parents)
         norms = np.repeat(np.arange(radius + 1), [len(f) for f in firsts])
-        n = len(elements)
+        n = len(first)
         step = np.full((n, len(gens)), n, dtype=np.int64)
         child = np.arange(1, n)
         step[parent[child], first[child]] = child
         step[child, first[child] ^ 1] = parent[child]
         packed = np.column_stack([np.concatenate(numerals), norms.astype(np.uint64)]) if fits else None
-        return elements, norms, step, packed
+        return norms, step, packed
+
+    def decode_ball(self, norms, step, packed):
+        # In ball order, each word but the identity is its first letter
+        # followed by its parent's word. Its other neighbours are its
+        # children, a layer further out, so its parent is the least entry of
+        # its table row, by the generator inverse to that letter. Parents lie
+        # in the layer before, so the words are decoded a run of one layer
+        # and one first letter at a time, from the table alone: words too
+        # long to pack decode too.
+        n = len(norms)
+        if n <= 1:
+            return [""] * n
+        back = step[1:].argmin(axis=1)
+        first, parents = back ^ 1, step[np.arange(1, n), back]
+        cut = np.flatnonzero((first[1:] != first[:-1]) | (norms[2:] != norms[1:-1])) + 1
+        bounds = [0, *cut.tolist(), n - 1]
+        words = [""]
+        for lo, hi, j in zip(bounds, bounds[1:], first[bounds[:-1]].tolist()):
+            words.extend(map(self._generators[j].__add__, map(words.__getitem__, parents[lo:hi].tolist())))
+        return words
 
     # Packed: (numeral, length) rows of uint64, the numeral being the word
     # read in base 2k+1 with letter i of "ab..AB.." as digit i + 1 and the
@@ -527,12 +554,13 @@ def parse_group(spec: str) -> Group:
 
 @lru_cache(maxsize=8)
 def identity_ball(group: Group, r: Radius) -> tuple:
-    """Ball(1, r) as ``Group.ball_arrays`` lists it, cached: the package's one
-    copy of the balls about the identity, a tuple so no caller can change it.
-    A rational r acts as its floor; a negative one gives the empty ball."""
+    """Ball(1, r) as ``Group.ball_arrays`` lists it, decoded by
+    ``Group.decode_ball`` and cached: the package's one copy of the balls
+    about the identity, a tuple so no caller can change it. A rational r
+    acts as its floor; a negative one gives the empty ball."""
     if isinstance(r, Infinity):
         raise ValueError("cannot enumerate a ball of infinite radius")
-    return tuple(group.ball_arrays(radius_floor(r))[0])
+    return tuple(group.decode_ball(*group.ball_arrays(radius_floor(r))))
 
 
 def ball_size(group: Group, r: int) -> int:

@@ -44,7 +44,8 @@ def to_jsonable(obj: Any) -> Any:
     """Recursively reduce report objects to plain JSON values. Fractions
     render as "p/q", the infinite radius as "inf"; report dataclasses are
     asked for their own JSON form. Plain scalars, and lists that hold only
-    plain scalars, are returned as they are."""
+    plain scalars, are returned as they are, and bool, integer and float
+    arrays as their ``tolist``."""
     kind = type(obj)
     if kind in _SCALARS:
         return obj
@@ -76,6 +77,8 @@ def to_jsonable(obj: Any) -> Any:
             items.sort(key=lambda v: json.dumps(v, sort_keys=True))
         return items
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biuf":  # bool, int and float arrays list plain values
+            return obj.tolist()
         return [to_jsonable(v) for v in obj.tolist()]
     raise TypeError(f"cannot encode {type(obj).__name__} into a report")
 

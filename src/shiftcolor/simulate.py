@@ -10,10 +10,13 @@ window around it plus the new entry stays in the ideal, and provided that
 ball sits inside the region so both conditions are evaluated exactly.
 Supports are iid Bernoulli(p) bits keyed by (seed, round, element), so runs
 are reproducible and shift-equivariant up to boundary effects. A trace holds
-each step's points as region indices, which the validator and the
-equivariance check read as they are; elements are decoded only on read
-(``SimulationTrace.assigned_sets``, dumps and reports), and a trace given
-as elements is validated and located once, by ``from_elements``.
+its Region and each step's points as region indices, which the validator
+and the equivariance check read as they are. A Region is integer arrays;
+its elements are decoded once, on first read, and only what names points
+reads them: dumps (``SimulationTrace.assigned_sets``), validation failures,
+equivariance mismatches, ideals judged window by window, and the sparse
+run. A trace given as elements is validated and located once, by
+``from_elements``.
 
 The default schedule cycles through the ideal's palette with a warm-up:
 rounds before R_i reaches its maximum get empty supports (the schedule still
@@ -26,7 +29,10 @@ Neither the run nor its validator judges a window at a time. Every window
 of radius r about x is the row Ball(1, r)*x of the region's neighbour
 table, so many windows form one matrix of colour codes over the same
 offsets, and the distance between two slots is the distance between their
-offsets (right invariance, ``Region.slot_distances``).
+offsets (right invariance, ``Region.slot_distances``). The table is
+composed an offset at a time from the generator table, in a slot-major
+scratch of the index dtype, and refused before allocating when it cannot
+fit in memory (``Region._build_table``).
 A window judge (``IdealSpec.window_judge``) takes that matrix: it is
 built once per window radius, for the one D and the colour codes in use,
 and each call is then one array lookup on the pairwise kinds; any other
@@ -67,14 +73,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import (_PAIR_CELLS, FreeAbelian, FreeGroup, Group, ball_size, distance_block, parse_group,
-                     physical_memory)
+from .groups import (_PAIR_CELLS, BudgetError, FreeAbelian, FreeGroup, Group, ball_size, distance_block,
+                     parse_group, physical_memory)
 from .ideals import NO_COLOR, IdealSpec, _check_d_sequence
 from .patterns import PartialColoring, _validate_color, shift
 from .radii import Infinity, Radius, radius_ceil, radius_floor
@@ -84,19 +90,24 @@ from .rng import RandomField, element_code, element_codes
 
 class Region:
     """Ball(1, radius) as the window process reads it, built from integer
-    arrays by ``Group.ball_arrays`` with no loop over its elements: the
-    elements in ``Group.ball``'s order, their norms (the breadth-first
-    layer), the elements in ``Group.pack``'s form ``packed`` (None where the
-    words are too long to pack), their element codes (on F_k the packed
-    numerals), and the generator table ``step[i, k]``, the index of gens[k]
-    * x_i (n where that leaves the region). Built lazily on top: a neighbour
-    table, and the distances between its slots."""
+    arrays by ``Group.ball_arrays`` with no element object: the points'
+    norms (the breadth-first layer), the points in ``Group.pack``'s form
+    ``packed`` (None where the words are too long to pack), their element
+    codes (on F_k the packed numerals), and the generator table, a row per
+    generator: ``_step[k, i]`` is the index of gens[k] * x_i, and n where
+    that leaves the region, as in the sentinel column n. ``len(region)`` is
+    n. The elements, in ``Group.ball``'s order, are decoded by
+    ``Group.decode_ball`` on the first read of ``elements``: reports that
+    name points read them, and so do words too long to pack. Built lazily
+    on top: a neighbour table, and the distances between its slots."""
 
     def __init__(self, group: Group, radius: int):
         self.group = group
         self.radius = radius
-        self.elements, self.norms, step, self.packed = group.ball_arrays(radius)
-        n = len(self.elements)
+        self.norms, step, self.packed = group.ball_arrays(radius)
+        n = len(self.norms)
+        self._step = np.full((step.shape[1], n + 1), n, dtype=np.int32 if n < 1 << 31 else np.int64)
+        self._step[:, :n] = step.T
         if isinstance(group, FreeGroup) and self.packed is not None:
             self.codes = self.packed[:, 0]  # the numerals are the element codes
         else:  # Z^d coordinates as arrays, F_k words too long to pack one at a time
@@ -105,16 +116,23 @@ class Region:
         ordered = self.codes[self._code_order]
         if (ordered[1:] == ordered[:-1]).any():
             raise RuntimeError(f"element codes collide on the radius-{radius} region of {group.name}")
-        self._step = np.vstack([step, np.full((1, step.shape[1]), n)])
         for a in (self.norms, self.codes, self._code_order, self._step, self.packed):
             if a is not None:
                 a.flags.writeable = False  # shared by every caller
         self._table, self._widths = self._build_table(0)
         self._distances = np.zeros((0, 0), dtype=np.int64)
 
+    def __len__(self) -> int:
+        return len(self.norms)
+
+    @cached_property
+    def elements(self) -> list:
+        """The region's points in region order, decoded on first read."""
+        return self.group.decode_ball(self.norms, self._step[:, :-1].T, self.packed)
+
     def neighbors(self, s: int) -> np.ndarray:
         """Column j of row i: the index of w_j * x_i, where w_j is offset j of
-        Ball(1, s), or the sentinel len(elements) where that leaves the
+        Ball(1, s), or the sentinel len(region) where that leaves the
         region. The table is built for the widest s asked for so far; a
         narrower s reads its first |Ball(1, s)| columns."""
         if s >= len(self._widths):
@@ -128,14 +146,15 @@ class Region:
         so far, as the table is built; a narrower s reads a corner."""
         w = self.neighbors(s).shape[1]
         if len(self._distances) < w:
-            offsets, _norms, _step, packed = self.group.ball_arrays(s)
-            every = np.arange(w)
-            self._distances = distance_block(self.group, offsets, packed, every, every)
+            offsets = self.group.ball_arrays(s)
+            packed, every = offsets[2], np.arange(w)
+            words = self.group.decode_ball(*offsets) if packed is None else None  # too long to pack
+            self._distances = distance_block(self.group, words, packed, every, every)
             self._distances.flags.writeable = False
         return self._distances[:w, :w]
 
     def locate(self, elements: Sequence) -> np.ndarray:
-        """Each valid element's region index, or the sentinel len(elements)
+        """Each valid element's region index, or the sentinel len(region)
         outside the region. Elements of norm <= radius are region points,
         and the region's codes are distinct: each is found by its code."""
         inside = np.array([self.group.norm(e) <= self.radius for e in elements], dtype=bool)
@@ -143,7 +162,7 @@ class Region:
 
     def right_translate(self, gamma) -> Tuple[np.ndarray, np.ndarray]:
         """``(index, codes)`` of the right translates x_i*gamma: index[i] is
-        the region index of x_i*gamma, or the sentinel len(elements) where
+        the region index of x_i*gamma, or the sentinel len(region) where
         that leaves the region, and codes[i] its element code. On Z^d the
         translates are ``coords + gamma``, coded as arrays; on F_k they are
         ``mul_packed`` of the packed region and gamma, and their numerals
@@ -163,24 +182,33 @@ class Region:
         return self._index_of(inside, codes[inside]), codes
 
     def _index_of(self, inside: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        index = np.full(len(inside), len(self.elements), dtype=np.int64)
+        index = np.full(len(inside), len(self), dtype=np.int64)
         index[inside] = self._code_order[np.searchsorted(self.codes, codes, sorter=self._code_order)]
         return index
 
     def _build_table(self, s: int) -> Tuple[np.ndarray, List[int]]:
-        # Column w*x is composed from column w'*x through the generator table
-        # (whose sentinel row maps the sentinel to itself), where w = a*w'
-        # for a generator a and |w'| = |w| - 1, taking whichever such path
-        # stays in the region. That is exact for Z^d and F_k: any two points
-        # of a ball about the identity are joined by a geodesic inside it.
-        # The pairs (w', a) come from the offsets' own generator table.
-        g, n = self.group, len(self.elements)
-        offsets, norms, step, _packed = g.ball_arrays(s)
-        table = np.full((n, len(offsets)), n, dtype=np.int64)
-        table[:, 0] = np.arange(n)
+        # Row w*x of a slot-major (w, n) scratch is composed from row w'*x
+        # through the generator table (whose sentinel column maps the
+        # sentinel to itself), where w = a*w' for a generator a and |w'| =
+        # |w| - 1, taking whichever such path stays in the region. That is
+        # exact for Z^d and F_k: any two points of a ball about the identity
+        # are joined by a geodesic inside it. The pairs (w', a) come from the
+        # offsets' own generator table. Every composition is one contiguous
+        # take in the generator table's index dtype, and the table is the
+        # scratch transposed to int64 in one copy. With int32 indices the two
+        # take 12 B a cell, refused before allocating past physical memory.
+        g, n = self.group, len(self)
+        cells, memory = n * ball_size(g, s), physical_memory()
+        if 12 * cells > memory:
+            raise BudgetError(f"the radius-{s} neighbour table of the {n}-point region of {g.name} "
+                              f"needs {12 * cells} bytes, more than the {memory} bytes of physical memory")
+        norms, step, _packed = g.ball_arrays(s)
+        scratch = np.full((len(norms), n), n, dtype=self._step.dtype)
+        scratch[0] = np.arange(n)
         pairs = np.nonzero(np.append(norms, -1)[step] > norms[:, None])  # a*w' one layer out
         for j, k, t in zip(pairs[0].tolist(), pairs[1].tolist(), step[pairs].tolist()):
-            np.minimum(table[:, t], self._step[table[:, j], k], out=table[:, t])
+            np.minimum(scratch[t], self._step[k].take(scratch[j]), out=scratch[t])
+        table = np.ascontiguousarray(scratch.T, dtype=np.int64)
         table.flags.writeable = False
         return table, np.bincount(norms, minlength=s + 1).cumsum().tolist()
 
@@ -288,7 +316,7 @@ def _locate_strictly(region: Region, elements: Sequence) -> np.ndarray:
     for e in elements:
         region.group.validate(e)
     at = region.locate(elements)
-    outside = len(region.elements)
+    outside = len(region)
     if outside in at:
         raise ValueError(f"trace point {elements[at.tolist().index(outside)]!r} lies outside the region")
     return at
@@ -297,12 +325,12 @@ def _locate_strictly(region: Region, elements: Sequence) -> np.ndarray:
 @dataclass
 class SimulationTrace:
     """Per step, the colour and the region indices of the points it coloured
-    in Ball(1, window + margin). Elements are decoded where they are read.
-    A point coloured twice, in one step or in two, is refused: the process
-    colours only uncoloured points, and the validator reads each point's
-    colour as its only one."""
+    in Ball(1, window + margin). Elements are decoded where they are read:
+    dumps, and a refused trace. A point coloured twice, in one step or in
+    two, is refused: the process colours only uncoloured points, and the
+    validator reads each point's colour as its only one."""
     config: SimulationConfig
-    region: list  # the region's elements, in region order
+    region: Region  # its elements, in region order, name the points
     interior_size: int  # the interior Ball(1, window) is a prefix of the region
     steps: List[Tuple[int, np.ndarray]]
     fill_fractions: List[float]
@@ -313,7 +341,7 @@ class SimulationTrace:
         points = np.concatenate([np.zeros(0, dtype=np.int64), *(at for _c, at in self.steps)])
         twice = np.flatnonzero(np.bincount(points, minlength=len(self.region)) > 1)
         if len(twice):
-            raise ValueError(f"trace point {self.region[twice[0]]!r} is coloured more than once")
+            raise ValueError(f"trace point {self.region.elements[twice[0]]!r} is coloured more than once")
 
     @classmethod
     def from_elements(cls, config: SimulationConfig, assigned_sets) -> "SimulationTrace":
@@ -321,7 +349,7 @@ class SimulationTrace:
         element is validated once and located in the config's region."""
         region = _region_of(config.ideal.group, config.window_radius + config.margin)
         steps = [(_validate_color(c), _locate_strictly(region, elems)) for c, elems in assigned_sets]
-        return cls(config, region.elements, int((region.norms <= config.window_radius).sum()), steps, [], [], [])
+        return cls(config, region, int((region.norms <= config.window_radius).sum()), steps, [], [], [])
 
     @property
     def group(self) -> Group:
@@ -330,11 +358,13 @@ class SimulationTrace:
     @property
     def assigned_sets(self) -> List[Tuple[int, Tuple]]:
         """Per step: (colour, the coloured elements)."""
-        return [(c, tuple(self.region[j] for j in at.tolist())) for c, at in self.steps]
+        elements = self.region.elements
+        return [(c, tuple(map(elements.__getitem__, at.tolist()))) for c, at in self.steps]
 
     def coloring_at(self, i: int) -> PartialColoring:
         """The partial coloring after the first i steps."""
-        cur = {self.region[j]: color for color, at in self.steps[:i] for j in at.tolist()}
+        elements = self.region.elements
+        cur = {elements[j]: color for color, at in self.steps[:i] for j in at.tolist()}
         return PartialColoring._of_valid(self.group, cur)
 
     @property
@@ -369,11 +399,11 @@ def _isolated_supports(config: SimulationConfig, region: Region, codes: np.ndarr
     order, whose radius-s_i ball fits inside the region and holds no other
     support point of the step, for s_i = radii[i]; None marks a warm-up
     step, which has none. Every other step's support is the field's. The
-    steps that share one s are isolated together, a block of at most
-    _PAIR_CELLS mask cells at a time, and a block's steps are drawn in one
-    pass."""
+    steps that share one s are isolated together, the widest s first, a
+    block of at most _PAIR_CELLS mask cells at a time, and a block's steps
+    are drawn in one pass."""
     T = config.window_radius + config.margin
-    n = len(region.elements)
+    n = len(region)
     by_s: Dict[int, List[int]] = {}
     for i, s in enumerate(radii):
         if s is not None:
@@ -381,7 +411,7 @@ def _isolated_supports(config: SimulationConfig, region: Region, codes: np.ndarr
     field_rng = RandomField(config.ideal.group, config.seed, Fraction(config.p))
     isolated = [np.zeros(0, dtype=np.int64) for _ in radii]
     rows = max(1, _PAIR_CELLS // n)
-    for s, at in by_s.items():
+    for s, at in sorted(by_s.items(), reverse=True):  # the widest first, or each wider s rebuilds the table
         nbrs = region.neighbors(s)
         inside = region.norms + s <= T
         for lo in range(0, len(at), rows):
@@ -407,7 +437,7 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
     ideal = config.ideal
     g = ideal.group
     region = _region_of(g, config.window_radius + config.margin)
-    n_pts = len(region.elements)
+    n_pts = len(region)
     codes = region.codes if _field_codes is None else _field_codes
     if len(codes) != n_pts:
         raise ValueError("field codes must cover the region")
@@ -459,7 +489,7 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
     filled = np.bincount(step_of[:n_pts][interior], minlength=config.steps + 2)[1:-1].cumsum()
     return SimulationTrace(
         config=config,
-        region=region.elements,
+        region=region,
         interior_size=interior_count,
         steps=steps,
         fill_fractions=[0.0, *(f / interior_count for f in filled.tolist())],
@@ -507,8 +537,7 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
         raise ValueError(f"the ideal is on {ideal.group.spec_string()}, the trace on {g.spec_string()}")
     T = trace.config.window_radius + trace.config.margin
     region = _region_of(g, T)
-    elements = region.elements
-    n = len(elements)
+    n = len(region)
     report = ValidationReport()
     index: Dict[object, int] = {}  # each colour used, as a small int
     kinds = [index.setdefault(c, len(index)) for c, _at in trace.steps]
@@ -573,6 +602,7 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
             report.windows_checked += len(xr)
             failing.extend(zip(tr[~member].tolist(), xr[~member].tolist()))
     # region order is not sort_key order on Z^d
+    elements = region.elements if failing else []
     for t, j in sorted(failing, key=lambda tj: (tj[0], g.sort_key(elements[tj[1]]))):
         report.failures.append(
             {"step": t, "element": g.element_to_json(elements[j]),
@@ -622,7 +652,7 @@ def equivariance_check(config: SimulationConfig, gamma) -> EquivarianceReport:
     counted = np.flatnonzero(safe[:-1] & safe[index])
 
     ids: Dict[object, int] = {}  # each colour seen, as a small int
-    final = np.full((2, len(region.elements)), -1, dtype=np.int64)  # per run: each point's colour id, or -1
+    final = np.full((2, len(region)), -1, dtype=np.int64)  # per run: each point's colour id, or -1
     for row, trace in zip(final, (moved, base)):
         for color, at in trace.steps:
             row[at] = ids.setdefault(color, len(ids))
@@ -643,9 +673,9 @@ def equivariance_check(config: SimulationConfig, gamma) -> EquivarianceReport:
 # -- sparse multi-scale coloring ---------------------------------------------------
 
 
-# The greedy reads neighbour-table rows only while the table's int64 cells
-# take at most 1/_TABLE_SHARE of physical memory; past that, pair blocks
-# keep its memory O(block).
+# The greedy reads neighbour-table rows only while the table's build, 12 B
+# a cell (``Region._build_table``), takes at most 1/_TABLE_SHARE of physical
+# memory; past that, pair blocks keep its memory O(block).
 _TABLE_SHARE = 16
 
 
@@ -654,14 +684,14 @@ def _tabled(region: Region, d_c: int) -> bool:
     decided from closed forms before anything is allocated: below the
     complete-graph shortcut (d_c < 2 * radius, checked first because on F_k
     |Ball(1, d_c)| is exponential in d_c), when Ball(1, d_c) is smaller than
-    the region, and when the table's n * |Ball(1, d_c)| int64 cells take at
-    most 1/16 of physical memory. Its slot distances take fewer cells, as
-    |Ball(1, d_c)| < n."""
-    n = len(region.elements)
+    the region, and when building the table's n * |Ball(1, d_c)| cells, at
+    12 B a cell, takes at most 1/16 of physical memory. Its slot distances
+    take fewer cells, as |Ball(1, d_c)| < n."""
+    n = len(region)
     if d_c >= 2 * region.radius:
         return False
     w = ball_size(region.group, d_c)
-    return w < n and 8 * n * w <= physical_memory() // _TABLE_SHARE
+    return w < n and 12 * n * w <= physical_memory() // _TABLE_SHARE
 
 
 def _greedy_distance_coloring(region: Region, d_c: int) -> list:
@@ -676,7 +706,7 @@ def _greedy_distance_coloring(region: Region, d_c: int) -> list:
     exactly the earlier points within d_c. Elsewhere they come from
     ``distance_block`` over every earlier pair, which needs O(block) memory."""
     g, elements, packed = region.group, region.elements, region.packed
-    n = len(elements)
+    n = len(region)
     if d_c >= 2 * region.radius:
         return list(range(n))
     table = region.neighbors(d_c) if _tabled(region, d_c) else None

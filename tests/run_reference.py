@@ -12,6 +12,15 @@ from shiftcolor.rng import RandomField
 from shiftcolor.simulate import SimulationTrace
 
 
+class _Points(list):
+    """The reference's region: its own points, named as a Region's
+    ``elements`` name them."""
+
+    @property
+    def elements(self):
+        return self
+
+
 def reference_run(config) -> SimulationTrace:
     """Step i with colour c_i and reach R_i, s_i = floor(2R_i): unless it is
     a warm-up step (R_i below the largest radius, with warm-up on), each
@@ -55,4 +64,4 @@ def reference_run(config) -> SimulationTrace:
         colour.update((x, c) for x in accepted)
         steps.append((c, np.array([index[x] for x in accepted], dtype=np.int64)))
         fills.append(sum(x in colour for x in interior) / len(interior))
-    return SimulationTrace(config, points, len(interior), steps, fills, reaches, schedule)
+    return SimulationTrace(config, _Points(points), len(interior), steps, fills, reaches, schedule)

@@ -19,8 +19,10 @@ Laws under test:
    past them, and every F_k whose digits int cannot read.
 6. The closed-form ball sizes equal the length of the enumerated balls.
    The packed ball of ``ball_arrays`` is ``pack``'s form, coded as the
-   scalar element_code codes it, up to the packable length; a ball whose table
-   cannot fit in memory is refused before anything is allocated.
+   scalar element_code codes it, up to the packable length, and the elements
+   ``decode_ball`` reads from its arrays are the breadth-first ball, past the
+   packable length too; a ball whose table cannot fit in memory is refused
+   before anything is allocated.
 5. Conventions: minimum distance between sets is infinite when a set is
    empty; budget exhaustion raises loudly, and a negative budget is refused
    as a usage error.
@@ -551,7 +553,8 @@ class TestPackedBall:
         spec, max_r = data.draw(st.sampled_from(_PACKED_BALL_CASES))
         g = parse_group(spec)
         r = data.draw(st.integers(-1, max_r))
-        elements, norms, _step, packed = g.ball_arrays(r)
+        norms, step, packed = g.ball_arrays(r)
+        elements = g.decode_ball(norms, step, packed)
         if r > g.pack_limit:
             assert packed is None
             return
@@ -565,6 +568,27 @@ class TestPackedBall:
             codes = packed[:, 0]
         assert codes.dtype == np.uint64
         assert codes.tolist() == [element_code(g, e) for e in elements]
+
+
+# (group, radii): F_1 past its packable length of 40 letters, and F_18,
+# whose numerals int cannot read
+_DECODE_CASES = [("Z^1", -2, 10), ("Z^2", -2, 6), ("Z^3", -1, 4), ("Z^4", -1, 3), ("F_1", -1, 8),
+                 ("F_2", -1, 5), ("F_3", -1, 4), ("F_1", 41, 44), ("F_18", 0, 2)]
+
+
+class TestDecodeBall:
+    """The elements decoded from ``ball_arrays`` are the breadth-first ball:
+    Z^d from its coordinates, F_k from its generator table alone, so words
+    too long to pack decode too."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_breadth_first_reference(self, data):
+        spec, lo, hi = data.draw(st.sampled_from(_DECODE_CASES))
+        g, r = parse_group(spec), data.draw(st.integers(lo, hi))
+        norms, step, packed = g.ball_arrays(r)
+        assert (packed is None) == (r > g.pack_limit)
+        assert g.decode_ball(norms, step, packed) == bfs_ball(g, g.identity(), r)
 
 
 @pytest.mark.parametrize("r", [41, 43])

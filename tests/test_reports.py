@@ -74,6 +74,14 @@ class TestToJsonable:
         assert to_jsonable(np.bool_(True)) is True
         assert to_jsonable(np.array([1, 2, 3])) == [1, 2, 3]
 
+    def test_plain_arrays_list_as_their_tolist(self):
+        for array in (np.array([[3, -2], [0, 7]]), np.array([True, False]), np.array([0.5, -1.0]),
+                      np.array([2**64 - 1], dtype=np.uint64)):
+            out = to_jsonable(array)
+            assert out == array.tolist()
+            assert json.dumps(out) == json.dumps([to_jsonable(v) for v in array.tolist()])
+        assert to_jsonable(np.array([Fraction(1, 3), INF], dtype=object)) == ["1/3", "inf"]
+
     def test_pattern_uses_its_json_form(self):
         phi = PartialColoring(Z1, {0: 1, -2: 0})
         assert to_jsonable(phi) == {"group": "Z^1", "entries": [[-2, 0], [0, 1]]}

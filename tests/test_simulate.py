@@ -44,10 +44,16 @@ Laws under test:
    dict does; its neighbour table, the slot distances measured beside it
    on first use (and never by ``neighbors`` alone) and the one window
    decoder that reads it agree with brute force over g.dist, every row of
-   the table at every width up to 2T - 1; a region refuses colliding
-   element codes. Its translation kernel agrees with
+   the table at every width up to 2T - 1; the table equals the strided
+   column build kept here at every width up to 2T + 1, from the int32 and
+   the int64 scratch, and one whose build needs more than physical memory
+   is refused before allocating (exit 3 from the CLI); a region refuses
+   colliding element codes. Its translation kernel agrees with
    g.mul, the scalar element code and an index dict, on the array paths and
-   on the per-point fallback.
+   on the per-point fallback. Its elements are decoded only where a report
+   names points: not by a simulate without --dump that validates clean,
+   nor by an equivariance check without mismatches; once, as the
+   breadth-first ball names them, by a dump, a failure and a mismatch.
 8. The validator reads its windows from the region that ``run`` cached and
    agrees with a brute-force validator over g.dist on Z^1, Z^2, Z^3 and F_2,
    with and without warm-up, and on hand traces with failures. A run's
@@ -80,6 +86,7 @@ Laws under test:
 
 import copy
 import dataclasses
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -88,7 +95,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftcolor import groups, simulate
+from shiftcolor import cli, groups, simulate
 from shiftcolor.groups import FreeAbelian, FreeGroup
 from shiftcolor.ideals import (
     DistanceConstrained,
@@ -517,6 +524,22 @@ def assert_translate_matches(region, gamma):
     assert codes.tolist() == [element_code(g, t) for t in targets]
 
 
+def column_table(region, s):
+    """The neighbour table composed a strided column at a time in an (n, w)
+    int64 array: column w*x from column w'*x through the generator table,
+    for w = a*w' one layer out, keeping whichever path stays in the region.
+    The reference for ``Region._build_table``."""
+    g, n = region.group, len(region)
+    norms, step, _packed = g.ball_arrays(s)
+    moves = region._step.T.astype(np.int64)  # (n + 1, gens): the sentinel row maps to itself
+    table = np.full((n, len(norms)), n, dtype=np.int64)
+    table[:, 0] = np.arange(n)
+    pairs = np.nonzero(np.append(norms, -1)[step] > norms[:, None])
+    for j, k, t in zip(pairs[0].tolist(), pairs[1].tolist(), step[pairs].tolist()):
+        np.minimum(table[:, t], moves[table[:, j], k], out=table[:, t])
+    return table
+
+
 class TestRegionKernel:
     """The array-built region, its neighbour table and the offset windows
     against their references."""
@@ -584,7 +607,7 @@ class TestRegionKernel:
         gens = g.generators()
         index = {e: i for i, e in enumerate(ball)}
         table = [[index.get(g.mul(a, x), n) for a in gens] for x in ball]
-        assert region._step.tolist() == table + [[n] * len(gens)]
+        assert region._step.T.tolist() == table + [[n] * len(gens)]
         if n:
             i = data.draw(st.integers(0, n - 1))
             distances = g.dist_packed(region.packed[:i], region.packed[i])
@@ -632,6 +655,61 @@ class TestRegionKernel:
         region.slot_distances(s - 1)
         region.slot_distances(s)
         assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "g, T", [(Z1, 6), (Z2, 3), (FreeAbelian(3), 2), (FreeGroup(1), 5), (F2, 3), (FreeGroup(3), 2)]
+    )
+    def test_table_equals_the_column_build(self, g, T):
+        """``neighbors(s)``, built for exactly s, equals the table composed a
+        strided column at a time, for every s up to 2T + 1 (wider than the
+        region), in the int32 scratch and in the int64 one that regions of
+        2^31 points and more take; it is C-ordered int64 and read-only."""
+        for s in range(2 * T + 2):
+            region = simulate.Region(g, T)
+            assert region._step.dtype == np.int32
+            expected = column_table(region, s).tolist()
+            for int64_scratch in (False, True):
+                if int64_scratch:
+                    region = simulate.Region(g, T)
+                    region._step = region._step.astype(np.int64)
+                table = region.neighbors(s)
+                assert table.dtype == np.int64 and table.flags.c_contiguous and not table.flags.writeable
+                assert table.tolist() == expected
+
+    def test_table_refused_before_allocating(self, monkeypatch):
+        """A table whose build, the int64 table and its int32 scratch at 12 B
+        a cell, needs more than physical memory is refused with BudgetError
+        before it is allocated; at exactly its bytes it is built."""
+        region = simulate.Region(F2, 4)
+        cells = len(region) * groups.ball_size(F2, 2)
+        monkeypatch.setattr(simulate, "physical_memory", lambda: 12 * cells - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(groups.BudgetError, match="physical memory"):
+                region.neighbors(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * cells
+        assert len(region._widths) == 1  # the radius-0 table of the constructor alone
+        monkeypatch.setattr(simulate, "physical_memory", lambda: 12 * cells)
+        assert region.neighbors(2).shape == (len(region), groups.ball_size(F2, 2))
+
+    def test_oversized_table_exits_three(self, tmp_path, monkeypatch, capsys):
+        """The CLI reports a refused table as an exhausted budget (exit 3):
+        PC5 on F_2 at window 2 and margin 2 isolates at radius 2, whose table
+        of 161 x 17 cells is refused under 12 B a cell."""
+        spec = tmp_path / "pc5.json"
+        spec.write_text(json.dumps({"kind": "ProperColoring", "group": "F_2", "k": 5}))
+        _region_of.cache_clear()
+        monkeypatch.setattr(simulate, "physical_memory", lambda: 12 * 161 * 17 - 1)
+        argv = ["simulate", str(spec), "--window", "2", "--margin", "2", "--steps", "8",
+                "--out", str(tmp_path / "out.json")]
+        try:
+            assert cli.main(argv) == 3
+        finally:
+            _region_of.cache_clear()
+        assert "neighbour table" in capsys.readouterr().err
 
     def test_codes_past_the_packable_length(self):
         """F_1 words past 40 letters do not pack and take the scalar element_code."""
@@ -1199,6 +1277,79 @@ class TestEquivariance:
             assert report.safe_size > 0 and report.ok, report.to_jsonable()
 
 
+class TestDecodeWhereNamed:
+    """A region's elements are decoded only where a report names points. A
+    simulate without --dump, whose validation passes, and an equivariance
+    check without mismatches decode no ball on Z^2 and F_2; a dump, a
+    validation failure and a mismatch decode the region once and name its
+    points as the breadth-first ball lists them."""
+
+    # (group, window, steps, p, seed, shift, the shift a skewed kernel reads)
+    CASES = [("Z^2", 14, 6, Fraction(1, 8), 3, (1, 0), (0, 3)), ("F_2", 6, 3, Fraction(1, 16), 0, "a", "bA")]
+
+    @staticmethod
+    def fresh_caches():
+        _region_of.cache_clear()
+        groups.identity_ball.cache_clear()
+
+    @pytest.mark.parametrize("spec, window, steps, p, seed, gamma, _other", CASES)
+    def test_report_path_decodes_nothing(self, tmp_path, monkeypatch, spec, window, steps, p, seed, gamma,
+                                         _other):
+        def refuse(group, norms, step, packed):
+            raise AssertionError("a report decoded a ball it does not name")
+
+        for family in (FreeAbelian, FreeGroup):
+            monkeypatch.setattr(family, "decode_ball", refuse)
+        self.fresh_caches()
+        path = tmp_path / "pc5.json"
+        path.write_text(json.dumps({"kind": "ProperColoring", "group": spec, "k": 5}))
+        out = tmp_path / "out.json"
+        argv = ["simulate", str(path), "--window", str(window), "--margin", "2", "--steps", str(steps),
+                "--p", str(p), "--seed", str(seed), "--out", str(out)]
+        try:
+            assert cli.main(argv) == 0
+            payload = json.loads(out.read_text())["payload"]
+            assert sum(payload["trace"]["assigned_counts"]) > 0
+            assert payload["validation"]["windows_checked"] > 0
+            ideal = ProperColoring(groups.parse_group(spec), 5)
+            cfg = SimulationConfig(ideal=ideal, window_radius=window, margin=2, steps=steps, p=p, seed=seed)
+            report = equivariance_check(cfg, gamma)
+            assert report.ok and report.safe_size > 0
+        finally:
+            self.fresh_caches()
+
+    @pytest.mark.parametrize("spec, window, steps, p, seed, gamma, other", CASES)
+    def test_named_points_decode_the_region_once(self, monkeypatch, spec, window, steps, p, seed, gamma,
+                                                 other):
+        g = groups.parse_group(spec)
+        ball = bfs_ball(g, g.identity(), window + 2)
+        ideal = ProperColoring(g, 5)
+        cfg = SimulationConfig(ideal=ideal, window_radius=window, margin=2, steps=steps, p=p, seed=seed)
+        self.fresh_caches()
+        decoded = {}
+        for family in (FreeAbelian, FreeGroup):
+            decoded[family] = count_calls(monkeypatch, family, "decode_ball")
+        try:
+            trace = run(cfg)
+            dump = trace.to_summary_jsonable(dump=True)["assigned_sets"]
+            assert dump == [{"color": c, "elements": [g.element_to_json(ball[j]) for j in at.tolist()]}
+                            for c, at in trace.steps]
+            # two neighbours in one colour: each one's window fails
+            a, b = g.identity(), g.generators()[0]
+            hand = SimulationTrace.from_elements(cfg, [(0, [a, b])])
+            failures = trace_validate(hand, ideal).failures
+            assert [f["element"] for f in failures] == [g.element_to_json(a), g.element_to_json(b)]
+            translate = simulate.Region.right_translate
+            monkeypatch.setattr(simulate.Region, "right_translate",
+                                lambda region, by: (translate(region, by)[0], translate(region, other)[1]))
+            mismatches = equivariance_check(cfg, gamma).mismatches
+            assert mismatches
+            assert all(g.element_from_json(m["element"]) in ball for m in mismatches)
+            assert len(decoded[type(g)]) == 1  # the region's elements, decoded once
+        finally:
+            self.fresh_caches()
+
+
 def reference_equivariance_check(config, gamma, field_gamma=None):
     """The per-point equivariance check: one g.mul per region point for the
     targets, coded again by element_codes, and one index dict lookup and
@@ -1327,14 +1478,15 @@ class TestSparse:
         assert len(region._widths) == 1  # the radius-0 table of the constructor alone
 
     def test_small_memory_takes_the_pair_path(self, monkeypatch):
-        """With physical memory read as just under _TABLE_SHARE tables, the
-        greedy measures pairs instead, with the same colouring, never builds
-        the table, and allocates a small fraction of it; at _TABLE_SHARE
-        tables it reads the table."""
+        """With physical memory read as just under _TABLE_SHARE table builds
+        (the int64 table and its scratch, 12 B a cell), the greedy measures
+        pairs instead, with the same colouring, never builds the table, and
+        allocates a small fraction of it; at _TABLE_SHARE builds it reads
+        the table."""
         g, T, d_c = Z1, 1000, 300
         tabled = _greedy_distance_coloring(simulate.Region(g, T), d_c)
         region = simulate.Region(g, T)
-        table_bytes = 8 * len(region.elements) * groups.ball_size(g, d_c)
+        table_bytes = 12 * len(region) * groups.ball_size(g, d_c)
         monkeypatch.setattr(simulate, "physical_memory", lambda: simulate._TABLE_SHARE * table_bytes - 1)
         tracemalloc.start()
         try:
@@ -1344,7 +1496,7 @@ class TestSparse:
             tracemalloc.stop()
         assert eta == tabled
         assert len(region._widths) == 1  # the radius-0 table of the constructor alone
-        assert peak < table_bytes / 8
+        assert peak < table_bytes / 12
         monkeypatch.setattr(simulate, "physical_memory", lambda: simulate._TABLE_SHARE * table_bytes)
         assert simulate._tabled(region, d_c)
 
