@@ -26,13 +26,12 @@ same color in a round with R_i = 0: each is alone in its radius-0 ball, and
 its window holds only itself.
 
 Neither the run nor its validator judges a window at a time. Every window
-of radius r about x is the row Ball(1, r)*x of the region's neighbour
+of radius r about x is the column Ball(1, r)*x of the region's neighbour
 table, so many windows form one matrix of colour codes over the same
 offsets, and the distance between two slots is the distance between their
-offsets (right invariance, ``Region.slot_distances``). The table is
-composed an offset at a time from the generator table, in a slot-major
-scratch of the index dtype, and refused before allocating when it cannot
-fit in memory (``Region._build_table``).
+offsets (right invariance, ``Region.slot_distances``). The table is kept
+as composed, a row per offset from the generator table, in its index
+dtype, and refused before allocating past memory (``Region.table_bytes``).
 A window judge (``IdealSpec.window_judge``) takes that matrix: it is
 built once per window radius, for the one D and the colour codes in use,
 and each call is then one array lookup on the pairwise kinds; any other
@@ -42,10 +41,10 @@ from each point's step and the steps' colours (``_window_after``).
 The schedule alone fixes each step's colour and reach, so ``run`` draws
 and isolates every step's supports before the first step: the steps that
 share one isolation radius are drawn, a block of steps per hash pass, and
-isolated together, a column of the table at a time, so a row drops at its
-first other support point. A step then drops its isolated points that are
-already coloured and judges the rest in one call of its radius's judge,
-then scatters the accepted points' colour code and step; the fill
+isolated together, a slot of the table at a time, so a candidate drops at
+its first other support point. A step then drops its isolated points that
+are already coloured and judges the rest in one call of its radius's
+judge, then scatters the accepted points' colour code and step; the fill
 fractions come from the steps at the end. The candidates are more than
 2R_i apart, so no candidate's window holds another and they are judged
 independently. The validator judges a whole trace in one pass per window
@@ -61,7 +60,7 @@ index and element code from arrays (``coords + gamma`` on Z^d,
 only where coordinates pass int64 or words pass the length that packs.
 
 The sparse run's greedy colouring at scale d_c reads each point's earlier
-neighbours from its row of ``Region.neighbors(d_c)`` when Ball(1, d_c) is
+neighbours from its column of ``Region.neighbors(d_c)`` when Ball(1, d_c) is
 smaller than the region and the table fits its memory bound
 (``_tabled``), and otherwise from packed distances over every earlier
 pair (``groups.distance_block``), a block at a time. Its separation check
@@ -99,7 +98,7 @@ class Region:
     n. The elements, in ``Group.ball``'s order, are decoded by
     ``Group.decode_ball`` on the first read of ``elements``: reports that
     name points read them, and so do words too long to pack. Built lazily
-    on top: a neighbour table, and the distances between its slots."""
+    on top: a slot-major neighbour table and its slot distances."""
 
     def __init__(self, group: Group, radius: int):
         self.group = group
@@ -112,7 +111,7 @@ class Region:
             self.codes = self.packed[:, 0]  # the numerals are the element codes
         else:  # Z^d coordinates as arrays, F_k words too long to pack one at a time
             self.codes = element_codes(group, self.elements if self.packed is None else self.packed)
-        self._code_order = np.argsort(self.codes)
+        self._code_order = np.argsort(self.codes).astype(self._step.dtype)
         ordered = self.codes[self._code_order]
         if (ordered[1:] == ordered[:-1]).any():
             raise RuntimeError(f"element codes collide on the radius-{radius} region of {group.name}")
@@ -131,20 +130,24 @@ class Region:
         return self.group.decode_ball(self.norms, self._step[:, :-1].T, self.packed)
 
     def neighbors(self, s: int) -> np.ndarray:
-        """Column j of row i: the index of w_j * x_i, where w_j is offset j of
-        Ball(1, s), or the sentinel len(region) where that leaves the
-        region. The table is built for the widest s asked for so far; a
-        narrower s reads its first |Ball(1, s)| columns."""
+        """Row j, column i: the index of w_j * x_i for w_j offset j of Ball(1,
+        s), or the sentinel len(region) outside it. Read-only, in the
+        generator table's index dtype, and built for the widest s asked for
+        so far: a narrower s reads a view of its first |Ball(1, s)| rows."""
         if s >= len(self._widths):
             self._table, self._widths = self._build_table(s)
-        return self._table[:, : self._widths[s]]
+        return self._table[: self._widths[s]]
+
+    def table_bytes(self, s: int) -> int:
+        """The bytes of ``neighbors(s)``: n * |Ball(1, s)| index cells."""
+        return len(self) * ball_size(self.group, s) * self._step.itemsize
 
     def slot_distances(self, s: int) -> np.ndarray:
         """D[a, b] = |w_a w_b^-1| for the offsets w of Ball(1, s): by right
-        invariance the distance between slots a and b of every row of
+        invariance the distance between slots a and b of every column of
         ``neighbors(s)``. Measured on first use, for the widest s asked for
         so far, as the table is built; a narrower s reads a corner."""
-        w = self.neighbors(s).shape[1]
+        w = self.neighbors(s).shape[0]
         if len(self._distances) < w:
             offsets = self.group.ball_arrays(s)
             packed, every = offsets[2], np.arange(w)
@@ -187,51 +190,49 @@ class Region:
         return index
 
     def _build_table(self, s: int) -> Tuple[np.ndarray, List[int]]:
-        # Row w*x of a slot-major (w, n) scratch is composed from row w'*x
+        # Row w*x of the slot-major (w, n) table is composed from row w'*x
         # through the generator table (whose sentinel column maps the
         # sentinel to itself), where w = a*w' for a generator a and |w'| =
         # |w| - 1, taking whichever such path stays in the region. That is
         # exact for Z^d and F_k: any two points of a ball about the identity
         # are joined by a geodesic inside it. The pairs (w', a) come from the
         # offsets' own generator table. Every composition is one contiguous
-        # take in the generator table's index dtype, and the table is the
-        # scratch transposed to int64 in one copy. With int32 indices the two
-        # take 12 B a cell, refused before allocating past physical memory.
+        # take in the index dtype, and the table is refused before
+        # allocating when its bytes pass physical memory.
         g, n = self.group, len(self)
-        cells, memory = n * ball_size(g, s), physical_memory()
-        if 12 * cells > memory:
+        needed, memory = self.table_bytes(s), physical_memory()
+        if needed > memory:
             raise BudgetError(f"the radius-{s} neighbour table of the {n}-point region of {g.name} "
-                              f"needs {12 * cells} bytes, more than the {memory} bytes of physical memory")
+                              f"needs {needed} bytes, more than the {memory} bytes of physical memory")
         norms, step, _packed = g.ball_arrays(s)
-        scratch = np.full((len(norms), n), n, dtype=self._step.dtype)
-        scratch[0] = np.arange(n)
+        table = np.full((len(norms), n), n, dtype=self._step.dtype)
+        table[0] = np.arange(n)
         pairs = np.nonzero(np.append(norms, -1)[step] > norms[:, None])  # a*w' one layer out
         for j, k, t in zip(pairs[0].tolist(), pairs[1].tolist(), step[pairs].tolist()):
-            np.minimum(scratch[t], self._step[k].take(scratch[j]), out=scratch[t])
-        table = np.ascontiguousarray(scratch.T, dtype=np.int64)
+            np.minimum(table[t], self._step[k].take(table[j]), out=table[t])
         table.flags.writeable = False
         return table, np.bincount(norms, minlength=s + 1).cumsum().tolist()
 
 
 def _window_after(region: Region, step_of: np.ndarray, colors: Sequence, j: int, r: int, t: int) -> dict:
     """The entries within distance r of point j after step t, for a window
-    that fits inside the region: row j of ``region.neighbors(r)`` is
+    that fits inside the region: column j of ``region.neighbors(r)`` is
     Ball(1, r)*x_j in offset order. ``step_of`` holds each point's 1-based
     step, and a later one at the sentinel index and where a point is not
     (yet) coloured; ``colors`` holds each step's colour. Only failure
     records and ideals judged window by window read it."""
-    row = region.neighbors(r)[j]
-    steps = step_of[row]
+    window = region.neighbors(r)[:, j]
+    steps = step_of[window]
     keep = steps <= t
-    return {region.elements[k]: colors[i - 1] for k, i in zip(row[keep].tolist(), steps[keep].tolist())}
+    return {region.elements[k]: colors[i - 1] for k, i in zip(window[keep].tolist(), steps[keep].tolist())}
 
 
 def _isolated(nbrs: np.ndarray, supp_mask: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """The candidates whose row of ``nbrs`` holds no other support point of
-    their step. ``supp_mask`` is (k, n), a step's support per row (a 1-D
+    """The candidates x whose column of ``nbrs`` holds no other support point
+    of their step. ``supp_mask`` is (k, n), a step's support per row (a 1-D
     mask is one step), and ``cand`` indexes it flat, in increasing order.
-    Past column 0, the point itself, a column is read at a time, and a row
-    drops at its first other support point."""
+    Past slot 0, the point itself, a slot (row) is read at a time, and a
+    candidate drops at its first other support point."""
     masks = supp_mask.reshape(-1, supp_mask.shape[-1])
     k, n = masks.shape
     free = np.ones((k, n + 1), dtype=bool)  # the sentinel is never a support point
@@ -241,10 +242,10 @@ def _isolated(nbrs: np.ndarray, supp_mask: np.ndarray, cand: np.ndarray) -> np.n
     row = np.repeat(np.arange(k), np.diff(np.searchsorted(cand, np.arange(k + 1) * n)))
     point = cand - row * n
     base = row * (n + 1)
-    for column in nbrs.T[1:]:
+    for slot in nbrs[1:]:
         if not len(point):
             break
-        keep = free[column[point] + base].nonzero()[0]
+        keep = free[slot[point] + base].nonzero()[0]
         point, base = point[keep], base[keep]
     return base - base // (n + 1) + point  # row * n + point
 
@@ -471,9 +472,9 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
         if len(cand):
             # candidates are more than s apart, so no window holds another
             # one: each is judged against the colours before the step,
-            # with the candidate itself, in column 0, coloured c_i
+            # with the candidate itself, in slot 0, coloured c_i
             nbrs, judge = judges[s]
-            C = color_codes[nbrs[cand]]
+            C = color_codes[nbrs[:, cand]].T
             C[:, 0] = code_of[c_i]
             member = judge(C, lambda row: PartialColoring._of_valid(
                 g, {**_window_after(region, step_of, schedule_used, cand[row], s, i),
@@ -520,7 +521,7 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     within the largest finite radius R of its centre; windows no step
     touches cannot change, so this covers every (step, point) pair the
     direct definition would. The distance is symmetric, so the steps that
-    touch x's window are the steps of the points in x's row of
+    touch x's window are the steps of the points in x's column of
     ``neighbors(R)``.
 
     The trace is judged whole, in region indices: each point's step, colour
@@ -578,11 +579,11 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     # one judge per window radius that some centre has
     judges = {r: ideal.window_judge(region.slot_distances(r), palette_codes)
               for r in sorted(set(window_radius[centres].tolist()) - {_NONLOCAL})}
-    rows = max(1, _PAIR_CELLS // reach.shape[1] ** 2)
+    rows = max(1, _PAIR_CELLS // reach.shape[0] ** 2)
     for lo in range(0, len(centres), rows):
         block = centres[lo : lo + rows]
-        # the distinct steps, from x's own on, that colour a point of x's row
-        touched = np.sort(step_of[reach[block]], axis=1)
+        # the distinct steps, from x's own on, that colour a point of x's window
+        touched = np.sort(step_of[reach[:, block].T], axis=1)
         keep = (touched >= step_of[block, None]) & (touched <= last)
         keep[:, 1:] &= touched[:, 1:] != touched[:, :-1]
         a, b = np.nonzero(keep)
@@ -594,7 +595,7 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
             if not on.any():
                 continue
             tr, xr = t[on], x[on]
-            W = region.neighbors(r)[xr]
+            W = region.neighbors(r)[:, xr].T
             member = judge(
                 np.where(step_of[W] <= tr[:, None], color_codes[W], NO_COLOR),
                 lambda row: window_at(xr[row], r, tr[row]),
@@ -673,25 +674,23 @@ def equivariance_check(config: SimulationConfig, gamma) -> EquivarianceReport:
 # -- sparse multi-scale coloring ---------------------------------------------------
 
 
-# The greedy reads neighbour-table rows only while the table's build, 12 B
-# a cell (``Region._build_table``), takes at most 1/_TABLE_SHARE of physical
-# memory; past that, pair blocks keep its memory O(block).
+# The greedy reads the neighbour table only while the table's bytes
+# (``Region.table_bytes``) take at most 1/_TABLE_SHARE of physical memory;
+# past that, pair blocks keep its memory O(block).
 _TABLE_SHARE = 16
 
 
 def _tabled(region: Region, d_c: int) -> bool:
-    """Whether the greedy at scale d_c reads rows of ``region.neighbors(d_c)``,
+    """Whether the greedy at scale d_c reads ``region.neighbors(d_c)``,
     decided from closed forms before anything is allocated: below the
     complete-graph shortcut (d_c < 2 * radius, checked first because on F_k
     |Ball(1, d_c)| is exponential in d_c), when Ball(1, d_c) is smaller than
-    the region, and when building the table's n * |Ball(1, d_c)| cells, at
-    12 B a cell, takes at most 1/16 of physical memory. Its slot distances
-    take fewer cells, as |Ball(1, d_c)| < n."""
-    n = len(region)
+    the region, and when the table's bytes take at most 1/16 of physical
+    memory. Its slot distances take fewer cells, as |Ball(1, d_c)| < n."""
     if d_c >= 2 * region.radius:
         return False
-    w = ball_size(region.group, d_c)
-    return w < n and 12 * n * w <= physical_memory() // _TABLE_SHARE
+    return (ball_size(region.group, d_c) < len(region)
+            and region.table_bytes(d_c) <= physical_memory() // _TABLE_SHARE)
 
 
 def _greedy_distance_coloring(region: Region, d_c: int) -> list:
@@ -700,7 +699,7 @@ def _greedy_distance_coloring(region: Region, d_c: int) -> list:
     the least colour none of its earlier neighbours has. When d_c reaches
     the region's diameter the graph is complete and the result is the visit
     index itself. Otherwise the earlier neighbours come a block of rows at a
-    time, where ``_tabled`` allows from the neighbour table: row i of
+    time, where ``_tabled`` allows from the neighbour table: column i of
     ``region.neighbors(d_c)`` holds w*x_i for every |w| <= d_c, and
     dist(w*x_i, x_i) = |w| by right invariance, so its entries below i are
     exactly the earlier points within d_c. Elsewhere they come from
@@ -710,7 +709,7 @@ def _greedy_distance_coloring(region: Region, d_c: int) -> list:
     if d_c >= 2 * region.radius:
         return list(range(n))
     table = region.neighbors(d_c) if _tabled(region, d_c) else None
-    rows = max(1, _PAIR_CELLS // (n if table is None else table.shape[1]))
+    rows = max(1, _PAIR_CELLS // (n if table is None else table.shape[0]))
     eta = []
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
@@ -718,7 +717,7 @@ def _greedy_distance_coloring(region: Region, d_c: int) -> list:
             D = distance_block(g, elements, packed, np.arange(lo, hi), np.arange(hi))
             a, near = np.nonzero(np.tril(D <= d_c, lo - 1))  # row a: point lo + a and the points before it
         else:
-            block = table[lo:hi]
+            block = table[:, lo:hi].T
             a, b = np.nonzero(block < np.arange(lo, hi)[:, None])  # never the sentinel n
             near = block[a, b]
         ends = np.searchsorted(a, np.arange(1, hi - lo + 1)).tolist()

@@ -11,7 +11,7 @@ Laws under test:
    catch (this is why the warm-up exists). A support point that is already
    coloured, or too near the boundary to be a candidate, still blocks its
    neighbours; unlisted steps read the real field. The isolation
-   kernel, a column at a time over the candidates, keeps exactly the
+   kernel, a slot at a time over the candidates, keeps exactly the
    candidates the row rule keeps, in region order, on Z^1-Z^3 and F_1-F_3,
    also for each step of a stack of steps' masks read through flat
    candidates; a stacked mask of many steps equals their masks one at a
@@ -31,7 +31,8 @@ Laws under test:
    A tabled scale makes no distance_block call once its table exists; a
    scale whose ball is wider than the region measures pairs and builds no
    table, and so does one whose table passes the memory bound, with the
-   same colouring and a small fraction of the table's bytes. With every
+   same colouring and a small fraction of the table's bytes; the F_2
+   window 8 at d_c = 7 reads the table in 8 GiB. With every
    point given one colour, the packed re-verification records the
    violations of a per-pair loop over g.dist, in its order, in blocks of
    any size and on an F_1 window too long to pack. A negative window is
@@ -43,11 +44,12 @@ Laws under test:
    it locates points inside it, just outside and past int64 as an index
    dict does; its neighbour table, the slot distances measured beside it
    on first use (and never by ``neighbors`` alone) and the one window
-   decoder that reads it agree with brute force over g.dist, every row of
-   the table at every width up to 2T - 1; the table equals the strided
-   column build kept here at every width up to 2T + 1, from the int32 and
-   the int64 scratch, and one whose build needs more than physical memory
-   is refused before allocating (exit 3 from the CLI); a region refuses
+   decoder that reads it agree with brute force over g.dist, every window
+   of the table at every width up to 2T - 1; the slot-major table is the
+   transpose of the row-major strided column build kept here at every
+   width up to 2T + 1, in int32 and in int64, and holds the bytes it is
+   charged, and one whose bytes pass physical memory is refused before
+   allocating (exit 3 from the CLI); a region refuses
    colliding element codes. Its translation kernel agrees with
    g.mul, the scalar element code and an index dict, on the array paths and
    on the per-point fallback. Its elements are decoded only where a report
@@ -82,6 +84,10 @@ Laws under test:
    dumps to ``run``, on Z^1-Z^3 and F_1-F_2, for the three pairwise kinds
    and for a Reduced spec with a pair schedule (the per-row fallback),
    with warm-up on and off.
+12. Table consumers: the isolation kernel, the greedy (both also past the
+   region's radius), run's gather on every judged step and the windows the
+   validator judges, failures included, equal what the rows of the
+   row-major int64 reference table give, on Z^1-Z^3 and F_1-F_3.
 """
 
 import copy
@@ -98,6 +104,7 @@ from hypothesis import given, settings, strategies as st
 from shiftcolor import cli, groups, simulate
 from shiftcolor.groups import FreeAbelian, FreeGroup
 from shiftcolor.ideals import (
+    NO_COLOR,
     DistanceConstrained,
     IdealSpec,
     NotUniversal,
@@ -300,7 +307,7 @@ class TestIsolationKernel:
     def assert_matches_row_rule(region, s, supp_mask, cand):
         nbrs = region.neighbors(s)
         got = simulate._isolated(nbrs, supp_mask, cand)
-        assert got.tolist() == row_rule_isolated(nbrs, supp_mask, cand)
+        assert got.tolist() == row_rule_isolated(nbrs.T, supp_mask, cand)
         assert (np.diff(got) > 0).all()  # region order
 
     @settings(max_examples=150, deadline=None)
@@ -380,7 +387,7 @@ class TestStackedSupports:
         assert (np.diff(got) > 0).all()
         for t in range(k):
             mine = got[got // n == t] % n
-            assert mine.tolist() == row_rule_isolated(nbrs, supp[t], cand[cand // n == t] % n)
+            assert mine.tolist() == row_rule_isolated(nbrs.T, supp[t], cand[cand // n == t] % n)
 
 
 class TestHardInvariants:
@@ -559,7 +566,7 @@ class TestRegionKernel:
         # read past every step
         step_of = np.array([cur.get(e, 3) + 1 for e in points] + [4])
         t = data.draw(st.integers(0, 3))
-        table = region.neighbors(s)
+        table = region.neighbors(s).T
         offsets = bfs_ball(g, g.identity(), s)
         index = index_dict(region)
         assert table[i].tolist() == [index.get(g.mul(w, center), len(points)) for w in offsets]
@@ -585,7 +592,7 @@ class TestRegionKernel:
         D = np.array([[g.dist(x, y) for y in points] for x in points])
         region.neighbors(2 * T - 1)  # the widest first; narrower s read its columns
         for s in range(2 * T):
-            table = region.neighbors(s)
+            table = region.neighbors(s).T
             for i, row in enumerate(table.tolist()):
                 assert sorted(k for k in row if k != n) == np.flatnonzero(D[i] <= s).tolist()
 
@@ -648,7 +655,7 @@ class TestRegionKernel:
         corner without measuring again."""
         calls = count_calls(monkeypatch, simulate, "distance_block")
         region = simulate.Region(g, r)
-        width = region.neighbors(s).shape[1]
+        width = region.neighbors(s).shape[0]
         assert calls == []
         assert region.slot_distances(s).shape == (width, width)
         assert len(calls) == 1
@@ -660,10 +667,12 @@ class TestRegionKernel:
         "g, T", [(Z1, 6), (Z2, 3), (FreeAbelian(3), 2), (FreeGroup(1), 5), (F2, 3), (FreeGroup(3), 2)]
     )
     def test_table_equals_the_column_build(self, g, T):
-        """``neighbors(s)``, built for exactly s, equals the table composed a
-        strided column at a time, for every s up to 2T + 1 (wider than the
-        region), in the int32 scratch and in the int64 one that regions of
-        2^31 points and more take; it is C-ordered int64 and read-only."""
+        """``neighbors(s)``, built for exactly s, is the transpose of the
+        table composed a strided column at a time, for every s up to 2T + 1
+        (wider than the region), in int32 and in the int64 that regions of
+        2^31 points and more take; it is slot-major, C-ordered in the
+        generator table's index dtype, read-only, and holds exactly the
+        bytes ``table_bytes`` charges."""
         for s in range(2 * T + 2):
             region = simulate.Region(g, T)
             assert region._step.dtype == np.int32
@@ -672,17 +681,21 @@ class TestRegionKernel:
                 if int64_scratch:
                     region = simulate.Region(g, T)
                     region._step = region._step.astype(np.int64)
+                    region._widths = []  # the constructor's radius-0 table is int32: build in int64
                 table = region.neighbors(s)
-                assert table.dtype == np.int64 and table.flags.c_contiguous and not table.flags.writeable
-                assert table.tolist() == expected
+                assert table.dtype == region._step.dtype and table.flags.c_contiguous
+                assert not table.flags.writeable
+                assert table.nbytes == region.table_bytes(s)
+                assert table.T.tolist() == expected
 
     def test_table_refused_before_allocating(self, monkeypatch):
-        """A table whose build, the int64 table and its int32 scratch at 12 B
-        a cell, needs more than physical memory is refused with BudgetError
-        before it is allocated; at exactly its bytes it is built."""
+        """A table whose bytes, the index dtype's itemsize a cell, pass
+        physical memory is refused with BudgetError before it is allocated;
+        at exactly its bytes it is built."""
         region = simulate.Region(F2, 4)
         cells = len(region) * groups.ball_size(F2, 2)
-        monkeypatch.setattr(simulate, "physical_memory", lambda: 12 * cells - 1)
+        itemsize = region._step.itemsize
+        monkeypatch.setattr(simulate, "physical_memory", lambda: itemsize * cells - 1)
         tracemalloc.start()
         try:
             with pytest.raises(groups.BudgetError, match="physical memory"):
@@ -692,17 +705,19 @@ class TestRegionKernel:
             tracemalloc.stop()
         assert peak < 4 * cells
         assert len(region._widths) == 1  # the radius-0 table of the constructor alone
-        monkeypatch.setattr(simulate, "physical_memory", lambda: 12 * cells)
-        assert region.neighbors(2).shape == (len(region), groups.ball_size(F2, 2))
+        monkeypatch.setattr(simulate, "physical_memory", lambda: itemsize * cells)
+        assert region.neighbors(2).shape == (groups.ball_size(F2, 2), len(region))
 
     def test_oversized_table_exits_three(self, tmp_path, monkeypatch, capsys):
         """The CLI reports a refused table as an exhausted budget (exit 3):
         PC5 on F_2 at window 2 and margin 2 isolates at radius 2, whose table
-        of 161 x 17 cells is refused under 12 B a cell."""
+        of 161 x 17 cells is refused under its bytes, the index dtype's
+        itemsize a cell."""
         spec = tmp_path / "pc5.json"
         spec.write_text(json.dumps({"kind": "ProperColoring", "group": "F_2", "k": 5}))
         _region_of.cache_clear()
-        monkeypatch.setattr(simulate, "physical_memory", lambda: 12 * 161 * 17 - 1)
+        itemsize = simulate.Region(F2, 0)._step.itemsize
+        monkeypatch.setattr(simulate, "physical_memory", lambda: itemsize * 161 * 17 - 1)
         argv = ["simulate", str(spec), "--window", "2", "--margin", "2", "--steps", "8",
                 "--out", str(tmp_path / "out.json")]
         try:
@@ -1062,7 +1077,7 @@ class TestWholeRunPasses:
         assert len(masks) == len(support_s)
         # at most one judge per isolation radius, each on that radius's D,
         # called once per step that has candidates
-        widths = {region.neighbors(s).shape[1] for s in support_s}
+        widths = {region.neighbors(s).shape[0] for s in support_s}
         assert 0 < len(built) <= len(support_s)
         assert {len(D) for D, _codes in built} <= widths
         assert len({len(D) for D, _codes in built}) == len(built)
@@ -1072,7 +1087,7 @@ class TestWholeRunPasses:
         judged.clear()
         report = trace_validate(trace, config.ideal)
         radii = {radius_floor(config.ideal.locality_radius(c)) for c, _at in trace.steps}
-        w = region.neighbors(max(radii)).shape[1]
+        w = region.neighbors(max(radii)).shape[0]
         coloured = sum(len(at) for _c, at in trace.steps)
         blocks = -(-coloured // max(1, simulate._PAIR_CELLS // w**2))
         # at most one judge per window radius, built only for a radius some
@@ -1478,15 +1493,15 @@ class TestSparse:
         assert len(region._widths) == 1  # the radius-0 table of the constructor alone
 
     def test_small_memory_takes_the_pair_path(self, monkeypatch):
-        """With physical memory read as just under _TABLE_SHARE table builds
-        (the int64 table and its scratch, 12 B a cell), the greedy measures
-        pairs instead, with the same colouring, never builds the table, and
-        allocates a small fraction of it; at _TABLE_SHARE builds it reads
-        the table."""
+        """With physical memory read as just under _TABLE_SHARE tables (the
+        index dtype's itemsize a cell), the greedy measures pairs instead,
+        with the same colouring, never builds the table, and allocates a
+        small fraction of it; at _TABLE_SHARE tables it reads the table."""
         g, T, d_c = Z1, 1000, 300
         tabled = _greedy_distance_coloring(simulate.Region(g, T), d_c)
         region = simulate.Region(g, T)
-        table_bytes = 12 * len(region) * groups.ball_size(g, d_c)
+        itemsize = region._step.itemsize
+        table_bytes = itemsize * len(region) * groups.ball_size(g, d_c)
         monkeypatch.setattr(simulate, "physical_memory", lambda: simulate._TABLE_SHARE * table_bytes - 1)
         tracemalloc.start()
         try:
@@ -1496,9 +1511,21 @@ class TestSparse:
             tracemalloc.stop()
         assert eta == tabled
         assert len(region._widths) == 1  # the radius-0 table of the constructor alone
-        assert peak < table_bytes / 12
+        assert peak < table_bytes / itemsize
         monkeypatch.setattr(simulate, "physical_memory", lambda: simulate._TABLE_SHARE * table_bytes)
         assert simulate._tabled(region, d_c)
+
+    def test_f2_w8_scale_7_reads_the_table_in_8_gib(self, monkeypatch):
+        """The d_c = 7 table of the F_2 window 8, 13,121 x 4,373 cells, is
+        charged its 4 B a cell of int32, within 1/_TABLE_SHARE of 8 GiB,
+        where 12 B a cell would not be; deciding allocates no table."""
+        monkeypatch.setattr(simulate, "physical_memory", lambda: 8 << 30)
+        region = simulate.Region(F2, 8)
+        cells = len(region) * groups.ball_size(F2, 7)
+        assert cells == 13_121 * 4_373
+        assert 4 * cells <= (8 << 30) // simulate._TABLE_SHARE < 12 * cells
+        assert simulate._tabled(region, 7)
+        assert len(region._widths) == 1  # the radius-0 table of the constructor alone
 
     def test_greedy_frozen_table(self):
         # window visited 0, -1, 1, -2, 2, ...: alternating 0/1 at scale 1
@@ -1569,6 +1596,122 @@ class TestSparse:
         a, _ = sparse_run(Z1, (1, 3, 7), 20, 3, seed=4)
         b, _ = sparse_run(Z1, (1, 3, 7), 20, 3, seed=4)
         assert a == b
+
+
+# (group, region radius) on Z^1-Z^3 and F_1-F_3 for the table's consumers
+LAYOUT_CASES = [(Z1, 8), (Z2, 4), (FreeAbelian(3), 2), (FreeGroup(1), 8), (F2, 3), (FreeGroup(3), 2)]
+
+# a run on each of those groups, with warm-up off so that reach-0 steps
+# colour neighbours alike and the validator records failures
+LAYOUT_CONFIGS = [
+    SimulationConfig(PC3, 10, 2, 12, Fraction(1, 2), seed=4, warmup=False),
+    SimulationConfig(ProperColoring(Z2, 5), 4, 2, 12, Fraction(1, 8), seed=0, warmup=False),
+    SimulationConfig(ProperColoring(FreeAbelian(3), 7), 2, 2, 10, Fraction(1, 8), seed=1, warmup=False),
+    SimulationConfig(ProperColoring(FreeGroup(1), 3), 10, 2, 12, Fraction(1, 2), seed=2, warmup=False),
+    SimulationConfig(ProperColoring(F2, 5), 2, 2, 10, Fraction(1, 4), seed=0, warmup=False),
+    SimulationConfig(ProperColoring(FreeGroup(3), 7), 1, 2, 10, Fraction(1, 8), seed=3, warmup=False),
+]
+
+
+def row_major_greedy(table):
+    """The greedy colouring read from the rows of a row-major table: each
+    point takes the least colour of no entry of its row below it."""
+    eta = []
+    for i, row in enumerate(table.tolist()):
+        taken = {eta[j] for j in row if j < i}
+        eta.append(min(set(range(len(taken) + 1)) - taken))
+    return eta
+
+
+class TestTableConsumers:
+    """Each consumer of the slot-major table gives the result read from the
+    row-major int64 reference ``column_table``, on Z^1-Z^3 and F_1-F_3:
+    ``_isolated`` and the greedy also at an s wider than the region, run's
+    gather on every step it judges, and the validator on every window it
+    judges and in the windows of its failures (``_window_after``)."""
+
+    @pytest.mark.parametrize("g, T", LAYOUT_CASES)
+    def test_isolated(self, g, T):
+        region = simulate.Region(g, T)
+        for s in (0, 1, 2, T + 1):
+            reference = column_table(region, s)
+            supp = np.stack([bernoulli_mask(5, t, region.codes, Fraction(1, 8)) for t in range(3)])
+            cand = np.flatnonzero(supp)
+            got = simulate._isolated(region.neighbors(s), supp, cand)
+            n = len(region)
+            for t in range(3):
+                mine = got[got // n == t] % n
+                assert mine.tolist() == row_rule_isolated(reference, supp[t], cand[cand // n == t] % n)
+
+    @pytest.mark.parametrize("g, T", LAYOUT_CASES)
+    def test_greedy(self, monkeypatch, g, T):
+        """Every d_c below 2T, past the region's radius too, read from the
+        table (``_tabled`` forced) and from the reference's rows."""
+        monkeypatch.setattr(simulate, "_tabled", lambda region, d_c: True)
+        region = simulate.Region(g, T)
+        for d_c in range(2 * T):
+            assert _greedy_distance_coloring(region, d_c) == row_major_greedy(column_table(region, d_c))
+
+    @pytest.mark.parametrize("config", LAYOUT_CONFIGS)
+    def test_run_gathers_reference_rows(self, monkeypatch, config):
+        """Each judged step's colour matrix is the reference rows of its
+        uncoloured isolated supports, read in the colours before the step,
+        with slot 0 in the step's colour."""
+        isolated = []
+        supports = simulate._isolated_supports
+
+        def spy(*args):
+            isolated[:] = supports(*args)
+            return isolated
+
+        monkeypatch.setattr(simulate, "_isolated_supports", spy)
+        _built, judged = count_judges(monkeypatch, config.ideal)
+        trace = run(config)
+        region = trace.region
+        colour = np.full(len(region) + 1, NO_COLOR, dtype=np.int64)
+        expected = []
+        for (c, accepted), R, cand in zip(trace.steps, trace.reaches, isolated):
+            cand = cand[colour[cand] == NO_COLOR]
+            if len(cand):
+                C = colour[column_table(region, radius_floor(2 * R))[cand]]
+                C[:, 0] = config.ideal.color_code(c)
+                expected.append(C.tolist())
+            colour[accepted] = config.ideal.color_code(c)
+        assert expected and [C.tolist() for C in judged] == expected
+        assert sum(len(at) for _c, at in trace.steps) > 0
+
+    @pytest.mark.parametrize("config", LAYOUT_CONFIGS)
+    def test_validator_judges_reference_windows(self, monkeypatch, config):
+        """The windows judged are those of the reference rows: every
+        (step t, coloured centre x) with x's window inside the region and t
+        a step, from x's own on, that colours a point of x's row, on x's
+        row as it stood after t. The report, failures with their windows
+        included, equals the brute-force validator's."""
+        ideal = config.ideal
+        trace = run(config)
+        _built, judged = count_judges(monkeypatch, ideal)
+        report = trace_validate(trace, ideal)
+        region, last, T = trace.region, len(trace.steps), config.window_radius + config.margin
+        step_of = np.full(len(region) + 1, last + 1, dtype=np.int64)
+        colour = np.full(len(region) + 1, NO_COLOR, dtype=np.int64)
+        radius = np.zeros(len(region) + 1, dtype=np.int64)
+        for t, (c, at) in enumerate(trace.steps, start=1):
+            step_of[at], colour[at] = t, ideal.color_code(c)
+            radius[at] = ideal.locality_radius(c)  # ProperColoring: 1
+        reach = column_table(region, int(radius.max()))
+        windows = []
+        for x in np.flatnonzero(step_of[:-1] <= last).tolist():
+            if region.norms[x] + radius[x] > T:
+                continue
+            row = column_table(region, int(radius[x]))[x]
+            for t in sorted(set(step_of[reach[x]].tolist())):
+                if step_of[x] <= t <= last:
+                    windows.append(np.where(step_of[row] <= t, colour[row], NO_COLOR).tolist())
+        got = [w for C in judged for w in C.tolist()]
+        assert report.windows_checked == len(windows) > 0
+        assert sorted(got) == sorted(windows)
+        assert report.failures
+        assert report.to_jsonable() == brute_force_validate(trace, ideal).to_jsonable()
 
 
 class TestExtract:
