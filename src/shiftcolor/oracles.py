@@ -2,10 +2,13 @@
 regime, a backtracking pattern-extension oracle, and the rare-color audit.
 
 These deliberately re-derive facts the constructive code already "knows",
-through independent code paths, so the two can be compared in tests. All
-searches are deterministic: elements are visited in a fixed canonical order
-and colors are tried ascending. Work is metered in explored nodes, never
-wall time, so reports are byte-stable.
+through independent code paths, so the two can be compared in tests. Both
+exhaustive oracles run one iterative depth-first search, ``_search``, and
+keep only their point order, feasibility test and final acceptance; the
+search keeps no call stack, so no recursion limit bounds the balls it
+colours. All searches are deterministic: elements are visited in a fixed
+canonical order and colors are tried ascending. Work is metered in explored
+nodes, never wall time, so reports are byte-stable.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from .groups import Group, identity_ball, parse_group
+from .groups import identity_ball, parse_group
 from .ideals import DistanceConstrained, IdealSpec, _check_d_sequence, col_window_check
 from .patterns import PartialColoring
-from .radii import INF, Infinity, as_radius, radius_floor
+from .radii import Infinity, as_radius, radius_floor
 from .reports import Report
 
 REFUTED = "refuted"
@@ -37,6 +40,54 @@ class ExhaustiveSearchReport(Report):
     @property
     def conclusive(self) -> bool:
         return self.outcome != INCONCLUSIVE
+
+
+def _search(points, palette_max, allowed, complete, node_budget, placed, detail) -> ExhaustiveSearchReport:
+    """Depth-first search for a colouring of ``points``, coloured in their
+    order with colours 0..palette_max tried ascending. ``placed`` maps the
+    points coloured so far, after any it starts with, to their colours: it
+    gains points[i] when ``allowed(i, color)`` admits the colour and gives
+    it back on backtracking. With every point coloured, ``complete(placed)``
+    returns the witness, or None to search on. Each colour tried is one
+    node, and the node past ``node_budget`` ends the search inconclusive.
+    The depth is kept in a list, not on the call stack, so only memory
+    bounds it."""
+    n = len(points)
+    tried = [0] * (n + 1)  # colours tried so far at each depth
+    nodes = i = 0
+    witness = None
+    while True:
+        if i == n:
+            witness = complete(placed)
+            if witness is not None:
+                outcome = WITNESS
+                break
+        elif tried[i] <= palette_max:
+            color = tried[i]
+            tried[i] = color + 1
+            nodes += 1
+            if nodes > node_budget:
+                outcome = INCONCLUSIVE
+                break
+            if allowed(i, color):
+                placed[points[i]] = color
+                i += 1
+                tried[i] = 0
+            continue
+        if i == 0:
+            outcome = REFUTED
+            break
+        i -= 1
+        placed.popitem()
+    return ExhaustiveSearchReport(
+        outcome=outcome,
+        search_space=(palette_max + 1) ** n,
+        valid_count=int(outcome == WITNESS),
+        nodes=nodes,
+        budget=node_budget,
+        witness=witness,
+        detail=detail,
+    )
 
 
 def infty_check(group, d: Sequence[int], c: int, node_budget: int = 2_000_000) -> ExhaustiveSearchReport:
@@ -60,61 +111,25 @@ def infty_check(group, d: Sequence[int], c: int, node_budget: int = 2_000_000) -
     if not 0 <= c < len(d):
         raise ValueError(f"color {c} has no scale: need c < len(d) = {len(d)}")
     points = identity_ball(group, d[c])
-    n = len(points)
-    search_space = (c + 1) ** n
     dist_cache: Dict[tuple, int] = {}
+    placed: Dict[object, int] = {}
 
-    def dist(i: int, j: int) -> int:
-        key = (min(i, j), max(i, j))
-        if key not in dist_cache:
-            dist_cache[key] = group.dist(points[key[0]], points[key[1]])
-        return dist_cache[key]
+    def allowed(i: int, color: int) -> bool:
+        gap = 2 * d[color]
+        for j, cj in enumerate(placed.values()):
+            if cj == color:
+                dij = dist_cache.get((j, i))
+                if dij is None:
+                    dij = dist_cache[j, i] = group.dist(points[j], points[i])
+                if dij <= gap:
+                    return False
+        return True
 
-    assignment = [0] * n
-    nodes = 0
-    witness = None
-    valid = 0
-    exhausted = False
+    def complete(placed):
+        return PartialColoring._of_valid(group, dict(placed))
 
-    def backtrack(i: int) -> bool:
-        nonlocal nodes, witness, valid, exhausted
-        if i == n:
-            valid += 1
-            witness = PartialColoring._of_valid(group, {points[j]: assignment[j] for j in range(n)})
-            return True
-        for color in range(c + 1):
-            nodes += 1
-            if nodes > node_budget:
-                exhausted = True
-                return True
-            min_gap = 2 * d[color]
-            ok = True
-            for j in range(i):
-                if assignment[j] == color and dist(i, j) <= min_gap:
-                    ok = False
-                    break
-            if ok:
-                assignment[i] = color
-                if backtrack(i + 1):
-                    return True
-        return False
-
-    backtrack(0)
-    if exhausted:
-        outcome = INCONCLUSIVE
-    elif witness is not None:
-        outcome = WITNESS
-    else:
-        outcome = REFUTED
-    return ExhaustiveSearchReport(
-        outcome=outcome,
-        search_space=search_space,
-        valid_count=valid,
-        nodes=nodes,
-        budget=node_budget,
-        witness=witness,
-        detail={"ball_size": n, "scales": d[: c + 1]},
-    )
+    detail = {"ball_size": len(points), "scales": d[: c + 1]}
+    return _search(points, c, allowed, complete, node_budget, placed, detail)
 
 
 def infty_counting_bound(d: Sequence[int], c: int) -> dict:
@@ -166,17 +181,6 @@ def extension_oracle(
         raise ValueError(f"palette_max must be nonnegative, got {palette_max}")
     if node_budget < 0:
         raise ValueError(f"node budget must be nonnegative, got {node_budget}")
-    if not phi:
-        # Ball(empty domain, rho) is empty: phi extends itself, vacuously.
-        return ExhaustiveSearchReport(
-            outcome=WITNESS,
-            search_space=1,
-            valid_count=1,
-            nodes=0,
-            budget=node_budget,
-            witness=phi,
-            detail={"ball_size": 0, "free_points": 0, "target_radius": radius_floor(rho), "palette_max": palette_max},
-        )
 
     dom = list(phi.domain())
     ball_pts: Dict[object, None] = {}
@@ -185,82 +189,41 @@ def extension_oracle(
             ball_pts[e] = None
     todo = [e for e in ball_pts if e not in phi]
     todo.sort(key=lambda e: (min(g.dist(e, gamma) for gamma in dom), g.sort_key(e)))
-    n = len(todo)
-    search_space = (palette_max + 1) ** n
+    detail = {
+        "ball_size": len(ball_pts),
+        "free_points": len(todo),
+        "target_radius": radius_floor(rho),
+        "palette_max": palette_max,
+    }
+    if not phi:  # Ball(empty domain, rho) is empty: phi extends itself, vacuously
+        return _search(todo, palette_max, None, lambda placed: phi, node_budget, {}, detail)
 
-    check_radius: object = 0
+    check_radius = 0
     for color in range(palette_max + 1):
-        r = P.locality_radius(color)
-        if isinstance(r, Infinity):
-            check_radius = INF
+        check_radius = max(check_radius, P.locality_radius(color))
+        if isinstance(check_radius, Infinity):
             break
-        if r > check_radius:
-            check_radius = r
 
-    cur = dict(phi.entries)
-    nodes = 0
-    witness = None
-    valid = 0
-    exhausted = False
+    placed = dict(phi.entries)
+    pattern = PartialColoring._of_valid(g, placed)  # follows placed as it changes
 
-    def feasible(e, color) -> bool:
+    def allowed(i: int, color) -> bool:
         """Window check around the new point: exact for kinds whose
         membership decomposes over point-centered windows, a sound
         relaxation otherwise (complete assignments get a full re-check)."""
-        cur[e] = color
-        try:
-            pattern = PartialColoring._of_valid(g, cur)
-            if isinstance(check_radius, Infinity):
-                return P.contains(pattern)
-            return P.contains(pattern.window(e, check_radius))
-        finally:
-            del cur[e]
-
-    def backtrack(i: int) -> bool:
-        nonlocal nodes, witness, valid, exhausted
-        if i == n:
-            candidate = PartialColoring._of_valid(g, dict(cur))
-            if P.contains(candidate):
-                valid += 1
-                witness = candidate
-                return True
-            return False
         e = todo[i]
-        for color in range(palette_max + 1):
-            nodes += 1
-            if nodes > node_budget:
-                exhausted = True
-                return True
-            if feasible(e, color):
-                cur[e] = color
-                if backtrack(i + 1):
-                    return True
-                del cur[e]
-        return False
+        placed[e] = color
+        ok = P.contains(pattern.window(e, check_radius))
+        del placed[e]
+        return ok
 
-    backtrack(0)
-    if exhausted:
-        outcome = INCONCLUSIVE
-        witness = None
-    elif witness is not None:
-        outcome = WITNESS
-        assert col_window_check(witness, P), "witness failed independent re-verification"
-    else:
-        outcome = REFUTED
-    return ExhaustiveSearchReport(
-        outcome=outcome,
-        search_space=search_space,
-        valid_count=valid,
-        nodes=nodes,
-        budget=node_budget,
-        witness=witness,
-        detail={
-            "ball_size": len(ball_pts),
-            "free_points": n,
-            "target_radius": radius_floor(rho),
-            "palette_max": palette_max,
-        },
-    )
+    def complete(placed):
+        return PartialColoring._of_valid(g, dict(placed)) if P.contains(pattern) else None
+
+    report = _search(todo, palette_max, allowed, complete, node_budget, placed, detail)
+    if report.witness is not None:
+        assert col_window_check(report.witness, P), "witness failed independent re-verification"
+    return report
 
 
 @dataclass

@@ -136,7 +136,3 @@ def radius_to_json(r: Radius):
             return int(r)
         return f"{r.numerator}/{r.denominator}"
     return int(r)
-
-
-def radius_from_json(value) -> Radius:
-    return as_radius(value)

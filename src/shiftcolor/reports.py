@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from typing import Any, Dict, Optional
 
@@ -103,8 +104,17 @@ def json_bytes(plain: Any) -> bytes:
     multi-byte characters hold no ASCII byte. Outside strings, a newline and
     two spaces per open container follow each '[', '{' and ',', and come
     before each ']' and '}'; a space follows each ':'; empty containers stay
-    "[]" and "{}"."""
-    raw = json.dumps(plain, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    "[]" and "{}". An integer is written exactly however many digits it
+    has: the interpreter's limit on int-to-string digits, where it has one,
+    is lifted for the dump alone."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        raw = json.dumps(plain, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     # Blank the escapes, pairing backslashes from the left as the decoder
     # does (the dump holds no raw NUL), so the quotes left delimit strings,
     # and blank "[]" and "{}", which are left as they are. Outside a string

@@ -13,10 +13,13 @@ Laws under test:
    config hash tracks spec file *contents*, not just paths.
 3. Payload fixtures: sorted ball enumerations, the frozen packing scales,
    the annulus bound on the line, refutation search agreement with the
-   counting bound.
+   counting bound. Searches past the recursion limit end with their
+   verdict's exit code and report, and a search space of more than 4,300
+   digits is written exactly.
 """
 
 import json
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -205,6 +208,29 @@ class TestSearchCommands:
         assert code == 3
         assert payload_of(data)["search"]["outcome"] == "inconclusive"
 
+    def test_verify_infty_ball_past_the_recursion_limit_exits_one(self, tmp_path):
+        code, data = run_to_file(tmp_path, ["verify-infty", "Z^1", "--d", "0,600", "--c", "1"])
+        assert code == 1
+        payload = payload_of(data)
+        assert payload["search"]["outcome"] == "witness" and payload["search"]["nodes"] == 1201
+        assert len(payload["search"]["witness"]["entries"]) == 1201
+        assert payload["agree"] is True
+
+    def test_verify_infty_search_space_past_4300_digits_exits_three(self, tmp_path):
+        """12^8191 has 8,840 digits, past the interpreter's default limit on
+        int-to-string conversion: the report still writes it exactly."""
+        d = ",".join(str(2**k - 1) for k in range(1, 13))
+        code, data = run_to_file(tmp_path, ["verify-infty", "Z^1", "--d", d, "--c", "11", "--budget", "0"])
+        assert code == 3
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            search = payload_of(data)["search"]
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert search["outcome"] == "inconclusive" and search["nodes"] == 1
+        assert search["search_space"] == 12**8191
+
 
 class TestIdealCommands:
     def test_check_local_clean(self, tmp_path, pc3_spec):
@@ -357,6 +383,18 @@ class TestRunCommands:
             "r3.json",
         )
         assert code == 3 and payload_of(data)["outcome"] == "inconclusive"
+
+    def test_oracle_extend_past_the_recursion_limit_exits_zero(self, tmp_path):
+        spec = tmp_path / "pc5.json"
+        spec.write_text(json.dumps({"kind": "ProperColoring", "group": "Z^2", "k": 5}))
+        point = tmp_path / "point.json"
+        point.write_text(json.dumps({"group": "Z^2", "entries": [[[0, 0], 0]]}))
+        code, data = run_to_file(tmp_path, ["oracle-extend", str(spec), str(point), "--radius", "22"])
+        assert code == 0
+        payload = payload_of(data)
+        assert payload["outcome"] == "witness" and payload["nodes"] == 1496
+        assert payload["detail"]["free_points"] == 1012
+        assert len(payload["witness"]["entries"]) == 1013
 
     def test_extract_parity(self, tmp_path):
         pat = tmp_path / "parity.json"

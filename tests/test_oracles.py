@@ -21,12 +21,18 @@ Laws under test:
 7. The rare-color audit counts one-shot colors and flags repeats; a colour
    past the palette reads as a failed membership check, and any other
    error propagates.
+8. Both exhaustive oracles run one iterative search, whose reports equal
+   in full (outcome, nodes, witness, valid count, detail) those of the
+   recursive backtrackers kept in ``oracle_reference``, and whose depth no
+   recursion limit bounds: balls of more than a thousand points are
+   searched to a witness.
 """
 
 from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftcolor import oracles
 from shiftcolor.groups import FreeAbelian, FreeGroup
@@ -49,7 +55,10 @@ from shiftcolor.patterns import PartialColoring
 from shiftcolor.radii import INF
 from shiftcolor.reports import to_jsonable
 
+from oracle_reference import reference_extension_oracle, reference_infty_check
+
 Z1 = FreeAbelian(1)
+Z2 = FreeAbelian(2)
 F2 = FreeGroup(2)
 
 
@@ -278,3 +287,96 @@ class TestRareColorAudit:
         dc = DistanceConstrained(Z1, (1, 3), (2, INF))
         with pytest.raises(KeyError):
             rare_color_check(dc, PartialColoring(Z1, {0: 1}))
+
+
+def _kinds(g):
+    return [
+        ProperColoring(g, 2),
+        ProperColoring(g, 3),
+        ProperColoring(g, 5),
+        DistanceConstrained(g, (1, 3), (2, INF)),
+        DistanceConstrained(g, (1, 3, 7), (0, 0, 0)),
+        NotUniversal(g, (1,), (3,)),
+    ]
+
+
+def _result(oracle, *args, **kwargs):
+    """The report's full JSON, or the type and message of what it raised."""
+    try:
+        return to_jsonable(oracle(*args, **kwargs))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestOneSearchAgreesWithRecursion:
+    """The iterative search against the recursive backtrackers it replaced,
+    on balls well inside the recursion limit."""
+
+    BUDGETS = (0, 10, 2_000_000)
+
+    @pytest.mark.parametrize("g,top", [(Z1, 7), (Z2, 3), (F2, 3)], ids=["Z1", "Z2", "F2"])
+    def test_infty_check(self, g, top):
+        for d in [(0,), (1,), (2,), (0, 1), (1, 2), (1, top), (0, 1, 2), (1, 2, top)]:
+            for c in range(len(d)):
+                for budget in self.BUDGETS:
+                    ours = _result(infty_check, g, d, c, node_budget=budget)
+                    assert ours == _result(reference_infty_check, g, d, c, node_budget=budget)
+
+    @pytest.mark.parametrize("g", [Z1, Z2, F2], ids=["Z1", "Z2", "F2"])
+    @pytest.mark.parametrize("kind", range(6))
+    def test_extension_oracle(self, g, kind):
+        P = _kinds(g)[kind]
+        for seed in range(3):
+            phi = grow_random_member(P, random.Random(seed), size=3, radius=2)
+            for radius in (1, 2):
+                for palette_max in (None, 1):
+                    for budget in self.BUDGETS:
+                        args = (P, phi, radius)
+                        kwargs = dict(palette_max=palette_max, node_budget=budget)
+                        ours = _result(extension_oracle, *args, **kwargs)
+                        assert ours == _result(reference_extension_oracle, *args, **kwargs)
+
+    @pytest.mark.parametrize("entries", [{0: 0, 3: 0}, {0: 0, 3: 1}, {}])
+    def test_parity_dead_end(self, entries):
+        pc2 = ProperColoring(Z1, 2)
+        phi = PartialColoring(Z1, entries)
+        for radius in (1, 3, 6):
+            for budget in (0, 3, 10, 2_000_000):
+                ours = _result(extension_oracle, pc2, phi, radius, node_budget=budget)
+                assert ours == _result(reference_extension_oracle, pc2, phi, radius, node_budget=budget)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        g=st.sampled_from([Z1, Z2, F2]),
+        kind=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(0, 4),
+        radius=st.integers(0, 2),
+        palette_max=st.sampled_from([None, 0, 1, 2]),
+        budget=st.sampled_from([0, 1, 10, 50, 2_000_000]),
+    )
+    def test_extension_oracle_on_drawn_inputs(self, g, kind, seed, size, radius, palette_max, budget):
+        P = _kinds(g)[kind]
+        phi = grow_random_member(P, random.Random(seed), size=size, radius=2)
+        kwargs = dict(palette_max=palette_max, node_budget=budget)
+        ours = _result(extension_oracle, P, phi, radius, **kwargs)
+        assert ours == _result(reference_extension_oracle, P, phi, radius, **kwargs)
+
+
+class TestDeepSearches:
+    """Balls past the interpreter's recursion limit, which stopped the
+    recursive searches with a RecursionError."""
+
+    def test_refutation_ball_of_1201_points(self):
+        report = infty_check(Z1, (0, 600), 1)
+        assert report.outcome == WITNESS and report.valid_count == 1
+        assert report.nodes == 1201 and report.detail["ball_size"] == 1201
+        assert len(report.witness) == 1201
+
+    def test_extension_of_1012_free_points(self):
+        pc5 = ProperColoring(Z2, 5)
+        report = extension_oracle(pc5, PartialColoring(Z2, {(0, 0): 0}), 22)
+        assert report.outcome == WITNESS and report.valid_count == 1
+        assert report.nodes == 1496
+        assert report.detail == {"ball_size": 1013, "free_points": 1012, "target_radius": 22, "palette_max": 4}
+        assert report.witness[(0, 0)] == 0 and pc5.contains(report.witness)

@@ -8,7 +8,9 @@ Laws under test:
    ends in exactly one newline, and equal values give equal bytes. They
    are exactly json.dumps(sort_keys=True, indent=2, ensure_ascii=False)
    and a newline on any nested plain JSON, though laid out from the C
-   encoder's compact dump; plain values pass the reducer unchanged.
+   encoder's compact dump; plain values pass the reducer unchanged. An
+   integer past the interpreter's int-to-string digit limit is written
+   exactly, and the limit is restored after the dump.
 3. The config hash changes when any determining input changes (parameters,
    seed, spec file contents) and only then; it is the SHA-256 of the
    description's canonical bytes.
@@ -17,6 +19,7 @@ Laws under test:
 """
 
 import json
+import sys
 from hashlib import sha256
 from fractions import Fraction
 
@@ -125,6 +128,29 @@ class TestCanonicalBytes:
     def test_equals_indented_python_encoder(self, value):
         expected = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
         assert json_bytes(value) == expected.encode("utf-8")
+
+    def test_integers_past_the_digit_limit_are_written_exactly(self):
+        limit = sys.get_int_max_str_digits()
+        big = 12**8191  # 8,840 digits, past the default limit of 4,300
+        raw = json_bytes({"n": big, "m": [-big]})
+        assert sys.get_int_max_str_digits() == limit
+        assert raw.count(b"\n") == 6 and len(raw) > 2 * 8840
+        sys.set_int_max_str_digits(0)
+        try:
+            assert json.loads(raw) == {"n": big, "m": [-big]}
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_digit_limit_is_restored_when_the_dump_fails(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(TypeError):
+            json_bytes({"n": object()})
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_search_space_past_the_digit_limit(self):
+        report = infty_check(Z1, tuple(2**k - 1 for k in range(1, 13)), 11, node_budget=0)
+        assert report.search_space == 12**8191
+        assert b"search_space" in canonical_json_bytes(report)
 
     @settings(max_examples=40, deadline=None)
     @given(value=_PLAIN)
