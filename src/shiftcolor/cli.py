@@ -109,7 +109,7 @@ def _cmd_ball(args) -> Tuple[dict, int]:
     if packed is None:
         result = [g.element_to_json(e) for e in sorted(g.ball(center, args.radius), key=g.sort_key)]
     else:  # Ball(c, r) = Ball(1, r) + c in int64, in sort_key (lexicographic) order
-        coords = g.ball_coords(args.radius)[0] + packed
+        coords = g.ball_arrays(args.radius, table=False)[2] + packed
         result = (coords if g.dimension > 1 else coords[:, 0])[np.lexsort(coords.T[::-1])]
     payload = {
         "group": g.spec_string(),

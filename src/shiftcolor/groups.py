@@ -14,7 +14,8 @@ canonically, so every downstream greedy procedure is deterministic. Ball(1, r)
 is built from integer arrays (``ball_arrays``), refused before allocation
 when it cannot fit in memory, and its elements are decoded from those
 arrays only where they are read (``decode_ball``); every other ball is its
-right translate Ball(g, r) = Ball(1, r)*g, re-sorted within each layer.
+right translate Ball(g, r) = Ball(1, r)*g, re-sorted within each layer,
+on F_k formed from packed products where they pack.
 
 Elements also have a packed form, one row of an integer array per element,
 on which products and distances are computed for many elements at once
@@ -226,49 +227,59 @@ class FreeAbelian(Group):
     def sort_key(self, g):
         return (g,) if self.dimension == 1 else g
 
-    def ball_coords(self, radius: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Ball(1, radius) as int64 coordinate rows in ``ball_arrays``' order,
-        and their norms."""
-        # Ball_{d+1}(r) is {(x0, y) : y in Ball_d(r - |x0|)}, and each such
-        # Ball_d(r - |x0|) is a prefix of the norm-sorted Ball_d(r), so every
-        # dimension costs one gather and one lexsort by (norm, coordinates),
-        # which is breadth-first order with layers sorted by sort_key.
+    def ball_arrays(self, radius, table=True):
+        """As ``Group.ball_arrays``; with table=False, step is None, for
+        callers that read the coordinates alone."""
+        # In order by construction, one dimension at a time, from Z^1: 0,
+        # -1, 1, -2, 2, ..., where x has index 2|x| - [x < 0]. Layer t of
+        # Z^(k+1) is the blocks x0 = -t..t, block (t, x0) being the points
+        # (x0, y) with y in the radius-(t - |x0|) sphere of Z^k, a slice of
+        # the Z^k ball in its order, so each layer is sorted by (x0, y). A
+        # point's index is the start of block (|x0| + |y|, x0), looked up
+        # by (|y|, x0), plus y's place in its sphere. ±e_0 keeps y and moves
+        # x0; ±e_i for i >= 1 keeps x0 and moves y through the Z^k table,
+        # whose mark n_k for a neighbour outside reads norm T + 1. Blocks
+        # past layer T start at n, the mark in the new table.
         _refuse_oversize(self, radius)
-        radius = max(radius, -1)
-        k = np.arange(2 * radius + 1)
+        T = max(radius, -1)
+        if T <= 0:  # no point, or the identity with every neighbour outside
+            n = T + 1
+            return (np.zeros(n, dtype=np.int64), np.ones((n, 2 * self.dimension), dtype=np.int64) if table else None,
+                    np.zeros((n, self.dimension), dtype=np.int64))
+        k = np.arange(2 * T + 1)
         norms = (k + 1) // 2
-        coords = np.where(k % 2 == 1, -norms, norms)[:, None]  # 0, -1, 1, -2, 2, ...
-        for _ in range(self.dimension - 1):
-            sizes = np.bincount(norms, minlength=radius + 1).cumsum()
-            x0 = np.arange(-radius, radius + 1)
-            lengths = sizes[radius - np.abs(x0)]
-            head = np.repeat(x0, lengths)
-            tail = np.arange(len(head)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-            coords = np.column_stack([head, coords[tail]])
-            norms = np.abs(head) + norms[tail]
-            order = np.lexsort([*coords.T[::-1], norms])
-            coords, norms = coords[order], norms[order]
-        return coords, norms
-
-    def ball_arrays(self, radius):
-        coords, norms = self.ball_coords(radius)
-        n, d = coords.shape
-        # Table entries: each row's neighbours along the generators (±e_i in
-        # order), found by searchsorted on the key norm * R^d + the digits
-        # c_i + T + 1 in base R = 2T + 3, ascending in the ball's (norm,
-        # coordinates) order, Python ints where they pass int64. A move by
-        # ±e_i adds ±R^(d-1-i), and ±R^d as it grows or shrinks |c_i|.
-        T, R = max(radius, 0), 2 * max(radius, 0) + 3
-        dtype = np.int64 if (T + 2) * R**d <= 1 << 63 else object
-        rows = coords.astype(dtype)
-        keys = np.abs(rows).sum(axis=1) * R**d + sum((rows[:, i] + T + 1) * R ** (d - 1 - i) for i in range(d))
-        wanted = np.column_stack([
-            keys + (2 * grows - 1).astype(dtype) * R**d + sign * R ** (d - 1 - i)
-            for i in range(d) for sign, grows in ((1, coords[:, i] >= 0), (-1, coords[:, i] <= 0))
-        ])
-        hit = np.minimum(np.searchsorted(keys, wanted), n - 1)
-        step = np.where(keys[hit] == wanted, hit, n)
-        return norms, step, coords
+        coords = np.where(k % 2 == 1, -norms, norms)[:, None]
+        moved = coords + [1, -1]
+        step = np.minimum(2 * np.abs(moved) - (moved < 0), 2 * T + 1)
+        for dim in range(1, self.dimension):
+            if dim == 1:  # the (T + 1)^2 blocks, fewer than the Z^2 ball's points
+                t = np.repeat(np.arange(T + 1), 2 * np.arange(T + 1) + 1)  # each block's layer
+                x0 = np.arange(len(t)) - t * t - t
+                r, column = t - np.abs(x0), x0 + T + 1  # each block's Z^k sphere radius, start_of column
+                # each generator's move of x0, and the start_of column of x0 = 0
+                shift = np.array([1, -1] + [0] * (2 * self.dimension - 2)) + (T + 1)
+            sphere = np.bincount(norms, minlength=T + 1)
+            first = np.cumsum(sphere) - sphere  # each Z^k sphere's first index
+            lengths = sphere[r]
+            n, starts = int(lengths.sum()), np.cumsum(lengths) - lengths
+            head, tail = np.repeat(x0, lengths), np.arange(n) + np.repeat(first[r] - starts, lengths)
+            if table or dim < self.dimension - 1:
+                start_of = np.full((T + 2, 2 * T + 3), n)  # [|y|, x0 + T + 1]
+                start_of[r, column] = starts
+                # per Z^k point and generator: the flat start_of index less
+                # x0, and the place in its sphere, of y after the move
+                ids = np.arange(len(norms))
+                moved = np.concatenate((ids[:, None], ids[:, None], step), axis=1)
+                key = np.concatenate((norms, [T + 1]))[moved] * (2 * T + 3) + shift[: 2 * dim + 2]
+                place = np.concatenate((ids - first[norms], [0]))[moved]
+                at = key.take(tail, axis=0)  # take gathers rows several times faster than key[tail]
+                at += head[:, None]
+                step = start_of.take(at)
+                del at  # before the next (n, 2d) gather, which can take its place
+                step += place.take(tail, axis=0)
+                np.minimum(step, n, out=step)
+            coords, norms = np.concatenate((head[:, None], coords.take(tail, axis=0)), axis=1), np.repeat(t, lengths)
+        return norms, step if table else None, coords
 
     def decode_ball(self, norms, step, packed):
         columns = packed.T.tolist()  # the coordinate rows
@@ -397,6 +408,27 @@ class FreeGroup(Group):
 
     def sort_key(self, g):
         return (len(g), g)
+
+    def ball(self, center, r):
+        # Ball(1, r) * center as the packed identity ball times the packed
+        # center, its words spelled from their numerals in one pass, and
+        # sorted by (layer, length, word); by Group.ball where the products
+        # do not pack.
+        radius = -1 if isinstance(r, Infinity) else radius_floor(r)  # Group.ball refuses INF
+        packed_center = self.pack([center], reach=radius) if radius >= 0 else None
+        if packed_center is None:
+            return super().ball(center, r)
+        norms, _step, packed = self.ball_arrays(radius)
+        products = self.mul_packed(packed, packed_center)
+        numerals, lengths = products[:, 0], products[:, 1].astype(np.int64)
+        width, base = max(int(lengths.max()), 1), np.uint64(2 * self.rank + 1)
+        # letter j of a word of length l is digit l - 1 - j from the low end
+        below = lengths[:, None] - 1 - np.arange(width)
+        high = numerals[:, None] // self._powers[np.maximum(below, 0)]
+        digits = np.where(below >= 0, high - high // base * base, 0)
+        ascii_of = np.frombuffer(("\0" + self._letters).encode(), dtype=np.uint8)
+        words = ascii_of[digits].view(f"S{width}")[:, 0]  # trailing NULs drop
+        return list(map(bytes.decode, words[np.lexsort((words, lengths, norms))].tolist()))
 
     def ball_arrays(self, radius):
         # Layer t+1 prepends each letter, in ASCII order, to the words of

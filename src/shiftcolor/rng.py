@@ -160,8 +160,9 @@ def bernoulli_mask(seed: int, step, codes: np.ndarray, p: Fraction) -> np.ndarra
     """Vectorized ``bit``: for one step a mask shaped like ``codes``, for a
     sequence of steps one such mask per step, stacked. The heads
     ``mix(seed, step)`` of every step come from one splitmix64 pass over the
-    steps mod 2^64, after the seed's link, and the codes take the last link
-    of every step's chain in a second pass."""
+    steps mod 2^64, after the seed's link, or from the scalar ``mix`` for at
+    most eight steps, where that pass costs more; the codes take the last
+    link of every step's chain in a second pass."""
     steps = [step] if np.isscalar(step) else step
     shape = (len(steps), *codes.shape)
     threshold = _threshold(p)
@@ -170,8 +171,11 @@ def bernoulli_mask(seed: int, step, codes: np.ndarray, p: Fraction) -> np.ndarra
     elif threshold >= 1 << 64:
         masks = np.ones(shape, dtype=bool)
     else:
-        steps = np.array([int(t) & _MASK for t in steps], dtype=np.uint64)
-        heads = _vector_splitmix64(np.uint64(splitmix64(seed & _MASK)) ^ steps)
+        if len(steps) <= 8:  # one vector pass costs about eight mix calls
+            heads = np.array([mix(seed, int(t)) for t in steps], dtype=np.uint64)
+        else:
+            steps = np.array([int(t) & _MASK for t in steps], dtype=np.uint64)
+            heads = _vector_splitmix64(np.uint64(splitmix64(seed & _MASK)) ^ steps)
         heads = heads.reshape(-1, *[1] * codes.ndim)
         masks = _vector_splitmix64(codes ^ heads) < np.uint64(threshold)
     return masks[0] if np.isscalar(step) else masks

@@ -1,6 +1,11 @@
 """The breadth-first ball enumeration, kept as the tests' independent
-reference for ``Group.ball``, ``identity_ball`` and the array-built regions."""
+reference for ``Group.ball``, ``identity_ball`` and the array-built regions,
+and the sort-and-search construction of Z^d balls that the lattice-point
+construction of ``FreeAbelian.ball_arrays`` replaced."""
 
+import numpy as np
+
+from shiftcolor.groups import _refuse_oversize
 from shiftcolor.radii import Infinity, radius_floor
 
 
@@ -27,3 +32,51 @@ def bfs_ball(group, center, r):
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+def sorted_ball_coords(self, radius):
+    """Ball(1, radius) as int64 coordinate rows in ``ball_arrays``' order,
+    and their norms."""
+    # Ball_{d+1}(r) is {(x0, y) : y in Ball_d(r - |x0|)}, and each such
+    # Ball_d(r - |x0|) is a prefix of the norm-sorted Ball_d(r), so every
+    # dimension costs one gather and one lexsort by (norm, coordinates),
+    # which is breadth-first order with layers sorted by sort_key.
+    _refuse_oversize(self, radius)
+    radius = max(radius, -1)
+    k = np.arange(2 * radius + 1)
+    norms = (k + 1) // 2
+    coords = np.where(k % 2 == 1, -norms, norms)[:, None]  # 0, -1, 1, -2, 2, ...
+    for _ in range(self.dimension - 1):
+        sizes = np.bincount(norms, minlength=radius + 1).cumsum()
+        x0 = np.arange(-radius, radius + 1)
+        lengths = sizes[radius - np.abs(x0)]
+        head = np.repeat(x0, lengths)
+        tail = np.arange(len(head)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        coords = np.column_stack([head, coords[tail]])
+        norms = np.abs(head) + norms[tail]
+        order = np.lexsort([*coords.T[::-1], norms])
+        coords, norms = coords[order], norms[order]
+    return coords, norms
+
+
+def sorted_ball_arrays(self, radius):
+    """``FreeAbelian.ball_arrays`` by a lexsort per dimension and a
+    searchsorted of the neighbours' keys."""
+    coords, norms = sorted_ball_coords(self, radius)
+    n, d = coords.shape
+    # Table entries: each row's neighbours along the generators (±e_i in
+    # order), found by searchsorted on the key norm * R^d + the digits
+    # c_i + T + 1 in base R = 2T + 3, ascending in the ball's (norm,
+    # coordinates) order, Python ints where they pass int64. A move by
+    # ±e_i adds ±R^(d-1-i), and ±R^d as it grows or shrinks |c_i|.
+    T, R = max(radius, 0), 2 * max(radius, 0) + 3
+    dtype = np.int64 if (T + 2) * R**d <= 1 << 63 else object
+    rows = coords.astype(dtype)
+    keys = np.abs(rows).sum(axis=1) * R**d + sum((rows[:, i] + T + 1) * R ** (d - 1 - i) for i in range(d))
+    wanted = np.column_stack([
+        keys + (2 * grows - 1).astype(dtype) * R**d + sign * R ** (d - 1 - i)
+        for i in range(d) for sign, grows in ((1, coords[:, i] >= 0), (-1, coords[:, i] <= 0))
+    ])
+    hit = np.minimum(np.searchsorted(keys, wanted), n - 1)
+    step = np.where(keys[hit] == wanted, hit, n)
+    return norms, step, coords

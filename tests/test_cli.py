@@ -6,18 +6,21 @@ Laws under test:
    checked property was found violated, 2 usage or I/O trouble, 3 budget
    exhausted before a conclusion. A negative ``--budget`` on every budgeted
    subcommand, a negative ``--palette-max``, negative ``extract``
-   arguments, a plain colour scheduled on a reduced spec, and a malformed
-   JSON schedule are usage errors; a JSON schedule of pair colours runs as
+   arguments, a plain colour scheduled on a reduced spec, an extension
+   search on a reduced spec, and a malformed JSON schedule are usage
+   errors; a JSON schedule of pair colours runs as
    the library does.
 2. Reports are byte-identical across reruns with identical inputs, and the
    config hash tracks spec file *contents*, not just paths.
-3. Payload fixtures: sorted ball enumerations, the frozen packing scales,
+3. Payload fixtures: sorted ball enumerations (Z^d and F_k, on both sides
+   of the packable length), the frozen packing scales,
    the annulus bound on the line, refutation search agreement with the
    counting bound. Searches past the recursion limit end with their
    verdict's exit code and report, and a search space of more than 4,300
    digits is written exactly.
 """
 
+import functools
 import json
 import sys
 import tempfile
@@ -28,7 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftcolor.cli import main
-from shiftcolor.groups import FreeAbelian, ball_size
+from shiftcolor.groups import FreeAbelian, FreeGroup, ball_size
 from shiftcolor.ideals import ideal_from_json
 from shiftcolor.reports import SCHEMA_VERSION, TOOL_VERSION, to_jsonable
 from shiftcolor.simulate import SimulationConfig, run, trace_validate
@@ -155,6 +158,23 @@ class TestSearchCommands:
         assert code == 0
         expected = sorted(bfs_ball(g, center, r), key=g.sort_key)
         assert payload_of(data_bytes)["result"] == [g.element_to_json(e) for e in expected]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_fk_ball_matches_sorted_breadth_first_reference(self, data):
+        """F_k balls come from packed products while centre and radius pack,
+        and from Group.ball past that (F_1 centres of 40 letters or more,
+        F_18, whose base 37 never packs); both equal the sorted BFS ball."""
+        g = FreeGroup(data.draw(st.sampled_from([1, 2, 3, 18])))
+        letters = st.lists(st.sampled_from(g.generators()), max_size=8)
+        long_f1 = st.integers(36, 46).flatmap(lambda n: st.sampled_from(["a" * n, "A" * n]))
+        center = data.draw(st.one_of(st.just(""), letters.map(lambda w: functools.reduce(g.mul, w, "")),
+                                     long_f1 if g.rank == 1 else st.nothing()))
+        r = data.draw(st.integers(-1, {1: 6, 2: 4, 3: 3, 18: 2}[g.rank]))
+        with tempfile.TemporaryDirectory() as tmp:
+            code, data_bytes = run_to_file(Path(tmp), ["ball", g.name, center or "1", str(r)])
+        assert code == 0
+        assert payload_of(data_bytes)["result"] == sorted(bfs_ball(g, center, r), key=g.sort_key)
 
     def test_ball_past_memory_exits_three(self, tmp_path, capsys):
         g = FreeAbelian(3)
@@ -554,6 +574,21 @@ class TestUsageErrors:
         )
         assert code == 2 and data == b""
         assert capsys.readouterr().err == "error: palette_max must be nonnegative, got -5\n"
+
+    @pytest.mark.parametrize("extra", [[], ["--palette-max", "2"]], ids=["no-palette-max", "palette-max-2"])
+    def test_oracle_on_a_reduced_ideal_exits_two(self, tmp_path, capsys, extra):
+        """The oracle tries the colours 0..palette_max, which a reduced
+        ideal's pair colours are not: one refusal, with or without
+        --palette-max, before any search."""
+        spec = tmp_path / "reduced.json"
+        spec.write_text(json.dumps({"kind": "Reduced", "base": {"kind": "ProperColoring", "group": "Z^1", "k": 3},
+                                    "R": {"form": "SupOfRadii", "r": [1, 1, 1]}}))
+        pattern = tmp_path / "pattern.json"
+        pattern.write_text(json.dumps({"group": "Z^1", "entries": [[0, [1, 0]]]}))
+        code, data = run_to_file(tmp_path, ["oracle-extend", str(spec), str(pattern), "--radius", "1", *extra])
+        assert code == 2 and data == b""
+        assert capsys.readouterr().err == (
+            "error: the extension oracle searches the colours 0..palette_max; Reduced colours are not naturals\n")
 
     def test_oracle_palette_max_beyond_palette_exits_two(self, tmp_path, capsys):
         spec = tmp_path / "nu.json"

@@ -22,7 +22,9 @@ Laws under test:
    scalar element_code codes it, up to the packable length, and the elements
    ``decode_ball`` reads from its arrays are the breadth-first ball, past the
    packable length too; a ball whose table cannot fit in memory is refused
-   before anything is allocated.
+   before anything is allocated. The Z^d arrays built from lattice-point
+   counts equal those of the lexsort-and-searchsorted construction they
+   replaced, and F_k balls translated in packed form make no scalar product.
 5. Conventions: minimum distance between sets is infinite when a set is
    empty; budget exhaustion raises loudly, and a negative budget is refused
    as a usage error.
@@ -53,7 +55,7 @@ from shiftcolor.ideals import ProperColoring, grow_random_member, ideal_axioms_c
 from shiftcolor.rng import element_code, element_codes
 from shiftcolor.simulate import Region
 
-from ball_reference import bfs_ball
+from ball_reference import bfs_ball, sorted_ball_arrays
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -589,6 +591,68 @@ class TestDecodeBall:
         norms, step, packed = g.ball_arrays(r)
         assert (packed is None) == (r > g.pack_limit)
         assert g.decode_ball(norms, step, packed) == bfs_ball(g, g.identity(), r)
+
+
+# The largest radius tested per dimension: 13,613 points at most (Z^2)
+_LATTICE_RADII = {1: 200, 2: 82, 3: 18, 4: 8, 5: 6}
+
+
+class TestLatticeBall:
+    """``FreeAbelian.ball_arrays`` builds its order and generator table one
+    dimension at a time from lattice-point counts; the lexsort-and-
+    searchsorted construction it replaced (ball_reference.py) gives the
+    same arrays, and table=False the same points with no table."""
+
+    @staticmethod
+    def _assert_matches_sorted(g, r):
+        arrays = g.ball_arrays(r)
+        for got, want in zip(arrays, sorted_ball_arrays(g, r)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want)
+        norms, step, coords = g.ball_arrays(r, table=False)
+        assert step is None and np.array_equal(norms, arrays[0]) and np.array_equal(coords, arrays[2])
+
+    @pytest.mark.parametrize("d", sorted(_LATTICE_RADII))
+    def test_edge_radii_match_sorted_construction(self, d):
+        for r in (-1, 0, 1, 2, _LATTICE_RADII[d]):
+            self._assert_matches_sorted(FreeAbelian(d), r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_sorted_construction(self, data):
+        d = data.draw(st.sampled_from(sorted(_LATTICE_RADII)))
+        self._assert_matches_sorted(FreeAbelian(d), data.draw(st.integers(-1, _LATTICE_RADII[d])))
+
+
+@st.composite
+def _free_ball_cases(draw):
+    """(group, centre, radius): the empty centre, F_1 centres on both sides
+    of its packable length of 40 letters, and F_18, whose base 37 never
+    packs."""
+    spec, top = draw(st.sampled_from([("F_1", 6), ("F_2", 4), ("F_3", 3), ("F_18", 2)]))
+    g = parse_group(spec)
+    words = _reduced_words(g)
+    if spec == "F_1":
+        words = st.one_of(words, st.integers(36, 46).flatmap(lambda n: st.sampled_from(["a" * n, "A" * n])))
+    return g, draw(st.one_of(st.just(""), words)), draw(st.integers(-1, top))
+
+
+class TestFreeBall:
+    """``FreeGroup.ball`` translates the packed identity ball by the packed
+    centre and spells the products in bulk, with no scalar ``mul``, while
+    |centre| + radius packs; past that it is ``Group.ball``. Both, and the
+    ball CLI (test_cli.py), give the breadth-first ball."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=_free_ball_cases())
+    def test_matches_breadth_first_reference(self, case):
+        g, center, r = case
+        expected = bfs_ball(g, center, r)
+        packs = r >= 0 and g.rank < 18 and len(center) + r <= g.pack_limit
+        assert packs == (r >= 0 and g.pack([center], reach=r) is not None)
+        if packs:
+            g.mul = None  # this group's scalar product: the packed path never calls it
+        assert g.ball(center, r) == expected
 
 
 @pytest.mark.parametrize("r", [41, 43])

@@ -224,11 +224,22 @@ class TestBernoulli:
     @example(seed=-1, step=2**64, codes=[0, 2**63, 2**64 - 1], p=Fraction(1, 2))
     @settings(max_examples=100)
     def test_scalar_vector_agree(self, seed, step, codes, p):
-        """The mask folds (seed, step) in a vector pass over the step mod
-        2^64: the same chain as ``bit``'s, on any code and on seeds and
-        steps past 64 bits."""
+        """The mask folds (seed, step) into the same chain as ``bit``'s, on
+        any code and on seeds and steps past 64 bits."""
         vec = bernoulli_mask(seed, step, np.array(codes, dtype=np.uint64), p)
         assert vec.tolist() == [bit(seed, step, c, p) for c in codes]
+
+    @pytest.mark.parametrize("seed, first", [(0, 0), (-1, 2**64 - 30), (2**70 + 3, -(2**70)), (17, 1000)])
+    def test_heads_of_one_to_sixty_steps(self, seed, first):
+        """Up to eight steps a call folds its heads with the scalar ``mix``,
+        past that in one vector pass: on both sides the masks are
+        ``bit``'s."""
+        codes = np.array([0, 1, 2**63, 2**64 - 1, element_code(F2, "abAB"), _unpacked_code([2**70])],
+                         dtype=np.uint64)
+        for count in range(1, 61):
+            steps = range(first, first + count)
+            masks = bernoulli_mask(seed, steps, codes, Fraction(1, 3))
+            assert masks.tolist() == [[bit(seed, t, c, Fraction(1, 3)) for c in codes.tolist()] for t in steps]
 
     def test_density_outside_the_open_interval_answers_as_bit(self, monkeypatch):
         """p <= 0 gives no support and p >= 1 full support, as ``bit`` does
