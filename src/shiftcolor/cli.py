@@ -20,8 +20,6 @@ import random
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .groups import BudgetError, FreeAbelian, annulus_D, d_sequence, parse_group
 from .ideals import (
     IdealSpec,
@@ -109,8 +107,8 @@ def _cmd_ball(args) -> Tuple[dict, int]:
     if packed is None:
         result = [g.element_to_json(e) for e in sorted(g.ball(center, args.radius), key=g.sort_key)]
     else:  # Ball(c, r) = Ball(1, r) + c in int64, in sort_key (lexicographic) order
-        coords = g.ball_arrays(args.radius, table=False)[2] + packed
-        result = (coords if g.dimension > 1 else coords[:, 0])[np.lexsort(coords.T[::-1])]
+        coords = g.lex_ball(args.radius) + packed
+        result = coords if g.dimension > 1 else coords[:, 0]
     payload = {
         "group": g.spec_string(),
         "center": g.element_to_json(center),

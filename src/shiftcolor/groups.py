@@ -14,8 +14,7 @@ canonically, so every downstream greedy procedure is deterministic. Ball(1, r)
 is built from integer arrays (``ball_arrays``), refused before allocation
 when it cannot fit in memory, and its elements are decoded from those
 arrays only where they are read (``decode_ball``); every other ball is its
-right translate Ball(g, r) = Ball(1, r)*g, re-sorted within each layer,
-on F_k formed from packed products where they pack.
+right translate Ball(g, r) = Ball(1, r)*g, re-sorted within each layer.
 
 Elements also have a packed form, one row of an integer array per element,
 on which products and distances are computed for many elements at once
@@ -227,9 +226,20 @@ class FreeAbelian(Group):
     def sort_key(self, g):
         return (g,) if self.dimension == 1 else g
 
-    def ball_arrays(self, radius, table=True):
-        """As ``Group.ball_arrays``; with table=False, step is None, for
-        callers that read the coordinates alone."""
+    def lex_ball(self, radius: int) -> np.ndarray:
+        """Ball(1, radius) as int64 coordinate rows in lexicographic (sort_key)
+        order, which every translate keeps."""
+        # Z^(k+1) in that order is the blocks x0 = -r..r, block x0 being the
+        # points y of Ball_k(r) in its order with |x0| + |y| <= r
+        _refuse_oversize(self, radius)
+        x = np.arange(-radius, radius + 1)
+        coords, norms = x[:, None], np.abs(x)
+        for _ in range(self.dimension - 1):
+            i, j = np.nonzero(np.abs(x)[:, None] + norms <= radius)
+            coords, norms = np.concatenate((x[i, None], coords[j]), axis=1), np.abs(x[i]) + norms[j]
+        return coords
+
+    def ball_arrays(self, radius):
         # In order by construction, one dimension at a time, from Z^1: 0,
         # -1, 1, -2, 2, ..., where x has index 2|x| - [x < 0]. Layer t of
         # Z^(k+1) is the blocks x0 = -t..t, block (t, x0) being the points
@@ -244,7 +254,7 @@ class FreeAbelian(Group):
         T = max(radius, -1)
         if T <= 0:  # no point, or the identity with every neighbour outside
             n = T + 1
-            return (np.zeros(n, dtype=np.int64), np.ones((n, 2 * self.dimension), dtype=np.int64) if table else None,
+            return (np.zeros(n, dtype=np.int64), np.ones((n, 2 * self.dimension), dtype=np.int64),
                     np.zeros((n, self.dimension), dtype=np.int64))
         k = np.arange(2 * T + 1)
         norms = (k + 1) // 2
@@ -263,23 +273,22 @@ class FreeAbelian(Group):
             lengths = sphere[r]
             n, starts = int(lengths.sum()), np.cumsum(lengths) - lengths
             head, tail = np.repeat(x0, lengths), np.arange(n) + np.repeat(first[r] - starts, lengths)
-            if table or dim < self.dimension - 1:
-                start_of = np.full((T + 2, 2 * T + 3), n)  # [|y|, x0 + T + 1]
-                start_of[r, column] = starts
-                # per Z^k point and generator: the flat start_of index less
-                # x0, and the place in its sphere, of y after the move
-                ids = np.arange(len(norms))
-                moved = np.concatenate((ids[:, None], ids[:, None], step), axis=1)
-                key = np.concatenate((norms, [T + 1]))[moved] * (2 * T + 3) + shift[: 2 * dim + 2]
-                place = np.concatenate((ids - first[norms], [0]))[moved]
-                at = key.take(tail, axis=0)  # take gathers rows several times faster than key[tail]
-                at += head[:, None]
-                step = start_of.take(at)
-                del at  # before the next (n, 2d) gather, which can take its place
-                step += place.take(tail, axis=0)
-                np.minimum(step, n, out=step)
+            start_of = np.full((T + 2, 2 * T + 3), n)  # [|y|, x0 + T + 1]
+            start_of[r, column] = starts
+            # per Z^k point and generator: the flat start_of index less
+            # x0, and the place in its sphere, of y after the move
+            ids = np.arange(len(norms))
+            moved = np.concatenate((ids[:, None], ids[:, None], step), axis=1)
+            key = np.concatenate((norms, [T + 1]))[moved] * (2 * T + 3) + shift[: 2 * dim + 2]
+            place = np.concatenate((ids - first[norms], [0]))[moved]
+            at = key.take(tail, axis=0)  # take gathers rows several times faster than key[tail]
+            at += head[:, None]
+            step = start_of.take(at)
+            del at  # before the next (n, 2d) gather, which can take its place
+            step += place.take(tail, axis=0)
+            np.minimum(step, n, out=step)
             coords, norms = np.concatenate((head[:, None], coords.take(tail, axis=0)), axis=1), np.repeat(t, lengths)
-        return norms, step if table else None, coords
+        return norms, step, coords
 
     def decode_ball(self, norms, step, packed):
         columns = packed.T.tolist()  # the coordinate rows
@@ -408,27 +417,6 @@ class FreeGroup(Group):
 
     def sort_key(self, g):
         return (len(g), g)
-
-    def ball(self, center, r):
-        # Ball(1, r) * center as the packed identity ball times the packed
-        # center, its words spelled from their numerals in one pass, and
-        # sorted by (layer, length, word); by Group.ball where the products
-        # do not pack.
-        radius = -1 if isinstance(r, Infinity) else radius_floor(r)  # Group.ball refuses INF
-        packed_center = self.pack([center], reach=radius) if radius >= 0 else None
-        if packed_center is None:
-            return super().ball(center, r)
-        norms, _step, packed = self.ball_arrays(radius)
-        products = self.mul_packed(packed, packed_center)
-        numerals, lengths = products[:, 0], products[:, 1].astype(np.int64)
-        width, base = max(int(lengths.max()), 1), np.uint64(2 * self.rank + 1)
-        # letter j of a word of length l is digit l - 1 - j from the low end
-        below = lengths[:, None] - 1 - np.arange(width)
-        high = numerals[:, None] // self._powers[np.maximum(below, 0)]
-        digits = np.where(below >= 0, high - high // base * base, 0)
-        ascii_of = np.frombuffer(("\0" + self._letters).encode(), dtype=np.uint8)
-        words = ascii_of[digits].view(f"S{width}")[:, 0]  # trailing NULs drop
-        return list(map(bytes.decode, words[np.lexsort((words, lengths, norms))].tolist()))
 
     def ball_arrays(self, radius):
         # Layer t+1 prepends each letter, in ASCII order, to the words of

@@ -68,7 +68,6 @@ class IdealSpec:
 
     kind: str
     group: Group
-    natural_colors = True  # False where colours are not the naturals 0, 1, ...
 
     def contains(self, phi: PartialColoring) -> bool:
         raise NotImplementedError

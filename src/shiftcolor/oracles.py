@@ -165,12 +165,12 @@ def extension_oracle(
     the finite approximation of extendability. Budget exhaustion is reported
     as "inconclusive" and must never be read as a refusal. Any witness is
     re-verified against P through an independent membership path before
-    being returned. It searches the colours 0..palette_max, so an ideal
-    whose colours are not those naturals is refused (ValueError).
+    being returned. It searches the colours 0..palette_max, so a reduced
+    ideal, whose colours are pairs (h, c), is refused (ValueError).
     """
-    if not P.natural_colors:
+    if P.kind == "Reduced":
         raise ValueError("the extension oracle searches the colours 0..palette_max; "
-                         f"{P.kind} colours are not naturals")
+                         "Reduced colours are not naturals")
     g = P.group
     rho = as_radius(target_radius)
     if isinstance(rho, Infinity):

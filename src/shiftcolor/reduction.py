@@ -251,7 +251,6 @@ class ReducedIdeal(IdealSpec):
     envelope, at exponential cost."""
 
     kind = "Reduced"
-    natural_colors = False  # pairs (h, c)
 
     def __init__(self, base: IdealSpec, R: JoinFn):
         self.base = base

@@ -107,6 +107,7 @@ class Region:
         n = len(self.norms)
         self._step = np.full((step.shape[1], n + 1), n, dtype=np.int32 if n < 1 << 31 else np.int64)
         self._step[:, :n] = step.T
+        del step  # before the codes, which can take its place
         if isinstance(group, FreeGroup) and self.packed is not None:
             self.codes = self.packed[:, 0]  # the numerals are the element codes
         else:  # Z^d coordinates as arrays, F_k words too long to pack one at a time

@@ -162,9 +162,9 @@ class TestSearchCommands:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_fk_ball_matches_sorted_breadth_first_reference(self, data):
-        """F_k balls come from packed products while centre and radius pack,
-        and from Group.ball past that (F_1 centres of 40 letters or more,
-        F_18, whose base 37 never packs); both equal the sorted BFS ball."""
+        """F_k balls equal the sorted BFS ball, past the packable length too
+        (F_1 centres of 40 letters or more, F_18, whose base 37 never
+        packs)."""
         g = FreeGroup(data.draw(st.sampled_from([1, 2, 3, 18])))
         letters = st.lists(st.sampled_from(g.generators()), max_size=8)
         long_f1 = st.integers(36, 46).flatmap(lambda n: st.sampled_from(["a" * n, "A" * n]))

@@ -24,7 +24,7 @@ Laws under test:
    packable length too; a ball whose table cannot fit in memory is refused
    before anything is allocated. The Z^d arrays built from lattice-point
    counts equal those of the lexsort-and-searchsorted construction they
-   replaced, and F_k balls translated in packed form make no scalar product.
+   replaced, and ``lex_ball`` lists the same points in lexicographic order.
 5. Conventions: minimum distance between sets is infinite when a set is
    empty; budget exhaustion raises loudly, and a negative budget is refused
    as a usage error.
@@ -601,16 +601,16 @@ class TestLatticeBall:
     """``FreeAbelian.ball_arrays`` builds its order and generator table one
     dimension at a time from lattice-point counts; the lexsort-and-
     searchsorted construction it replaced (ball_reference.py) gives the
-    same arrays, and table=False the same points with no table."""
+    same arrays, and ``lex_ball`` its points in lexicographic order."""
 
     @staticmethod
     def _assert_matches_sorted(g, r):
-        arrays = g.ball_arrays(r)
-        for got, want in zip(arrays, sorted_ball_arrays(g, r)):
+        for got, want in zip(g.ball_arrays(r), sorted_ball_arrays(g, r)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want)
-        norms, step, coords = g.ball_arrays(r, table=False)
-        assert step is None and np.array_equal(norms, arrays[0]) and np.array_equal(coords, arrays[2])
+        lex = g.lex_ball(r)
+        assert lex.dtype == want.dtype and lex.shape == want.shape
+        assert np.array_equal(lex, want[np.lexsort(want.T[::-1])])
 
     @pytest.mark.parametrize("d", sorted(_LATTICE_RADII))
     def test_edge_radii_match_sorted_construction(self, d):
@@ -638,21 +638,15 @@ def _free_ball_cases(draw):
 
 
 class TestFreeBall:
-    """``FreeGroup.ball`` translates the packed identity ball by the packed
-    centre and spells the products in bulk, with no scalar ``mul``, while
-    |centre| + radius packs; past that it is ``Group.ball``. Both, and the
-    ball CLI (test_cli.py), give the breadth-first ball."""
+    """``Group.ball`` on F_k, the right translate of the identity ball, and
+    the ball CLI (test_cli.py) give the breadth-first ball, past the
+    packable length too."""
 
     @settings(max_examples=100, deadline=None)
     @given(case=_free_ball_cases())
     def test_matches_breadth_first_reference(self, case):
         g, center, r = case
-        expected = bfs_ball(g, center, r)
-        packs = r >= 0 and g.rank < 18 and len(center) + r <= g.pack_limit
-        assert packs == (r >= 0 and g.pack([center], reach=r) is not None)
-        if packs:
-            g.mul = None  # this group's scalar product: the packed path never calls it
-        assert g.ball(center, r) == expected
+        assert g.ball(center, r) == bfs_ball(g, center, r)
 
 
 @pytest.mark.parametrize("r", [41, 43])
