@@ -14,7 +14,8 @@ canonically, so every downstream greedy procedure is deterministic. Ball(1, r)
 is built from integer arrays (``ball_arrays``), refused before allocation
 when it cannot fit in memory, and its elements are decoded from those
 arrays only where they are read (``decode_ball``); every other ball is its
-right translate Ball(g, r) = Ball(1, r)*g, re-sorted within each layer.
+right translate Ball(g, r) = Ball(1, r)*g, re-sorted within each layer
+on F_k; on Z^d a translate keeps the order.
 
 Elements also have a packed form, one row of an integer array per element,
 on which products and distances are computed for many elements at once
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, groupby, repeat
 from math import comb
+from operator import add
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -225,6 +227,12 @@ class FreeAbelian(Group):
 
     def sort_key(self, g):
         return (g,) if self.dimension == 1 else g
+
+    def ball(self, center, r):
+        # the translate of Ball(1, r) keeps each layer's lexicographic order
+        if self.dimension == 1:
+            return [w + center for w in identity_ball(self, r)]
+        return [tuple(map(add, w, center)) for w in identity_ball(self, r)]
 
     def lex_ball(self, radius: int) -> np.ndarray:
         """Ball(1, radius) as int64 coordinate rows in lexicographic (sort_key)

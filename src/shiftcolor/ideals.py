@@ -87,10 +87,6 @@ class IdealSpec:
     def empty(self) -> PartialColoring:
         return PartialColoring._of_valid(self.group, {})
 
-    def admits(self, phi: PartialColoring, gamma, c) -> bool:
-        """Whether phi + (gamma, c) is a member, for phi - gamma a member."""
-        return self.contains(phi.with_entry(gamma, c))
-
     def color_code(self, c) -> int:
         """The integer that stands for color c in the rows a
         ``window_judge`` reads. By default every color is UNCODED, so
@@ -118,13 +114,9 @@ class IdealSpec:
     def extend_at(self, phi: PartialColoring, gamma, c_max: Optional[int] = None):
         """Least color c <= c_max with phi + (gamma, c) a member, or None.
         phi + (gamma, c) restricts to phi - gamma, so membership of phi -
-        gamma is checked once and each color then goes through ``admits``.
+        gamma is checked once and the colors then go to ``_grow_at``.
         Preconditions are the caller's business; see is_extendable_at."""
-        if c_max is None:
-            c_max = _default_c_max(self, phi, gamma)
-        bound = self.max_color()
-        if bound is not None:
-            c_max = min(c_max, bound)
+        c_max = _color_bound(self, phi, gamma, c_max)
         if c_max < 0:
             return None
         self.group.validate(gamma)
@@ -132,7 +124,17 @@ class IdealSpec:
             phi = phi.remove([gamma])
         if not self.contains(phi):
             return None
-        return next((c for c in range(c_max + 1) if self.admits(phi, gamma, c)), None)
+        return self._grow_at(phi, gamma, c_max)
+
+    def _grow_at(self, phi: PartialColoring, gamma, c_max: Optional[int]):
+        """``extend_at`` without its checks, for phi a member and gamma an
+        uncolored canonical element, as growth keeps them: the least color
+        c <= c_max with phi + (gamma, c) a member, or None."""
+        g = self.group
+        for c in range(_color_bound(self, phi, gamma, c_max) + 1):
+            if self.contains(PartialColoring._of_valid(g, {**phi.entries, gamma: c})):
+                return c
+        return None
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -239,17 +241,20 @@ class PairwiseIdeal(IdealSpec):
                     return False
         return True
 
-    def admits(self, phi: PartialColoring, gamma, c) -> bool:
-        """Whether phi + (gamma, c) is a member, for phi - gamma a member:
-        only the pairs through gamma are tested."""
-        if not self._in_palette(c):
-            return False
-        row, dist = self._bands[c], self.group.dist
-        for y, cy in phi.entries.items():
-            band = row[cy]
-            if band is not None and band[0] <= dist(gamma, y) <= band[1]:
-                return False
-        return True
+    def _grow_at(self, phi, gamma, c_max):
+        """Only the pairs through gamma are tested, from one distance row:
+        dist(gamma, y) is measured once per colored y, and every color's
+        bands are read against that row."""
+        bands, dist = self._bands, self.group.dist
+        row = [(dist(gamma, y), bands[cy]) for y, cy in phi.entries.items()]
+        for c in range(_color_bound(self, phi, gamma, c_max) + 1):
+            for t, near in row:
+                band = near[c]
+                if band is not None and band[0] <= t <= band[1]:
+                    break
+            else:
+                return c
+        return None
 
     def color_code(self, c) -> int:
         """c itself inside the palette. Outside it, OFF_PALETTE where
@@ -527,12 +532,16 @@ def is_extendable_at(
     return P.extend_at(phi, gamma, c_max)
 
 
-def _default_c_max(P: IdealSpec, phi: PartialColoring, gamma) -> int:
-    used = [c for c in phi.entries.values() if isinstance(c, int)]
-    radii = []
+def _color_bound(P: IdealSpec, phi: PartialColoring, gamma, c_max: Optional[int]) -> int:
+    """c_max clamped to P's largest color. For None, that largest color, or
+    without one, more colors than the points near gamma can rule out."""
     bound = P.max_color()
     if bound is not None:
-        return bound
+        return bound if c_max is None else min(c_max, bound)
+    if c_max is not None:
+        return c_max
+    used = [c for c in phi.entries.values() if isinstance(c, int)]
+    radii = []
     for c in set(used) | {0}:
         r = P.locality_radius(c)
         if not isinstance(r, Infinity):
@@ -552,18 +561,24 @@ def grow_random_member(
     """A random member of P, grown greedily: repeatedly pick an uncolored
     point in Ball(1, radius) and give it the least color that keeps the
     pattern in P. Growth that cannot proceed is simply skipped, so the
-    result is always a member (possibly smaller than ``size``)."""
-    ballpts = identity_ball(P.group, radius)
+    result is always a member (possibly smaller than ``size``).
+
+    Each step keeps phi a member and draws gamma canonical and uncolored,
+    so it goes to ``_grow_at``, which checks neither; only the empty start
+    is judged, and if it is no member, every step goes to ``extend_at``."""
+    g = P.group
+    ballpts = identity_ball(g, radius)
     phi = P.empty()
+    grow = P._grow_at if P.contains(phi) else P.extend_at
     for _ in range(size * 3):
         if len(phi) >= size:
             break
         gamma = ballpts[rng.randrange(len(ballpts))]
         if gamma in phi:
             continue
-        c = P.extend_at(phi, gamma, c_max)
+        c = grow(phi, gamma, c_max)
         if c is not None:
-            phi = phi.with_entry(gamma, c)
+            phi = PartialColoring._of_valid(g, {**phi.entries, gamma: c})
     return phi
 
 
@@ -689,9 +704,8 @@ def _judge_packed(P: IdealSpec, samples: list, flat, shifts, inverses):
     sizes = np.array([len(dom) for _, dom, *_ in samples])
     w = int(sizes.max())
     codes = np.full((len(samples), w), NO_COLOR, dtype=np.int64)
-    codes[np.arange(w) < sizes[:, None]] = [
-        P.color_code(c) for phi, *_ in samples for c in phi.entries.values()
-    ]
+    coded = [P.color_code(c) for phi, *_ in samples for c in phi.entries.values()]
+    codes[np.arange(w) < sizes[:, None]] = coded
     a, b = np.triu_indices(w, 1)
     rows, pairs = np.nonzero(b < sizes[:, None])  # each sample's slot pairs, in order
     a, b = a[pairs], b[pairs]
@@ -712,7 +726,7 @@ def _judge_packed(P: IdealSpec, samples: list, flat, shifts, inverses):
         phi, dom, mask, *_ = samples[owner[i]]
         return phi.restrict(compress(dom, mask[i - ends[owner[i]] + len(mask)]))
 
-    used = np.unique(codes).tolist()
+    used = sorted({NO_COLOR, *coded})  # np.unique would import numpy.ma
     D = distances((len(samples), w, w), g.dist_packed(flat[x], flat[y]))[owner]
     restricted = P.window_judge(D, used)(np.where(keep, codes[owner], NO_COLOR), restriction)
     moved = g.mul_packed(flat[:, None], inverses[None, :])  # [x, i] = x * gamma_i^-1

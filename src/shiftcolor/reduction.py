@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .groups import BudgetError, identity_ball, set_dist
 from .ideals import ConstantJoin, IdealSpec, JoinFn, SupRadiiJoin, col_window_check, grow_random_member
-from .patterns import PartialColoring, shift, truncated_window
+from .patterns import PartialColoring, shift
 from .radii import INF, Infinity, Radius, radius_ceil, radius_to_json
 from .reports import Report
 
@@ -272,6 +272,14 @@ class ReducedIdeal(IdealSpec):
         except BudgetError:
             return None
 
+    def _grow_at(self, phi: PartialColoring, gamma, c_max: Optional[int]):
+        """``extend_at`` without ``extend_reduced``'s membership test of phi,
+        which the post-check of the step that grew phi has made."""
+        try:
+            return _extend_member(self, phi, gamma, c_max)
+        except BudgetError:
+            return None
+
     def to_json(self):
         return {"kind": self.kind, "base": self.base.to_json(), "R": self.R.to_json()}
 
@@ -312,10 +320,17 @@ def reduced_contains(RI: ReducedIdeal, phi: PartialColoring) -> bool:
         if not isinstance(c, tuple):
             raise ValueError("reduced patterns use product colors (h, c)")
     for gamma, (h, _c) in phi.entries.items():
-        win = truncated_window(phi, gamma, 3 * h, h)
-        if any(g.dist(gamma, e) > h for e in win.domain()):
-            return False
-        psi = project(win)
+        # the h-truncated radius-3h window, one distance a point: a point
+        # within h of gamma is projected, one in (h, 3h] leaves Ball(gamma, h)
+        window = {}
+        for e, (he, ce) in phi.entries.items():
+            if he <= h:
+                t = g.dist(gamma, e)
+                if t <= h:
+                    window[e] = ce
+                elif t <= 3 * h:
+                    return False
+        psi = PartialColoring._of_valid(g, window)
         if not RI.base.contains(psi):
             return False
         if not monotone_R(RI.R, psi) <= h:
@@ -367,6 +382,13 @@ def extend_reduced(
         raise ValueError(f"{gamma!r} is already colored")
     if not reduced_contains(RI, phi):
         raise ValueError("extend_reduced needs a member of the reduced ideal")
+    return _extend_member(RI, phi, gamma, c_max)
+
+
+def _extend_member(RI: ReducedIdeal, phi: PartialColoring, gamma, c_max: Optional[int]) -> Tuple[int, int]:
+    """``extend_reduced`` for a member phi and an uncolored gamma, checking
+    neither. The base's ``extend_at`` still tests the projection, which
+    need not be a base member, and the extension is still checked."""
     g = RI.group
     psi = project(phi)
     if c_max is None:
@@ -376,17 +398,17 @@ def extend_reduced(
         raise BudgetError(
             f"no base color within budget extends the projection at {gamma!r}"
         )
-    psi_ext = psi.with_entry(gamma, c)
-    h = 0
+    # extend_at returned a color, so it has validated gamma
+    psi_ext = PartialColoring._of_valid(g, {**psi.entries, gamma: c})
     rv = monotone_R(RI.R, psi_ext)
     if isinstance(rv, Infinity):
         raise BudgetError("the join function is unbounded on the extended projection")
-    h = max(h, radius_ceil(rv))
+    h = max(0, radius_ceil(rv))
     for e, (hh, _cc) in phi.entries.items():
         h = max(h, hh + 1)
     for e in psi_ext.domain():
         h = max(h, g.dist(gamma, e))
-    extended = phi.with_entry(gamma, (h, c))
+    extended = PartialColoring._of_valid(g, {**phi.entries, gamma: (h, c)})
     if not reduced_contains(RI, extended):
         raise AssertionError(
             "extend_reduced produced a non-member; this is a bug in the reduction"

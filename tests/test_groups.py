@@ -5,9 +5,10 @@ Laws under test:
    triangle inequality, identity of indiscernibles.
 2. Frozen small facts: reduced-word products, ball sizes, specific distances.
    Every ball, about the identity or translated, is exactly the list the
-   breadth-first search kept here returns, and a region's distances between
-   the offsets of a ball about the identity (``Region.slot_distances``) are
-   g.dist's.
+   breadth-first search kept here returns; on Z^d, the identity ball
+   translated coordinate-wise is the generic ``Group.ball``, which sorts
+   each translated layer. A region's distances between the offsets of a
+   ball about the identity (``Region.slot_distances``) are g.dist's.
 3. Packing searches return the frozen minimal sequences, and every returned
    certificate re-verifies by direct ball enumeration (independent of the
    search code path). The pruned d-sequence search returns exactly what the
@@ -42,6 +43,7 @@ from shiftcolor.groups import (
     DSequence,
     FreeAbelian,
     FreeGroup,
+    Group,
     PackingWitness,
     annulus_D,
     ball_size,
@@ -622,6 +624,35 @@ class TestLatticeBall:
     def test_matches_sorted_construction(self, data):
         d = data.draw(st.sampled_from(sorted(_LATTICE_RADII)))
         self._assert_matches_sorted(FreeAbelian(d), data.draw(st.integers(-1, _LATTICE_RADII[d])))
+
+
+@st.composite
+def _lattice_ball_cases(draw):
+    """(group, centre, radius) on Z^1-Z^4: radii negative, whole and
+    rational, centres near the identity and past int64."""
+    d = draw(st.integers(1, 4))
+    near, far = st.integers(-6, 6), st.integers(-(10**30), 10**30)
+    coords = [draw(st.one_of(near, far)) for _ in range(d)]
+    r = Fraction(draw(st.integers(-3, 2 * _LATTICE_RADII[d] // 3)), draw(st.sampled_from([1, 2, 3])))
+    return FreeAbelian(d), coords[0] if d == 1 else tuple(coords), r
+
+
+class TestLatticeTranslate:
+    """``FreeAbelian.ball``, the identity ball translated coordinate-wise,
+    is the generic ``Group.ball``, which sorts each translated layer."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=_lattice_ball_cases())
+    def test_matches_generic_ball(self, case):
+        g, center, r = case
+        assert g.ball(center, r) == Group.ball(g, center, r)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_edge_radii(self, d):
+        g = FreeAbelian(d)
+        for center in (g.identity(), g.element_at_distance(-(10**20))):
+            for r in (-1, Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(7, 3), 5):
+                assert g.ball(center, r) == Group.ball(g, center, r) == bfs_ball(g, center, r)
 
 
 @st.composite

@@ -21,6 +21,7 @@ Laws under test:
    violation in its place, and each block is judged before the next grows,
    in calls of at most _PAIR_CELLS rows times slot pairs. A block's entries
    are packed in one call, and a sample at a time only where that fails.
+   A fresh process that runs the audit does not import numpy.ma.
 5. The windowed membership check agrees with plain membership on the
    shipped local kinds.
 6. The pairwise-rule engine behind the three shipped kinds gives the same
@@ -41,8 +42,13 @@ Laws under test:
    its own, also on blocks of no rows and on rows of no slots.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, groupby, product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -78,6 +84,7 @@ from axioms_reference import axioms_check_per_pattern
 
 Z1 = FreeAbelian(1)
 F2 = FreeGroup(2)
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestProperColoring:
@@ -286,6 +293,32 @@ class TestAxiomsCheck:
     def test_broken_fixture_caught(self):
         report = ideal_axioms_check(_EvenDomainsOnly(Z1), sample_budget=60, seed=1)
         assert report.shift_violations
+
+    def test_audit_does_not_import_numpy_ma(self, tmp_path):
+        """A fresh ``check --mode ideal-axioms`` process leaves numpy.ma
+        unimported: ``np.unique``, which imports it lazily, costs such a
+        process 10-14 ms and about 0.5 MB."""
+        specs = [{"kind": "ProperColoring", "group": "F_2", "k": 5},
+                 {"kind": "NotUniversal", "group": "Z^2", "d": [1, 3], "D": [3, 7]}]
+        script = (
+            "import sys\n"
+            "from shiftcolor.cli import main\n"
+            "for spec in sys.argv[1:]:\n"
+            "    main(['check', spec, '--mode', 'ideal-axioms', '--budget', '30', '--seed', '0',\n"
+            "          '--out', spec + '.out'])\n"
+            "print('numpy.ma' in sys.modules, 'numpy' in sys.modules)\n"
+        )
+        paths = []
+        for i, spec in enumerate(specs):
+            paths.append(tmp_path / f"spec{i}.json")
+            paths[-1].write_text(json.dumps(spec))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        result = subprocess.run([sys.executable, "-c", script, *map(str, paths)], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["False", "True"]
+        assert all(json.loads(Path(f"{path}.out").read_text())["payload"]["report"]["ok"] for path in paths)
 
     @pytest.mark.parametrize(
         "kind, options",
