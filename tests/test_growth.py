@@ -28,7 +28,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftcolor.groups import FreeAbelian, FreeGroup, identity_ball
+from shiftcolor.groups import FreeAbelian, FreeGroup, identity_ball, parse_group
 from shiftcolor.ideals import (
     ConstantJoin,
     DistanceConstrained,
@@ -192,7 +192,6 @@ class TestVerdicts:
             phi = phi.with_entry(e, (h, c))
         assert _outcome(reduced_contains, P, phi) == _outcome(reference.reduced_contains, P, phi)
 
-
     @pytest.mark.parametrize("g", GROUPS[::4], ids=["Z1", "F2"])
     def test_reduced_contains_on_every_pair(self, g):
         """Two points at each distance up to 7, first coordinates up to 3:
@@ -223,8 +222,10 @@ class _DistanceCounter:
 )
 @pytest.mark.parametrize("spec", ["Z^1", "Z^2", "F_2"])
 def test_growth_measures_one_distance_row_per_attempt(make, spec, monkeypatch):
-    """Law 3: at most (attempts) x (current size) distances per member."""
-    g = FreeAbelian(int(spec[2:])) if spec[0] == "Z" else FreeGroup(int(spec[2:]))
+    """Law 3: at most as many distances as phi has points at each attempt,
+    summed over the attempts; a fresh group, so its ``dist`` can be
+    counted alone."""
+    g = parse_group(spec)
     P = make(g)
     radius = {"Z^1": 60, "Z^2": 8, "F_2": 4}[spec]
     sizes = []  # the size of phi at each attempt
@@ -239,7 +240,6 @@ def test_growth_measures_one_distance_row_per_attempt(make, spec, monkeypatch):
     monkeypatch.setattr(g, "dist", counter)
     phi = grow_random_member(P, random.Random(3), 40, radius)
     assert len(phi) >= 20
-    assert counter.calls <= len(sizes) * len(phi)
     assert counter.calls <= sum(sizes)
     counter.calls = 0
     assert reference.grow_random_member(P, random.Random(3), 40, radius) == phi
