@@ -76,12 +76,9 @@ class IdealSpec:
         """The window radius r(color) under which membership is local."""
         raise NotImplementedError
 
-    def palette(self) -> Optional[Sequence[int]]:
-        """The colors a simulation may schedule (None when unbounded)."""
-        return None
-
     def max_color(self) -> Optional[int]:
-        """Largest color the ideal can ever accept (None when unbounded)."""
+        """Largest color the ideal can ever accept (None when unbounded).
+        The default schedule of a simulation cycles through 0..max_color()."""
         return None
 
     def empty(self) -> PartialColoring:
@@ -312,9 +309,6 @@ class PairwiseIdeal(IdealSpec):
         base = D[..., a, b] + 2 * sum(strides)  # codes are stored shifted by 2
         flat = forbid.ravel()
         return lambda C, window: _gather(flat, C, a, b, strides, base)
-
-    def palette(self):
-        return range(self.palette_size)
 
     def max_color(self):
         return self.palette_size - 1
@@ -617,9 +611,8 @@ def ideal_axioms_check(
     shifted entries x*gamma^-1 and every distance are computed in packed
     arrays (``Group.mul_packed``, ``Group.dist_packed``), never inferred
     from right invariance, which is one of the things audited. A block's
-    entries are packed in one call, and a sample at a time only where that
-    fails; a sample whose entries or products do not pack is judged
-    pattern by pattern."""
+    entries are packed in one call; where some entry or product does not
+    pack, every sample of the block is judged pattern by pattern."""
     if sample_budget < 0:
         raise ValueError(f"sample budget must be nonnegative, got {sample_budget}")
     rng = random.Random(seed)
@@ -642,12 +635,11 @@ def ideal_axioms_check(
                 for row, sub in zip(keep, drawn):
                     row[[slot[e] for e in sub]] = True
             samples.append((phi, dom, keep, drawn))
-        flat, packs = None, [False] * len(samples)
-        if inverses is not None:
-            flat, packs = _pack_block(g, [dom for _, dom, *_ in samples], shift_radius)
-        verdicts = _judge_packed(P, list(compress(samples, packs)), flat, shifts, inverses)
-        for (phi, dom, keep, drawn), packed in zip(samples, packs):
-            if not packed:
+        entries = [e for _, dom, *_ in samples for e in dom]
+        flat = None if inverses is None else g.pack(entries, reach=shift_radius)
+        verdicts = None if flat is None else _judge_packed(P, samples, flat, shifts, inverses)
+        for phi, dom, keep, drawn in samples:
+            if verdicts is None:
                 restricted = [P.contains(phi.restrict(compress(dom, row))) for row in keep]
                 shifted = [P.contains(shift(phi, gamma)) for gamma in shifts]
             else:
@@ -663,19 +655,6 @@ def ideal_axioms_check(
                     {"pattern": phi.to_json(), "shift": g.element_to_json(shifts[i])}
                 )
     return report
-
-
-def _pack_block(g: Group, domains: list, reach: int):
-    """``(flat, packs)``: the entries of the domains that pack, in ``pack``'s
-    form and in order (None if none does), and whether each domain packs.
-    One ``pack`` call covers every domain; only where it returns None for
-    more than one domain is each packed on its own."""
-    X = g.pack([e for dom in domains for e in dom], reach=reach)
-    if X is not None or len(domains) == 1:
-        return X, [X is not None] * len(domains)
-    each = [g.pack(dom, reach=reach) for dom in domains]
-    packs = [x is not None for x in each]
-    return (np.concatenate(list(compress(each, packs))) if any(packs) else None), packs
 
 
 @lru_cache(maxsize=None)
@@ -698,8 +677,6 @@ def _judge_packed(P: IdealSpec, samples: list, flat, shifts, inverses):
     slot pairs are measured, in one ``dist_packed`` call before the shift
     and one after. Two window judges on per-row slot distances, both for
     the codes of the block, judge every restriction and every shift."""
-    if not samples:
-        return iter(())
     g, n = P.group, len(shifts)
     sizes = np.array([len(dom) for _, dom, *_ in samples])
     w = int(sizes.max())

@@ -391,8 +391,6 @@ def _extend_member(RI: ReducedIdeal, phi: PartialColoring, gamma, c_max: Optiona
     need not be a base member, and the extension is still checked."""
     g = RI.group
     psi = project(phi)
-    if c_max is None:
-        c_max = RI.base.max_color()
     c = RI.base.extend_at(psi, gamma, c_max)
     if c is None:
         raise BudgetError(

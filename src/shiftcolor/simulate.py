@@ -10,8 +10,9 @@ window around it plus the new entry stays in the ideal, and provided that
 ball sits inside the region so both conditions are evaluated exactly.
 Supports are iid Bernoulli(p) bits keyed by (seed, round, element), so runs
 are reproducible and shift-equivariant up to boundary effects. A trace holds
-its Region and each step's points as region indices, which the validator
-and the equivariance check read as they are. A Region is integer arrays;
+its Region and each step's points as region indices, scattered once into
+each point's step (``SimulationTrace.step_of``), which the validator and
+the equivariance check read as they are. A Region is integer arrays;
 its elements are decoded once, on first read, and only what names points
 reads them: dumps (``SimulationTrace.assigned_sets``), validation failures,
 equivariance mismatches, ideals judged window by window, and the sparse
@@ -272,10 +273,10 @@ class SimulationConfig:
         if self.schedule is not None:
             cycle = [_validate_color(c) for c in self.schedule]
         else:
-            palette = self.ideal.palette()
-            if palette is None:
+            top = self.ideal.max_color()
+            if top is None:
                 raise ValueError("the ideal has no finite palette; pass a schedule")
-            cycle = list(palette)
+            cycle = list(range(top + 1))
         if not cycle:
             raise ValueError("empty color schedule")
         return cycle
@@ -330,7 +331,9 @@ class SimulationTrace:
     in Ball(1, window + margin). Elements are decoded where they are read:
     dumps, and a refused trace. A point coloured twice, in one step or in
     two, is refused: the process colours only uncoloured points, and the
-    validator reads each point's colour as its only one."""
+    validator reads each point's colour as its only one. ``step_of`` is
+    derived from the steps: each point's 1-based step, and len(steps) + 1
+    for an uncoloured point and at the sentinel index len(region)."""
     config: SimulationConfig
     region: Region  # its elements, in region order, name the points
     interior_size: int  # the interior Ball(1, window) is a prefix of the region
@@ -338,12 +341,16 @@ class SimulationTrace:
     fill_fractions: List[float]
     reaches: List[Radius]  # R_i consumed by step i, plus the final value
     schedule_used: List[int]
+    step_of: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.concatenate([np.zeros(0, dtype=np.int64), *(at for _c, at in self.steps)])
         twice = np.flatnonzero(np.bincount(points, minlength=len(self.region)) > 1)
         if len(twice):
             raise ValueError(f"trace point {self.region.elements[twice[0]]!r} is coloured more than once")
+        last = len(self.steps)
+        self.step_of = np.full(len(self.region) + 1, last + 1, dtype=np.int64)
+        self.step_of[points] = np.repeat(np.arange(1, last + 1), [len(at) for _c, at in self.steps])
 
     @classmethod
     def from_elements(cls, config: SimulationConfig, assigned_sets) -> "SimulationTrace":
@@ -525,9 +532,9 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     touch x's window are the steps of the points in x's column of
     ``neighbors(R)``.
 
-    The trace is judged whole, in region indices: each point's step, colour
-    code and window radius are scattered from the step arrays once, and
-    for each window radius one judge (``IdealSpec.window_judge``), built
+    The trace is judged whole, in region indices: each point's colour code
+    and window radius are read through its step (``SimulationTrace.step_of``),
+    and for each window radius one judge (``IdealSpec.window_judge``), built
     once, judges every (step t, point x) pair of a block of coloured
     points in one call, on x's window as it stood after step t (slots
     coloured later read NO_COLOR). Blocks keep every scratch array within
@@ -539,7 +546,6 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
         raise ValueError(f"the ideal is on {ideal.group.spec_string()}, the trace on {g.spec_string()}")
     T = trace.config.window_radius + trace.config.margin
     region = _region_of(g, T)
-    n = len(region)
     report = ValidationReport()
     index: Dict[object, int] = {}  # each colour used, as a small int
     kinds = [index.setdefault(c, len(index)) for c, _at in trace.steps]
@@ -548,19 +554,13 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     finite = [rc for rc in radius if not isinstance(rc, Infinity)]
     reach = region.neighbors(radius_floor(max(finite)) if finite else 0)
 
-    # per point, and at the sentinel index: its step (1-based; past the
-    # last where never coloured), its colour as an index into palette
-    # (-1 for none), and from that its colour code and window radius:
-    # floor(r_c), or _NONLOCAL where r_c is infinite, or _LEAVES where the
-    # point is uncoloured or its window leaves the region (the window fits
-    # iff |x| + ceil(r_c) <= T)
-    last = len(trace.steps)
-    counts = [len(at) for _c, at in trace.steps]
-    points = np.concatenate([np.zeros(0, dtype=np.int64), *(at for _c, at in trace.steps)])
-    step_of = np.full(n + 1, last + 1, dtype=np.int64)
-    step_of[points] = np.repeat(np.arange(1, last + 1), counts)
-    kind = np.full(n + 1, -1, dtype=np.int64)
-    kind[points] = np.repeat(np.array(kinds, dtype=np.int64), counts)
+    # per point, and at the sentinel index, through its step: its colour
+    # as an index into palette (-1 for none), and from that its colour code
+    # and window radius: floor(r_c), or _NONLOCAL where r_c is infinite, or
+    # _LEAVES where the point is uncoloured or its window leaves the region
+    # (the window fits iff |x| + ceil(r_c) <= T)
+    last, step_of = len(trace.steps), trace.step_of
+    kind = np.array([*kinds, -1], dtype=np.int64)[step_of - 1]
     palette_codes = [*map(ideal.color_code, palette)]
     color_codes = np.array([*palette_codes, NO_COLOR], dtype=np.int64)[kind]
     floors = [_NONLOCAL if isinstance(rc, Infinity) else radius_floor(rc) for rc in radius]
@@ -654,11 +654,11 @@ def equivariance_check(config: SimulationConfig, gamma) -> EquivarianceReport:
     counted = np.flatnonzero(safe[:-1] & safe[index])
 
     ids: Dict[object, int] = {}  # each colour seen, as a small int
-    final = np.full((2, len(region)), -1, dtype=np.int64)  # per run: each point's colour id, or -1
-    for row, trace in zip(final, (moved, base)):
-        for color, at in trace.steps:
-            row[at] = ids.setdefault(color, len(ids))
-    shifted, at_target = final[0][counted], final[1][index[counted]]
+    # per run: each point's colour id, or -1, read through its step
+    shifted, at_target = (
+        np.array([*(ids.setdefault(c, len(ids)) for c, _at in trace.steps), -1])[trace.step_of[at] - 1]
+        for trace, at in ((moved, counted), (base, index[counted]))
+    )
     report = EquivarianceReport(
         shift_element=g.element_to_json(gamma), safe_size=len(counted), cone_radius=cone
     )
@@ -827,16 +827,11 @@ def extract_patterns(
         raise ValueError(f"the occurrence count must be nonnegative, got {min_occurrences}")
     g = omega.group
     dom = set(omega.domain())
-    counts: Dict[tuple, PartialColoring] = {}
-    seen: Dict[tuple, int] = {}
+    found: Dict[tuple, list] = {}  # canonical key: [pattern, occurrences]
     for gamma in omega.domain():
         ball_pts = g.ball(gamma, shape_radius)
         if not all(e in dom for e in ball_pts):
             continue
         normalized = shift(omega.restrict(ball_pts), gamma)
-        key = normalized.canonical_key()
-        counts[key] = normalized
-        seen[key] = seen.get(key, 0) + 1
-    out = [counts[k] for k, c in seen.items() if c >= min_occurrences]
-    out.sort(key=lambda p: p.canonical_key())
-    return out
+        found.setdefault(normalized.canonical_key(), [normalized, 0])[1] += 1
+    return [p for _key, (p, n) in sorted(found.items()) if n >= min_occurrences]

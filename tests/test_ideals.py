@@ -20,7 +20,8 @@ Laws under test:
    It does so too with blocks of 1, 2 and 7 samples, keeping every
    violation in its place, and each block is judged before the next grows,
    in calls of at most _PAIR_CELLS rows times slot pairs. A block's entries
-   are packed in one call, and a sample at a time only where that fails.
+   are packed in one call; a block with a sample that does not pack is
+   judged pattern by pattern.
    A fresh process that runs the audit does not import numpy.ma.
 5. The windowed membership check agrees with plain membership on the
    shipped local kinds.
@@ -111,7 +112,7 @@ class TestProperColoring:
         assert pc.locality_radius(7) == 1
 
     def test_palette(self):
-        assert list(ProperColoring(Z1, 3).palette()) == [0, 1, 2]
+        assert ProperColoring(Z1, 3).max_color() == 2
 
     def test_f2_membership(self):
         pc = ProperColoring(F2, 5)
@@ -244,9 +245,6 @@ class _EvenDomainsOnly(IdealSpec):
     def locality_radius(self, color):
         return 1
 
-    def palette(self):
-        return [0, 1, 2]
-
     def to_json(self):
         return {"kind": self.kind, "group": self.group.spec_string()}
 
@@ -369,7 +367,7 @@ class TestAxiomsCheck:
         monkeypatch.setattr(ideals, "_PAIR_CELLS",
                             len(shifts) * (max_size * (max_size - 1) // 2) * per_block)
         calls = []  # (entries, whether they packed) of each pack call at the shift reach
-        sizes = []  # entries of each grown sample
+        samples = []  # each grown sample
         pack, grow = type(kind.group).pack, ideals.grow_random_member
 
         def spy(g, elements, reach=0):
@@ -380,7 +378,7 @@ class TestAxiomsCheck:
 
         def growing(*args):
             phi = grow(*args)
-            sizes.append(len(phi.entries))
+            samples.append(phi)
             return phi
 
         monkeypatch.setattr(type(kind.group), "pack", spy)
@@ -388,27 +386,22 @@ class TestAxiomsCheck:
         batched = ideal_axioms_check(kind, sample_budget=23, seed=3, **options)
         reference = axioms_check_per_pattern(kind, sample_budget=23, seed=3, **options)
         assert batched.to_jsonable() == reference.to_jsonable()
-        # one pack call per block of samples, then one per sample where it fails
-        assert len(sizes) == 23
-        fits = []  # whether each sample packed
-        remaining = iter(calls)
-        for lo in range(0, 23, per_block):
-            block = sizes[lo : lo + per_block]
-            entries, block_fits = next(remaining)
-            assert entries == sum(block)
-            if block_fits or len(block) == 1:
-                fits += [block_fits] * len(block)
-            else:
-                each = [next(remaining) for _ in block]
-                assert [entries for entries, _ in each] == block
-                fits += [sample_fits for _, sample_fits in each]
-        assert next(remaining, None) is None
+        # exactly one pack call per block of samples, which packs iff each
+        # of its samples does: a block with one that does not is judged
+        # pattern by pattern after that one call
+        assert len(samples) == 23
+        sizes = [len(phi.entries) for phi in samples]
+        fits = [pack(kind.group, list(phi.domain()), shift_radius) is not None for phi in samples]
+        blocks = [range(lo, min(lo + per_block, 23)) for lo in range(0, 23, per_block)]
+        assert calls == [(sum(sizes[i] for i in b), all(fits[i] for i in b)) for b in blocks]
         if isinstance(kind, _FarPointNeeded):
             assert batched.restriction_violations
         if max_size > 8:  # some samples have their subsets drawn by the rng
             assert max(sizes) > 8
         if isinstance(kind.group, FreeGroup) and kind.group.rank == 1:
-            assert set(fits) == {True, False}  # both paths in one audit
+            assert set(fits) == {True, False}  # some samples pack, some do not
+            if per_block == 1:
+                assert {packed for _, packed in calls} == {True, False}  # both paths in one audit
         else:
             assert all(fits)
 

@@ -3,7 +3,8 @@ multi-scale coloring, and pattern extraction.
 
 Laws under test:
 1. Config validation: the margin absorbs twice the largest window radius;
-   densities are proper fractions; palette-less ideals need a schedule.
+   densities are proper fractions; palette-less ideals need a schedule,
+   and an ideal that declares only max_color() runs 0..max_color().
 2. Step rule, with the field's support substituted at listed steps
    (``substitute_supports``; supports come only from the field): a single
    support point gets the scheduled color; two adjacent support points at
@@ -37,8 +38,10 @@ Laws under test:
    violations of a per-pair loop over g.dist, in its order, in blocks of
    any size and on an F_1 window too long to pack. A negative window is
    refused.
-6. Extraction: recurring patterns are found, normalized to the identity;
-   a negative shape radius or occurrence count is refused.
+6. Extraction: recurring patterns are found, normalized to the identity,
+   kept and ordered as a Counter over the interior windows keeps them on
+   periodic and random Z^1 colourings and on F_2; a negative shape radius
+   or occurrence count is refused.
 7. The array-built region agrees with the breadth-first ball, group.norm,
    the scalar element code, an index-plus-mul generator table and g.dist;
    it locates points inside it, just outside and past int64 as an index
@@ -66,7 +69,10 @@ Laws under test:
    Hand traces are refused with ValueError for invalid colours and points
    outside the region, any trace that colours a point twice is refused,
    and the validator refuses an ideal on another group. Random hand traces on Z^1, Z^2 and F_2, most
-   with failures, equal the brute-force validator.
+   with failures, equal the brute-force validator. A trace's ``step_of``
+   is the scatter of its steps for traces from ``run``, ``from_elements``
+   and the reference run on Z^1-Z^3 and F_1-F_3, and again after
+   ``dataclasses.replace`` gives it other steps.
 9. Batched admission: ``run`` and the validator, judging many windows in
    one array check, give the same assigned sets, fills and
    validation reports (counts and failures in order) as the same ideal
@@ -95,6 +101,7 @@ import dataclasses
 import json
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -111,7 +118,7 @@ from shiftcolor.ideals import (
     PaletteExhausted,
     ProperColoring,
 )
-from shiftcolor.patterns import PartialColoring
+from shiftcolor.patterns import PartialColoring, shift
 from shiftcolor.radii import INF, Infinity, radius_ceil, radius_floor
 from shiftcolor.reduction import ReducedIdeal, SupRadiiJoin
 from shiftcolor.rng import RandomField, bernoulli_mask, bit, element_code, element_codes
@@ -174,6 +181,37 @@ class TestConfigValidation:
             cfg = SimulationConfig(ideal=ideal, window_radius=5, margin=26, steps=1, schedule=[2])
             with pytest.raises(PaletteExhausted):
                 cfg.validate()
+
+    def test_max_color_alone_fixes_the_default_schedule(self):
+        """An ideal that declares only its largest colour simulates on the
+        default schedule 0..max_color(); one without it needs a schedule."""
+
+        class Declared(IdealSpec):
+            kind = "Declared"
+            group = Z1
+
+            def contains(self, phi):
+                return PC3.contains(phi)
+
+            def locality_radius(self, color):
+                return 1
+
+            def max_color(self):
+                return 2
+
+            def to_json(self):
+                return {"kind": self.kind}
+
+        config = SimulationConfig(Declared(), 10, 2, 9, Fraction(1, 3), seed=4)
+        trace = run(config)
+        assert trace.schedule_used == [0, 1, 2] * 3
+        assert trace.assigned_sets == run(dataclasses.replace(config, ideal=PC3)).assigned_sets
+        assert any(elems for _c, elems in trace.assigned_sets)
+        assert trace_validate(trace, config.ideal).ok
+        Declared.max_color = IdealSpec.max_color
+        with pytest.raises(ValueError, match="no finite palette; pass a schedule"):
+            config.validate()
+        assert run(dataclasses.replace(config, schedule=[0, 1, 2])).assigned_sets == trace.assigned_sets
 
     def test_proper_coloring_schedule_beyond_palette_is_never_accepted(self):
         cfg = SimulationConfig(ideal=PC3, window_radius=10, margin=2, steps=6, schedule=[3])
@@ -1149,7 +1187,7 @@ REFERENCE_CASES = [
 def _reference_config(ideal, schedule, window, extra, steps, p, seed, warmup):
     """p = None stands for 1/|Ball(1, s)| at the largest isolation radius
     s, the density at which an isolated support point is likeliest."""
-    radius = max(ideal.locality_radius(c) for c in schedule or ideal.palette())
+    radius = max(ideal.locality_radius(c) for c in schedule or range(ideal.max_color() + 1))
     if p is None:
         p = Fraction(1, groups.ball_size(ideal.group, radius_floor(2 * radius)))
     return SimulationConfig(ideal, window, radius_ceil(2 * radius) + extra, steps, p, seed,
@@ -1185,6 +1223,56 @@ class TestReferenceRun:
             assert summary == reference_run(config).to_summary_jsonable(dump=True)
             coloured += sum(summary["assigned_counts"])
         assert coloured > 0
+
+
+# the reference cases, and F_3
+STEP_OF_CASES = [*REFERENCE_CASES, (ProperColoring(FreeGroup(3), 7), None, 1)]
+
+
+def scattered_steps(trace):
+    """Each point's 1-based step, and past the last step for an uncoloured
+    point and at the sentinel index, by a loop over the steps."""
+    step_of = [len(trace.steps) + 1] * (len(trace.region) + 1)
+    for i, (_c, at) in enumerate(trace.steps, 1):
+        for j in at.tolist():
+            step_of[j] = i
+    return step_of
+
+
+class TestStepOf:
+    """``SimulationTrace.step_of`` is the scatter of its steps, however the
+    trace was built, and is built again with them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_scatter_of_steps(self, data):
+        ideal, schedule, max_window = data.draw(st.sampled_from(STEP_OF_CASES))
+        config = _reference_config(
+            ideal, schedule, data.draw(st.integers(0, max_window)), data.draw(st.integers(0, 1)),
+            data.draw(st.integers(0, 8)), None, data.draw(st.integers(0, 2**32)), data.draw(st.booleans()),
+        )
+        trace = run(config)
+        for built in (trace, SimulationTrace.from_elements(config, trace.assigned_sets), reference_run(config)):
+            assert built.step_of.tolist() == scattered_steps(built)
+            for steps in (built.steps[::-1], built.steps[1:], [*built.steps, (0, np.zeros(0, np.int64))]):
+                replaced = dataclasses.replace(built, steps=steps)
+                assert replaced.step_of.tolist() == scattered_steps(replaced)
+            assert built.step_of.tolist() == scattered_steps(built)
+
+    def test_groups_and_points_covered(self):
+        """The drawn cases span Z^1-Z^3 and F_1-F_3, and some colour points."""
+        groups_seen = {ideal.group.spec_string() for ideal, _s, _w in STEP_OF_CASES}
+        assert groups_seen == {"Z^1", "Z^2", "Z^3", "F_1", "F_2", "F_3"}
+        ideal, schedule, window = STEP_OF_CASES[-1]
+        trace = run(_reference_config(ideal, schedule, window, 0, 8, None, 0, True))
+        coloured = sum(len(at) for _c, at in trace.steps)
+        assert (trace.step_of <= len(trace.steps)).sum() == coloured > 0
+
+    def test_point_coloured_twice_refused_as_before(self):
+        trace = _hand_trace(PC3_F2, 3, 2, [(0, ("a", "b")), (1, ("Ab",))])
+        with pytest.raises(ValueError, match=r"^trace point 'b' is coloured more than once$"):
+            dataclasses.replace(trace, steps=[*trace.steps, (2, trace.steps[0][1][1:])])
+        assert trace.step_of.tolist() == scattered_steps(trace)
 
 
 class TestEquivariance:
@@ -1737,6 +1825,37 @@ class TestExtract:
         with pytest.raises(ValueError, match="occurrence count"):
             extract_patterns(omega, 1, min_occurrences=-3)
         assert len(extract_patterns(omega, 0, min_occurrences=0)) == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_counts_match_a_counter(self, data):
+        """The patterns kept, in order, are those a Counter over the
+        normalised interior windows counts at least min_occurrences times,
+        on periodic and random Z^1 colourings and on F_2."""
+        g = data.draw(st.sampled_from([Z1, F2]))
+        if g is Z1:
+            n = data.draw(st.integers(0, 30))
+            if data.draw(st.booleans()):
+                period = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
+                colours = {i: period[i % len(period)] for i in range(-n, n + 1)}
+            else:
+                drawn = data.draw(st.lists(st.integers(0, 2), min_size=2 * n + 1, max_size=2 * n + 1))
+                colours = dict(zip(range(-n, n + 1), drawn))
+        else:
+            points = g.ball(g.identity(), data.draw(st.integers(0, 3)))
+            colours = dict(zip(points, data.draw(st.lists(st.integers(0, 1), min_size=len(points),
+                                                          max_size=len(points)))))
+        omega = PartialColoring(g, colours)
+        radius, least = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 3))
+        counter = Counter()
+        for gamma in colours:
+            ball = g.ball(gamma, radius)
+            if all(e in colours for e in ball):
+                counter[frozenset(shift(omega.restrict(ball), gamma).entries.items())] += 1
+        expected = sorted((PartialColoring(g, dict(k)) for k, c in counter.items() if c >= least),
+                          key=PartialColoring.canonical_key)
+        got = extract_patterns(omega, radius, min_occurrences=least)
+        assert [p.entries for p in got] == [p.entries for p in expected]
 
     def test_patterns_are_centered(self):
         omega = PartialColoring(Z1, {i: 0 if i < 3 else 1 for i in range(7)})
