@@ -381,8 +381,12 @@ class TestAxiomsCheck:
             samples.append(phi)
             return phi
 
+        judged = []  # samples of each call of the packed judge
+        judge = ideals._judge_packed
         monkeypatch.setattr(type(kind.group), "pack", spy)
         monkeypatch.setattr(ideals, "grow_random_member", growing)
+        monkeypatch.setattr(ideals, "_judge_packed",
+                            lambda P, block, *args: judged.append(len(block)) or judge(P, block, *args))
         batched = ideal_axioms_check(kind, sample_budget=23, seed=3, **options)
         reference = axioms_check_per_pattern(kind, sample_budget=23, seed=3, **options)
         assert batched.to_jsonable() == reference.to_jsonable()
@@ -394,6 +398,7 @@ class TestAxiomsCheck:
         fits = [pack(kind.group, list(phi.domain()), shift_radius) is not None for phi in samples]
         blocks = [range(lo, min(lo + per_block, 23)) for lo in range(0, 23, per_block)]
         assert calls == [(sum(sizes[i] for i in b), all(fits[i] for i in b)) for b in blocks]
+        assert judged == [len(b) for b in blocks if all(fits[i] for i in b)]
         if isinstance(kind, _FarPointNeeded):
             assert batched.restriction_violations
         if max_size > 8:  # some samples have their subsets drawn by the rng
