@@ -103,12 +103,11 @@ def _load_ideal_spec(path: str) -> Tuple[IdealSpec, Any]:
 def _cmd_ball(args) -> Tuple[dict, int]:
     g = parse_group(args.group)
     center = _parse_element(g, args.center)
-    packed = g.pack([center], reach=args.radius) if isinstance(g, FreeAbelian) else None
-    if packed is None:
-        result = [g.element_to_json(e) for e in sorted(g.ball(center, args.radius), key=g.sort_key)]
-    else:  # Ball(c, r) = Ball(1, r) + c in int64, in sort_key (lexicographic) order
-        coords = g.lex_ball(args.radius) + packed
+    if isinstance(g, FreeAbelian):  # Ball(c, r) = Ball(1, r) + c, in sort_key (lexicographic) order
+        coords = g.mul_packed(g.lex_ball(args.radius), g.pack([center]))
         result = coords if g.dimension > 1 else coords[:, 0]
+    else:
+        result = [g.element_to_json(e) for e in sorted(g.ball(center, args.radius), key=g.sort_key)]
     payload = {
         "group": g.spec_string(),
         "center": g.element_to_json(center),

@@ -20,11 +20,14 @@ on F_k; on Z^d a translate keeps the order.
 Elements also have a packed form, one row of an integer array per element,
 on which products and distances are computed for many elements at once
 (``pack``, ``mul_packed``, ``dist_packed``, ``distance_block``); the scalar
-``mul`` and ``dist`` are their references. ``ball_arrays`` returns the ball
-in that form: its coordinates on Z^d, and on F_k numerals filled a layer at
-a time from each word's parent and first letter. ``decode_ball`` reads the
-elements back: Z^d points from their coordinates, F_k words from the
-generator table, so words too long to pack decode too.
+``mul`` and ``dist`` are their references. Rows are machine integers while
+every norm is at most ``pack_limit``, and Python ints in object arrays past
+it, on which the same numpy code is exact; ``mul_packed`` takes Python ints
+itself where a product may pass ``pack_limit``. ``ball_arrays`` returns the
+ball in that form: its coordinates on Z^d, and on F_k numerals filled a
+layer at a time from each word's parent and first letter. ``decode_ball``
+reads the elements back: Z^d points from their coordinates, F_k words from
+the generator table.
 
 Also here: the closed-form ball sizes, and the packing searches producing
 the radius sequences used by the distance-constrained ideals — minimal
@@ -41,7 +44,7 @@ import string
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, groupby, repeat
+from itertools import groupby
 from math import comb
 from operator import add
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -114,13 +117,12 @@ class Group:
         breadth-first, each layer sorted by ``sort_key``: ``norms`` are its
         points' word lengths, ``step[i, k]`` the index of generators()[k] *
         x_i (n where that leaves the ball), and ``packed`` the ball in
-        ``pack``'s form, None when radius > pack_limit. ``decode_ball``
-        gives the elements themselves. A negative radius gives the empty
-        ball. Raises BudgetError, before allocating, when the ball and its
-        table cannot fit in memory."""
+        ``pack``'s form. ``decode_ball`` gives the elements themselves. A
+        negative radius gives the empty ball. Raises BudgetError, before
+        allocating, when the ball and its table cannot fit in memory."""
         raise NotImplementedError
 
-    def decode_ball(self, norms: np.ndarray, step: np.ndarray, packed: Optional[np.ndarray]) -> list:
+    def decode_ball(self, norms: np.ndarray, step: np.ndarray, packed: np.ndarray) -> list:
         """The elements of the ball that ``ball_arrays`` gave as these
         arrays, in its order."""
         raise NotImplementedError
@@ -131,23 +133,24 @@ class Group:
 
     # -- packed arrays ----------------------------------------------------
 
-    pack_limit: int  # the largest norm of a packed element
+    pack_limit: int  # the largest norm of a row of machine integers
 
-    def pack(self, elements: Sequence, reach: int = 0) -> Optional[np.ndarray]:
+    def pack(self, elements: Sequence) -> np.ndarray:
         """The elements as the rows of one integer array, the form that
-        ``mul_packed`` and ``dist_packed`` read, or None when some element x
-        has |x| + reach > pack_limit. So the product of a packed element
-        with any element of norm <= reach packs too."""
-        return None
+        ``mul_packed`` and ``dist_packed`` read: machine integers while
+        every norm is at most pack_limit, and otherwise Python ints in an
+        object array."""
+        raise NotImplementedError
 
     def mul_packed(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
         """The products a*b of packed elements, packed, broadcast over every
-        axis but the last; each |a| + |b| must be at most pack_limit."""
+        axis but the last: machine integers while every |a| + |b| is at most
+        pack_limit, and Python ints otherwise."""
         raise NotImplementedError
 
     def dist_packed(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """dist(a, b) of packed elements as int64, broadcast like
-        ``mul_packed``."""
+        """dist(a, b) of packed elements, broadcast like ``mul_packed``:
+        int64, or Python ints where rows of Z^d are."""
         raise NotImplementedError
 
     def spec_string(self) -> str:
@@ -302,27 +305,24 @@ class FreeAbelian(Group):
         columns = packed.T.tolist()  # the coordinate rows
         return columns[0] if self.dimension == 1 else list(zip(*columns))
 
-    # Packed: int64 coordinate rows of L1 norm at most 2^62 - 1, so that the
-    # distance of two packed elements fits int64.
+    # Packed: coordinate rows, int64 while the L1 norm is at most 2^62 - 1,
+    # so that the distance of two such rows fits int64.
     pack_limit = (1 << 62) - 1
 
-    def pack(self, elements, reach=0):
-        n, room = len(elements), self.pack_limit - reach
-        if room < 0:
-            return None
-        try:
-            coords = np.array(elements, dtype=np.int64).reshape(n, self.dimension)
-        except OverflowError:  # a coordinate past int64
-            return None
-        norms = np.zeros(n, dtype=np.uint64)
-        for column in np.abs(coords).view(np.uint64).T:  # |-2^63| reads 2^63 unsigned
-            norms += column  # at most 2^62 + 2^63, so it cannot wrap
-            if (norms > room).any():
-                return None
-        return coords
+    def pack(self, elements):
+        exact = max(map(self.norm, elements), default=0) > self.pack_limit
+        return np.array(elements, dtype=object if exact else np.int64).reshape(len(elements), self.dimension)
 
     def mul_packed(self, A, B):
-        return A + B
+        # int64 rows have |coordinates| <= pack_limit, so their sums fit. The
+        # largest |a| + |b| is at most d times the largest |coordinates|,
+        # read with no temporary array; the norms are summed only past that.
+        AB = A + B
+        rough = sum(max(int(X.max(initial=0)), -int(X.min(initial=0))) for X in (A, B)) * self.dimension
+        if AB.dtype == object or rough <= self.pack_limit:
+            return AB
+        exact = sum(int(np.abs(X).sum(axis=-1).max(initial=0)) for X in (A, B))
+        return AB if exact <= self.pack_limit else AB.astype(object)
 
     def dist_packed(self, A, B):
         return np.abs(B - A).sum(axis=-1)  # the L1 norm, as in dist
@@ -361,7 +361,6 @@ class FreeAbelian(Group):
 
 _LOWER = string.ascii_lowercase
 _UPPER = string.ascii_uppercase
-_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"  # the digits ``int`` reads, base <= 36
 
 
 class FreeGroup(Group):
@@ -384,6 +383,8 @@ class FreeGroup(Group):
         while base ** (self.pack_limit + 1) <= 1 << 64:
             self.pack_limit += 1
         self._powers = np.array([base**t for t in range(self.pack_limit + 1)], dtype=np.uint64)
+        self._digit_of = np.zeros(128, dtype=np.uint64)  # each letter's digit, by its ASCII code
+        self._digit_of[np.frombuffer(self._letters.encode(), dtype=np.uint8)] = np.arange(1, base)
 
     def identity(self):
         return ""
@@ -433,27 +434,26 @@ class FreeGroup(Group):
         # gens[j], or x's parent (x without its first letter) when x starts
         # with the inverse letter gens[j ^ 1]. A child's numeral is its
         # parent's plus its first letter's digit times base^(t - 1), so the
-        # numerals are filled a layer at a time when the words pack.
+        # numerals are filled a layer at a time.
         _refuse_oversize(self, radius)
         gens = self._generators
         if radius < 0:
             nothing = np.zeros(0, dtype=np.int64)
             return nothing, nothing.reshape(0, len(gens)), np.zeros((0, 2), dtype=np.uint64)
-        digit = np.array([self._letters.index(a) + 1 for a in gens], dtype=np.uint64)
-        fits = radius <= self.pack_limit
+        powers = self._powers_to(radius)
+        digit = self._digit_of[[ord(a) for a in gens]].astype(powers.dtype)
         letter_order = sorted(range(len(gens)), key=gens.__getitem__)
         # per layer: the gens index of each word's first letter (-1 for the
         # identity), the index of its parent (the identity is its own), and
         # its numeral
-        firsts, parents, numerals = [np.array([-1])], [np.array([0])], [np.zeros(1, dtype=np.uint64)]
+        firsts, parents, numerals = [np.array([-1])], [np.array([0])], [np.zeros(1, dtype=powers.dtype)]
         lo = 0
         for t in range(1, radius + 1):
             layer_first = firsts[-1]
             keep = [lo + np.flatnonzero(layer_first != j ^ 1) for j in letter_order]
             firsts.append(np.repeat(letter_order, [len(k) for k in keep]))
             parents.append(np.concatenate(keep))
-            if fits:
-                numerals.append(digit[firsts[-1]] * self._powers[t - 1] + numerals[-1][parents[-1] - lo])
+            numerals.append(digit[firsts[-1]] * powers[t - 1] + numerals[-1][parents[-1] - lo])
             lo += len(layer_first)
         first, parent = np.concatenate(firsts), np.concatenate(parents)
         norms = np.repeat(np.arange(radius + 1), [len(f) for f in firsts])
@@ -462,8 +462,7 @@ class FreeGroup(Group):
         child = np.arange(1, n)
         step[parent[child], first[child]] = child
         step[child, first[child] ^ 1] = parent[child]
-        packed = np.column_stack([np.concatenate(numerals), norms.astype(np.uint64)]) if fits else None
-        return norms, step, packed
+        return norms, step, np.column_stack([np.concatenate(numerals), norms.astype(powers.dtype)])
 
     def decode_ball(self, norms, step, packed):
         # In ball order, each word but the identity is its first letter
@@ -471,8 +470,7 @@ class FreeGroup(Group):
         # children, a layer further out, so its parent is the least entry of
         # its table row, by the generator inverse to that letter. Parents lie
         # in the layer before, so the words are decoded a run of one layer
-        # and one first letter at a time, from the table alone: words too
-        # long to pack decode too.
+        # and one first letter at a time, from the table alone.
         n = len(norms)
         if n <= 1:
             return [""] * n
@@ -485,23 +483,30 @@ class FreeGroup(Group):
             words.extend(map(self._generators[j].__add__, map(words.__getitem__, parents[lo:hi].tolist())))
         return words
 
-    # Packed: (numeral, length) rows of uint64, the numeral being the word
-    # read in base 2k+1 with letter i of "ab..AB.." as digit i + 1 and the
-    # last letter lowest, as in the element code. F_1 numerals reach 3^40 >
-    # 2^63, hence uint64.
+    # Packed: (numeral, length) rows, the numeral being the word read in base
+    # 2k+1 with letter i of "ab..AB.." as digit i + 1 and the last letter
+    # lowest, as in the element code: uint64 (F_1 numerals reach 3^40 >
+    # 2^63) up to pack_limit letters, and Python ints past that.
 
-    def pack(self, elements, reach=0):
-        base = 2 * self.rank + 1
-        if base > len(_DIGITS):  # numerals are read by ``int``
-            return None
+    def _powers_to(self, top: int) -> np.ndarray:
+        """base^t for t <= top: the uint64 table while top <= pack_limit,
+        and past it Python ints in an object array."""
+        if top <= self.pack_limit:
+            return self._powers
+        return np.array([(2 * self.rank + 1) ** t for t in range(top + 1)], dtype=object)
+
+    def pack(self, elements):
+        # every letter's digit times base^(the letters after it in its word),
+        # summed per word as differences of one running sum over all words,
+        # in which a uint64 wrap cancels
         lengths = np.fromiter(map(len, elements), dtype=np.int64, count=len(elements))
-        if lengths.max(initial=0) + reach > self.pack_limit:
-            return None
-        to_digits = str.maketrans(self._letters, _DIGITS[1:base])
-        words = map(str.translate, compress(elements, lengths > 0), repeat(to_digits))
-        numerals = np.zeros(len(elements), dtype=np.uint64)
-        numerals[lengths > 0] = np.fromiter(map(int, words, repeat(base)), dtype=np.uint64)
-        return np.column_stack([numerals, lengths.astype(np.uint64)])
+        powers = self._powers_to(int(lengths.max(initial=0)))
+        digits = self._digit_of[np.frombuffer("".join(elements).encode(), dtype=np.uint8)]
+        ends = np.cumsum(lengths)
+        sums = np.zeros(len(digits) + 1, dtype=powers.dtype)
+        np.cumsum(digits.astype(powers.dtype) * powers[np.repeat(ends, lengths) - np.arange(1, len(digits) + 1)],
+                  out=sums[1:])
+        return np.stack([sums[ends] - sums[ends - lengths], lengths.astype(powers.dtype)], axis=-1)
 
     def mul_packed(self, A, B):
         # The first c letters of b cancel the last c letters of a exactly when
@@ -511,14 +516,18 @@ class FreeGroup(Group):
         # base^(|b| - c) + numeral(b) mod base^(|b| - c), of length |a| + |b|
         # - 2c. Digits d and (d + k - 1) mod 2k + 1 are inverse letters.
         # Division by the scalar base is fast in numpy and % is not, so
-        # digits are taken as n - (n // base) * base.
-        k, powers, base = self.rank, self._powers, np.uint64(2 * self.rank + 1)
-        na, la = A[..., 0], A[..., 1].astype(np.int64)
-        nb, lb = B[..., 0], B[..., 1].astype(np.int64)
+        # digits are taken as n - (n // base) * base. Numerals that may pass
+        # 64 bits are Python ints.
+        k, base = self.rank, 2 * self.rank + 1
+        la, lb = A[..., 1].astype(np.int64), B[..., 1].astype(np.int64)
+        most_a, most_b = int(la.max(initial=0)), int(lb.max(initial=0))
+        dtype = object if object in (A.dtype, B.dtype) or most_a + most_b > self.pack_limit else np.uint64
+        powers = self._powers_to(max(most_a, most_b)).astype(dtype, copy=False)
+        na, nb = A[..., 0].astype(dtype, copy=False), B[..., 0].astype(dtype, copy=False)
         cancel = np.zeros(np.broadcast_shapes(na.shape, nb.shape), dtype=np.int64)
         matching = np.ones(cancel.shape, dtype=bool)
         rest = na
-        for j in range(min(int(la.max(initial=0)), int(lb.max(initial=0)))):
+        for j in range(min(most_a, most_b)):
             high = rest // base
             low, rest = rest - high * base, high  # a's letter j from the end
             lead = nb // powers[np.maximum(lb - 1 - j, 0)]
@@ -528,14 +537,16 @@ class FreeGroup(Group):
                 break
             cancel += matching
         kept = powers[lb - cancel]
-        numerals = na // powers[cancel] * kept + nb % kept
-        return np.stack([numerals, (la + lb - 2 * cancel).astype(np.uint64)], axis=-1)
+        out = np.empty((*cancel.shape, 2), dtype=dtype)  # numpy reads 0-d object results as scalars
+        out[..., 0] = na // powers[cancel] * kept + nb % kept
+        out[..., 1] = la + lb - 2 * cancel
+        return out
 
     def dist_packed(self, A, B):
         # as in dist: |a| + |b| - 2 (the length of the common suffix), which is
         # the count of equal low digits that are letters (not 0); digits are
         # taken as in mul_packed, until no pair still matches
-        base = np.uint64(2 * self.rank + 1)
+        base = 2 * self.rank + 1  # Python ints meet machine ones as Python ints
         na, nb = A[..., 0], B[..., 0]
         common = np.zeros(np.broadcast_shapes(na.shape, nb.shape), dtype=np.int64)
         matching = np.ones(common.shape, dtype=bool)
@@ -628,15 +639,10 @@ def _refuse_oversize(group: Group, radius: int) -> None:
 _PAIR_CELLS = 1 << 14
 
 
-def distance_block(group: Group, elements: Sequence, packed: Optional[np.ndarray],
-                   rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """dist(elements[i], elements[j]) for i in rows and j in cols, an int64
-    array of shape (len(rows), len(cols)): by ``dist_packed`` over
-    ``packed``, the elements in ``pack``'s form, a block of rows at a time,
-    or by ``dist`` where that is None."""
-    if packed is None:
-        D = [[group.dist(elements[i], elements[j]) for j in cols.tolist()] for i in rows.tolist()]
-        return np.array(D, dtype=np.int64).reshape(len(rows), len(cols))
+def distance_block(group: Group, packed: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """dist(x_i, x_j) for i in rows and j in cols, of the elements x that
+    ``packed`` holds in ``pack``'s form, an int64 array of shape (len(rows),
+    len(cols)): by ``dist_packed``, a block of rows at a time."""
     D = np.empty((len(rows), len(cols)), dtype=np.int64)
     step = max(1, _PAIR_CELLS // max(len(cols), 1))
     for lo in range(0, len(rows), step):

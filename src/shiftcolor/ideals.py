@@ -29,7 +29,9 @@ builds one per radius; or one matrix per row, as the axioms check judges
 the restrictions and shifts of a block of samples. The pairwise kinds
 answer with one gather from their bands compiled as a boolean table over
 (color, color, distance); every other ideal asks ``contains`` of each
-row's pattern, which stays the reference.
+row's pattern, which stays the reference. The axioms check measures those
+distances on packed elements of every size, so it keeps no pattern by
+pattern path; ``tests/axioms_reference.py`` does, as its reference.
 
 Reduced (product-coded) ideals live in the reduction module; they subclass
 IdealSpec and plug into everything here.
@@ -611,8 +613,8 @@ def ideal_axioms_check(
     shifted entries x*gamma^-1 and every distance are computed in packed
     arrays (``Group.mul_packed``, ``Group.dist_packed``), never inferred
     from right invariance, which is one of the things audited. A block's
-    entries are packed in one call; where some entry or product does not
-    pack, every sample of the block is judged pattern by pattern."""
+    entries are packed in one call, words past pack_limit letters and large
+    coordinates as Python ints, so every block is judged in arrays."""
     if sample_budget < 0:
         raise ValueError(f"sample budget must be nonnegative, got {sample_budget}")
     rng = random.Random(seed)
@@ -635,15 +637,9 @@ def ideal_axioms_check(
                 for row, sub in zip(keep, drawn):
                     row[[slot[e] for e in sub]] = True
             samples.append((phi, dom, keep, drawn))
-        entries = [e for _, dom, *_ in samples for e in dom]
-        flat = None if inverses is None else g.pack(entries, reach=shift_radius)
-        verdicts = None if flat is None else _judge_packed(P, samples, flat, shifts, inverses)
-        for phi, dom, keep, drawn in samples:
-            if verdicts is None:
-                restricted = [P.contains(phi.restrict(compress(dom, row))) for row in keep]
-                shifted = [P.contains(shift(phi, gamma)) for gamma in shifts]
-            else:
-                restricted, shifted = next(verdicts)
+        flat = g.pack([e for _, dom, *_ in samples for e in dom])
+        verdicts = _judge_packed(P, samples, flat, shifts, inverses)
+        for (phi, dom, keep, drawn), (restricted, shifted) in zip(samples, verdicts):
             report.samples += 1
             for i in np.flatnonzero(np.logical_not(restricted)):
                 subset = drawn[i] if drawn else compress(dom, keep[i])  # drawn in the rng's order

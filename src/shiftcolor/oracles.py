@@ -50,8 +50,10 @@ def _search(points, palette_max, allowed, complete, node_budget, placed, detail)
     it back on backtracking. With every point coloured, ``complete(placed)``
     returns the witness, or None to search on. Each colour tried is one
     node, and the node past ``node_budget`` ends the search inconclusive.
-    The depth is kept in a list, not on the call stack, so only memory
-    bounds it."""
+    So ``--budget`` counts nodes, not time: each node checks the new point
+    against every placed point, so n nodes can cost O(n^2) distance
+    lookups. The depth is kept in a list, not on the call stack, so only
+    memory bounds it."""
     n = len(points)
     tried = [0] * (n + 1)  # colours tried so far at each depth
     nodes = i = 0

@@ -1,10 +1,11 @@
 """Counter-based randomness for the window simulations.
 
 Each random bit is a pure function of (seed, step, element): the element is
-packed (or, when too large to pack, hashed) into a 64-bit code, mixed with the seed and step through a splitmix64
-finalizer chain, and compared against an exact rational threshold. Results
-are therefore independent of iteration order and of the size of the region
-being sampled — the properties the equivariance checks rely on.
+packed (or, when too large for 64 bits, hashed) into a 64-bit code, mixed
+with the seed and step through a splitmix64 finalizer chain, and compared
+against an exact rational threshold. Results are therefore independent of
+iteration order and of the size of the region being sampled — the
+properties the equivariance checks rely on.
 
 Both a scalar path (plain ints) and a vectorized numpy path are provided and
 produce bit-identical results.
@@ -13,7 +14,6 @@ produce bit-identical results.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -101,34 +101,33 @@ def element_code(group: Group, g) -> int:
     raise ValueError(f"no element coding for group {group!r}")
 
 
-def element_codes(group: Group, elements: Sequence) -> np.ndarray:
-    """Vector of element codes as uint64, each equal to ``element_code``.
+def element_codes(group: Group, elements) -> np.ndarray:
+    """Vector of element codes as uint64, each equal to ``element_code``,
+    of a sequence of elements or of their rows in ``Group.pack``'s form.
 
-    Z^d elements whose coordinates fit int64 are zigzagged and packed (or
-    chained) as whole arrays; they may also be given as that (n, d) int64
-    coordinate array. Every other element, F_k words among them, and every
-    element of a sequence whose coordinates overflow int64, goes through the
-    scalar ``element_code``; a region's F_k codes are the numerals that
-    ``FreeGroup.ball_arrays`` fills a layer at a time."""
-    n = len(elements)
-    try:
-        coords = None
-        if isinstance(group, FreeAbelian):
-            coords = np.asarray(elements, dtype=np.int64).reshape(n, group.dimension)
-    except OverflowError:  # a coordinate past int64
-        pass
-    if coords is None:
-        return np.fromiter((element_code(group, g) for g in elements), dtype=np.uint64, count=n)
-    zig = ((coords << 1) ^ (coords >> 63)).view(np.uint64)
-    codes = np.zeros(n, dtype=np.uint64)
-    if group.dimension <= 3:
-        for column in zig.T:
-            codes = (codes << np.uint64(21)) | column
-        far = (zig >> np.uint64(21)).any(axis=1)
-    else:  # a zigzagged int64 always fits 64 bits
-        for column in zig.T:
-            codes = _vector_splitmix64(codes ^ column)
-        far = np.zeros(n, dtype=bool)
+    F_k codes are the numerals, and the tagged hash past 64 bits. Z^d rows
+    of int64 are zigzagged and packed (or chained) as whole arrays; a row
+    whose code is hashed, and every row of Python ints, goes through the
+    scalar ``element_code``."""
+    packed = elements if isinstance(elements, np.ndarray) else group.pack(elements)
+    n = len(packed)
+    if isinstance(group, FreeGroup):
+        if packed.dtype != object:
+            return packed[:, 0]
+        numerals = packed[:, 0].tolist()
+        return np.fromiter((c if c >> 64 == 0 else _unpacked_code([c]) for c in numerals), dtype=np.uint64, count=n)
+    coords = packed.reshape(n, group.dimension)
+    codes, far = np.zeros(n, dtype=np.uint64), np.ones(n, dtype=bool)  # rows of Python ints are far
+    if coords.dtype != object:
+        zig = ((coords << 1) ^ (coords >> 63)).view(np.uint64)
+        if group.dimension <= 3:
+            for column in zig.T:
+                codes = (codes << np.uint64(21)) | column
+            far = (zig >> np.uint64(21)).any(axis=1)
+        else:  # a zigzagged int64 always fits 64 bits
+            for column in zig.T:
+                codes = _vector_splitmix64(codes ^ column)
+            far[:] = False
     for i in np.flatnonzero(far).tolist():
         row = coords[i].tolist()
         codes[i] = element_code(group, tuple(row) if group.dimension > 1 else row[0])

@@ -56,9 +56,9 @@ already violate.
 
 The equivariance check reads the field at x*gamma through one translation
 kernel, ``Region.right_translate``, which gives every translate's region
-index and element code from arrays (``coords + gamma`` on Z^d,
-``FreeGroup.mul_packed`` on the codes on F_k). It forms a product per point
-only where coordinates pass int64 or words pass the length that packs.
+index and element code from the packed region (``Group.mul_packed``:
+``coords + gamma`` on Z^d, numeral arithmetic on F_k), in Python ints
+where a translate may pass ``pack_limit``.
 
 The sparse run's greedy colouring at scale d_c reads each point's earlier
 neighbours from its column of ``Region.neighbors(d_c)`` when Ball(1, d_c) is
@@ -79,27 +79,27 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import (_PAIR_CELLS, BudgetError, FreeAbelian, FreeGroup, Group, ball_size, distance_block,
+from .groups import (_PAIR_CELLS, BudgetError, FreeGroup, Group, ball_size, distance_block,
                      parse_group, physical_memory)
 from .ideals import NO_COLOR, IdealSpec, _check_d_sequence
 from .patterns import PartialColoring, _validate_color, shift
 from .radii import Infinity, Radius, radius_ceil, radius_floor
 from .reports import Report
-from .rng import RandomField, element_code, element_codes
+from .rng import RandomField, element_codes
 
 
 class Region:
     """Ball(1, radius) as the window process reads it, built from integer
     arrays by ``Group.ball_arrays`` with no element object: the points'
     norms (the breadth-first layer), the points in ``Group.pack``'s form
-    ``packed`` (None where the words are too long to pack), their element
-    codes (on F_k the packed numerals), and the generator table, a row per
+    ``packed`` (Python ints on F_k past pack_limit letters), their element
+    codes, by which points are found, and the generator table, a row per
     generator: ``_step[k, i]`` is the index of gens[k] * x_i, and n where
     that leaves the region, as in the sentinel column n. ``len(region)`` is
     n. The elements, in ``Group.ball``'s order, are decoded by
     ``Group.decode_ball`` on the first read of ``elements``: reports that
-    name points read them, and so do words too long to pack. Built lazily
-    on top: a slot-major neighbour table and its slot distances."""
+    name points read them. Built lazily on top: a slot-major neighbour
+    table and its slot distances."""
 
     def __init__(self, group: Group, radius: int):
         self.group = group
@@ -109,17 +109,13 @@ class Region:
         self._step = np.full((step.shape[1], n + 1), n, dtype=np.int32 if n < 1 << 31 else np.int64)
         self._step[:, :n] = step.T
         del step  # before the codes, which can take its place
-        if isinstance(group, FreeGroup) and self.packed is not None:
-            self.codes = self.packed[:, 0]  # the numerals are the element codes
-        else:  # Z^d coordinates as arrays, F_k words too long to pack one at a time
-            self.codes = element_codes(group, self.elements if self.packed is None else self.packed)
+        self.codes = element_codes(group, self.packed)
         self._code_order = np.argsort(self.codes).astype(self._step.dtype)
         ordered = self.codes[self._code_order]
         if (ordered[1:] == ordered[:-1]).any():
             raise RuntimeError(f"element codes collide on the radius-{radius} region of {group.name}")
         for a in (self.norms, self.codes, self._code_order, self._step, self.packed):
-            if a is not None:
-                a.flags.writeable = False  # shared by every caller
+            a.flags.writeable = False  # shared by every caller
         self._table, self._widths = self._build_table(0)
         self._distances = np.zeros((0, 0), dtype=np.int64)
 
@@ -151,45 +147,34 @@ class Region:
         so far, as the table is built; a narrower s reads a corner."""
         w = self.neighbors(s).shape[0]
         if len(self._distances) < w:
-            offsets = self.group.ball_arrays(s)
-            packed, every = offsets[2], np.arange(w)
-            words = self.group.decode_ball(*offsets) if packed is None else None  # too long to pack
-            self._distances = distance_block(self.group, words, packed, every, every)
+            every = np.arange(w)
+            self._distances = distance_block(self.group, self.group.ball_arrays(s)[2], every, every)
             self._distances.flags.writeable = False
         return self._distances[:w, :w]
 
     def locate(self, elements: Sequence) -> np.ndarray:
         """Each valid element's region index, or the sentinel len(region)
-        outside the region. Elements of norm <= radius are region points,
-        and the region's codes are distinct: each is found by its code."""
-        inside = np.array([self.group.norm(e) <= self.radius for e in elements], dtype=bool)
-        return self._index_of(inside, element_codes(self.group, [e for e, k in zip(elements, inside) if k]))
+        outside the region, found as ``right_translate`` finds its points."""
+        return self._find(self.group.pack(elements))[0]
 
     def right_translate(self, gamma) -> Tuple[np.ndarray, np.ndarray]:
         """``(index, codes)`` of the right translates x_i*gamma: index[i] is
         the region index of x_i*gamma, or the sentinel len(region) where
-        that leaves the region, and codes[i] its element code. On Z^d the
-        translates are ``coords + gamma``, coded as arrays; on F_k they are
-        ``mul_packed`` of the packed region and gamma, and their numerals
-        are their codes, by which they are found as ``locate`` finds points.
-        Coordinates past int64, and words x*gamma that may be too long to
-        pack, take one product per point and are located."""
+        that leaves the region, and codes[i] its element code. The
+        translates are ``mul_packed`` of the packed region and gamma."""
         g = self.group
-        if isinstance(g, FreeAbelian) and self.radius + g.norm(gamma) < 1 << 63:
-            moved = self.packed + np.array(gamma, dtype=np.int64)
-            codes, inside = element_codes(g, moved), np.abs(moved).sum(axis=1) <= self.radius
-        elif isinstance(g, FreeGroup) and self.radius + len(gamma) <= g.pack_limit:
-            moved = g.mul_packed(self.packed, np.array([element_code(g, gamma), len(gamma)], dtype=np.uint64))
-            codes, inside = moved[:, 0], moved[:, 1].astype(np.int64) <= self.radius
-        else:
-            targets = [g.mul(e, gamma) for e in self.elements]
-            return self.locate(targets), element_codes(g, targets)
-        return self._index_of(inside, codes[inside]), codes
+        return self._find(g.mul_packed(self.packed, g.pack([gamma])))
 
-    def _index_of(self, inside: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        index = np.full(len(inside), len(self), dtype=np.int64)
-        index[inside] = self._code_order[np.searchsorted(self.codes, codes, sorter=self._code_order)]
-        return index
+    def _find(self, packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(index, codes)`` of elements in ``pack``'s form, found by their
+        codes: the region's are distinct, and its points are the elements of
+        norm <= radius (the length column on F_k, coordinate sums on Z^d)."""
+        codes = element_codes(self.group, packed)
+        norms = packed[:, 1] if isinstance(self.group, FreeGroup) else np.abs(packed).sum(axis=1)
+        inside = norms <= self.radius
+        index = np.full(len(packed), len(self), dtype=np.int64)
+        index[inside] = self._code_order[np.searchsorted(self.codes, codes[inside], sorter=self._code_order)]
+        return index, codes
 
     def _build_table(self, s: int) -> Tuple[np.ndarray, List[int]]:
         # Row w*x of the slot-major (w, n) table is composed from row w'*x
@@ -705,7 +690,7 @@ def _greedy_distance_coloring(region: Region, d_c: int) -> list:
     dist(w*x_i, x_i) = |w| by right invariance, so its entries below i are
     exactly the earlier points within d_c. Elsewhere they come from
     ``distance_block`` over every earlier pair, which needs O(block) memory."""
-    g, elements, packed = region.group, region.elements, region.packed
+    g, packed = region.group, region.packed
     n = len(region)
     if d_c >= 2 * region.radius:
         return list(range(n))
@@ -715,7 +700,7 @@ def _greedy_distance_coloring(region: Region, d_c: int) -> list:
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         if table is None:
-            D = distance_block(g, elements, packed, np.arange(lo, hi), np.arange(hi))
+            D = distance_block(g, packed, np.arange(lo, hi), np.arange(hi))
             a, near = np.nonzero(np.tril(D <= d_c, lo - 1))  # row a: point lo + a and the points before it
         else:
             block = table[:, lo:hi].T
@@ -736,11 +721,11 @@ def _close_pairs(region: Region, points: list, limit: int):
     """(i, j, dist(x_i, x_j)) for the pairs of region indices i before j in
     ``points`` at distance <= limit, in that pair order: from one
     ``distance_block`` triangle, a block of rows at a time."""
-    g, elements, packed = region.group, region.elements, region.packed
+    g, packed = region.group, region.packed
     points = np.array(points, dtype=np.int64)
     rows = max(1, _PAIR_CELLS // max(len(points), 1))
     for lo in range(0, len(points), rows):
-        D = distance_block(g, elements, packed, points[lo : lo + rows], points[lo:])
+        D = distance_block(g, packed, points[lo : lo + rows], points[lo:])
         a, b = np.nonzero(np.triu(D <= limit, 1))  # row a: point lo + a
         yield from zip(points[lo + a].tolist(), points[lo + b].tolist(), D[a, b].tolist())
 

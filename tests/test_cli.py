@@ -13,7 +13,7 @@ Laws under test:
 2. Reports are byte-identical across reruns with identical inputs, and the
    config hash tracks spec file *contents*, not just paths.
 3. Payload fixtures: sorted ball enumerations (Z^d and F_k, on both sides
-   of the packable length), the frozen packing scales,
+   of pack_limit), the frozen packing scales,
    the annulus bound on the line, refutation search agreement with the
    counting bound. Searches past the recursion limit end with their
    verdict's exit code and report, and a search space of more than 4,300
@@ -162,9 +162,9 @@ class TestSearchCommands:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_fk_ball_matches_sorted_breadth_first_reference(self, data):
-        """F_k balls equal the sorted BFS ball, past the packable length too
-        (F_1 centres of 40 letters or more, F_18, whose base 37 never
-        packs)."""
+        """F_k balls equal the sorted BFS ball, past pack_limit too (F_1
+        centres of 40 letters or more), and on F_18, whose base 37 is past
+        the 36 digits int reads."""
         g = FreeGroup(data.draw(st.sampled_from([1, 2, 3, 18])))
         letters = st.lists(st.sampled_from(g.generators()), max_size=8)
         long_f1 = st.integers(36, 46).flatmap(lambda n: st.sampled_from(["a" * n, "A" * n]))

@@ -14,15 +14,15 @@ Laws under test:
    search code path). The pruned d-sequence search returns exactly what the
    all-pairs search kept here returns, errors included.
 4. F_k arithmetic on strings agrees with letter-by-letter reference versions
-   kept here. The packed arithmetic (mul_packed, dist_packed) agrees with
-   the scalar mul, dist and element_code on Z^1-Z^4 and F_1-F_3, up to the
-   packable length and the int64 edge, and pack refuses exactly what lies
-   past them, and every F_k whose digits int cannot read.
+   kept here. The packed arithmetic (pack, mul_packed, dist_packed,
+   element_codes) agrees with the scalar mul, dist and element_code on
+   Z^1-Z^4, F_1-F_4, F_18 and F_26, on both sides of pack_limit and past
+   int64. Rows are machine integers exactly while every norm is at most
+   pack_limit, and products exactly while every |a| + |b| is.
 6. The closed-form ball sizes equal the length of the enumerated balls.
    The packed ball of ``ball_arrays`` is ``pack``'s form, coded as the
-   scalar element_code codes it, up to the packable length, and the elements
-   ``decode_ball`` reads from its arrays are the breadth-first ball, past the
-   packable length too; a ball whose table cannot fit in memory is refused
+   scalar element_code codes it, and the elements ``decode_ball`` reads
+   from its arrays are the breadth-first ball; a ball whose table cannot fit in memory is refused
    before anything is allocated. The Z^d arrays built from lattice-point
    counts equal those of the lexsort-and-searchsorted construction they
    replaced, and ``lex_ball`` lists the same points in lexicographic order.
@@ -500,16 +500,25 @@ class TestPackedArithmetic:
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_packable_length_boundary(self, rank):
+        """Words of pack_limit letters pack as uint64 numerals, one letter
+        more as Python ints; a product whose |a| + |b| passes pack_limit is
+        formed in Python ints, and one at pack_limit exactly in uint64."""
         g = FreeGroup(rank)
-        word = "ab" * g.pack_limit if rank > 1 else "a" * g.pack_limit
-        word = word[: g.pack_limit]
-        assert g.pack([word])[0].tolist() == [element_code(g, word), g.pack_limit]
-        assert g.pack([word], reach=1) is None
-        assert g.pack(["", word + word[-1]]) is None
-        assert g.pack(["a"], reach=g.pack_limit - 1) is not None
+        word = ("ab" * g.pack_limit if rank > 1 else "a" * g.pack_limit)[: g.pack_limit]
+        X = g.pack([word])
+        assert X.dtype == np.uint64 and X[0].tolist() == [element_code(g, word), g.pack_limit]
+        longer = g.pack(["", word + word[-1]])
+        assert longer.dtype == object
+        assert longer.tolist() == [[0, 0], [_numeral(g, word + word[-1]), g.pack_limit + 1]]
+        for x, y, exact in [(word, "a", True), ("a", word[1:], False), (word, word, True)]:
+            xy = g.pack([x, y])  # two rows of uint64
+            product = g.mul_packed(xy[0], xy[1])
+            assert (product.dtype == object) == exact
+            assert product.tolist() == [_numeral(g, g.mul(x, y)), len(g.mul(x, y))]
+            assert g.dist_packed(xy[0], xy[1]) == g.dist(x, y)
 
     @pytest.mark.parametrize(
-        "spec, element, packs",
+        "spec, element, machine",
         [
             ("Z^1", 2**62 - 1, True),
             ("Z^1", -(2**62) + 1, True),
@@ -522,18 +531,108 @@ class TestPackedArithmetic:
             ("Z^3", (2**64, 0, 0), False),
         ],
     )
-    def test_int64_edge(self, spec, element, packs):
+    def test_int64_edge(self, spec, element, machine):
+        """Coordinates pack as int64 while the norm is at most pack_limit,
+        and as Python ints past it; a product with a generator at that
+        norm passes pack_limit and is formed in Python ints."""
         g = parse_group(spec)
         packed = g.pack([g.identity(), element])
-        assert (packed is not None) == packs
-        if packs:
-            assert g.dist_packed(packed[0], packed[1]) == g.dist(g.identity(), element)
-            assert g.pack([element], reach=1) is None
+        assert (packed.dtype == np.int64) == machine
+        assert packed.tolist() == [list(g.sort_key(g.identity())), list(g.sort_key(element))]
+        assert g.dist_packed(packed[0], packed[1]) == g.dist(g.identity(), element)
+        a = g.generators()[0]
+        product = g.mul_packed(packed[1], g.pack([a])[0])
+        assert product.dtype == object
+        assert product.tolist() == list(g.sort_key(g.mul(element, a)))
 
-    def test_f18_does_not_pack(self):
-        # 2k + 1 = 37 digits: more than int reads
-        assert FreeGroup(18).pack(["a"]) is None
-        assert FreeGroup(17).pack(["a"]) is not None
+    @pytest.mark.parametrize("rank", [17, 18, 26])
+    def test_bases_past_36_pack(self, rank):
+        """Numerals are formed by arithmetic, not read by int, so F_18 to
+        F_26, whose bases pass the 36 digits int reads, pack too."""
+        g = FreeGroup(rank)
+        z, Z = g.generators()[-2:]
+        words = ["", "a", Z, "a" + z * (g.pack_limit - 1), z * (g.pack_limit + 1), (Z + "a") * g.pack_limit]
+        short = g.pack(words[:4])
+        assert short.dtype == np.uint64
+        assert short.tolist() == [[element_code(g, w), len(w)] for w in words[:4]]
+        assert g.pack(words).tolist() == [[_numeral(g, w), len(w)] for w in words]
+        assert element_codes(g, words).tolist() == [element_code(g, w) for w in words]
+
+    @pytest.mark.parametrize("spec", ["F_1", "F_2", "F_3", "F_4", "F_18", "F_26", "Z^1", "Z^2", "Z^3"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_differential_against_scalar_references(self, spec, data):
+        """``pack``, ``mul_packed``, ``dist_packed`` and ``element_codes``
+        against ``mul``, ``dist`` and ``element_code``, on norms on both
+        sides of pack_limit and past int64; products of machine rows are
+        Python ints exactly when |a| + |b| passes pack_limit, on F_k often
+        after cancelling."""
+        g = parse_group(spec)
+        xs, ys = data.draw(_lists_across_the_limit(g))
+        X, Y = g.pack(xs), g.pack(ys)
+        largest_x, largest_y = max(map(g.norm, xs)), max(map(g.norm, ys))
+        assert (X.dtype == object) == (largest_x > g.pack_limit)
+        assert X.tolist() == [_packed_row(g, x) for x in xs]
+        products = g.mul_packed(X[:, None], Y[None, :])
+        assert (products.dtype == object) == (largest_x + largest_y > g.pack_limit)
+        distances = g.dist_packed(X[:, None], Y[None, :])
+        assert distances.tolist() == [[g.dist(x, y) for y in ys] for x in xs]
+        assert products.tolist() == [[_packed_row(g, g.mul(x, y)) for y in ys] for x in xs]
+        assert element_codes(g, X).tolist() == [element_code(g, x) for x in xs]
+        flat = products.reshape(-1, products.shape[-1])
+        assert element_codes(g, flat).tolist() == [element_code(g, g.mul(x, y)) for x in xs for y in ys]
+        assert g.dist_packed(products[:, :, None], products[:, None, :]).tolist() == [
+            [[g.dist(g.mul(x, a), g.mul(x, b)) for b in ys] for a in ys] for x in xs
+        ]
+
+
+def _numeral(g, word):
+    """The base-(2k+1) numeral of an F_k word, in Python ints."""
+    numeral = 0
+    for c in word:  # letter i of "ab..AB.." is digit i + 1
+        numeral = numeral * (2 * g.rank + 1) + "abcdefghijklmnopqrstuvwxyz".index(c.lower()) + 1
+        numeral += g.rank if c.isupper() else 0
+    return numeral
+
+
+def _packed_row(g, x):
+    """The row of x in ``pack``'s form, in Python ints."""
+    return [_numeral(g, x), len(x)] if isinstance(g, FreeGroup) else list(g.sort_key(x))
+
+
+@st.composite
+def _lists_across_the_limit(draw, group):
+    """Two lists of elements whose norms lie on both sides of pack_limit and,
+    on Z^d, past int64; often the second list's norms make |x| + |y| equal
+    pack_limit, or one more, and on F_k its words often cancel into the
+    first's."""
+    L = group.pack_limit
+    far = [2**63, 2**64 + 3] if isinstance(group, FreeAbelian) else [2 * L + 1]
+    norm = st.one_of(st.integers(0, 6), st.sampled_from([L - 1, L, L + 1, *far]))
+    xs = [_element_of_norm(draw, group, draw(norm)) for _ in range(draw(st.integers(1, 3)))]
+    room = L - max(map(group.norm, xs))
+    at_limit = [m for m in (room, room + 1) if m >= 0]
+    ys = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.one_of(norm, st.sampled_from(at_limit)) if at_limit else norm)
+        if isinstance(group, FreeGroup) and draw(st.booleans()):
+            x = draw(st.sampled_from(xs))
+            c = draw(st.integers(0, min(len(x), n)))  # letters of x that y cancels
+            ys.append(_ref_mul(_ref_inv(x[len(x) - c :]), _word_of_length(draw, group, n - c)))
+        else:
+            ys.append(_element_of_norm(draw, group, n))
+    return xs, ys
+
+
+def _element_of_norm(draw, group, n):
+    if isinstance(group, FreeGroup):
+        return _word_of_length(draw, group, n)
+    coords = []
+    for _ in range(group.dimension - 1):
+        coords.append(draw(st.integers(0, n)))
+        n -= coords[-1]
+    coords = [c if draw(st.booleans()) else -c for c in coords + [n]]
+    return coords[0] if group.dimension == 1 else tuple(coords)
 
 
 class TestBallSize:
@@ -544,10 +643,10 @@ class TestBallSize:
             assert ball_size(g, r) == len(identity_ball(g, r))
 
 
-# (group, largest radius): F_1 crosses its packable length of 40 letters, and
-# F_18's base 37 is past the digits int reads
+# (group, largest radius): F_1 crosses its pack_limit of 40 letters, and the
+# bases 37 of F_18 and 53 of F_26 are past the 36 digits int reads
 _PACKED_BALL_CASES = [("Z^1", 12), ("Z^2", 6), ("Z^3", 4), ("Z^4", 3), ("F_1", 44),
-                      ("F_2", 4), ("F_3", 3), ("F_18", 2)]
+                      ("F_2", 4), ("F_3", 3), ("F_18", 2), ("F_26", 2)]
 
 
 class TestPackedBall:
@@ -559,31 +658,24 @@ class TestPackedBall:
         r = data.draw(st.integers(-1, max_r))
         norms, step, packed = g.ball_arrays(r)
         elements = g.decode_ball(norms, step, packed)
-        if r > g.pack_limit:
-            assert packed is None
-            return
-        reference = g.pack(elements)
-        if reference is not None:
-            assert packed.tolist() == reference.tolist()
-        if isinstance(g, FreeAbelian):
-            codes = element_codes(g, packed)
-        else:
+        assert (packed.dtype == object) == (r > g.pack_limit)
+        assert packed.tolist() == g.pack(elements).tolist()
+        if isinstance(g, FreeGroup):
             assert packed[:, 1].tolist() == norms.tolist()
-            codes = packed[:, 0]
+        codes = element_codes(g, packed)
         assert codes.dtype == np.uint64
         assert codes.tolist() == [element_code(g, e) for e in elements]
 
 
-# (group, radii): F_1 past its packable length of 40 letters, and F_18,
-# whose numerals int cannot read
+# (group, radii): F_1 past its pack_limit of 40 letters, where the numerals
+# are Python ints, and F_18, whose base 37 is past the digits int reads
 _DECODE_CASES = [("Z^1", -2, 10), ("Z^2", -2, 6), ("Z^3", -1, 4), ("Z^4", -1, 3), ("F_1", -1, 8),
                  ("F_2", -1, 5), ("F_3", -1, 4), ("F_1", 41, 44), ("F_18", 0, 2)]
 
 
 class TestDecodeBall:
     """The elements decoded from ``ball_arrays`` are the breadth-first ball:
-    Z^d from its coordinates, F_k from its generator table alone, so words
-    too long to pack decode too."""
+    Z^d from its coordinates, F_k from its generator table alone."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -591,7 +683,7 @@ class TestDecodeBall:
         spec, lo, hi = data.draw(st.sampled_from(_DECODE_CASES))
         g, r = parse_group(spec), data.draw(st.integers(lo, hi))
         norms, step, packed = g.ball_arrays(r)
-        assert (packed is None) == (r > g.pack_limit)
+        assert (packed.dtype == object) == (r > g.pack_limit)
         assert g.decode_ball(norms, step, packed) == bfs_ball(g, g.identity(), r)
 
 
@@ -658,8 +750,8 @@ class TestLatticeTranslate:
 @st.composite
 def _free_ball_cases(draw):
     """(group, centre, radius): the empty centre, F_1 centres on both sides
-    of its packable length of 40 letters, and F_18, whose base 37 never
-    packs."""
+    of its pack_limit of 40 letters, and F_18, whose base 37 is past the
+    36 digits int reads."""
     spec, top = draw(st.sampled_from([("F_1", 6), ("F_2", 4), ("F_3", 3), ("F_18", 2)]))
     g = parse_group(spec)
     words = _reduced_words(g)
@@ -670,8 +762,8 @@ def _free_ball_cases(draw):
 
 class TestFreeBall:
     """``Group.ball`` on F_k, the right translate of the identity ball, and
-    the ball CLI (test_cli.py) give the breadth-first ball, past the
-    packable length too."""
+    the ball CLI (test_cli.py) give the breadth-first ball, past pack_limit
+    too."""
 
     @settings(max_examples=100, deadline=None)
     @given(case=_free_ball_cases())
@@ -682,7 +774,7 @@ class TestFreeBall:
 
 @pytest.mark.parametrize("r", [41, 43])
 def test_offset_distances_past_the_packable_length(r):
-    """F_1 offsets longer than 40 letters do not pack: D comes from dist."""
+    """F_1 offsets longer than 40 letters pack as Python ints, and D is dist's."""
     g = FreeGroup(1)
     ball = identity_ball(g, r)
     assert Region(g, r).slot_distances(r).tolist() == [[g.dist(a, b) for b in ball] for a in ball]

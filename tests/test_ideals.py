@@ -14,14 +14,14 @@ Laws under test:
 4. Every kind passes the closure axioms (restriction + shift); a fixture
    that is deliberately not shift-closed is caught. The batched audit gives
    the report of the per-pattern loop kept in axioms_reference.py on every
-   kind, a reduced ideal, the broken fixture, F_18 (which does not pack) and
-   an F_2 whose products multiply on the left, where the audit must find the
+   kind, a reduced ideal, the broken fixture, F_18 and F_26 (bases past the
+   36 digits int reads) and an F_2 whose products multiply on the left, where the audit must find the
    shift violations that inferring distances from right invariance hides.
    It does so too with blocks of 1, 2 and 7 samples, keeping every
    violation in its place, and each block is judged before the next grows,
    in calls of at most _PAIR_CELLS rows times slot pairs. A block's entries
-   are packed in one call; a block with a sample that does not pack is
-   judged pattern by pattern.
+   are packed in one call and every block is judged packed, its products
+   in Python ints exactly when some entry plus a shift passes pack_limit.
    A fresh process that runs the audit does not import numpy.ma.
 5. The windowed membership check agrees with plain membership on the
    shipped local kinds.
@@ -332,12 +332,13 @@ class TestAxiomsCheck:
             (ProperColoring(FreeGroup(3), 3), {"radius": 4, "shift_radius": 3}),
             (ReducedIdeal(ProperColoring(Z1, 3), SupRadiiJoin(lambda c: 1, [1, 1, 1])), {}),
             (_EvenDomainsOnly(Z1), {}),
-            # 37 digits do not pack, so F_18 is judged pattern by pattern
+            # bases 37 and 53, past the 36 digits int reads, pack by arithmetic
             (ProperColoring(FreeGroup(18), 3), {"radius": 1, "shift_radius": 1}),
+            (ProperColoring(FreeGroup(26), 3), {"radius": 2, "shift_radius": 1}),
             (DistanceConstrained(_LeftMultiplied(2), (2,), (1,)), {}),
         ],
         ids=["pc3-z1", "pc3-z2", "pc5-z2-large", "distance", "not-universal", "nu-f2", "pc5-f2",
-             "pc2-f1-large", "pc3-f3", "reduced", "even-domains", "pc3-f18", "left-f2"],
+             "pc2-f1-large", "pc3-f3", "reduced", "even-domains", "pc3-f18", "pc3-f26", "left-f2"],
     )
     def test_batched_audit_equals_per_pattern(self, kind, options):
         batched = ideal_axioms_check(kind, sample_budget=20, seed=3, **options)
@@ -366,15 +367,20 @@ class TestAxiomsCheck:
         shifts = identity_ball(kind.group, shift_radius)
         monkeypatch.setattr(ideals, "_PAIR_CELLS",
                             len(shifts) * (max_size * (max_size - 1) // 2) * per_block)
-        calls = []  # (entries, whether they packed) of each pack call at the shift reach
+        calls = []  # the number of elements of each pack call
+        exact = []  # whether each product of entries and shifts was formed in Python ints
         samples = []  # each grown sample
-        pack, grow = type(kind.group).pack, ideals.grow_random_member
+        g, grow = kind.group, ideals.grow_random_member
+        pack, mul = type(g).pack, type(g).mul_packed
 
-        def spy(g, elements, reach=0):
-            X = pack(g, elements, reach)
-            if reach == shift_radius:
-                calls.append((len(elements), X is not None))
-            return X
+        def spy(g, elements):
+            calls.append(len(elements))
+            return pack(g, elements)
+
+        def multiplying(g, A, B):
+            product = mul(g, A, B)
+            exact.append(product.dtype == object)
+            return product
 
         def growing(*args):
             phi = grow(*args)
@@ -383,48 +389,55 @@ class TestAxiomsCheck:
 
         judged = []  # samples of each call of the packed judge
         judge = ideals._judge_packed
-        monkeypatch.setattr(type(kind.group), "pack", spy)
+        monkeypatch.setattr(type(g), "pack", spy)
+        monkeypatch.setattr(type(g), "mul_packed", multiplying)
         monkeypatch.setattr(ideals, "grow_random_member", growing)
         monkeypatch.setattr(ideals, "_judge_packed",
                             lambda P, block, *args: judged.append(len(block)) or judge(P, block, *args))
         batched = ideal_axioms_check(kind, sample_budget=23, seed=3, **options)
         reference = axioms_check_per_pattern(kind, sample_budget=23, seed=3, **options)
         assert batched.to_jsonable() == reference.to_jsonable()
-        # exactly one pack call per block of samples, which packs iff each
-        # of its samples does: a block with one that does not is judged
-        # pattern by pattern after that one call
+        # the shifts' inverses are packed once, then each block's entries in
+        # one call, and every block goes to the packed judge; its products
+        # are Python ints iff some entry x of the block has |x| +
+        # shift_radius > pack_limit
         assert len(samples) == 23
         sizes = [len(phi.entries) for phi in samples]
-        fits = [pack(kind.group, list(phi.domain()), shift_radius) is not None for phi in samples]
+        fits = [max(map(g.norm, phi.domain()), default=0) + shift_radius <= g.pack_limit for phi in samples]
         blocks = [range(lo, min(lo + per_block, 23)) for lo in range(0, 23, per_block)]
-        assert calls == [(sum(sizes[i] for i in b), all(fits[i] for i in b)) for b in blocks]
-        assert judged == [len(b) for b in blocks if all(fits[i] for i in b)]
+        assert calls == [len(shifts)] + [sum(sizes[i] for i in b) for b in blocks]
+        assert judged == [len(b) for b in blocks]
+        assert exact == [not all(fits[i] for i in b) for b in blocks]
         if isinstance(kind, _FarPointNeeded):
             assert batched.restriction_violations
         if max_size > 8:  # some samples have their subsets drawn by the rng
             assert max(sizes) > 8
-        if isinstance(kind.group, FreeGroup) and kind.group.rank == 1:
-            assert set(fits) == {True, False}  # some samples pack, some do not
+        if isinstance(g, FreeGroup) and g.rank == 1:
+            assert set(fits) == {True, False}  # some products pass pack_limit, some do not
             if per_block == 1:
-                assert {packed for _, packed in calls} == {True, False}  # both paths in one audit
+                assert set(exact) == {True, False}  # both arithmetics in one audit
         else:
             assert all(fits)
 
     def test_one_pack_call_per_block(self, monkeypatch):
-        """A 60-sample F_2 audit packs its entries once per block of 3
-        samples, besides packing the shifts' inverses once."""
+        """A 60-sample F_2 audit packs the shifts' inverses once, then its
+        entries once per block of 3 samples, and judges every block
+        packed."""
         kind = ProperColoring(F2, 5)
-        reaches = []
-        pack = FreeGroup.pack
+        sizes, judged = [], []
+        pack, judge = FreeGroup.pack, ideals._judge_packed
 
-        def spy(g, elements, reach=0):
-            reaches.append(reach)
-            return pack(g, elements, reach)
+        def spy(g, elements):
+            sizes.append(len(elements))
+            return pack(g, elements)
 
         monkeypatch.setattr(FreeGroup, "pack", spy)
+        monkeypatch.setattr(ideals, "_judge_packed",
+                            lambda P, block, *args: judged.append(len(block)) or judge(P, block, *args))
         report = ideal_axioms_check(kind, sample_budget=60, seed=0)
         assert report.ok and report.samples == 60
-        assert reaches == [0] + [5] * 20
+        assert len(sizes) == 21 and sizes[0] == len(identity_ball(F2, 5))
+        assert judged == [3] * 20
 
     def test_blocks_stream_within_pair_cells(self, monkeypatch):
         """Each block is judged before the next one grows, and no judging

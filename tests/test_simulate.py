@@ -36,7 +36,7 @@ Laws under test:
    window 8 at d_c = 7 reads the table in 8 GiB. With every
    point given one colour, the packed re-verification records the
    violations of a per-pair loop over g.dist, in its order, in blocks of
-   any size and on an F_1 window too long to pack. A negative window is
+   any size and on an F_1 window past pack_limit. A negative window is
    refused.
 6. Extraction: recurring patterns are found, normalized to the identity,
    kept and ordered as a Counter over the interior windows keeps them on
@@ -54,8 +54,8 @@ Laws under test:
    charged, and one whose bytes pass physical memory is refused before
    allocating (exit 3 from the CLI); a region refuses
    colliding element codes. Its translation kernel agrees with
-   g.mul, the scalar element code and an index dict, on the array paths and
-   on the per-point fallback. Its elements are decoded only where a report
+   g.mul, the scalar element code and an index dict, in machine integers
+   and in Python ints, and calls g.mul for no point. Its elements are decoded only where a report
    names points: not by a simulate without --dump that validates clean,
    nor by an equivariance check without mismatches; once, as the
    breadth-first ball names them, by a dump, a failure and a mismatch.
@@ -506,7 +506,7 @@ REGION_CASES = [
 
 
 # (group, largest radius) for the translation kernel; F_1 reaches past its
-# packable length of 40 letters
+# pack_limit of 40 letters
 TRANSLATE_CASES = [
     (Z1, 8),
     (Z2, 4),
@@ -518,7 +518,7 @@ TRANSLATE_CASES = [
 ]
 
 # (group, largest radius) for locating points by code; F_1 at 44 letters
-# does not pack, and F_18 has more digits than int reads
+# packs as Python ints, and F_18's base 37 is past the digits int reads
 LOCATE_CASES = [
     (Z1, 12),
     (Z2, 5),
@@ -663,7 +663,7 @@ class TestRegionKernel:
     def test_locate_matches_index_dict(self, data):
         """``locate`` against an index dict of the region, on points inside
         it, just outside it (one layer out) and far away: coordinates past
-        int64 on Z^d, words past the packable length on F_k."""
+        int64 on Z^d, words past pack_limit on F_k."""
         g, max_r = data.draw(st.sampled_from(LOCATE_CASES))
         region = simulate.Region(g, data.draw(st.integers(0, max_r)))
         near = bfs_ball(g, g.identity(), region.radius + 1)
@@ -677,7 +677,7 @@ class TestRegionKernel:
     def test_slot_distances_after_a_wider_build(self, g, r, wide):
         """``slot_distances(s)`` read from a table built for a wider s equals
         a fresh build's and g.dist between the offsets of Ball(1, s); F_1
-        offsets past 40 letters do not pack."""
+        offsets past 40 letters pack as Python ints."""
         region = simulate.Region(g, r)
         region.neighbors(wide)
         for s in range(wide + 1):
@@ -765,9 +765,10 @@ class TestRegionKernel:
         assert "neighbour table" in capsys.readouterr().err
 
     def test_codes_past_the_packable_length(self):
-        """F_1 words past 40 letters do not pack and take the scalar element_code."""
+        """F_1 words past 40 letters pack as Python ints, and their codes are
+        the scalar element_code's, hashed past 64 bits."""
         region = simulate.Region(FreeGroup(1), 44)
-        assert region.packed is None
+        assert region.packed.dtype == object and region.codes.dtype == np.uint64
         assert region.codes.tolist() == [element_code(region.group, e) for e in region.elements]
 
     def test_colliding_codes_refused(self, monkeypatch):
@@ -790,35 +791,40 @@ class TestRegionKernel:
             (F2, 3, "", "none"),
             (Z1, 5, 2**20 - 3, "none"),  # translates cross the 21-bit packing limit
             (FreeAbelian(3), 3, (-(2**20), 2**20, 1), "none"),
-            (FreeAbelian(4), 2, (2**62, -1, 0, 3), "none"),
+            (FreeAbelian(4), 2, (2**62 - 4, -1, 0, 0), "none"),  # 2 + (2^62 - 3): pack_limit exactly
             (Z2, 3, (2**63 - 2, 0), "every"),  # translates past int64
             (Z1, 4, -(2**64), "every"),
             (FreeAbelian(3), 2, (2**70, 0, -(2**70)), "every"),
-            # F_k translates in arrays while |x| + |gamma| fits the packable length
+            # F_k translates in uint64 while |x| + |gamma| is at most pack_limit
             (F2, 3, "abAB" * 6, "none"),  # 3 + 24 letters: F_2 packs 27
             (F2, 1, "abAB" * 6 + "abA", "every"),
             (F2, 3, "abAB" * 7, "every"),
             (FreeGroup(3), 2, "abcacb" * 3 + "ab", "none"),  # 2 + 20 letters: F_3 packs 22
             (FreeGroup(3), 2, "abcacb" * 3 + "abcac", "every"),
-            (FreeGroup(18), 1, "raQ", "none"),  # past the 36 digits that element_codes reads by int
+            (FreeGroup(18), 1, "raQ", "none"),  # base 37, past the 36 digits int reads
             (FreeGroup(1), 39, "a", "none"),  # 39 + 1 letters: F_1 packs 40
             (FreeGroup(1), 40, "A", "every"),
             (FreeGroup(1), 44, "A" * 3, "every"),  # a region past 40 letters
+            (FreeAbelian(4), 2, (2**62, -1, 0, 3), "every"),  # int64 coordinates, norms past pack_limit
         ],
     )
     def test_right_translate_edge_cases(self, monkeypatch, g, r, gamma, products):
         """Identity, long shifts, coordinates at the packing and int64
         limits, words at F_2's 27/28-letter packing limit, and an F_1 region
-        too long to pack. ``products`` says for how many points the kernel
-        calls g.mul: none on the array paths, every point on the fallback."""
+        past pack_limit. The kernel calls g.mul for no point; ``products``
+        says how many of its products are Python ints: none, or every one
+        where some |x| + |gamma| passes pack_limit."""
         region = simulate.Region(g, r)
-        n = len(region.elements)
-        calls = []
-        mul = type(g).mul
+        calls, moved = [], []
+        mul, mul_packed = type(g).mul, type(g).mul_packed
         monkeypatch.setattr(g, "mul", lambda x, y: calls.append(x) or mul(g, x, y), raising=False)
+        monkeypatch.setattr(g, "mul_packed", lambda A, B: moved.append(mul_packed(g, A, B)) or moved[-1],
+                            raising=False)
         region.right_translate(gamma)
         monkeypatch.undo()
-        assert len(calls) == (0 if products == "none" else n)
+        assert calls == [] and len(moved) == 1
+        machine = np.uint64 if isinstance(g, FreeGroup) else np.int64
+        assert moved[0].dtype == (object if products == "every" else machine)
         assert_translate_matches(region, gamma)
 
 
@@ -1355,7 +1361,7 @@ class TestEquivariance:
         "ideal, window, steps, p, gamma",
         [
             (ProperColoring(Z2, 5), 8, 3, Fraction(1, 8), (1, -2)),
-            (ProperColoring(F2, 5), 5, 3, Fraction(1, 16), "aB"),  # packed: no per-point fallback
+            (ProperColoring(F2, 5), 5, 3, Fraction(1, 16), "aB"),
         ],
     )
     def test_runs_are_compared_without_locating(self, monkeypatch, ideal, window, steps, p, gamma):
@@ -1541,7 +1547,7 @@ class TestSparse:
             monkeypatch.setattr(simulate, "_PAIR_CELLS", cells)
             monkeypatch.setattr(groups, "_PAIR_CELLS", cells)
         region = simulate.Region(g, radius)
-        assert (region.packed is None) == (radius > g.pack_limit)
+        assert (region.packed.dtype == object) == (radius > g.pack_limit)
         for d_c in {*range(0, 2 * radius, 1 + radius // 8), 2 * radius - 1, 2 * radius}:
             assert _greedy_distance_coloring(region, d_c) == per_row_greedy(region, d_c)
 
@@ -1577,7 +1583,7 @@ class TestSparse:
         region = simulate.Region(F2, 5)
         calls.clear()
         assert _greedy_distance_coloring(region, 7) == per_row_greedy(region, 7)
-        assert calls and all(args[1] is region.elements for args in calls)
+        assert calls and all(args[1] is region.packed for args in calls)
         assert len(region._widths) == 1  # the radius-0 table of the constructor alone
 
     def test_small_memory_takes_the_pair_path(self, monkeypatch):
