@@ -9,13 +9,13 @@ symmetric generating set:
     dist(g, h) = word length of h * g^-1
 
 which is right-invariant: dist(g*x, h*x) = dist(g, h). Closed balls are
-finite (the metric is proper) and listed breadth-first, each layer sorted
-canonically, so every downstream greedy procedure is deterministic. Ball(1, r)
-is built from integer arrays (``ball_arrays``), refused before allocation
-when it cannot fit in memory, and its elements are decoded from those
-arrays only where they are read (``decode_ball``); every other ball is its
-right translate Ball(g, r) = Ball(1, r)*g, re-sorted within each layer
-on F_k; on Z^d a translate keeps the order.
+finite (the metric is proper). Ball(1, r) is listed breadth-first, each
+layer sorted canonically, so every downstream greedy procedure is
+deterministic. It is built from integer arrays (``ball_arrays``), and its
+elements are decoded from those arrays only where they are read
+(``decode_ball``); both are refused before allocation when they cannot fit
+in memory. Every other ball is its right translate Ball(g, r) =
+Ball(1, r)*g, in the order of Ball(1, r).
 
 Elements also have a packed form, one row of an integer array per element,
 on which products and distances are computed for many elements at once
@@ -44,7 +44,6 @@ import string
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
 from math import comb
 from operator import add
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -103,13 +102,11 @@ class Group:
         return self.norm(self.mul(h, self.inv(g)))
 
     def ball(self, center, r: Radius) -> list:
-        """Closed ball {x : dist(center, x) <= r}, breadth-first, each layer
-        sorted canonically. A rational radius acts as its floor. By right
-        invariance it is Ball(1, r)*center, with w*center in layer |w|."""
-        out = []
-        for _t, layer in groupby(identity_ball(self, r), key=self.norm):
-            out.extend(sorted((self.mul(w, center) for w in layer), key=self.sort_key))
-        return out
+        """Closed ball {x : dist(center, x) <= r}. By right invariance it is
+        Ball(1, r)*center: w*center for w in ``identity_ball``'s order, so
+        breadth-first, and on Z^d each layer sorted canonically. A rational
+        radius acts as its floor."""
+        return [self.mul(w, center) for w in identity_ball(self, r)]
 
     def ball_arrays(self, radius: int) -> tuple:
         """Ball(1, radius) as arrays, built with no loop over its elements
@@ -211,7 +208,7 @@ class FreeAbelian(Group):
     def mul(self, g, h):
         if self.dimension == 1:
             return g + h
-        return tuple(a + b for a, b in zip(g, h))
+        return tuple(map(add, g, h))
 
     def inv(self, g):
         if self.dimension == 1:
@@ -230,12 +227,6 @@ class FreeAbelian(Group):
 
     def sort_key(self, g):
         return (g,) if self.dimension == 1 else g
-
-    def ball(self, center, r):
-        # the translate of Ball(1, r) keeps each layer's lexicographic order
-        if self.dimension == 1:
-            return [w + center for w in identity_ball(self, r)]
-        return [tuple(map(add, w, center)) for w in identity_ball(self, r)]
 
     def lex_ball(self, radius: int) -> np.ndarray:
         """Ball(1, radius) as int64 coordinate rows in lexicographic (sort_key)
@@ -596,9 +587,11 @@ def identity_ball(group: Group, r: Radius) -> tuple:
     """Ball(1, r) as ``Group.ball_arrays`` lists it, decoded by
     ``Group.decode_ball`` and cached: the package's one copy of the balls
     about the identity, a tuple so no caller can change it. A rational r
-    acts as its floor; a negative one gives the empty ball."""
+    acts as its floor; a negative one gives the empty ball. Refused by
+    ``refuse_decoding`` before anything is built."""
     if isinstance(r, Infinity):
         raise ValueError("cannot enumerate a ball of infinite radius")
+    refuse_decoding(group, radius_floor(r))
     return tuple(group.decode_ball(*group.ball_arrays(radius_floor(r))))
 
 
@@ -631,6 +624,29 @@ def _refuse_oversize(group: Group, radius: int) -> None:
     huge = isinstance(group, FreeGroup) and group.rank > 1 and radius > memory.bit_length()
     if huge or ball_size(group, radius) * 8 * (len(group.generators()) + 1) > memory:
         raise BudgetError(f"Ball(1, {radius}) of {group.name} needs more than {memory} bytes "
+                          "of physical memory")
+
+
+def refuse_decoding(group: Group, radius: int) -> None:
+    """Raise BudgetError, before anything is built, when decoding Ball(1,
+    radius) can need more bytes than physical memory, at a closed-form bound
+    per point on the peak of ``ball_arrays`` and ``decode_ball``: on Z^d the
+    (n, 2d) int64 gathers of ``ball_arrays``, or its arrays with d int
+    objects, a d-tuple and list slots; on F_k the table, numerals, list
+    slots and the word, a str of 49 bytes and its letters, with numerals of
+    Python ints past pack_limit; and a quarter more for the allocators'
+    overhead. The table's own charge comes first."""
+    _refuse_oversize(group, radius)
+    if isinstance(group, FreeGroup):
+        point = 16 * group.rank + 160 + radius
+        if radius > group.pack_limit:
+            point += 64 + radius * (2 * group.rank + 1).bit_length() // 8
+    else:
+        point = 104 * group.dimension + 80
+    point += point // 4
+    memory = physical_memory()
+    if ball_size(group, radius) * point > memory:
+        raise BudgetError(f"the decoded Ball(1, {radius}) of {group.name} needs more than {memory} bytes "
                           "of physical memory")
 
 

@@ -562,6 +562,8 @@ def grow_random_member(
     Each step keeps phi a member and draws gamma canonical and uncolored,
     so it goes to ``_grow_at``, which checks neither; only the empty start
     is judged, and if it is no member, every step goes to ``extend_at``."""
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     g = P.group
     ballpts = identity_ball(g, radius)
     phi = P.empty()
@@ -617,6 +619,9 @@ def ideal_axioms_check(
     coordinates as Python ints, so every block is judged in arrays."""
     if sample_budget < 0:
         raise ValueError(f"sample budget must be nonnegative, got {sample_budget}")
+    for name, r in (("radius", radius), ("shift_radius", shift_radius)):
+        if r < 0:
+            raise ValueError(f"{name} must be nonnegative, got {r}")
     rng = random.Random(seed)
     g = P.group
     shifts = identity_ball(g, shift_radius)

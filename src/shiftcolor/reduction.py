@@ -127,6 +127,8 @@ def check_join(
     R-separated positions, and test that the union is still a member."""
     if samples < 0:
         raise ValueError(f"sample count must be nonnegative, got {samples}")
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     rng = random.Random(seed)
     report = JoinReport()
     report.empty_member = P.contains(P.empty())
@@ -196,6 +198,8 @@ def check_local(
     """
     if enumeration_budget < 0:
         raise ValueError(f"enumeration budget must be nonnegative, got {enumeration_budget}")
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     rng = random.Random(seed)
     g = P.group
     report = LocalReport()

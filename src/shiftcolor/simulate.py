@@ -72,6 +72,7 @@ of the table.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from fractions import Fraction
@@ -80,9 +81,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import (_PAIR_CELLS, BudgetError, FreeGroup, Group, ball_size, distance_block,
-                     parse_group, physical_memory)
+                     identity_ball, parse_group, physical_memory, refuse_decoding)
 from .ideals import NO_COLOR, IdealSpec, _check_d_sequence
-from .patterns import PartialColoring, _validate_color, shift
+from .patterns import PartialColoring, _validate_color
 from .radii import Infinity, Radius, radius_ceil, radius_floor
 from .reports import Report
 from .rng import RandomField, element_codes
@@ -124,7 +125,9 @@ class Region:
 
     @cached_property
     def elements(self) -> list:
-        """The region's points in region order, decoded on first read."""
+        """The region's points in region order, decoded on first read, and
+        refused by ``refuse_decoding`` before that."""
+        refuse_decoding(self.group, self.radius)
         return self.group.decode_ball(self.norms, self._step[:, :-1].T, self.packed)
 
     def neighbors(self, s: int) -> np.ndarray:
@@ -804,19 +807,25 @@ def extract_patterns(
 ) -> List[PartialColoring]:
     """All radius-``shape_radius`` window patterns of the coloring around
     interior centers (centers whose whole ball lies in the colored window),
-    normalized by shifting the center to the identity, that occur at least
-    ``min_occurrences`` times. Sorted canonically for determinism."""
+    normalized by shifting the center to the identity (read in place: w ->
+    omega(w*gamma)), that occur at least ``min_occurrences`` times. Sorted
+    canonically for determinism."""
     if shape_radius < 0:
         raise ValueError(f"the shape radius must be nonnegative, got {shape_radius}")
     if min_occurrences < 0:
         raise ValueError(f"the occurrence count must be nonnegative, got {min_occurrences}")
-    g = omega.group
-    dom = set(omega.domain())
-    found: Dict[tuple, list] = {}  # canonical key: [pattern, occurrences]
-    for gamma in omega.domain():
-        ball_pts = g.ball(gamma, shape_radius)
-        if not all(e in dom for e in ball_pts):
-            continue
-        normalized = shift(omega.restrict(ball_pts), gamma)
-        found.setdefault(normalized.canonical_key(), [normalized, 0])[1] += 1
-    return [p for _key, (p, n) in sorted(found.items()) if n >= min_occurrences]
+    g, colors = omega.group, omega.entries
+    # the domain of every pattern, so color tuples sort as canonical keys do
+    offsets = sorted(identity_ball(g, shape_radius), key=g.sort_key)
+    counts = Counter()
+    for gamma in colors:
+        window = []
+        for w in offsets:  # up to the first w*gamma outside the coloring
+            c = colors.get(g.mul(w, gamma))
+            if c is None:
+                break
+            window.append(c)
+        else:
+            counts[tuple(window)] += 1
+    return [PartialColoring._of_valid(g, dict(zip(offsets, window)))
+            for window, n in sorted(counts.items()) if n >= min_occurrences]

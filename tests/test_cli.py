@@ -30,8 +30,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftcolor import groups
 from shiftcolor.cli import main
-from shiftcolor.groups import FreeAbelian, FreeGroup, ball_size
+from shiftcolor.groups import FreeAbelian, FreeGroup, ball_size, identity_ball
 from shiftcolor.ideals import ideal_from_json
 from shiftcolor.reports import SCHEMA_VERSION, TOOL_VERSION, to_jsonable
 from shiftcolor.simulate import SimulationConfig, run, trace_validate
@@ -182,6 +183,16 @@ class TestSearchCommands:
         code, data = run_to_file(tmp_path, ["ball", "Z^3", "[0,0,0]", "1000000"])
         assert code == 3 and data == b""
         assert "physical memory" in capsys.readouterr().err
+
+    def test_decoded_ball_past_memory_exits_three(self, tmp_path, capsys, monkeypatch):
+        """Memory read as just the generator table of Ball(1, 8) of F_2: the
+        words are charged too, and refused before they are decoded."""
+        g = FreeGroup(2)
+        monkeypatch.setattr(groups, "physical_memory", lambda: ball_size(g, 8) * (len(g.generators()) + 1) * 8)
+        identity_ball.cache_clear()
+        code, data = run_to_file(tmp_path, ["ball", "F_2", "a", "8"])
+        assert code == 3 and data == b""
+        assert "decoded Ball(1, 8) of F_2" in capsys.readouterr().err
 
     def test_dseq_budget_exhaustion(self, tmp_path):
         code, data = run_to_file(tmp_path, ["dseq", "Z^1", "10", "--budget", "20"])

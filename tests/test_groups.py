@@ -4,10 +4,10 @@ Laws under test:
 1. Metric laws, exactly: symmetry, right-invariance dist(ag, bg) = dist(a, b),
    triangle inequality, identity of indiscernibles.
 2. Frozen small facts: reduced-word products, ball sizes, specific distances.
-   Every ball, about the identity or translated, is exactly the list the
-   breadth-first search kept here returns; on Z^d, the identity ball
-   translated coordinate-wise is the generic ``Group.ball``, which sorts
-   each translated layer. A region's distances between the offsets of a
+   Every ball about the identity is exactly the list the breadth-first
+   search kept here returns, and every other ball is its right translate,
+   in its order, holding the breadth-first ball about the centre (on Z^d,
+   equal to it). A region's distances between the offsets of a
    ball about the identity (``Region.slot_distances``) are g.dist's.
 3. Packing searches return the frozen minimal sequences, and every returned
    certificate re-verifies by direct ball enumeration (independent of the
@@ -31,25 +31,30 @@ Laws under test:
    as a usage error.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shiftcolor import groups
 from shiftcolor.groups import (
     BudgetError,
     DSequence,
     FreeAbelian,
     FreeGroup,
-    Group,
     PackingWitness,
     annulus_D,
     ball_size,
     d_sequence,
     identity_ball,
     parse_group,
+    refuse_decoding,
     set_dist,
 )
 from shiftcolor.radii import INF
@@ -185,6 +190,18 @@ def _centers(group):
 _BALL_GROUPS = ["Z^1", "Z^2", "Z^3", "Z^4", "F_1", "F_2", "F_3"]
 
 
+def _assert_translates_breadth_first_ball(g, center, r):
+    """Ball(center, r) is w*center for w in the breadth-first Ball(1, r), in
+    its order, and holds the points of the breadth-first search from the
+    centre; on Z^d, where a translate keeps the lexicographic order, it is
+    that search's list."""
+    got = g.ball(center, r)
+    assert got == [g.mul(w, center) for w in bfs_ball(g, g.identity(), r)]
+    assert sorted(got, key=g.sort_key) == sorted(bfs_ball(g, center, r), key=g.sort_key)
+    if isinstance(g, FreeAbelian):
+        assert got == bfs_ball(g, center, r)
+
+
 class TestBall:
     @pytest.mark.parametrize("spec", _BALL_GROUPS)
     @settings(max_examples=25, deadline=None)
@@ -192,7 +209,7 @@ class TestBall:
     def test_matches_breadth_first_reference(self, spec, data, r):
         g = parse_group(spec)
         center = data.draw(_centers(g))
-        assert g.ball(center, r) == bfs_ball(g, center, r)
+        _assert_translates_breadth_first_ball(g, center, r)
         assert identity_ball(g, r) == tuple(bfs_ball(g, g.identity(), r))
 
     @pytest.mark.parametrize("spec", _BALL_GROUPS)
@@ -730,21 +747,20 @@ def _lattice_ball_cases(draw):
 
 
 class TestLatticeTranslate:
-    """``FreeAbelian.ball``, the identity ball translated coordinate-wise,
-    is the generic ``Group.ball``, which sorts each translated layer."""
+    """``Group.ball`` on Z^d, the identity ball translated coordinate-wise,
+    is the breadth-first ball, centres past int64 included."""
 
     @settings(max_examples=120, deadline=None)
     @given(case=_lattice_ball_cases())
-    def test_matches_generic_ball(self, case):
-        g, center, r = case
-        assert g.ball(center, r) == Group.ball(g, center, r)
+    def test_translates_breadth_first_ball(self, case):
+        _assert_translates_breadth_first_ball(*case)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_edge_radii(self, d):
         g = FreeAbelian(d)
         for center in (g.identity(), g.element_at_distance(-(10**20))):
             for r in (-1, Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(7, 3), 5):
-                assert g.ball(center, r) == Group.ball(g, center, r) == bfs_ball(g, center, r)
+                _assert_translates_breadth_first_ball(g, center, r)
 
 
 @st.composite
@@ -761,15 +777,14 @@ def _free_ball_cases(draw):
 
 
 class TestFreeBall:
-    """``Group.ball`` on F_k, the right translate of the identity ball, and
-    the ball CLI (test_cli.py) give the breadth-first ball, past pack_limit
-    too."""
+    """``Group.ball`` on F_k is the right translate of the breadth-first
+    identity ball, in its order, and holds the breadth-first ball about the
+    centre, past pack_limit too; the ball CLI (test_cli.py) sorts it."""
 
     @settings(max_examples=100, deadline=None)
     @given(case=_free_ball_cases())
     def test_matches_breadth_first_reference(self, case):
-        g, center, r = case
-        assert g.ball(center, r) == bfs_ball(g, center, r)
+        _assert_translates_breadth_first_ball(*case)
 
 
 @pytest.mark.parametrize("r", [41, 43])
@@ -807,3 +822,87 @@ class TestMemoryFloor:
             ideal_axioms_check(P, 1, 0, radius=7, shift_radius=7)
         with pytest.raises(BudgetError, match="physical memory"):
             grow_random_member(P, random.Random(0), 3, radius=7)
+
+
+def _decoded_charge(g, r):
+    """The least physical memory at which ``refuse_decoding`` lets Ball(1,
+    r) of g be decoded, found by bisection on the reading."""
+    lo, hi = 0, 1 << 64
+    with pytest.MonkeyPatch.context() as mp:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            mp.setattr(groups, "physical_memory", lambda: mid)
+            try:
+                refuse_decoding(g, r)
+                hi = mid
+            except BudgetError:
+                lo = mid + 1
+    return lo
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+# Decodes Ball(1, r) of argv[1] after a warm-up, and prints the growth in
+# bytes of the process's peak resident set and the ball's size. The peak is
+# VmHWM, not ru_maxrss, which Linux carries over from the parent through exec.
+_RATE_SCRIPT = """
+import re, sys
+from shiftcolor.groups import identity_ball, parse_group
+def peak():
+    with open("/proc/self/status") as f:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", f.read()).group(1)) * 1024
+g, r = parse_group(sys.argv[1]), int(sys.argv[2])
+identity_ball(g, 1)
+before = peak()
+n = len(identity_ball(g, r))
+print(peak() - before, n)
+"""
+
+
+class TestDecodedCharge:
+    """Decoding a ball about the identity, by ``identity_ball``,
+    ``Group.ball`` or ``Region.elements``, is charged a closed-form bound
+    per point, which covers the table's charge, and is refused before
+    anything is built or decoded when the charge passes physical memory."""
+
+    @pytest.mark.parametrize("spec, r", [("Z^1", 30), ("Z^3", 4), ("F_1", 44), ("F_2", 5), ("F_26", 2)])
+    def test_nothing_is_decoded_past_memory(self, monkeypatch, spec, r):
+        g = parse_group(spec)
+        region, charge = Region(g, r), _decoded_charge(g, r)
+        assert charge > _floor_bytes(g, r)
+        calls = []
+        for name in ("ball_arrays", "decode_ball"):
+            method = getattr(type(g), name)
+            monkeypatch.setattr(type(g), name, lambda self, *a, m=method, n=name: calls.append(n) or m(self, *a))
+        identity_ball.cache_clear()
+        monkeypatch.setattr(groups, "physical_memory", lambda: charge - 1)
+        for decode in (lambda: identity_ball(g, r), lambda: g.ball(g.identity(), r), lambda: region.elements):
+            with pytest.raises(BudgetError, match="decoded .* physical memory"):
+                decode()
+        assert calls == []
+        monkeypatch.setattr(groups, "physical_memory", lambda: charge)
+        assert region.elements == list(identity_ball(g, r)) == bfs_ball(g, g.identity(), r)
+        assert calls == ["decode_ball", "ball_arrays", "decode_ball"]
+
+    def test_exhausting_balls_are_charged_past_memory(self):
+        """``dseq F_2 4`` decodes Ball(1, 16) of F_2, 86,093,441 words, and
+        ``ball F_1 a 100000`` Ball(1, 100000) of F_1, whose words hold
+        100000 * 100001 letters; both table charges fit in 8 GB."""
+        for g, r, words in ((F2, 16, 86_093_441), (FreeGroup(1), 100_000, 200_001)):
+            assert ball_size(g, r) == words and _floor_bytes(g, r) < 8 << 30 < _decoded_charge(g, r)
+        assert _decoded_charge(FreeGroup(1), 100_000) > 100_000 * 100_001
+
+    @pytest.mark.parametrize("spec, radii", [("Z^1", (100_000, 300_000)), ("Z^10", (4, 5)),
+                                             ("F_1", (1000, 2000)), ("F_2", (8, 10)), ("F_26", (2, 3))])
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux's /proc")
+    def test_charge_covers_the_measured_rate(self, spec, radii):
+        """In a fresh process, decoding grows the peak resident set by at
+        most the charge, at two sizes per group."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p)
+        for r in radii:
+            result = subprocess.run([sys.executable, "-c", _RATE_SCRIPT, spec, str(r)], env=env,
+                                    capture_output=True, text=True, timeout=120, check=True)
+            grown, n = map(int, result.stdout.split())
+            assert n == ball_size(parse_group(spec), r)
+            assert 0 < grown <= _decoded_charge(parse_group(spec), r)

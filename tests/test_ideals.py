@@ -288,6 +288,18 @@ class TestAxiomsCheck:
         report = ideal_axioms_check(kind, sample_budget=60, seed=1)
         assert report.ok, report.to_jsonable()
 
+    @pytest.mark.parametrize("sample, name", [
+        (lambda P: grow_random_member(P, random.Random(0), 3, radius=-1), "radius"),
+        (lambda P: ideal_axioms_check(P, 1, 0, radius=-1), "radius"),
+        (lambda P: ideal_axioms_check(P, 1, 0, shift_radius=-1), "shift_radius"),
+    ], ids=["growth", "audit-radius", "audit-shift-radius"])
+    def test_negative_sampler_radius_refused(self, sample, name):
+        """Not random's empty range nor a division by no shifts: a
+        ValueError that names the parameter."""
+        for P in (ProperColoring(Z1, 3), ProperColoring(F2, 5)):
+            with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -1$"):
+                sample(P)
+
     def test_broken_fixture_caught(self):
         report = ideal_axioms_check(_EvenDomainsOnly(Z1), sample_budget=60, seed=1)
         assert report.shift_violations

@@ -126,11 +126,19 @@ class TestCheckJoin:
         report = check_join(PC3, R_ONE, tuple_size_max=0, samples=5, seed=0)
         assert report.empty_member
 
+    def test_negative_radius_refused(self):
+        with pytest.raises(ValueError, match="^radius must be nonnegative, got -1$"):
+            check_join(PC3, R_ONE, tuple_size_max=2, samples=5, seed=0, radius=-1)
+
 
 class TestCheckLocal:
     def test_proper_is_local_at_one(self):
         report = check_local(PC3, PC3.locality_radius, enumeration_budget=150, seed=0)
         assert report.ok, report.to_jsonable()
+
+    def test_negative_radius_refused(self):
+        with pytest.raises(ValueError, match="^radius must be nonnegative, got -1$"):
+            check_local(PC3, PC3.locality_radius, enumeration_budget=4, seed=0, radius=-1)
 
     def test_distance_kind_not_local_at_one(self):
         # gap for color 0 is 3, so radius-1 windows cannot see the clash at

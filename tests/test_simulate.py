@@ -40,8 +40,11 @@ Laws under test:
    refused.
 6. Extraction: recurring patterns are found, normalized to the identity,
    kept and ordered as a Counter over the interior windows keeps them on
-   periodic and random Z^1 colourings and on F_2; a negative shape radius
-   or occurrence count is refused.
+   periodic and random colourings of Z^1-Z^3, F_1 past pack_limit, F_2
+   and F_3, with holes and pair colours, and on final colourings of runs,
+   at whole and rational radii; the colouring is read in place, with no
+   window built as a pattern and one mul per point read; a negative shape
+   radius or occurrence count is refused.
 7. The array-built region agrees with the breadth-first ball, group.norm,
    the scalar element code, an index-plus-mul generator table and g.dist;
    it locates points inside it, just outside and past int64 as an index
@@ -98,6 +101,7 @@ Laws under test:
 
 import copy
 import dataclasses
+import functools
 import json
 import random
 import tracemalloc
@@ -109,6 +113,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftcolor import cli, groups, simulate
+from shiftcolor import patterns as patterns_module
 from shiftcolor.groups import FreeAbelian, FreeGroup
 from shiftcolor.ideals import (
     NO_COLOR,
@@ -1808,6 +1813,50 @@ class TestTableConsumers:
         assert report.to_jsonable() == brute_force_validate(trace, ideal).to_jsonable()
 
 
+_EXTRACT_RADII = [0, Fraction(1, 2), 1, Fraction(3, 2), 2]
+
+
+@functools.cache
+def _run_colourings():
+    """Final colourings of runs: proper colourings of Z^1, Z^2, F_1 past
+    its pack_limit of 40 letters and F_2, and a pair schedule on Z^1."""
+    configs = [
+        SimulationConfig(ideal=PC3, window_radius=40, margin=2, steps=120, p=Fraction(1, 2), seed=3),
+        SimulationConfig(ideal=ProperColoring(Z2, 5), window_radius=6, margin=2, steps=120, p=Fraction(1, 8)),
+        SimulationConfig(ideal=ProperColoring(F1, 3), window_radius=50, margin=2, steps=120, p=Fraction(1, 2)),
+        SimulationConfig(ideal=ProperColoring(F2, 5), window_radius=3, margin=2, steps=300, p=Fraction(1, 17)),
+        SimulationConfig(ideal=_reduced(Z1), window_radius=30, margin=6, steps=120, p=Fraction(1, 8),
+                         schedule=_PAIRS),
+    ]
+    return [run(cfg).final_coloring for cfg in configs]
+
+
+def _drawn_colouring(data) -> PartialColoring:
+    kind = data.draw(st.sampled_from(["line", "ball", "long F_1", "run"]))
+    if kind == "run":
+        return data.draw(st.sampled_from(_run_colourings()))
+    if kind == "line":
+        g, n = Z1, data.draw(st.integers(0, 30))
+        points = list(range(-n, n + 1))
+    elif kind == "long F_1":  # a^38 .. a^46 and beyond, past pack_limit
+        g, lo = F1, data.draw(st.integers(30, 44))
+        points = ["a" * i for i in range(lo, lo + data.draw(st.integers(0, 12)))]
+    else:
+        g, top = data.draw(st.sampled_from([(Z2, 3), (Z3, 2), (F2, 3), (FreeGroup(3), 2)]))
+        points = bfs_ball(g, g.identity(), data.draw(st.integers(0, top)))
+    if kind == "line" and data.draw(st.booleans()):
+        period = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
+        colours = [period[i % len(period)] for i in range(len(points))]
+    else:
+        colours = data.draw(st.lists(st.integers(0, 2), min_size=len(points), max_size=len(points)))
+    if data.draw(st.booleans()):
+        colours = [(data.draw(st.integers(0, 1)), c) for c in colours]
+    entries = dict(zip(points, colours))
+    for hole in data.draw(st.sets(st.sampled_from(points), max_size=2)) if points else ():
+        del entries[hole]
+    return PartialColoring(g, entries)
+
+
 class TestExtract:
     def test_parity_coloring_has_two_patterns(self):
         omega = PartialColoring(Z1, {i: i % 2 for i in range(-6, 7)})
@@ -1832,36 +1881,51 @@ class TestExtract:
             extract_patterns(omega, 1, min_occurrences=-3)
         assert len(extract_patterns(omega, 0, min_occurrences=0)) == 2
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_counts_match_a_counter(self, data):
         """The patterns kept, in order, are those a Counter over the
-        normalised interior windows counts at least min_occurrences times,
-        on periodic and random Z^1 colourings and on F_2."""
-        g = data.draw(st.sampled_from([Z1, F2]))
-        if g is Z1:
-            n = data.draw(st.integers(0, 30))
-            if data.draw(st.booleans()):
-                period = data.draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))
-                colours = {i: period[i % len(period)] for i in range(-n, n + 1)}
-            else:
-                drawn = data.draw(st.lists(st.integers(0, 2), min_size=2 * n + 1, max_size=2 * n + 1))
-                colours = dict(zip(range(-n, n + 1), drawn))
-        else:
-            points = g.ball(g.identity(), data.draw(st.integers(0, 3)))
-            colours = dict(zip(points, data.draw(st.lists(st.integers(0, 1), min_size=len(points),
-                                                          max_size=len(points)))))
-        omega = PartialColoring(g, colours)
-        radius, least = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 3))
+        normalised interior windows of the breadth-first balls counts at
+        least min_occurrences times: on periodic and random Z^1 colourings,
+        balls of Z^2, Z^3, F_2 and F_3, F_1 words past pack_limit, with
+        holes and with pair colours (h, c), and on final colourings of runs,
+        at radii 0 to 2 by halves."""
+        omega = _drawn_colouring(data)
+        g, colours = omega.group, omega.entries
+        radius, least = data.draw(st.sampled_from(_EXTRACT_RADII)), data.draw(st.integers(0, 3))
         counter = Counter()
         for gamma in colours:
-            ball = g.ball(gamma, radius)
+            ball = bfs_ball(g, gamma, radius)
             if all(e in colours for e in ball):
                 counter[frozenset(shift(omega.restrict(ball), gamma).entries.items())] += 1
         expected = sorted((PartialColoring(g, dict(k)) for k, c in counter.items() if c >= least),
                           key=PartialColoring.canonical_key)
         got = extract_patterns(omega, radius, min_occurrences=least)
         assert [p.entries for p in got] == [p.entries for p in expected]
+
+    @pytest.mark.parametrize("radius", [0, Fraction(3, 2), 2])
+    def test_reads_the_colouring_in_place(self, monkeypatch, radius):
+        """No window is built as a pattern: no Group.ball, restrict, shift
+        or canonical_key, and at most |dom| * |Ball(1, r)| calls to mul."""
+        colourings = _run_colourings()
+        wanted = [extract_patterns(omega, radius, 1) for omega in colourings]
+        assert sum(map(len, wanted)) > len(colourings)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a window was built as a pattern")
+
+        monkeypatch.setattr(groups.Group, "ball", refused)
+        for owner, name in ((PartialColoring, "restrict"), (PartialColoring, "canonical_key"),
+                            (patterns_module, "shift"), (simulate, "shift")):
+            monkeypatch.setattr(owner, name, refused, raising=False)
+        for omega, patterns in zip(colourings, wanted):
+            g, calls = omega.group, []
+            # on the instance, where g.mul is looked up first
+            monkeypatch.setitem(vars(g), "mul", lambda a, b, mul=g.mul: calls.append(1) or mul(a, b))
+            got = extract_patterns(omega, radius, 1)
+            monkeypatch.delitem(vars(g), "mul")
+            assert [p.entries for p in got] == [p.entries for p in patterns]
+            assert 0 < len(calls) <= len(omega) * groups.ball_size(g, radius_floor(radius))
 
     def test_patterns_are_centered(self):
         omega = PartialColoring(Z1, {i: 0 if i < 3 else 1 for i in range(7)})
