@@ -4,7 +4,8 @@ Laws under test:
 1. Every subcommand produces a canonical envelope — schema version,
    manifest, payload — and the exit code contract holds: 0 clean, 1 a
    checked property was found violated, 2 usage or I/O trouble, 3 budget
-   exhausted before a conclusion. A negative ``--budget`` on every budgeted
+   exhausted before a conclusion, or a ball that cannot fit in memory,
+   its table or its decoded elements. A negative ``--budget`` on every budgeted
    subcommand, a negative ``--palette-max``, negative ``extract``
    arguments, a plain colour scheduled on a reduced spec, an extension
    search on a reduced spec, and a malformed JSON schedule are usage

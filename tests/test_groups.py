@@ -22,8 +22,11 @@ Laws under test:
 6. The closed-form ball sizes equal the length of the enumerated balls.
    The packed ball of ``ball_arrays`` is ``pack``'s form, coded as the
    scalar element_code codes it, and the elements ``decode_ball`` reads
-   from its arrays are the breadth-first ball; a ball whose table cannot fit in memory is refused
-   before anything is allocated. The Z^d arrays built from lattice-point
+   from its arrays are the breadth-first ball; a ball whose table cannot
+   fit in memory is refused before anything is allocated, and one whose
+   decoded elements cannot is refused before anything is built or
+   decoded, at a charge per point that covers the peak resident growth
+   measured in fresh processes. The Z^d arrays built from lattice-point
    counts equal those of the lexsort-and-searchsorted construction they
    replaced, and ``lex_ball`` lists the same points in lexicographic order.
 5. Conventions: minimum distance between sets is infinite when a set is

@@ -22,7 +22,9 @@ Laws under test:
    in calls of at most _PAIR_CELLS rows times slot pairs. A block's entries
    are packed in one call and every block is judged packed, its products
    in Python ints exactly when some entry plus a shift passes pack_limit.
-   A fresh process that runs the audit does not import numpy.ma.
+   A fresh process that runs the audit does not import numpy.ma. A
+   negative sampling or shift radius is refused with a ValueError that
+   names the parameter, by member growth and by the audit.
 5. The windowed membership check agrees with plain membership on the
    shipped local kinds.
 6. The pairwise-rule engine behind the three shipped kinds gives the same

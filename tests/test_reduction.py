@@ -13,7 +13,8 @@ Laws under test:
    colorings at radius 1; distance-constrained kinds at radius 1 admit
    counterexamples (their true radius is larger). A reduced ideal is
    sampled with pair colours (h, c) and is local on Z^1, Z^2 and F_2; its
-   window radius refuses a colour that is not a pair.
+   window radius refuses a colour that is not a pair. Both checks refuse
+   a negative sampling radius, naming it.
 5. Product-coded reduction: membership via capped windows, the peeling
    decomposition (projections in base, R bounded by the height cap,
    pairwise separation), and point extension with the frozen (height,

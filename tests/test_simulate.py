@@ -1838,7 +1838,7 @@ def _drawn_colouring(data) -> PartialColoring:
     if kind == "line":
         g, n = Z1, data.draw(st.integers(0, 30))
         points = list(range(-n, n + 1))
-    elif kind == "long F_1":  # a^38 .. a^46 and beyond, past pack_limit
+    elif kind == "long F_1":  # runs of a^30 to a^55, across pack_limit
         g, lo = F1, data.draw(st.integers(30, 44))
         points = ["a" * i for i in range(lo, lo + data.draw(st.integers(0, 12)))]
     else:
