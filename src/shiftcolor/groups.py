@@ -116,7 +116,7 @@ class Group:
         x_i (n where that leaves the ball), and ``packed`` the ball in
         ``pack``'s form. ``decode_ball`` gives the elements themselves. A
         negative radius gives the empty ball. Raises BudgetError, before
-        allocating, when the ball and its table cannot fit in memory."""
+        allocating, when its peak can pass memory (``_refuse_oversize``)."""
         raise NotImplementedError
 
     def decode_ball(self, norms: np.ndarray, step: np.ndarray, packed: np.ndarray) -> list:
@@ -614,38 +614,45 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def _point_bytes(group: Group, radius: int, decoded: bool) -> int:
+    """Bytes per point of Ball(1, radius): a closed-form bound on the peak of
+    ``ball_arrays``, or with ``decoded`` of ``ball_arrays`` and
+    ``decode_ball``. On Z^d the arrays are the (n, 2d) int64 gathers and
+    the coordinate rows, 96d + 48, and decoded the same arrays with d int
+    objects, a d-tuple and list slots, 104d + 80. On F_k the arrays are the
+    table, the per-layer index lists, numerals and norms, 16k + 128, and
+    decoded list slots and the word too, a str of 49 bytes and its letters,
+    16k + 160 + radius; both hold numerals of Python ints past pack_limit.
+    A quarter more covers the allocators' overhead."""
+    if isinstance(group, FreeGroup):
+        point = 16 * group.rank + (160 + radius if decoded else 128)
+        if radius > group.pack_limit:
+            point += 64 + radius * (2 * group.rank + 1).bit_length() // 8
+    else:
+        point = (104 if decoded else 96) * group.dimension + (80 if decoded else 48)
+    return point + point // 4
+
+
 def _refuse_oversize(group: Group, radius: int) -> None:
-    """Raise BudgetError, before anything is allocated, when Ball(1, radius)
-    with its generator table, (|gens| + 1) int64 per point, needs more bytes
-    than the machine's physical memory. F_k balls with k >= 2 hold over
-    2^radius points, so there a radius past the memory's bit length is
-    refused without computing the size."""
+    """Raise BudgetError, before anything is allocated, when ``ball_arrays``
+    of Ball(1, radius) can peak past the machine's physical memory, at
+    ``_point_bytes`` per point. F_k balls with k >= 2 hold over 2^radius
+    points, so there a radius past the memory's bit length is refused
+    without computing the size."""
     memory = physical_memory()
     huge = isinstance(group, FreeGroup) and group.rank > 1 and radius > memory.bit_length()
-    if huge or ball_size(group, radius) * 8 * (len(group.generators()) + 1) > memory:
+    if huge or ball_size(group, radius) * _point_bytes(group, radius, decoded=False) > memory:
         raise BudgetError(f"Ball(1, {radius}) of {group.name} needs more than {memory} bytes "
                           "of physical memory")
 
 
 def refuse_decoding(group: Group, radius: int) -> None:
     """Raise BudgetError, before anything is built, when decoding Ball(1,
-    radius) can need more bytes than physical memory, at a closed-form bound
-    per point on the peak of ``ball_arrays`` and ``decode_ball``: on Z^d the
-    (n, 2d) int64 gathers of ``ball_arrays``, or its arrays with d int
-    objects, a d-tuple and list slots; on F_k the table, numerals, list
-    slots and the word, a str of 49 bytes and its letters, with numerals of
-    Python ints past pack_limit; and a quarter more for the allocators'
-    overhead. The table's own charge comes first."""
+    radius) can need more bytes than physical memory, at ``_point_bytes``
+    per point decoded. The arrays' own charge comes first."""
     _refuse_oversize(group, radius)
-    if isinstance(group, FreeGroup):
-        point = 16 * group.rank + 160 + radius
-        if radius > group.pack_limit:
-            point += 64 + radius * (2 * group.rank + 1).bit_length() // 8
-    else:
-        point = 104 * group.dimension + 80
-    point += point // 4
     memory = physical_memory()
-    if ball_size(group, radius) * point > memory:
+    if ball_size(group, radius) * _point_bytes(group, radius, decoded=True) > memory:
         raise BudgetError(f"the decoded Ball(1, {radius}) of {group.name} needs more than {memory} bytes "
                           "of physical memory")
 

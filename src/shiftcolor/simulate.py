@@ -41,12 +41,13 @@ from each point's step and the steps' colours (``_window_after``).
 
 The schedule alone fixes each step's colour and reach, so ``run`` draws
 and isolates every step's supports before the first step: the steps that
-share one isolation radius are drawn, a block of steps per hash pass, and
-isolated together, a slot of the table at a time, so a candidate drops at
-its first other support point. A step then drops its isolated points that
-are already coloured and judges the rest in one call of its radius's
-judge, then scatters the accepted points' colour code and step; the fill
-fractions come from the steps at the end. The candidates are more than
+share one isolation radius are folded, up to 64 at a time, into one word
+per point, a bit per step, and isolated together in one pass over the
+table's slots, so a candidate drops once every bit it has meets another
+support point. A step then drops its isolated points that are already
+coloured and judges the rest in one call of its radius's judge, then
+scatters the accepted points' colour code and step; the fill fractions
+come from the steps at the end. The candidates are more than
 2R_i apart, so no candidate's window holds another and they are judged
 independently. The validator judges a whole trace in one pass per window
 radius: every (step, point) pair whose window the step touched, on the
@@ -217,27 +218,29 @@ def _window_after(region: Region, step_of: np.ndarray, colors: Sequence, j: int,
     return {region.elements[k]: colors[i - 1] for k, i in zip(window[keep].tolist(), steps[keep].tolist())}
 
 
-def _isolated(nbrs: np.ndarray, supp_mask: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """The candidates x whose column of ``nbrs`` holds no other support point
-    of their step. ``supp_mask`` is (k, n), a step's support per row (a 1-D
-    mask is one step), and ``cand`` indexes it flat, in increasing order.
-    Past slot 0, the point itself, a slot (row) is read at a time, and a
-    candidate drops at its first other support point."""
-    masks = supp_mask.reshape(-1, supp_mask.shape[-1])
-    k, n = masks.shape
-    free = np.ones((k, n + 1), dtype=bool)  # the sentinel is never a support point
-    np.logical_not(masks, out=free[:, :n])
-    free = free.ravel()
-    # each candidate's step and point, and its step's offset in free
-    row = np.repeat(np.arange(k), np.diff(np.searchsorted(cand, np.arange(k + 1) * n)))
-    point = cand - row * n
-    base = row * (n + 1)
+def _isolated(nbrs: np.ndarray, words: np.ndarray, cand: np.ndarray, k: int) -> List[np.ndarray]:
+    """Per step j < k of a block, the candidates x, in increasing order,
+    whose word has bit j and whose column of ``nbrs`` holds no other point
+    whose word has it. ``words`` holds a word per point and 0 at the
+    sentinel index: bit j is set where the point is a support point of step
+    j. Past slot 0, the point itself, a slot (row) is read at a time: it
+    clears from each candidate's word the bits of its neighbour there, and a
+    candidate drops when no bit is left."""
+    free = ~words  # all ones at the sentinel, which is never a support point
+    alive = words.take(cand)
     for slot in nbrs[1:]:
-        if not len(point):
+        keep = alive != 0
+        cand, alive = cand[keep], alive[keep]
+        if not len(cand):
             break
-        keep = free[slot[point] + base].nonzero()[0]
-        point, base = point[keep], base[keep]
-    return base - base // (n + 1) + point  # row * n + point
+        alive &= free.take(slot.take(cand))
+    # bit j of each word as column j, little-endian whatever the machine's order
+    little = alive.astype(alive.dtype.newbyteorder("<"), copy=False).view(np.uint8)
+    bits = np.unpackbits(little.reshape(len(alive), alive.itemsize), axis=1, bitorder="little")
+    step, at = np.divmod(np.flatnonzero(bits[:, :k].T.astype(bool)), len(alive))
+    ends = np.searchsorted(step, np.arange(k + 1)).tolist()
+    points = cand.take(at)
+    return [points[a:b] for a, b in zip(ends, ends[1:])]
 
 
 @lru_cache(maxsize=1)
@@ -397,8 +400,10 @@ def _isolated_supports(config: SimulationConfig, region: Region, codes: np.ndarr
     support point of the step, for s_i = radii[i]; None marks a warm-up
     step, which has none. Every other step's support is the field's. The
     steps that share one s are isolated together, the widest s first, a
-    block of at most _PAIR_CELLS mask cells at a time, and a block's steps
-    are drawn in one pass."""
+    block of at most 64 steps at a time: a point's word holds a bit per step
+    of the block, set where it is a support point, and ``_isolated`` reads
+    the table's slots once for the whole block. The words are folded from
+    the field's masks, drawn a chunk of at most _PAIR_CELLS cells at a time."""
     T = config.window_radius + config.margin
     n = len(region)
     by_s: Dict[int, List[int]] = {}
@@ -410,16 +415,19 @@ def _isolated_supports(config: SimulationConfig, region: Region, codes: np.ndarr
     rows = max(1, _PAIR_CELLS // n)
     for s, at in sorted(by_s.items(), reverse=True):  # the widest first, or each wider s rebuilds the table
         nbrs = region.neighbors(s)
-        inside = region.norms + s <= T
-        for lo in range(0, len(at), rows):
-            block = at[lo : lo + rows]
-            supp = field_rng.mask(block, codes)
-            # points outside or at the boundary are no candidates, but they
-            # still block their neighbours
-            row, point = np.divmod(_isolated(nbrs, supp, np.flatnonzero(supp & inside)), n)
-            ends = np.searchsorted(row, np.arange(len(block) + 1)).tolist()
-            for k, i in enumerate(block):
-                isolated[i] = point[ends[k] : ends[k + 1]]
+        # points outside or at the boundary are no candidates, but they
+        # still block their neighbours
+        cand = np.flatnonzero(region.norms + s <= T)
+        for lo in range(0, len(at), 64):
+            block = at[lo : lo + 64]
+            # a word of 8, 16, 32 or 64 bits, as the block needs
+            words = np.zeros(n + 1, dtype=f"uint{max(8, 1 << (len(block) - 1).bit_length())}")
+            for j in range(0, len(block), rows):
+                masks = field_rng.mask(block[j : j + rows], codes)
+                shift = np.arange(j, j + len(masks), dtype=words.dtype)[:, None]  # row r is bit j + r
+                words[:n] |= np.bitwise_or.reduce(masks.astype(words.dtype) << shift, axis=0)
+            for i, points in zip(block, _isolated(nbrs, words, cand, len(block))):
+                isolated[i] = points
     return isolated
 
 
@@ -450,6 +458,8 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
         reaches.append(max(reaches[-1], r_of[c]))
     max_r = max(r_of.values())
     radii = [None if config.warmup and R < max_r else radius_floor(2 * R) for R in reaches[:-1]]
+    # every step's isolated supports, a pass over the table per radius and
+    # block of up to 64 steps
     isolated = _isolated_supports(config, region, codes, radii)
     # one judge per isolation radius, on its rows of the neighbour table
     judges = {

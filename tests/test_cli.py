@@ -186,10 +186,10 @@ class TestSearchCommands:
         assert "physical memory" in capsys.readouterr().err
 
     def test_decoded_ball_past_memory_exits_three(self, tmp_path, capsys, monkeypatch):
-        """Memory read as just the generator table of Ball(1, 8) of F_2: the
+        """Memory read as just the charge of Ball(1, 8) of F_2 as arrays: the
         words are charged too, and refused before they are decoded."""
         g = FreeGroup(2)
-        monkeypatch.setattr(groups, "physical_memory", lambda: ball_size(g, 8) * (len(g.generators()) + 1) * 8)
+        monkeypatch.setattr(groups, "physical_memory", lambda: ball_size(g, 8) * groups._point_bytes(g, 8, False))
         identity_ball.cache_clear()
         code, data = run_to_file(tmp_path, ["ball", "F_2", "a", "8"])
         assert code == 3 and data == b""

@@ -22,11 +22,11 @@ Laws under test:
 6. The closed-form ball sizes equal the length of the enumerated balls.
    The packed ball of ``ball_arrays`` is ``pack``'s form, coded as the
    scalar element_code codes it, and the elements ``decode_ball`` reads
-   from its arrays are the breadth-first ball; a ball whose table cannot
+   from its arrays are the breadth-first ball; a ball whose arrays cannot
    fit in memory is refused before anything is allocated, and one whose
    decoded elements cannot is refused before anything is built or
-   decoded, at a charge per point that covers the peak resident growth
-   measured in fresh processes. The Z^d arrays built from lattice-point
+   decoded, each at a charge per point that covers the peak resident
+   growth measured in fresh processes. The Z^d arrays built from lattice-point
    counts equal those of the lexsort-and-searchsorted construction they
    replaced, and ``lex_ball`` lists the same points in lexicographic order.
 5. Conventions: minimum distance between sets is infinite when a set is
@@ -36,8 +36,10 @@ Laws under test:
 
 import os
 import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -827,27 +829,36 @@ class TestMemoryFloor:
             grow_random_member(P, random.Random(0), 3, radius=7)
 
 
-def _decoded_charge(g, r):
-    """The least physical memory at which ``refuse_decoding`` lets Ball(1,
-    r) of g be decoded, found by bisection on the reading."""
+def _least_memory(refuse, g, r):
+    """The least physical memory at which ``refuse`` lets Ball(1, r) of g
+    through, found by bisection on the reading."""
     lo, hi = 0, 1 << 64
     with pytest.MonkeyPatch.context() as mp:
         while lo < hi:
             mid = (lo + hi) // 2
             mp.setattr(groups, "physical_memory", lambda: mid)
             try:
-                refuse_decoding(g, r)
+                refuse(g, r)
                 hi = mid
             except BudgetError:
                 lo = mid + 1
     return lo
 
 
+def _decoded_charge(g, r):
+    return _least_memory(refuse_decoding, g, r)
+
+
+def _arrays_charge(g, r):
+    return _least_memory(groups._refuse_oversize, g, r)
+
+
 _ROOT = Path(__file__).resolve().parents[1]
 
-# Decodes Ball(1, r) of argv[1] after a warm-up, and prints the growth in
-# bytes of the process's peak resident set and the ball's size. The peak is
-# VmHWM, not ru_maxrss, which Linux carries over from the parent through exec.
+# Builds Ball(1, r) of argv[1] after a warm-up, decoded or as ``ball_arrays``
+# (argv[3]), and prints the growth in bytes of the process's peak resident
+# set and the ball's size. The peak is VmHWM, not ru_maxrss, which Linux
+# carries over from the parent through exec.
 _RATE_SCRIPT = """
 import re, sys
 from shiftcolor.groups import identity_ball, parse_group
@@ -855,11 +866,58 @@ def peak():
     with open("/proc/self/status") as f:
         return int(re.search(r"VmHWM:\\s*(\\d+) kB", f.read()).group(1)) * 1024
 g, r = parse_group(sys.argv[1]), int(sys.argv[2])
-identity_ball(g, 1)
+build = identity_ball if sys.argv[3] == "decoded" else lambda g, r: g.ball_arrays(r)[0]
+build(g, 1)
 before = peak()
-n = len(identity_ball(g, r))
+n = len(build(g, r))
 print(peak() - before, n)
 """
+
+
+def _peak_growth(spec, r, what):
+    """(growth of the peak resident set, ball size) of building Ball(1, r)
+    of spec, ``what`` ("decoded" or "arrays"), in a fresh process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run([sys.executable, "-c", _RATE_SCRIPT, spec, str(r), what], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    return tuple(map(int, result.stdout.split()))
+
+
+class TestArraysCharge:
+    """``ball_arrays``, and so every Region, is charged a closed-form bound
+    per point on its peak, above the table alone and below the decoded
+    charge, and is refused before anything is allocated when the charge
+    passes physical memory."""
+
+    @pytest.mark.parametrize("spec, r", [("Z^1", 20_000), ("Z^3", 12), ("Z^10", 3), ("F_1", 2000),
+                                         ("F_2", 8), ("F_26", 2)])
+    def test_nothing_is_allocated_past_memory(self, monkeypatch, spec, r):
+        g = parse_group(spec)
+        charge = _arrays_charge(g, r)
+        assert _floor_bytes(g, r) < charge < _decoded_charge(g, r) and charge > 1 << 20
+        monkeypatch.setattr(groups, "physical_memory", lambda: charge - 1)
+        tracemalloc.start()
+        try:
+            for build in (lambda: g.ball_arrays(r), lambda: Region(g, r)):
+                with pytest.raises(BudgetError, match=re.escape(f"Ball(1, {r}) of {g.name} needs")):
+                    build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        monkeypatch.setattr(groups, "physical_memory", lambda: charge)
+        assert len(g.ball_arrays(r)[0]) == len(Region(g, r)) == ball_size(g, r)
+
+    @pytest.mark.parametrize("spec, radii", [("Z^1", (100_000, 300_000)), ("Z^10", (4, 5)), ("F_2", (8, 10))])
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux's /proc")
+    def test_charge_covers_the_measured_rate(self, spec, radii):
+        """In a fresh process, ``ball_arrays`` grows the peak resident set
+        by at most the charge, at two sizes per group."""
+        for r in radii:
+            grown, n = _peak_growth(spec, r, "arrays")
+            assert n == ball_size(parse_group(spec), r)
+            assert 0 < grown <= _arrays_charge(parse_group(spec), r)
 
 
 class TestDecodedCharge:
@@ -901,11 +959,7 @@ class TestDecodedCharge:
     def test_charge_covers_the_measured_rate(self, spec, radii):
         """In a fresh process, decoding grows the peak resident set by at
         most the charge, at two sizes per group."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p)
         for r in radii:
-            result = subprocess.run([sys.executable, "-c", _RATE_SCRIPT, spec, str(r)], env=env,
-                                    capture_output=True, text=True, timeout=120, check=True)
-            grown, n = map(int, result.stdout.split())
+            grown, n = _peak_growth(spec, r, "decoded")
             assert n == ball_size(parse_group(spec), r)
             assert 0 < grown <= _decoded_charge(parse_group(spec), r)

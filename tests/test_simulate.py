@@ -12,11 +12,15 @@ Laws under test:
    catch (this is why the warm-up exists). A support point that is already
    coloured, or too near the boundary to be a candidate, still blocks its
    neighbours; unlisted steps read the real field. The isolation
-   kernel, a slot at a time over the candidates, keeps exactly the
-   candidates the row rule keeps, in region order, on Z^1-Z^3 and F_1-F_3,
-   also for each step of a stack of steps' masks read through flat
-   candidates; a stacked mask of many steps equals their masks one at a
-   time and ``bit``, on every density.
+   kernel, a slot at a time over step words (a bit per step, in every
+   word width), keeps of each step exactly the candidates the row rule
+   keeps, in region order, on Z^1-Z^3 and F_1-F_3, for one step and for
+   stacks of up to 64; a stacked mask of many steps equals their masks one
+   at a time and ``bit``, on every density. Each step's isolated supports
+   equal the row rule on its field mask for 1 to 130 steps (every word
+   width and several blocks), with warm-up steps, several radii, radii
+   past the region's, translated codes, substituted supports and chunks of
+   any size; whole runs of those lengths equal the scalar reference run.
 3. Hard invariants on live runs: colorings grow monotonically, same-step
    points are farther apart than twice the step's reach, every local window
    of the final coloring is a member.
@@ -81,8 +85,9 @@ Laws under test:
    validation reports (counts and failures in order) as the same ideal
    judged window by window through ``contains``, on the runs and hand
    traces of law 8.
-10. Whole-run passes: ``run`` draws and isolates the supports of a block
-   of steps in one call each, and the validator makes at most one
+10. Whole-run passes: ``run`` draws the supports of a block of up to 64
+   steps in one mask and isolates them in one kernel call per isolation
+   radius, and the validator makes at most one
    membership call per window radius per block of coloured points, however
    many steps the trace has; blocks of one cell give the same traces and
    reports. A run builds at most one window judge per isolation radius and
@@ -343,15 +348,39 @@ def row_rule_isolated(nbrs, supp_mask, cand):
     return [x for x in cand.tolist() if padded[nbrs[x]].sum() == 1]
 
 
-class TestIsolationKernel:
-    """``_isolated`` reads a column at a time and agrees with the row rule."""
+# the word of a block of k <= 64 steps, the narrowest that holds k bits
+WORD_DTYPES = {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
 
-    @staticmethod
-    def assert_matches_row_rule(region, s, supp_mask, cand):
-        nbrs = region.neighbors(s)
-        got = simulate._isolated(nbrs, supp_mask, cand)
-        assert got.tolist() == row_rule_isolated(nbrs.T, supp_mask, cand)
-        assert (np.diff(got) > 0).all()  # region order
+
+def word_dtype(k):
+    return next(dtype for bits, dtype in WORD_DTYPES.items() if k <= bits)
+
+
+def fold_words(masks, dtype):
+    """A word per point of the (k, n) masks and 0 at the sentinel index, bit
+    j set where row j is: one Python int per point, a step at a time."""
+    k, n = masks.shape
+    words = [0] * (n + 1)
+    for j, row in enumerate(masks.tolist()):
+        for x in np.flatnonzero(row).tolist():
+            words[x] |= 1 << j
+    return np.array(words, dtype=dtype)
+
+
+def assert_steps_match_row_rule(nbrs, masks, cand, got, rows=None):
+    """Step j of the kernel's result is what the row rule keeps of the
+    candidates that are support points of step j, in region order; the
+    rule reads ``rows`` (the row-major reference table) or nbrs' columns."""
+    rows = nbrs.T if rows is None else rows
+    assert len(got) == len(masks)
+    for mask, mine in zip(masks, got):
+        assert mine.tolist() == row_rule_isolated(rows, mask, cand[mask[cand]])
+        assert (np.diff(mine) > 0).all()  # region order
+
+
+class TestIsolationKernel:
+    """``_isolated`` reads a word per point, a bit per step, a slot at a time,
+    and keeps of each step what the row rule keeps, in every word width."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -360,33 +389,41 @@ class TestIsolationKernel:
         p=st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(7, 8)]),
         seed=st.integers(0, 2**64),
         pick=st.sampled_from(["all", "some", "none"]),
+        dtype=st.sampled_from(list(WORD_DTYPES.values())),
     )
-    def test_matches_row_rule(self, case, s, p, seed, pick):
+    def test_matches_row_rule(self, case, s, p, seed, pick, dtype):
         region = _region_of(*case)
-        supp_mask = bernoulli_mask(seed, s, region.codes, p)
-        supp = np.flatnonzero(supp_mask)
+        nbrs = region.neighbors(s)
+        masks = bernoulli_mask(seed, [s], region.codes, p)
+        cand = np.arange(len(region))
         if pick == "some":
-            supp = supp[bernoulli_mask(seed, -1, region.codes[supp], Fraction(1, 2))]
-        self.assert_matches_row_rule(region, s, supp_mask, supp[:0] if pick == "none" else supp)
+            cand = cand[bernoulli_mask(seed, -1, region.codes, Fraction(1, 2))]
+        cand = cand[:0] if pick == "none" else cand
+        got = simulate._isolated(nbrs, fold_words(masks, dtype), cand, 1)
+        assert_steps_match_row_rule(nbrs, masks, cand, got)
 
     def test_empty_support_and_one_column(self):
         """Empty support, empty candidates, and s = 0, where the row is the
         point alone and every candidate stands."""
         for case in ISOLATION_CASES:
             region = _region_of(*case)
-            n = len(region.elements)
-            full = np.ones(n, dtype=bool)
+            n = len(region)
+            nothing, every = np.zeros((3, n), dtype=bool), np.ones((3, n), dtype=bool)
             for s in range(4):
-                self.assert_matches_row_rule(region, s, np.zeros(n, dtype=bool), np.zeros(0, dtype=np.int64))
-                self.assert_matches_row_rule(region, s, full, np.zeros(0, dtype=np.int64))
-            assert simulate._isolated(region.neighbors(0), full, np.arange(n)).tolist() == list(range(n))
+                nbrs = region.neighbors(s)
+                for masks in (nothing, every):
+                    for cand in (np.zeros(0, dtype=np.int64), np.arange(n)):
+                        got = simulate._isolated(nbrs, fold_words(masks, np.uint8), cand, 3)
+                        assert_steps_match_row_rule(nbrs, masks, cand, got)
+            got = simulate._isolated(region.neighbors(0), fold_words(every, np.uint8), np.arange(n), 3)
+            assert [mine.tolist() for mine in got] == [list(range(n))] * 3
 
 
 class TestStackedSupports:
     """``run`` draws and isolates many steps' supports at once: a stacked
     mask equals the masks of its steps, one at a time, and ``bit``; and the
-    isolation kernel on a (k, n) mask, with flat candidates, keeps of each
-    step exactly what the row rule keeps."""
+    isolation kernel on the words of k steps keeps of each step exactly
+    what the row rule keeps."""
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -411,26 +448,21 @@ class TestStackedSupports:
     @given(
         case=st.sampled_from(ISOLATION_CASES),
         s=st.integers(0, 3),
-        k=st.sampled_from([1, 2, 7]),
+        k=st.sampled_from([1, 2, 7, 8, 9, 16, 17, 33, 63, 64]),
         p=st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(7, 8)]),
         seed=st.integers(0, 2**64),
         pick=st.sampled_from(["all", "some", "none"]),
     )
     def test_isolation_of_stacked_steps_matches_row_rule(self, case, s, k, p, seed, pick):
         region = _region_of(*case)
-        n = len(region.elements)
         nbrs = region.neighbors(s)
-        supp = np.stack([bernoulli_mask(seed, t, region.codes, p) for t in range(k)])
-        cand = np.flatnonzero(supp)
+        masks = bernoulli_mask(seed, range(k), region.codes, p)
+        cand = np.arange(len(region))
         if pick == "some":
-            cand = cand[bernoulli_mask(seed, -1, cand.astype(np.uint64), Fraction(1, 2))]
-        if pick == "none":
-            cand = cand[:0]
-        got = simulate._isolated(nbrs, supp, cand)
-        assert (np.diff(got) > 0).all()
-        for t in range(k):
-            mine = got[got // n == t] % n
-            assert mine.tolist() == row_rule_isolated(nbrs.T, supp[t], cand[cand // n == t] % n)
+            cand = cand[bernoulli_mask(seed, -1, region.codes, Fraction(1, 2))]
+        cand = cand[:0] if pick == "none" else cand
+        got = simulate._isolated(nbrs, fold_words(masks, word_dtype(k)), cand, k)
+        assert_steps_match_row_rule(nbrs, masks, cand, got)
 
 
 class TestHardInvariants:
@@ -822,11 +854,13 @@ class TestRegionKernel:
         region = simulate.Region(g, r)
         calls, moved = [], []
         mul, mul_packed = type(g).mul, type(g).mul_packed
-        monkeypatch.setattr(g, "mul", lambda x, y: calls.append(x) or mul(g, x, y), raising=False)
-        monkeypatch.setattr(g, "mul_packed", lambda A, B: moved.append(mul_packed(g, A, B)) or moved[-1],
-                            raising=False)
+        # spies in the instance's own dict, which the undo empties again:
+        # the module's groups are shared by every later test
+        monkeypatch.setitem(vars(g), "mul", lambda x, y: calls.append(x) or mul(g, x, y))
+        monkeypatch.setitem(vars(g), "mul_packed", lambda A, B: moved.append(mul_packed(g, A, B)) or moved[-1])
         region.right_translate(gamma)
         monkeypatch.undo()
+        assert "mul" not in vars(g) and "mul_packed" not in vars(g)
         assert calls == [] and len(moved) == 1
         machine = np.uint64 if isinstance(g, FreeGroup) else np.int64
         assert moved[0].dtype == (object if products == "every" else machine)
@@ -1069,6 +1103,7 @@ BLOCK_CONFIGS = [
     SimulationConfig(PC3, 20, 2, 12, Fraction(1, 2), seed=4, warmup=False),
     SimulationConfig(ProperColoring(F2, 5), 3, 2, 12, Fraction(1, 4), seed=0, warmup=False),
     (SimulationConfig(PC3, 10, 2, 8, Fraction(1, 2), seed=3), {4: [0, 3, -5]}),
+    SimulationConfig(PC3, 50, 2, 130, Fraction(1, 2), seed=2),  # 129 steps at s = 2: three blocks
 ]
 
 
@@ -1118,12 +1153,16 @@ class TestWholeRunPasses:
         isolations = count_calls(monkeypatch, simulate, "_isolated")
         built, judged = count_judges(monkeypatch, config.ideal)
         trace = run(config)
-        # every region here fits one block of steps per isolation radius
-        assert simulate._PAIR_CELLS // len(region.elements) >= config.steps
-        support_s = {radius_floor(2 * R) for R, (_c, at) in zip(trace.reaches, trace.steps)
-                     if not config.warmup or R == max(trace.reaches)}
-        assert len(isolations) == len(support_s)
-        assert len(masks) == len(support_s)
+        # every region here draws a block of 64 steps in one mask
+        assert simulate._PAIR_CELLS // len(region.elements) >= min(config.steps, 64)
+        support_s = Counter(radius_floor(2 * R) for R in trace.reaches[:-1]
+                            if not config.warmup or R == max(trace.reaches))
+        # one kernel call and one mask per isolation radius and block of 64 steps
+        word_blocks = sum(-(-k // 64) for k in support_s.values())
+        assert len(isolations) == len(masks) == word_blocks
+        assert [len(words) for _nbrs, words, _cand, _k in isolations] == [len(region) + 1] * word_blocks
+        assert sorted(k for _nbrs, _words, _cand, k in isolations) == \
+            sorted(min(64, k - lo) for k in support_s.values() for lo in range(0, k, 64))
         # at most one judge per isolation radius, each on that radius's D,
         # called once per step that has candidates
         widths = {region.neighbors(s).shape[0] for s in support_s}
@@ -1234,6 +1273,67 @@ class TestReferenceRun:
             assert summary == reference_run(config).to_summary_jsonable(dump=True)
             coloured += sum(summary["assigned_counts"])
         assert coloured > 0
+
+
+# step counts that reach every word width and more than one block of 64
+BLOCK_LENGTHS = [1, 7, 8, 9, 63, 64, 65, 130]
+# (group, region radius, a translation) for the step words
+WORD_CASES = [
+    (Z1, 12, 5), (Z2, 4, (1, -2)), (Z3, 2, (0, 1, 0)),
+    (F1, 12, "A"), (F2, 3, "ab"), (FreeGroup(3), 2, "cA"),
+]
+
+
+class TestStepWords:
+    """Supports are isolated in step words, a block of up to 64 steps per
+    pass over the table: each step's isolated supports are what the row
+    rule keeps of its field mask, and whole runs equal the scalar reference
+    run, at every word width and across blocks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_isolated_supports_match_row_rule(self, data):
+        """Radii drawn per step: warm-up (None), several radii, and s past
+        the region's radius; densities 1/8, 1/2 and 7/8; the region's codes
+        or a translate's (the equivariance rerun); the field's supports or
+        substituted ones; and masks drawn a chunk of any size at a time."""
+        g, T, gamma = data.draw(st.sampled_from(WORD_CASES))
+        k = data.draw(st.sampled_from(BLOCK_LENGTHS))
+        radius = st.one_of(st.none(), st.integers(0, T + 2))
+        radii = data.draw(st.one_of(st.lists(radius, min_size=k, max_size=k),
+                                    radius.map(lambda s: [s] * k)))
+        p = data.draw(st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(7, 8)]))
+        config = SimulationConfig(ProperColoring(g, 3), T, 0, k, p, seed=data.draw(st.integers(0, 2**64)))
+        region = _region_of(g, T)
+        codes = region.right_translate(gamma)[1] if data.draw(st.booleans()) else region.codes
+        elements = region.elements
+        listed = data.draw(st.dictionaries(st.integers(0, k - 1), st.lists(st.sampled_from(elements)), max_size=3))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_PAIR_CELLS", data.draw(st.sampled_from([1, 3 * len(region), 1 << 14])))
+            substitute_supports(mp, g, listed)
+            got = simulate._isolated_supports(config, region, codes, radii)
+            field = RandomField(g, config.seed, p)
+            assert len(got) == k
+            for i, (s, mine) in enumerate(zip(radii, got)):
+                if s is None:
+                    assert mine.tolist() == []
+                    continue
+                mask = field.mask([i], codes)[0]
+                cand = np.flatnonzero(mask & (region.norms + s <= T))
+                assert mine.tolist() == row_rule_isolated(region.neighbors(s).T, mask, cand)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_runs_match_reference(self, data):
+        ideal, schedule, max_window = data.draw(st.sampled_from(REFERENCE_CASES))
+        config = _reference_config(
+            ideal, schedule, data.draw(st.integers(0, max_window)), data.draw(st.integers(0, 1)),
+            data.draw(st.sampled_from(BLOCK_LENGTHS)),
+            data.draw(st.sampled_from([Fraction(1, 8), Fraction(1, 2), Fraction(7, 8)])),
+            data.draw(st.integers(0, 2**32)), data.draw(st.booleans()),
+        )
+        assert run(config).to_summary_jsonable(dump=True) == \
+            reference_run(config).to_summary_jsonable(dump=True)
 
 
 # the reference cases, and F_3
@@ -1732,15 +1832,11 @@ class TestTableConsumers:
     @pytest.mark.parametrize("g, T", LAYOUT_CASES)
     def test_isolated(self, g, T):
         region = simulate.Region(g, T)
+        masks = bernoulli_mask(5, range(3), region.codes, Fraction(1, 8))
+        cand = np.arange(len(region))
         for s in (0, 1, 2, T + 1):
-            reference = column_table(region, s)
-            supp = np.stack([bernoulli_mask(5, t, region.codes, Fraction(1, 8)) for t in range(3)])
-            cand = np.flatnonzero(supp)
-            got = simulate._isolated(region.neighbors(s), supp, cand)
-            n = len(region)
-            for t in range(3):
-                mine = got[got // n == t] % n
-                assert mine.tolist() == row_rule_isolated(reference, supp[t], cand[cand // n == t] % n)
+            got = simulate._isolated(region.neighbors(s), fold_words(masks, np.uint8), cand, 3)
+            assert_steps_match_row_rule(None, masks, cand, got, column_table(region, s))
 
     @pytest.mark.parametrize("g, T", LAYOUT_CASES)
     def test_greedy(self, monkeypatch, g, T):
