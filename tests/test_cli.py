@@ -195,6 +195,16 @@ class TestSearchCommands:
         assert code == 3 and data == b""
         assert "decoded Ball(1, 8) of F_2" in capsys.readouterr().err
 
+    def test_region_past_memory_exits_three(self, tmp_path, monkeypatch, capsys):
+        """A simulate whose region, Ball(1, 16) of F_2, is charged past 8 GiB
+        of memory exits 3 before the region is built."""
+        spec = tmp_path / "pc5.json"
+        spec.write_text(json.dumps({"kind": "ProperColoring", "group": "F_2", "k": 5}))
+        monkeypatch.setattr(groups, "physical_memory", lambda: 8 << 30)
+        code, data = run_to_file(tmp_path, ["simulate", str(spec), "--window", "14", "--margin", "2", "--steps", "4"])
+        assert code == 3 and data == b""
+        assert "Ball(1, 16) of F_2 needs" in capsys.readouterr().err
+
     def test_dseq_budget_exhaustion(self, tmp_path):
         code, data = run_to_file(tmp_path, ["dseq", "Z^1", "10", "--budget", "20"])
         assert code == 3

@@ -909,6 +909,14 @@ class TestArraysCharge:
         monkeypatch.setattr(groups, "physical_memory", lambda: charge)
         assert len(g.ball_arrays(r)[0]) == len(Region(g, r)) == ball_size(g, r)
 
+    def test_f2_region_of_radius_16_refused_in_8_gib(self, monkeypatch):
+        """Ball(1, 16) of F_2, 86,093,441 points, whose table alone fits in
+        8 GiB, is charged past it and refused before anything is built."""
+        assert _floor_bytes(F2, 16) < 8 << 30 < _arrays_charge(F2, 16)
+        monkeypatch.setattr(groups, "physical_memory", lambda: 8 << 30)
+        with pytest.raises(BudgetError, match=re.escape("Ball(1, 16) of F_2 needs")):
+            Region(F2, 16)
+
     @pytest.mark.parametrize("spec, radii", [("Z^1", (100_000, 300_000)), ("Z^10", (4, 5)), ("F_2", (8, 10))])
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux's /proc")
     def test_charge_covers_the_measured_rate(self, spec, radii):

@@ -367,11 +367,10 @@ def fold_words(masks, dtype):
     return np.array(words, dtype=dtype)
 
 
-def assert_steps_match_row_rule(nbrs, masks, cand, got, rows=None):
-    """Step j of the kernel's result is what the row rule keeps of the
-    candidates that are support points of step j, in region order; the
-    rule reads ``rows`` (the row-major reference table) or nbrs' columns."""
-    rows = nbrs.T if rows is None else rows
+def assert_steps_match_row_rule(rows, masks, cand, got):
+    """Step j of the kernel's result is what the row rule, reading the
+    table's ``rows``, keeps of the candidates that are support points of
+    step j, in region order."""
     assert len(got) == len(masks)
     for mask, mine in zip(masks, got):
         assert mine.tolist() == row_rule_isolated(rows, mask, cand[mask[cand]])
@@ -400,7 +399,7 @@ class TestIsolationKernel:
             cand = cand[bernoulli_mask(seed, -1, region.codes, Fraction(1, 2))]
         cand = cand[:0] if pick == "none" else cand
         got = simulate._isolated(nbrs, fold_words(masks, dtype), cand, 1)
-        assert_steps_match_row_rule(nbrs, masks, cand, got)
+        assert_steps_match_row_rule(nbrs.T, masks, cand, got)
 
     def test_empty_support_and_one_column(self):
         """Empty support, empty candidates, and s = 0, where the row is the
@@ -414,7 +413,7 @@ class TestIsolationKernel:
                 for masks in (nothing, every):
                     for cand in (np.zeros(0, dtype=np.int64), np.arange(n)):
                         got = simulate._isolated(nbrs, fold_words(masks, np.uint8), cand, 3)
-                        assert_steps_match_row_rule(nbrs, masks, cand, got)
+                        assert_steps_match_row_rule(nbrs.T, masks, cand, got)
             got = simulate._isolated(region.neighbors(0), fold_words(every, np.uint8), np.arange(n), 3)
             assert [mine.tolist() for mine in got] == [list(range(n))] * 3
 
@@ -462,7 +461,7 @@ class TestStackedSupports:
             cand = cand[bernoulli_mask(seed, -1, region.codes, Fraction(1, 2))]
         cand = cand[:0] if pick == "none" else cand
         got = simulate._isolated(nbrs, fold_words(masks, word_dtype(k)), cand, k)
-        assert_steps_match_row_rule(nbrs, masks, cand, got)
+        assert_steps_match_row_rule(nbrs.T, masks, cand, got)
 
 
 class TestHardInvariants:
@@ -1836,7 +1835,7 @@ class TestTableConsumers:
         cand = np.arange(len(region))
         for s in (0, 1, 2, T + 1):
             got = simulate._isolated(region.neighbors(s), fold_words(masks, np.uint8), cand, 3)
-            assert_steps_match_row_rule(None, masks, cand, got, column_table(region, s))
+            assert_steps_match_row_rule(column_table(region, s), masks, cand, got)
 
     @pytest.mark.parametrize("g, T", LAYOUT_CASES)
     def test_greedy(self, monkeypatch, g, T):
