@@ -432,11 +432,22 @@ class FreeGroup(Group):
             nothing = np.zeros(0, dtype=np.int64)
             return nothing, nothing.reshape(0, len(gens)), np.zeros((0, 2), dtype=np.uint64)
         powers = self._powers_to(radius)
+        first, parent, numeral, norms = self._tree(radius, powers)
+        n = len(first)
+        step = np.full((n, len(gens)), n, dtype=np.int64)
+        child = np.arange(1, n)
+        step[parent[1:], first[1:]] = child
+        step[child, first[1:] ^ 1] = parent[1:]
+        return norms, step, np.column_stack([numeral, norms.astype(powers.dtype)])
+
+    def _tree(self, radius: int, powers: np.ndarray) -> tuple:
+        """Per word of Ball(1, radius) in ball order: the gens index of its
+        first letter (-1 for the identity), its parent's index (the identity
+        is its own), its numeral and its length, built a layer at a time in
+        lists that are gone when this returns, before the table is."""
+        gens = self._generators
         digit = self._digit_of[[ord(a) for a in gens]].astype(powers.dtype)
         letter_order = sorted(range(len(gens)), key=gens.__getitem__)
-        # per layer: the gens index of each word's first letter (-1 for the
-        # identity), the index of its parent (the identity is its own), and
-        # its numeral
         firsts, parents, numerals = [np.array([-1])], [np.array([0])], [np.zeros(1, dtype=powers.dtype)]
         lo = 0
         for t in range(1, radius + 1):
@@ -446,14 +457,8 @@ class FreeGroup(Group):
             parents.append(np.concatenate(keep))
             numerals.append(digit[firsts[-1]] * powers[t - 1] + numerals[-1][parents[-1] - lo])
             lo += len(layer_first)
-        first, parent = np.concatenate(firsts), np.concatenate(parents)
         norms = np.repeat(np.arange(radius + 1), [len(f) for f in firsts])
-        n = len(first)
-        step = np.full((n, len(gens)), n, dtype=np.int64)
-        child = np.arange(1, n)
-        step[parent[child], first[child]] = child
-        step[child, first[child] ^ 1] = parent[child]
-        return norms, step, np.column_stack([np.concatenate(numerals), norms.astype(powers.dtype)])
+        return np.concatenate(firsts), np.concatenate(parents), np.concatenate(numerals), norms
 
     def decode_ball(self, norms, step, packed):
         # In ball order, each word but the identity is its first letter
@@ -614,31 +619,41 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+def index_dtype(n: int) -> np.dtype:
+    """The narrowest of uint16, int32 and int64 that holds the indices 0..n
+    of an n-point region, n being its sentinel: uint16 below 2^16 points."""
+    return np.dtype(np.uint16 if n < 1 << 16 else np.int32 if n < 1 << 31 else np.int64)
+
+
 def _point_bytes(group: Group, radius: int, decoded: bool) -> int:
     """Bytes per point of Ball(1, radius): a closed-form bound on the peak of
-    ``ball_arrays``, or with ``decoded`` of ``ball_arrays`` and
-    ``decode_ball``. On Z^d the arrays are the (n, 2d) int64 gathers and
-    the coordinate rows, 96d + 48, and decoded the same arrays with d int
-    objects, a d-tuple and list slots, 104d + 80. On F_k the arrays are the
-    table, the per-layer index lists, numerals and norms, 16k + 128, and
-    decoded list slots and the word too, a str of 49 bytes and its letters,
-    16k + 160 + radius; both hold numerals of Python ints past pack_limit.
-    A quarter more covers the allocators' overhead."""
+    ``ball_arrays`` and a ``Region`` built from them, or with ``decoded``
+    of those and ``decode_ball``. On Z^d the arrays are the (n, 2d) int64
+    gathers and the coordinate rows, 96d + 48, and decoded the same arrays
+    with d int objects, a d-tuple and list slots, 104d + 80. On F_k the
+    arrays are the table, the per-layer index lists, numerals and norms,
+    16k + 128, and decoded list slots and the word too, a str of 49 bytes
+    and its letters, 16k + 160 + radius; both hold numerals of Python ints
+    past pack_limit. The Region adds its generator table and the codes'
+    order, 2d + 1 or 2k + 1 cells of ``index_dtype``, and 24 for the codes,
+    their int64 argsort and the codes in that order. A quarter more covers
+    the allocators' overhead."""
     if isinstance(group, FreeGroup):
-        point = 16 * group.rank + (160 + radius if decoded else 128)
+        k, point = group.rank, 16 * group.rank + (160 + radius if decoded else 128)
         if radius > group.pack_limit:
             point += 64 + radius * (2 * group.rank + 1).bit_length() // 8
     else:
-        point = (104 if decoded else 96) * group.dimension + (80 if decoded else 48)
+        k, point = group.dimension, (104 if decoded else 96) * group.dimension + (80 if decoded else 48)
+    point += (2 * k + 1) * index_dtype(ball_size(group, radius)).itemsize + 24
     return point + point // 4
 
 
 def _refuse_oversize(group: Group, radius: int) -> None:
     """Raise BudgetError, before anything is allocated, when ``ball_arrays``
-    of Ball(1, radius) can peak past the machine's physical memory, at
-    ``_point_bytes`` per point. F_k balls with k >= 2 hold over 2^radius
-    points, so there a radius past the memory's bit length is refused
-    without computing the size."""
+    of Ball(1, radius), and a Region built from them, can peak past the
+    machine's physical memory, at ``_point_bytes`` per point. F_k balls
+    with k >= 2 hold over 2^radius points, so there a radius past the
+    memory's bit length is refused without computing the size."""
     memory = physical_memory()
     huge = isinstance(group, FreeGroup) and group.rank > 1 and radius > memory.bit_length()
     if huge or ball_size(group, radius) * _point_bytes(group, radius, decoded=False) > memory:

@@ -41,12 +41,13 @@ class Report:
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 
 
-def to_jsonable(obj: Any) -> Any:
+def to_jsonable(obj: Any, arrays: bool = False) -> Any:
     """Recursively reduce report objects to plain JSON values. Fractions
     render as "p/q", the infinite radius as "inf"; report dataclasses are
     asked for their own JSON form. Plain scalars, and lists that hold only
     plain scalars, are returned as they are, and bool, integer and float
-    arrays as their ``tolist``."""
+    arrays as their ``tolist``; with ``arrays``, integer arrays of one or
+    two axes are kept as they are, for ``json_bytes`` to lay out."""
     kind = type(obj)
     if kind in _SCALARS:
         return obj
@@ -67,21 +68,61 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, PartialColoring):
         return obj.to_json()
     if hasattr(obj, "to_jsonable"):
-        return to_jsonable(obj.to_jsonable())
+        return to_jsonable(obj.to_jsonable(), arrays)
     if hasattr(obj, "to_json") and not isinstance(obj, type):
-        return to_jsonable(obj.to_json())
+        return to_jsonable(obj.to_json(), arrays)
     if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
+        return {str(k): to_jsonable(v, arrays) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
-        items = [to_jsonable(v) for v in obj]
+        items = [to_jsonable(v, arrays) for v in obj]
         if isinstance(obj, (set, frozenset)):
             items.sort(key=lambda v: json.dumps(v, sort_keys=True))
         return items
     if isinstance(obj, np.ndarray):
+        if arrays and _laid_out(obj):
+            return obj
         if obj.dtype.kind in "biuf":  # bool, int and float arrays list plain values
             return obj.tolist()
         return [to_jsonable(v) for v in obj.tolist()]
     raise TypeError(f"cannot encode {type(obj).__name__} into a report")
+
+
+def _laid_out(obj: Any) -> bool:
+    """Whether ``json_bytes`` lays out obj from numpy: an integer array of
+    one or two axes."""
+    return isinstance(obj, np.ndarray) and obj.dtype.kind in "iu" and obj.ndim in (1, 2)
+
+
+def _array_text(a: np.ndarray, indent: int) -> bytes:
+    """An integer array of one or two axes as ``json.dumps(a.tolist(),
+    indent=2)`` writes it on a line indented by ``indent`` spaces. Each
+    list item is laid out as a row of bytes, innermost first: its indent,
+    the item, and ",\n", whose comma is NUL on the last item of a list;
+    numbers are right-aligned in NULs, and the NULs are dropped at the end."""
+    if not a.size:  # [] or, for shape (n, 0), a list of n []
+        rows = [b" " * (indent + 2) + b"[]"] * len(a)
+        return b"[\n" + b",\n".join(rows) + b"\n" + b" " * indent + b"]" if rows else b"[]"
+    negative = a < 0
+    magnitude = a.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)  # |int64 min| is 2^63 in uint64
+    width = len(str(int(magnitude.max()))) + 1
+    rows = np.zeros((*a.shape, width), dtype=np.uint8)
+    rows[..., 0] = np.where(negative, ord("-"), 0)
+    for column in range(width - 1, 0, -1):  # NUL before the leading digit; // by a scalar is fast, % not
+        rest = magnitude // 10
+        rows[..., column] = np.where(magnitude > 0, magnitude - rest * 10 + ord("0"), 0)
+        magnitude = rest
+    rows[a == 0, -1] = ord("0")
+    for depth in range(a.ndim, 0, -1):
+        pad = b" " * (indent + 2 * depth)
+        before, after = (b"", b"") if depth == a.ndim else (b"[\n", pad + b"]")
+        front = np.frombuffer(pad + before, dtype=np.uint8)
+        back = np.frombuffer(after + b",\n", dtype=np.uint8)
+        rows = np.concatenate([np.broadcast_to(front, (*rows.shape[:-1], len(front))), rows,
+                               np.broadcast_to(back, (*rows.shape[:-1], len(back)))], axis=-1)
+        rows[..., -1, -2] = 0  # the last item's comma
+        rows = rows.reshape(*rows.shape[:-2], -1)
+    return b"[\n" + rows[rows != 0].tobytes() + b" " * indent + b"]"
 
 
 # What json_bytes reads in a byte: 0 nothing, then the kinds below, and
@@ -91,6 +132,7 @@ _KIND = np.zeros(256, dtype=np.int8)
 for _byte, _kind in zip(b"[{]},:\"", (_OPEN, _OPEN, _CLOSE, _CLOSE, _COMMA, _COLON, _QUOTE)):
     _KIND[_byte] = _kind
 _STEP = np.array([0, 1, -1, 0, 0, 0], dtype=np.int64)
+_HOLE = "\udfff"  # an array's place in json_bytes' dump
 
 
 def json_bytes(plain: Any) -> bytes:
@@ -106,15 +148,33 @@ def json_bytes(plain: Any) -> bytes:
     before each ']' and '}'; a space follows each ':'; empty containers stay
     "[]" and "{}". An integer is written exactly however many digits it
     has: the interpreter's limit on int-to-string digits, where it has one,
-    is lifted for the dump alone."""
+    is lifted for the dump alone.
+
+    An integer array of one or two axes may stand for its list: the dump
+    holds a hole in its place, the string of one lone surrogate, which no
+    report's string can hold, as UTF-8 cannot encode it; the hole is a
+    byte the dump never holds, 0x01, through the layout, and then the
+    array's own lines (``_array_text``) at the indent of the hole's line."""
+    holes = []  # the arrays, in the order of the dump
+
+    def hole(obj):
+        if not _laid_out(obj):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        holes.append(obj)
+        return _HOLE
+
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        raw = json.dumps(plain, sort_keys=True, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        text = json.dumps(plain, sort_keys=True, ensure_ascii=False, separators=(",", ":"), default=hole)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+    pieces = text.split(f'"{_HOLE}"')
+    if len(pieces) != len(holes) + 1:
+        text.encode("utf-8")  # some string of the value holds the surrogate, and this raises
+    raw = b"\x01".join(piece.encode("utf-8") for piece in pieces)
     # Blank the escapes, pairing backslashes from the left as the decoder
     # does (the dump holds no raw NUL), so the quotes left delimit strings,
     # and blank "[]" and "{}", which are left as they are. Outside a string
@@ -141,13 +201,17 @@ def json_bytes(plain: Any) -> bytes:
     out = np.full(n + int(extra.sum()), ord(" "), dtype=np.uint8)
     out[place] = np.frombuffer(raw, dtype=np.uint8)
     out[place[at[~colon]] - extra[~colon]] = ord("\n")
-    return out.tobytes() + b"\n"
+    pieces, parts = out.tobytes().split(b"\x01"), []
+    for piece, array in zip(pieces, holes):
+        line = piece[piece.rfind(b"\n") + 1 :]
+        parts += [piece, _array_text(array, len(line) - len(line.lstrip(b" ")))]
+    return b"".join([*parts, pieces[-1], b"\n"])
 
 
 def canonical_json_bytes(obj: Any) -> bytes:
     """The one true serialization: sorted keys, two-space indent, UTF-8,
     trailing newline. Byte-identical reports are a hard requirement."""
-    return json_bytes(to_jsonable(obj))
+    return json_bytes(to_jsonable(obj, arrays=True))
 
 
 def config_hash(description: Dict[str, Any]) -> str:
@@ -191,5 +255,5 @@ def envelope(manifest: Dict[str, Any], payload: Any) -> Dict[str, Any]:
     return {
         "schema_version": SCHEMA_VERSION,
         "manifest": manifest,
-        "payload": to_jsonable(payload),
+        "payload": to_jsonable(payload, arrays=True),
     }

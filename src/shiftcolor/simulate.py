@@ -31,8 +31,12 @@ of radius r about x is the column Ball(1, r)*x of the region's neighbour
 table, so many windows form one matrix of colour codes over the same
 offsets, and the distance between two slots is the distance between their
 offsets (right invariance, ``Region.slot_distances``). The table is kept
-as composed, a row per offset from the generator table, in its index
-dtype, and refused before allocating past memory (``Region.table_bytes``).
+as composed, a row per offset from the generator table, in the region's
+index dtype (``groups.index_dtype``: uint16 below 2^16 points, int32
+below 2^31), and refused before allocating past memory
+(``Region.table_bytes``). Its entries are only ever indices or compared
+with other arrays, never summed with a Python int, which would wrap in
+uint16.
 A window judge (``IdealSpec.window_judge``) takes that matrix: it is
 built once per window radius, for the one D and the colour codes in use,
 and each call is then one array lookup on the pairwise kinds; any other
@@ -82,7 +86,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import (_PAIR_CELLS, BudgetError, FreeGroup, Group, ball_size, distance_block,
-                     identity_ball, parse_group, physical_memory, refuse_decoding)
+                     identity_ball, index_dtype, parse_group, physical_memory, refuse_decoding)
 from .ideals import NO_COLOR, IdealSpec, _check_d_sequence
 from .patterns import PartialColoring, _validate_color
 from .radii import Infinity, Radius, radius_ceil, radius_floor
@@ -97,7 +101,9 @@ class Region:
     ``packed`` (Python ints on F_k past pack_limit letters), their element
     codes, by which points are found, and the generator table, a row per
     generator: ``_step[k, i]`` is the index of gens[k] * x_i, and n where
-    that leaves the region, as in the sentinel column n. ``len(region)`` is
+    that leaves the region, as in the sentinel column n. The table and the
+    codes' order are in the narrowest dtype that holds n (``index_dtype``:
+    uint16 below 2^16 points, int32 below 2^31). ``len(region)`` is
     n. The elements, in ``Group.ball``'s order, are decoded by
     ``Group.decode_ball`` on the first read of ``elements``: reports that
     name points read them. Built lazily on top: a slot-major neighbour
@@ -108,7 +114,7 @@ class Region:
         self.radius = radius
         self.norms, step, self.packed = group.ball_arrays(radius)
         n = len(self.norms)
-        self._step = np.full((step.shape[1], n + 1), n, dtype=np.int32 if n < 1 << 31 else np.int64)
+        self._step = np.full((step.shape[1], n + 1), n, dtype=index_dtype(n))
         self._step[:, :n] = step.T
         del step  # before the codes, which can take its place
         self.codes = element_codes(group, self.packed)
@@ -134,8 +140,9 @@ class Region:
     def neighbors(self, s: int) -> np.ndarray:
         """Row j, column i: the index of w_j * x_i for w_j offset j of Ball(1,
         s), or the sentinel len(region) outside it. Read-only, in the
-        generator table's index dtype, and built for the widest s asked for
-        so far: a narrower s reads a view of its first |Ball(1, s)| rows."""
+        generator table's index dtype (uint16 below 2^16 points, int32
+        below 2^31), and built for the widest s asked for so far: a
+        narrower s reads a view of its first |Ball(1, s)| rows."""
         if s >= len(self._widths):
             self._table, self._widths = self._build_table(s)
         return self._table[: self._widths[s]]

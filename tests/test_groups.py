@@ -855,18 +855,19 @@ def _arrays_charge(g, r):
 
 _ROOT = Path(__file__).resolve().parents[1]
 
-# Builds Ball(1, r) of argv[1] after a warm-up, decoded or as ``ball_arrays``
-# (argv[3]), and prints the growth in bytes of the process's peak resident
-# set and the ball's size. The peak is VmHWM, not ru_maxrss, which Linux
-# carries over from the parent through exec.
+# Builds Ball(1, r) of argv[1] after a warm-up, decoded, as ``ball_arrays``
+# or as a Region (argv[3]), and prints the growth in bytes of the process's
+# peak resident set and the ball's size. The peak is VmHWM, not ru_maxrss,
+# which Linux carries over from the parent through exec.
 _RATE_SCRIPT = """
 import re, sys
 from shiftcolor.groups import identity_ball, parse_group
+from shiftcolor.simulate import Region
 def peak():
     with open("/proc/self/status") as f:
         return int(re.search(r"VmHWM:\\s*(\\d+) kB", f.read()).group(1)) * 1024
 g, r = parse_group(sys.argv[1]), int(sys.argv[2])
-build = identity_ball if sys.argv[3] == "decoded" else lambda g, r: g.ball_arrays(r)[0]
+build = {"decoded": identity_ball, "arrays": lambda g, r: g.ball_arrays(r)[0], "region": Region}[sys.argv[3]]
 build(g, 1)
 before = peak()
 n = len(build(g, r))
@@ -876,7 +877,7 @@ print(peak() - before, n)
 
 def _peak_growth(spec, r, what):
     """(growth of the peak resident set, ball size) of building Ball(1, r)
-    of spec, ``what`` ("decoded" or "arrays"), in a fresh process."""
+    of spec, ``what`` ("decoded", "arrays" or "region"), in a fresh process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p)
     result = subprocess.run([sys.executable, "-c", _RATE_SCRIPT, spec, str(r), what], env=env,
@@ -926,6 +927,20 @@ class TestArraysCharge:
             grown, n = _peak_growth(spec, r, "arrays")
             assert n == ball_size(parse_group(spec), r)
             assert 0 < grown <= _arrays_charge(parse_group(spec), r)
+
+    @pytest.mark.parametrize("spec, radii", [("Z^10", (4, 6)), ("F_26", (2, 3))])
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux's /proc")
+    def test_charge_covers_a_region(self, spec, radii):
+        """In a fresh process, a Region, its arrays and then its own index
+        tables and code order, grows the peak resident set by at most the
+        charge, at two sizes per group, in uint16 and in int32."""
+        dtypes = []
+        for r in radii:
+            grown, n = _peak_growth(spec, r, "region")
+            assert n == ball_size(parse_group(spec), r)
+            assert 0 < grown <= _arrays_charge(parse_group(spec), r)
+            dtypes.append(groups.index_dtype(n))
+        assert dtypes == [np.uint16, np.int32]
 
 
 class TestDecodedCharge:

@@ -10,12 +10,15 @@ Laws under test:
    and a newline on any nested plain JSON, though laid out from the C
    encoder's compact dump; plain values pass the reducer unchanged. An
    integer past the interpreter's int-to-string digit limit is written
-   exactly, and the limit is restored after the dump.
+   exactly, and the limit is restored after the dump. Integer arrays of
+   one and two axes may stand in for their lists, and are laid out from
+   numpy to the same bytes; no string can pass for one.
 3. The config hash changes when any determining input changes (parameters,
    seed, spec file contents) and only then; it is the SHA-256 of the
    description's canonical bytes.
 4. Envelopes carry the fixed schema version, the manifest, and a fully
-   reduced payload.
+   reduced payload, whose integer arrays of one and two axes are kept for
+   the layout.
 """
 
 import json
@@ -25,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shiftcolor.groups import FreeAbelian
 from shiftcolor.ideals import ProperColoring
@@ -54,6 +57,22 @@ _PLAIN = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
     max_leaves=30,
 )
+# integer arrays of one and two axes, empty ones and shape (n, 0) among
+# them, with int64's and uint64's extremes
+_INT64 = st.sampled_from([-(2**63), 2**63 - 1, -1, 0, 9, -10]) | st.integers(-(2**63), 2**63 - 1)
+_ARRAYS = st.one_of(
+    st.lists(_INT64, max_size=5).map(lambda v: np.array(v, dtype=np.int64)),
+    st.integers(0, 4).flatmap(lambda k: st.lists(st.lists(_INT64, min_size=k, max_size=k), max_size=4).map(
+        lambda rows, k=k: np.array(rows, dtype=np.int64).reshape(len(rows), k))),
+    st.lists(st.sampled_from([0, 7, 2**64 - 1]), max_size=3).map(lambda v: np.array(v, dtype=np.uint64)),
+    st.lists(st.integers(0, 2**16 - 1), max_size=3).map(lambda v: np.array(v, dtype=np.uint16)),
+)
+_WITH_ARRAYS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT | _ARRAYS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+_SHARED = np.array([[2**63 - 1, -(2**63)], [0, 5]])
 
 
 class TestToJsonable:
@@ -124,10 +143,32 @@ class TestCanonicalBytes:
         assert "é".encode("utf-8") in canonical_json_bytes({"s": "é"})
 
     @settings(max_examples=150, deadline=None)
-    @given(value=_PLAIN)
+    @given(value=_PLAIN | _WITH_ARRAYS)
+    @example(value={"a": _SHARED, "b": [_SHARED, {"c": _SHARED[0]}], "d": [[np.zeros((3, 0), dtype=np.int64)]]})
+    @example(value=np.array([[1, -2], [30, 4]]))
     def test_equals_indented_python_encoder(self, value):
-        expected = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-        assert json_bytes(value) == expected.encode("utf-8")
+        """Also with integer arrays of one and two axes in place of their
+        lists, nested and repeated: each is laid out from numpy."""
+        expected = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False, default=np.ndarray.tolist)
+        assert json_bytes(value) == (expected + "\n").encode("utf-8")
+
+    def test_no_string_stands_for_an_array(self):
+        """An array's place in the dump is a lone surrogate, which a string
+        can hold only to be refused as UTF-8 can hold none, with or without
+        arrays beside it."""
+        for text in ("\udfff", 'a"\udfff', "\udfff0"):
+            for value in ({"s": text}, {"s": text, "a": np.array([1])}, [np.array([2]), text]):
+                with pytest.raises(UnicodeEncodeError):
+                    json_bytes(value)
+
+    def test_only_integer_arrays_of_one_or_two_axes_are_laid_out(self):
+        for array in (np.array([0.5]), np.array([True]), np.zeros((1, 1, 1), dtype=np.int64), np.int64(3)):
+            with pytest.raises(TypeError):
+                json_bytes({"a": array})
+            assert to_jsonable(array, arrays=True) == to_jsonable(array)
+        kept = np.array([[1, 2]])
+        assert to_jsonable({"a": [kept]}, arrays=True)["a"][0] is kept
+        assert to_jsonable({"a": [kept]}) == {"a": [[[1, 2]]]}
 
     def test_integers_past_the_digit_limit_are_written_exactly(self):
         limit = sys.get_int_max_str_digits()

@@ -57,9 +57,13 @@ Laws under test:
    decoder that reads it agree with brute force over g.dist, every window
    of the table at every width up to 2T - 1; the slot-major table is the
    transpose of the row-major strided column build kept here at every
-   width up to 2T + 1, in int32 and in int64, and holds the bytes it is
-   charged, and one whose bytes pass physical memory is refused before
-   allocating (exit 3 from the CLI); a region refuses
+   width up to 2T + 1, in uint16, int32 and int64, and holds the bytes it
+   is charged, and one whose bytes pass physical memory is refused before
+   allocating (exit 3 from the CLI). A region's index dtype is uint16
+   below 2^16 points and int32 from there: on Z^1 either side of the
+   bound, its table, slot distances, elements, locate, translation
+   kernel, greedy and a validated run equal the region's in a wider
+   dtype. A region refuses
    colliding element codes. Its translation kernel agrees with
    g.mul, the scalar element code and an index dict, in machine integers
    and in Python ints, and calls g.mul for no point. Its elements are decoded only where a report
@@ -743,19 +747,19 @@ class TestRegionKernel:
     def test_table_equals_the_column_build(self, g, T):
         """``neighbors(s)``, built for exactly s, is the transpose of the
         table composed a strided column at a time, for every s up to 2T + 1
-        (wider than the region), in int32 and in the int64 that regions of
-        2^31 points and more take; it is slot-major, C-ordered in the
-        generator table's index dtype, read-only, and holds exactly the
-        bytes ``table_bytes`` charges."""
+        (wider than the region), in the uint16 of regions below 2^16 points,
+        and in the int32 and int64 that larger regions take; it is
+        slot-major, C-ordered in the generator table's index dtype,
+        read-only, and holds exactly the bytes ``table_bytes`` charges."""
         for s in range(2 * T + 2):
             region = simulate.Region(g, T)
-            assert region._step.dtype == np.int32
+            assert region._step.dtype == np.uint16
             expected = column_table(region, s).tolist()
-            for int64_scratch in (False, True):
-                if int64_scratch:
+            for dtype in (np.uint16, np.int32, np.int64):
+                if dtype != np.uint16:
                     region = simulate.Region(g, T)
-                    region._step = region._step.astype(np.int64)
-                    region._widths = []  # the constructor's radius-0 table is int32: build in int64
+                    region._step = region._step.astype(dtype)
+                    region._widths = []  # the constructor's radius-0 table is uint16: build in dtype
                 table = region.neighbors(s)
                 assert table.dtype == region._step.dtype and table.flags.c_contiguous
                 assert not table.flags.writeable
@@ -864,6 +868,58 @@ class TestRegionKernel:
         machine = np.uint64 if isinstance(g, FreeGroup) else np.int64
         assert moved[0].dtype == (object if products == "every" else machine)
         assert_translate_matches(region, gamma)
+
+
+def _recast(region, dtype):
+    """A copy of region whose generator table and code order are in dtype,
+    its neighbour table and slot distances built afresh and its elements
+    decoded afresh."""
+    other = copy.copy(region)
+    other.__dict__.pop("elements", None)
+    other._step, other._code_order = region._step.astype(dtype), region._code_order.astype(dtype)
+    other._table, other._widths = other._build_table(0)
+    other._distances = np.zeros((0, 0), dtype=np.int64)
+    return other
+
+
+class TestIndexDtype:
+    """A region's index tables take uint16 below 2^16 points, the sentinel
+    n included, and int32 from there; every reader of them gives on the
+    regions either side of the bound what the same region gives in a wider
+    dtype (int32 for the uint16 one, int64 for the int32 one)."""
+
+    def test_the_narrowest_dtype_that_holds_the_sentinel(self):
+        for n, dtype in ((0, np.uint16), (65_535, np.uint16), (65_536, np.int32), (2**31 - 1, np.int32),
+                         (2**31, np.int64)):
+            assert groups.index_dtype(n) == dtype and n <= np.iinfo(dtype).max
+
+    @pytest.mark.parametrize("T, dtype, wider", [(32_767, np.uint16, np.int32), (32_768, np.int32, np.int64)])
+    def test_readers_agree_with_a_wider_dtype(self, monkeypatch, T, dtype, wider):
+        region = simulate.Region(Z1, T)
+        assert len(region) == 2 * T + 1 and region._step.dtype == region._code_order.dtype == dtype
+        other = _recast(region, wider)
+        for s in (0, 1, 3):
+            assert region.neighbors(s).dtype == dtype and other.neighbors(s).dtype == wider
+            assert np.array_equal(region.neighbors(s), other.neighbors(s))
+            assert np.array_equal(region.slot_distances(s), other.slot_distances(s))
+        assert region.elements == other.elements
+        probe = [*region.elements[::97], region.elements[-1], T + 1, -T - 1, 2**70]
+        located = region.locate(probe)
+        assert located.tolist() == other.locate(probe).tolist()
+        assert located[-3:].tolist() == [len(region)] * 3 and located[-4] == len(region) - 1
+        for gamma in (0, 5, -T, 2 * T + 1):
+            for mine, theirs in zip(region.right_translate(gamma), other.right_translate(gamma)):
+                assert mine.tolist() == theirs.tolist()
+        assert _greedy_distance_coloring(region, 3) == _greedy_distance_coloring(other, 3)
+        config = SimulationConfig(ideal=PC3, window_radius=T - 2, margin=2, steps=6, seed=7)
+        results = []
+        for built in (region, other):
+            monkeypatch.setattr(simulate, "_region_of", lambda g, radius, built=built: built)
+            trace = run(config)
+            results.append(([(c, at.tolist()) for c, at in trace.steps], trace.fill_fractions,
+                            trace_validate(trace, PC3)))
+        assert results[0] == results[1]
+        assert results[0][2].ok and results[0][2].windows_checked > 0 and results[0][1][-1] > 0
 
 
 def brute_force_validate(trace, ideal):
