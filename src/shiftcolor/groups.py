@@ -625,49 +625,50 @@ def index_dtype(n: int) -> np.dtype:
     return np.dtype(np.uint16 if n < 1 << 16 else np.int32 if n < 1 << 31 else np.int64)
 
 
-def _point_bytes(group: Group, radius: int, decoded: bool) -> int:
-    """Bytes per point of Ball(1, radius): a closed-form bound on the peak of
+def _ball_bytes(group: Group, radius: int, decoded: bool) -> int:
+    """Bytes of Ball(1, radius): a closed-form bound on the peak of
     ``ball_arrays`` and a ``Region`` built from them, or with ``decoded``
-    of those and ``decode_ball``. On Z^d the arrays are the (n, 2d) int64
-    gathers and the coordinate rows, 96d + 48, and decoded the same arrays
-    with d int objects, a d-tuple and list slots, 104d + 80. On F_k the
-    arrays are the table, the per-layer index lists, numerals and norms,
-    16k + 128, and decoded list slots and the word too, a str of 49 bytes
-    and its letters, 16k + 160 + radius; both hold numerals of Python ints
-    past pack_limit. The Region adds its generator table and the codes'
-    order, 2d + 1 or 2k + 1 cells of ``index_dtype``, and 24 for the codes,
-    their int64 argsort and the codes in that order. A quarter more covers
-    the allocators' overhead."""
+    of those and ``decode_ball``, per point: on Z^d the arrays are the
+    (n, 2d) int64 gathers and the coordinate rows, 96d + 48, and decoded
+    the same arrays with d int objects, a d-tuple and list slots, 104d +
+    80. On F_k the arrays are the table, the per-layer index lists,
+    numerals and norms, 16k + 128, and decoded list slots and the word too,
+    a str of 49 bytes and its letters, 16k + 160 + radius; both hold
+    numerals of Python ints past pack_limit. The Region adds its generator
+    table and the codes' order, 2d + 1 or 2k + 1 cells of ``index_dtype``,
+    and 24 for the codes, their int64 argsort and the codes in that order.
+    A quarter more covers the allocators' overhead."""
+    n = ball_size(group, radius)
     if isinstance(group, FreeGroup):
         k, point = group.rank, 16 * group.rank + (160 + radius if decoded else 128)
         if radius > group.pack_limit:
             point += 64 + radius * (2 * group.rank + 1).bit_length() // 8
     else:
         k, point = group.dimension, (104 if decoded else 96) * group.dimension + (80 if decoded else 48)
-    point += (2 * k + 1) * index_dtype(ball_size(group, radius)).itemsize + 24
-    return point + point // 4
+    point += (2 * k + 1) * index_dtype(n).itemsize + 24
+    return n * (point + point // 4)
 
 
 def _refuse_oversize(group: Group, radius: int) -> None:
     """Raise BudgetError, before anything is allocated, when ``ball_arrays``
     of Ball(1, radius), and a Region built from them, can peak past the
-    machine's physical memory, at ``_point_bytes`` per point. F_k balls
+    machine's physical memory, at ``_ball_bytes``. F_k balls
     with k >= 2 hold over 2^radius points, so there a radius past the
     memory's bit length is refused without computing the size."""
     memory = physical_memory()
     huge = isinstance(group, FreeGroup) and group.rank > 1 and radius > memory.bit_length()
-    if huge or ball_size(group, radius) * _point_bytes(group, radius, decoded=False) > memory:
+    if huge or _ball_bytes(group, radius, decoded=False) > memory:
         raise BudgetError(f"Ball(1, {radius}) of {group.name} needs more than {memory} bytes "
                           "of physical memory")
 
 
 def refuse_decoding(group: Group, radius: int) -> None:
     """Raise BudgetError, before anything is built, when decoding Ball(1,
-    radius) can need more bytes than physical memory, at ``_point_bytes``
-    per point decoded. The arrays' own charge comes first."""
+    radius) can need more bytes than physical memory, at ``_ball_bytes``
+    decoded. The arrays' own charge comes first."""
     _refuse_oversize(group, radius)
     memory = physical_memory()
-    if ball_size(group, radius) * _point_bytes(group, radius, decoded=True) > memory:
+    if _ball_bytes(group, radius, decoded=True) > memory:
         raise BudgetError(f"the decoded Ball(1, {radius}) of {group.name} needs more than {memory} bytes "
                           "of physical memory")
 

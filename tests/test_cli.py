@@ -189,7 +189,7 @@ class TestSearchCommands:
         """Memory read as just the charge of Ball(1, 8) of F_2 as arrays: the
         words are charged too, and refused before they are decoded."""
         g = FreeGroup(2)
-        monkeypatch.setattr(groups, "physical_memory", lambda: ball_size(g, 8) * groups._point_bytes(g, 8, False))
+        monkeypatch.setattr(groups, "physical_memory", lambda: groups._ball_bytes(g, 8, False))
         identity_ball.cache_clear()
         code, data = run_to_file(tmp_path, ["ball", "F_2", "a", "8"])
         assert code == 3 and data == b""
