@@ -438,6 +438,7 @@ class FreeGroup(Group):
         child = np.arange(1, n)
         step[parent[1:], first[1:]] = child
         step[child, first[1:] ^ 1] = parent[1:]
+        del first, parent, child  # before the packed rows, which can take their place
         return norms, step, np.column_stack([numeral, norms.astype(powers.dtype)])
 
     def _tree(self, radius: int, powers: np.ndarray) -> tuple:
@@ -652,9 +653,9 @@ def _ball_bytes(group: Group, radius: int, decoded: bool) -> int:
 def _refuse_oversize(group: Group, radius: int) -> None:
     """Raise BudgetError, before anything is allocated, when ``ball_arrays``
     of Ball(1, radius), and a Region built from them, can peak past the
-    machine's physical memory, at ``_ball_bytes``. F_k balls
-    with k >= 2 hold over 2^radius points, so there a radius past the
-    memory's bit length is refused without computing the size."""
+    machine's physical memory, at ``_ball_bytes``. F_k balls with k >= 2
+    hold over 2^radius points, so there a radius past the memory's bit
+    length is refused without computing the size."""
     memory = physical_memory()
     huge = isinstance(group, FreeGroup) and group.rank > 1 and radius > memory.bit_length()
     if huge or _ball_bytes(group, radius, decoded=False) > memory:
