@@ -1771,13 +1771,15 @@ class TestSparse:
 
     def test_f2_w8_scale_7_reads_the_table_in_8_gib(self, monkeypatch):
         """The d_c = 7 table of the F_2 window 8, 13,121 x 4,373 cells, is
-        charged its 4 B a cell of int32, within 1/_TABLE_SHARE of 8 GiB,
-        where 12 B a cell would not be; deciding allocates no table."""
+        charged 2 B a cell of uint16, within 1/_TABLE_SHARE of 8 GiB, as
+        4 B of int32 would be too and 12 B a cell would not be; deciding
+        allocates no table."""
         monkeypatch.setattr(simulate, "physical_memory", lambda: 8 << 30)
         region = simulate.Region(F2, 8)
         cells = len(region) * groups.ball_size(F2, 7)
         assert cells == 13_121 * 4_373
         assert 4 * cells <= (8 << 30) // simulate._TABLE_SHARE < 12 * cells
+        assert region.table_bytes(7) == 2 * cells
         assert simulate._tabled(region, 7)
         assert len(region._widths) == 1  # the radius-0 table of the constructor alone
 
