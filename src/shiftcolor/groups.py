@@ -258,11 +258,22 @@ class FreeAbelian(Group):
             n = T + 1
             return (np.zeros(n, dtype=np.int64), np.ones((n, 2 * self.dimension), dtype=np.int64),
                     np.zeros((n, self.dimension), dtype=np.int64))
-        k = np.arange(2 * T + 1)
-        norms = (k + 1) // 2
-        coords = np.where(k % 2 == 1, -norms, norms)[:, None]
-        moved = coords + [1, -1]
-        step = np.minimum(2 * np.abs(moved) - (moved < 0), 2 * T + 1)
+        # Z^1 in place, with no temporary past half a column: index k is x
+        # = (k + 1) // 2, negated at odd k, and x + 1 and x - 1 sit at k + 2
+        # and k - 2 for x > 0, k - 2 and k + 2 for x < 0, and 2 and 1 for x
+        # = 0, save 1 + (-1) = 0 at index 0; past T, at the mark 2T + 1
+        n = 2 * T + 1
+        norms = np.arange(1, n + 1)
+        norms //= 2
+        coords = norms.reshape(n, 1).copy()
+        coords[1::2] *= -1
+        step = np.empty((n, 2), dtype=np.int64)
+        step[0::2, 0] = np.arange(2, n + 2, 2)
+        step[1::2, 0] = np.arange(-1, n - 2, 2)
+        step[0::2, 1] = np.arange(-2, n - 2, 2)
+        step[1::2, 1] = np.arange(3, n + 2, 2)
+        step[1, 0], step[0, 1] = 0, 1
+        np.minimum(step, n, out=step)
         for dim in range(1, self.dimension):
             if dim == 1:  # the (T + 1)^2 blocks, fewer than the Z^2 ball's points
                 t = np.repeat(np.arange(T + 1), 2 * np.arange(T + 1) + 1)  # each block's layer

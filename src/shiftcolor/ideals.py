@@ -269,9 +269,10 @@ class PairwiseIdeal(IdealSpec):
         """The bands as forbid[a + 2, b + 2, t]: whether color codes a, b
         may not meet at distance t, for colors a, b < colors and t <=
         t_max. OFF_PALETTE clashes with itself at t = 0, that is in its own
-        slot; NO_COLOR clashes with nothing. Like ``Region.neighbors``, it
-        keeps one table, built for the most colors and the longest distance
-        asked for so far, so a large palette costs only the colors in use."""
+        slot; NO_COLOR clashes with nothing. Like ``Region.slot_distances``,
+        it keeps one table, built for the most colors and the longest
+        distance asked for so far, so a large palette costs only the colors
+        in use."""
         table = self._forbid
         if table is not None and len(table) >= colors + 2 and table.shape[2] > t_max:
             return table

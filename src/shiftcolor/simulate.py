@@ -27,16 +27,16 @@ same color in a round with R_i = 0: each is alone in its radius-0 ball, and
 its window holds only itself.
 
 Neither the run nor its validator judges a window at a time. Every window
-of radius r about x is the column Ball(1, r)*x of the region's neighbour
-table, so many windows form one matrix of colour codes over the same
-offsets, and the distance between two slots is the distance between their
-offsets (right invariance, ``Region.slot_distances``). The table is kept
-as composed, a row per offset from the generator table, in the region's
-index dtype (``groups.index_dtype``: uint16 below 2^16 points, int32
-below 2^31), and refused before allocating past memory
-(``Region.table_bytes``). Its entries are only ever indices or compared
-with other arrays, never summed with a Python int, which would wrap in
-uint16.
+of radius r about x is Ball(1, r)*x, a column of |Ball(1, r)| region
+indices in offset order, so many windows form one matrix of colour codes
+over the same offsets, and the distance between two slots is the distance
+between their offsets (right invariance, ``Region.slot_distances``). No
+table of windows is kept: ``Region.columns`` composes the columns of the
+points that read them, a row per offset from the generator table, in the
+region's index dtype (``groups.index_dtype``: uint16 below 2^16 points,
+int32 below 2^31), and refuses them before allocating past memory. Their
+entries are only ever indices or compared with other arrays, never summed
+with a Python int, which would wrap in uint16.
 A window judge (``IdealSpec.window_judge``) takes that matrix: it is
 built once per window radius, for the one D and the colour codes in use,
 and each call is then one array lookup on the pairwise kinds; any other
@@ -47,31 +47,33 @@ The schedule alone fixes each step's colour and reach, so ``run`` draws
 and isolates every step's supports before the first step: the steps that
 share one isolation radius are folded, up to 64 at a time, into one word
 per point, a bit per step, and isolated together in one pass over the
-table's slots, so a candidate drops once every bit it has meets another
-support point. A step then drops its isolated points that are already
-coloured and judges the rest in one call of its radius's judge, then
-scatters the accepted points' colour code and step; the fill fractions
-come from the steps at the end. The candidates are more than
+window's slots, composed a layer at a time for the candidates still
+standing, so a candidate drops once every bit it has meets another
+support point. The windows of every step's isolated points are then
+composed once per radius. A step drops its isolated points that are
+already coloured and judges the rest in one call of its radius's judge,
+then scatters the accepted points' colour code and step; the fill
+fractions come from the steps at the end. The candidates are more than
 2R_i apart, so no candidate's window holds another and they are judged
 independently. The validator judges a whole trace in one pass per window
 radius: every (step, point) pair whose window the step touched, on the
-window as it stood after that step. Every pair in a window is judged, not
-only the pairs through the new point: without warm-up an old pair may
-already violate.
+window as it stood after that step, composed a chunk of coloured points
+at a time. Every pair in a window is judged, not only the pairs through
+the new point: without warm-up an old pair may already violate.
 
 The equivariance check reads the field at x*gamma through one translation
 kernel, ``Region.right_translate``, which gives every translate's region
 index and element code from the packed region (``Group.mul_packed``:
 ``coords + gamma`` on Z^d, numeral arithmetic on F_k), in Python ints
-where a translate may pass ``pack_limit``.
+where a translate may pass ``pack_limit``, a block of rows at a time.
 
 The sparse run's greedy colouring at scale d_c reads each point's earlier
-neighbours from its column of ``Region.neighbors(d_c)`` when Ball(1, d_c) is
-smaller than the region and the table fits its memory bound
-(``_tabled``), and otherwise from packed distances over every earlier
-pair (``groups.distance_block``), a block at a time. Its separation check
-re-verifies the final colours from ``distance_block`` alone, independently
-of the table.
+neighbours from its composed window when Ball(1, d_c) is smaller than the
+region (``_tabled``), and otherwise from packed distances over every
+earlier pair (``groups.distance_block``), a block at a time; neither
+holds more than a chunk of windows or a block of pairs. Its separation
+check re-verifies the final colours from ``distance_block`` alone,
+independently of the windows.
 """
 
 from __future__ import annotations
@@ -106,8 +108,9 @@ class Region:
     uint16 below 2^16 points, int32 below 2^31). ``len(region)`` is
     n. The elements, in ``Group.ball``'s order, are decoded by
     ``Group.decode_ball`` on the first read of ``elements``: reports that
-    name points read them. Built lazily on top: a slot-major neighbour
-    table and its slot distances."""
+    name points read them. Windows about points are composed from the
+    generator table for the points that read them (``columns``), and no
+    table of them is kept; the slot distances are measured on first use."""
 
     def __init__(self, group: Group, radius: int):
         self.group = group
@@ -124,7 +127,6 @@ class Region:
             raise RuntimeError(f"element codes collide on the radius-{radius} region of {group.name}")
         for a in (self.norms, self.codes, self._code_order, self._step, self.packed):
             a.flags.writeable = False  # shared by every caller
-        self._table, self._widths = self._build_table(0)
         self._distances = np.zeros((0, 0), dtype=np.int64)
 
     def __len__(self) -> int:
@@ -137,27 +139,39 @@ class Region:
         refuse_decoding(self.group, self.radius)
         return self.group.decode_ball(self.norms, self._step[:, :-1].T, self.packed)
 
-    def neighbors(self, s: int) -> np.ndarray:
-        """Row j, column i: the index of w_j * x_i for w_j offset j of Ball(1,
-        s), or the sentinel len(region) outside it. Read-only, in the
-        generator table's index dtype (uint16 below 2^16 points, int32
-        below 2^31), and built for the widest s asked for so far: a
-        narrower s reads a view of its first |Ball(1, s)| rows."""
-        if s >= len(self._widths):
-            self._table, self._widths = self._build_table(s)
-        return self._table[: self._widths[s]]
+    def columns(self, s: int, points: np.ndarray) -> np.ndarray:
+        """Row j, column i: the index of w_j * x for x = points[i] and w_j
+        offset j of Ball(1, s), or the sentinel len(region) outside the
+        region. A new (|Ball(1, s)|, len(points)) array in the generator
+        table's index dtype, composed a layer at a time (``_compose``) for
+        these points alone, and refused before allocating past memory."""
+        points = np.asarray(points)
+        starts, layers, every = self._plan(s, points, "points")
+        out = np.empty((starts[-1], len(points)), dtype=self._step.dtype)
+        out[0] = points
+        for inner, lo, hi, layer in zip(starts, starts[1:], starts[2:], layers):
+            _compose(self._step, out[inner:lo], out[lo:hi], layer, every)
+        return out
 
-    def table_bytes(self, s: int) -> int:
-        """The bytes of ``neighbors(s)``: n * |Ball(1, s)| index cells."""
-        return len(self) * ball_size(self.group, s) * self._step.itemsize
+    def _plan(self, s: int, points: np.ndarray, what: str) -> tuple:
+        """``_paths(group, s)`` for composing the radius-s windows of the
+        points, after refusing them past memory, and whether some of them
+        can leave the region: where none can (|x| + s <= radius), every
+        path stays in."""
+        starts, layers = _paths(self.group, s)
+        _refuse_bytes(f"the radius-{s} windows of {len(points)} {what} of the {len(self)}-point region "
+                      f"of {self.group.name}", starts[-1] * len(points) * self._step.itemsize)
+        return starts, layers, bool(len(points)) and int(self.norms[points].max()) + s > self.radius
 
     def slot_distances(self, s: int) -> np.ndarray:
         """D[a, b] = |w_a w_b^-1| for the offsets w of Ball(1, s): by right
         invariance the distance between slots a and b of every column of
-        ``neighbors(s)``. Measured on first use, for the widest s asked for
-        so far, as the table is built; a narrower s reads a corner."""
-        w = self.neighbors(s).shape[0]
+        ``columns(s, ...)``. Measured on first use, for the widest s asked
+        for so far, and refused before allocating past memory; a narrower
+        s reads a corner."""
+        w = ball_size(self.group, s)
         if len(self._distances) < w:
+            _refuse_bytes(f"the radius-{s} slot distances of {self.group.name}", w * w * 8)
             every = np.arange(w)
             self._distances = distance_block(self.group, self.group.ball_arrays(s)[2], every, every)
             self._distances.flags.writeable = False
@@ -166,81 +180,134 @@ class Region:
     def locate(self, elements: Sequence) -> np.ndarray:
         """Each valid element's region index, or the sentinel len(region)
         outside the region, found as ``right_translate`` finds its points."""
-        return self._find(self.group.pack(elements))[0]
+        packed = self.group.pack(elements)
+        return self._find(len(packed), lambda lo, hi: packed[lo:hi])[0]
 
     def right_translate(self, gamma) -> Tuple[np.ndarray, np.ndarray]:
         """``(index, codes)`` of the right translates x_i*gamma: index[i] is
         the region index of x_i*gamma, or the sentinel len(region) where
         that leaves the region, and codes[i] its element code. The
-        translates are ``mul_packed`` of the packed region and gamma."""
+        translates are ``mul_packed`` of the packed region and gamma, a
+        block of rows at a time."""
         g = self.group
-        return self._find(g.mul_packed(self.packed, g.pack([gamma])))
+        offset = g.pack([gamma])
+        return self._find(len(self), lambda lo, hi: g.mul_packed(self.packed[lo:hi], offset))
 
-    def _find(self, packed: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """``(index, codes)`` of elements in ``pack``'s form, found by their
-        codes: the region's are distinct, and its points are the elements of
-        norm <= radius (the length column on F_k, coordinate sums on Z^d)."""
-        codes = element_codes(self.group, packed)
-        norms = packed[:, 1] if isinstance(self.group, FreeGroup) else np.abs(packed).sum(axis=1)
-        inside = norms <= self.radius
-        index = np.full(len(packed), len(self), dtype=np.int64)
-        index[inside] = self._code_order[np.searchsorted(self.codes, codes[inside], sorter=self._code_order)]
+    def _find(self, m: int, rows) -> Tuple[np.ndarray, np.ndarray]:
+        """``(index, codes)`` of m elements in ``pack``'s form, ``rows(lo,
+        hi)`` giving elements lo..hi - 1, found a block of _PAIR_CELLS rows
+        at a time by their codes: the region's are distinct, and its points
+        are the elements of norm <= radius (the length column on F_k,
+        coordinate sums on Z^d)."""
+        index = np.full(m, len(self), dtype=np.int64)
+        codes = np.empty(m, dtype=np.uint64)
+        for lo in range(0, m, _PAIR_CELLS):
+            hi = min(lo + _PAIR_CELLS, m)
+            packed = rows(lo, hi)
+            codes[lo:hi] = found = element_codes(self.group, packed)
+            norms = packed[:, 1] if isinstance(self.group, FreeGroup) else np.abs(packed).sum(axis=1)
+            inside = np.flatnonzero(norms <= self.radius)
+            index[lo + inside] = self._code_order[np.searchsorted(self.codes, found[inside],
+                                                                  sorter=self._code_order)]
         return index, codes
 
-    def _build_table(self, s: int) -> Tuple[np.ndarray, List[int]]:
-        # Row w*x of the slot-major (w, n) table is composed from row w'*x
-        # through the generator table (whose sentinel column maps the
-        # sentinel to itself), where w = a*w' for a generator a and |w'| =
-        # |w| - 1, taking whichever such path stays in the region. That is
-        # exact for Z^d and F_k: any two points of a ball about the identity
-        # are joined by a geodesic inside it. The pairs (w', a) come from the
-        # offsets' own generator table. Every composition is one contiguous
-        # take in the index dtype, and the table is refused before
-        # allocating when its bytes pass physical memory.
-        g, n = self.group, len(self)
-        needed, memory = self.table_bytes(s), physical_memory()
-        if needed > memory:
-            raise BudgetError(f"the radius-{s} neighbour table of the {n}-point region of {g.name} "
-                              f"needs {needed} bytes, more than the {memory} bytes of physical memory")
-        norms, step, _packed = g.ball_arrays(s)
-        table = np.full((len(norms), n), n, dtype=self._step.dtype)
-        table[0] = np.arange(n)
-        pairs = np.nonzero(np.append(norms, -1)[step] > norms[:, None])  # a*w' one layer out
-        for j, k, t in zip(pairs[0].tolist(), pairs[1].tolist(), step[pairs].tolist()):
-            np.minimum(table[t], self._step[k].take(table[j]), out=table[t])
-        table.flags.writeable = False
-        return table, np.bincount(norms, minlength=s + 1).cumsum().tolist()
+
+@lru_cache(maxsize=16)
+def _paths(group: Group, s: int) -> Tuple[List[int], List[list]]:
+    """Ball(1, s)'s layer starts and its size, and per layer past the
+    identity, per offset w_t in offset order, every (j, k) with w_t =
+    gens[k] * w_j and |w_j| = |w_t| - 1, j counted from the start of w_j's
+    layer: read from the offsets' own generator table."""
+    norms, step, _packed = group.ball_arrays(s)
+    starts = [0, *np.bincount(norms, minlength=s + 1).cumsum().tolist()]
+    paths: List[List[Tuple[int, int]]] = [[] for _ in range(len(norms))]
+    pairs = np.nonzero(np.append(norms, -1)[step] > norms[:, None])  # a*w' one layer out
+    for j, k, t in zip(pairs[0].tolist(), pairs[1].tolist(), step[pairs].tolist()):
+        paths[t].append((j - starts[norms[j]], k))
+    return starts, [paths[lo:hi] for lo, hi in zip(starts[1:], starts[2:])]
+
+
+def _compose(step: np.ndarray, inner: np.ndarray, rows: np.ndarray, layer: list, every: bool) -> None:
+    """Fill ``rows``, a layer's rows, from ``inner``, the previous layer's,
+    through the generator table (whose sentinel column maps the sentinel to
+    itself): row w*x from row w'*x, for w = a*w' and each (w', a) of
+    ``layer``'s paths. Where no window leaves the region every path stays
+    in it and the first is taken; with ``every``, the least over the paths
+    keeps whichever stays in, exact for Z^d and F_k, where any two points
+    of a ball about the identity are joined by a geodesic inside it."""
+    for row, via in zip(rows, layer):
+        j, k = via[0]
+        step[k].take(inner[j], out=row, mode="clip")  # every index is in range, and clip needs no buffer
+        for j, k in via[1:] if every else ():
+            np.minimum(row, step[k].take(inner[j]), out=row)
+
+
+def _refuse_bytes(what: str, needed: int) -> None:
+    """Raise BudgetError, before allocating, when ``needed`` bytes pass
+    physical memory."""
+    memory = physical_memory()
+    if needed > memory:
+        raise BudgetError(f"{what} need {needed} bytes, more than the {memory} bytes of physical memory")
 
 
 def _window_after(region: Region, step_of: np.ndarray, colors: Sequence, j: int, r: int, t: int) -> dict:
     """The entries within distance r of point j after step t, for a window
-    that fits inside the region: column j of ``region.neighbors(r)`` is
-    Ball(1, r)*x_j in offset order. ``step_of`` holds each point's 1-based
-    step, and a later one at the sentinel index and where a point is not
-    (yet) coloured; ``colors`` holds each step's colour. Only failure
-    records and ideals judged window by window read it."""
-    window = region.neighbors(r)[:, j]
+    that fits inside the region: ``region.columns(r, [j])`` is Ball(1,
+    r)*x_j in offset order. ``step_of`` holds each point's 1-based step,
+    and a later one at the sentinel index and where a point is not (yet)
+    coloured; ``colors`` holds each step's colour. Only failure records and
+    ideals judged window by window read it."""
+    window = region.columns(r, [j])[:, 0]
     steps = step_of[window]
     keep = steps <= t
     return {region.elements[k]: colors[i - 1] for k, i in zip(window[keep].tolist(), steps[keep].tolist())}
 
 
-def _isolated(nbrs: np.ndarray, words: np.ndarray, cand: np.ndarray, k: int) -> List[np.ndarray]:
+# Points whose windows ``_window_blocks`` composes at once, at the least: a
+# take over fewer is mostly the call's own overhead.
+_CHUNK = 1024
+
+
+def _window_blocks(region: Region, s: int, points: np.ndarray, rows: int):
+    """(block, windows) for each block of ``rows`` points in turn: the
+    block and its radius-s windows (``Region.columns``), composed for a
+    chunk of at least _CHUNK points, whole blocks, at a time."""
+    chunk = rows * -(-_CHUNK // rows)
+    for lo in range(0, len(points), chunk):
+        windows = region.columns(s, points[lo : lo + chunk])
+        for at in range(0, windows.shape[1], rows):
+            yield points[lo + at : lo + at + rows], windows[:, at : at + rows]
+
+
+def _isolated(region: Region, s: int, words: np.ndarray, cand: np.ndarray, k: int) -> List[np.ndarray]:
     """Per step j < k of a block, the candidates x, in increasing order,
-    whose word has bit j and whose column of ``nbrs`` holds no other point
+    whose word has bit j and whose radius-s window holds no other point
     whose word has it. ``words`` holds a word per point and 0 at the
     sentinel index: bit j is set where the point is a support point of step
-    j. Past slot 0, the point itself, a slot (row) is read at a time: it
-    clears from each candidate's word the bits of its neighbour there, and a
-    candidate drops when no bit is left."""
+    j. Past slot 0, the point itself, a slot of Ball(1, s) is read at a
+    time: it clears from each candidate's word the bits of its neighbour
+    there, and a candidate drops when no bit is left. The slots' rows are
+    composed a layer at a time (``_compose``) for the candidates still
+    standing, keeping the previous layer's rows, which drop with them once
+    they are at least half of them."""
     free = ~words  # all ones at the sentinel, which is never a support point
     alive = words.take(cand)
-    for slot in nbrs[1:]:
+    _starts, layers, every = region._plan(s, cand, "candidates")
+    inner = cand.astype(region._step.dtype)[None]  # layer 0, the points themselves
+    for layer in layers:
         keep = alive != 0
-        cand, alive = cand[keep], alive[keep]
-        if not len(cand):
+        live = np.count_nonzero(keep)
+        if 2 * live < len(cand):  # a compress costs about what a slot does
+            cand, alive, inner = cand[keep], alive[keep], inner[:, keep]
+        if not live:
             break
-        alive &= free.take(slot.take(cand))
+        rows = np.empty((len(layer), len(cand)), dtype=inner.dtype)
+        _compose(region._step, inner, rows, layer, every)
+        for row in rows:
+            alive &= free.take(row, mode="clip")
+        inner = rows
+    keep = alive != 0
+    cand, alive = cand[keep], alive[keep]
     # bit j of each word as column j, little-endian whatever the machine's order
     little = alive.astype(alive.dtype.newbyteorder("<"), copy=False).view(np.uint8)
     bits = np.unpackbits(little.reshape(len(alive), alive.itemsize), axis=1, bitorder="little")
@@ -406,10 +473,10 @@ def _isolated_supports(config: SimulationConfig, region: Region, codes: np.ndarr
     order, whose radius-s_i ball fits inside the region and holds no other
     support point of the step, for s_i = radii[i]; None marks a warm-up
     step, which has none. Every other step's support is the field's. The
-    steps that share one s are isolated together, the widest s first, a
-    block of at most 64 steps at a time: a point's word holds a bit per step
-    of the block, set where it is a support point, and ``_isolated`` reads
-    the table's slots once for the whole block. The words are folded from
+    steps that share one s are isolated together, a block of at most 64
+    steps at a time: a point's word holds a bit per step of the block, set
+    where it is a support point, and ``_isolated`` reads the window's slots
+    once for the whole block. The words are folded from
     the field's masks, drawn a chunk of at most _PAIR_CELLS cells at a time."""
     T = config.window_radius + config.margin
     n = len(region)
@@ -420,8 +487,7 @@ def _isolated_supports(config: SimulationConfig, region: Region, codes: np.ndarr
     field_rng = RandomField(config.ideal.group, config.seed, Fraction(config.p))
     isolated = [np.zeros(0, dtype=np.int64) for _ in radii]
     rows = max(1, _PAIR_CELLS // n)
-    for s, at in sorted(by_s.items(), reverse=True):  # the widest first, or each wider s rebuilds the table
-        nbrs = region.neighbors(s)
+    for s, at in by_s.items():
         # points outside or at the boundary are no candidates, but they
         # still block their neighbours
         cand = np.flatnonzero(region.norms + s <= T)
@@ -430,10 +496,12 @@ def _isolated_supports(config: SimulationConfig, region: Region, codes: np.ndarr
             # a word of 8, 16, 32 or 64 bits, as the block needs
             words = np.zeros(n + 1, dtype=f"uint{max(8, 1 << (len(block) - 1).bit_length())}")
             for j in range(0, len(block), rows):
-                masks = field_rng.mask(block[j : j + rows], codes)
-                shift = np.arange(j, j + len(masks), dtype=words.dtype)[:, None]  # row r is bit j + r
-                words[:n] |= np.bitwise_or.reduce(masks.astype(words.dtype) << shift, axis=0)
-            for i, points in zip(block, _isolated(nbrs, words, cand, len(block))):
+                for start in range(0, n, _PAIR_CELLS):  # the whole row, unless it passes _PAIR_CELLS
+                    cols = slice(start, min(start + _PAIR_CELLS, n))
+                    masks = field_rng.mask(block[j : j + rows], codes[cols])
+                    shift = np.arange(j, j + len(masks), dtype=words.dtype)[:, None]  # row r is bit j + r
+                    words[cols] |= np.bitwise_or.reduce(masks.astype(words.dtype) << shift, axis=0)
+            for i, points in zip(block, _isolated(region, s, words, cand, len(block))):
                 isolated[i] = points
     return isolated
 
@@ -465,14 +533,16 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
         reaches.append(max(reaches[-1], r_of[c]))
     max_r = max(r_of.values())
     radii = [None if config.warmup and R < max_r else radius_floor(2 * R) for R in reaches[:-1]]
-    # every step's isolated supports, a pass over the table per radius and
-    # block of up to 64 steps
+    # every step's isolated supports, a pass over the window's slots per
+    # radius and block of up to 64 steps
     isolated = _isolated_supports(config, region, codes, radii)
-    # one judge per isolation radius, on its rows of the neighbour table
-    judges = {
-        s: (region.neighbors(s), ideal.window_judge(region.slot_distances(s), code_of.values()))
-        for s in {s for s, cand in zip(radii, isolated) if len(cand)}
-    }
+    # per isolation radius one judge, and the windows of every step's
+    # candidates, composed at once, in step order
+    judges, windows = {}, {}
+    for s in {s for s, cand in zip(radii, isolated) if len(cand)}:
+        judges[s] = ideal.window_judge(region.slot_distances(s), code_of.values())
+        windows[s] = region.columns(s, np.concatenate([cand for r, cand in zip(radii, isolated) if r == s]))
+    start = dict.fromkeys(radii, 0)  # each radius's first column not yet read
 
     # each point's colour code and 1-based step, and past every step where
     # it is uncoloured, as at the sentinel index
@@ -480,16 +550,17 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
     step_of = np.full(n_pts + 1, config.steps + 1, dtype=np.int64)
     steps: List[Tuple[int, np.ndarray]] = []
     for i, (c_i, s, cand) in enumerate(zip(schedule_used, radii, isolated)):
+        lo, start[s] = start[s], start[s] + len(cand)
         # coloured support points blocked their neighbours, and take no colour
-        accepted = cand = cand[color_codes[cand] == NO_COLOR]
+        uncoloured = color_codes[cand] == NO_COLOR
+        accepted = cand = cand[uncoloured]
         if len(cand):
             # candidates are more than s apart, so no window holds another
             # one: each is judged against the colours before the step,
             # with the candidate itself, in slot 0, coloured c_i
-            nbrs, judge = judges[s]
-            C = color_codes[nbrs[:, cand]].T
+            C = color_codes[windows[s][:, lo : start[s]].compress(uncoloured, axis=1)].T
             C[:, 0] = code_of[c_i]
-            member = judge(C, lambda row: PartialColoring._of_valid(
+            member = judges[s](C, lambda row: PartialColoring._of_valid(
                 g, {**_window_after(region, step_of, schedule_used, cand[row], s, i),
                     region.elements[cand[row]]: c_i}))
             accepted = cand[member]
@@ -534,18 +605,20 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     within the largest finite radius R of its centre; windows no step
     touches cannot change, so this covers every (step, point) pair the
     direct definition would. The distance is symmetric, so the steps that
-    touch x's window are the steps of the points in x's column of
-    ``neighbors(R)``.
+    touch x's window are the steps of the points of x's radius-R window.
 
-    The trace is judged whole, in region indices: each point's colour code
-    and window radius are read through its step (``SimulationTrace.step_of``),
-    and for each window radius one judge (``IdealSpec.window_judge``), built
-    once, judges every (step t, point x) pair of a block of coloured
-    points in one call, on x's window as it stood after step t (slots
-    coloured later read NO_COLOR). Blocks keep every scratch array within
-    _PAIR_CELLS cells. Failures are listed by step, then in ``sort_key``
-    order. A trace colours each point at most once (``SimulationTrace``),
-    so a point's colour is its only one."""
+    The trace is judged whole, in region indices: the colour codes and
+    window radii are read through the steps (``SimulationTrace.step_of``)
+    of the points gathered, and for each window radius one judge
+    (``IdealSpec.window_judge``), built once, judges every (step t, point
+    x) pair of a block of coloured points in one call, on x's window as it
+    stood after step t (slots coloured later read NO_COLOR). The centres'
+    radius-R windows are composed a chunk of blocks at a time
+    (``_window_blocks``), and each radius-r window is their first |Ball(1,
+    r)| rows. Blocks keep every other scratch array within _PAIR_CELLS
+    cells. Failures are listed by step,
+    then in ``sort_key`` order. A trace colours each point at most once
+    (``SimulationTrace``), so a point's colour is its only one."""
     g = trace.group
     if ideal.group != g:
         raise ValueError(f"the ideal is on {ideal.group.spec_string()}, the trace on {g.spec_string()}")
@@ -557,22 +630,20 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     palette = list(index)
     radius = [ideal.locality_radius(c) for c in palette]
     finite = [rc for rc in radius if not isinstance(rc, Infinity)]
-    reach = region.neighbors(radius_floor(max(finite)) if finite else 0)
+    R = radius_floor(max(finite)) if finite else 0
 
-    # per point, and at the sentinel index, through its step: its colour
-    # as an index into palette (-1 for none), and from that its colour code
-    # and window radius: floor(r_c), or _NONLOCAL where r_c is infinite, or
-    # _LEAVES where the point is uncoloured or its window leaves the region
-    # (the window fits iff |x| + ceil(r_c) <= T)
+    # per step, at its 1-based index (none at 0, and past every step at
+    # last + 1), through its colour: its colour code, and its window radius:
+    # floor(r_c), or _NONLOCAL where r_c is infinite, or _LEAVES past the
+    # steps; a coloured point's window fits iff |x| + ceil(r_c) <= T
     last, step_of = len(trace.steps), trace.step_of
-    kind = np.array([*kinds, -1], dtype=np.int64)[step_of - 1]
+    kind = np.array([-1, *kinds, -1], dtype=np.int64)
     palette_codes = [*map(ideal.color_code, palette)]
-    color_codes = np.array([*palette_codes, NO_COLOR], dtype=np.int64)[kind]
     floors = [_NONLOCAL if isinstance(rc, Infinity) else radius_floor(rc) for rc in radius]
     ceils = [0 if isinstance(rc, Infinity) else radius_ceil(rc) for rc in radius]
-    window_radius = np.array([*floors, _LEAVES], dtype=np.int64)[kind]
-    leaves = np.append(region.norms, 0) + np.array([*ceils, 0], dtype=np.int64)[kind] > T
-    window_radius[(window_radius >= 0) & leaves] = _LEAVES
+    step_code = np.array([*palette_codes, NO_COLOR], dtype=np.int64)[kind]
+    step_radius = np.array([*floors, _LEAVES], dtype=np.int64)[kind]
+    step_ceil = np.array([*ceils, 0], dtype=np.int64)[kind]
 
     colors = [c for c, _at in trace.steps]
 
@@ -581,29 +652,30 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
         return PartialColoring._of_valid(g, _window_after(region, step_of, colors, j, r, t))
 
     failing = []  # (t, x) of each window judged not a member
-    centres = np.flatnonzero(window_radius[:-1] != _LEAVES)  # judged, or skipped as non-local
-    # one judge per window radius that some centre has
-    judges = {r: ideal.window_judge(region.slot_distances(r), palette_codes)
-              for r in sorted(set(window_radius[centres].tolist()) - {_NONLOCAL})}
-    rows = max(1, _PAIR_CELLS // reach.shape[0] ** 2)
-    for lo in range(0, len(centres), rows):
-        block = centres[lo : lo + rows]
+    # the coloured points, in region order, whose window fits: judged, or
+    # skipped as non-local
+    coloured = np.flatnonzero(step_of[:-1] <= last)
+    centres = coloured[region.norms[coloured] + step_ceil[step_of[coloured]] <= T]
+    # one judge per window radius that some centre has, with its window's width
+    judges = {r: (ideal.window_judge(region.slot_distances(r), palette_codes), ball_size(g, r))
+              for r in sorted(set(step_radius[step_of[centres]].tolist()) - {_NONLOCAL})}
+    for block, reach in _window_blocks(region, R, centres, max(1, _PAIR_CELLS // ball_size(g, R) ** 2)):
         # the distinct steps, from x's own on, that colour a point of x's window
-        touched = np.sort(step_of[reach[:, block].T], axis=1)
+        touched = np.sort(step_of[reach.T], axis=1)
         keep = (touched >= step_of[block, None]) & (touched <= last)
         keep[:, 1:] &= touched[:, 1:] != touched[:, :-1]
         a, b = np.nonzero(keep)
         t, x = touched[a, b], block[a]
-        radii = window_radius[x]
+        radii = step_radius[step_of[x]]
         report.skipped_nonlocal += int((radii == _NONLOCAL).sum())
-        for r, judge in judges.items():
+        for r, (judge, w) in judges.items():
             on = radii == r
             if not on.any():
                 continue
             tr, xr = t[on], x[on]
-            W = region.neighbors(r)[:, xr].T
+            S = step_of[reach[:w, a[on]].T]
             member = judge(
-                np.where(step_of[W] <= tr[:, None], color_codes[W], NO_COLOR),
+                np.where(S <= tr[:, None], step_code[S], NO_COLOR),
                 lambda row: window_at(xr[row], r, tr[row]),
             )
             report.windows_checked += len(xr)
@@ -613,7 +685,7 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     for t, j in sorted(failing, key=lambda tj: (tj[0], g.sort_key(elements[tj[1]]))):
         report.failures.append(
             {"step": t, "element": g.element_to_json(elements[j]),
-             "window": window_at(j, int(window_radius[j]), t).to_json()}
+             "window": window_at(j, int(step_radius[step_of[j]]), t).to_json()}
         )
     return report
 
@@ -680,23 +752,13 @@ def equivariance_check(config: SimulationConfig, gamma) -> EquivarianceReport:
 # -- sparse multi-scale coloring ---------------------------------------------------
 
 
-# The greedy reads the neighbour table only while the table's bytes
-# (``Region.table_bytes``) take at most 1/_TABLE_SHARE of physical memory;
-# past that, pair blocks keep its memory O(block).
-_TABLE_SHARE = 16
-
-
 def _tabled(region: Region, d_c: int) -> bool:
-    """Whether the greedy at scale d_c reads ``region.neighbors(d_c)``,
-    decided from closed forms before anything is allocated: below the
-    complete-graph shortcut (d_c < 2 * radius, checked first because on F_k
-    |Ball(1, d_c)| is exponential in d_c), when Ball(1, d_c) is smaller than
-    the region, and when the table's bytes take at most 1/16 of physical
-    memory. Its slot distances take fewer cells, as |Ball(1, d_c)| < n."""
-    if d_c >= 2 * region.radius:
-        return False
-    return (ball_size(region.group, d_c) < len(region)
-            and region.table_bytes(d_c) <= physical_memory() // _TABLE_SHARE)
+    """Whether the greedy at scale d_c reads composed windows
+    (``Region.columns``), decided from closed forms before anything is
+    allocated: below the complete-graph shortcut (d_c < 2 * radius, checked
+    first because on F_k |Ball(1, d_c)| is exponential in d_c), and when
+    Ball(1, d_c) is smaller than the region."""
+    return d_c < 2 * region.radius and ball_size(region.group, d_c) < len(region)
 
 
 def _greedy_distance_coloring(region: Region, d_c: int) -> list:
@@ -705,28 +767,31 @@ def _greedy_distance_coloring(region: Region, d_c: int) -> list:
     the least colour none of its earlier neighbours has. When d_c reaches
     the region's diameter the graph is complete and the result is the visit
     index itself. Otherwise the earlier neighbours come a block of rows at a
-    time, where ``_tabled`` allows from the neighbour table: column i of
-    ``region.neighbors(d_c)`` holds w*x_i for every |w| <= d_c, and
-    dist(w*x_i, x_i) = |w| by right invariance, so its entries below i are
-    exactly the earlier points within d_c. Elsewhere they come from
-    ``distance_block`` over every earlier pair, which needs O(block) memory."""
+    time, where ``_tabled`` allows from the block's composed windows
+    (``_window_blocks``): the window of x_i holds w*x_i for every |w| <=
+    d_c, and dist(w*x_i, x_i) = |w| by right invariance, so its entries
+    below i are exactly the earlier points within d_c. Elsewhere they come
+    from ``distance_block`` over every earlier pair. Neither keeps more
+    than a block, or a chunk of windows."""
     g, packed = region.group, region.packed
     n = len(region)
     if d_c >= 2 * region.radius:
         return list(range(n))
-    table = region.neighbors(d_c) if _tabled(region, d_c) else None
-    rows = max(1, _PAIR_CELLS // (n if table is None else table.shape[0]))
+    if _tabled(region, d_c):
+        blocks = ((points, windows.T) for points, windows in
+                  _window_blocks(region, d_c, np.arange(n), max(1, _PAIR_CELLS // ball_size(g, d_c))))
+    else:
+        rows = max(1, _PAIR_CELLS // n)
+        blocks = ((np.arange(lo, min(lo + rows, n)), None) for lo in range(0, n, rows))
     eta = []
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        if table is None:
-            D = distance_block(g, packed, np.arange(lo, hi), np.arange(hi))
-            a, near = np.nonzero(np.tril(D <= d_c, lo - 1))  # row a: point lo + a and the points before it
+    for points, windows in blocks:
+        if windows is not None:
+            a, b = np.nonzero(windows < points[:, None])  # never the sentinel n
+            near = windows[a, b]
         else:
-            block = table[:, lo:hi].T
-            a, b = np.nonzero(block < np.arange(lo, hi)[:, None])  # never the sentinel n
-            near = block[a, b]
-        ends = np.searchsorted(a, np.arange(1, hi - lo + 1)).tolist()
+            D = distance_block(g, packed, points, np.arange(points[-1] + 1))
+            a, near = np.nonzero(np.tril(D <= d_c, points[0] - 1))  # row a: point a and the points before it
+        ends = np.searchsorted(a, np.arange(1, len(points) + 1)).tolist()
         near = near.tolist()
         for start, end in zip([0, *ends], ends):
             taken = {eta[j] for j in near[start:end]}
@@ -782,9 +847,6 @@ def sparse_run(group, d: Sequence[int], window_radius: int, m: int, seed: int):
     window = region.elements
     n = len(window)
     rng = random.Random(seed)
-    tabled = [d_c for d_c in map(int, d[:m]) if _tabled(region, d_c)]
-    if tabled:
-        region.neighbors(max(tabled))  # the widest first, or each wider scale rebuilds the table
     etas = []
     targets = []
     for c in range(m):

@@ -270,6 +270,18 @@ class TestDSequence:
     def test_f2_frozen(self):
         assert tuple(d_sequence(F2, 2).values) == (1, 3, 7)
 
+    def test_reads_as_its_values(self):
+        """A DSequence iterates, measures and indexes as its values, so
+        ``list(seq)``, ``len(seq)``, ``seq[i]`` and slices read the
+        scales; the witnesses stay on ``witnesses``."""
+        seq = d_sequence(Z1, 3)
+        assert list(seq) == list(seq.values) == [1, 3, 7, 15]
+        assert len(seq) == len(seq.witnesses) == 4
+        assert [seq[i] for i in range(len(seq))] == [1, 3, 7, 15]
+        assert seq[-1] == 15 and seq[1:3] == (3, 7)
+        with pytest.raises(IndexError):
+            seq[4]
+
     def test_z2_first_step(self):
         # d_1 = 3 via centers (-1,-1) and (1,1): dist 4 > 2*1
         assert tuple(d_sequence(Z2, 1).values) == (1, 3)

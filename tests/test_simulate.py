@@ -33,11 +33,11 @@ Laws under test:
    Z^1-Z^3 and F_1-F_3 at every d_c in [0, 2T], so from table rows, from
    pair blocks and by the complete-graph shortcut; the frozen greedy table
    on the line, hard separation for the final colors, coverage reporting.
-   A tabled scale makes no distance_block call once its table exists; a
-   scale whose ball is wider than the region measures pairs and builds no
-   table, and so does one whose table passes the memory bound, with the
-   same colouring and a small fraction of the table's bytes; the F_2
-   window 8 at d_c = 7 reads the table in 8 GiB. With every
+   A tabled scale reads composed windows and makes no distance_block
+   call; a scale whose ball is wider than the region measures pairs and
+   composes no window; windows are composed a chunk of whole blocks at a
+   time, with the whole table's colouring and two chunks' bytes at most;
+   the F_2 window 8 at d_c = 7 composes chunks under 9 MB. With every
    point given one colour, the packed re-verification records the
    violations of a per-pair loop over g.dist, in its order, in blocks of
    any size and on an F_1 window past pack_limit. A negative window is
@@ -52,16 +52,18 @@ Laws under test:
 7. The array-built region agrees with the breadth-first ball, group.norm,
    the scalar element code, an index-plus-mul generator table and g.dist;
    it locates points inside it, just outside and past int64 as an index
-   dict does; its neighbour table, the slot distances measured beside it
-   on first use (and never by ``neighbors`` alone) and the one window
-   decoder that reads it agree with brute force over g.dist, every window
-   of the table at every width up to 2T - 1; the slot-major table is the
-   transpose of the row-major strided column build kept here at every
-   width up to 2T + 1, in uint16, int32 and int64, and holds the bytes it
-   is charged, and one whose bytes pass physical memory is refused before
+   dict does; its composed windows, the slot distances measured on first
+   use (and never by composing windows alone) and the one window decoder
+   that reads them agree with brute force over g.dist, every window at
+   every width up to 2T - 1; the windows of every point are the reference
+   table (``table_reference``) and the transpose of the row-major strided
+   column build kept here at every width up to 2T + 1, in uint16, int32
+   and int64, and the windows of random points, boundary ones among them,
+   are its columns; windows, the isolation kernel's windows and slot
+   distances whose bytes pass physical memory are refused before
    allocating (exit 3 from the CLI). A region's index dtype is uint16
    below 2^16 points and int32 from there: on Z^1 either side of the
-   bound, its table, slot distances, elements, locate, translation
+   bound, its windows, slot distances, elements, locate, translation
    kernel, greedy and a validated run equal the region's in a wider
    dtype. A region refuses
    colliding element codes. Its translation kernel agrees with
@@ -102,10 +104,12 @@ Laws under test:
    dumps to ``run``, on Z^1-Z^3 and F_1-F_2, for the three pairwise kinds
    and for a Reduced spec with a pair schedule (the per-row fallback),
    with warm-up on and off.
-12. Table consumers: the isolation kernel, the greedy (both also past the
+12. Window readers: the isolation kernel, the greedy (both also past the
    region's radius), run's gather on every judged step and the windows the
    validator judges, failures included, equal what the rows of the
-   row-major int64 reference table give, on Z^1-Z^3 and F_1-F_3.
+   row-major int64 reference table give, on Z^1-Z^3 and F_1-F_3; a run and
+   its validation on a cached F_2 region peak below the bytes of the table
+   the region once kept.
 """
 
 import copy
@@ -153,6 +157,7 @@ from shiftcolor.simulate import (
 
 from ball_reference import bfs_ball
 from run_reference import reference_run
+from table_reference import reference_table
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -396,14 +401,13 @@ class TestIsolationKernel:
     )
     def test_matches_row_rule(self, case, s, p, seed, pick, dtype):
         region = _region_of(*case)
-        nbrs = region.neighbors(s)
         masks = bernoulli_mask(seed, [s], region.codes, p)
         cand = np.arange(len(region))
         if pick == "some":
             cand = cand[bernoulli_mask(seed, -1, region.codes, Fraction(1, 2))]
         cand = cand[:0] if pick == "none" else cand
-        got = simulate._isolated(nbrs, fold_words(masks, dtype), cand, 1)
-        assert_steps_match_row_rule(nbrs.T, masks, cand, got)
+        got = simulate._isolated(region, s, fold_words(masks, dtype), cand, 1)
+        assert_steps_match_row_rule(reference_table(region, s).T, masks, cand, got)
 
     def test_empty_support_and_one_column(self):
         """Empty support, empty candidates, and s = 0, where the row is the
@@ -413,12 +417,12 @@ class TestIsolationKernel:
             n = len(region)
             nothing, every = np.zeros((3, n), dtype=bool), np.ones((3, n), dtype=bool)
             for s in range(4):
-                nbrs = region.neighbors(s)
+                nbrs = reference_table(region, s)
                 for masks in (nothing, every):
                     for cand in (np.zeros(0, dtype=np.int64), np.arange(n)):
-                        got = simulate._isolated(nbrs, fold_words(masks, np.uint8), cand, 3)
+                        got = simulate._isolated(region, s, fold_words(masks, np.uint8), cand, 3)
                         assert_steps_match_row_rule(nbrs.T, masks, cand, got)
-            got = simulate._isolated(region.neighbors(0), fold_words(every, np.uint8), np.arange(n), 3)
+            got = simulate._isolated(region, 0, fold_words(every, np.uint8), np.arange(n), 3)
             assert [mine.tolist() for mine in got] == [list(range(n))] * 3
 
 
@@ -458,14 +462,13 @@ class TestStackedSupports:
     )
     def test_isolation_of_stacked_steps_matches_row_rule(self, case, s, k, p, seed, pick):
         region = _region_of(*case)
-        nbrs = region.neighbors(s)
         masks = bernoulli_mask(seed, range(k), region.codes, p)
         cand = np.arange(len(region))
         if pick == "some":
             cand = cand[bernoulli_mask(seed, -1, region.codes, Fraction(1, 2))]
         cand = cand[:0] if pick == "none" else cand
-        got = simulate._isolated(nbrs, fold_words(masks, word_dtype(k)), cand, k)
-        assert_steps_match_row_rule(nbrs.T, masks, cand, got)
+        got = simulate._isolated(region, s, fold_words(masks, word_dtype(k)), cand, k)
+        assert_steps_match_row_rule(reference_table(region, s).T, masks, cand, got)
 
 
 class TestHardInvariants:
@@ -644,7 +647,7 @@ class TestRegionKernel:
         # read past every step
         step_of = np.array([cur.get(e, 3) + 1 for e in points] + [4])
         t = data.draw(st.integers(0, 3))
-        table = region.neighbors(s).T
+        table = region.columns(s, np.arange(len(points))).T
         offsets = bfs_ball(g, g.identity(), s)
         index = index_dict(region)
         assert table[i].tolist() == [index.get(g.mul(w, center), len(points)) for w in offsets]
@@ -661,16 +664,16 @@ class TestRegionKernel:
         "g, T", [(Z1, 6), (Z2, 3), (FreeAbelian(3), 2), (FreeGroup(1), 6), (F2, 3), (FreeGroup(3), 2)]
     )
     def test_every_row_is_the_ball_past_the_region(self, g, T):
-        """Every row of ``neighbors(s)``, for every s up to 2T - 1 (wider
-        than the region, as the sparse greedy reads it), less the sentinel,
-        is the set of region points within s by g.dist."""
+        """Every point's composed window (``columns(s)``), for every s up
+        to 2T - 1 (wider than the region, as the sparse greedy reads it),
+        less the sentinel, is the set of region points within s by
+        g.dist."""
         region = simulate.Region(g, T)
         points = region.elements
         n = len(points)
         D = np.array([[g.dist(x, y) for y in points] for x in points])
-        region.neighbors(2 * T - 1)  # the widest first; narrower s read its columns
         for s in range(2 * T):
-            table = region.neighbors(s).T
+            table = region.columns(s, np.arange(n)).T
             for i, row in enumerate(table.tolist()):
                 assert sorted(k for k in row if k != n) == np.flatnonzero(D[i] <= s).tolist()
 
@@ -715,11 +718,11 @@ class TestRegionKernel:
 
     @pytest.mark.parametrize("g, r, wide", [(Z1, 6, 9), (Z2, 3, 5), (F2, 2, 3), (FreeGroup(1), 40, 43)])
     def test_slot_distances_after_a_wider_build(self, g, r, wide):
-        """``slot_distances(s)`` read from a table built for a wider s equals
-        a fresh build's and g.dist between the offsets of Ball(1, s); F_1
-        offsets past 40 letters pack as Python ints."""
+        """``slot_distances(s)`` read from the distances measured for a
+        wider s equals a fresh build's and g.dist between the offsets of
+        Ball(1, s); F_1 offsets past 40 letters pack as Python ints."""
         region = simulate.Region(g, r)
-        region.neighbors(wide)
+        region.slot_distances(wide)
         for s in range(wide + 1):
             offsets = bfs_ball(g, g.identity(), s)
             D = region.slot_distances(s)
@@ -728,12 +731,12 @@ class TestRegionKernel:
 
     @pytest.mark.parametrize("g, r, s", [(Z1, 6, 5), (Z2, 3, 4), (F2, 3, 4)])
     def test_slot_distances_are_measured_on_first_use(self, monkeypatch, g, r, s):
-        """``neighbors(s)`` alone measures no distance between offsets; the
-        first ``slot_distances(s)`` does, once, and a narrower s reads its
-        corner without measuring again."""
+        """Composing windows (``columns(s)``) alone measures no distance
+        between offsets; the first ``slot_distances(s)`` does, once, and a
+        narrower s reads its corner without measuring again."""
         calls = count_calls(monkeypatch, simulate, "distance_block")
         region = simulate.Region(g, r)
-        width = region.neighbors(s).shape[0]
+        width = region.columns(s, np.arange(len(region))).shape[0]
         assert calls == []
         assert region.slot_distances(s).shape == (width, width)
         assert len(calls) == 1
@@ -745,64 +748,93 @@ class TestRegionKernel:
         "g, T", [(Z1, 6), (Z2, 3), (FreeAbelian(3), 2), (FreeGroup(1), 5), (F2, 3), (FreeGroup(3), 2)]
     )
     def test_table_equals_the_column_build(self, g, T):
-        """``neighbors(s)``, built for exactly s, is the transpose of the
-        table composed a strided column at a time, for every s up to 2T + 1
-        (wider than the region), in the uint16 of regions below 2^16 points,
-        and in the int32 and int64 that larger regions take; it is
-        slot-major, C-ordered in the generator table's index dtype,
-        read-only, and holds exactly the bytes ``table_bytes`` charges."""
+        """Every point's windows (``columns(s)``), for every s up to 2T + 1
+        (wider than the region), are the reference table, whose transpose
+        is the table composed a strided column at a time, in the uint16 of
+        regions below 2^16 points, and in the int32 and int64 that larger
+        regions take; they are a new slot-major array, C-ordered in the
+        generator table's index dtype, of |Ball(1, s)| cells a point."""
         for s in range(2 * T + 2):
             region = simulate.Region(g, T)
             assert region._step.dtype == np.uint16
-            expected = column_table(region, s).tolist()
+            expected = column_table(region, s).T.tolist()
             for dtype in (np.uint16, np.int32, np.int64):
                 if dtype != np.uint16:
                     region = simulate.Region(g, T)
                     region._step = region._step.astype(dtype)
-                    region._widths = []  # the constructor's radius-0 table is uint16: build in dtype
-                table = region.neighbors(s)
-                assert table.dtype == region._step.dtype and table.flags.c_contiguous
-                assert not table.flags.writeable
-                assert table.nbytes == region.table_bytes(s)
-                assert table.T.tolist() == expected
+                table = region.columns(s, np.arange(len(region)))
+                assert table.dtype == region._step.dtype and table.flags.c_contiguous and table.flags.writeable
+                assert table.nbytes == len(region) * groups.ball_size(g, s) * table.itemsize
+                assert table.tolist() == reference_table(region, s).tolist() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_columns_equal_the_reference_table(self, data):
+        """Composed windows of a random subset of points, in any order and
+        with repeats, the region's boundary among them, equal those columns
+        of the reference table, for every s up to 2T - 1, on Z^1-Z^3 and
+        F_1-F_3, in uint16 and int32 regions."""
+        g, T = data.draw(st.sampled_from(LAYOUT_CASES))
+        region = simulate.Region(g, T)
+        if data.draw(st.booleans()):
+            region._step = region._step.astype(np.int32)
+        n = len(region)
+        boundary = np.flatnonzero(region.norms == T)
+        points = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=20)) + [int(boundary[0])])
+        points = points[data.draw(st.permutations(range(len(points))))]
+        for s in range(2 * T):
+            got = region.columns(s, points)
+            assert got.dtype == region._step.dtype
+            assert got.tolist() == reference_table(region, s)[:, points].tolist()
 
     def test_table_refused_before_allocating(self, monkeypatch):
-        """A table whose bytes, the index dtype's itemsize a cell, pass
-        physical memory is refused with BudgetError before it is allocated;
-        at exactly its bytes it is built."""
+        """Composed windows whose bytes, the index dtype's itemsize a cell,
+        pass physical memory are refused with BudgetError before they are
+        allocated; at exactly their bytes they are composed. So are slot
+        distances past their bytes, 8 a cell, and the isolation kernel's
+        windows about its candidates."""
         region = simulate.Region(F2, 4)
+        points = np.arange(len(region))
         cells = len(region) * groups.ball_size(F2, 2)
         itemsize = region._step.itemsize
         monkeypatch.setattr(simulate, "physical_memory", lambda: itemsize * cells - 1)
         tracemalloc.start()
         try:
             with pytest.raises(groups.BudgetError, match="physical memory"):
-                region.neighbors(2)
+                region.columns(2, points)
+            with pytest.raises(groups.BudgetError, match="161 candidates"):
+                simulate._isolated(region, 2, np.ones(len(region) + 1, dtype=np.uint8), points, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4 * cells
-        assert len(region._widths) == 1  # the radius-0 table of the constructor alone
         monkeypatch.setattr(simulate, "physical_memory", lambda: itemsize * cells)
-        assert region.neighbors(2).shape == (groups.ball_size(F2, 2), len(region))
+        assert region.columns(2, points).shape == (groups.ball_size(F2, 2), len(region))
+        assert len(simulate._isolated(region, 2, np.ones(len(region) + 1, dtype=np.uint8), points, 1)) == 1
+        monkeypatch.setattr(simulate, "physical_memory", lambda: 8 * 17**2 - 1)
+        with pytest.raises(groups.BudgetError, match="slot distances"):
+            region.slot_distances(2)
+        assert region._distances.shape == (0, 0)
+        monkeypatch.setattr(simulate, "physical_memory", lambda: 8 * 17**2)
+        assert region.slot_distances(2).shape == (17, 17)
 
     def test_oversized_table_exits_three(self, tmp_path, monkeypatch, capsys):
-        """The CLI reports a refused table as an exhausted budget (exit 3):
-        PC5 on F_2 at window 2 and margin 2 isolates at radius 2, whose table
-        of 161 x 17 cells is refused under its bytes, the index dtype's
-        itemsize a cell."""
+        """The CLI reports refused windows as an exhausted budget (exit 3):
+        PC5 on F_2 at window 2 and margin 2 isolates at radius 2, and the
+        windows about its 17 candidates, 17 x 17 cells, are refused under
+        their bytes, the index dtype's itemsize a cell."""
         spec = tmp_path / "pc5.json"
         spec.write_text(json.dumps({"kind": "ProperColoring", "group": "F_2", "k": 5}))
         _region_of.cache_clear()
         itemsize = simulate.Region(F2, 0)._step.itemsize
-        monkeypatch.setattr(simulate, "physical_memory", lambda: itemsize * 161 * 17 - 1)
+        monkeypatch.setattr(simulate, "physical_memory", lambda: itemsize * 17 * 17 - 1)
         argv = ["simulate", str(spec), "--window", "2", "--margin", "2", "--steps", "8",
                 "--out", str(tmp_path / "out.json")]
         try:
             assert cli.main(argv) == 3
         finally:
             _region_of.cache_clear()
-        assert "neighbour table" in capsys.readouterr().err
+        assert "windows of 17 candidates" in capsys.readouterr().err
 
     def test_codes_past_the_packable_length(self):
         """F_1 words past 40 letters pack as Python ints, and their codes are
@@ -872,12 +904,10 @@ class TestRegionKernel:
 
 def _recast(region, dtype):
     """A copy of region whose generator table and code order are in dtype,
-    its neighbour table and slot distances built afresh and its elements
-    decoded afresh."""
+    its slot distances measured afresh and its elements decoded afresh."""
     other = copy.copy(region)
     other.__dict__.pop("elements", None)
     other._step, other._code_order = region._step.astype(dtype), region._code_order.astype(dtype)
-    other._table, other._widths = other._build_table(0)
     other._distances = np.zeros((0, 0), dtype=np.int64)
     return other
 
@@ -898,9 +928,10 @@ class TestIndexDtype:
         region = simulate.Region(Z1, T)
         assert len(region) == 2 * T + 1 and region._step.dtype == region._code_order.dtype == dtype
         other = _recast(region, wider)
+        every = np.arange(len(region))
         for s in (0, 1, 3):
-            assert region.neighbors(s).dtype == dtype and other.neighbors(s).dtype == wider
-            assert np.array_equal(region.neighbors(s), other.neighbors(s))
+            assert region.columns(s, every).dtype == dtype and other.columns(s, every).dtype == wider
+            assert np.array_equal(region.columns(s, every), other.columns(s, every))
             assert np.array_equal(region.slot_distances(s), other.slot_distances(s))
         assert region.elements == other.elements
         probe = [*region.elements[::97], region.elements[-1], T + 1, -T - 1, 2**70]
@@ -1215,12 +1246,12 @@ class TestWholeRunPasses:
         # one kernel call and one mask per isolation radius and block of 64 steps
         word_blocks = sum(-(-k // 64) for k in support_s.values())
         assert len(isolations) == len(masks) == word_blocks
-        assert [len(words) for _nbrs, words, _cand, _k in isolations] == [len(region) + 1] * word_blocks
-        assert sorted(k for _nbrs, _words, _cand, k in isolations) == \
+        assert [len(words) for _region, _s, words, _cand, _k in isolations] == [len(region) + 1] * word_blocks
+        assert sorted(k for _region, _s, _words, _cand, k in isolations) == \
             sorted(min(64, k - lo) for k in support_s.values() for lo in range(0, k, 64))
         # at most one judge per isolation radius, each on that radius's D,
         # called once per step that has candidates
-        widths = {region.neighbors(s).shape[0] for s in support_s}
+        widths = {groups.ball_size(region.group, s) for s in support_s}
         assert 0 < len(built) <= len(support_s)
         assert {len(D) for D, _codes in built} <= widths
         assert len({len(D) for D, _codes in built}) == len(built)
@@ -1230,7 +1261,7 @@ class TestWholeRunPasses:
         judged.clear()
         report = trace_validate(trace, config.ideal)
         radii = {radius_floor(config.ideal.locality_radius(c)) for c, _at in trace.steps}
-        w = region.neighbors(max(radii)).shape[0]
+        w = groups.ball_size(region.group, max(radii))
         coloured = sum(len(at) for _c, at in trace.steps)
         blocks = -(-coloured // max(1, simulate._PAIR_CELLS // w**2))
         # at most one judge per window radius, built only for a radius some
@@ -1375,7 +1406,7 @@ class TestStepWords:
                     continue
                 mask = field.mask([i], codes)[0]
                 cand = np.flatnonzero(mask & (region.norms + s <= T))
-                assert mine.tolist() == row_rule_isolated(region.neighbors(s).T, mask, cand)
+                assert mine.tolist() == row_rule_isolated(reference_table(region, s).T, mask, cand)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -1723,9 +1754,9 @@ class TestSparse:
             assert _greedy_distance_coloring(region, d_c) == all_pairs_greedy(region, d_c)
 
     def test_table_rows_replace_pair_distances(self, monkeypatch):
-        """A tabled scale reads no distance_block once its table exists; at
-        F_2 r5, d_c = 7 (|Ball(1, 7)| = 4,373 > 485 points) the greedy
-        measures pairs and builds no table."""
+        """A tabled scale reads its rows from composed windows and measures
+        no distance_block; at F_2 r5, d_c = 7 (|Ball(1, 7)| = 4,373 > 485
+        points) the greedy measures pairs and composes no window."""
         calls = []
         block = simulate.distance_block
 
@@ -1736,52 +1767,58 @@ class TestSparse:
         monkeypatch.setattr(simulate, "distance_block", spy)
         for g, T, d_c in [(Z1, 400, 15), (Z2, 20, 7), (F2, 5, 3), (FreeGroup(1), 44, 30)]:
             region = simulate.Region(g, T)
-            region.neighbors(d_c)
-            calls.clear()
             assert _greedy_distance_coloring(region, d_c) == per_row_greedy(region, d_c)
             assert not calls
         region = simulate.Region(F2, 5)
-        calls.clear()
+        composed = count_calls(monkeypatch, region, "columns")
         assert _greedy_distance_coloring(region, 7) == per_row_greedy(region, 7)
         assert calls and all(args[1] is region.packed for args in calls)
-        assert len(region._widths) == 1  # the radius-0 table of the constructor alone
+        assert composed == []
 
-    def test_small_memory_takes_the_pair_path(self, monkeypatch):
-        """With physical memory read as just under _TABLE_SHARE tables (the
-        index dtype's itemsize a cell), the greedy measures pairs instead,
-        with the same colouring, never builds the table, and allocates a
-        small fraction of it; at _TABLE_SHARE tables it reads the table."""
-        g, T, d_c = Z1, 1000, 300
-        tabled = _greedy_distance_coloring(simulate.Region(g, T), d_c)
+    def test_greedy_composes_a_chunk_at_a_time(self, monkeypatch):
+        """The greedy composes the windows of a chunk of whole blocks, at
+        least _CHUNK points, at a time, and gives the colouring it gives
+        from one chunk of every point, the whole table (the rows themselves
+        are checked against the reference table in ``TestTableConsumers``).
+        Its windows, read a block at a time, hold at most two chunks at once
+        (the one read and the next composed): under half of that table's
+        bytes, the index dtype's itemsize a cell."""
+        g, T, d_c = Z1, 3000, 120
         region = simulate.Region(g, T)
-        itemsize = region._step.itemsize
-        table_bytes = itemsize * len(region) * groups.ball_size(g, d_c)
-        monkeypatch.setattr(simulate, "physical_memory", lambda: simulate._TABLE_SHARE * table_bytes - 1)
+        with monkeypatch.context() as whole:
+            whole.setattr(simulate, "_CHUNK", len(region))
+            expected = _greedy_distance_coloring(region, d_c)
+        table_bytes = region._step.itemsize * len(region) * groups.ball_size(g, d_c)
+        composed = count_calls(monkeypatch, region, "columns")
+        assert _greedy_distance_coloring(region, d_c) == expected
+        rows = simulate._PAIR_CELLS // groups.ball_size(g, d_c)
+        chunk = -(-simulate._CHUNK // rows) * rows
+        assert [len(points) for _s, points in composed] == [chunk] * (len(region) // chunk) + [len(region) % chunk]
         tracemalloc.start()
         try:
-            eta = _greedy_distance_coloring(region, d_c)
+            for _block, windows in simulate._window_blocks(region, d_c, np.arange(len(region)), rows):
+                windows.T < 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert eta == tabled
-        assert len(region._widths) == 1  # the radius-0 table of the constructor alone
-        assert peak < table_bytes / itemsize
-        monkeypatch.setattr(simulate, "physical_memory", lambda: simulate._TABLE_SHARE * table_bytes)
-        assert simulate._tabled(region, d_c)
+        assert peak < 2 * region._step.itemsize * chunk * groups.ball_size(g, d_c) + (64 << 10) < table_bytes / 2
 
     def test_f2_w8_scale_7_reads_the_table_in_8_gib(self, monkeypatch):
-        """The d_c = 7 table of the F_2 window 8, 13,121 x 4,373 cells, is
-        charged 2 B a cell of uint16, within 1/_TABLE_SHARE of 8 GiB, as
-        4 B of int32 would be too and 12 B a cell would not be; deciding
-        allocates no table."""
+        """The d_c = 7 greedy of the F_2 window 8 (13,121 points, |Ball(1,
+        7)| = 4,373) reads composed windows, decided from closed forms with
+        nothing allocated, whatever the memory; each chunk it composes holds
+        about _CHUNK x 4,373 cells of uint16, under 9 MB, where the whole
+        table held 13,121 x 4,373."""
         monkeypatch.setattr(simulate, "physical_memory", lambda: 8 << 30)
         region = simulate.Region(F2, 8)
-        cells = len(region) * groups.ball_size(F2, 7)
-        assert cells == 13_121 * 4_373
-        assert 4 * cells <= (8 << 30) // simulate._TABLE_SHARE < 12 * cells
-        assert region.table_bytes(7) == 2 * cells
+        assert len(region) == 13_121 and groups.ball_size(F2, 7) == 4_373
         assert simulate._tabled(region, 7)
-        assert len(region._widths) == 1  # the radius-0 table of the constructor alone
+        rows = simulate._PAIR_CELLS // 4_373
+        chunk = -(-simulate._CHUNK // rows) * rows
+        monkeypatch.setattr(simulate, "physical_memory", lambda: 2 * chunk * 4_373)
+        windows = next(simulate._window_blocks(region, 7, np.arange(len(region)), rows))[1]
+        assert windows.shape == (4_373, rows) and windows.base.shape == (4_373, chunk)
+        assert windows.base.nbytes < 9 << 20
 
     def test_greedy_frozen_table(self):
         # window visited 0, -1, 1, -2, 2, ...: alternating 0/1 at scale 1
@@ -1880,11 +1917,35 @@ def row_major_greedy(table):
 
 
 class TestTableConsumers:
-    """Each consumer of the slot-major table gives the result read from the
+    """Each reader of composed windows gives the result read from the
     row-major int64 reference ``column_table``, on Z^1-Z^3 and F_1-F_3:
     ``_isolated`` and the greedy also at an s wider than the region, run's
     gather on every step it judges, and the validator on every window it
-    judges and in the windows of its failures (``_window_after``)."""
+    judges and in the windows of its failures (``_window_after``). None of
+    them keeps a table: a run and its validation on a cached region
+    allocate less than the table of the run's isolation radius."""
+
+    @pytest.mark.parametrize("steps", [8, 16])
+    def test_run_and_validation_peak_below_the_table(self, steps):
+        """PC5 on F_2 at window 6 and margin 2 (13,121 points) isolates at
+        radius 2, whose table, 17 x 13,121 uint16 cells, the region once
+        kept. A run of 8 or 16 steps at p = 1/17 that colours points, and
+        its validation, peak below those bytes (tracemalloc), on the region
+        cached by an earlier run."""
+        config = SimulationConfig(ideal=ProperColoring(F2, 5), window_radius=6, margin=2, steps=steps,
+                                  p=Fraction(1, 17), seed=0)
+        region = run(config).region
+        table_bytes = len(region) * groups.ball_size(F2, 2) * region._step.itemsize
+        assert table_bytes == reference_table(region, 2).nbytes == 446_114
+        tracemalloc.start()
+        try:
+            trace = run(config)
+            report = trace_validate(trace, config.ideal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.region is region and report.ok and report.windows_checked > 0
+        assert peak < table_bytes
 
     @pytest.mark.parametrize("g, T", LAYOUT_CASES)
     def test_isolated(self, g, T):
@@ -1892,13 +1953,14 @@ class TestTableConsumers:
         masks = bernoulli_mask(5, range(3), region.codes, Fraction(1, 8))
         cand = np.arange(len(region))
         for s in (0, 1, 2, T + 1):
-            got = simulate._isolated(region.neighbors(s), fold_words(masks, np.uint8), cand, 3)
+            got = simulate._isolated(region, s, fold_words(masks, np.uint8), cand, 3)
             assert_steps_match_row_rule(column_table(region, s), masks, cand, got)
 
     @pytest.mark.parametrize("g, T", LAYOUT_CASES)
     def test_greedy(self, monkeypatch, g, T):
-        """Every d_c below 2T, past the region's radius too, read from the
-        table (``_tabled`` forced) and from the reference's rows."""
+        """Every d_c below 2T, past the region's radius too, read from
+        composed windows (``_tabled`` forced) and from the reference's
+        rows."""
         monkeypatch.setattr(simulate, "_tabled", lambda region, d_c: True)
         region = simulate.Region(g, T)
         for d_c in range(2 * T):
