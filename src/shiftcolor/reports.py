@@ -5,7 +5,9 @@ manifest envelope.
 Reports must be byte-identical across reruns with the same inputs, so the
 encoder is fully canonical (sorted keys, fixed indentation, trailing
 newline) and nothing time- or host-dependent is ever placed in a report.
-Timing, when wanted, belongs on stderr.
+Timing, when wanted, belongs on stderr. There is one encoder,
+``json_bytes``: the standard library's indented dump, with integer arrays
+written from numpy; the config hash is taken over its bytes too.
 """
 
 from __future__ import annotations
@@ -125,13 +127,6 @@ def _array_text(a: np.ndarray, indent: int) -> bytes:
     return b"[\n" + rows[rows != 0].tobytes() + b" " * indent + b"]"
 
 
-# What json_bytes reads in a byte: 0 nothing, then the kinds below, and
-# the step each kind takes in the depth of nesting.
-_OPEN, _CLOSE, _COMMA, _COLON, _QUOTE = 1, 2, 3, 4, 5
-_KIND = np.zeros(256, dtype=np.int8)
-for _byte, _kind in zip(b"[{]},:\"", (_OPEN, _OPEN, _CLOSE, _CLOSE, _COMMA, _COLON, _QUOTE)):
-    _KIND[_byte] = _kind
-_STEP = np.array([0, 1, -1, 0, 0, 0], dtype=np.int64)
 _HOLE = "\udfff"  # an array's place in json_bytes' dump
 
 
@@ -139,22 +134,15 @@ def json_bytes(plain: Any) -> bytes:
     """Sorted keys, two-space indent, UTF-8, trailing newline, for a value
     that is already plain JSON (as ``to_jsonable`` and ``envelope`` give):
     the bytes of ``json.dumps(plain, sort_keys=True, indent=2,
-    ensure_ascii=False)`` and a newline.
-
-    CPython encodes an indented dump in pure Python, so the value is encoded
-    compactly by its C encoder and laid out here, on the UTF-8 bytes, whose
-    multi-byte characters hold no ASCII byte. Outside strings, a newline and
-    two spaces per open container follow each '[', '{' and ',', and come
-    before each ']' and '}'; a space follows each ':'; empty containers stay
-    "[]" and "{}". An integer is written exactly however many digits it
-    has: the interpreter's limit on int-to-string digits, where it has one,
-    is lifted for the dump alone.
+    ensure_ascii=False)`` and a newline. An integer is written exactly
+    however many digits it has: the interpreter's limit on int-to-string
+    digits, where it has one, is lifted for the dump alone.
 
     An integer array of one or two axes may stand for its list: the dump
     holds a hole in its place, the string of one lone surrogate, which no
-    report's string can hold, as UTF-8 cannot encode it; the hole is a
-    byte the dump never holds, 0x01, through the layout, and then the
-    array's own lines (``_array_text``) at the indent of the hole's line."""
+    report's string can hold, as UTF-8 cannot encode it; the hole is then
+    replaced by the array's own lines (``_array_text``) at the indent of
+    the hole's line."""
     holes = []  # the arrays, in the order of the dump
 
     def hole(obj):
@@ -167,45 +155,18 @@ def json_bytes(plain: Any) -> bytes:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        text = json.dumps(plain, sort_keys=True, ensure_ascii=False, separators=(",", ":"), default=hole)
+        text = json.dumps(plain, sort_keys=True, indent=2, ensure_ascii=False, default=hole)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
     pieces = text.split(f'"{_HOLE}"')
     if len(pieces) != len(holes) + 1:
         text.encode("utf-8")  # some string of the value holds the surrogate, and this raises
-    raw = b"\x01".join(piece.encode("utf-8") for piece in pieces)
-    # Blank the escapes, pairing backslashes from the left as the decoder
-    # does (the dump holds no raw NUL), so the quotes left delimit strings,
-    # and blank "[]" and "{}", which are left as they are. Outside a string
-    # a '[' is followed by a value or ']', so no "[]" spans a string's end.
-    scan = raw.replace(b"\\\\", b"\0\0").replace(b'\\"', b"\0\0")
-    scan = scan.replace(b"[]", b"\0\0").replace(b"{}", b"\0\0")
-    kinds = _KIND[np.frombuffer(scan, dtype=np.uint8)]
-    marks = np.flatnonzero(kinds)
-    kind = kinds[marks]
-    quote = kind == _QUOTE
-    outside = ~(quote | np.logical_xor.accumulate(quote))
-    marks, kind = marks[outside], kind[outside]
-    colon = kind == _COLON
-    depth = np.add.accumulate(_STEP[kind])  # after each mark: a close's is that of its line
-    extra = np.where(colon, 1, 1 + 2 * depth)
-    # a mark's bytes go just before byte ``at``, which exists: the last byte
-    # ends a value, and no mark inserts after it
-    at = marks + (kind != _CLOSE)
-    n = len(raw)
-    shift = np.zeros(n, dtype=np.int64)
-    shift[at] = extra
-    place = np.add.accumulate(shift)
-    place += np.arange(n)
-    out = np.full(n + int(extra.sum()), ord(" "), dtype=np.uint8)
-    out[place] = np.frombuffer(raw, dtype=np.uint8)
-    out[place[at[~colon]] - extra[~colon]] = ord("\n")
-    pieces, parts = out.tobytes().split(b"\x01"), []
+    parts = []
     for piece, array in zip(pieces, holes):
-        line = piece[piece.rfind(b"\n") + 1 :]
-        parts += [piece, _array_text(array, len(line) - len(line.lstrip(b" ")))]
-    return b"".join([*parts, pieces[-1], b"\n"])
+        line = piece[piece.rfind("\n") + 1 :]
+        parts += [piece.encode("utf-8"), _array_text(array, len(line) - len(line.lstrip(" ")))]
+    return b"".join([*parts, pieces[-1].encode("utf-8"), b"\n"])
 
 
 def canonical_json_bytes(obj: Any) -> bytes:
@@ -218,10 +179,8 @@ def config_hash(description: Dict[str, Any]) -> str:
     """SHA-256 over the canonical encoding of everything that determines the
     run: command name, parameters, seeds, budgets, and the full contents of
     any input spec files (so a changed file changes the hash even at the
-    same path), as the pure-Python encoder dumps them: on a description
-    this small it is faster than ``canonical_json_bytes``."""
-    text = json.dumps(to_jsonable(description), sort_keys=True, indent=2, ensure_ascii=False)
-    return hashlib.sha256((text + "\n").encode("utf-8")).hexdigest()
+    same path)."""
+    return hashlib.sha256(canonical_json_bytes(description)).hexdigest()
 
 
 def build_manifest(

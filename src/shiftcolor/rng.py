@@ -106,9 +106,9 @@ def element_codes(group: Group, elements) -> np.ndarray:
     of a sequence of elements or of their rows in ``Group.pack``'s form.
 
     F_k codes are the numerals, and the tagged hash past 64 bits. Z^d rows
-    of int64 are zigzagged and packed (or chained) as whole arrays; a row
-    whose code is hashed, and every row of Python ints, goes through the
-    scalar ``element_code``."""
+    of int64 are zigzagged and packed, chained, or (past 21 bits a
+    coordinate on Z^1..Z^3) hashed by the tagged chain, as whole arrays;
+    rows of Python ints go through the scalar ``element_code``."""
     packed = elements if isinstance(elements, np.ndarray) else group.pack(elements)
     n = len(packed)
     if isinstance(group, FreeGroup):
@@ -117,20 +117,23 @@ def element_codes(group: Group, elements) -> np.ndarray:
         numerals = packed[:, 0].tolist()
         return np.fromiter((c if c >> 64 == 0 else _unpacked_code([c]) for c in numerals), dtype=np.uint64, count=n)
     coords = packed.reshape(n, group.dimension)
-    codes, far = np.zeros(n, dtype=np.uint64), np.ones(n, dtype=bool)  # rows of Python ints are far
-    if coords.dtype != object:
-        zig = ((coords << 1) ^ (coords >> 63)).view(np.uint64)
-        if group.dimension <= 3:
-            for column in zig.T:
-                codes = (codes << np.uint64(21)) | column
-            far = (zig >> np.uint64(21)).any(axis=1)
-        else:  # a zigzagged int64 always fits 64 bits
-            for column in zig.T:
-                codes = _vector_splitmix64(codes ^ column)
-            far[:] = False
-    for i in np.flatnonzero(far).tolist():
-        row = coords[i].tolist()
-        codes[i] = element_code(group, tuple(row) if group.dimension > 1 else row[0])
+    if coords.dtype == object:
+        return np.fromiter((element_code(group, tuple(row) if group.dimension > 1 else row[0])
+                            for row in coords.tolist()), dtype=np.uint64, count=n)
+    zig = ((coords << 1) ^ (coords >> 63)).view(np.uint64)
+    codes = np.zeros(n, dtype=np.uint64)
+    if group.dimension > 3:  # a zigzagged int64 always fits 64 bits
+        for column in zig.T:
+            codes = _vector_splitmix64(codes ^ column)
+        return codes
+    for column in zig.T:
+        codes = (codes << np.uint64(21)) | column
+    far = (zig >> np.uint64(21)).any(axis=1)
+    if far.any():  # _unpacked_code's chain: each zigzag is one limb, so its words are 1, z
+        chain = np.full(np.count_nonzero(far), splitmix64(_UNPACKED_TAG), dtype=np.uint64)
+        for column in zig[far].T:
+            chain = _vector_splitmix64(_vector_splitmix64(chain ^ np.uint64(1)) ^ column)
+        codes[far] = chain
     return codes
 
 

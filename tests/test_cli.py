@@ -27,11 +27,12 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftcolor import groups
+from shiftcolor import cli, groups
 from shiftcolor.cli import main
 from shiftcolor.groups import FreeAbelian, FreeGroup, ball_size, identity_ball
 from shiftcolor.ideals import ideal_from_json
@@ -309,6 +310,34 @@ class TestIdealCommands:
         assert code == 0
         payload = payload_of(data)
         assert payload["ok"] is True and payload["samples"] == 30
+
+    def test_reduce_violations_exit_one_in_emission_order(self, tmp_path, pc3_spec, monkeypatch):
+        """Each of the five violation kinds, from membership, decomposition
+        and separation answers substituted in the CLI's namespace. The
+        membership answers are, in call order: the empty pattern, sample 1
+        (rejected, so skipped), sample 2, sample 2's restriction. The real
+        ``decompose`` partitions a pattern's entries by construction, so
+        "decomposition-loses-entries" is reached only through a substitute,
+        here one whose two pieces are empty."""
+        answers = iter([False, False, True, False])
+        monkeypatch.setattr(cli, "reduced_contains", lambda reduced, phi: next(answers, True))
+        monkeypatch.setattr(cli, "decompose", lambda reduced, phi: SimpleNamespace(
+            pieces=[phi.restrict([]), phi.restrict([])]))
+        monkeypatch.setattr(cli, "separated", lambda a, b, R: False)
+        code, data = run_to_file(tmp_path, ["reduce", pc3_spec, "--budget", "2", "--seed", "0", "--dump"])
+        assert code == 1
+        payload = payload_of(data)
+        assert payload["ok"] is False and payload["samples"] == 2
+        assert [v["kind"] for v in payload["violations"]] == [
+            "empty-not-member",
+            "grown-sample-rejected",
+            "restriction-escapes",
+            "decomposition-loses-entries",
+            "decomposition-pieces-not-separated",
+        ]
+        # sample 2 is the one dumped, and it is not empty, so it was decomposed
+        [sample] = payload["sampled_patterns"]
+        assert sample["entries"] and payload["violations"][-1]["pattern"] == sample
 
     _BUDGETED = [
         ["check", "--mode", "ideal-axioms"],
@@ -674,8 +703,6 @@ def test_cached_parser_gives_the_bytes_of_a_fresh_one(tmp_path, pc3_spec):
     """main reuses one parser; a sequence of subcommands, with flags given
     and then left at their defaults, reads as it does with a new parser
     built for every call."""
-    from shiftcolor import cli
-
     argvs = [
         ["ball", "Z^2", "[1,0]", "2"],
         ["check", pc3_spec, "--mode", "local", "--budget", "20", "--seed", "4"],

@@ -7,18 +7,19 @@ Laws under test:
 2. Canonical bytes are deterministic: key order never matters, the text
    ends in exactly one newline, and equal values give equal bytes. They
    are exactly json.dumps(sort_keys=True, indent=2, ensure_ascii=False)
-   and a newline on any nested plain JSON, though laid out from the C
-   encoder's compact dump; plain values pass the reducer unchanged. An
-   integer past the interpreter's int-to-string digit limit is written
-   exactly, and the limit is restored after the dump. Integer arrays of
-   one and two axes may stand in for their lists, and are laid out from
-   numpy to the same bytes; no string can pass for one.
+   and a newline on any nested plain JSON, with strings that hold
+   brackets, quotes, escapes and non-ASCII text among them; plain values
+   pass the reducer unchanged. An integer past the interpreter's
+   int-to-string digit limit is written exactly, and the limit is
+   restored after the dump. Integer arrays of one and two axes may stand
+   in for their lists, and are written from numpy to the same bytes; no
+   string can pass for one.
 3. The config hash changes when any determining input changes (parameters,
    seed, spec file contents) and only then; it is the SHA-256 of the
    description's canonical bytes.
 4. Envelopes carry the fixed schema version, the manifest, and a fully
-   reduced payload, whose integer arrays of one and two axes are kept for
-   the layout.
+   reduced payload, whose integer arrays of one and two axes are kept
+   for the encoder to write from numpy.
 """
 
 import json
@@ -48,8 +49,8 @@ from shiftcolor.reports import (
 
 Z1 = FreeAbelian(1)
 
-# strings rich in the bytes the layout reads: brackets, commas, colons,
-# quotes, backslashes and their escapes, control characters, non-ASCII
+# strings rich in JSON's own characters and escapes: brackets, commas,
+# colons, quotes, backslashes, control characters, non-ASCII
 _TEXT = st.text(st.one_of(st.sampled_from('[]{},:"\\ \n\t\x00\x1fé\u2028😀'),
                           st.characters(blacklist_categories=("Cs",))), max_size=8)
 _PLAIN = st.recursive(

@@ -195,6 +195,19 @@ class TestElementCodes:
         for g, pts in cases:
             assert element_codes(g, pts).tolist() == [element_code(g, e) for e in pts]
 
+    def test_far_int64_rows_equal_the_scalar_code(self):
+        """Rows of int64 with a coordinate past 21 zigzagged bits are hashed
+        as arrays, by the tagged chain of the scalar code, row by row."""
+        rng = np.random.default_rng(7)
+        edge = [2**20 - 1, 2**20, 2**20 + 1, 2**40, 2**62 - 1, 0, 1]
+        edge += [-c for c in edge] + [-(2**20) - 1]
+        for g in (Z1, Z2, Z3):
+            rows = np.concatenate([rng.choice(edge, size=(300, g.dimension)),
+                                   rng.integers(-(2**62) + 1, 2**62, size=(50, g.dimension))])
+            expected = [element_code(g, tuple(row) if g.dimension > 1 else row[0]) for row in rows.tolist()]
+            assert element_codes(g, rows).tolist() == expected
+            assert element_codes(g, rows.astype(object)).tolist() == expected
+
 
 class TestBernoulli:
     def test_half_threshold_exact(self):
