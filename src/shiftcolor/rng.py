@@ -148,13 +148,15 @@ def bit(seed: int, step: int, code: int, p: Fraction) -> bool:
 
 
 def _vector_splitmix64(x: np.ndarray) -> np.ndarray:
+    """``splitmix64`` of each word, in a new array: the first addition
+    copies x, and every later operation updates that copy in place."""
     with np.errstate(over="ignore"):
         x = x + np.uint64(_GAMMA)
-        x = x ^ (x >> np.uint64(30))
-        x = x * np.uint64(_M1)
-        x = x ^ (x >> np.uint64(27))
-        x = x * np.uint64(_M2)
-        x = x ^ (x >> np.uint64(31))
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(_M1)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(_M2)
+        x ^= x >> np.uint64(31)
     return x
 
 

@@ -47,12 +47,12 @@ The schedule alone fixes each step's colour and reach, so ``run`` draws
 and isolates every step's supports before the first step: the steps that
 share one isolation radius are folded, up to 64 at a time, into one word
 per point, a bit per step, and isolated together in one pass over the
-window's slots, composed a layer at a time for the candidates still
-standing, so a candidate drops once every bit it has meets another
-support point. The windows of every step's isolated points are then
-composed once per radius. A step drops its isolated points that are
-already coloured and judges the rest in one call of its radius's judge,
-then scatters the accepted points' colour code and step; the fill
+slots of their candidates' windows, read from ``Region.columns`` a chunk
+of candidates at a time, so a candidate drops once every bit it has
+meets another support point. The windows of every step's isolated points
+are then composed once per radius. A step drops its isolated points that
+are already coloured and judges the rest in one call of its radius's
+judge, then scatters the accepted points' colour code and step; the fill
 fractions come from the steps at the end. The candidates are more than
 2R_i apart, so no candidate's window holds another and they are judged
 independently. The validator judges a whole trace in one pass per window
@@ -139,29 +139,23 @@ class Region:
         refuse_decoding(self.group, self.radius)
         return self.group.decode_ball(self.norms, self._step[:, :-1].T, self.packed)
 
-    def columns(self, s: int, points: np.ndarray) -> np.ndarray:
+    def columns(self, s: int, points: np.ndarray, what: str = "points") -> np.ndarray:
         """Row j, column i: the index of w_j * x for x = points[i] and w_j
         offset j of Ball(1, s), or the sentinel len(region) outside the
         region. A new (|Ball(1, s)|, len(points)) array in the generator
         table's index dtype, composed a layer at a time (``_compose``) for
-        these points alone, and refused before allocating past memory."""
+        these points alone, and refused, naming the points ``what``, before
+        allocating past memory."""
         points = np.asarray(points)
-        starts, layers, every = self._plan(s, points, "points")
+        starts, layers = _paths(self.group, s)
+        _refuse_bytes(f"the radius-{s} windows of {len(points)} {what} of the {len(self)}-point region "
+                      f"of {self.group.name}", starts[-1] * len(points) * self._step.itemsize)
+        every = bool(len(points)) and int(self.norms[points].max()) + s > self.radius
         out = np.empty((starts[-1], len(points)), dtype=self._step.dtype)
         out[0] = points
         for inner, lo, hi, layer in zip(starts, starts[1:], starts[2:], layers):
             _compose(self._step, out[inner:lo], out[lo:hi], layer, every)
         return out
-
-    def _plan(self, s: int, points: np.ndarray, what: str) -> tuple:
-        """``_paths(group, s)`` for composing the radius-s windows of the
-        points, after refusing them past memory, and whether some of them
-        can leave the region: where none can (|x| + s <= radius), every
-        path stays in."""
-        starts, layers = _paths(self.group, s)
-        _refuse_bytes(f"the radius-{s} windows of {len(points)} {what} of the {len(self)}-point region "
-                      f"of {self.group.name}", starts[-1] * len(points) * self._step.itemsize)
-        return starts, layers, bool(len(points)) and int(self.norms[points].max()) + s > self.radius
 
     def slot_distances(self, s: int) -> np.ndarray:
         """D[a, b] = |w_a w_b^-1| for the offsets w of Ball(1, s): by right
@@ -263,9 +257,12 @@ def _window_after(region: Region, step_of: np.ndarray, colors: Sequence, j: int,
     return {region.elements[k]: colors[i - 1] for k, i in zip(window[keep].tolist(), steps[keep].tolist())}
 
 
-# Points whose windows ``_window_blocks`` composes at once, at the least: a
-# take over fewer is mostly the call's own overhead.
+# Points whose windows ``_window_blocks`` and ``_isolated`` compose at once,
+# at the least: a take over fewer is mostly the call's own overhead.
 _CHUNK = 1024
+# Window cells ``_isolated`` composes at once past _CHUNK candidates: a chunk
+# costs two array calls a slot, which fewer cells do not amortize.
+_CHUNK_CELLS = 1 << 18
 
 
 def _window_blocks(region: Region, s: int, points: np.ndarray, rows: int):
@@ -284,28 +281,20 @@ def _isolated(region: Region, s: int, words: np.ndarray, cand: np.ndarray, k: in
     whose word has bit j and whose radius-s window holds no other point
     whose word has it. ``words`` holds a word per point and 0 at the
     sentinel index: bit j is set where the point is a support point of step
-    j. Past slot 0, the point itself, a slot of Ball(1, s) is read at a
-    time: it clears from each candidate's word the bits of its neighbour
-    there, and a candidate drops when no bit is left. The slots' rows are
-    composed a layer at a time (``_compose``) for the candidates still
-    standing, keeping the previous layer's rows, which drop with them once
-    they are at least half of them."""
+    j. The candidates with a bit set read their windows (``Region.columns``)
+    a chunk of at least _CHUNK, and of _CHUNK_CELLS cells past that, at a
+    time: past slot 0, the point itself, each slot clears from each
+    candidate's word the bits of its neighbour there, and a candidate drops
+    when no bit is left."""
     free = ~words  # all ones at the sentinel, which is never a support point
     alive = words.take(cand)
-    _starts, layers, every = region._plan(s, cand, "candidates")
-    inner = cand.astype(region._step.dtype)[None]  # layer 0, the points themselves
-    for layer in layers:
-        keep = alive != 0
-        live = np.count_nonzero(keep)
-        if 2 * live < len(cand):  # a compress costs about what a slot does
-            cand, alive, inner = cand[keep], alive[keep], inner[:, keep]
-        if not live:
-            break
-        rows = np.empty((len(layer), len(cand)), dtype=inner.dtype)
-        _compose(region._step, inner, rows, layer, every)
-        for row in rows:
-            alive &= free.take(row, mode="clip")
-        inner = rows
+    keep = alive != 0
+    cand, alive = cand[keep], alive[keep]
+    chunk = max(_CHUNK, _CHUNK_CELLS // ball_size(region.group, s))
+    for lo in range(0, len(cand), chunk):
+        for row in region.columns(s, cand[lo : lo + chunk], "candidates")[1:]:
+            alive[lo : lo + chunk] &= free.take(row, mode="clip")
+    free = row = None  # freed before the bit arrays below
     keep = alive != 0
     cand, alive = cand[keep], alive[keep]
     # bit j of each word as column j, little-endian whatever the machine's order
@@ -475,9 +464,10 @@ def _isolated_supports(config: SimulationConfig, region: Region, codes: np.ndarr
     step, which has none. Every other step's support is the field's. The
     steps that share one s are isolated together, a block of at most 64
     steps at a time: a point's word holds a bit per step of the block, set
-    where it is a support point, and ``_isolated`` reads the window's slots
-    once for the whole block. The words are folded from
-    the field's masks, drawn a chunk of at most _PAIR_CELLS cells at a time."""
+    where it is a support point, and ``_isolated`` reads the slots of each
+    candidate's window once for the whole block. The words are folded from
+    the field's masks, every step of the block in one draw over a chunk of
+    codes, at most _PAIR_CELLS cells at a time."""
     T = config.window_radius + config.margin
     n = len(region)
     by_s: Dict[int, List[int]] = {}
@@ -486,7 +476,6 @@ def _isolated_supports(config: SimulationConfig, region: Region, codes: np.ndarr
             by_s.setdefault(s, []).append(i)
     field_rng = RandomField(config.ideal.group, config.seed, Fraction(config.p))
     isolated = [np.zeros(0, dtype=np.int64) for _ in radii]
-    rows = max(1, _PAIR_CELLS // n)
     for s, at in by_s.items():
         # points outside or at the boundary are no candidates, but they
         # still block their neighbours
@@ -495,12 +484,12 @@ def _isolated_supports(config: SimulationConfig, region: Region, codes: np.ndarr
             block = at[lo : lo + 64]
             # a word of 8, 16, 32 or 64 bits, as the block needs
             words = np.zeros(n + 1, dtype=f"uint{max(8, 1 << (len(block) - 1).bit_length())}")
-            for j in range(0, len(block), rows):
-                for start in range(0, n, _PAIR_CELLS):  # the whole row, unless it passes _PAIR_CELLS
-                    cols = slice(start, min(start + _PAIR_CELLS, n))
-                    masks = field_rng.mask(block[j : j + rows], codes[cols])
-                    shift = np.arange(j, j + len(masks), dtype=words.dtype)[:, None]  # row r is bit j + r
-                    words[cols] |= np.bitwise_or.reduce(masks.astype(words.dtype) << shift, axis=0)
+            shift = np.arange(len(block), dtype=words.dtype)[:, None]  # row j is bit j
+            cols = max(1, _PAIR_CELLS // len(block))
+            for start in range(0, n, cols):
+                chunk = slice(start, min(start + cols, n))  # the sentinel's word stays 0
+                masks = field_rng.mask(block, codes[chunk])
+                words[chunk] = np.bitwise_or.reduce(masks.astype(words.dtype) << shift, axis=0)
             for i, points in zip(block, _isolated(region, s, words, cand, len(block))):
                 isolated[i] = points
     return isolated
@@ -623,7 +612,7 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     if ideal.group != g:
         raise ValueError(f"the ideal is on {ideal.group.spec_string()}, the trace on {g.spec_string()}")
     T = trace.config.window_radius + trace.config.margin
-    region = _region_of(g, T)
+    region = trace.region
     report = ValidationReport()
     index: Dict[object, int] = {}  # each colour used, as a small int
     kinds = [index.setdefault(c, len(index)) for c, _at in trace.steps]

@@ -8,7 +8,8 @@ Laws under test:
 3. check_join: unions of pairwise separated members stay members for local
    kinds with their derived join bound; the constant-0 bound on proper
    2-colorings is refuted by sampled near pairs, each a pair of members
-   whose union is not one.
+   whose union is not one. Pieces with an infinite R-value are not placed,
+   and their sample judges no union.
 4. check_local: the window criterion characterizes membership for proper
    colorings at radius 1; distance-constrained kinds at radius 1 admit
    counterexamples (their true radius is larger). A reduced ideal is
@@ -18,12 +19,15 @@ Laws under test:
 5. Product-coded reduction: membership via capped windows, the peeling
    decomposition (projections in base, R bounded by the height cap,
    pairwise separation), and point extension with the frozen (height,
-   color) examples.
+   color) examples; an extension whose join value is infinite is an
+   exhausted budget. Derived join forms need a base to derive from.
 """
+
+import random
 
 import pytest
 
-from shiftcolor.groups import FreeAbelian, FreeGroup
+from shiftcolor.groups import BudgetError, FreeAbelian, FreeGroup
 from shiftcolor.ideals import (
     ConstantJoin,
     DistanceConstrained,
@@ -36,6 +40,7 @@ from shiftcolor.radii import INF
 from shiftcolor.reports import to_jsonable
 from shiftcolor.reduction import (
     ReducedIdeal,
+    _place_separated,
     check_join,
     check_local,
     decompose,
@@ -52,6 +57,8 @@ Z1 = FreeAbelian(1)
 PC3 = ProperColoring(Z1, 3)
 R_ONE = SupRadiiJoin(lambda c: 1, description=[1, 1, 1])
 RED = ReducedIdeal(PC3, R_ONE)
+# colour 0 at most once: its derived join bound is infinite
+ONE_SHOT = DistanceConstrained(Z1, [1], ["inf"])
 
 
 def pat(d):
@@ -109,6 +116,15 @@ class TestCheckJoin:
         R = derived_join_from_local(nu.locality_radius)
         report = check_join(nu, R, tuple_size_max=3, samples=120, seed=0)
         assert report.ok
+
+    def test_unbounded_join_places_no_tuple(self):
+        """Pieces with an infinite R-value cannot be placed apart: the
+        placement gives up at once, and check_join counts the sample and
+        judges no union."""
+        R = join_fn_from_json("derived", ONE_SHOT)
+        assert _place_separated(ONE_SHOT, R, [pat({0: 0})], random.Random(0)) is None
+        report = check_join(ONE_SHOT, R, tuple_size_max=3, samples=20, seed=0)
+        assert report.ok and report.samples == 20
 
     def test_constant_zero_refuted_on_proper_two(self):
         # {0->0} and {1->0} are members, distance 1 > 0+0, union clashes;
@@ -286,6 +302,11 @@ class TestExtendReduced:
         with pytest.raises(ValueError):
             extend_reduced(RED, pat({0: (0, 0)}), 1)
 
+    def test_unbounded_join_is_an_exhausted_budget(self):
+        RI = ReducedIdeal(ONE_SHOT, join_fn_from_json({"form": "SupOfRadii", "r": "derived"}, ONE_SHOT))
+        with pytest.raises(BudgetError, match="join function is unbounded"):
+            extend_reduced(RI, pat({}), 0)
+
     def test_reduced_ideal_extend_at_integrates(self):
         ext = RED.extend_at(pat({}), 0)
         assert ext == (1, 0)
@@ -299,6 +320,14 @@ class TestJoinFnJson:
     def test_derived_form(self):
         R = join_fn_from_json("derived", PC3)
         assert R.value(pat({0: 0})) == 1
+
+    def test_derived_forms_need_a_base(self):
+        for obj in ("derived", {"form": "SupOfRadii"}):
+            with pytest.raises(ValueError, match="needs an ideal to derive from"):
+                join_fn_from_json(obj)
+        R = join_fn_from_json({"form": "SupOfRadii", "r": "derived"}, PC3)
+        assert R.value(pat({0: 2})) == 1
+        assert R.value(pat({0: 0})) == join_fn_from_json("derived", PC3).value(pat({0: 0}))
 
     def test_table_form(self):
         R = join_fn_from_json({"form": "SupOfRadii", "r": [2, 5]}, PC3)

@@ -2,8 +2,8 @@
 
 Laws under test:
 1. The JSON reducer handles every value type reports contain — fractions,
-   the infinite radius, numpy scalars and arrays, patterns, nested report
-   dataclasses — and refuses anything else loudly.
+   the infinite radius, numpy scalars (narrow floats too) and arrays,
+   patterns, nested report dataclasses — and refuses anything else loudly.
 2. Canonical bytes are deterministic: key order never matters, the text
    ends in exactly one newline, and equal values give equal bytes. They
    are exactly json.dumps(sort_keys=True, indent=2, ensure_ascii=False)
@@ -94,6 +94,9 @@ class TestToJsonable:
     def test_numpy_scalars_and_arrays(self):
         assert to_jsonable(np.int64(3)) == 3
         assert to_jsonable(np.float64(0.25)) == 0.25
+        # float64 is a float; narrower numpy floats are converted
+        assert type(to_jsonable(np.float32(0.5))) is float and to_jsonable(np.float32(0.5)) == 0.5
+        assert canonical_json_bytes({"x": np.float16(0.25)}) == b'{\n  "x": 0.25\n}\n'
         assert to_jsonable(np.bool_(True)) is True
         assert to_jsonable(np.array([1, 2, 3])) == [1, 2, 3]
 

@@ -15,13 +15,14 @@ Laws under test:
 """
 
 import string
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shiftcolor.groups import FreeAbelian, FreeGroup
+from shiftcolor.groups import _PAIR_CELLS, FreeAbelian, FreeGroup
 from shiftcolor import rng
 from shiftcolor.rng import (
     RandomField,
@@ -269,6 +270,21 @@ class TestBernoulli:
             mask = bernoulli_mask(3, 4, codes, p)
             assert mask.dtype == bool and mask.tolist() == bits
             assert bits == [p >= 1] * len(codes)
+
+    def test_mask_of_a_chunk_peaks_at_two_words_a_cell(self):
+        """The splitmix64 passes update one copy of the codes in place: a
+        mask over _PAIR_CELLS codes, a chunk of a run's draw, peaks at 17
+        bytes a cell at most under tracemalloc (the copy, one shifted
+        temporary and the mask), with ``bit``'s bits."""
+        codes = np.arange(_PAIR_CELLS, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        tracemalloc.start()
+        try:
+            mask = bernoulli_mask(5, 3, codes, Fraction(1, 3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 17 * _PAIR_CELLS
+        assert mask.tolist() == [bit(5, 3, c, Fraction(1, 3)) for c in codes.tolist()]
 
     def test_field_mask_equals_scalar_loop(self):
         field = RandomField(Z1, 42, Fraction(1, 3))

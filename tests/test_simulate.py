@@ -5,6 +5,7 @@ Laws under test:
 1. Config validation: the margin absorbs twice the largest window radius;
    densities are proper fractions; palette-less ideals need a schedule,
    and an ideal that declares only max_color() runs 0..max_color().
+   Substituted field codes must cover the region.
 2. Step rule, with the field's support substituted at listed steps
    (``substitute_supports``; supports come only from the field): a single
    support point gets the scheduled color; two adjacent support points at
@@ -15,12 +16,14 @@ Laws under test:
    kernel, a slot at a time over step words (a bit per step, in every
    word width), keeps of each step exactly the candidates the row rule
    keeps, in region order, on Z^1-Z^3 and F_1-F_3, for one step and for
-   stacks of up to 64; a stacked mask of many steps equals their masks one
-   at a time and ``bit``, on every density. Each step's isolated supports
-   equal the row rule on its field mask for 1 to 130 steps (every word
-   width and several blocks), with warm-up steps, several radii, radii
-   past the region's, translated codes, substituted supports and chunks of
-   any size; whole runs of those lengths equal the scalar reference run.
+   stacks of up to 64; it reads ``Region.columns`` once per chunk of its
+   candidates with a bit set. A stacked mask of many steps equals their
+   masks one at a time and ``bit``, on every density. Each step's
+   isolated supports equal the row rule on its field mask for 1 to 130
+   steps (every word width and several blocks), with warm-up steps,
+   several radii, radii past the region's, translated codes, substituted
+   supports and chunks of any size; whole runs of those lengths equal the
+   scalar reference run.
 3. Hard invariants on live runs: colorings grow monotonically, same-step
    points are farther apart than twice the step's reach, every local window
    of the final coloring is a member.
@@ -72,9 +75,10 @@ Laws under test:
    names points: not by a simulate without --dump that validates clean,
    nor by an equivariance check without mismatches; once, as the
    breadth-first ball names them, by a dump, a failure and a mismatch.
-8. The validator reads its windows from the region that ``run`` cached and
-   agrees with a brute-force validator over g.dist on Z^1, Z^2, Z^3 and F_2,
-   with and without warm-up, and on hand traces with failures. A run's
+8. The validator reads its windows from the trace's region, building
+   none even after a run on another geometry, and agrees with a
+   brute-force validator over g.dist on Z^1, Z^2, Z^3 and F_2, with and
+   without warm-up, and on hand traces with failures. A run's
    trace holds region indices: it is validated and compared with no point
    located or validated again, and decoding it and building it again with
    ``SimulationTrace.from_elements`` gives the same indices and report, on
@@ -334,6 +338,11 @@ class TestStepRule:
         trace = run(cfg)
         assert trace.schedule_used == [0, 1, 2, 0, 1, 2, 0]
 
+    def test_field_codes_must_cover_the_region(self):
+        config = SimulationConfig(PC3, 5, 2, 4, Fraction(1, 2), seed=0)
+        with pytest.raises(ValueError, match="field codes must cover the region"):
+            run(config, _field_codes=np.zeros(3, dtype=np.uint64))
+
     def test_determinism(self):
         cfg = SimulationConfig(ideal=PC3, window_radius=30, margin=2, steps=20, seed=9)
         assert run(cfg).assigned_sets == run(cfg).assigned_sets
@@ -424,6 +433,33 @@ class TestIsolationKernel:
                         assert_steps_match_row_rule(nbrs.T, masks, cand, got)
             got = simulate._isolated(region, 0, fold_words(every, np.uint8), np.arange(n), 3)
             assert [mine.tolist() for mine in got] == [list(range(n))] * 3
+
+    @pytest.mark.parametrize(
+        "case, s, least",
+        [pytest.param((Z1, 8000), 12, None, id="Z^1-own-chunk"),
+         *(pytest.param(case, 1, 7, id=f"{case[0].name}-chunk-7") for case in ISOLATION_CASES[:-1])],
+    )
+    def test_reads_columns_a_chunk_of_candidates_at_a_time(self, monkeypatch, case, s, least):
+        """With more candidates than a chunk, max(_CHUNK, _CHUNK_CELLS //
+        |Ball(1, s)|), ``_isolated`` composes no window itself: it calls
+        ``Region.columns`` once per chunk of the candidates with a bit set,
+        in order, and keeps what the row rule keeps. The chunk is at its
+        own size on Z^1 and shrunk to 7 candidates on the smaller regions."""
+        if least is not None:
+            monkeypatch.setattr(simulate, "_CHUNK", least)
+            monkeypatch.setattr(simulate, "_CHUNK_CELLS", 1)
+        region = _region_of(*case)
+        chunk = max(simulate._CHUNK, simulate._CHUNK_CELLS // groups.ball_size(region.group, s))
+        masks = bernoulli_mask(3, range(2), region.codes, Fraction(1, 2))
+        cand = np.flatnonzero(region.norms + s <= region.radius)
+        live = cand[masks[:, cand].any(axis=0)]
+        assert len(live) > chunk
+        calls = count_calls(monkeypatch, simulate.Region, "columns")
+        got = simulate._isolated(region, s, fold_words(masks, np.uint8), cand, 2)
+        assert [(args[1], len(args[2])) for args in calls] == [
+            (s, min(chunk, len(live) - lo)) for lo in range(0, len(live), chunk)]
+        assert np.concatenate([args[2] for args in calls]).tolist() == live.tolist()
+        assert_steps_match_row_rule(reference_table(region, s).T, masks, cand, got)
 
 
 class TestStackedSupports:
@@ -1173,13 +1209,15 @@ class TestValidatorAgainstBruteForce:
         forbid_locating(monkeypatch, config.ideal.group)
         assert trace_validate(trace, config.ideal).to_jsonable() == expected
 
-    def test_reuses_the_region_run_cached(self):
+    def test_reuses_the_region_run_cached(self, monkeypatch):
+        """Validation reads the trace's own Region and builds none, also
+        after a run on another geometry has taken the region cache."""
         config = SimulationConfig(ProperColoring(Z2, 5), 8, 2, 30, Fraction(1, 8), seed=0)
         trace = run(config)
-        before = _region_of.cache_info()
+        run(SimulationConfig(ProperColoring(F2, 5), 2, 2, 4, Fraction(1, 4), seed=0))
+        built = count_calls(monkeypatch, simulate.Region, "__init__")
         assert trace_validate(trace, config.ideal).windows_checked > 0
-        after = _region_of.cache_info()
-        assert after.misses == before.misses and after.hits > before.hits
+        assert built == []
 
 
 BLOCK_CONFIGS = [
