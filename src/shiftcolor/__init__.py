@@ -48,6 +48,7 @@ from .reduction import (
     ReducedIdeal,
     check_join,
     check_local,
+    check_reduction,
     decompose,
     derived_join_from_local,
     extend_reduced,
@@ -98,6 +99,7 @@ __all__ = [
     "canonical_json_bytes",
     "check_join",
     "check_local",
+    "check_reduction",
     "col_window_check",
     "config_hash",
     "d_sequence",

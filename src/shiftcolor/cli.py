@@ -2,7 +2,9 @@
 
 Every subcommand reads JSON (inline arguments or spec files), runs one
 module operation, and emits a canonical JSON report wrapped in a manifest
-envelope on stdout (or ``--out``). Exit codes: 0 clean, 1 a checked
+envelope on stdout (or ``--out``). The handlers state no law of their
+own: each check is a library function that returns a report, and its
+``ok`` picks the exit code. Exit codes: 0 clean, 1 a checked
 property was found violated, 2 usage or I/O trouble, 3 a budget ran out
 before the search could conclude.
 
@@ -16,29 +18,15 @@ import argparse
 import dataclasses
 import functools
 import json
-import random
 import sys
 from typing import Any, Dict, List, Optional, Tuple
 
 from .groups import BudgetError, FreeAbelian, annulus_D, d_sequence, parse_group
-from .ideals import (
-    IdealSpec,
-    grow_random_member,
-    ideal_axioms_check,
-    ideal_from_json,
-)
+from .ideals import IdealSpec, ideal_axioms_check, ideal_from_json
 from .oracles import INCONCLUSIVE, WITNESS, extension_oracle, infty_check, infty_counting_bound
 from .patterns import PartialColoring
 from .radii import parse_fraction
-from .reduction import (
-    ReducedIdeal,
-    check_join,
-    check_local,
-    decompose,
-    join_fn_from_json,
-    reduced_contains,
-    separated,
-)
+from .reduction import ReducedIdeal, check_join, check_local, check_reduction, join_fn_from_json
 from .reports import build_manifest, envelope, json_bytes
 from .simulate import SimulationConfig, run, sparse_run, trace_validate, extract_patterns
 
@@ -158,52 +146,11 @@ def _cmd_check(args) -> Tuple[dict, int]:
 def _cmd_reduce(args) -> Tuple[dict, int]:
     base, R_json = _load_ideal_spec(args.spec)
     reduced = ReducedIdeal(base, join_fn_from_json(R_json, base))
-    samples = args.budget if args.budget is not None else 50
-    if samples < 0:
-        raise ValueError(f"sample count must be nonnegative, got {samples}")
-    rng = random.Random(args.seed)
-    violations: List[dict] = []
-    dumped: List[dict] = []
-    checked = 0
-    if not reduced_contains(reduced, reduced.empty()):
-        violations.append({"kind": "empty-not-member"})
-    for _ in range(samples):
-        phi = grow_random_member(reduced, rng, size=rng.randint(0, 3), radius=4)
-        checked += 1
-        if not reduced_contains(reduced, phi):
-            violations.append({"kind": "grown-sample-rejected", "pattern": phi.to_json()})
-            continue
-        keep = [e for e in phi.domain() if rng.random() < 0.5]
-        if not reduced_contains(reduced, phi.restrict(keep)):
-            violations.append({"kind": "restriction-escapes", "pattern": phi.to_json()})
-        if phi:
-            dec = decompose(reduced, phi)
-            pieces = dec.pieces
-            merged: Dict[Any, Any] = {}
-            for piece in pieces:
-                merged.update(piece.entries)
-            if merged != dict(phi.entries):
-                violations.append({"kind": "decomposition-loses-entries", "pattern": phi.to_json()})
-            for i in range(len(pieces)):
-                for j in range(i + 1, len(pieces)):
-                    if not separated(pieces[i], pieces[j], reduced.R):
-                        violations.append(
-                            {
-                                "kind": "decomposition-pieces-not-separated",
-                                "pattern": phi.to_json(),
-                            }
-                        )
-        if args.dump:
-            dumped.append(phi.to_json())
-    payload = {
-        "reduced_spec": reduced.to_json(),
-        "samples": checked,
-        "violations": violations,
-        "ok": not violations,
-    }
-    if args.dump:
-        payload["sampled_patterns"] = dumped
-    return payload, EXIT_CLEAN if not violations else EXIT_VIOLATION
+    report = check_reduction(reduced, args.budget if args.budget is not None else 50, args.seed)
+    payload = report.to_jsonable()
+    if not args.dump:
+        del payload["sampled_patterns"]
+    return payload, EXIT_CLEAN if report.ok else EXIT_VIOLATION
 
 
 def _cmd_simulate(args) -> Tuple[dict, int]:

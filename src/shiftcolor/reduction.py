@@ -11,8 +11,10 @@ with a monotone join function R into a local one: a pattern belongs to P'
 iff around every point, with h its first coordinate, the second coordinates
 of the h-truncated radius-3h window form a member of P that fits in the
 radius-h ball and has R-value at most h. Projecting the second coordinate
-carries P' into P, and members of P' peel into pairwise-separated members
-of P — the machinery the decompose/extend operations implement.
+carries P' into P, and members of P' peel into pieces whose projections
+are pairwise-separated members of P — the machinery the decompose/extend
+operations implement. ``check_reduction`` spot-checks these laws on grown
+members of P'.
 """
 
 from __future__ import annotations
@@ -416,3 +418,59 @@ def _extend_member(RI: ReducedIdeal, phi: PartialColoring, gamma, c_max: Optiona
             "extend_reduced produced a non-member; this is a bug in the reduction"
         )
     return (h, c)
+
+
+# -- the reduction audit ----------------------------------------------------------
+
+
+@dataclass
+class ReductionReport(Report):
+    reduced_spec: dict = field(default_factory=dict)
+    samples: int = 0
+    violations: List[dict] = field(default_factory=list)
+    sampled_patterns: List[PartialColoring] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_reduction(RI: ReducedIdeal, samples: int, seed: int) -> ReductionReport:
+    """Spot-check the reduced ideal's laws on grown members: the empty
+    pattern is a member, a grown sample is one and so is a random
+    restriction of it, and a nonempty sample decomposes into pieces that
+    keep its entries and whose projections are pairwise R-separated. A
+    violation names its kind and the sample; a rejected sample is audited
+    no further and is not among the ``sampled_patterns``."""
+    if samples < 0:
+        raise ValueError(f"sample count must be nonnegative, got {samples}")
+    rng = random.Random(seed)
+    report = ReductionReport(reduced_spec=RI.to_json(), samples=samples)
+
+    def violation(kind: str, phi: PartialColoring) -> None:
+        report.violations.append({"kind": kind, "pattern": phi})
+
+    if not reduced_contains(RI, RI.empty()):
+        report.violations.append({"kind": "empty-not-member"})
+    for _ in range(samples):
+        phi = grow_random_member(RI, rng, size=rng.randint(0, 3), radius=4)
+        if not reduced_contains(RI, phi):
+            violation("grown-sample-rejected", phi)
+            continue
+        keep = [e for e in phi.domain() if rng.random() < 0.5]
+        if not reduced_contains(RI, phi.restrict(keep)):
+            violation("restriction-escapes", phi)
+        if phi:
+            pieces = decompose(RI, phi).pieces
+            merged = {}
+            for piece in pieces:
+                merged.update(piece.entries)
+            if merged != phi.entries:
+                violation("decomposition-loses-entries", phi)
+            projected = [project(piece) for piece in pieces]
+            for i, a in enumerate(projected):
+                for b in projected[i + 1 :]:
+                    if not separated(a, b, RI.R):
+                        violation("decomposition-pieces-not-separated", phi)
+        report.sampled_patterns.append(phi)
+    return report

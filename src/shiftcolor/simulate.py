@@ -294,16 +294,10 @@ def _isolated(region: Region, s: int, words: np.ndarray, cand: np.ndarray, k: in
     for lo in range(0, len(cand), chunk):
         for row in region.columns(s, cand[lo : lo + chunk], "candidates")[1:]:
             alive[lo : lo + chunk] &= free.take(row, mode="clip")
-    free = row = None  # freed before the bit arrays below
+    free = row = None  # freed before the step masks below
     keep = alive != 0
     cand, alive = cand[keep], alive[keep]
-    # bit j of each word as column j, little-endian whatever the machine's order
-    little = alive.astype(alive.dtype.newbyteorder("<"), copy=False).view(np.uint8)
-    bits = np.unpackbits(little.reshape(len(alive), alive.itemsize), axis=1, bitorder="little")
-    step, at = np.divmod(np.flatnonzero(bits[:, :k].T.astype(bool)), len(alive))
-    ends = np.searchsorted(step, np.arange(k + 1)).tolist()
-    points = cand.take(at)
-    return [points[a:b] for a, b in zip(ends, ends[1:])]
+    return [cand[alive & (1 << j) != 0] for j in range(k)]
 
 
 @lru_cache(maxsize=1)

@@ -10,7 +10,8 @@ Laws under test:
    arguments, a plain colour scheduled on a reduced spec, an extension
    search on a reduced spec, and a malformed JSON schedule are usage
    errors; a JSON schedule of pair colours runs as
-   the library does.
+   the library does. ``reduce``'s payload is ``check_reduction``'s report,
+   with its sampled patterns only under ``--dump``.
 2. Reports are byte-identical across reruns with identical inputs, and the
    config hash tracks spec file *contents*, not just paths.
 3. Payload fixtures: sorted ball enumerations (Z^d and F_k, on both sides
@@ -32,16 +33,20 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shiftcolor import cli, groups
+import shiftcolor
+from shiftcolor import cli, groups, reduction
 from shiftcolor.cli import main
 from shiftcolor.groups import FreeAbelian, FreeGroup, ball_size, identity_ball
 from shiftcolor.ideals import ideal_from_json
+from shiftcolor.patterns import PartialColoring
+from shiftcolor.reduction import ReducedIdeal, decompose, join_fn_from_json
 from shiftcolor.reports import SCHEMA_VERSION, TOOL_VERSION, to_jsonable
 from shiftcolor.simulate import SimulationConfig, run, trace_validate
 
 from ball_reference import bfs_ball
 
 
+Z1 = FreeAbelian(1)
 REDUCED_PC3_SPEC = {"kind": "Reduced", "base": {"kind": "ProperColoring", "group": "Z^1", "k": 3},
                     "R": {"form": "Constant", "value": 1}}
 
@@ -306,24 +311,30 @@ class TestIdealCommands:
         assert report["ok"] is False and report["violations"]
 
     def test_reduce_clean(self, tmp_path, pc3_spec):
+        """Without --dump the payload holds no sampled patterns."""
         code, data = run_to_file(tmp_path, ["reduce", pc3_spec, "--budget", "30"])
         assert code == 0
         payload = payload_of(data)
         assert payload["ok"] is True and payload["samples"] == 30
+        assert "sampled_patterns" not in payload
 
     def test_reduce_violations_exit_one_in_emission_order(self, tmp_path, pc3_spec, monkeypatch):
-        """Each of the five violation kinds, from membership, decomposition
-        and separation answers substituted in the CLI's namespace. The
-        membership answers are, in call order: the empty pattern, sample 1
-        (rejected, so skipped), sample 2, sample 2's restriction. The real
-        ``decompose`` partitions a pattern's entries by construction, so
-        "decomposition-loses-entries" is reached only through a substitute,
-        here one whose two pieces are empty."""
+        """Each of the five violation kinds, from growth, membership,
+        decomposition and separation answers substituted in the reduction's
+        namespace. Growth is substituted because it judges its own steps
+        with the same ``reduced_contains``. The membership answers are, in
+        call order: the empty pattern, sample 1 (rejected, so skipped),
+        sample 2, sample 2's restriction. The real ``decompose`` partitions
+        a pattern's entries by construction, so "decomposition-loses-entries"
+        is reached only through a substitute, here one whose two pieces are
+        empty."""
         answers = iter([False, False, True, False])
-        monkeypatch.setattr(cli, "reduced_contains", lambda reduced, phi: next(answers, True))
-        monkeypatch.setattr(cli, "decompose", lambda reduced, phi: SimpleNamespace(
+        grown = PartialColoring(Z1, {0: (1, 0), 1: (1, 1)})
+        monkeypatch.setattr(reduction, "grow_random_member", lambda P, rng, size, radius: grown)
+        monkeypatch.setattr(reduction, "reduced_contains", lambda reduced, phi: next(answers, True))
+        monkeypatch.setattr(reduction, "decompose", lambda reduced, phi: SimpleNamespace(
             pieces=[phi.restrict([]), phi.restrict([])]))
-        monkeypatch.setattr(cli, "separated", lambda a, b, R: False)
+        monkeypatch.setattr(reduction, "separated", lambda a, b, R: False)
         code, data = run_to_file(tmp_path, ["reduce", pc3_spec, "--budget", "2", "--seed", "0", "--dump"])
         assert code == 1
         payload = payload_of(data)
@@ -338,6 +349,27 @@ class TestIdealCommands:
         # sample 2 is the one dumped, and it is not empty, so it was decomposed
         [sample] = payload["sampled_patterns"]
         assert sample["entries"] and payload["violations"][-1]["pattern"] == sample
+
+    def test_reduce_judges_separation_on_projections(self, tmp_path, monkeypatch):
+        """R is applied to the projections of the pieces, as ``decompose``
+        promises: the derived join of a DistanceConstrained base reads base
+        colours, and on the product colours of the pieces themselves it
+        raised "outside the palette", so ``reduce`` exited 2 on this member.
+        Growth never yields a member of two pieces (each grown h exceeds
+        the earlier ones and reaches every point), so one is substituted.
+        The library's check is the CLI's: its report is the payload."""
+        spec = {"kind": "DistanceConstrained", "group": "Z^1", "d": [1, 3], "h": [3, 7]}
+        path = tmp_path / "dc.json"
+        path.write_text(json.dumps(spec))
+        base = ideal_from_json(spec)
+        reduced = ReducedIdeal(base, join_fn_from_json("derived", base))
+        member = PartialColoring(Z1, {0: (2, 0), 100: (2, 0)})
+        assert len(decompose(reduced, member).pieces) == 2
+        monkeypatch.setattr(reduction, "grow_random_member", lambda P, rng, size, radius: member)
+        report = shiftcolor.check_reduction(reduced, 3, seed=0)
+        assert report.ok and report.samples == 3 and report.sampled_patterns == [member] * 3
+        code, data = run_to_file(tmp_path, ["reduce", str(path), "--budget", "3", "--dump"])
+        assert code == 0 and payload_of(data) == to_jsonable(report)
 
     _BUDGETED = [
         ["check", "--mode", "ideal-axioms"],

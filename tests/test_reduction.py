@@ -15,12 +15,15 @@ Laws under test:
    counterexamples (their true radius is larger). A reduced ideal is
    sampled with pair colours (h, c) and is local on Z^1, Z^2 and F_2; its
    window radius refuses a colour that is not a pair. Both checks refuse
-   a negative sampling radius, naming it.
+   a negative sampling radius, naming it. Sampled members of an ideal
+   that is not closed under restriction are containment violations.
 5. Product-coded reduction: membership via capped windows, the peeling
    decomposition (projections in base, R bounded by the height cap,
    pairwise separation), and point extension with the frozen (height,
    color) examples; an extension whose join value is infinite is an
    exhausted budget. Derived join forms need a base to derive from.
+   check_reduction finds the grown members of reduced ideals clean and
+   refuses a negative sample count.
 """
 
 import random
@@ -31,10 +34,12 @@ from shiftcolor.groups import BudgetError, FreeAbelian, FreeGroup
 from shiftcolor.ideals import (
     ConstantJoin,
     DistanceConstrained,
+    IdealSpec,
     NotUniversal,
     ProperColoring,
     SupRadiiJoin,
 )
+from shiftcolor.oracles import extension_oracle
 from shiftcolor.patterns import PartialColoring
 from shiftcolor.radii import INF
 from shiftcolor.reports import to_jsonable
@@ -43,6 +48,7 @@ from shiftcolor.reduction import (
     _place_separated,
     check_join,
     check_local,
+    check_reduction,
     decompose,
     derived_join_from_local,
     extend_reduced,
@@ -59,6 +65,25 @@ R_ONE = SupRadiiJoin(lambda c: 1, description=[1, 1, 1])
 RED = ReducedIdeal(PC3, R_ONE)
 # colour 0 at most once: its derived join bound is infinite
 ONE_SHOT = DistanceConstrained(Z1, [1], ["inf"])
+
+
+class OneNeedsZero(IdealSpec):
+    """Patterns on Z^1 with at most one colour 0, and with one whenever a
+    colour 1 appears: shift-invariant, with no largest colour, but not
+    closed under restriction ({0: 0, 1: 1} is a member, {1: 1} is not)."""
+
+    kind = "OneNeedsZero"
+    group = Z1
+
+    def contains(self, phi):
+        colours = list(phi.entries.values())
+        return colours.count(0) <= 1 and (0 in colours or 1 not in colours)
+
+    def locality_radius(self, color):
+        return 0
+
+    def to_json(self):
+        return {"kind": self.kind}
 
 
 def pat(d):
@@ -170,6 +195,18 @@ class TestCheckLocal:
         report = check_local(dc, dc.locality_radius, enumeration_budget=150, seed=0)
         assert report.ok
 
+    def test_ideal_not_closed_under_restriction_is_reported(self):
+        """Growth gives {a: 0, b: 1}, whose radius-0 window at b is no
+        member, so the sampled members are containment violations. With no
+        largest colour, the random patterns draw colours up to 8, and the
+        extension oracle asks for a palette."""
+        P = OneNeedsZero()
+        report = check_local(P, lambda c: 0, enumeration_budget=40, seed=0)
+        assert report.containment_violations and not report.ok
+        assert report.loc_members_examined > 0
+        with pytest.raises(ValueError, match="no finite palette; pass palette_max"):
+            extension_oracle(P, pat({0: 0}), 1)
+
     @pytest.mark.parametrize("group", [Z1, FreeAbelian(2), FreeGroup(2)])
     def test_reduced_ideal_sampled_with_pair_colours(self, group):
         """Plain colours would have no window radius here: every sampled
@@ -277,6 +314,18 @@ class TestDecompose:
     def test_rejects_non_member(self):
         with pytest.raises(ValueError):
             decompose(RED, pat({0: (0, 0)}))
+
+
+class TestCheckReduction:
+    @pytest.mark.parametrize("ideal", [RED, ReducedIdeal(ProperColoring(FreeGroup(2), 5), ConstantJoin(1))])
+    def test_grown_members_are_clean(self, ideal):
+        report = check_reduction(ideal, 20, seed=1)
+        assert report.ok and report.samples == len(report.sampled_patterns) == 20
+        assert report.reduced_spec == ideal.to_json()
+
+    def test_negative_sample_count_refused(self):
+        with pytest.raises(ValueError, match="^sample count must be nonnegative, got -1$"):
+            check_reduction(RED, -1, seed=0)
 
 
 class TestExtendReduced:

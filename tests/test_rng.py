@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shiftcolor.groups import _PAIR_CELLS, FreeAbelian, FreeGroup
+from shiftcolor.groups import _PAIR_CELLS, FreeAbelian, FreeGroup, Group
 from shiftcolor import rng
 from shiftcolor.rng import (
     RandomField,
@@ -106,6 +106,14 @@ class TestElementCodes:
 
     def test_fk_identity_is_zero(self):
         assert element_code(F2, "") == 0
+
+    def test_other_groups_have_no_code(self):
+        class Trivial(Group):
+            def spec_string(self):
+                return "1"
+
+        with pytest.raises(ValueError, match=r"no element coding for group Trivial\('1'\)"):
+            element_code(Trivial(), ())
 
     @settings(max_examples=60)
     @given(

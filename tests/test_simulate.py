@@ -191,7 +191,12 @@ class TestConfigValidation:
             cfg.validate()
 
     def test_good_config_passes(self):
-        SimulationConfig(ideal=PC3, window_radius=5, margin=2, steps=3).validate()
+        """And a negative window, margin or step count fails it."""
+        cfg = SimulationConfig(ideal=PC3, window_radius=5, margin=2, steps=3)
+        cfg.validate()
+        for field in ("window_radius", "margin", "steps"):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                dataclasses.replace(cfg, **{field: -1}).validate()
 
     def test_schedule_colors_validated_up_front(self):
         for ideal in (PC3, DC, NU):
@@ -204,6 +209,9 @@ class TestConfigValidation:
             cfg = SimulationConfig(ideal=ideal, window_radius=5, margin=26, steps=1, schedule=[2])
             with pytest.raises(PaletteExhausted):
                 cfg.validate()
+        cfg = SimulationConfig(ideal=PC3, window_radius=5, margin=26, steps=1, schedule=[])
+        with pytest.raises(ValueError, match="empty color schedule"):
+            cfg.validate()
 
     def test_max_color_alone_fixes_the_default_schedule(self):
         """An ideal that declares only its largest colour simulates on the
