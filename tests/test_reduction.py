@@ -22,8 +22,7 @@ Laws under test:
    pairwise separation), and point extension with the frozen (height,
    color) examples; an extension whose join value is infinite is an
    exhausted budget. Derived join forms need a base to derive from.
-   check_reduction finds the grown members of reduced ideals clean and
-   refuses a negative sample count.
+   check_reduction finds the grown members of reduced ideals clean.
 """
 
 import random
@@ -322,10 +321,6 @@ class TestCheckReduction:
         report = check_reduction(ideal, 20, seed=1)
         assert report.ok and report.samples == len(report.sampled_patterns) == 20
         assert report.reduced_spec == ideal.to_json()
-
-    def test_negative_sample_count_refused(self):
-        with pytest.raises(ValueError, match="^sample count must be nonnegative, got -1$"):
-            check_reduction(RED, -1, seed=0)
 
 
 class TestExtendReduced:
