@@ -762,11 +762,7 @@ def d_sequence(group, count: int, budget: int = 64) -> DSequence:
         raise ValueError(f"count must be >= 0, got {count}")
     if budget < 0:
         raise ValueError(f"radius budget must be nonnegative, got {budget}")
-    d0 = None
-    for r in range(0, budget + 1):
-        if len(identity_ball(group, r)) >= 2:
-            d0 = r
-            break
+    d0 = next((r for r in range(budget + 1) if ball_size(group, r) >= 2), None)
     if d0 is None:
         raise BudgetError(f"no radius <= {budget} gives a two-element ball in {group.name}")
     values = [d0]

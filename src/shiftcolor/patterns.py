@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .groups import Group, set_dist
-from .radii import INF, Infinity, Radius
+from .radii import Infinity, Radius
 
 Color = Union[int, Tuple[int, int]]
 

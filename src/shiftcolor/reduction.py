@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .groups import BudgetError, identity_ball, set_dist
+from .groups import BudgetError, identity_ball
 from .ideals import ConstantJoin, IdealSpec, JoinFn, SupRadiiJoin, col_window_check, grow_random_member
 from .patterns import PartialColoring, shift
-from .radii import INF, Infinity, Radius, radius_ceil, radius_to_json
+from .radii import Infinity, Radius, radius_ceil, radius_to_json
 from .reports import Report
 
 

@@ -7,7 +7,8 @@ encoder is fully canonical (sorted keys, fixed indentation, trailing
 newline) and nothing time- or host-dependent is ever placed in a report.
 Timing, when wanted, belongs on stderr. There is one encoder,
 ``json_bytes``: the standard library's indented dump, with integer arrays
-written from numpy; the config hash is taken over its bytes too.
+laid out by one %-format over their entries, never by the JSON encoder; the
+config hash is taken over its bytes too.
 """
 
 from __future__ import annotations
@@ -90,41 +91,23 @@ def to_jsonable(obj: Any, arrays: bool = False) -> Any:
 
 
 def _laid_out(obj: Any) -> bool:
-    """Whether ``json_bytes`` lays out obj from numpy: an integer array of
-    one or two axes."""
+    """Whether ``json_bytes`` lays obj out by one %-format over its entries,
+    not by the JSON encoder: an integer array of one or two axes."""
     return isinstance(obj, np.ndarray) and obj.dtype.kind in "iu" and obj.ndim in (1, 2)
 
 
-def _array_text(a: np.ndarray, indent: int) -> bytes:
+def _array_text(a: np.ndarray, indent: int) -> str:
     """An integer array of one or two axes as ``json.dumps(a.tolist(),
-    indent=2)`` writes it on a line indented by ``indent`` spaces. Each
-    list item is laid out as a row of bytes, innermost first: its indent,
-    the item, and ",\n", whose comma is NUL on the last item of a list;
-    numbers are right-aligned in NULs, and the NULs are dropped at the end."""
-    if not a.size:  # [] or, for shape (n, 0), a list of n []
-        rows = [b" " * (indent + 2) + b"[]"] * len(a)
-        return b"[\n" + b",\n".join(rows) + b"\n" + b" " * indent + b"]" if rows else b"[]"
-    negative = a < 0
-    magnitude = a.astype(np.uint64)
-    np.negative(magnitude, out=magnitude, where=negative)  # |int64 min| is 2^63 in uint64
-    width = len(str(int(magnitude.max()))) + 1
-    rows = np.zeros((*a.shape, width), dtype=np.uint8)
-    rows[..., 0] = np.where(negative, ord("-"), 0)
-    for column in range(width - 1, 0, -1):  # NUL before the leading digit; // by a scalar is fast, % not
-        rest = magnitude // 10
-        rows[..., column] = np.where(magnitude > 0, magnitude - rest * 10 + ord("0"), 0)
-        magnitude = rest
-    rows[a == 0, -1] = ord("0")
-    for depth in range(a.ndim, 0, -1):
-        pad = b" " * (indent + 2 * depth)
-        before, after = (b"", b"") if depth == a.ndim else (b"[\n", pad + b"]")
-        front = np.frombuffer(pad + before, dtype=np.uint8)
-        back = np.frombuffer(after + b",\n", dtype=np.uint8)
-        rows = np.concatenate([np.broadcast_to(front, (*rows.shape[:-1], len(front))), rows,
-                               np.broadcast_to(back, (*rows.shape[:-1], len(back)))], axis=-1)
-        rows[..., -1, -2] = 0  # the last item's comma
-        rows = rows.reshape(*rows.shape[:-2], -1)
-    return b"[\n" + rows[rows != 0].tobytes() + b" " * indent + b"]"
+    indent=2)`` writes it on a line indented by ``indent`` spaces: one
+    %-format over its entries, by a template that repeats a row's text."""
+    if not len(a):
+        return "[]"
+    pad = "\n" + " " * (indent + 2)
+    row = "%d"
+    if a.ndim == 2:  # a row of shape (n, 0) reads []
+        items = ("," + pad + "  ").join(["%d"] * a.shape[1])
+        row = "[" + pad + "  " + items + pad + "]" if items else "[]"
+    return ("[" + pad + ("," + pad).join([row] * len(a)) + pad[:-2] + "]") % tuple(a.ravel().tolist())
 
 
 _HOLE = "\udfff"  # an array's place in json_bytes' dump
@@ -141,8 +124,8 @@ def json_bytes(plain: Any) -> bytes:
     An integer array of one or two axes may stand for its list: the dump
     holds a hole in its place, the string of one lone surrogate, which no
     report's string can hold, as UTF-8 cannot encode it; the hole is then
-    replaced by the array's own lines (``_array_text``) at the indent of
-    the hole's line."""
+    replaced by the array's lines at the indent of the hole's line: one
+    %-format over its entries (``_array_text``), never walked by the encoder."""
     holes = []  # the arrays, in the order of the dump
 
     def hole(obj):
@@ -162,11 +145,10 @@ def json_bytes(plain: Any) -> bytes:
     pieces = text.split(f'"{_HOLE}"')
     if len(pieces) != len(holes) + 1:
         text.encode("utf-8")  # some string of the value holds the surrogate, and this raises
-    parts = []
-    for piece, array in zip(pieces, holes):
-        line = piece[piece.rfind("\n") + 1 :]
-        parts += [piece.encode("utf-8"), _array_text(array, len(line) - len(line.lstrip(" ")))]
-    return b"".join([*parts, pieces[-1].encode("utf-8"), b"\n"])
+    for i, array in enumerate(holes):
+        line = pieces[i][pieces[i].rfind("\n") + 1 :]
+        pieces[i] += _array_text(array, len(line) - len(line.lstrip(" ")))
+    return "".join([*pieces, "\n"]).encode("utf-8")
 
 
 def canonical_json_bytes(obj: Any) -> bytes:

@@ -13,7 +13,9 @@ Laws under test:
    the library does. ``reduce``'s payload is ``check_reduction``'s report,
    with its sampled patterns only under ``--dump``.
 2. Reports are byte-identical across reruns with identical inputs, and the
-   config hash tracks spec file *contents*, not just paths.
+   config hash tracks spec file *contents*, not just paths. A ``ball``
+   report at the benchmark's sizes is byte for byte the standard
+   library's indented dump of its own parsed value.
 3. Payload fixtures: sorted ball enumerations (Z^d and F_k, on both sides
    of pack_limit), the frozen packing scales,
    the annulus bound on the line, refutation search agreement with the
@@ -100,6 +102,16 @@ class TestEnvelopeAndDeterminism:
         assert manifest["command"] == "ball"
         assert manifest["tool_version"] == TOOL_VERSION
         assert len(manifest["config_hash"]) == 64
+
+    @pytest.mark.parametrize("group, center, radius", [("Z^2", "[3,-4]", 60), ("Z^3", "[-7,2,5]", 14),
+                                                       ("Z^1", "0", 1000)])
+    def test_ball_report_is_the_indented_dump_at_benchmark_sizes(self, tmp_path, group, center, radius):
+        """The arrays of a large ball report are laid out to exactly the
+        bytes the standard library's indented dump writes for their lists."""
+        code, data = run_to_file(tmp_path, ["ball", group, center, str(radius)])
+        assert code == 0
+        assert len(payload_of(data)["result"]) == ball_size(FreeAbelian(int(group[2:])), radius)
+        assert data == (json.dumps(json.loads(data), sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
     def test_byte_identical_reruns(self, tmp_path, pc3_spec):
         out = tmp_path / "report.json"

@@ -12,14 +12,15 @@ Laws under test:
    pass the reducer unchanged. An integer past the interpreter's
    int-to-string digit limit is written exactly, and the limit is
    restored after the dump. Integer arrays of one and two axes may stand
-   in for their lists, and are written from numpy to the same bytes; no
-   string can pass for one.
+   in for their lists, and are laid out by one format over their entries,
+   never walked by the JSON encoder, to the same bytes; no string can pass
+   for one.
 3. The config hash changes when any determining input changes (parameters,
    seed, spec file contents) and only then; it is the SHA-256 of the
    description's canonical bytes.
 4. Envelopes carry the fixed schema version, the manifest, and a fully
    reduced payload, whose integer arrays of one and two axes are kept
-   for the encoder to write from numpy.
+   for the encoder to lay out by one format over their entries.
 """
 
 import json
@@ -152,7 +153,7 @@ class TestCanonicalBytes:
     @example(value=np.array([[1, -2], [30, 4]]))
     def test_equals_indented_python_encoder(self, value):
         """Also with integer arrays of one and two axes in place of their
-        lists, nested and repeated: each is laid out from numpy."""
+        lists, nested and repeated: each is laid out by one format."""
         expected = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False, default=np.ndarray.tolist)
         assert json_bytes(value) == (expected + "\n").encode("utf-8")
 
