@@ -52,7 +52,6 @@ from .reduction import (
     decompose,
     derived_join_from_local,
     extend_reduced,
-    monotone_R,
     project,
     reduced_contains,
     separated,
@@ -115,7 +114,6 @@ __all__ = [
     "infty_check",
     "infty_counting_bound",
     "is_extendable_at",
-    "monotone_R",
     "parse_group",
     "project",
     "rare_color_check",

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from operator import add
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -59,46 +59,40 @@ class BudgetError(RuntimeError):
 
 class Group:
     """Base class: a finitely generated group with a fixed symmetric
-    generating set, canonical element forms, and the word metric."""
+    generating set, canonical element forms, and the word metric. Each
+    family sets ``name`` and ``pack_limit`` and defines, one line a method:
+
+    - ``identity()``: the identity element.
+    - ``generators()``: the symmetric generating set S (closed under inverse, no identity).
+    - ``mul(g, h)``: the product g*h in canonical form.
+    - ``inv(g)``: the inverse of g.
+    - ``validate(g)``: raise ValueError unless g is a canonical element.
+    - ``norm(g)``: the word length of g.
+    - ``sort_key(g)``: the canonical (serialization) order key.
+    - ``element_to_json(g)``: g's JSON form.
+    - ``element_from_json(obj)``: the element of that JSON form; ValueError if malformed.
+    - ``ball_arrays(radius)``: Ball(1, radius) as arrays ``(norms, step, packed)``, see below.
+    - ``decode_ball(norms, step, packed)``: the elements of those arrays, in their order.
+    - ``element_at_distance(t)``: some element at distance exactly t from the identity.
+    - ``pack(elements)``: the elements as the rows of one integer array.
+    - ``mul_packed(A, B)``: the products a*b of packed rows, packed.
+    - ``dist_packed(A, B)``: dist(a, b) of packed rows.
+    - ``spec_string()``: the group's spec, which ``parse_group`` reads back.
+
+    ``ball_arrays`` builds the ball with no element object, breadth-first
+    and each layer sorted by ``sort_key``: ``norms`` are word lengths,
+    ``step[i, k]`` the index of generators()[k] * x_i (n where that leaves
+    the ball) and ``packed`` the rows of ``pack``. A negative radius gives
+    the empty ball; BudgetError comes before allocating when the peak can
+    pass memory (``_refuse_oversize``). Packed arguments broadcast over
+    every axis but the last."""
 
     name: str
-
-    def identity(self):
-        raise NotImplementedError
-
-    def generators(self) -> list:
-        """The symmetric generating set S (closed under inverse, no identity)."""
-        raise NotImplementedError
-
-    def mul(self, g, h):
-        """Product g*h in canonical form."""
-        raise NotImplementedError
-
-    def inv(self, g):
-        raise NotImplementedError
-
-    def validate(self, g):
-        """Raise ValueError if g is not a canonical element of this group."""
-        raise NotImplementedError
-
-    def norm(self, g) -> int:
-        """Word length of g."""
-        raise NotImplementedError
-
-    def sort_key(self, g):
-        """Canonical (serialization) order key."""
-        raise NotImplementedError
-
-    def element_to_json(self, g):
-        raise NotImplementedError
-
-    def element_from_json(self, obj):
-        raise NotImplementedError
-
-    # -- metric ---------------------------------------------------------
+    pack_limit: int  # the largest norm of a row of machine integers
 
     def dist(self, g, h) -> int:
         """Word length of h*g^-1 (right-invariant)."""
+        # both families override it; perfbench/tracer.py counts calls by this name
         return self.norm(self.mul(h, self.inv(g)))
 
     def ball(self, center, r: Radius) -> list:
@@ -107,51 +101,6 @@ class Group:
         breadth-first, and on Z^d each layer sorted canonically. A rational
         radius acts as its floor."""
         return [self.mul(w, center) for w in identity_ball(self, r)]
-
-    def ball_arrays(self, radius: int) -> tuple:
-        """Ball(1, radius) as arrays, built with no loop over its elements
-        and no element object: ``(norms, step, packed)``. The ball is listed
-        breadth-first, each layer sorted by ``sort_key``: ``norms`` are its
-        points' word lengths, ``step[i, k]`` the index of generators()[k] *
-        x_i (n where that leaves the ball), and ``packed`` the ball in
-        ``pack``'s form. ``decode_ball`` gives the elements themselves. A
-        negative radius gives the empty ball. Raises BudgetError, before
-        allocating, when its peak can pass memory (``_refuse_oversize``)."""
-        raise NotImplementedError
-
-    def decode_ball(self, norms: np.ndarray, step: np.ndarray, packed: np.ndarray) -> list:
-        """The elements of the ball that ``ball_arrays`` gave as these
-        arrays, in its order."""
-        raise NotImplementedError
-
-    def element_at_distance(self, t: int):
-        """Some element at distance exactly t from the identity."""
-        raise NotImplementedError
-
-    # -- packed arrays ----------------------------------------------------
-
-    pack_limit: int  # the largest norm of a row of machine integers
-
-    def pack(self, elements: Sequence) -> np.ndarray:
-        """The elements as the rows of one integer array, the form that
-        ``mul_packed`` and ``dist_packed`` read: machine integers while
-        every norm is at most pack_limit, and otherwise Python ints in an
-        object array."""
-        raise NotImplementedError
-
-    def mul_packed(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """The products a*b of packed elements, packed, broadcast over every
-        axis but the last: machine integers while every |a| + |b| is at most
-        pack_limit, and Python ints otherwise."""
-        raise NotImplementedError
-
-    def dist_packed(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        """dist(a, b) of packed elements, broadcast like ``mul_packed``:
-        int64, or Python ints where rows of Z^d are."""
-        raise NotImplementedError
-
-    def spec_string(self) -> str:
-        raise NotImplementedError
 
     def __eq__(self, other):
         return isinstance(other, Group) and self.spec_string() == other.spec_string()

@@ -43,7 +43,7 @@ import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import combinations, compress
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -66,17 +66,15 @@ NO_COLOR, OFF_PALETTE, UNCODED = -1, -2, -3
 class IdealSpec:
     """Base class for pattern ideals. Membership must be closed under
     restriction and under the shift action (the axioms checker samples for
-    exactly that)."""
+    exactly that). Each kind sets ``kind`` and ``group`` and defines, one
+    line a method:
+
+    - ``contains(phi)``: whether the pattern phi is a member.
+    - ``locality_radius(color)``: the window radius r(color) under which membership is local.
+    - ``to_json()``: the ideal's JSON spec, which ``ideal_from_json`` reads back."""
 
     kind: str
     group: Group
-
-    def contains(self, phi: PartialColoring) -> bool:
-        raise NotImplementedError
-
-    def locality_radius(self, color) -> Radius:
-        """The window radius r(color) under which membership is local."""
-        raise NotImplementedError
 
     def max_color(self) -> Optional[int]:
         """Largest color the ideal can ever accept (None when unbounded).
@@ -134,9 +132,6 @@ class IdealSpec:
             if self.contains(PartialColoring._of_valid(g, {**phi.entries, gamma: c})):
                 return c
         return None
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_json()!r})"
@@ -201,17 +196,16 @@ class PairwiseIdeal(IdealSpec):
     two of its points x, y have lo <= dist(x, y) <= hi for (lo, hi) the band
     of their colors. A subclass sets ``palette_size`` and
     ``outside_palette_raises`` (raise PaletteExhausted, or just reject) and
-    defines ``band``, which is compiled on first use into a palette x
-    palette table. Every band has lo >= 1, so no point clashes with itself."""
+    defines, besides IdealSpec's ``locality_radius`` and ``to_json``:
+
+    - ``band(a, b)``: the distances (lo, hi) at which colors a >= b may not meet; None for none.
+
+    The bands are compiled on first use into a palette x palette table.
+    Every band has lo >= 1, so no point clashes with itself."""
 
     palette_size: int
     outside_palette_raises = True
     _forbid: Optional[np.ndarray] = None  # the compiled bands, see _compiled
-
-    def band(self, a: int, b: int) -> Optional[Tuple[int, Radius]]:
-        """The distances (lo, hi) at which colors a >= b may not meet, or
-        None when they may meet at any distance."""
-        raise NotImplementedError
 
     @cached_property
     def _bands(self) -> _Table:
@@ -454,21 +448,16 @@ def ideal_from_json(obj: dict) -> IdealSpec:
 class JoinFn:
     """An invariant map from patterns to radii, used to decide when two
     patterns are far enough apart for their union to stay in an ideal.
-    Every shipped form sends the empty pattern to 0 and is monotone
-    (larger pattern, no smaller value)."""
+    A join function must send the empty pattern to 0 and be monotone
+    (larger pattern, no smaller value), as both shipped forms do: the
+    reduced ideal is restriction-closed only for such R. Each form defines,
+    one line a method:
 
-    monotone: bool = False
-
-    def value(self, phi: PartialColoring) -> Radius:
-        raise NotImplementedError
-
-    def to_json(self) -> dict:
-        raise NotImplementedError
+    - ``value(phi)``: the radius R(phi).
+    - ``to_json()``: the form's JSON spec, which ``join_fn_from_json`` reads back."""
 
 
 class ConstantJoin(JoinFn):
-    monotone = True
-
     def __init__(self, value):
         v = as_radius(value)
         if isinstance(v, Infinity):
@@ -484,8 +473,6 @@ class ConstantJoin(JoinFn):
 
 class SupRadiiJoin(JoinFn):
     """R(phi) = sup of r(color) over the colors phi uses (0 for empty)."""
-
-    monotone = True
 
     def __init__(self, r: Callable[[int], Radius], description=None):
         self.r = r

@@ -10,18 +10,18 @@ The reduced ideal P' over product colors (h, c) makes an arbitrary ideal P
 with a monotone join function R into a local one: a pattern belongs to P'
 iff around every point, with h its first coordinate, the second coordinates
 of the h-truncated radius-3h window form a member of P that fits in the
-radius-h ball and has R-value at most h. Projecting the second coordinate
-carries P' into P, and members of P' peel into pieces whose projections
-are pairwise-separated members of P — the machinery the decompose/extend
-operations implement. ``check_reduction`` spot-checks these laws on grown
-members of P'.
+radius-h ball and has R-value at most h. That R is monotone and sends the
+empty pattern to 0 is a precondition, which both shipped forms meet and
+nothing checks. Projecting the second coordinate carries P' into P, and
+members of P' peel into pieces whose projections are pairwise-separated
+members of P — the machinery the decompose/extend operations implement.
+``check_reduction`` spot-checks these laws on grown members of P'.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .groups import BudgetError, identity_ball
@@ -29,32 +29,6 @@ from .ideals import ConstantJoin, IdealSpec, JoinFn, SupRadiiJoin, col_window_ch
 from .patterns import PartialColoring, shift
 from .radii import Infinity, Radius, radius_ceil, radius_to_json
 from .reports import Report
-
-
-def monotone_R(R: JoinFn, phi: PartialColoring) -> Radius:
-    """The monotone envelope sup{R(psi) : psi a subpattern of phi}.
-
-    Equals R(phi) for join functions declared monotone; otherwise computed
-    by exhaustive subset enumeration, which is refused beyond 14 points.
-    The empty pattern always yields 0 (sup over nothing).
-    """
-    if len(phi) == 0:
-        return 0
-    if R.monotone:
-        return R.value(phi)
-    dom = list(phi.domain())
-    if len(dom) > 14:
-        raise BudgetError(
-            f"subset enumeration over {len(dom)} points refused (limit 14); "
-            "declare the join function monotone instead"
-        )
-    best: Radius = 0
-    for k in range(len(dom) + 1):
-        for sub in combinations(dom, k):
-            v = R.value(phi.restrict(sub))
-            if v > best:
-                best = v
-    return best
 
 
 def separated(phi: PartialColoring, psi: PartialColoring, R: JoinFn) -> bool:
@@ -137,11 +111,8 @@ def check_join(
 
     def assess(pieces: Sequence[PartialColoring]):
         union = P.empty()
-        try:
-            for piece in pieces:
-                union = union.union(piece)
-        except ValueError:
-            return  # overlapping domains: not a separated tuple after all
+        for piece in pieces:  # separated pieces have disjoint domains
+            union = union.union(piece)
         if not P.contains(union):
             report.violations.append(
                 {
@@ -252,9 +223,9 @@ def project(phi: PartialColoring) -> PartialColoring:
 
 class ReducedIdeal(IdealSpec):
     """The local product-coded companion of (base, R); see the module
-    docstring. R must be monotone for restriction-closure (the shipped
-    forms are); non-monotone functions are folded through their monotone
-    envelope, at exponential cost."""
+    docstring. Precondition: R is monotone and sends the empty pattern to
+    0, as the shipped forms do; otherwise the ideal need not be closed
+    under restriction."""
 
     kind = "Reduced"
 
@@ -339,7 +310,7 @@ def reduced_contains(RI: ReducedIdeal, phi: PartialColoring) -> bool:
         psi = PartialColoring._of_valid(g, window)
         if not RI.base.contains(psi):
             return False
-        if not monotone_R(RI.R, psi) <= h:
+        if not RI.R.value(psi) <= h:
             return False
     return True
 
@@ -404,7 +375,7 @@ def _extend_member(RI: ReducedIdeal, phi: PartialColoring, gamma, c_max: Optiona
         )
     # extend_at returned a color, so it has validated gamma
     psi_ext = PartialColoring._of_valid(g, {**psi.entries, gamma: c})
-    rv = monotone_R(RI.R, psi_ext)
+    rv = RI.R.value(psi_ext)
     if isinstance(rv, Infinity):
         raise BudgetError("the join function is unbounded on the extended projection")
     h = max(0, radius_ceil(rv))

@@ -10,7 +10,7 @@ from shiftcolor.groups import BudgetError, ball_size, identity_ball
 from shiftcolor.ideals import PairwiseIdeal
 from shiftcolor.patterns import truncated_window
 from shiftcolor.radii import Infinity, radius_ceil
-from shiftcolor.reduction import ReducedIdeal, monotone_R, project
+from shiftcolor.reduction import ReducedIdeal, project
 
 
 def admits(P, phi, gamma, c):
@@ -102,7 +102,7 @@ def reduced_contains(RI, phi):
         psi = project(win)
         if not RI.base.contains(psi):
             return False
-        if not monotone_R(RI.R, psi) <= h:
+        if not RI.R.value(psi) <= h:
             return False
     return True
 
@@ -128,7 +128,7 @@ def extend_reduced(RI, phi, gamma, c_max=None):
         )
     psi_ext = psi.with_entry(gamma, c)
     h = 0
-    rv = monotone_R(RI.R, psi_ext)
+    rv = RI.R.value(psi_ext)
     if isinstance(rv, Infinity):
         raise BudgetError("the join function is unbounded on the extended projection")
     h = max(h, radius_ceil(rv))

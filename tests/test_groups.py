@@ -31,7 +31,9 @@ Laws under test:
    replaced, and ``lex_ball`` lists the same points in lexicographic order.
 5. Conventions: minimum distance between sets is infinite when a set is
    empty; budget exhaustion raises loudly, and a negative budget is refused
-   as a usage error.
+   as a usage error. So are a group of rank or dimension 0, F_27 and up,
+   a malformed JSON element, a negative d-sequence count and a negative
+   annulus d, each with its message.
 """
 
 import os
@@ -111,6 +113,16 @@ class TestParseGroup:
         with pytest.raises(ValueError):
             parse_group("Z^0")
 
+    @pytest.mark.parametrize(
+        "family, size, message",
+        [(FreeAbelian, 0, "dimension must be >= 1, got 0"), (FreeGroup, 0, "rank must be >= 1, got 0"),
+         (FreeGroup, 27, "ranks above 26 are not supported")],
+        ids=["Z^0", "F_0", "F_27"],
+    )
+    def test_constructors_refuse_sizes(self, family, size, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            family(size)
+
 
 class TestFrozenFacts:
     def test_free_reduction(self):
@@ -150,6 +162,15 @@ class TestFrozenFacts:
         assert Z1.identity() == 0
         assert Z1.element_to_json(-3) == -3
         assert Z1.element_from_json(-3) == -3
+
+    @pytest.mark.parametrize(
+        "g, obj",
+        [(Z1, "3"), (Z1, True), (Z1, [1, 2]), (Z1, [True]), (Z2, 3), (Z2, [1]), (Z2, [1, 2, 3])],
+        ids=["z1-str", "z1-bool", "z1-pair", "z1-bool-list", "z2-int", "z2-short", "z2-long"],
+    )
+    def test_malformed_json_elements_are_refused(self, g, obj):
+        with pytest.raises(ValueError, match=f"^not a {re.escape(g.name)} element: {re.escape(repr(obj))}$"):
+            g.element_from_json(obj)
 
 
 class TestMetricLaws:
@@ -305,6 +326,10 @@ class TestDSequence:
     def test_negative_budget_is_refused(self):
         with pytest.raises(ValueError, match="nonnegative"):
             d_sequence(Z1, 3, budget=-1)
+
+    def test_negative_count_is_refused(self):
+        with pytest.raises(ValueError, match="^count must be >= 0, got -1$"):
+            d_sequence(Z1, -1)
 
 
 def _all_pairs_d_sequence(group, count, budget=64):
@@ -469,6 +494,11 @@ class TestAnnulus:
     def test_negative_budget_is_refused(self):
         with pytest.raises(ValueError, match="nonnegative"):
             annulus_D(Z1, 1, budget=-1)
+
+    @pytest.mark.parametrize("d", [-1, "1"])
+    def test_d_must_be_a_natural(self, d):
+        with pytest.raises(ValueError, match=f"^d must be a nonnegative integer, got {re.escape(repr(d))}$"):
+            annulus_D(Z1, d)
 
 
 def _word_of_length(draw, group, n):

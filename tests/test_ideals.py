@@ -43,11 +43,15 @@ Laws under test:
 8. The same holds with one matrix per row (the axioms audit's form), each
    row laying a random choice of the offsets on its slots in an order of
    its own, also on blocks of no rows and on rows of no slots.
+9. Malformed specs are refused with a ValueError naming the fault: no
+   colours, a fractional or too long h, a D of the wrong length, an
+   unknown kind and an infinite constant join radius.
 """
 
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from itertools import combinations, groupby, product
@@ -543,6 +547,7 @@ class TestJoinFns:
         R = SupRadiiJoin(lambda c: c + 1, description="c+1")
         assert R.value(PartialColoring(Z1, {0: 0, 5: 2})) == 3
         assert R.value(PartialColoring(Z1, {})) == 0
+        assert SupRadiiJoin(lambda c: 1, description=[1, 1, 1]).value(PartialColoring(Z1, {0: 0, 1: 1})) == 1
 
 
 class TestJson:
@@ -561,6 +566,22 @@ class TestJson:
         assert clone == kind
         probe = PartialColoring(kind.group, {kind.group.identity(): 0})
         assert clone.contains(probe) == kind.contains(probe)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ProperColoring(Z1, 0), "need at least one color, got k=0"),
+            (lambda: DistanceConstrained(Z1, (1, 3), ("1/2",)), "h entries must be naturals or 'inf', got '1/2'"),
+            (lambda: DistanceConstrained(Z1, (1,), (1, 2)), "h sequence may not be longer than the d sequence"),
+            (lambda: NotUniversal(Z1, (1, 3), (5,)), "d and D must have the same length"),
+            (lambda: ideal_from_json({"kind": "Rainbow", "group": "Z^1"}), "unknown ideal kind 'Rainbow'"),
+            (lambda: ConstantJoin("inf"), "a constant join radius must be finite"),
+        ],
+        ids=["proper-k0", "h-fraction", "h-longer", "D-length", "unknown-kind", "constant-inf"],
+    )
+    def test_bad_specs_are_refused(self, build, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 # -- the pairwise-rule engine against the loops it replaced ----------------------

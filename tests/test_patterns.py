@@ -2,12 +2,13 @@
 
 Laws under test:
 1. Construction validates elements and colors and refuses conflicting
-   duplicate assignments.
+   duplicate assignments; a pattern is immutable.
 2. Shift: dom(g . phi) = dom(phi) shifted, values follow; the action law
    shift(shift(phi, g), d) = shift(phi, d*g) holds exactly (left action);
    the shifted entries, built without a second validation, are valid;
    ``shift`` still rejects a non-canonical gamma.
-3. Window / restrict / union behave as set operations on graphs of maps.
+3. Window / restrict / union behave as set operations on graphs of maps;
+   a union across groups is refused.
 4. JSON round trip is the identity; canonical keys are order-insensitive.
 5. Validation happens once, at the boundary: every derived pattern
    (``with_entry``, ``restrict``, ``remove``, ``union``, ``window``,
@@ -89,6 +90,17 @@ class TestConstruction:
             PartialColoring(Z1, {0: True})
         with pytest.raises(ValueError):
             PartialColoring(Z1, {0: (1, 2, 3)})
+
+    def test_refuses_two_colors_at_one_element(self):
+        with pytest.raises(ValueError, match="^element 0 is assigned two colors$"):
+            PartialColoring(Z1, [(0, 1), (0, 2)])
+        assert PartialColoring(Z1, [(0, 1), (0, 1)]).entries == {0: 1}
+
+    def test_immutable(self):
+        phi = PartialColoring(Z1, {0: 1})
+        with pytest.raises(AttributeError, match="^PartialColoring is immutable$"):
+            phi.entries = {}
+        assert phi.entries == {0: 1}
 
     def test_product_colors_allowed(self):
         phi = PartialColoring(Z1, {0: (2, 1)})
@@ -185,6 +197,10 @@ class TestWindowRestrict:
         b = PartialColoring(Z1, {0: 2})
         with pytest.raises(ValueError):
             a.union(b)
+
+    def test_union_across_groups_raises(self):
+        with pytest.raises(ValueError, match="^cannot union patterns over different groups$"):
+            PartialColoring(Z1, {0: 1}).union(PartialColoring(F2, {}))
 
     def test_domain_dist(self):
         a = PartialColoring(Z1, {0: 1})

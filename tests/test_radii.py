@@ -4,8 +4,9 @@ Laws under test:
 1. Ordering: the infinite radius exceeds every finite radius, from both sides.
 2. Absorption: infinity + finite = infinity.
 3. Parsing accepts ints, Fractions, "p/q" strings, [num, den] pairs, "inf";
-   rejects floats, bools, negatives, pairs of non-integers and zero
-   denominators, each as a ValueError.
+   rejects floats, bools, negatives, pairs of non-integers or of other
+   than two entries, zero denominators and other objects, each as a
+   ValueError. Scaling the infinite radius by 0 is a ValueError too.
 4. JSON round trip is the identity on canonical values.
 """
 
@@ -49,6 +50,10 @@ class TestInfinity:
     def test_multiplication_absorbs(self):
         assert 2 * INF is INF
         assert INF * 3 is INF
+
+    def test_scaling_by_zero_is_refused(self):
+        with pytest.raises(ValueError, match="^cannot scale an infinite radius by 0$"):
+            INF * 0
 
 
 class TestAsRadius:
@@ -98,6 +103,15 @@ class TestAsRadius:
     def test_pair_entries_must_be_integers(self, pair):
         with pytest.raises(ValueError, match="radius pair entry must be an integer"):
             as_radius(pair)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [([1, 2, 3], "radius pair must have two entries"), (object(), "cannot interpret <object")],
+        ids=["three-entries", "object"],
+    )
+    def test_other_forms_are_refused(self, value, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            as_radius(value)
 
 
 class TestStrictParsers:
@@ -151,4 +165,5 @@ class TestJson:
     def test_encodings(self):
         assert radius_to_json(3) == 3
         assert radius_to_json(Fraction(7, 2)) == "7/2"
+        assert radius_to_json(Fraction(6, 2)) == 3  # an integral Fraction no parser makes
         assert radius_to_json(INF) == "inf"

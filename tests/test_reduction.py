@@ -1,8 +1,9 @@
 """The join property, the local criterion, and the radius-tracking reduction.
 
 Laws under test:
-1. monotone_R: empty pattern maps to 0; monotone join functions evaluate
-   directly; non-monotone ones take the sup over sub-patterns (budgeted).
+1. Join functions are monotone and send the empty pattern to 0, a
+   precondition of the reduced ideal; test_ideals.py checks the shipped
+   forms' values.
 2. separated: domains farther apart than the sum of the two R-values;
    empty domains are infinitely far, hence always separated.
 3. check_join: unions of pairwise separated members stay members for local
@@ -52,7 +53,6 @@ from shiftcolor.reduction import (
     derived_join_from_local,
     extend_reduced,
     join_fn_from_json,
-    monotone_R,
     project,
     reduced_contains,
     separated,
@@ -87,35 +87,6 @@ class OneNeedsZero(IdealSpec):
 
 def pat(d):
     return PartialColoring(Z1, d)
-
-
-class TestMonotoneR:
-    def test_empty_is_zero(self):
-        assert monotone_R(R_ONE, pat({})) == 0
-        assert monotone_R(ConstantJoin(5), pat({})) == 0
-
-    def test_monotone_direct(self):
-        assert monotone_R(R_ONE, pat({0: 0, 1: 1})) == 1
-
-    def test_constant_on_nonempty(self):
-        assert monotone_R(ConstantJoin(5), pat({0: 0})) == 5
-
-    def test_non_monotone_takes_subset_sup(self):
-        # drops to 0 on patterns with two entries, so the sup over subsets
-        # is attained at a singleton
-        weird = SupRadiiJoin(lambda c: 3, description="3 unless big")
-        weird.monotone = False
-        weird.value = lambda phi: 3 if len(phi) <= 1 else 0
-        assert monotone_R(weird, pat({0: 0, 9: 0})) == 3
-
-    def test_budget_guard(self):
-        from shiftcolor.groups import BudgetError
-
-        weird = SupRadiiJoin(lambda c: 1, description="r==1")
-        weird.monotone = False
-        big = pat({i: 0 for i in range(0, 40, 2)})
-        with pytest.raises(BudgetError):
-            monotone_R(weird, big)
 
 
 class TestSeparated:
@@ -292,7 +263,7 @@ class TestDecompose:
         for piece in dec.pieces:
             psi = project(piece)
             assert PC3.contains(psi)
-            assert monotone_R(R_ONE, psi) <= dec.h_bound
+            assert R_ONE.value(psi) <= dec.h_bound
             assert reduced_contains(RED, piece)
             merged.update(piece.entries)
         assert merged == dict(phi.entries)
