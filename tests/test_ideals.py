@@ -547,7 +547,6 @@ class TestJoinFns:
         R = SupRadiiJoin(lambda c: c + 1, description="c+1")
         assert R.value(PartialColoring(Z1, {0: 0, 5: 2})) == 3
         assert R.value(PartialColoring(Z1, {})) == 0
-        assert SupRadiiJoin(lambda c: 1, description=[1, 1, 1]).value(PartialColoring(Z1, {0: 0, 1: 1})) == 1
 
 
 class TestJson:

@@ -2,8 +2,7 @@
 
 Laws under test:
 1. Join functions are monotone and send the empty pattern to 0, a
-   precondition of the reduced ideal; test_ideals.py checks the shipped
-   forms' values.
+   precondition of the reduced ideal; R.value evaluates them directly.
 2. separated: domains farther apart than the sum of the two R-values;
    empty domains are infinitely far, hence always separated.
 3. check_join: unions of pairwise separated members stay members for local
@@ -87,6 +86,18 @@ class OneNeedsZero(IdealSpec):
 
 def pat(d):
     return PartialColoring(Z1, d)
+
+
+class TestMonotoneR:
+    def test_empty_is_zero(self):
+        assert R_ONE.value(pat({})) == 0
+        assert ConstantJoin(5).value(pat({})) == 0
+
+    def test_monotone_direct(self):
+        assert R_ONE.value(pat({0: 0, 1: 1})) == 1
+
+    def test_constant_on_nonempty(self):
+        assert ConstantJoin(5).value(pat({0: 0})) == 5
 
 
 class TestSeparated:
