@@ -20,14 +20,19 @@ Ball(1, r)*g, in the order of Ball(1, r).
 Elements also have a packed form, one row of an integer array per element,
 on which products and distances are computed for many elements at once
 (``pack``, ``mul_packed``, ``dist_packed``, ``distance_block``); the scalar
-``mul`` and ``dist`` are their references. Rows are machine integers while
-every norm is at most ``pack_limit``, and Python ints in object arrays past
-it, on which the same numpy code is exact; ``mul_packed`` takes Python ints
+``mul`` and ``dist`` are their references. A Z^d row is the coordinates.
+An F_k row is (numeral, length, fields): the base-(2k+1) numeral that
+element codes read, the word's length, and the word as b-bit letter
+fields, on which a distance is one XOR and a trailing-zero count and a
+product a few shifts and masks. Rows are machine integers while every norm
+is at most ``pack_limit``, and Python ints in object arrays past it, on
+which the same numpy code is exact; ``mul_packed`` takes Python ints
 itself where a product may pass ``pack_limit``. ``ball_arrays`` returns the
-ball in that form: its coordinates on Z^d, and on F_k numerals filled a
-layer at a time from each word's parent and first letter. ``decode_ball``
-reads the elements back: Z^d points from their coordinates, F_k words from
-the generator table.
+ball in that form: its coordinates on Z^d, and on F_k rows filled a range
+of parents at a time, each word from its parent and first letter, beside
+the generator table in the layout a Region keeps. ``decode_ball`` reads
+the elements back: Z^d points from their coordinates, F_k words from
+their parents' words, by the same ranges.
 
 Also here: the closed-form ball sizes, and the packing searches producing
 the radius sequences used by the distance-constrained ideals — minimal
@@ -82,7 +87,8 @@ class Group:
     ``ball_arrays`` builds the ball with no element object, breadth-first
     and each layer sorted by ``sort_key``: ``norms`` are word lengths,
     ``step[i, k]`` the index of generators()[k] * x_i (n where that leaves
-    the ball) and ``packed`` the rows of ``pack``. A negative radius gives
+    the ball; on F_k a view of the (2k, n + 1) table in ``index_dtype(n)``
+    that a Region keeps) and ``packed`` the rows of ``pack``. A negative radius gives
     the empty ball; BudgetError comes before allocating when the peak can
     pass memory (``_refuse_oversize``). Packed arguments broadcast over
     every axis but the last."""
@@ -110,6 +116,10 @@ class Group:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.spec_string()!r})"
+
+
+def _plain_int(c) -> bool:
+    return isinstance(c, int) and not isinstance(c, bool)
 
 
 class FreeAbelian(Group):
@@ -143,15 +153,8 @@ class FreeAbelian(Group):
         return self._generators
 
     def validate(self, g):
-        if self.dimension == 1:
-            if isinstance(g, int) and not isinstance(g, bool):
-                return
-            raise ValueError(f"not a {self.name} element: {g!r}")
-        if (
-            not isinstance(g, tuple)
-            or len(g) != self.dimension
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in g)
-        ):
+        if not (_plain_int(g) if self.dimension == 1 else
+                isinstance(g, tuple) and len(g) == self.dimension and all(map(_plain_int, g))):
             raise ValueError(f"not a {self.name} element: {g!r}")
 
     def mul(self, g, h):
@@ -282,21 +285,11 @@ class FreeAbelian(Group):
         return g if self.dimension == 1 else list(g)
 
     def element_from_json(self, obj):
-        if self.dimension == 1:
-            if isinstance(obj, int) and not isinstance(obj, bool):
-                return obj
-            if (
-                isinstance(obj, (list, tuple))
-                and len(obj) == 1
-                and isinstance(obj[0], int)
-                and not isinstance(obj[0], bool)
-            ):
-                return obj[0]
-            raise ValueError(f"not a {self.name} element: {obj!r}")
-        if isinstance(obj, (list, tuple)) and len(obj) == self.dimension:
-            g = tuple(obj)
-            self.validate(g)
-            return g
+        # Z^1 takes a bare int too; a malformed object is named as given
+        if self.dimension == 1 and _plain_int(obj):
+            return obj
+        if isinstance(obj, (list, tuple)) and len(obj) == self.dimension and all(map(_plain_int, obj)):
+            return obj[0] if self.dimension == 1 else tuple(obj)
         raise ValueError(f"not a {self.name} element: {obj!r}")
 
     def element_at_distance(self, t):
@@ -312,6 +305,7 @@ class FreeAbelian(Group):
 
 _LOWER = string.ascii_lowercase
 _UPPER = string.ascii_uppercase
+_bit_length = np.frompyfunc(int.bit_length, 1, 1)  # of each Python int of an object array
 
 
 class FreeGroup(Group):
@@ -328,14 +322,19 @@ class FreeGroup(Group):
         self.name = f"F_{rank}"
         self._letters = _LOWER[:rank] + _UPPER[:rank]
         self._generators = [c for pair in zip(_LOWER[:rank], _UPPER[:rank]) for c in pair]
-        # the longest words whose every numeral fits 64 bits: the largest L
-        # with base^L <= 2^64, and base^t for t <= L, the powers numerals meet
-        base, self.pack_limit = 2 * rank + 1, 0
-        while base ** (self.pack_limit + 1) <= 1 << 64:
-            self.pack_limit += 1
+        # the longest words whose numerals and fields fit 64 bits: the
+        # largest L with base^L <= 2^64 and b * L <= 64, and base^t for t <=
+        # L, the powers numerals meet
+        base, numerals, self._bits = 2 * rank + 1, 0, (2 * rank - 1).bit_length()
+        while base ** (numerals + 1) <= 1 << 64:
+            numerals += 1
+        self.pack_limit = min(numerals, 64 // self._bits)
         self._powers = np.array([base**t for t in range(self.pack_limit + 1)], dtype=np.uint64)
+        codes, top = np.frombuffer(self._letters.encode(), dtype=np.uint8), 1 << (self._bits - 1)
         self._digit_of = np.zeros(128, dtype=np.uint64)  # each letter's digit, by its ASCII code
-        self._digit_of[np.frombuffer(self._letters.encode(), dtype=np.uint8)] = np.arange(1, base)
+        self._digit_of[codes] = np.arange(1, base)
+        self._field_of = np.zeros(128, dtype=np.uint64)  # and its field
+        self._field_of[codes] = [i + top * upper for upper in (0, 1) for i in range(rank)]
 
     def identity(self):
         return ""
@@ -378,72 +377,71 @@ class FreeGroup(Group):
     def sort_key(self, g):
         return (len(g), g)
 
-    def ball_arrays(self, radius):
-        # Layer t+1 prepends each letter, in ASCII order, to the words of
-        # layer t it does not cancel, so it comes out in shortlex order. The
-        # Cayley graph is a tree: gens[j] * x is x's child with first letter
-        # gens[j], or x's parent (x without its first letter) when x starts
-        # with the inverse letter gens[j ^ 1]. A child's numeral is its
-        # parent's plus its first letter's digit times base^(t - 1), so the
-        # numerals are filled a layer at a time.
-        _refuse_oversize(self, radius)
+    def _ranges(self, radius: int):
+        """Ball(1, radius) in ball order as ranges of parents: per layer t
+        >= 1 and letter gens[j] in ASCII order, (t, j, start, stop, child),
+        the words start..stop - 1 of layer t - 1 having the children child..
+        with first letter gens[j]. Layer t prepends each letter to the words
+        of layer t - 1 it does not cancel, so it comes out in shortlex
+        order: a run of children per first letter, every run as long. So
+        the parents of letter j's run are layer t - 1 less its run of gens[j
+        ^ 1], two ranges."""
         gens = self._generators
-        if radius < 0:
-            nothing = np.zeros(0, dtype=np.int64)
-            return nothing, nothing.reshape(0, len(gens)), np.zeros((0, 2), dtype=np.uint64)
-        powers = self._powers_to(radius)
-        first, parent, numeral, norms = self._tree(radius, powers)
-        n = len(first)
-        step = np.full((n, len(gens)), n, dtype=np.int64)
-        child = np.arange(1, n)
-        step[parent[1:], first[1:]] = child
-        step[child, first[1:] ^ 1] = parent[1:]
-        del first, parent, child  # before the packed rows, which can take their place
-        return norms, step, np.column_stack([numeral, norms.astype(powers.dtype)])
-
-    def _tree(self, radius: int, powers: np.ndarray) -> tuple:
-        """Per word of Ball(1, radius) in ball order: the gens index of its
-        first letter (-1 for the identity), its parent's index (the identity
-        is its own), its numeral and its length, built a layer at a time in
-        lists that are gone when this returns, before the table is."""
-        gens = self._generators
-        digit = self._digit_of[[ord(a) for a in gens]].astype(powers.dtype)
-        letter_order = sorted(range(len(gens)), key=gens.__getitem__)
-        firsts, parents, numerals = [np.array([-1])], [np.array([0])], [np.zeros(1, dtype=powers.dtype)]
+        order = sorted(range(len(gens)), key=gens.__getitem__)
         lo = 0
         for t in range(1, radius + 1):
-            layer_first = firsts[-1]
-            keep = [lo + np.flatnonzero(layer_first != j ^ 1) for j in letter_order]
-            firsts.append(np.repeat(letter_order, [len(k) for k in keep]))
-            parents.append(np.concatenate(keep))
-            numerals.append(digit[firsts[-1]] * powers[t - 1] + numerals[-1][parents[-1] - lo])
-            lo += len(layer_first)
-        norms = np.repeat(np.arange(radius + 1), [len(f) for f in firsts])
-        return np.concatenate(firsts), np.concatenate(parents), np.concatenate(numerals), norms
+            hi = ball_size(self, t - 1)
+            run, child = (hi - lo) // len(gens), hi  # a run of layer t - 1: none in layer 0
+            for j in order:
+                skip = lo + order.index(j ^ 1) * run
+                for start, stop in ((lo, skip), (skip + run, hi)):
+                    if start < stop:
+                        yield t, j, start, stop, child
+                        child += stop - start
+            lo = hi
+
+    def ball_arrays(self, radius):
+        # The Cayley graph is a tree: gens[j] * x is x's child with first
+        # letter gens[j], or x's parent (x without its first letter) when x
+        # starts with the inverse letter gens[j ^ 1]. A child's numeral is
+        # its parent's plus its first letter's digit times base^(t - 1), and
+        # its fields its parent's plus its first letter's field b(t - 1) bits
+        # up. The packed rows, their columns contiguous, and the generator
+        # table, in the layout a Region keeps (a row per generator, in
+        # index_dtype(n), with the sentinel column n), are filled in place, a
+        # range of parents at a time (_ranges).
+        _refuse_oversize(self, radius)
+        gens, base, bits = self._generators, 2 * self.rank + 1, self._bits
+        n = ball_size(self, radius)
+        norms = np.repeat(np.arange(radius + 1), [ball_size(self, t) - ball_size(self, t - 1) for t in range(radius + 1)])
+        table = np.full((len(gens), n + 1), n, dtype=index_dtype(n))
+        packed = np.zeros((3, n), dtype=object if radius > self.pack_limit else np.uint64).T
+        for t, j, start, stop, child in self._ranges(radius):
+            end = child + stop - start
+            table[j, start:stop] = np.arange(child, end)
+            table[j ^ 1, child:end] = np.arange(start, stop)
+            digit, field = int(self._digit_of[ord(gens[j])]), int(self._field_of[ord(gens[j])])
+            added = np.array([digit * base ** (t - 1), field << bits * (t - 1)], dtype=packed.dtype)
+            np.add(packed[start:stop, ::2], added, out=packed[child:end, ::2])
+        packed[:, 1] = norms
+        return norms, table[:, :n].T, packed
 
     def decode_ball(self, norms, step, packed):
         # In ball order, each word but the identity is its first letter
-        # followed by its parent's word. Its other neighbours are its
-        # children, a layer further out, so its parent is the least entry of
-        # its table row, by the generator inverse to that letter. Parents lie
-        # in the layer before, so the words are decoded a run of one layer
-        # and one first letter at a time, from the table alone.
-        n = len(norms)
-        if n <= 1:
-            return [""] * n
-        back = step[1:].argmin(axis=1)
-        first, parents = back ^ 1, step[np.arange(1, n), back]
-        cut = np.flatnonzero((first[1:] != first[:-1]) | (norms[2:] != norms[1:-1])) + 1
-        bounds = [0, *cut.tolist(), n - 1]
-        words = [""]
-        for lo, hi, j in zip(bounds, bounds[1:], first[bounds[:-1]].tolist()):
-            words.extend(map(self._generators[j].__add__, map(words.__getitem__, parents[lo:hi].tolist())))
+        # followed by its parent's word, a range of parents at a time
+        words = [""][: len(norms)]
+        for _t, j, start, stop, _child in self._ranges(int(norms[-1]) if len(norms) else -1):
+            words.extend(map(self._generators[j].__add__, words[start:stop]))
         return words
 
-    # Packed: (numeral, length) rows, the numeral being the word read in base
-    # 2k+1 with letter i of "ab..AB.." as digit i + 1 and the last letter
-    # lowest, as in the element code: uint64 (F_1 numerals reach 3^40 >
-    # 2^63) up to pack_limit letters, and Python ints past that.
+    # Packed: (numeral, length, fields) rows. The numeral is the word read in
+    # base 2k+1 with letter i of "ab..AB.." as digit i + 1 and the last
+    # letter lowest, as in the element code. The fields are the word as
+    # b-bit letters, b = ceil(log2(2k)), the last letter lowest: generator i
+    # is i and its inverse i + 2^(b - 1), so inverse letters differ in the
+    # top bit alone, and "a" is the zero field, so every kernel reads a
+    # word's letters by its length. Rows are uint64 (F_1 numerals reach 3^40
+    # > 2^63) up to pack_limit letters, and Python ints past that.
 
     def _powers_to(self, top: int) -> np.ndarray:
         """base^t for t <= top: the uint64 table while top <= pack_limit,
@@ -454,66 +452,72 @@ class FreeGroup(Group):
 
     def pack(self, elements):
         # every letter's digit times base^(the letters after it in its word),
-        # summed per word as differences of one running sum over all words,
-        # in which a uint64 wrap cancels
+        # and its field shifted up b bits per letter after it, summed per
+        # word as differences of one running sum over all words, in which a
+        # uint64 wrap cancels
         lengths = np.fromiter(map(len, elements), dtype=np.int64, count=len(elements))
         powers = self._powers_to(int(lengths.max(initial=0)))
-        digits = self._digit_of[np.frombuffer("".join(elements).encode(), dtype=np.uint8)]
+        dtype = powers.dtype
+        letters = np.frombuffer("".join(elements).encode(), dtype=np.uint8)
         ends = np.cumsum(lengths)
-        sums = np.zeros(len(digits) + 1, dtype=powers.dtype)
-        np.cumsum(digits.astype(powers.dtype) * powers[np.repeat(ends, lengths) - np.arange(1, len(digits) + 1)],
-                  out=sums[1:])
-        return np.stack([sums[ends] - sums[ends - lengths], lengths.astype(powers.dtype)], axis=-1)
+        after = np.repeat(ends, lengths) - np.arange(1, len(letters) + 1)
+
+        def per_word(values):
+            sums = np.zeros(len(values) + 1, dtype=dtype)
+            np.cumsum(values, out=sums[1:])
+            return sums[ends] - sums[ends - lengths]
+
+        numerals = per_word(self._digit_of[letters].astype(dtype) * powers[after])
+        fields = per_word(self._field_of[letters].astype(dtype) << (self._bits * after).astype(dtype))
+        return np.stack([numerals, lengths.astype(dtype), fields], axis=-1)
+
+    def _common_suffix(self, fa, fb, cap):
+        """The letters in which fields fa and fb agree from the lowest, at
+        most cap: the trailing zero bits of fa ^ fb, b to a letter."""
+        x = np.asarray(fa ^ fb, dtype=np.result_type(fa, fb))  # numpy reads 0-d object results as scalars
+        if x.dtype == object:  # a bit at letter cap stands for the agreement past it
+            x = np.asarray(x | np.left_shift(1, (self._bits * cap).astype(object)), dtype=object)
+            return np.asarray((_bit_length(x & -x) - 1) // self._bits, dtype=np.int64)
+        x &= -x  # the lowest differing bit, 0 where none differs
+        x -= np.uint64(1)  # its trailing zeros as ones, all 64 where none differs
+        return np.minimum(np.bitwise_count(x) // self._bits, cap)
 
     def mul_packed(self, A, B):
         # The first c letters of b cancel the last c letters of a exactly when
-        # the c lowest digits of a are the inverses of b's c leading digits
-        # (past a's end its digits are 0, which is no letter), and then a*b
-        # is a without them followed by b[c:]: numeral(a) // base^c *
-        # base^(|b| - c) + numeral(b) mod base^(|b| - c), of length |a| + |b|
-        # - 2c. Digits d and (d + k - 1) mod 2k + 1 are inverse letters.
-        # Division by the scalar base is fast in numpy and % is not, so
-        # digits are taken as n - (n // base) * base. Numerals that may pass
-        # 64 bits are Python ints.
-        k, base = self.rank, 2 * self.rank + 1
+        # a and b^-1 end in the same c letters, so c is their common suffix,
+        # capped by the shorter word. b^-1's fields are b's letters in
+        # reverse order with their top bits flipped, read a letter at a time
+        # on B's own shape. a*b is a without its last c letters followed by
+        # b[c:]: in fields, a's shifted down c letters and up |b| - c, ORed
+        # with b's |b| - c lowest; in numerals, numeral(a) // base^c *
+        # base^(|b| - c) + numeral(b) mod base^(|b| - c); of length |a| +
+        # |b| - 2c. Rows that may pass pack_limit are Python ints.
+        bits = self._bits
         la, lb = A[..., 1].astype(np.int64), B[..., 1].astype(np.int64)
         most_a, most_b = int(la.max(initial=0)), int(lb.max(initial=0))
         dtype = object if object in (A.dtype, B.dtype) or most_a + most_b > self.pack_limit else np.uint64
         powers = self._powers_to(max(most_a, most_b)).astype(dtype, copy=False)
-        na, nb = A[..., 0].astype(dtype, copy=False), B[..., 0].astype(dtype, copy=False)
-        cancel = np.zeros(np.broadcast_shapes(na.shape, nb.shape), dtype=np.int64)
-        matching = np.ones(cancel.shape, dtype=bool)
-        rest = na
-        for j in range(min(most_a, most_b)):
-            high = rest // base
-            low, rest = rest - high * base, high  # a's letter j from the end
-            lead = nb // powers[np.maximum(lb - 1 - j, 0)]
-            lead -= lead // base * base  # b's letter j
-            matching &= (low == (lead + (k - 1)) % (2 * k) + 1) & (j < lb)  # its inverse
-            if not matching.any():
-                break
-            cancel += matching
-        kept = powers[lb - cancel]
-        out = np.empty((*cancel.shape, 2), dtype=dtype)  # numpy reads 0-d object results as scalars
-        out[..., 0] = na // powers[cancel] * kept + nb % kept
-        out[..., 1] = la + lb - 2 * cancel
+        shifts = (bits * np.arange(len(powers))).astype(dtype)  # b bits a letter
+        masks = (1 << shifts) - 1  # 1 << 64 is 0 in uint64
+        na, fa = A[..., 0].astype(dtype, copy=False), A[..., 2].astype(dtype, copy=False)
+        nb, fb = B[..., 0].astype(dtype, copy=False), B[..., 2].astype(dtype, copy=False)
+        inverse, letter, top = np.zeros(fb.shape, dtype=dtype), (1 << bits) - 1, 1 << (bits - 1)
+        for j in range(most_b):  # b's letter j from the end is b^-1's letter j from the start
+            flipped = ((fb >> shifts[j]) & letter) ^ top
+            inverse |= np.where(j < lb, flipped << shifts[np.maximum(lb - 1 - j, 0)], 0)
+        cancel = self._common_suffix(fa, inverse, np.minimum(la, lb))
+        kept = lb - cancel
+        out = np.moveaxis(np.empty((3, *cancel.shape), dtype=dtype), 0, -1)  # columns contiguous
+        low = powers[kept]
+        out[..., 0] = na // powers[cancel] * low + nb % low
+        out[..., 1] = la - cancel + kept
+        out[..., 2] = ((fa >> shifts[cancel]) << shifts[kept]) | (fb & masks[kept])
         return out
 
     def dist_packed(self, A, B):
-        # as in dist: |a| + |b| - 2 (the length of the common suffix), which is
-        # the count of equal low digits that are letters (not 0); digits are
-        # taken as in mul_packed, until no pair still matches
-        base = 2 * self.rank + 1  # Python ints meet machine ones as Python ints
-        na, nb = A[..., 0], B[..., 0]
-        common = np.zeros(np.broadcast_shapes(na.shape, nb.shape), dtype=np.int64)
-        matching = np.ones(common.shape, dtype=bool)
-        while matching.any():
-            high_a, high_b = na // base, nb // base
-            low = na - high_a * base
-            matching &= (low == nb - high_b * base) & (low != 0)
-            common += matching
-            na, nb = high_a, high_b
-        return A[..., 1].astype(np.int64) + B[..., 1].astype(np.int64) - 2 * common
+        # as in dist: |a| + |b| - 2 (the length of their common suffix)
+        la, lb = A[..., 1].astype(np.int64), B[..., 1].astype(np.int64)
+        return la + lb - 2 * self._common_suffix(A[..., 2], B[..., 2], np.minimum(la, lb))
 
     def element_to_json(self, g):
         return g
@@ -589,24 +593,29 @@ def index_dtype(n: int) -> np.dtype:
 def _ball_bytes(group: Group, radius: int, decoded: bool) -> int:
     """Bytes of Ball(1, radius): a closed-form bound on the peak of
     ``ball_arrays`` and a ``Region`` built from them, or with ``decoded``
-    of those and ``decode_ball``, per point: on Z^d the arrays are the
+    of those and ``decode_ball``, per point. On Z^d the arrays are the
     (n, 2d) int64 gathers and the coordinate rows, 96d + 48, and decoded
     the same arrays with d int objects, a d-tuple and list slots, 104d +
-    80. On F_k the arrays are the table, the per-layer index lists,
-    numerals and norms, 16k + 128, and decoded list slots and the word too,
-    a str of 49 bytes and its letters, 16k + 160 + radius; both hold
-    numerals of Python ints past pack_limit. The Region adds its generator
-    table and the codes' order, 2d + 1 or 2k + 1 cells of ``index_dtype``,
-    and 24 for the codes, their int64 argsort and the codes in that order.
-    A quarter more covers the allocators' overhead."""
+    80; the Region adds its generator table, 2d cells of ``index_dtype``.
+    On F_k the arrays are the (numeral, length, fields) rows, the norms and
+    the scratch of a range of children, 65, and the generator table built
+    in place, 2k cells; decoded adds list and tuple slots, the word, a str
+    of 49 bytes and its letters, and a range's slice of parent words, 96 +
+    radius; past pack_limit, numerals and fields are Python
+    ints, 4 bytes per 30 bits and 64 more. The Region adds the codes'
+    order, a cell, and 24 for their int64 argsort and the codes in that
+    order. A quarter more covers the allocators' overhead."""
     n = ball_size(group, radius)
+    cell = index_dtype(n).itemsize
     if isinstance(group, FreeGroup):
-        k, point = group.rank, 16 * group.rank + (160 + radius if decoded else 128)
+        k, bits = group.rank, group._bits
+        point = 65 + 2 * k * cell + (96 + radius if decoded else 0)
         if radius > group.pack_limit:
-            point += 64 + radius * (2 * group.rank + 1).bit_length() // 8
+            point += 64 + 4 * radius * ((2 * k + 1).bit_length() + bits) // 30
     else:
-        k, point = group.dimension, (104 if decoded else 96) * group.dimension + (80 if decoded else 48)
-    point += (2 * k + 1) * index_dtype(n).itemsize + 24
+        d = group.dimension
+        point = (104 if decoded else 96) * d + (80 if decoded else 48) + 2 * d * cell
+    point += cell + 24
     return n * (point + point // 4)
 
 

@@ -25,13 +25,14 @@ Many patterns can also be judged at once, as integer rows of color codes
 judge (``window_judge``) is built once for a slot-distance matrix and the
 codes its rows may hold: one matrix shared by every row, for windows laid
 out on the offsets of one ball about the identity, as the window process
-builds one per radius; or one matrix per row, as the axioms check judges
-the restrictions and shifts of a block of samples. The pairwise kinds
-answer with one gather from their bands compiled as a boolean table over
-(color, color, distance); every other ideal asks ``contains`` of each
-row's pattern, which stays the reference. The axioms check measures those
-distances on packed elements of every size, so it keeps no pattern by
-pattern path; ``tests/axioms_reference.py`` does, as its reference.
+builds one per radius; or one matrix per row. The pairwise kinds answer
+with one gather from their bands compiled as a boolean table over (color,
+color, distance); every other ideal asks ``contains`` of each row's
+pattern, which stays the reference. The axioms check reads that table
+pair by pair: it measures each sample's slot pairs on packed elements of
+every size, before and after each shift, and looks each distance up.
+``tests/axioms_reference.py`` keeps the per-pattern audit and the judge
+by per-row matrices and window judges that this replaced, as references.
 
 Reduced (product-coded) ideals live in the reduction module; they subclass
 IdealSpec and plug into everything here.
@@ -597,14 +598,13 @@ def ideal_axioms_check(
 
     Samples are grown a block at a time, and a block is judged before the
     next one grows, so memory stays within the block. A block holds as many
-    samples as keep its shifts times slot pairs within _PAIR_CELLS. All of
-    its restrictions are judged by one window judge, as masks of each
-    sample's entries, and all of its shifts by a second. The
-    shifted entries x*gamma^-1 and every distance are computed in packed
-    arrays (``Group.mul_packed``, ``Group.dist_packed``), never inferred
-    from right invariance, which is one of the things audited. A block's
+    samples as keep its shifts times slot pairs within _PAIR_CELLS, and is
+    judged by ``_judge_packed``: on a pairwise kind, the shifted entries
+    x*gamma^-1 and every distance are computed in packed arrays
+    (``Group.mul_packed``, ``Group.dist_packed``), never inferred from
+    right invariance, which is one of the things audited. A block's
     entries are packed in one call, words past pack_limit letters and large
-    coordinates as Python ints, so every block is judged in arrays."""
+    coordinates as Python ints, so every such block is judged in arrays."""
     if sample_budget < 0:
         raise ValueError(f"sample budget must be nonnegative, got {sample_budget}")
     for name, r in (("radius", radius), ("shift_radius", shift_radius)):
@@ -630,8 +630,7 @@ def ideal_axioms_check(
                 for row, sub in zip(keep, drawn):
                     row[[slot[e] for e in sub]] = True
             samples.append((phi, dom, keep, drawn))
-        flat = g.pack([e for _, dom, *_ in samples for e in dom])
-        verdicts = _judge_packed(P, samples, flat, shifts, inverses)
+        verdicts = _judge_packed(P, samples, shifts, inverses)
         for (phi, dom, keep, drawn), (restricted, shifted) in zip(samples, verdicts):
             report.samples += 1
             for i in np.flatnonzero(np.logical_not(restricted)):
@@ -659,48 +658,49 @@ def _subset_masks(m: int) -> np.ndarray:
     return keep
 
 
-def _judge_packed(P: IdealSpec, samples: list, flat, shifts, inverses):
-    """The (restricted, shifted) verdicts of packed samples, in order, whose
-    entries ``flat`` holds packed, sample by sample. Their entries are laid
-    out on one width, padded with uncoloured slots; only each sample's own
-    slot pairs are measured, in one ``dist_packed`` call before the shift
-    and one after. Two window judges on per-row slot distances, both for
-    the codes of the block, judge every restriction and every shift."""
-    g, n = P.group, len(shifts)
-    sizes = np.array([len(dom) for _, dom, *_ in samples])
-    w = int(sizes.max())
-    codes = np.full((len(samples), w), NO_COLOR, dtype=np.int64)
+def _judge_packed(P: IdealSpec, samples: list, shifts, inverses):
+    """The (restricted, shifted) verdicts of a block of samples, in order.
+    A PairwiseIdeal whose block colours all have codes is judged pair by
+    pair: the block's entries are packed in one call, each sample's slot
+    pairs are measured by ``dist_packed`` before the shifts and after each
+    (``mul_packed`` by the shifts' ``inverses``), and every distance is
+    read straight from the compiled bands (``_compiled``), as is each
+    slot's distance 0 to itself, at which only OFF_PALETTE clashes. A
+    restriction fails where it keeps both slots of a clashing pair, a shift
+    where some pair clashes after it. Any other ideal asks ``contains`` of
+    each restriction and shift."""
     coded = [P.color_code(c) for phi, *_ in samples for c in phi.entries.values()]
-    codes[np.arange(w) < sizes[:, None]] = coded
-    a, b = np.triu_indices(w, 1)
+    if not isinstance(P, PairwiseIdeal) or UNCODED in coded:
+        return [([P.contains(phi.restrict(compress(dom, row))) for row in keep],
+                 [P.contains(shift(phi, gamma)) for gamma in shifts]) for phi, dom, keep, _ in samples]
+    g = P.group
+    sizes = np.array([len(dom) for _, dom, *_ in samples])
+    a, b = np.triu_indices(int(sizes.max()), 1)
     rows, pairs = np.nonzero(b < sizes[:, None])  # each sample's slot pairs, in order
     a, b = a[pairs], b[pairs]
-    x, y = (np.cumsum(sizes) - sizes)[rows] + (a, b)  # their entries in flat
-
-    def distances(shape, dist):
-        D = np.zeros(shape, dtype=np.int64)
-        D[rows, ..., a, b] = D[rows, ..., b, a] = dist
-        return D
-
-    ends = np.cumsum([len(keep) for _, _, keep, *_ in samples])
-    owner = np.repeat(np.arange(len(samples)), np.diff(ends, prepend=0))  # of each restriction
-    keep = np.zeros((ends[-1], w), dtype=bool)
-    for (_, dom, mask, *_), end in zip(samples, ends):
-        keep[end - len(mask) : end, : len(dom)] = mask
-
-    def restriction(i):
-        phi, dom, mask, *_ = samples[owner[i]]
-        return phi.restrict(compress(dom, mask[i - ends[owner[i]] + len(mask)]))
-
-    used = sorted({NO_COLOR, *coded})  # np.unique would import numpy.ma
-    D = distances((len(samples), w, w), g.dist_packed(flat[x], flat[y]))[owner]
-    restricted = P.window_judge(D, used)(np.where(keep, codes[owner], NO_COLOR), restriction)
+    starts = np.cumsum(sizes) - sizes
+    x, y = starts[rows] + a, starts[rows] + b  # their entries
+    flat = g.pack([e for _, dom, *_ in samples for e in dom])
+    before = g.dist_packed(flat[x], flat[y])
     moved = g.mul_packed(flat[:, None], inverses[None, :])  # [x, i] = x * gamma_i^-1
-    D = distances((len(samples), n, w, w), g.dist_packed(moved[x], moved[y]))
-    shifted = P.window_judge(D.reshape(len(samples) * n, w, w), used)(
-        np.repeat(codes, n, axis=0), lambda i: shift(samples[i // n][0], shifts[i % n])
-    )
-    return zip(np.split(restricted, ends[:-1]), shifted.reshape(len(samples), n))
+    after = g.dist_packed(moved[x], moved[y])
+    forbid = P._compiled(max([NO_COLOR, *coded]) + 1, int(max(before.max(initial=0), after.max(initial=0))))
+    bands = forbid.reshape(-1, forbid.shape[2])  # a row per pair of codes, each stored shifted by 2
+    codes = np.array(coded, dtype=np.int64) + 2
+    pair = codes[x] * len(forbid) + codes[y]
+    lone = np.flatnonzero(bands[codes * (len(forbid) + 1), 0])  # entries that clash with themselves
+    owner = np.repeat(np.arange(len(samples)), sizes)[lone]
+    clash = np.flatnonzero(bands[pair, before])
+    restricted = [np.ones(len(keep), dtype=bool) for _, _, keep, _ in samples]
+    for s, u, v in zip(rows[clash].tolist(), a[clash].tolist(), b[clash].tolist()):
+        restricted[s] &= ~(samples[s][2][:, u] & samples[s][2][:, v])
+    for s, u in zip(owner.tolist(), (lone - starts[owner]).tolist()):
+        restricted[s] &= ~samples[s][2][:, u]
+    shifted = np.ones((len(samples), len(shifts)), dtype=bool)
+    p, i = np.nonzero(bands[pair[:, None], after])
+    shifted[rows[p], i] = False
+    shifted[owner] = False
+    return zip(restricted, shifted)
 
 
 def col_window_check(

@@ -64,7 +64,7 @@ the new point: without warm-up an old pair may already violate.
 The equivariance check reads the field at x*gamma through one translation
 kernel, ``Region.right_translate``, which gives every translate's region
 index and element code from the packed region (``Group.mul_packed``:
-``coords + gamma`` on Z^d, numeral arithmetic on F_k), in Python ints
+``coords + gamma`` on Z^d, letter fields and numerals on F_k), in Python ints
 where a translate may pass ``pack_limit``, a block of rows at a time.
 
 The sparse run's greedy colouring at scale d_c reads each point's earlier
@@ -117,8 +117,10 @@ class Region:
         self.radius = radius
         self.norms, step, self.packed = group.ball_arrays(radius)
         n = len(self.norms)
-        self._step = np.full((step.shape[1], n + 1), n, dtype=index_dtype(n))
-        self._step[:, :n] = step.T
+        self._step = step.base  # the table F_k builds in this layout; Z^d's is laid out here
+        if self._step is None or self._step.shape != (step.shape[1], n + 1):
+            self._step = np.full((step.shape[1], n + 1), n, dtype=index_dtype(n))
+            self._step[:, :n] = step.T
         del step  # before the codes, which can take its place
         self.codes = element_codes(group, self.packed)
         self._code_order = np.argsort(self.codes).astype(self._step.dtype)

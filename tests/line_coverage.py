@@ -13,12 +13,15 @@ A module's executable lines are the line starts of its compiled code
 objects, less each function's and class's first line, which the enclosing
 code runs. Code run in a subprocess (the demos, ``python -m`` tests) is
 not traced, so a line only such a test reaches is listed as never run.
-Tracing makes the suite about three times slower, and a test that bounds
-a tracemalloc peak may fail under it: the frames and records of the trace
-are allocations too. The name of this file keeps it out of pytest's
-collection.
+Tracing makes the suite about three times slower. A test that bounds a
+tracemalloc peak (one whose code calls ``tracemalloc.start``) runs with
+the tracer off, since the frames and records of the trace are
+allocations too and would pass its bound; the report names those tests,
+whose lines are not counted. The name of this file keeps it out of
+pytest's collection.
 """
 
+import inspect
 import os
 import sys
 import threading
@@ -42,7 +45,8 @@ def executable_lines(path: Path) -> set:
 
 
 def traced_run(pytest_args: list) -> tuple:
-    """The pytest exit status, and the lines run per file of the package."""
+    """The pytest exit status, the lines run per file of the package, and
+    the tests run untraced."""
     prefix = str(PACKAGE) + os.sep
     hits: dict = {}
 
@@ -61,16 +65,30 @@ def traced_run(pytest_args: list) -> tuple:
 
     import pytest
 
+    untraced = []
+
+    class Untraced:
+        @pytest.hookimpl(hookwrapper=True)
+        def pytest_runtest_call(self, item):
+            function = getattr(item, "function", None)
+            bounded = function is not None and "tracemalloc.start(" in inspect.getsource(function)
+            if bounded:
+                untraced.append(item.nodeid)
+                sys.settrace(None)
+            yield
+            if bounded:
+                sys.settrace(call)
+
     sys.path.insert(0, str(ROOT / "src"))  # the package's files by absolute path
     threading.settrace(call)
     sys.settrace(call)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", "--continue-on-collection-errors",
-                              *(pytest_args or [str(ROOT / "tests")])])
+                              *(pytest_args or [str(ROOT / "tests")])], plugins=[Untraced()])
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return status, hits
+    return status, hits, untraced
 
 
 def ranges(lines: list) -> str:
@@ -86,10 +104,13 @@ def ranges(lines: list) -> str:
 
 def main(argv: list) -> int:
     modules, pytest_args = (argv[: argv.index("--")], argv[argv.index("--") + 1 :]) if "--" in argv else (argv, [])
-    status, hits = traced_run(pytest_args)
+    status, hits, untraced = traced_run(pytest_args)
     paths = sorted(PACKAGE.glob("*.py")) if not modules else [PACKAGE / m for m in modules]
     total = never_total = 0
-    print(f"\npytest exit status {int(status)}; executable lines never run, by module:")
+    print(f"\n{len(untraced)} tests bound a tracemalloc peak and ran untraced, their lines not counted:")
+    for name in untraced:
+        print(f"  {name}")
+    print(f"pytest exit status {int(status)}; executable lines never run, by module:")
     for path in paths:
         lines = executable_lines(path)
         never = sorted(lines - hits.get(str(path), set()))

@@ -626,11 +626,11 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, spec_text, named",
         [
-            (["ball", "Z^2", "[2.7,0]", "0"], None, "not a Z^2 element: (2.7, 0)"),
-            (["ball", "Z^2", '["1",0]', "0"], None, "not a Z^2 element: ('1', 0)"),
+            (["ball", "Z^2", "[2.7,0]", "0"], None, "not a Z^2 element: [2.7, 0]"),
+            (["ball", "Z^2", '["1",0]', "0"], None, "not a Z^2 element: ['1', 0]"),
             (["ball", "F_2", "true", "0"], None, "not a F_2 element: True"),
             (["extract", "SPEC", "--radius", "0"],
-             '{"group": "Z^2", "entries": [[[0.5, 0], 0]]}', "not a Z^2 element: (0.5, 0)"),
+             '{"group": "Z^2", "entries": [[[0.5, 0], 0]]}', "not a Z^2 element: [0.5, 0]"),
             (["check", "SPEC", "--mode", "local"],
              '{"kind": "ProperColoring", "group": "Z^1", "k": 2.9}', "k must be an integer"),
             (["check", "SPEC", "--mode", "local"],

@@ -16,9 +16,14 @@ Laws under test:
 4. F_k arithmetic on strings agrees with letter-by-letter reference versions
    kept here. The packed arithmetic (pack, mul_packed, dist_packed,
    element_codes) agrees with the scalar mul, dist and element_code on
-   Z^1-Z^4, F_1-F_4, F_18 and F_26, on both sides of pack_limit and past
+   Z^1-Z^4, F_1-F_5, F_18 and F_26, on both sides of pack_limit and past
    int64. Rows are machine integers exactly while every norm is at most
-   pack_limit, and products exactly while every |a| + |b| is.
+   pack_limit, and products exactly while every |a| + |b| is. F_k rows
+   carry the word's letter fields, as a letter-by-letter reference here
+   lays them out, and the bit-field kernels give the numerals, lengths and
+   distances of the numeral kernels they replaced (packed_reference.py),
+   also on words that end where a uint64 of fields is full and one letter
+   past it (on F_5 all 64 bits at pack_limit).
 6. The closed-form ball sizes equal the length of the enumerated balls.
    The packed ball of ``ball_arrays`` is ``pack``'s form, coded as the
    scalar element_code codes it, and the elements ``decode_ball`` reads
@@ -32,8 +37,8 @@ Laws under test:
 5. Conventions: minimum distance between sets is infinite when a set is
    empty; budget exhaustion raises loudly, and a negative budget is refused
    as a usage error. So are a group of rank or dimension 0, F_27 and up,
-   a malformed JSON element, a negative d-sequence count and a negative
-   annulus d, each with its message.
+   a malformed JSON element (named as given), a negative d-sequence count
+   and a negative annulus d, each with its message.
 """
 
 import os
@@ -70,6 +75,7 @@ from shiftcolor.rng import element_code, element_codes
 from shiftcolor.simulate import Region
 
 from ball_reference import bfs_ball, sorted_ball_arrays
+from packed_reference import numeral_dist_packed, numeral_mul_packed
 
 Z1 = FreeAbelian(1)
 Z2 = FreeAbelian(2)
@@ -165,8 +171,10 @@ class TestFrozenFacts:
 
     @pytest.mark.parametrize(
         "g, obj",
-        [(Z1, "3"), (Z1, True), (Z1, [1, 2]), (Z1, [True]), (Z2, 3), (Z2, [1]), (Z2, [1, 2, 3])],
-        ids=["z1-str", "z1-bool", "z1-pair", "z1-bool-list", "z2-int", "z2-short", "z2-long"],
+        [(Z1, "3"), (Z1, True), (Z1, [1, 2]), (Z1, [True]), (Z2, 3), (Z2, [1]), (Z2, [1, 2, 3]),
+         (Z2, [True, 1]), (Z2, [1.5, 2])],
+        ids=["z1-str", "z1-bool", "z1-pair", "z1-bool-list", "z2-int", "z2-short", "z2-long",
+             "z2-bool-list", "z2-float-list"],
     )
     def test_malformed_json_elements_are_refused(self, g, obj):
         with pytest.raises(ValueError, match=f"^not a {re.escape(g.name)} element: {re.escape(repr(obj))}$"):
@@ -554,7 +562,7 @@ class TestPackedArithmetic:
                 xy = g.mul(x, y)
                 assert products[i, j].tolist() == g.pack([xy])[0].tolist()
                 if isinstance(g, FreeGroup):
-                    assert products[i, j].tolist() == [element_code(g, xy), len(xy)]
+                    assert products[i, j].tolist() == [element_code(g, xy), len(xy), _fields(g, xy)]
                 else:
                     assert products[i, j].tolist() == list(g.sort_key(xy))
                 assert distances[i, j] == g.dist(x, y)
@@ -570,15 +578,15 @@ class TestPackedArithmetic:
         g = FreeGroup(rank)
         word = ("ab" * g.pack_limit if rank > 1 else "a" * g.pack_limit)[: g.pack_limit]
         X = g.pack([word])
-        assert X.dtype == np.uint64 and X[0].tolist() == [element_code(g, word), g.pack_limit]
+        assert X.dtype == np.uint64 and X[0].tolist() == [element_code(g, word), g.pack_limit, _fields(g, word)]
         longer = g.pack(["", word + word[-1]])
         assert longer.dtype == object
-        assert longer.tolist() == [[0, 0], [_numeral(g, word + word[-1]), g.pack_limit + 1]]
+        assert longer.tolist() == [[0, 0, 0], _packed_row(g, word + word[-1])]
         for x, y, exact in [(word, "a", True), ("a", word[1:], False), (word, word, True)]:
             xy = g.pack([x, y])  # two rows of uint64
             product = g.mul_packed(xy[0], xy[1])
             assert (product.dtype == object) == exact
-            assert product.tolist() == [_numeral(g, g.mul(x, y)), len(g.mul(x, y))]
+            assert product.tolist() == _packed_row(g, g.mul(x, y))
             assert g.dist_packed(xy[0], xy[1]) == g.dist(x, y)
 
     @pytest.mark.parametrize(
@@ -618,11 +626,11 @@ class TestPackedArithmetic:
         words = ["", "a", Z, "a" + z * (g.pack_limit - 1), z * (g.pack_limit + 1), (Z + "a") * g.pack_limit]
         short = g.pack(words[:4])
         assert short.dtype == np.uint64
-        assert short.tolist() == [[element_code(g, w), len(w)] for w in words[:4]]
-        assert g.pack(words).tolist() == [[_numeral(g, w), len(w)] for w in words]
+        assert short.tolist() == [[element_code(g, w), len(w), _fields(g, w)] for w in words[:4]]
+        assert g.pack(words).tolist() == [_packed_row(g, w) for w in words]
         assert element_codes(g, words).tolist() == [element_code(g, w) for w in words]
 
-    @pytest.mark.parametrize("spec", ["F_1", "F_2", "F_3", "F_4", "F_18", "F_26", "Z^1", "Z^2", "Z^3"])
+    @pytest.mark.parametrize("spec", ["F_1", "F_2", "F_3", "F_4", "F_5", "F_18", "F_26", "Z^1", "Z^2", "Z^3"])
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_differential_against_scalar_references(self, spec, data):
@@ -630,7 +638,11 @@ class TestPackedArithmetic:
         against ``mul``, ``dist`` and ``element_code``, on norms on both
         sides of pack_limit and past int64; products of machine rows are
         Python ints exactly when |a| + |b| passes pack_limit, on F_k often
-        after cancelling."""
+        after cancelling. On F_k the rows carry the letter fields, words
+        end where a uint64 of fields is full and one letter past it (on
+        F_5 at pack_limit, all 64 bits), and the products' numerals and
+        lengths and the distances are those of the numeral kernels the
+        field kernels replaced."""
         g = parse_group(spec)
         xs, ys = data.draw(_lists_across_the_limit(g))
         X, Y = g.pack(xs), g.pack(ys)
@@ -642,6 +654,9 @@ class TestPackedArithmetic:
         distances = g.dist_packed(X[:, None], Y[None, :])
         assert distances.tolist() == [[g.dist(x, y) for y in ys] for x in xs]
         assert products.tolist() == [[_packed_row(g, g.mul(x, y)) for y in ys] for x in xs]
+        if isinstance(g, FreeGroup):
+            assert products[..., :2].tolist() == numeral_mul_packed(g, X[:, None], Y[None, :]).tolist()
+            assert distances.tolist() == numeral_dist_packed(g, X[:, None], Y[None, :]).tolist()
         assert element_codes(g, X).tolist() == [element_code(g, x) for x in xs]
         flat = products.reshape(-1, products.shape[-1])
         assert element_codes(g, flat).tolist() == [element_code(g, g.mul(x, y)) for x in xs for y in ys]
@@ -659,9 +674,19 @@ def _numeral(g, word):
     return numeral
 
 
+def _fields(g, word):
+    """The b-bit letter fields of an F_k word, b = ceil(log2(2k)), in Python
+    ints: letter i of "ab.." is i and its inverse i + 2^(b - 1), the last
+    letter lowest."""
+    bits, fields = (2 * g.rank - 1).bit_length(), 0
+    for c in word:
+        fields = fields << bits | "abcdefghijklmnopqrstuvwxyz".index(c.lower()) | c.isupper() << bits - 1
+    return fields
+
+
 def _packed_row(g, x):
     """The row of x in ``pack``'s form, in Python ints."""
-    return [_numeral(g, x), len(x)] if isinstance(g, FreeGroup) else list(g.sort_key(x))
+    return [_numeral(g, x), len(x), _fields(g, x)] if isinstance(g, FreeGroup) else list(g.sort_key(x))
 
 
 @st.composite
@@ -669,9 +694,14 @@ def _lists_across_the_limit(draw, group):
     """Two lists of elements whose norms lie on both sides of pack_limit and,
     on Z^d, past int64; often the second list's norms make |x| + |y| equal
     pack_limit, or one more, and on F_k its words often cancel into the
-    first's."""
+    first's; on F_k norms also end where a uint64 of b-bit letter fields is
+    full, or one letter past it."""
     L = group.pack_limit
-    far = [2**63, 2**64 + 3] if isinstance(group, FreeAbelian) else [2 * L + 1]
+    if isinstance(group, FreeAbelian):
+        far = [2**63, 2**64 + 3]
+    else:
+        full = 64 // (2 * group.rank - 1).bit_length()
+        far = [2 * L + 1, full, full + 1]
     norm = st.one_of(st.integers(0, 6), st.sampled_from([L - 1, L, L + 1, *far]))
     xs = [_element_of_norm(draw, group, draw(norm)) for _ in range(draw(st.integers(1, 3)))]
     room = L - max(map(group.norm, xs))
@@ -739,7 +769,7 @@ _DECODE_CASES = [("Z^1", -2, 10), ("Z^2", -2, 6), ("Z^3", -1, 4), ("Z^4", -1, 3)
 
 class TestDecodeBall:
     """The elements decoded from ``ball_arrays`` are the breadth-first ball:
-    Z^d from its coordinates, F_k from its generator table alone."""
+    Z^d from its coordinates, F_k from its parents' words."""
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -843,7 +873,12 @@ def test_offset_distances_past_the_packable_length(r):
 
 
 def _floor_bytes(g, r):
-    return ball_size(g, r) * (len(g.generators()) + 1) * 8
+    """The generator table's bytes alone, with its sentinel column: int64
+    as ``ball_arrays`` builds it on Z^d, and ``index_dtype`` as it builds it
+    in place on F_k."""
+    n = ball_size(g, r)
+    cell = groups.index_dtype(n).itemsize if isinstance(g, FreeGroup) else 8
+    return n * (len(g.generators()) + 1) * cell
 
 
 class TestMemoryFloor:
@@ -934,7 +969,7 @@ class TestArraysCharge:
     passes physical memory."""
 
     @pytest.mark.parametrize("spec, r", [("Z^1", 20_000), ("Z^3", 12), ("Z^10", 3), ("F_1", 2000),
-                                         ("F_2", 8), ("F_26", 2)])
+                                         ("F_2", 8), ("F_26", 3)])
     def test_nothing_is_allocated_past_memory(self, monkeypatch, spec, r):
         g = parse_group(spec)
         charge = _arrays_charge(g, r)

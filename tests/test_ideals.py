@@ -19,9 +19,13 @@ Laws under test:
    shift violations that inferring distances from right invariance hides.
    It does so too with blocks of 1, 2 and 7 samples, keeping every
    violation in its place, and each block is judged before the next grows,
-   in calls of at most _PAIR_CELLS rows times slot pairs. A block's entries
-   are packed in one call and every block is judged packed, its products
-   in Python ints exactly when some entry plus a shift passes pack_limit.
+   in calls of at most _PAIR_CELLS shifts times slot pairs. A pairwise
+   kind's block entries are packed in one call and judged pair by pair, its
+   products in Python ints exactly when some entry plus a shift passes
+   pack_limit; the pair-by-pair judge gives the reports of the matrix and
+   window-judge one it replaced (axioms_reference.py), with violations
+   injected by a wrong dist_packed and an off-palette colour, and with an
+   UNCODED colour judged pattern by pattern.
    A fresh process that runs the audit does not import numpy.ma. A
    negative sampling or shift radius is refused with a ValueError that
    names the parameter, by member growth and by the audit.
@@ -87,7 +91,7 @@ from shiftcolor.radii import INF, Infinity
 from shiftcolor.reduction import ReducedIdeal
 from shiftcolor.simulate import Region
 
-from axioms_reference import axioms_check_per_pattern
+from axioms_reference import axioms_check_per_pattern, judge_by_matrices
 
 Z1 = FreeAbelian(1)
 F2 = FreeGroup(2)
@@ -374,13 +378,15 @@ class TestAxiomsCheck:
             (_FarPointNeeded(FreeAbelian(2), 6), {"max_size": 11}),
             # words of 37 or 38 letters pass F_1's pack_limit of 40 once shifted by 4
             (_FarPointNeeded(FreeGroup(1), 36), {"radius": 38, "shift_radius": 4}),
+            (ProperColoring(FreeGroup(1), 2), {"radius": 38, "shift_radius": 4}),
         ],
         ids=["even-domains", "left-f2", "far-z1", "pc5-z2-large", "far-z2-large",
-             "far-f1-pack-limit"],
+             "far-f1-pack-limit", "pc2-f1-pack-limit"],
     )
     def test_block_boundaries(self, monkeypatch, kind, options, per_block):
         """Blocks of 1, 2 and 7 samples, over a budget that none divides,
-        give the per-pattern report: every violation in its place."""
+        give the per-pattern report: every violation in its place. Only the
+        pairwise kinds' blocks are packed; the others ask ``contains``."""
         shift_radius, max_size = options.get("shift_radius", 5), options.get("max_size", 5)
         shifts = identity_ball(kind.group, shift_radius)
         monkeypatch.setattr(ideals, "_PAIR_CELLS",
@@ -415,24 +421,25 @@ class TestAxiomsCheck:
         batched = ideal_axioms_check(kind, sample_budget=23, seed=3, **options)
         reference = axioms_check_per_pattern(kind, sample_budget=23, seed=3, **options)
         assert batched.to_jsonable() == reference.to_jsonable()
-        # the shifts' inverses are packed once, then each block's entries in
-        # one call, and every block goes to the packed judge; its products
-        # are Python ints iff some entry x of the block has |x| +
+        # the shifts' inverses are packed once, and every block goes to the
+        # judge, which packs a pairwise kind's entries in one call; its
+        # products are Python ints iff some entry x of the block has |x| +
         # shift_radius > pack_limit
         assert len(samples) == 23
         sizes = [len(phi.entries) for phi in samples]
         fits = [max(map(g.norm, phi.domain()), default=0) + shift_radius <= g.pack_limit for phi in samples]
         blocks = [range(lo, min(lo + per_block, 23)) for lo in range(0, 23, per_block)]
-        assert calls == [len(shifts)] + [sum(sizes[i] for i in b) for b in blocks]
+        packed = blocks if isinstance(kind, PairwiseIdeal) else []
+        assert calls == [len(shifts)] + [sum(sizes[i] for i in b) for b in packed]
         assert judged == [len(b) for b in blocks]
-        assert exact == [not all(fits[i] for i in b) for b in blocks]
+        assert exact == [not all(fits[i] for i in b) for b in packed]
         if isinstance(kind, _FarPointNeeded):
             assert batched.restriction_violations
         if max_size > 8:  # some samples have their subsets drawn by the rng
             assert max(sizes) > 8
         if isinstance(g, FreeGroup) and g.rank == 1:
             assert set(fits) == {True, False}  # some products pass pack_limit, some do not
-            if per_block == 1:
+            if per_block == 1 and packed:
                 assert set(exact) == {True, False}  # both arithmetics in one audit
         else:
             assert all(fits)
@@ -458,27 +465,22 @@ class TestAxiomsCheck:
         assert judged == [3] * 20
 
     def test_blocks_stream_within_pair_cells(self, monkeypatch):
-        """Each block is judged before the next one grows, and no judging
-        call holds more than _PAIR_CELLS shift-or-subset rows times slot
-        pairs: a deterministic stand-in for the audit's peak memory."""
+        """Each block is judged before the next one grows, and no packed
+        call holds more than _PAIR_CELLS shifts times slot pairs: a
+        deterministic stand-in for the audit's peak memory."""
         kind = ProperColoring(FreeGroup(2), 5)
         g, events, cells = kind.group, [], []
 
-        def spy(name, fn, size):
-            def wrapped(*args):
+        def spy(name, fn):
+            def wrapped(A, B):
                 events.append("judge")
-                cells.append(size(*args))
-                return fn(*args)
+                cells.append(int(np.prod(np.broadcast_shapes(A.shape[:-1], B.shape[:-1]))))
+                return fn(A, B)
 
-            monkeypatch.setattr(g if name != "window_judge" else kind, name, wrapped)
+            monkeypatch.setattr(g, name, wrapped)
 
-        def broadcast(A, B):
-            return int(np.prod(np.broadcast_shapes(A.shape[:-1], B.shape[:-1])))
-
-        spy("dist_packed", g.dist_packed, broadcast)
-        spy("mul_packed", g.mul_packed, broadcast)
-        spy("window_judge", kind.window_judge,
-            lambda D, codes: D.shape[0] * (D.shape[1] * (D.shape[1] - 1) // 2))
+        spy("dist_packed", g.dist_packed)
+        spy("mul_packed", g.mul_packed)
         grow = ideals.grow_random_member
 
         def growing(*args):
@@ -506,6 +508,83 @@ class TestAxiomsCheck:
     def test_empty_always_member(self):
         for kind in (ProperColoring(Z1, 2), NotUniversal(Z1, (1,), (3,))):
             assert kind.contains(kind.empty())
+
+
+class _Uncoded(ProperColoring):
+    """ProperColoring whose colour 0 is UNCODED, so every block holding it
+    is judged pattern by pattern."""
+
+    def color_code(self, c):
+        return UNCODED if c == 0 else super().color_code(c)
+
+
+def _audit_outcome(P, options, judge=None, wrong_dist=False, off_palette=False):
+    """``ideal_axioms_check``'s report, or the exception it raises, with
+    ``judge`` in place of the block judge. ``wrong_dist`` measures distance 2
+    as 1 between rows whose first column is even; ``off_palette`` recolours
+    the first entry of every sample of odd size with the palette's size."""
+    g = P.group
+    grow, dist = ideals.grow_random_member, type(g).dist_packed
+
+    def growing(*args):
+        phi = grow(*args)
+        if off_palette and len(phi) % 2:
+            phi = PartialColoring(g, {**phi.entries, next(iter(phi.entries)): P.palette_size})
+        return phi
+
+    def measuring(A, B):
+        D = dist(g, A, B)
+        return D - ((D == 2) & (np.asarray(A[..., 0] % 2) == 0))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideals, "grow_random_member", growing)
+        if judge is not None:
+            mp.setattr(ideals, "_judge_packed", judge)
+        if wrong_dist:
+            mp.setitem(vars(g), "dist_packed", measuring)
+        try:
+            return ideal_axioms_check(P, **options).to_jsonable()
+        except ValueError as error:  # PaletteExhausted, off the palette of a raising kind
+            return type(error).__name__, str(error)
+
+
+_JUDGED_GROUPS = {"Z^1": Z1, "Z^2": FreeAbelian(2), "Z^3": FreeAbelian(3), "F_1": FreeGroup(1),
+                  "F_2": F2, "F_3": FreeGroup(3)}
+
+
+class TestPairJudge:
+    """The pair-by-pair block judge gives the report of the matrix-and-
+    window-judge one it replaced (axioms_reference.py), violations in the
+    same order, on Z^1-Z^3, F_1-F_3 and the three pairwise kinds, with
+    violations injected by a ``dist_packed`` that is wrong on some pairs
+    and by an off-palette colour, and on an ideal whose colour 0 is UNCODED
+    and so judged pattern by pattern."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_matrix_judge(self, data):
+        g = _JUDGED_GROUPS[data.draw(st.sampled_from(sorted(_JUDGED_GROUPS)))]
+        P = data.draw(st.sampled_from([
+            ProperColoring(g, 2), ProperColoring(g, 3), _Uncoded(g, 3),
+            DistanceConstrained(g, (0, 1), (1, 3)), DistanceConstrained(g, (1,), ("inf",)),
+            NotUniversal(g, (0, 1), (2, 4)), NotUniversal(g, (1,), (3,)),
+        ]))
+        options = {"sample_budget": data.draw(st.integers(1, 9)), "seed": data.draw(st.integers(0, 99)),
+                   "radius": data.draw(st.integers(0, 4)), "shift_radius": data.draw(st.integers(0, 2)),
+                   "max_size": data.draw(st.integers(0, 6))}
+        faults = {"wrong_dist": data.draw(st.booleans()), "off_palette": data.draw(st.booleans())}
+        got = _audit_outcome(P, options, **faults)
+        assert got == _audit_outcome(P, options, judge_by_matrices, **faults)
+
+    @pytest.mark.parametrize("P", [ProperColoring(F2, 3), ProperColoring(FreeAbelian(2), 3)], ids=["pc3-f2", "pc3-z2"])
+    @pytest.mark.parametrize("fault", ["wrong_dist", "off_palette"])
+    def test_injected_faults_are_reported(self, P, fault):
+        """Each injected fault is seen: restriction and shift violations,
+        in the matrix judge's order."""
+        options = {"sample_budget": 12, "seed": 5, "radius": 3, "shift_radius": 2}
+        got = _audit_outcome(P, options, **{fault: True})
+        assert got["restriction_violations"] and got["shift_violations"]
+        assert got == _audit_outcome(P, options, judge_by_matrices, **{fault: True})
 
 
 class TestColWindowCheck:

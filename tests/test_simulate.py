@@ -915,13 +915,14 @@ class TestRegionKernel:
             (F2, 3, "abAB" * 6, "none"),  # 3 + 24 letters: F_2 packs 27
             (F2, 1, "abAB" * 6 + "abA", "every"),
             (F2, 3, "abAB" * 7, "every"),
-            (FreeGroup(3), 2, "abcacb" * 3 + "ab", "none"),  # 2 + 20 letters: F_3 packs 22
+            (FreeGroup(3), 2, "abcacb" * 3 + "a", "none"),  # 2 + 19 letters: F_3 packs 21
             (FreeGroup(3), 2, "abcacb" * 3 + "abcac", "every"),
             (FreeGroup(18), 1, "raQ", "none"),  # base 37, past the 36 digits int reads
             (FreeGroup(1), 39, "a", "none"),  # 39 + 1 letters: F_1 packs 40
             (FreeGroup(1), 40, "A", "every"),
             (FreeGroup(1), 44, "A" * 3, "every"),  # a region past 40 letters
             (FreeAbelian(4), 2, (2**62, -1, 0, 3), "every"),  # int64 coordinates, norms past pack_limit
+            (FreeGroup(3), 2, "abcacb" * 3 + "ab", "every"),  # 2 + 20 letters, one past F_3's 21
         ],
     )
     def test_right_translate_edge_cases(self, monkeypatch, g, r, gamma, products):
