@@ -935,20 +935,30 @@ _ROOT = Path(__file__).resolve().parents[1]
 # Builds Ball(1, r) of argv[1] after a warm-up, decoded, as ``ball_arrays``
 # or as a Region (argv[3]), and prints the growth in bytes of the process's
 # peak resident set and the ball's size. The peak is VmHWM, not ru_maxrss,
-# which Linux carries over from the parent through exec.
+# which Linux carries over from the parent through exec. Before the build,
+# small objects (pymalloc's) and then larger ones (malloc's) are held until
+# the resident set grows by 256 KiB each time, so the memory that imports
+# freed but kept resident is taken, and the build's own memory lands on new
+# pages. Without it, decoding Ball(1, 2) of F_26 grew the peak by only
+# 32 KiB, 3% of its charge, and by nothing where imports had freed more.
 _RATE_SCRIPT = """
 import re, sys
 from shiftcolor.groups import identity_ball, parse_group
 from shiftcolor.simulate import Region
-def peak():
+def status(field):
     with open("/proc/self/status") as f:
-        return int(re.search(r"VmHWM:\\s*(\\d+) kB", f.read()).group(1)) * 1024
+        return int(re.search(field + r":\\s*(\\d+) kB", f.read()).group(1)) * 1024
 g, r = parse_group(sys.argv[1]), int(sys.argv[2])
 build = {"decoded": identity_ball, "arrays": lambda g, r: g.ball_arrays(r)[0], "region": Region}[sys.argv[3]]
 build(g, 1)
-before = peak()
+held = []
+for size in (32, 2048):
+    start = status("VmRSS")
+    while status("VmRSS") < start + (1 << 18):
+        held.extend(b"%d" % i + bytes(size) for i in range(64))
+before = status("VmHWM")
 n = len(build(g, r))
-print(peak() - before, n)
+print(status("VmHWM") - before, n)
 """
 
 
