@@ -193,17 +193,51 @@ class FreeAbelian(Group):
             coords, norms = np.concatenate((x[i, None], coords[j]), axis=1), np.abs(x[i]) + norms[j]
         return coords
 
+    def _blocks(self, T: int):
+        """Ball(1, T) of Z^(k+1), for k = 1..d-1 in turn, as its blocks in
+        order: block (t, x0), for t = 0..T and x0 = -t..t, is the points
+        (x0, y) with y in the radius-(t - |x0|) sphere of Z^k; it is block
+        t^2 + t + x0. Yields each block's t, x0, Z^k radius r = t - |x0|
+        and length, each Z^k sphere's first index, and each block's start."""
+        if self.dimension == 1:  # no block to yield
+            return
+        t = np.repeat(np.arange(T + 1), 2 * np.arange(T + 1) + 1)
+        x0 = np.arange(len(t)) - t * t - t
+        r = t - np.abs(x0)
+        sphere = np.where(np.arange(T + 1), 2, 1)  # Z^1's: 1, 2, 2, ...
+        for _ in range(1, self.dimension):
+            lengths = sphere[r]
+            ends = np.cumsum(lengths)
+            yield t, x0, r, lengths, np.cumsum(sphere) - sphere, ends - lengths
+            sphere = np.diff(np.append(0, ends)[np.arange(T + 2) ** 2])
+
+    def ball_index(self, coords: np.ndarray, radius: int) -> np.ndarray:
+        """Each coordinate row's index in ``ball_arrays(radius)``'s order, or
+        the ball's size, the sentinel, where its norm passes radius: int64,
+        from rows of int64 or of Python ints, read a column at a time. On
+        Z^1 x has index 2|x| - [x < 0], and on Z^(k+1) (x0, y) is y's place
+        in its Z^k sphere past the start of block (|x0| + |y|, x0)
+        (``_blocks``)."""
+        index = np.full(len(coords), ball_size(self, radius), dtype=np.int64)
+        inside = np.flatnonzero(self._l1(coords) <= radius)
+        x = [column.take(inside).astype(np.int64, copy=False) for column in coords.T]
+        norm = np.abs(x[-1])
+        at = 2 * norm - (x[-1] < 0)
+        for (*_, first, starts), x0 in zip(self._blocks(radius), x[-2::-1]):
+            at -= first.take(norm)
+            norm += np.abs(x0)
+            at += starts.take(norm * norm + norm + x0)
+        index[inside] = at
+        return index
+
     def ball_arrays(self, radius):
-        # In order by construction, one dimension at a time, from Z^1: 0,
-        # -1, 1, -2, 2, ..., where x has index 2|x| - [x < 0]. Layer t of
-        # Z^(k+1) is the blocks x0 = -t..t, block (t, x0) being the points
-        # (x0, y) with y in the radius-(t - |x0|) sphere of Z^k, a slice of
-        # the Z^k ball in its order, so each layer is sorted by (x0, y). A
-        # point's index is the start of block (|x0| + |y|, x0), looked up
-        # by (|y|, x0), plus y's place in its sphere. ±e_0 keeps y and moves
-        # x0; ±e_i for i >= 1 keeps x0 and moves y through the Z^k table,
-        # whose mark n_k for a neighbour outside reads norm T + 1. Blocks
-        # past layer T start at n, the mark in the new table.
+        # In order by construction, one dimension at a time, from Z^1 (see
+        # ball_index), a layer of Z^(k+1) at a time, each the blocks of
+        # _blocks, a slice of the Z^k ball in its order, so each layer is
+        # sorted by (x0, y). ±e_0 keeps y and moves x0; ±e_i for i >= 1
+        # keeps x0 and moves y through the Z^k table, whose mark n_k for a
+        # neighbour outside reads norm T + 1. Blocks past layer T start at
+        # n, the mark in the new table.
         _refuse_oversize(self, radius)
         T = max(radius, -1)
         if T <= 0:  # no point, or the identity with every neighbour outside
@@ -226,20 +260,13 @@ class FreeAbelian(Group):
         step[1::2, 1] = np.arange(3, n + 2, 2)
         step[1, 0], step[0, 1] = 0, 1
         np.minimum(step, n, out=step)
-        for dim in range(1, self.dimension):
-            if dim == 1:  # the (T + 1)^2 blocks, fewer than the Z^2 ball's points
-                t = np.repeat(np.arange(T + 1), 2 * np.arange(T + 1) + 1)  # each block's layer
-                x0 = np.arange(len(t)) - t * t - t
-                r, column = t - np.abs(x0), x0 + T + 1  # each block's Z^k sphere radius, start_of column
-                # each generator's move of x0, and the start_of column of x0 = 0
-                shift = np.array([1, -1] + [0] * (2 * self.dimension - 2)) + (T + 1)
-            sphere = np.bincount(norms, minlength=T + 1)
-            first = np.cumsum(sphere) - sphere  # each Z^k sphere's first index
-            lengths = sphere[r]
-            n, starts = int(lengths.sum()), np.cumsum(lengths) - lengths
+        # each generator's move of x0, and the start_of column of x0 = 0
+        shift = np.array([1, -1] + [0] * (2 * self.dimension - 2)) + (T + 1)
+        for dim, (t, x0, r, lengths, first, starts) in enumerate(self._blocks(T), 1):
+            n = int(lengths.sum())
+            start_of = np.full((T + 2, 2 * T + 3), n)  # a block's start by [|y|, x0 + T + 1]
+            start_of[r, x0 + T + 1] = starts
             head, tail = np.repeat(x0, lengths), np.arange(n) + np.repeat(first[r] - starts, lengths)
-            start_of = np.full((T + 2, 2 * T + 3), n)  # [|y|, x0 + T + 1]
-            start_of[r, column] = starts
             # per Z^k point and generator: the flat start_of index less
             # x0, and the place in its sphere, of y after the move
             ids = np.arange(len(norms))
@@ -275,11 +302,20 @@ class FreeAbelian(Group):
         rough = sum(max(int(X.max(initial=0)), -int(X.min(initial=0))) for X in (A, B)) * self.dimension
         if AB.dtype == object or rough <= self.pack_limit:
             return AB
-        exact = sum(int(np.abs(X).sum(axis=-1).max(initial=0)) for X in (A, B))
+        exact = sum(int(self._l1(X).max(initial=0)) for X in (A, B))
         return AB if exact <= self.pack_limit else AB.astype(object)
 
     def dist_packed(self, A, B):
-        return np.abs(B - A).sum(axis=-1)  # the L1 norm, as in dist
+        return self._l1(B - A)  # as in dist
+
+    @staticmethod
+    def _l1(X):
+        """The L1 norm of each row of X, its last axis, summed a column at a
+        time: numpy reduces over a short axis several times slower."""
+        norm = np.abs(X[..., 0])
+        for i in range(1, X.shape[-1]):
+            norm += np.abs(X[..., i])
+        return norm
 
     def element_to_json(self, g):
         return g if self.dimension == 1 else list(g)
@@ -425,6 +461,19 @@ class FreeGroup(Group):
             np.add(packed[start:stop, ::2], added, out=packed[child:end, ::2])
         packed[:, 1] = norms
         return norms, table[:, :n].T, packed
+
+    def right_table(self, table: np.ndarray, radius: int, letter: str) -> np.ndarray:
+        """R[i], the index of x_i * letter in Ball(1, radius), or n where that
+        leaves the ball, as at R[n]: from the ball's generator table in the
+        layout ``ball_arrays`` builds (a row per generator, the sentinel
+        column n), a range of parents at a time (``_ranges``). A child is
+        c = gens[j] * p, so c * letter = gens[j] * (p * letter), and p *
+        letter, one layer nearer the identity, lies in the ball."""
+        R = np.full(table.shape[1], table.shape[1] - 1, dtype=table.dtype)
+        R[0] = table[self._generators.index(letter), 0]
+        for _t, j, start, stop, child in self._ranges(radius):
+            table[j].take(R[start:stop], out=R[child : child + stop - start], mode="clip")  # all in range
+        return R
 
     def decode_ball(self, norms, step, packed):
         # In ball order, each word but the identity is its first letter

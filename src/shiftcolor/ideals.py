@@ -22,17 +22,17 @@ The palette of DistanceConstrained is 0..len(h)-1 and of NotUniversal
 
 Many patterns can also be judged at once, as integer rows of color codes
 (``color_code``) over slots with the distances between the slots. A window
-judge (``window_judge``) is built once for a slot-distance matrix and the
-codes its rows may hold: one matrix shared by every row, for windows laid
-out on the offsets of one ball about the identity, as the window process
-builds one per radius; or one matrix per row. The pairwise kinds answer
-with one gather from their bands compiled as a boolean table over (color,
-color, distance); every other ideal asks ``contains`` of each row's
-pattern, which stays the reference. The axioms check reads that table
-pair by pair: it measures each sample's slot pairs on packed elements of
-every size, before and after each shift, and looks each distance up.
-``tests/axioms_reference.py`` keeps the per-pattern audit and the judge
-by per-row matrices and window judges that this replaced, as references.
+judge (``window_judge``) is built once for a slot-distance matrix shared by
+every row, for windows laid out on the offsets of one ball about the
+identity, as the window process builds one per radius, and the codes its
+rows may hold. The pairwise kinds answer with one gather from their bands
+compiled as a boolean table over (color, color, distance); every other
+ideal asks ``contains`` of each row's pattern, which stays the reference.
+The axioms check reads that table pair by pair: it measures each sample's
+slot pairs on packed elements of every size, before and after each shift,
+and looks each distance up. ``tests/axioms_reference.py`` keeps the
+per-pattern audit, and the judge by per-row matrices that this replaced,
+as references.
 
 Reduced (product-coded) ideals live in the reduction module; they subclass
 IdealSpec and plug into everything here.
@@ -95,18 +95,13 @@ class IdealSpec:
         """``judge(C, window)``: whether each of many patterns, laid out on
         slots, is a member. C[i, a] codes the color at slot a of pattern i
         (``color_code``: one of ``codes``, or NO_COLOR for none) and
-        ``window(i)`` builds pattern i. D gives the distances between the
-        slots, in one of two shapes:
-
-        * (w, w), for windows laid out on the offsets w_0, w_1, ... of
-          Ball(1, s): D[a, b] = |w_a w_b^-1| is the distance between slots a
-          and b of every window, so D depends only on its width;
-        * (rows, w, w), one matrix per row: D[i, a, b] is the distance
-          between the elements at slots a and b of pattern i.
-
-        What is fixed for every call on D and those codes is prepared once,
-        here. This default prepares nothing and asks ``contains`` of each
-        pattern in row order; it is the reference for every override."""
+        ``window(i)`` builds pattern i. D, of shape (w, w), gives the
+        distances between the slots of every pattern, laid out on the
+        offsets w_0, w_1, ... of Ball(1, s): D[a, b] = |w_a w_b^-1|, so D
+        depends only on its width. What is fixed for every call on D and
+        those codes is prepared once, here. This default prepares nothing
+        and asks ``contains`` of each pattern in row order; it is the
+        reference for every override."""
         return lambda C, window: np.array([self.contains(window(i)) for i in range(len(C))], dtype=bool)
 
     def extend_at(self, phi: PartialColoring, gamma, c_max: Optional[int] = None):
@@ -177,15 +172,12 @@ _GATHER_CELLS = 1 << 18
 def _gather(flat, C, a, b, strides, base) -> np.ndarray:
     """``~flat[C[:, a] * s1 + C[:, b] * s2 + base].any(1)``: no slot pair (a,
     b) of a row holds colour codes forbidden at its distance, for ``flat``
-    the compiled bands and ``base`` the pairs' offsets in it, one per pair
-    or one per row and pair. Rows go a block of _GATHER_CELLS cells at a
-    time."""
+    the compiled bands and ``base`` the pairs' offsets in it. Rows go a
+    block of _GATHER_CELLS cells at a time."""
     rows = max(1, _GATHER_CELLS // max(len(a), 1))
     if len(C) > rows:
-        return np.concatenate([
-            _gather(flat, C[lo : lo + rows], a, b, strides, base if base.ndim == 1 else base[lo : lo + rows])
-            for lo in range(0, len(C), rows)
-        ])
+        return np.concatenate([_gather(flat, C[lo : lo + rows], a, b, strides, base)
+                               for lo in range(0, len(C), rows)])
     index = C[:, a] * strides[0]
     index += C[:, b] * strides[1]
     index += base
@@ -290,21 +282,20 @@ class PairwiseIdeal(IdealSpec):
         """One gather through the bands compiled once for the codes and D: a
         pattern is a member iff no two of its slots a <= b hold colors
         forbidden at their distance. The table is symmetric in its colors,
-        so only slot pairs a <= b are read, and of those only the ones that
-        some row holds at a distance where some pair of the codes is
-        forbidden, each at a fixed offset into the flat table (one per row
-        and pair for per-row distances). With UNCODED among the codes, the
+        so only slot pairs a <= b are read, and of those only the ones at a
+        distance where some pair of the codes is forbidden, each at a fixed
+        offset into the flat table. With UNCODED among the codes, the
         per-row reference."""
         codes = {int(c) for c in codes} | {NO_COLOR}
         if UNCODED in codes:
             return super().window_judge(D, codes)
         forbid = self._compiled(max(codes) + 1, int(D.max(initial=0)))
         used = np.array(sorted(codes)) + 2
-        near = forbid[np.ix_(used, used)].any(axis=(0, 1))[D].any(axis=tuple(range(D.ndim - 2)))
+        near = forbid[np.ix_(used, used)].any(axis=(0, 1))[D]
         a, b = np.nonzero(np.triu(near))
         n_codes, n_t = forbid.shape[1:]
         strides = n_codes * n_t, n_t
-        base = D[..., a, b] + 2 * sum(strides)  # codes are stored shifted by 2
+        base = D[a, b] + 2 * sum(strides)  # codes are stored shifted by 2
         flat = forbid.ravel()
         return lambda C, window: _gather(flat, C, a, b, strides, base)
 

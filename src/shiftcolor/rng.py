@@ -126,9 +126,11 @@ def element_codes(group: Group, elements) -> np.ndarray:
         for column in zig.T:
             codes = _vector_splitmix64(codes ^ column)
         return codes
+    every = np.zeros(n, dtype=np.uint64)  # the columns ORed, a column at a time
     for column in zig.T:
         codes = (codes << np.uint64(21)) | column
-    far = (zig >> np.uint64(21)).any(axis=1)
+        every |= column
+    far = every >> np.uint64(21) != 0
     if far.any():  # _unpacked_code's chain: each zigzag is one limb, so its words are 1, z
         chain = np.full(np.count_nonzero(far), splitmix64(_UNPACKED_TAG), dtype=np.uint64)
         for column in zig[far].T:

@@ -62,10 +62,14 @@ at a time. Every pair in a window is judged, not only the pairs through
 the new point: without warm-up an old pair may already violate.
 
 The equivariance check reads the field at x*gamma through one translation
-kernel, ``Region.right_translate``, which gives every translate's region
-index and element code from the packed region (``Group.mul_packed``:
-``coords + gamma`` on Z^d, letter fields and numerals on F_k), in Python ints
-where a translate may pass ``pack_limit``, a block of rows at a time.
+kernel, ``Region.right_translate``, which reads every translate's region
+index from the layout ``ball_arrays`` builds, with no search: on Z^d from
+the translated coordinates (``FreeAbelian.ball_index``), on F_k by a walk
+along gamma's letters through right-multiplication tables built from the
+generator table (``FreeGroup.right_table``). A translate inside the region
+reads the region's element code; only the translates that leave it are
+coded afresh, on F_k by appending gamma's remaining digits to a numeral
+while that fits 64 bits, and by ``mul_packed`` past that.
 
 The sparse run's greedy colouring at scale d_c reads each point's earlier
 neighbours from its composed window when Ball(1, d_c) is smaller than the
@@ -93,7 +97,7 @@ from .ideals import NO_COLOR, IdealSpec, _check_d_sequence
 from .patterns import PartialColoring, _validate_color
 from .radii import Infinity, Radius, radius_ceil, radius_floor
 from .reports import Report
-from .rng import RandomField, element_codes
+from .rng import RandomField, element_code, element_codes
 
 
 class Region:
@@ -175,36 +179,57 @@ class Region:
 
     def locate(self, elements: Sequence) -> np.ndarray:
         """Each valid element's region index, or the sentinel len(region)
-        outside the region, found as ``right_translate`` finds its points."""
-        packed = self.group.pack(elements)
-        return self._find(len(packed), lambda lo, hi: packed[lo:hi])[0]
+        outside the region, found by its code: the region's are distinct,
+        and its points are the elements within radius of the identity."""
+        g = self.group
+        packed = g.pack(elements)
+        index = np.full(len(packed), len(self), dtype=np.int64)
+        inside = np.flatnonzero(g.dist_packed(g.pack([g.identity()]), packed) <= self.radius)
+        found = element_codes(g, packed[inside])
+        index[inside] = self._code_order[np.searchsorted(self.codes, found, sorter=self._code_order)]
+        return index
 
     def right_translate(self, gamma) -> Tuple[np.ndarray, np.ndarray]:
         """``(index, codes)`` of the right translates x_i*gamma: index[i] is
         the region index of x_i*gamma, or the sentinel len(region) where
-        that leaves the region, and codes[i] its element code. The
-        translates are ``mul_packed`` of the packed region and gamma, a
-        block of rows at a time."""
-        g = self.group
-        offset = g.pack([gamma])
-        return self._find(len(self), lambda lo, hi: g.mul_packed(self.packed[lo:hi], offset))
-
-    def _find(self, m: int, rows) -> Tuple[np.ndarray, np.ndarray]:
-        """``(index, codes)`` of m elements in ``pack``'s form, ``rows(lo,
-        hi)`` giving elements lo..hi - 1, found a block of _PAIR_CELLS rows
-        at a time by their codes: the region's are distinct, and its points
-        are the elements of norm <= radius (the length column on F_k,
-        coordinate sums on Z^d)."""
-        index = np.full(m, len(self), dtype=np.int64)
-        codes = np.empty(m, dtype=np.uint64)
-        for lo in range(0, m, _PAIR_CELLS):
-            hi = min(lo + _PAIR_CELLS, m)
-            packed = rows(lo, hi)
-            codes[lo:hi] = found = element_codes(self.group, packed)
-            norms = packed[:, 1] if isinstance(self.group, FreeGroup) else np.abs(packed).sum(axis=1)
-            inside = np.flatnonzero(norms <= self.radius)
-            index[lo + inside] = self._code_order[np.searchsorted(self.codes, found[inside],
-                                                                  sorter=self._code_order)]
+        that leaves the region, and codes[i] its element code. Indices are
+        read from the region's layout: on Z^d by ``FreeAbelian.ball_index``
+        of the translated coordinates; on F_k by a walk along gamma's
+        letters, a right-multiplication table (``FreeGroup.right_table``)
+        each. On F_k |x*gamma[:l]| falls and then rises, so a row that
+        leaves stays out, no row leaves between two points of the region,
+        and every row has left by letter 2T. A translate inside reads the
+        region's code. One that leaves is coded from its coordinates on
+        Z^d; on F_k, from the point y it left from at letter l, as y's
+        numeral followed by gamma[l:] while T + |gamma| is at most
+        pack_limit, and past that by ``mul_packed``, a block of rows at a
+        time."""
+        g, n, T = self.group, len(self), self.radius
+        if not isinstance(g, FreeGroup):  # exact in int64, gamma packing as Python ints past pack_limit
+            moved = np.add(self.packed, g.pack([gamma]), order="F")  # columns contiguous
+            index = g.ball_index(moved, T)
+            codes = self.codes.take(index, mode="clip")  # set below where leaving
+            leaving = index == n
+            codes[leaving] = element_codes(g, moved[leaving])
+            return index, codes
+        index = np.arange(n, dtype=self._step.dtype)
+        exits = []  # per letter l: the rows that leave there, and the points they leave from
+        for l, letter in enumerate(gamma[: 2 * T + 1]):
+            moved = g.right_table(self._step, T, letter).take(index)
+            rows = np.flatnonzero((moved == n) & (index != n))
+            exits.append((rows, index[rows], l))
+            index = moved
+        index = index.astype(np.int64)
+        codes = self.codes.take(index, mode="clip")  # set below where leaving
+        if T + len(gamma) <= g.pack_limit:  # y's numeral, then the digits of gamma[l:]
+            for rows, y, l in exits:
+                shifted = self.codes[y] * np.uint64((2 * g.rank + 1) ** (len(gamma) - l))
+                codes[rows] = shifted + np.uint64(element_code(g, gamma[l:]))
+        else:
+            leaving = np.flatnonzero(index == n)
+            for lo in range(0, len(leaving), _PAIR_CELLS):
+                rows = leaving[lo : lo + _PAIR_CELLS]
+                codes[rows] = element_codes(g, g.mul_packed(self.packed[rows], g.pack([gamma])))
         return index, codes
 
 

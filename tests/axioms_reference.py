@@ -1,15 +1,15 @@
 """The per-pattern axioms audit, kept as the tests' independent reference
 for ``ideal_axioms_check``, which grows a block of samples and judges all of
 the block's restrictions and shifts over packed arrays; and the block judge
-by slot-distance matrices and window judges that the pair-by-pair judge
-replaced, kept as the reference for its verdicts."""
+by per-row slot-distance matrices and window judges that the pair-by-pair
+judge replaced, kept as the reference for its verdicts."""
 
 import random
 from itertools import combinations, compress
 
 import numpy as np
 
-from shiftcolor.ideals import NO_COLOR, AxiomsReport, grow_random_member
+from shiftcolor.ideals import NO_COLOR, UNCODED, AxiomsReport, IdealSpec, PairwiseIdeal, grow_random_member
 from shiftcolor.patterns import shift
 
 from ball_reference import bfs_ball
@@ -44,15 +44,35 @@ def axioms_check_per_pattern(P, sample_budget, seed, radius=6, shift_radius=5, m
     return report
 
 
+def per_row_judge(P, D, codes):
+    """``IdealSpec.window_judge`` on one (w, w) slot-distance matrix per row:
+    D[i, a, b], of shape (rows, w, w), is the distance between the elements
+    at slots a and b of pattern i. A pairwise kind gathers from its compiled
+    bands each slot pair a <= b that some row holds at a distance where some
+    pair of the codes is forbidden, at an offset of its own per row; any
+    other ideal, and UNCODED among the codes, ask ``contains`` of each
+    row's pattern."""
+    codes = {int(c) for c in codes} | {NO_COLOR}
+    if UNCODED in codes or not isinstance(P, PairwiseIdeal):
+        return IdealSpec.window_judge(P, D, codes)
+    forbid = P._compiled(max(codes) + 1, int(D.max(initial=0)))
+    used = np.array(sorted(codes)) + 2
+    a, b = np.nonzero(np.triu(forbid[np.ix_(used, used)].any(axis=(0, 1))[D].any(axis=0)))
+    n_codes, n_t = forbid.shape[1:]
+    base = D[:, a, b] + 2 * (n_codes * n_t + n_t)  # codes are stored shifted by 2
+    flat = forbid.ravel()
+    return lambda C, window: ~flat[C[:, a] * (n_codes * n_t) + C[:, b] * n_t + base].any(axis=1)
+
+
 def judge_by_matrices(P, samples, shifts, inverses):
     """The (restricted, shifted) verdicts of a block of samples, in order,
     as ``ideals._judge_packed`` gives them. The block's entries are packed
     in one call and laid out on one width, padded with uncoloured slots;
     only each sample's own slot pairs are measured, in one ``dist_packed``
     call before the shift and one after, into (w, w) matrices per
-    restriction and per shift. Two window judges on those per-row matrices,
-    both for the codes of the block, judge every restriction and every
-    shift."""
+    restriction and per shift. Two judges on those per-row matrices
+    (``per_row_judge``), both for the codes of the block, judge every
+    restriction and every shift."""
     g, n = P.group, len(shifts)
     flat = g.pack([e for _, dom, *_ in samples for e in dom])
     sizes = np.array([len(dom) for _, dom, *_ in samples])
@@ -82,10 +102,10 @@ def judge_by_matrices(P, samples, shifts, inverses):
 
     used = sorted({NO_COLOR, *coded})
     D = distances((len(samples), w, w), g.dist_packed(flat[x], flat[y]))[owner]
-    restricted = P.window_judge(D, used)(np.where(keep, codes[owner], NO_COLOR), restriction)
+    restricted = per_row_judge(P, D, used)(np.where(keep, codes[owner], NO_COLOR), restriction)
     moved = g.mul_packed(flat[:, None], inverses[None, :])  # [x, i] = x * gamma_i^-1
     D = distances((len(samples), n, w, w), g.dist_packed(moved[x], moved[y]))
-    shifted = P.window_judge(D.reshape(len(samples) * n, w, w), used)(
+    shifted = per_row_judge(P, D.reshape(len(samples) * n, w, w), used)(
         np.repeat(codes, n, axis=0), lambda i: shift(samples[i // n][0], shifts[i % n])
     )
     return zip(np.split(restricted, ends[:-1]), shifted.reshape(len(samples), n))

@@ -811,6 +811,24 @@ class TestLatticeBall:
         d = data.draw(st.sampled_from(sorted(_LATTICE_RADII)))
         self._assert_matches_sorted(FreeAbelian(d), data.draw(st.integers(-1, _LATTICE_RADII[d])))
 
+    @pytest.mark.parametrize("d, top", [(1, 12), (2, 9), (3, 6), (4, 4), (28, 2)])
+    def test_ball_index_reads_the_layout(self, d, top):
+        """``ball_index(rows, T)`` of the rows of Ball(1, T + 1) is 0..n - 1
+        on its first n = |Ball(1, T)| rows, and the sentinel n at norm T +
+        1, on Z^1-Z^4 and Z^28; the same rows as Python ints read the same,
+        and rows past int64 read the sentinel."""
+        g = FreeAbelian(d)
+        far = np.zeros((2, d), dtype=object)
+        far[:, -1] = 2**70, -(2**63)
+        for T in range(-1, top + 1):
+            n = ball_size(g, T)
+            rows = g.ball_arrays(T + 1)[2]
+            index = g.ball_index(rows, T)
+            assert index.dtype == np.int64
+            assert index.tolist() == [*range(n), *[n] * (len(rows) - n)]
+            exact = g.ball_index(np.concatenate((rows.astype(object), far)), T)
+            assert exact.dtype == np.int64 and exact.tolist() == [*index.tolist(), n, n]
+
 
 @st.composite
 def _lattice_ball_cases(draw):

@@ -44,9 +44,11 @@ Laws under test:
    reaches; with UNCODED among its codes it is the reference, exceptions
    included, so a pair colour or a colour beyond the palette raises as
    contains raises.
-8. The same holds with one matrix per row (the axioms audit's form), each
-   row laying a random choice of the offsets on its slots in an order of
-   its own, also on blocks of no rows and on rows of no slots.
+8. The same holds for the reference judge with one matrix per row
+   (``axioms_reference.per_row_judge``, the axioms audit's former form and
+   the matrix judge's), each row laying a random choice of the offsets on
+   its slots in an order of its own, also on blocks of no rows and on rows
+   of no slots.
 9. Malformed specs are refused with a ValueError naming the fault: no
    colours, a fractional or too long h, a D of the wrong length, an
    unknown kind and an infinite constant join radius.
@@ -91,7 +93,7 @@ from shiftcolor.radii import INF, Infinity
 from shiftcolor.reduction import ReducedIdeal
 from shiftcolor.simulate import Region
 
-from axioms_reference import axioms_check_per_pattern, judge_by_matrices
+from axioms_reference import axioms_check_per_pattern, judge_by_matrices, per_row_judge
 
 Z1 = FreeAbelian(1)
 F2 = FreeGroup(2)
@@ -932,8 +934,9 @@ class TestWindowCheck:
 
 
 class TestWindowJudge:
-    """``window_judge(D, codes)`` against the per-row contains reference, on
-    one shared slot-distance matrix and on one matrix per row."""
+    """``window_judge(D, codes)`` on one shared slot-distance matrix, and
+    the reference judge on one matrix per row (``per_row_judge``), against
+    the per-row contains reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -971,11 +974,9 @@ class TestWindowJudge:
         colors = rng.sample(range(_top(P)), rng.randint(1, _top(P)))
         C, D, patterns = _per_row_batch(P, offsets, Region(g, s).slot_distances(s), rng, colors,
                                         rows, width)
-        judge = P.window_judge(D, [P.color_code(c) for c in colors])
+        judge = per_row_judge(P, D, [P.color_code(c) for c in colors])
         want = _reference(P, C, D, patterns.__getitem__)
         assert judge(C, patterns.__getitem__).tolist() == want.tolist()
-        with mock.patch.object(ideals, "_GATHER_CELLS", 1):
-            assert judge(C, patterns.__getitem__).tolist() == want.tolist()
 
     def test_per_row_judge_on_no_rows_and_no_slots(self):
         """Blocks of no rows, and rows of no slots, every pattern empty."""
@@ -985,7 +986,7 @@ class TestWindowJudge:
             for rows, width in ((0, 0), (0, len(D)), (3, 0)):
                 C, Ds, patterns = _per_row_batch(P, identity_ball(F2, 2), D, random.Random(0),
                                                  range(_top(P)), rows, width)
-                got = P.window_judge(Ds, codes)(C, patterns.__getitem__)
+                got = per_row_judge(P, Ds, codes)(C, patterns.__getitem__)
                 want = _reference(P, C, Ds, patterns.__getitem__)
                 assert got.tolist() == want.tolist() == [True] * rows
 

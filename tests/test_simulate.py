@@ -623,13 +623,14 @@ _FAR = [2**20 - 1, 2**20, -(2**20), -(2**20) - 1, 2**62, 2**63 - 1, 2**63, -(2**
 
 
 @st.composite
-def shift_elements(draw, g):
-    """An element of g: small, long, or near the limits of the array paths."""
+def shift_elements(draw, g, lengths=st.one_of(st.integers(0, 8), st.sampled_from([26, 27, 28, 40, 41, 45]))):
+    """An element of g: small, long, or near the limits of the array paths;
+    on F_k a reduced word of a length drawn from ``lengths``."""
     if isinstance(g, FreeAbelian):
         coord = st.one_of(st.integers(-6, 6), st.sampled_from(_FAR), st.integers(-(2**70), 2**70))
         coords = [draw(coord) for _ in range(g.dimension)]
         return coords[0] if g.dimension == 1 else tuple(coords)
-    length = draw(st.one_of(st.integers(0, 8), st.sampled_from([26, 27, 28, 40, 41, 45])))
+    length = draw(lengths)
     word = ""
     for i in draw(st.lists(st.integers(0, 2 * g.rank - 2), min_size=length, max_size=length)):
         # 2k - 1 letters follow each letter without cancelling it
@@ -928,23 +929,54 @@ class TestRegionKernel:
     def test_right_translate_edge_cases(self, monkeypatch, g, r, gamma, products):
         """Identity, long shifts, coordinates at the packing and int64
         limits, words at F_2's 27/28-letter packing limit, and an F_1 region
-        past pack_limit. The kernel calls g.mul for no point; ``products``
-        says how many of its products are Python ints: none, or every one
-        where some |x| + |gamma| passes pack_limit."""
+        past pack_limit. The kernel calls g.mul for no point, and
+        ``mul_packed`` only on rows whose translates leave the region, and
+        only on F_k where r + |gamma| passes pack_limit. ``products`` says
+        how many of the translates it reads as rows are Python ints: none,
+        or every one where some |x| + |gamma| passes pack_limit; those are
+        the rows ``ball_index`` reads on Z^d, and ``mul_packed``'s products
+        on F_k."""
         region = simulate.Region(g, r)
-        calls, moved = [], []
+        calls, rows, moved = [], [], []
         mul, mul_packed = type(g).mul, type(g).mul_packed
         # spies in the instance's own dict, which the undo empties again:
         # the module's groups are shared by every later test
         monkeypatch.setitem(vars(g), "mul", lambda x, y: calls.append(x) or mul(g, x, y))
-        monkeypatch.setitem(vars(g), "mul_packed", lambda A, B: moved.append(mul_packed(g, A, B)) or moved[-1])
-        region.right_translate(gamma)
+        monkeypatch.setitem(vars(g), "mul_packed", lambda A, B: rows.append(A) or moved.append(mul_packed(g, A, B))
+                            or moved[-1])
+        if isinstance(g, FreeAbelian):
+            ball_index = type(g).ball_index
+            monkeypatch.setitem(vars(g), "ball_index", lambda P, T: moved.append(P) or ball_index(g, P, T))
+        index = region.right_translate(gamma)[0]
         monkeypatch.undo()
-        assert "mul" not in vars(g) and "mul_packed" not in vars(g)
-        assert calls == [] and len(moved) == 1
+        assert not {"mul", "mul_packed", "ball_index"} & set(vars(g))
+        assert calls == []
+        past = isinstance(g, FreeGroup) and r + len(gamma) > g.pack_limit
+        assert len(rows) == past
+        if rows:
+            assert rows[0].tolist() == region.packed[index == len(region)].tolist()
         machine = np.uint64 if isinstance(g, FreeGroup) else np.int64
-        assert moved[0].dtype == (object if products == "every" else machine)
+        assert [P.dtype for P in moved] == [object if products == "every" else machine] * len(moved)
+        assert len(moved) == (1 if isinstance(g, FreeAbelian) else past)
         assert_translate_matches(region, gamma)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_right_translate_walks_every_letter(self, data):
+        """Reduced words of up to 2T + 2 letters on F_1-F_3, and on F_1 about
+        its pack_limit of 40 letters, so that translates leave the region
+        at every letter of the walk, up to letter 2T, and T + |gamma| falls
+        on either side of pack_limit: ``right_translate`` equals the
+        references."""
+        g, T = data.draw(st.sampled_from([*((FreeGroup(1), t) for t in (0, 1, 5, 20, 36, 39, 40, 44)),
+                                          *((F2, t) for t in range(4)), *((FreeGroup(3), t) for t in range(3))]))
+        gamma = data.draw(shift_elements(g, st.integers(0, 2 * T + 2)))
+        region = simulate.Region(g, T)
+        assert_translate_matches(region, gamma)
+        # by g.mul, the letter of gamma at which each point's walk leaves
+        left = {next((l for l in range(len(gamma)) if g.norm(g.mul(x, gamma[: l + 1])) > T), None)
+                for x in region.elements}
+        assert left - {None} == set(range(min(len(gamma), 2 * T + 1)))
 
 
 def _recast(region, dtype):
