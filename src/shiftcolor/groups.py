@@ -32,7 +32,9 @@ ball in that form: its coordinates on Z^d, and on F_k rows filled a range
 of parents at a time, each word from its parent and first letter, beside
 the generator table in the layout a Region keeps. ``decode_ball`` reads
 the elements back: Z^d points from their coordinates, F_k words from
-their parents' words, by the same ranges.
+their parents' words, by the same ranges. Indices are read from the same
+layout: of coordinate rows by ``FreeAbelian.ball_index``, and of every
+point times a letter by ``FreeGroup.right_table``.
 
 Also here: the closed-form ball sizes, and the packing searches producing
 the radius sequences used by the distance-constrained ideals — minimal

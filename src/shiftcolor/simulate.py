@@ -223,8 +223,8 @@ class Region:
         codes = self.codes.take(index, mode="clip")  # set below where leaving
         if T + len(gamma) <= g.pack_limit:  # y's numeral, then the digits of gamma[l:]
             for rows, y, l in exits:
-                shifted = self.codes[y] * np.uint64((2 * g.rank + 1) ** (len(gamma) - l))
-                codes[rows] = shifted + np.uint64(element_code(g, gamma[l:]))
+                codes[rows] = (self.codes[y] * np.uint64((2 * g.rank + 1) ** (len(gamma) - l))
+                               + np.uint64(element_code(g, gamma[l:])))
         else:
             leaving = np.flatnonzero(index == n)
             for lo in range(0, len(leaving), _PAIR_CELLS):
