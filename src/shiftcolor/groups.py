@@ -218,17 +218,21 @@ class FreeAbelian(Group):
         the ball's size, the sentinel, where its norm passes radius: int64,
         from rows of int64 or of Python ints, read a column at a time. On
         Z^1 x has index 2|x| - [x < 0], and on Z^(k+1) (x0, y) is y's place
-        in its Z^k sphere past the start of block (|x0| + |y|, x0)
-        (``_blocks``)."""
+        in its Z^k sphere, its index less B_k(|y| - 1), past the start of
+        block (t, x0) = (|x0| + |y|, x0) (``_blocks``), read from the ball
+        sizes B: B_(k+1)(t - 1) + B_k(t + x0 - 1) for x0 <= 0, and
+        B_(k+1)(t - 1) + B_k(t) + B_k(t - 1) - B_k(t - x0) for x0 > 0."""
         index = np.full(len(coords), ball_size(self, radius), dtype=np.int64)
         inside = np.flatnonzero(self._l1(coords) <= radius)
         x = [column.take(inside).astype(np.int64, copy=False) for column in coords.T]
         norm = np.abs(x[-1])
         at = 2 * norm - (x[-1] < 0)
-        for (*_, first, starts), x0 in zip(self._blocks(radius), x[-2::-1]):
-            at -= first.take(norm)
-            norm += np.abs(x0)
-            at += starts.take(norm * norm + norm + x0)
+        sizes = np.append(0, 2 * np.arange(radius + 1) + 1)  # B_1(r) at r + 1, for r = -1..radius
+        for x0 in x[-2::-1]:
+            wider = sizes + 2 * np.append(0, np.cumsum(sizes)[:-1])  # B_(k+1)(r) = B_k(r) + 2 sum_(s<r) B_k(s)
+            t = norm + np.abs(x0)
+            at += wider[t] + np.where(x0 > 0, sizes[t + 1] + sizes[t] - sizes[norm] - sizes[norm + 1], 0)
+            norm, sizes = t, wider
         index[inside] = at
         return index
 
@@ -647,15 +651,15 @@ def _ball_bytes(group: Group, radius: int, decoded: bool) -> int:
     of those and ``decode_ball``, per point. On Z^d the arrays are the
     (n, 2d) int64 gathers and the coordinate rows, 96d + 48, and decoded
     the same arrays with d int objects, a d-tuple and list slots, 104d +
-    80; the Region adds its generator table, 2d cells of ``index_dtype``.
-    On F_k the arrays are the (numeral, length, fields) rows, the norms and
+    80; the Region adds its generator table, 2d cells of ``index_dtype``;
+    its codes, sorted once where hashed, reuse the freed gathers. On
+    F_k the arrays are the (numeral, length, fields) rows, the norms and
     the scratch of a range of children, 65, and the generator table built
-    in place, 2k cells; decoded adds list and tuple slots, the word, a str
-    of 49 bytes and its letters, and a range's slice of parent words, 96 +
-    radius; past pack_limit, numerals and fields are Python
-    ints, 4 bytes per 30 bits and 64 more. The Region adds the codes'
-    order, a cell, and 24 for their int64 argsort and the codes in that
-    order. A quarter more covers the allocators' overhead."""
+    in place, 2k cells, all the Region keeps; decoded adds list and tuple
+    slots, the word, a str of 49 bytes and its letters, and a range's
+    slice of parent words, 96 + radius; past pack_limit, numerals and
+    fields are Python ints, 4 bytes per 30 bits and 64 more, which cover
+    their hashed codes. A quarter more covers the allocators' overhead."""
     n = ball_size(group, radius)
     cell = index_dtype(n).itemsize
     if isinstance(group, FreeGroup):
@@ -666,7 +670,6 @@ def _ball_bytes(group: Group, radius: int, decoded: bool) -> int:
     else:
         d = group.dimension
         point = (104 if decoded else 96) * d + (80 if decoded else 48) + 2 * d * cell
-    point += cell + 24
     return n * (point + point // 4)
 
 

@@ -139,6 +139,17 @@ def element_codes(group: Group, elements) -> np.ndarray:
     return codes
 
 
+def codes_hashed(group: Group, radius: int) -> bool:
+    """Whether ``element_codes`` hashes a point of Ball(1, radius), so its
+    codes could collide: on F_k where the largest numeral, base^T - 1,
+    passes 64 bits, on Z^d for d >= 4, and on Z^1..Z^3 where the zigzag 2T
+    passes 21 bits. Elsewhere the codes are bijective numerals or packed
+    zigzags, so distinct."""
+    if isinstance(group, FreeGroup):  # base^64 passes 2^64 for every base >= 3
+        return (2 * group.rank + 1) ** min(max(radius, 0), 64) >> 64 != 0
+    return group.dimension > 3 or (2 * radius) >> 21 > 0
+
+
 def _threshold(p: Fraction) -> int:
     """Exact floor(p * 2^64)."""
     return (p.numerator << 64) // p.denominator

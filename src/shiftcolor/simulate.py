@@ -17,7 +17,8 @@ its elements are decoded once, on first read, and only what names points
 reads them: dumps (``SimulationTrace.assigned_sets``), validation failures,
 equivariance mismatches, ideals judged window by window, and the sparse
 run. A trace given as elements is validated and located once, by
-``from_elements``.
+``from_elements``, from the layout ``ball_arrays`` builds
+(``Region.locate``): no search of element codes finds a point.
 
 The default schedule cycles through the ideal's palette with a warm-up:
 rounds before R_i reaches its maximum get empty supports (the schedule still
@@ -97,7 +98,7 @@ from .ideals import NO_COLOR, IdealSpec, _check_d_sequence
 from .patterns import PartialColoring, _validate_color
 from .radii import Infinity, Radius, radius_ceil, radius_floor
 from .reports import Report
-from .rng import RandomField, element_code, element_codes
+from .rng import RandomField, codes_hashed, element_code, element_codes
 
 
 class Region:
@@ -105,12 +106,14 @@ class Region:
     arrays by ``Group.ball_arrays`` with no element object: the points'
     norms (the breadth-first layer), the points in ``Group.pack``'s form
     ``packed`` (Python ints on F_k past pack_limit letters), their element
-    codes, by which points are found, and the generator table, a row per
-    generator: ``_step[k, i]`` is the index of gens[k] * x_i, and n where
-    that leaves the region, as in the sentinel column n. The table and the
-    codes' order are in the narrowest dtype that holds n (``index_dtype``:
-    uint16 below 2^16 points, int32 below 2^31). ``len(region)`` is
-    n. The elements, in ``Group.ball``'s order, are decoded by
+    codes, which key the field and are checked for collisions only where
+    ``codes_hashed`` says they may collide, and the generator table, a row
+    per generator: ``_step[k, i]`` is the index of gens[k] * x_i, and n
+    where that leaves the region, as in the sentinel column n, in the
+    narrowest dtype that holds n (``index_dtype``: uint16 below 2^16
+    points, int32 below 2^31). ``len(region)`` is n. Points are found by
+    the layout (``locate``, ``right_translate``), never by code. The
+    elements, in ``Group.ball``'s order, are decoded by
     ``Group.decode_ball`` on the first read of ``elements``: reports that
     name points read them. Windows about points are composed from the
     generator table for the points that read them (``columns``), and no
@@ -127,11 +130,9 @@ class Region:
             self._step[:, :n] = step.T
         del step  # before the codes, which can take its place
         self.codes = element_codes(group, self.packed)
-        self._code_order = np.argsort(self.codes).astype(self._step.dtype)
-        ordered = self.codes[self._code_order]
-        if (ordered[1:] == ordered[:-1]).any():
+        if codes_hashed(group, radius) and not np.diff(np.sort(self.codes)).all():  # else distinct by construction
             raise RuntimeError(f"element codes collide on the radius-{radius} region of {group.name}")
-        for a in (self.norms, self.codes, self._code_order, self._step, self.packed):
+        for a in (self.norms, self.codes, self._step, self.packed):
             a.flags.writeable = False  # shared by every caller
         self._distances = np.zeros((0, 0), dtype=np.int64)
 
@@ -179,14 +180,21 @@ class Region:
 
     def locate(self, elements: Sequence) -> np.ndarray:
         """Each valid element's region index, or the sentinel len(region)
-        outside the region, found by its code: the region's are distinct,
-        and its points are the elements within radius of the identity."""
-        g = self.group
+        outside the region, as int64, read from the region's layout: on Z^d
+        by ``FreeAbelian.ball_index``; on F_k, as a_1...a_L = a_1*(a_2*(...
+        *a_L)), from the identity's index 0 through the generator table, by
+        the letters from the last. A word longer than T starts at the
+        sentinel, whose column keeps it there, so T passes suffice."""
+        g, T = self.group, self.radius
         packed = g.pack(elements)
-        index = np.full(len(packed), len(self), dtype=np.int64)
-        inside = np.flatnonzero(g.dist_packed(g.pack([g.identity()]), packed) <= self.radius)
-        found = element_codes(g, packed[inside])
-        index[inside] = self._code_order[np.searchsorted(self.codes, found, sorter=self._code_order)]
+        if not isinstance(g, FreeGroup):
+            return g.ball_index(packed, T)
+        lengths, fields, top = packed[:, 1].astype(np.int64), packed[:, 2], 1 << (g._bits - 1)
+        index = np.where(lengths > T, len(self), 0)
+        for j in range(min(int(lengths.max(initial=0)), T)):  # letter j from the end
+            rows = np.flatnonzero(lengths > j)
+            f = ((fields[rows] >> (g._bits * j)) & (2 * top - 1)).astype(np.int64)
+            index[rows] = self._step[2 * (f % top) + f // top, index[rows]]  # field i is row 2i, i + top 2i + 1
         return index
 
     def right_translate(self, gamma) -> Tuple[np.ndarray, np.ndarray]:
@@ -194,16 +202,16 @@ class Region:
         the region index of x_i*gamma, or the sentinel len(region) where
         that leaves the region, and codes[i] its element code. Indices are
         read from the region's layout: on Z^d by ``FreeAbelian.ball_index``
-        of the translated coordinates; on F_k by a walk along gamma's
-        letters, a right-multiplication table (``FreeGroup.right_table``)
-        each. On F_k |x*gamma[:l]| falls and then rises, so a row that
-        leaves stays out, no row leaves between two points of the region,
-        and every row has left by letter 2T. A translate inside reads the
-        region's code. One that leaves is coded from its coordinates on
-        Z^d; on F_k, from the point y it left from at letter l, as y's
-        numeral followed by gamma[l:] while T + |gamma| is at most
-        pack_limit, and past that by ``mul_packed``, a block of rows at a
-        time."""
+        of the translated coordinates; on F_k, in the region's index dtype,
+        by a walk along gamma's letters, a right-multiplication table
+        (``FreeGroup.right_table``) each. On F_k |x*gamma[:l]| falls and
+        then rises, so a row that leaves stays out, no row leaves between
+        two points of the region, and every row has left by letter 2T. A
+        translate inside reads the region's code. One that leaves is coded
+        from its coordinates on Z^d; on F_k, from the point y it left from
+        at letter l, as y's numeral followed by gamma[l:] while T + |gamma|
+        is at most pack_limit, and past that by ``mul_packed``, a block of
+        rows at a time."""
         g, n, T = self.group, len(self), self.radius
         if not isinstance(g, FreeGroup):  # exact in int64, gamma packing as Python ints past pack_limit
             moved = np.add(self.packed, g.pack([gamma]), order="F")  # columns contiguous
@@ -216,10 +224,9 @@ class Region:
         exits = []  # per letter l: the rows that leave there, and the points they leave from
         for l, letter in enumerate(gamma[: 2 * T + 1]):
             moved = g.right_table(self._step, T, letter).take(index)
-            rows = np.flatnonzero((moved == n) & (index != n))
+            rows = np.flatnonzero((moved == n) & (index != n)).astype(index.dtype)
             exits.append((rows, index[rows], l))
             index = moved
-        index = index.astype(np.int64)
         codes = self.codes.take(index, mode="clip")  # set below where leaving
         if T + len(gamma) <= g.pack_limit:  # y's numeral, then the digits of gamma[l:]
             for rows, y, l in exits:

@@ -1,12 +1,27 @@
 """The breadth-first ball enumeration, kept as the tests' independent
 reference for ``Group.ball``, ``identity_ball`` and the array-built regions,
-and the sort-and-search construction of Z^d balls that the lattice-point
-construction of ``FreeAbelian.ball_arrays`` replaced."""
+the sort-and-search construction of Z^d balls that the lattice-point
+construction of ``FreeAbelian.ball_arrays`` replaced, and the sorted search
+of element codes that ``Region.locate``'s reading of the layout replaced."""
 
 import numpy as np
 
 from shiftcolor.groups import _refuse_oversize
 from shiftcolor.radii import Infinity, radius_floor
+from shiftcolor.rng import element_codes
+
+
+def code_search(region, elements):
+    """Each element's region index, or the sentinel len(region) outside the
+    region, as int64, found by its code: the elements within radius of the
+    identity are coded and searched for among the region's codes, sorted."""
+    g = region.group
+    packed = g.pack(elements)
+    order = np.argsort(region.codes)
+    index = np.full(len(packed), len(region), dtype=np.int64)
+    inside = np.flatnonzero(g.dist_packed(g.pack([g.identity()]), packed) <= region.radius)
+    index[inside] = order[np.searchsorted(region.codes, element_codes(g, packed[inside]), sorter=order)]
+    return index
 
 
 def bfs_ball(group, center, r):

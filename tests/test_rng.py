@@ -10,6 +10,8 @@ Laws under test:
 3. Element codes are injective on the balls the simulations touch; in-range
    elements are packed exactly, and elements too large to pack (which the
    packing once wrapped onto other elements' codes) get codes of their own.
+   ``codes_hashed`` says a ball holds a hashed code exactly where its
+   extreme points' codes are hashed, on either side of every bound.
 4. Acceptance thresholds are exact binary fractions: p = 1/2 maps to 2^63.
 5. Same key, same bit — across instances; different seeds decorrelate.
 """
@@ -29,6 +31,7 @@ from shiftcolor.rng import (
     _unpacked_code,
     bernoulli_mask,
     bit,
+    codes_hashed,
     element_code,
     element_codes,
     mix,
@@ -203,6 +206,32 @@ class TestElementCodes:
         ]
         for g, pts in cases:
             assert element_codes(g, pts).tolist() == [element_code(g, e) for e in pts]
+
+    @pytest.mark.parametrize("g", [FreeGroup(1), F2, F3, FreeGroup(4), FreeGroup(5), FreeGroup(18), FreeGroup(26)])
+    def test_hashed_rule_agrees_with_the_codes_on_f_k(self, g):
+        """``codes_hashed(g, T)`` holds exactly where the word of T letters
+        with the largest numeral, base^T - 1, is hashed by
+        ``element_codes``: on either side of pack_limit, within which every
+        word packs, and of the numeral's 64 bits, up to three letters past
+        pack_limit, with no ball built."""
+        assert not codes_hashed(g, g.pack_limit)
+        for T in range(g.pack_limit - 1, g.pack_limit + 4):
+            word = (string.ascii_lowercase[: g.rank] + string.ascii_uppercase[: g.rank])[-1] * T
+            assert _packed(g, word) == (2 * g.rank + 1) ** T - 1
+            assert codes_hashed(g, T) == (element_codes(g, [word])[0] != _packed(g, word))
+
+    @pytest.mark.parametrize("g", [Z1, Z2, Z3, Z4])
+    def test_hashed_rule_agrees_with_the_codes_on_z_d(self, g):
+        """``codes_hashed(g, T)`` holds exactly where ``element_codes``
+        hashes a point +-T e_i, whose zigzags 2T and 2T - 1 are the ball's
+        largest: on Z^1..Z^3 from T = 2^20, whose zigzag 2^21 passes 21
+        bits, and on Z^4 at every radius, with no ball built."""
+        for T in (0, 1, 2**20 - 1, 2**20):
+            rows = [tuple(sign * T * (i == j) for j in range(g.dimension)) for i in range(g.dimension)
+                    for sign in (1, -1)]
+            points = [row[0] for row in rows] if g.dimension == 1 else rows
+            hashed = element_codes(g, points).tolist() != [_packed(g, x) for x in points]
+            assert codes_hashed(g, T) == hashed == (g is Z4 or T == 2**20)
 
     def test_far_int64_rows_equal_the_scalar_code(self):
         """Rows of int64 with a coordinate past 21 zigzagged bits are hashed

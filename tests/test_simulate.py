@@ -54,8 +54,8 @@ Laws under test:
    radius or occurrence count is refused.
 7. The array-built region agrees with the breadth-first ball, group.norm,
    the scalar element code, an index-plus-mul generator table and g.dist;
-   it locates points inside it, just outside and past int64 as an index
-   dict does; its composed windows, the slot distances measured on first
+   it locates points inside it, just outside and past int64 by its layout
+   as an index dict and the sorted code search it replaced do; its composed windows, the slot distances measured on first
    use (and never by composing windows alone) and the one window decoder
    that reads them agree with brute force over g.dist, every window at
    every width up to 2T - 1; the windows of every point are the reference
@@ -68,8 +68,9 @@ Laws under test:
    below 2^16 points and int32 from there: on Z^1 either side of the
    bound, its windows, slot distances, elements, locate, translation
    kernel, greedy and a validated run equal the region's in a wider
-   dtype. A region refuses
-   colliding element codes. Its translation kernel agrees with
+   dtype. A region keeps no code order: it checks its codes for collisions,
+   with one sort, exactly where ``codes_hashed`` says they are hashed, and
+   refuses colliding ones there. Its translation kernel agrees with
    g.mul, the scalar element code and an index dict, in machine integers
    and in Python ints, and calls g.mul for no point. Its elements are decoded only where a report
    names points: not by a simulate without --dump that validates clean,
@@ -143,7 +144,7 @@ from shiftcolor.ideals import (
 from shiftcolor.patterns import PartialColoring, shift
 from shiftcolor.radii import INF, Infinity, radius_ceil, radius_floor
 from shiftcolor.reduction import ReducedIdeal, SupRadiiJoin
-from shiftcolor.rng import RandomField, bernoulli_mask, bit, element_code, element_codes
+from shiftcolor.rng import RandomField, bernoulli_mask, bit, codes_hashed, element_code, element_codes
 from shiftcolor.simulate import (
     EquivarianceReport,
     SimulationConfig,
@@ -159,7 +160,7 @@ from shiftcolor.simulate import (
     trace_validate,
 )
 
-from ball_reference import bfs_ball
+from ball_reference import bfs_ball, code_search
 from run_reference import reference_run
 from table_reference import reference_table
 
@@ -604,7 +605,7 @@ TRANSLATE_CASES = [
     (FreeGroup(3), 2),
 ]
 
-# (group, largest radius) for locating points by code; F_1 at 44 letters
+# (group, largest radius) for locating points; F_1 at 44 letters
 # packs as Python ints, and F_18's base 37 is past the digits int reads
 LOCATE_CASES = [
     (Z1, 12),
@@ -641,7 +642,7 @@ def shift_elements(draw, g, lengths=st.one_of(st.integers(0, 8), st.sampled_from
 
 def index_dict(region):
     """Each region point's index, as a dict: the reference for locating
-    points by code."""
+    points."""
     return {e: i for i, e in enumerate(region.elements)}
 
 
@@ -749,17 +750,22 @@ class TestRegionKernel:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_locate_matches_index_dict(self, data):
-        """``locate`` against an index dict of the region, on points inside
-        it, just outside it (one layer out) and far away: coordinates past
-        int64 on Z^d, words past pack_limit on F_k."""
+        """``locate``, which reads the region's layout, against an index
+        dict of the region and the sorted search of its codes that it
+        replaced (``code_search``), on points inside it, just outside it
+        (one layer out, at norm T + 1) and far away: coordinates past int64
+        on Z^d, and on F_k words past pack_limit, of up to 60 letters, also
+        about an F_1 region past its 40."""
         g, max_r = data.draw(st.sampled_from(LOCATE_CASES))
         region = simulate.Region(g, data.draw(st.integers(0, max_r)))
         near = bfs_ball(g, g.identity(), region.radius + 1)
-        elements = data.draw(st.lists(st.one_of(st.sampled_from(near), shift_elements(g)), max_size=12))
+        lengths = st.integers(0, 8) | st.sampled_from([26, 27, 28, 40, 41, 45]) | st.integers(40, 60)
+        elements = data.draw(st.lists(st.one_of(st.sampled_from(near), shift_elements(g, lengths)), max_size=12))
         index = index_dict(region)
         located = region.locate(elements)
         assert located.dtype == np.int64
         assert located.tolist() == [index.get(e, len(index)) for e in elements]
+        assert located.tolist() == code_search(region, elements).tolist()
 
     @pytest.mark.parametrize("g, r, wide", [(Z1, 6, 9), (Z2, 3, 5), (F2, 2, 3), (FreeGroup(1), 40, 43)])
     def test_slot_distances_after_a_wider_build(self, g, r, wide):
@@ -883,15 +889,39 @@ class TestRegionKernel:
 
     def test_codes_past_the_packable_length(self):
         """F_1 words past 40 letters pack as Python ints, and their codes are
-        the scalar element_code's, hashed past 64 bits."""
+        the scalar element_code's, hashed past 64 bits; ``locate`` walks
+        their Python-int fields to every point, and words of 45 and 60
+        letters to the sentinel."""
         region = simulate.Region(FreeGroup(1), 44)
         assert region.packed.dtype == object and region.codes.dtype == np.uint64
         assert region.codes.tolist() == [element_code(region.group, e) for e in region.elements]
+        located = region.locate([*region.elements, "a" * 45, "A" * 60])
+        assert located.tolist() == [*range(len(region)), len(region), len(region)]
 
     def test_colliding_codes_refused(self, monkeypatch):
+        """Z^4 codes are hashed (``codes_hashed``), so a region of them is
+        checked, and refused where they collide."""
         monkeypatch.setattr(simulate, "element_codes", lambda g, pts: np.zeros(len(pts), dtype=np.uint64))
         with pytest.raises(RuntimeError, match="element codes collide"):
-            simulate.Region(Z1, 2)
+            simulate.Region(FreeAbelian(4), 2)
+
+    @pytest.mark.parametrize("g, T, hashed", [(Z1, 2, False), (Z1, 2**20 - 1, False), (Z1, 2**20, True),
+                                              (FreeAbelian(3), 2, False), (FreeAbelian(4), 1, True),
+                                              (FreeGroup(1), 40, False), (FreeGroup(1), 41, True), (F2, 3, False)])
+    def test_codes_checked_exactly_where_hashed(self, monkeypatch, g, T, hashed):
+        """A region checks its codes for collisions, with one sort and no
+        argsort, exactly where ``codes_hashed`` says they may collide:
+        codes forced to collide are refused there, and kept elsewhere,
+        where the codes are distinct by construction."""
+        assert codes_hashed(g, T) == hashed
+        sorts, argsorts = count_calls(monkeypatch, np, "sort"), count_calls(monkeypatch, np, "argsort")
+        monkeypatch.setattr(simulate, "element_codes", lambda g, pts: np.zeros(len(pts), dtype=np.uint64))
+        if hashed:
+            with pytest.raises(RuntimeError, match="element codes collide"):
+                simulate.Region(g, T)
+        else:
+            assert not simulate.Region(g, T).codes.any()
+        assert (len(sorts), argsorts) == (hashed, [])
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -980,11 +1010,11 @@ class TestRegionKernel:
 
 
 def _recast(region, dtype):
-    """A copy of region whose generator table and code order are in dtype,
-    its slot distances measured afresh and its elements decoded afresh."""
+    """A copy of region whose generator table is in dtype, its slot
+    distances measured afresh and its elements decoded afresh."""
     other = copy.copy(region)
     other.__dict__.pop("elements", None)
-    other._step, other._code_order = region._step.astype(dtype), region._code_order.astype(dtype)
+    other._step = region._step.astype(dtype)
     other._distances = np.zeros((0, 0), dtype=np.int64)
     return other
 
@@ -1003,7 +1033,7 @@ class TestIndexDtype:
     @pytest.mark.parametrize("T, dtype, wider", [(32_767, np.uint16, np.int32), (32_768, np.int32, np.int64)])
     def test_readers_agree_with_a_wider_dtype(self, monkeypatch, T, dtype, wider):
         region = simulate.Region(Z1, T)
-        assert len(region) == 2 * T + 1 and region._step.dtype == region._code_order.dtype == dtype
+        assert len(region) == 2 * T + 1 and region._step.dtype == dtype
         other = _recast(region, wider)
         every = np.arange(len(region))
         for s in (0, 1, 3):
