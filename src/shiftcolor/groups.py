@@ -230,8 +230,9 @@ class FreeAbelian(Group):
         sizes = np.append(0, 2 * np.arange(radius + 1) + 1)  # B_1(r) at r + 1, for r = -1..radius
         for x0 in x[-2::-1]:
             wider = sizes + 2 * np.append(0, np.cumsum(sizes)[:-1])  # B_(k+1)(r) = B_k(r) + 2 sum_(s<r) B_k(s)
+            pair = sizes[:-1] + sizes[1:]  # B_k(r - 1) + B_k(r) at r
             t = norm + np.abs(x0)
-            at += wider[t] + np.where(x0 > 0, sizes[t + 1] + sizes[t] - sizes[norm] - sizes[norm + 1], 0)
+            at += wider.take(t) + (x0 > 0) * (pair.take(t) - pair.take(norm))
             norm, sizes = t, wider
         index[inside] = at
         return index

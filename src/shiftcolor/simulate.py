@@ -18,7 +18,7 @@ reads them: dumps (``SimulationTrace.assigned_sets``), validation failures,
 equivariance mismatches, ideals judged window by window, and the sparse
 run. A trace given as elements is validated and located once, by
 ``from_elements``, from the layout ``ball_arrays`` builds
-(``Region.locate``): no search of element codes finds a point.
+(``Region.locate``).
 
 The default schedule cycles through the ideal's palette with a warm-up:
 rounds before R_i reaches its maximum get empty supports (the schedule still
@@ -112,8 +112,8 @@ class Region:
     where that leaves the region, as in the sentinel column n, in the
     narrowest dtype that holds n (``index_dtype``: uint16 below 2^16
     points, int32 below 2^31). ``len(region)`` is n. Points are found by
-    the layout (``locate``, ``right_translate``), never by code. The
-    elements, in ``Group.ball``'s order, are decoded by
+    the layout (``locate``, ``right_translate``). The elements, in
+    ``Group.ball``'s order, are decoded by
     ``Group.decode_ball`` on the first read of ``elements``: reports that
     name points read them. Windows about points are composed from the
     generator table for the points that read them (``columns``), and no
