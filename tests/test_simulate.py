@@ -55,10 +55,11 @@ Laws under test:
 7. The array-built region agrees with the breadth-first ball, group.norm,
    the scalar element code, an index-plus-mul generator table and g.dist;
    it locates points inside it, just outside and past int64 by its layout
-   as an index dict and the sorted code search it replaced do; its composed windows, the slot distances measured on first
-   use (and never by composing windows alone) and the one window decoder
-   that reads them agree with brute force over g.dist, every window at
-   every width up to 2T - 1; the windows of every point are the reference
+   as an index dict and the sorted code search it replaced do; its
+   composed windows, the slot distances measured on first use (and never
+   by composing windows alone) and the one window decoder that reads them
+   agree with brute force over g.dist, every window at every width up to
+   2T - 1; the windows of every point are the reference
    table (``table_reference``) and the transpose of the row-major strided
    column build kept here at every width up to 2T + 1, in uint16, int32
    and int64, and the windows of random points, boundary ones among them,
