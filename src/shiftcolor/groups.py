@@ -298,8 +298,15 @@ class FreeAbelian(Group):
     pack_limit = (1 << 62) - 1
 
     def pack(self, elements):
-        exact = max(map(self.norm, elements), default=0) > self.pack_limit
-        return np.array(elements, dtype=object if exact else np.int64).reshape(len(elements), self.dimension)
+        try:
+            rows = np.array(elements, dtype=np.int64).reshape(len(elements), self.dimension)
+        except OverflowError:  # a coordinate past int64, so a norm past pack_limit
+            return np.array(elements, dtype=object).reshape(len(elements), self.dimension)
+        cap = np.uint64(self.pack_limit + 1)  # norms capped here and |x| read in uint64: neither wraps
+        norms = np.zeros(len(rows), dtype=np.uint64)
+        for column in rows.T:
+            norms = np.minimum(norms + np.minimum(np.abs(column).view(np.uint64), cap), cap)
+        return rows if norms.max(initial=0) < cap else rows.astype(object)
 
     def mul_packed(self, A, B):
         # int64 rows have |coordinates| <= pack_limit, so their sums fit. The

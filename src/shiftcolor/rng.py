@@ -204,12 +204,9 @@ class RandomField:
     region at once (same bits, vectorized)."""
 
     def __init__(self, group: Group, seed: int, p: Fraction):
-        p = Fraction(p)
-        if not 0 < p < 1:
-            raise ValueError(f"support density must lie strictly between 0 and 1, got {p}")
-        self.group = group
-        self.seed = int(seed)
-        self.p = p
+        self.group, self.seed, self.p = group, int(seed), Fraction(p)
+        if not 0 < self.p < 1:
+            raise ValueError(f"support density must lie strictly between 0 and 1, got {self.p}")
 
     def value(self, step: int, element) -> bool:
         return bit(self.seed, step, element_code(self.group, element), self.p)

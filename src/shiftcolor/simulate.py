@@ -62,15 +62,18 @@ window as it stood after that step, composed a chunk of coloured points
 at a time. Every pair in a window is judged, not only the pairs through
 the new point: without warm-up an old pair may already violate.
 
-The equivariance check reads the field at x*gamma through one translation
-kernel, ``Region.right_translate``, which reads every translate's region
-index from the layout ``ball_arrays`` builds, with no search: on Z^d from
-the translated coordinates (``FreeAbelian.ball_index``), on F_k by a walk
-along gamma's letters through right-multiplication tables built from the
-generator table (``FreeGroup.right_table``). A translate inside the region
-reads the region's element code; only the translates that leave it are
-coded afresh, on F_k by appending gamma's remaining digits to a numeral
-while that fits 64 bits, and by ``mul_packed`` past that.
+A run draws its supports from ``run``'s ``field`` read at ``codes``: the
+config's RandomField and the region's codes by default. The equivariance
+check runs twice on one field, the second time at the codes of x*gamma
+from one translation kernel, ``Region.right_translate``, which reads
+every translate's region index from the layout ``ball_arrays`` builds,
+with no search: on Z^d from the translated coordinates
+(``FreeAbelian.ball_index``), on F_k by a walk along gamma's letters
+through right-multiplication tables built from the generator table
+(``FreeGroup.right_table``). A translate inside the region reads the
+region's element code; only the translates that leave it are coded
+afresh, on F_k by appending gamma's remaining digits to a numeral while
+that fits 64 bits, and by ``mul_packed`` past that.
 
 The sparse run's greedy colouring at scale d_c reads each point's earlier
 neighbours from its composed window when Ball(1, d_c) is smaller than the
@@ -366,9 +369,7 @@ class SimulationConfig:
     def validate(self) -> None:
         if self.window_radius < 0 or self.margin < 0 or self.steps < 0:
             raise ValueError("window radius, margin, and steps must be nonnegative")
-        p = Fraction(self.p)
-        if not 0 < p < 1:
-            raise ValueError(f"support density must be in (0,1), got {p}")
+        RandomField(self.ideal.group, self.seed, self.p)  # refuses a density outside (0, 1)
         cycle = self.cycle()
         radii = []
         for c in cycle:
@@ -484,25 +485,24 @@ class SimulationTrace:
         return out
 
 
-def _isolated_supports(config: SimulationConfig, region: Region, codes: np.ndarray,
+def _isolated_supports(region: Region, field: RandomField, codes: np.ndarray,
                        radii: List[Optional[int]]) -> List[np.ndarray]:
     """Per step i, the region indices of its support points, in region
     order, whose radius-s_i ball fits inside the region and holds no other
     support point of the step, for s_i = radii[i]; None marks a warm-up
-    step, which has none. Every other step's support is the field's. The
-    steps that share one s are isolated together, a block of at most 64
-    steps at a time: a point's word holds a bit per step of the block, set
-    where it is a support point, and ``_isolated`` reads the slots of each
-    candidate's window once for the whole block. The words are folded from
-    the field's masks, every step of the block in one draw over a chunk of
-    codes, at most _PAIR_CELLS cells at a time."""
-    T = config.window_radius + config.margin
-    n = len(region)
+    step, which has none. Every other step's support is the field's at
+    ``codes``, a code per point. The steps that share one s are isolated
+    together, a block of at most 64 steps at a time: a point's word holds a
+    bit per step of the block, set where it is a support point, and
+    ``_isolated`` reads the slots of each candidate's window once for the
+    whole block. The words are folded from the field's masks, every step of
+    the block in one draw over a chunk of codes, at most _PAIR_CELLS cells
+    at a time."""
+    T, n = region.radius, len(region)
     by_s: Dict[int, List[int]] = {}
     for i, s in enumerate(radii):
         if s is not None:
             by_s.setdefault(s, []).append(i)
-    field_rng = RandomField(config.ideal.group, config.seed, Fraction(config.p))
     isolated = [np.zeros(0, dtype=np.int64) for _ in radii]
     for s, at in by_s.items():
         # points outside or at the boundary are no candidates, but they
@@ -516,26 +516,25 @@ def _isolated_supports(config: SimulationConfig, region: Region, codes: np.ndarr
             cols = max(1, _PAIR_CELLS // len(block))
             for start in range(0, n, cols):
                 chunk = slice(start, min(start + cols, n))  # the sentinel's word stays 0
-                masks = field_rng.mask(block, codes[chunk])
+                masks = field.mask(block, codes[chunk])
                 words[chunk] = np.bitwise_or.reduce(masks.astype(words.dtype) << shift, axis=0)
             for i, points in zip(block, _isolated(region, s, words, cand, len(block))):
                 isolated[i] = points
     return isolated
 
 
-def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> SimulationTrace:
-    """Execute the iterative randomized coloring on the configured window.
-
-    ``_field_codes`` substitutes the element codes used for field sampling
-    (the equivariance check passes codes of shifted elements so the run sees
-    a translated copy of the same randomness).
-    """
+def run(config: SimulationConfig, field: Optional[RandomField] = None,
+        codes: Optional[np.ndarray] = None) -> SimulationTrace:
+    """Execute the iterative randomized coloring on the configured window,
+    its supports read from ``field`` (the config's by default) at
+    ``codes``, a code per region point (the region's by default)."""
     config.validate()
     ideal = config.ideal
     g = ideal.group
     region = _region_of(g, config.window_radius + config.margin)
     n_pts = len(region)
-    codes = region.codes if _field_codes is None else _field_codes
+    field = RandomField(g, config.seed, config.p) if field is None else field
+    codes = region.codes if codes is None else codes
     if len(codes) != n_pts:
         raise ValueError("field codes must cover the region")
 
@@ -552,7 +551,7 @@ def run(config: SimulationConfig, _field_codes: Optional[np.ndarray] = None) -> 
     radii = [None if config.warmup and R < max_r else radius_floor(2 * R) for R in reaches[:-1]]
     # every step's isolated supports, a pass over the window's slots per
     # radius and block of up to 64 steps
-    isolated = _isolated_supports(config, region, codes, radii)
+    isolated = _isolated_supports(region, field, codes, radii)
     # per isolation radius one judge, and the windows of every step's
     # candidates, composed at once, in step order
     judges, windows = {}, {}
@@ -728,23 +727,20 @@ class EquivarianceReport:
         }
 
 
-def equivariance_check(config: SimulationConfig, gamma) -> EquivarianceReport:
-    """Run once with the standard field and once with the field read at
-    shifted positions; the colorings must agree — the second run's value at
-    x must equal the first run's value at x*gamma — on every point whose
-    full dependency cone lies inside the region in both frames."""
-    config.validate()
+def equivariance_check(config: SimulationConfig, gamma, field: Optional[RandomField] = None) -> EquivarianceReport:
+    """Run on ``field`` as drawn and read at the translates x*gamma; the
+    colorings must agree — the second run's value at x must equal the
+    first run's value at x*gamma — on every point whose full dependency
+    cone lies inside the region in both frames."""
     g = config.ideal.group
     g.validate(gamma)
-    T = config.window_radius + config.margin
-    region = _region_of(g, T)
-
-    base = run(config)
+    base = run(config, field)
+    region = base.region
     index, codes = region.right_translate(gamma)
-    moved = run(config, _field_codes=codes)
+    moved = run(config, field, codes)
 
     cone = sum((2 * R_i for R_i in base.reaches[:-1]), 0)
-    safe = np.append(region.norms + radius_ceil(cone) <= T, False)  # the sentinel is never safe
+    safe = np.append(region.norms + radius_ceil(cone) <= region.radius, False)  # the sentinel is never safe
     counted = np.flatnonzero(safe[:-1] & safe[index])
 
     ids: Dict[object, int] = {}  # each colour seen, as a small int

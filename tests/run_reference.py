@@ -1,5 +1,5 @@
 """The window process one point at a time, kept as the tests' independent
-reference for ``simulate.run``: support bits from ``RandomField.value``,
+reference for ``simulate.run``: support bits from its field's ``value``,
 isolation balls and windows from ``Group.ball``, and membership from
 ``contains`` on each window as a pattern. It shares no mask, isolation
 kernel, neighbour table or window judge with ``run``."""
@@ -21,14 +21,15 @@ class _Points(list):
         return self
 
 
-def reference_run(config) -> SimulationTrace:
+def reference_run(config, field=None) -> SimulationTrace:
     """Step i with colour c_i and reach R_i, s_i = floor(2R_i): unless it is
     a warm-up step (R_i below the largest radius, with warm-up on), each
-    support point x of the step, in region order, with |x| + s_i <= T, not
-    yet coloured and alone among the step's support points in Ball(x, s_i),
-    takes c_i when its window Ball(x, s_i), as coloured before the step,
-    with x coloured c_i, is a member. The trace lists each step's points in
-    region order, the order of ``g.ball``."""
+    support point x of the step (``field.value(i, x)``, the config's field
+    by default), in region order, with |x| + s_i <= T, not yet coloured and
+    alone among the step's support points in Ball(x, s_i), takes c_i when
+    its window Ball(x, s_i), as coloured before the step, with x coloured
+    c_i, is a member. The trace lists each step's points in region order,
+    the order of ``g.ball``."""
     config.validate()
     ideal = config.ideal
     g = ideal.group
@@ -36,7 +37,7 @@ def reference_run(config) -> SimulationTrace:
     points = g.ball(g.identity(), T)
     index = {x: i for i, x in enumerate(points)}
     interior = [x for x in points if g.norm(x) <= config.window_radius]
-    field = RandomField(g, config.seed, config.p)
+    field = RandomField(g, config.seed, config.p) if field is None else field
     cycle = config.cycle()
     schedule = [cycle[i % len(cycle)] for i in range(config.steps)]
     reaches = [0]

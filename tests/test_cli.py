@@ -8,7 +8,8 @@ Laws under test:
    its table or its decoded elements. A negative ``--budget`` on every budgeted
    subcommand, a negative ``--palette-max``, negative ``extract``
    arguments, a plain colour scheduled on a reduced spec, an extension
-   search on a reduced spec, and a malformed JSON schedule are usage
+   search on a reduced spec, a malformed JSON schedule and a ``simulate``
+   density outside (0, 1), named by the field's one message, are usage
    errors; a JSON schedule of pair colours runs as
    the library does. ``reduce``'s payload is ``check_reduction``'s report,
    with its sampled patterns only under ``--dump``.
@@ -622,6 +623,15 @@ class TestUsageErrors:
         found violation)."""
         err = self._usage_error(tmp_path, capsys, argv, spec_text)
         assert "zero denominator" in err
+
+    @pytest.mark.parametrize("p", ["0", "1", "3/2", "-1/2"])
+    def test_density_outside_the_unit_interval_exits_two(self, tmp_path, capsys, p):
+        """The density rule has one statement and one message, whoever
+        applies it: here the config's validation, before any field is
+        drawn."""
+        argv = ["simulate", "SPEC", "--window", "3", "--margin", "2", "--steps", "2", f"--p={p}"]
+        err = self._usage_error(tmp_path, capsys, argv, '{"kind": "ProperColoring", "group": "Z^1", "k": 3}')
+        assert err == f"error: support density must lie strictly between 0 and 1, got {Fraction(p)}\n"
 
     @pytest.mark.parametrize(
         "argv, spec_text, named",

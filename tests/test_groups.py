@@ -18,7 +18,9 @@ Laws under test:
    element_codes) agrees with the scalar mul, dist and element_code on
    Z^1-Z^4, F_1-F_5, F_18 and F_26, on both sides of pack_limit and past
    int64. Rows are machine integers exactly while every norm is at most
-   pack_limit, and products exactly while every |a| + |b| is. F_k rows
+   pack_limit (on Z^d also at norms pack_limit and one more split over up
+   to 28 coordinates, and at coordinates of +-2^63), and products exactly
+   while every |a| + |b| is. F_k rows
    carry the word's letter fields, as a letter-by-letter reference here
    lays them out, and the bit-field kernels give the numerals, lengths and
    distances of the numeral kernels they replaced (packed_reference.py),
@@ -616,6 +618,34 @@ class TestPackedArithmetic:
         product = g.mul_packed(packed[1], g.pack([a])[0])
         assert product.dtype == object
         assert product.tolist() == list(g.sort_key(g.mul(element, a)))
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 4, 28])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pack_dtype_is_the_scalar_rule(self, dimension, data):
+        """Z^d rows are int64 exactly when every Python norm is at most
+        pack_limit, and Python ints past it, every coordinate kept: on
+        norms of pack_limit and one more, split over the coordinates, and
+        on coordinates at and past +-2^63, whose absolute values and sums
+        wrap in int64."""
+        g = FreeAbelian(dimension)
+        L = g.pack_limit
+        edges = [0, 1, -1, L, -L, L + 1, -(L + 1), 2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**64, -(2**64)]
+
+        def of_norm(n):
+            cuts = sorted(data.draw(st.integers(0, n)) for _ in range(dimension - 1))
+            parts = [b - a for a, b in zip([0, *cuts], [*cuts, n])]
+            return [-c if data.draw(st.booleans()) else c for c in parts]
+
+        element = st.one_of(st.sampled_from([0, 1, L, L + 1]).map(of_norm),
+                            st.lists(st.sampled_from(edges), min_size=dimension, max_size=dimension))
+        rows = data.draw(st.lists(element, max_size=4))
+        xs = [row[0] if dimension == 1 else tuple(row) for row in rows]
+        packed = g.pack(xs)
+        assert packed.shape == (len(xs), dimension)
+        assert packed.dtype == (np.int64 if max(map(g.norm, xs), default=0) <= L else object)
+        assert packed.tolist() == rows
+        assert all(type(c) is int for c in packed.ravel()) or packed.dtype == np.int64
 
     @pytest.mark.parametrize("rank", [17, 18, 26])
     def test_bases_past_36_pack(self, rank):

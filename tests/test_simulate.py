@@ -5,15 +5,15 @@ Laws under test:
 1. Config validation: the margin absorbs twice the largest window radius;
    densities are proper fractions; palette-less ideals need a schedule,
    and an ideal that declares only max_color() runs 0..max_color().
-   Substituted field codes must cover the region.
-2. Step rule, with the field's support substituted at listed steps
-   (``substitute_supports``; supports come only from the field): a single
-   support point gets the scheduled color; two adjacent support points at
-   reach 0 both get colored — an invalid outcome that the validator must
-   catch (this is why the warm-up exists). A support point that is already
-   coloured, or too near the boundary to be a candidate, still blocks its
-   neighbours; unlisted steps read the real field. The isolation
-   kernel, a slot at a time over step words (a bit per step, in every
+   Codes passed to ``run`` must cover the region.
+2. Step rule, on a field whose support is substituted at listed steps
+   (``Substituted``, a RandomField passed to ``run`` as its ``field``;
+   supports come only from the field): a single support point gets the
+   scheduled color; two adjacent support points at reach 0 both get
+   colored — an invalid outcome that the validator must catch (this is
+   why the warm-up exists). A support point that is already coloured, or
+   too near the boundary to be a candidate, still blocks its neighbours;
+   unlisted steps read the real field. The isolation kernel, a slot at a time over step words (a bit per step, in every
    word width), keeps of each step exactly the candidates the row rule
    keeps, in region order, on Z^1-Z^3 and F_1-F_3, for one step and for
    stacks of up to 64; it reads ``Region.columns`` once per chunk of its
@@ -30,8 +30,9 @@ Laws under test:
 4. Equivariance: runs driven by a translated field agree with the original
    on the safe interior, exactly. Whole reports equal those of the
    per-point check (one g.mul and one index lookup per point), also when a
-   skewed kernel makes records differ. A substituted field is a field on
-   elements, so its runs are equivariant too.
+   skewed kernel makes records differ. A substituted field, passed to the
+   check and so to both runs, is a field on elements, so its runs are
+   equivariant too and equal the per-point check on it.
 5. Sparse runs: the greedy colouring equals the all-pairs greedy, on
    Z^1-Z^3 and F_1-F_3 at every d_c in [0, 2T], so from table rows, from
    pair blocks and by the complete-graph shortcut; the frozen greedy table
@@ -109,7 +110,8 @@ Laws under test:
    bits, ``g.ball`` windows, ``contains``) gives identical summaries and
    dumps to ``run``, on Z^1-Z^3 and F_1-F_2, for the three pairwise kinds
    and for a Reduced spec with a pair schedule (the per-row fallback),
-   with warm-up on and off.
+   with warm-up on and off, and on one substituted field passed to both,
+   which the reference reads through ``value``.
 12. Window readers: the isolation kernel, the greedy (both also past the
    region's radius), run's gather on every judged step and the windows the
    validator judges, failures included, equal what the rows of the
@@ -253,86 +255,85 @@ class TestConfigValidation:
         assert trace_validate(trace, PC3).ok
 
 
-def substitute_supports(monkeypatch, g, supports):
-    """Substitute the field at the listed steps: at step i the support is
-    exactly the points of g listed in ``supports[i]``, read by their element
-    codes, and every other step reads the real field. ``RandomField.mask``
-    is the one place a run reads its supports, so warm-up steps, which read
-    none, stay empty."""
-    draw = RandomField.mask
-    listed = {i: [element_code(g, e) for e in points] for i, points in supports.items()}
+class Substituted(RandomField):
+    """The config's field with the support substituted at the listed steps:
+    at step i it is exactly the points listed in ``supports[i]``, read by
+    their element codes, through ``mask`` (as ``run`` reads it) and
+    ``value`` (as the reference run reads it), and every other step reads
+    the drawn field. A run passes it as its ``field``; warm-up steps, which
+    read none, stay empty."""
 
-    def mask(field, steps, codes):
-        masks = draw(field, steps, codes)
+    def __init__(self, config, supports):
+        g = config.ideal.group
+        super().__init__(g, config.seed, config.p)
+        self.listed = {i: [element_code(g, e) for e in points] for i, points in supports.items()}
+
+    def mask(self, steps, codes):
+        masks = super().mask(steps, codes)
         for row, i in enumerate(steps):
-            if i in listed:
-                masks[row] = np.isin(codes, np.array(listed[i], dtype=codes.dtype))
+            if i in self.listed:
+                masks[row] = np.isin(codes, np.array(self.listed[i], dtype=codes.dtype))
         return masks
 
-    monkeypatch.setattr(RandomField, "mask", mask)
+    def value(self, step, element):
+        if step in self.listed:
+            return element_code(self.group, element) in self.listed[step]
+        return super().value(step, element)
 
 
-def substituted(monkeypatch, case):
-    """The config of a case: a config, or a pair (config, supports) whose
-    supports are substituted into the field (``substitute_supports``)."""
-    if isinstance(case, SimulationConfig):
-        return case
-    config, supports = case
-    substitute_supports(monkeypatch, config.ideal.group, supports)
-    return config
+def substituted(case):
+    """(config, field) of a case: a config, on its own field, or a pair
+    (config, supports), on the field with those supports substituted."""
+    config, supports = (case, {}) if isinstance(case, SimulationConfig) else case
+    return config, Substituted(config, supports)
 
 
 class TestStepRule:
-    def test_forced_single_point(self, monkeypatch):
-        substitute_supports(monkeypatch, Z1, {0: [0]})
+    def test_forced_single_point(self):
         cfg = SimulationConfig(ideal=PC3, window_radius=5, margin=2, steps=1, seed=0, warmup=False)
-        trace = run(cfg)
+        trace = run(cfg, Substituted(cfg, {0: [0]}))
         assert trace.assigned_sets == [(0, (0,))]
 
-    def test_forced_adjacent_pair_slips_through_at_reach_zero(self, monkeypatch):
+    def test_forced_adjacent_pair_slips_through_at_reach_zero(self):
         """At reach 0 two adjacent support points are both 'isolated', and
         each local window check sees only itself: the step accepts both with
         the same color. The validator must flag the resulting pattern."""
-        substitute_supports(monkeypatch, Z1, {0: [0, 1]})
         cfg = SimulationConfig(ideal=PC3, window_radius=5, margin=2, steps=1, seed=0, warmup=False)
-        trace = run(cfg)
+        trace = run(cfg, Substituted(cfg, {0: [0, 1]}))
         assert trace.assigned_sets == [(0, (0, 1))]
         report = trace_validate(trace, PC3)
         assert not report.ok
         assert {f["element"] for f in report.failures} == {0, 1}
 
-    def test_forced_isolation_reads_the_neighbour_table(self, monkeypatch):
+    def test_forced_isolation_reads_the_neighbour_table(self):
         """At reach 1 (s = 2) the support points 0 and 2 see each other and
         neither is isolated; -3 and 6 are, and come out in region order."""
-        substitute_supports(monkeypatch, Z1, {1: [6, -3, 0, 2]})
         cfg = SimulationConfig(ideal=PC3, window_radius=10, margin=2, steps=2)
-        assert run(cfg).assigned_sets == [(0, ()), (1, (-3, 6))]
+        assert run(cfg, Substituted(cfg, {1: [6, -3, 0, 2]})).assigned_sets == [(0, ()), (1, (-3, 6))]
 
-    def test_coloured_support_point_still_blocks(self, monkeypatch):
+    def test_coloured_support_point_still_blocks(self):
         """Point 0, coloured at step 0 and so no candidate at step 1, is a
         support point there again and blocks 2 (distance 2 <= s = 2); 3 is
         farther and is coloured."""
         cfg = SimulationConfig(ideal=PC3, window_radius=10, margin=2, steps=2, warmup=False)
         for fresh, assigned in ((2, ()), (3, (3,))):
-            substitute_supports(monkeypatch, Z1, {0: [0], 1: [0, fresh]})
-            assert run(cfg).assigned_sets == [(0, (0,)), (1, assigned)]
+            field = Substituted(cfg, {0: [0], 1: [0, fresh]})
+            assert run(cfg, field).assigned_sets == [(0, (0,)), (1, assigned)]
 
-    def test_boundary_support_point_still_blocks(self, monkeypatch):
+    def test_boundary_support_point_still_blocks(self):
         """At T = 7 and s = 2 the support point 7 is never a candidate
         (7 + 2 > T), yet it blocks the candidate 5; 4 is farther and is
         coloured."""
         cfg = SimulationConfig(ideal=PC3, window_radius=5, margin=2, steps=2)
         for fresh, assigned in ((5, ()), (4, (4,))):
-            substitute_supports(monkeypatch, Z1, {1: [7, fresh]})
-            assert run(cfg).assigned_sets == [(0, ()), (1, assigned)]
+            assert run(cfg, Substituted(cfg, {1: [7, fresh]})).assigned_sets == [(0, ()), (1, assigned)]
 
-    def test_unlisted_steps_read_the_real_field(self, monkeypatch):
+    def test_unlisted_steps_read_the_real_field(self):
         """Substituting step 4 leaves the steps before it as drawn, and
         step 4 colours only listed points."""
         cfg = SimulationConfig(PC3, 10, 2, 8, Fraction(1, 2), seed=3)
         drawn = run(cfg).assigned_sets
-        substitute_supports(monkeypatch, Z1, {4: [0, 3, -5]})
-        assigned = run(cfg).assigned_sets
+        assigned = run(cfg, Substituted(cfg, {4: [0, 3, -5]})).assigned_sets
         assert assigned[:4] == drawn[:4] and any(elems for _c, elems in drawn[:4])
         assert assigned[4] == (1, (3, -5))  # 0 is coloured at step 2 and blocks none at s = 2
 
@@ -351,7 +352,7 @@ class TestStepRule:
     def test_field_codes_must_cover_the_region(self):
         config = SimulationConfig(PC3, 5, 2, 4, Fraction(1, 2), seed=0)
         with pytest.raises(ValueError, match="field codes must cover the region"):
-            run(config, _field_codes=np.zeros(3, dtype=np.uint64))
+            run(config, codes=np.zeros(3, dtype=np.uint64))
 
     def test_determinism(self):
         cfg = SimulationConfig(ideal=PC3, window_radius=30, margin=2, steps=20, seed=9)
@@ -558,13 +559,12 @@ class TestNotUniversalRuns:
         assert final.colors_used() == {0, 1}
         assert trace_validate(trace, nu).ok
 
-    def test_f2_forced_fixture(self, monkeypatch):
+    def test_f2_forced_fixture(self):
         """Identity gets colored; aa and bb are then refused: they are
         within distance 2*d_0 of the identity with the same color."""
         nu = NotUniversal(F2, (1,), (3,))
-        substitute_supports(monkeypatch, F2, {1: [""], 2: ["aa"], 3: ["bb"]})
         cfg = SimulationConfig(ideal=nu, window_radius=2, margin=6, steps=4, seed=0)
-        trace = run(cfg)
+        trace = run(cfg, Substituted(cfg, {1: [""], 2: ["aa"], 3: ["bb"]}))
         assert trace.assigned_sets == [(0, ()), (0, ("",)), (0, ()), (0, ())]
         assert trace_validate(trace, nu).ok
 
@@ -1165,16 +1165,16 @@ class TestValidatorAgainstBruteForce:
             (SimulationConfig(PC3, 10, 2, 8, Fraction(1, 2), seed=3), {4: [0, 3, -5]}),
         ],
     )
-    def test_runs(self, monkeypatch, config):
-        config = substituted(monkeypatch, config)
-        trace = run(config)
+    def test_runs(self, config):
+        config, field = substituted(config)
+        trace = run(config, field)
         fast = trace_validate(trace, config.ideal)
         slow = brute_force_validate(trace, config.ideal)
         assert fast.windows_checked > 0
         assert fast.to_jsonable() == slow.to_jsonable()
         # batched admission and validation against window-by-window contains
         generic = per_window(config.ideal)
-        reference = run(dataclasses.replace(config, ideal=generic))
+        reference = run(dataclasses.replace(config, ideal=generic), field)
         assert trace.assigned_sets == reference.assigned_sets
         assert trace.fill_fractions == reference.fill_fractions
         assert trace_validate(trace, generic).to_jsonable() == fast.to_jsonable()
@@ -1343,12 +1343,12 @@ class TestWholeRunPasses:
 
     @pytest.mark.parametrize("config", BLOCK_CONFIGS)
     def test_calls_per_block_not_per_step(self, monkeypatch, config):
-        config = substituted(monkeypatch, config)
+        config, field = substituted(config)
         region = _region_of(config.ideal.group, config.window_radius + config.margin)
-        masks = count_calls(monkeypatch, RandomField, "mask")
+        masks = count_calls(monkeypatch, field, "mask")
         isolations = count_calls(monkeypatch, simulate, "_isolated")
         built, judged = count_judges(monkeypatch, config.ideal)
-        trace = run(config)
+        trace = run(config, field)
         # every region here draws a block of 64 steps in one mask
         assert simulate._PAIR_CELLS // len(region.elements) >= min(config.steps, 64)
         support_s = Counter(radius_floor(2 * R) for R in trace.reaches[:-1]
@@ -1390,11 +1390,11 @@ class TestWholeRunPasses:
 
     @pytest.mark.parametrize("config", BLOCK_CONFIGS)
     def test_one_cell_blocks_change_nothing(self, monkeypatch, config):
-        config = substituted(monkeypatch, config)
-        trace = run(config)
+        config, field = substituted(config)
+        trace = run(config, field)
         report = trace_validate(trace, config.ideal).to_jsonable()
         monkeypatch.setattr(simulate, "_PAIR_CELLS", 1)
-        capped = run(config)
+        capped = run(config, field)
         assert capped.to_summary_jsonable(dump=True) == trace.to_summary_jsonable(dump=True)
         assert trace_validate(capped, config.ideal).to_jsonable() == report
         for ideal, window, margin, assigned in (
@@ -1470,6 +1470,37 @@ class TestReferenceRun:
             coloured += sum(summary["assigned_counts"])
         assert coloured > 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_on_substituted_fields(self, data):
+        """Both runs read one substituted field, ``run`` through its masks
+        and the reference through its values, at up to three listed steps
+        whose supports are drawn from the region's points."""
+        ideal, schedule, max_window = data.draw(st.sampled_from(REFERENCE_CASES))
+        config = _reference_config(
+            ideal, schedule, data.draw(st.integers(0, max_window)), data.draw(st.integers(0, 1)),
+            data.draw(st.integers(1, 8)), data.draw(st.sampled_from([Fraction(1, 2), Fraction(1, 8), None])),
+            data.draw(st.integers(0, 2**32)), data.draw(st.booleans()),
+        )
+        elements = _region_of(ideal.group, config.window_radius + config.margin).elements
+        listed = data.draw(st.dictionaries(st.integers(0, config.steps - 1),
+                                           st.lists(st.sampled_from(elements), max_size=8), max_size=3))
+        field = Substituted(config, listed)
+        assert run(config, field).to_summary_jsonable(dump=True) == \
+            reference_run(config, field).to_summary_jsonable(dump=True)
+
+    @pytest.mark.parametrize("ideal", [ideal for ideal, _s, _w in REFERENCE_CASES
+                                       if isinstance(ideal, ProperColoring)], ids=lambda i: i.group.spec_string())
+    def test_substituted_fields_colour_listed_points(self, ideal):
+        """Without warm-up, a step whose substituted support is the
+        identity alone colours it, in both runs, on Z^1-Z^3 and F_1-F_2."""
+        g = ideal.group
+        config = _reference_config(ideal, None, 1, 0, 2, None, 0, False)
+        field = Substituted(config, {0: [g.identity()]})
+        summary = run(config, field).to_summary_jsonable(dump=True)
+        assert summary == reference_run(config, field).to_summary_jsonable(dump=True)
+        assert summary["assigned_sets"][0] == {"color": 0, "elements": [g.element_to_json(g.identity())]}
+
 
 # step counts that reach every word width and more than one block of 64
 BLOCK_LENGTHS = [1, 7, 8, 9, 63, 64, 65, 130]
@@ -1504,11 +1535,10 @@ class TestStepWords:
         codes = region.right_translate(gamma)[1] if data.draw(st.booleans()) else region.codes
         elements = region.elements
         listed = data.draw(st.dictionaries(st.integers(0, k - 1), st.lists(st.sampled_from(elements)), max_size=3))
+        field = Substituted(config, listed)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_PAIR_CELLS", data.draw(st.sampled_from([1, 3 * len(region), 1 << 14])))
-            substitute_supports(mp, g, listed)
-            got = simulate._isolated_supports(config, region, codes, radii)
-            field = RandomField(g, config.seed, p)
+            got = simulate._isolated_supports(region, field, codes, radii)
             assert len(got) == k
             for i, (s, mine) in enumerate(zip(radii, got)):
                 if s is None:
@@ -1675,16 +1705,18 @@ class TestEquivariance:
         report = equivariance_check(cfg, gamma)
         assert report.safe_size > 0 and report.to_jsonable() == expected
 
-    def test_substituted_field_is_equivariant(self, monkeypatch):
+    def test_substituted_field_is_equivariant(self):
         """A substituted support is a set of elements, read by their codes,
-        so the moved run reads it translated: the runs agree, and the
-        listed points are coloured."""
-        substitute_supports(monkeypatch, Z1, {1: [0, 5, -6]})
+        so the moved run reads it translated: the runs agree, equal the
+        per-point check on the same field, and the listed points are
+        coloured."""
         cfg = SimulationConfig(ideal=PC3, window_radius=16, margin=2, steps=3, seed=11)
-        assert run(cfg).assigned_sets[1] == (1, (0, 5, -6))  # region order
+        field = Substituted(cfg, {1: [0, 5, -6]})
+        assert run(cfg, field).assigned_sets[1] == (1, (0, 5, -6))  # region order
         for gamma in (1, -3):
-            report = equivariance_check(cfg, gamma)
+            report = equivariance_check(cfg, gamma, field)
             assert report.safe_size > 0 and report.ok, report.to_jsonable()
+            assert report.to_jsonable() == reference_equivariance_check(cfg, gamma, field=field).to_jsonable()
 
 
 class TestDecodeWhereNamed:
@@ -1760,19 +1792,20 @@ class TestDecodeWhereNamed:
             self.fresh_caches()
 
 
-def reference_equivariance_check(config, gamma, field_gamma=None):
+def reference_equivariance_check(config, gamma, field_gamma=None, field=None):
     """The per-point equivariance check: one g.mul per region point for the
     targets, coded again by element_codes, and one index dict lookup and
-    one comparison per safe point. The moved run reads the field at
-    x*field_gamma (gamma by default)."""
+    one comparison per safe point. Both runs read ``field`` (``run``'s
+    default by default), the moved run at x*field_gamma (gamma by
+    default)."""
     config.validate()
     g = config.ideal.group
     T = config.window_radius + config.margin
     region = _region_of(g, T)
-    base = run(config)
+    base = run(config, field)
     targets = [g.mul(e, gamma) for e in region.elements]
-    field = targets if field_gamma is None else [g.mul(e, field_gamma) for e in region.elements]
-    moved = run(config, _field_codes=element_codes(g, field))
+    read_at = targets if field_gamma is None else [g.mul(e, field_gamma) for e in region.elements]
+    moved = run(config, field, element_codes(g, read_at))
     cone = 0
     for R_i in base.reaches[:-1]:
         cone = cone + 2 * R_i
