@@ -87,9 +87,10 @@ class Group:
     - ``spec_string()``: the group's spec, which ``parse_group`` reads back.
 
     ``ball_arrays`` builds the ball with no element object, breadth-first
-    and each layer sorted by ``sort_key``: ``norms`` are word lengths,
-    ``step[i, k]`` the index of generators()[k] * x_i (n where that leaves
-    the ball; on F_k a view of the (2k, n + 1) table in ``index_dtype(n)``
+    and each layer sorted by ``sort_key``: ``norms`` are word lengths in
+    int64 (on F_k within pack_limit a read-only view of the length column
+    of ``packed``), ``step[i, k]`` the index of generators()[k] * x_i (n
+    where that leaves the ball; on F_k a view of the (2k, n + 1) table in ``index_dtype(n)``
     that a Region keeps) and ``packed`` the rows of ``pack``. A negative radius gives
     the empty ball; BudgetError comes before allocating when the peak can
     pass memory (``_refuse_oversize``). Packed arguments broadcast over
@@ -454,16 +455,17 @@ class FreeGroup(Group):
         # The Cayley graph is a tree: gens[j] * x is x's child with first
         # letter gens[j], or x's parent (x without its first letter) when x
         # starts with the inverse letter gens[j ^ 1]. A child's numeral is
-        # its parent's plus its first letter's digit times base^(t - 1), and
-        # its fields its parent's plus its first letter's field b(t - 1) bits
-        # up. The packed rows, their columns contiguous, and the generator
-        # table, in the layout a Region keeps (a row per generator, in
-        # index_dtype(n), with the sentinel column n), are filled in place, a
-        # range of parents at a time (_ranges).
+        # its parent's plus its first letter's digit times base^(t - 1), its
+        # length its parent's plus 1, and its fields its parent's plus its
+        # first letter's field b(t - 1) bits up. The packed rows, their
+        # columns contiguous, and the generator table, in the layout a Region
+        # keeps (a row per generator, in index_dtype(n), with the sentinel
+        # column n), are filled in place, a range of parents at a time
+        # (_ranges). The norms are the length column itself, read as int64,
+        # and an int64 copy of it past pack_limit.
         _refuse_oversize(self, radius)
         gens, base, bits = self._generators, 2 * self.rank + 1, self._bits
         n = ball_size(self, radius)
-        norms = np.repeat(np.arange(radius + 1), [ball_size(self, t) - ball_size(self, t - 1) for t in range(radius + 1)])
         table = np.full((len(gens), n + 1), n, dtype=index_dtype(n))
         packed = np.zeros((3, n), dtype=object if radius > self.pack_limit else np.uint64).T
         for t, j, start, stop, child in self._ranges(radius):
@@ -471,9 +473,11 @@ class FreeGroup(Group):
             table[j, start:stop] = np.arange(child, end)
             table[j ^ 1, child:end] = np.arange(start, stop)
             digit, field = int(self._digit_of[ord(gens[j])]), int(self._field_of[ord(gens[j])])
-            added = np.array([digit * base ** (t - 1), field << bits * (t - 1)], dtype=packed.dtype)
-            np.add(packed[start:stop, ::2], added, out=packed[child:end, ::2])
-        packed[:, 1] = norms
+            added = np.array([digit * base ** (t - 1), 1, field << bits * (t - 1)], dtype=packed.dtype)
+            np.add(packed[start:stop], added, out=packed[child:end])
+        lengths = packed[:, 1]
+        norms = lengths.view(np.int64) if lengths.dtype == np.uint64 else lengths.astype(np.int64)
+        norms.flags.writeable = False
         return norms, table[:, :n].T, packed
 
     def right_table(self, table: np.ndarray, radius: int, letter: str) -> np.ndarray:
@@ -661,13 +665,15 @@ def _ball_bytes(group: Group, radius: int, decoded: bool) -> int:
     the same arrays with d int objects, a d-tuple and list slots, 104d +
     80; the Region adds its generator table, 2d cells of ``index_dtype``;
     its codes, sorted once where hashed, reuse the freed gathers. On
-    F_k the arrays are the (numeral, length, fields) rows, the norms and
-    the scratch of a range of children, 65, and the generator table built
-    in place, 2k cells, all the Region keeps; decoded adds list and tuple
-    slots, the word, a str of 49 bytes and its letters, and a range's
-    slice of parent words, 96 + radius; past pack_limit, numerals and
-    fields are Python ints, 4 bytes per 30 bits and 64 more, which cover
-    their hashed codes. A quarter more covers the allocators' overhead."""
+    F_k the arrays are the (numeral, length, fields) rows, the scratch of
+    a range of children and the generator table built in place, 2k cells,
+    all the Region keeps; the norms are the length column, yet the 65
+    still counts the 8 bytes a separate int64 norms took, a margin kept
+    until a run's own arrays are charged beside the Region; decoded adds
+    list and tuple slots, the word, a str of 49 bytes and its letters, and
+    a range's slice of parent words, 96 + radius; past pack_limit,
+    numerals and fields are Python ints, 4 bytes per 30 bits and 64 more,
+    which cover their hashed codes. A quarter more covers the allocators' overhead."""
     n = ball_size(group, radius)
     cell = index_dtype(n).itemsize
     if isinstance(group, FreeGroup):
@@ -703,6 +709,26 @@ def refuse_decoding(group: Group, radius: int) -> None:
     if _ball_bytes(group, radius, decoded=True) > memory:
         raise BudgetError(f"the decoded Ball(1, {radius}) of {group.name} needs more than {memory} bytes "
                           "of physical memory")
+
+
+# Bytes a window run keeps a step whatever its region: the step's entries
+# in the run's lists, its isolated points and its trace step, each an empty
+# array where it colours nothing, and its report's summary lists. Traced
+# by tracemalloc over 10^4 and 4 * 10^4 steps on Z^1 and F_2: 410 a step
+# for a run, its validation and summary, 456 for a simulate, 1,376 with
+# --dump.
+_STEP_BYTES = 2048
+
+
+def refuse_steps(group: Group, radius: int, steps: int) -> None:
+    """Raise BudgetError, before a window run on Ball(1, radius) builds
+    anything, when the region's charge (``_ball_bytes``) and _STEP_BYTES a
+    step pass physical memory. The region's own charge comes first."""
+    _refuse_oversize(group, radius)
+    memory = physical_memory()
+    if _ball_bytes(group, radius, decoded=False) + steps * _STEP_BYTES > memory:
+        raise BudgetError(f"a run of {steps} steps on Ball(1, {radius}) of {group.name} needs more than "
+                          f"{memory} bytes of physical memory")
 
 
 # Pairs that dist_packed measures at once in a distance_block: its scratch

@@ -44,6 +44,19 @@ and each call is then one array lookup on the pairwise kinds; any other
 ideal builds each window as a pattern and asks ``contains``, decoding it
 from each point's step and the steps' colours (``_window_after``).
 
+A region is laid out by norm, so the points of norm at most r are its
+first ``Region.prefix(r)`` points: every "|x| <= r" test (the interior,
+the isolation candidates, the safe set of the equivariance check, a
+window that stays inside) reads that prefix or compares an index with
+it, and builds no mask or ``norms + s`` array over the region. A run
+keeps each point's colour code and step number, and a trace its step
+numbers, in the narrowest dtype that holds them (``_narrowest``: int8
+codes up to 128 colours, uint8 step numbers up to 254 steps). Under NEP
+50 such an array times a Python int stays in its dtype and wraps, so
+they are only compared and used as indices, and the windows of colour
+codes a judge multiplies by its strides are widened to int64 first, one
+step's at a time.
+
 The schedule alone fixes each step's colour and reach, so ``run`` draws
 and isolates every step's supports before the first step: the steps that
 share one isolation radius are folded, up to 64 at a time, into one word
@@ -96,7 +109,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import (_PAIR_CELLS, BudgetError, FreeGroup, Group, ball_size, distance_block,
-                     identity_ball, index_dtype, parse_group, physical_memory, refuse_decoding)
+                     identity_ball, index_dtype, parse_group, physical_memory, refuse_decoding,
+                     refuse_steps)
 from .ideals import NO_COLOR, IdealSpec, _check_d_sequence
 from .patterns import PartialColoring, _validate_color
 from .radii import Infinity, Radius, radius_ceil, radius_floor
@@ -107,7 +121,8 @@ from .rng import RandomField, codes_hashed, element_code, element_codes
 class Region:
     """Ball(1, radius) as the window process reads it, built from integer
     arrays by ``Group.ball_arrays`` with no element object: the points'
-    norms (the breadth-first layer), the points in ``Group.pack``'s form
+    norms (the breadth-first layer; on F_k within pack_limit a view of the
+    length column of ``packed``), the points in ``Group.pack``'s form
     ``packed`` (Python ints on F_k past pack_limit letters), their element
     codes, which key the field and are checked for collisions only where
     ``codes_hashed`` says they may collide, and the generator table, a row
@@ -142,6 +157,12 @@ class Region:
     def __len__(self) -> int:
         return len(self.norms)
 
+    def prefix(self, r: int) -> int:
+        """The number of points of norm at most r, for r at most the
+        region's radius: they are the first ones, the region being laid
+        out by norm. 0 for r < 0."""
+        return ball_size(self.group, r)
+
     @cached_property
     def elements(self) -> list:
         """The region's points in region order, decoded on first read, and
@@ -160,7 +181,7 @@ class Region:
         starts, layers = _paths(self.group, s)
         _refuse_bytes(f"the radius-{s} windows of {len(points)} {what} of the {len(self)}-point region "
                       f"of {self.group.name}", starts[-1] * len(points) * self._step.itemsize)
-        every = bool(len(points)) and int(self.norms[points].max()) + s > self.radius
+        every = bool(len(points)) and int(points.max()) >= self.prefix(self.radius - s)
         out = np.empty((starts[-1], len(points)), dtype=self._step.dtype)
         out[0] = points
         for inner, lo, hi, layer in zip(starts, starts[1:], starts[2:], layers):
@@ -281,6 +302,15 @@ def _refuse_bytes(what: str, needed: int) -> None:
         raise BudgetError(f"{what} need {needed} bytes, more than the {memory} bytes of physical memory")
 
 
+def _narrowest(*values: int) -> np.dtype:
+    """The narrowest integer dtype that holds each of ``values``, unsigned
+    where none is negative."""
+    lo, hi = min(values), max(values)
+    if lo >= 0:
+        return np.min_scalar_type(hi)
+    return np.result_type(np.min_scalar_type(lo), np.min_scalar_type(-1 - hi))
+
+
 def _window_after(region: Region, step_of: np.ndarray, colors: Sequence, j: int, r: int, t: int) -> dict:
     """The entries within distance r of point j after step t, for a window
     that fits inside the region: ``region.columns(r, [j])`` is Ball(1,
@@ -320,18 +350,20 @@ def _isolated(region: Region, s: int, words: np.ndarray, cand: np.ndarray, k: in
     sentinel index: bit j is set where the point is a support point of step
     j. The candidates with a bit set read their windows (``Region.columns``)
     a chunk of at least _CHUNK, and of _CHUNK_CELLS cells past that, at a
-    time: past slot 0, the point itself, each slot clears from each
-    candidate's word the bits of its neighbour there, and a candidate drops
-    when no bit is left."""
-    free = ~words  # all ones at the sentinel, which is never a support point
+    time: past slot 0, the point itself, the words of each candidate's
+    neighbours are ORed together, slot by slot, and their bits cleared
+    from its word at the end of its chunk; a candidate drops when no bit is
+    left."""
     alive = words.take(cand)
     keep = alive != 0
     cand, alive = cand[keep], alive[keep]
     chunk = max(_CHUNK, _CHUNK_CELLS // ball_size(region.group, s))
     for lo in range(0, len(cand), chunk):
+        met = np.zeros_like(alive[lo : lo + chunk])
         for row in region.columns(s, cand[lo : lo + chunk], "candidates")[1:]:
-            alive[lo : lo + chunk] &= free.take(row, mode="clip")
-    free = row = None  # freed before the step masks below
+            met |= words.take(row, mode="clip")  # 0 at the sentinel, never a support point
+        alive[lo : lo + chunk] &= ~met
+    met = row = None  # the last chunk's windows, freed before the step masks below
     keep = alive != 0
     cand, alive = cand[keep], alive[keep]
     return [cand[alive & (1 << j) != 0] for j in range(k)]
@@ -416,7 +448,8 @@ class SimulationTrace:
     two, is refused: the process colours only uncoloured points, and the
     validator reads each point's colour as its only one. ``step_of`` is
     derived from the steps: each point's 1-based step, and len(steps) + 1
-    for an uncoloured point and at the sentinel index len(region)."""
+    for an uncoloured point and at the sentinel index len(region), in the
+    narrowest unsigned dtype that holds len(steps) + 1."""
     config: SimulationConfig
     region: Region  # its elements, in region order, name the points
     interior_size: int  # the interior Ball(1, window) is a prefix of the region
@@ -428,12 +461,12 @@ class SimulationTrace:
 
     def __post_init__(self):
         points = np.concatenate([np.zeros(0, dtype=np.int64), *(at for _c, at in self.steps)])
-        twice = np.flatnonzero(np.bincount(points, minlength=len(self.region)) > 1)
-        if len(twice):
-            raise ValueError(f"trace point {self.region.elements[twice[0]]!r} is coloured more than once")
         last = len(self.steps)
-        self.step_of = np.full(len(self.region) + 1, last + 1, dtype=np.int64)
+        self.step_of = np.full(len(self.region) + 1, last + 1, dtype=_narrowest(last + 1))
         self.step_of[points] = np.repeat(np.arange(1, last + 1), [len(at) for _c, at in self.steps])
+        if np.count_nonzero(self.step_of <= last) < len(points):  # some point is listed twice
+            twice = np.flatnonzero(np.bincount(points, minlength=len(self.region)) > 1)
+            raise ValueError(f"trace point {self.region.elements[twice[0]]!r} is coloured more than once")
 
     @classmethod
     def from_elements(cls, config: SimulationConfig, assigned_sets) -> "SimulationTrace":
@@ -441,7 +474,7 @@ class SimulationTrace:
         element is validated once and located in the config's region."""
         region = _region_of(config.ideal.group, config.window_radius + config.margin)
         steps = [(_validate_color(c), _locate_strictly(region, elems)) for c, elems in assigned_sets]
-        return cls(config, region, int((region.norms <= config.window_radius).sum()), steps, [], [], [])
+        return cls(config, region, region.prefix(config.window_radius), steps, [], [], [])
 
     @property
     def group(self) -> Group:
@@ -507,7 +540,7 @@ def _isolated_supports(region: Region, field: RandomField, codes: np.ndarray,
     for s, at in by_s.items():
         # points outside or at the boundary are no candidates, but they
         # still block their neighbours
-        cand = np.flatnonzero(region.norms + s <= T)
+        cand = np.arange(region.prefix(T - s))
         for lo in range(0, len(at), 64):
             block = at[lo : lo + 64]
             # a word of 8, 16, 32 or 64 bits, as the block needs
@@ -531,6 +564,7 @@ def run(config: SimulationConfig, field: Optional[RandomField] = None,
     config.validate()
     ideal = config.ideal
     g = ideal.group
+    refuse_steps(g, config.window_radius + config.margin, config.steps)
     region = _region_of(g, config.window_radius + config.margin)
     n_pts = len(region)
     field = RandomField(g, config.seed, config.p) if field is None else field
@@ -561,9 +595,10 @@ def run(config: SimulationConfig, field: Optional[RandomField] = None,
     start = dict.fromkeys(radii, 0)  # each radius's first column not yet read
 
     # each point's colour code and 1-based step, and past every step where
-    # it is uncoloured, as at the sentinel index
-    color_codes = np.full(n_pts + 1, NO_COLOR, dtype=np.int64)
-    step_of = np.full(n_pts + 1, config.steps + 1, dtype=np.int64)
+    # it is uncoloured, as at the sentinel index, each in the narrowest
+    # dtype that holds it
+    color_codes = np.full(n_pts + 1, NO_COLOR, dtype=_narrowest(NO_COLOR, *code_of.values()))
+    step_of = np.full(n_pts + 1, config.steps + 1, dtype=_narrowest(config.steps + 1))
     steps: List[Tuple[int, np.ndarray]] = []
     for i, (c_i, s, cand) in enumerate(zip(schedule_used, radii, isolated)):
         lo, start[s] = start[s], start[s] + len(cand)
@@ -573,8 +608,9 @@ def run(config: SimulationConfig, field: Optional[RandomField] = None,
         if len(cand):
             # candidates are more than s apart, so no window holds another
             # one: each is judged against the colours before the step,
-            # with the candidate itself, in slot 0, coloured c_i
-            C = color_codes[windows[s][:, lo : start[s]].compress(uncoloured, axis=1)].T
+            # with the candidate itself, in slot 0, coloured c_i; in int64,
+            # which the judge's strides do not wrap
+            C = color_codes[windows[s][:, lo : start[s]].compress(uncoloured, axis=1)].T.astype(np.int64)
             C[:, 0] = code_of[c_i]
             member = judges[s](C, lambda row: PartialColoring._of_valid(
                 g, {**_window_after(region, step_of, schedule_used, cand[row], s, i),
@@ -584,16 +620,15 @@ def run(config: SimulationConfig, field: Optional[RandomField] = None,
             step_of[accepted] = i + 1
         steps.append((c_i, accepted))
 
-    interior = region.norms <= config.window_radius
-    interior_count = int(interior.sum())
+    interior = region.prefix(config.window_radius)
     # the interior points each step coloured, summed over the steps so far
-    filled = np.bincount(step_of[:n_pts][interior], minlength=config.steps + 2)[1:-1].cumsum()
+    filled = np.bincount(step_of[:interior], minlength=config.steps + 2)[1:-1].cumsum()
     return SimulationTrace(
         config=config,
         region=region,
-        interior_size=interior_count,
+        interior_size=interior,
         steps=steps,
-        fill_fractions=[0.0, *(f / interior_count for f in filled.tolist())],
+        fill_fractions=[0.0, *(f / interior for f in filled.tolist())],
         reaches=reaches,
         schedule_used=schedule_used,
     )
@@ -740,21 +775,23 @@ def equivariance_check(config: SimulationConfig, gamma, field: Optional[RandomFi
     moved = run(config, field, codes)
 
     cone = sum((2 * R_i for R_i in base.reaches[:-1]), 0)
-    safe = np.append(region.norms + radius_ceil(cone) <= region.radius, False)  # the sentinel is never safe
-    counted = np.flatnonzero(safe[:-1] & safe[index])
+    # the safe points, a prefix; counted where the translate is safe too,
+    # which the sentinel index never is
+    safe = region.prefix(region.radius - radius_ceil(cone))
+    counted = index[:safe] < safe
 
     ids: Dict[object, int] = {}  # each colour seen, as a small int
-    # per run: each point's colour id, or -1, read through its step
-    shifted, at_target = (
-        np.array([*(ids.setdefault(c, len(ids)) for c, _at in trace.steps), -1])[trace.step_of[at] - 1]
-        for trace, at in ((moved, counted), (base, index[counted]))
-    )
+    # per run, by step (none at 0, and past every step), its colour id, or -1
+    by_step = [[-1, *(ids.setdefault(c, len(ids)) for c, _at in trace.steps), -1] for trace in (moved, base)]
+    # per safe point: its colour id in the second run, and the first's at its translate
+    shifted = np.array(by_step[0], dtype=_narrowest(-1, len(ids)))[moved.step_of[:safe]]
+    at_target = np.array(by_step[1], dtype=shifted.dtype)[base.step_of[index[:safe]]]
     report = EquivarianceReport(
-        shift_element=g.element_to_json(gamma), safe_size=len(counted), cone_radius=cone
+        shift_element=g.element_to_json(gamma), safe_size=int(np.count_nonzero(counted)), cone_radius=cone
     )
     colors = [*ids, None]  # id -1, no colour, reads the last entry
-    differ = shifted != at_target
-    for i, a, b in zip(counted[differ].tolist(), shifted[differ].tolist(), at_target[differ].tolist()):
+    differ = np.flatnonzero((shifted != at_target) & counted)
+    for i, a, b in zip(differ.tolist(), shifted[differ].tolist(), at_target[differ].tolist()):
         report.mismatches.append(
             {"element": g.element_to_json(region.elements[i]), "shifted_run": colors[a],
              "base_run_at_shifted_point": colors[b]}

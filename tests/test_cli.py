@@ -5,7 +5,8 @@ Laws under test:
    manifest, payload — and the exit code contract holds: 0 clean, 1 a
    checked property was found violated, 2 usage or I/O trouble, 3 budget
    exhausted before a conclusion, or a ball that cannot fit in memory,
-   its table or its decoded elements. A negative ``--budget`` on every budgeted
+   its table or its decoded elements, or a run whose steps cannot fit
+   beside its region. A negative ``--budget`` on every budgeted
    subcommand, a negative ``--palette-max``, negative ``extract``
    arguments, a plain colour scheduled on a reduced spec, an extension
    search on a reduced spec, a malformed JSON schedule and a ``simulate``
@@ -29,6 +30,7 @@ import functools
 import json
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -223,6 +225,32 @@ class TestSearchCommands:
         code, data = run_to_file(tmp_path, ["simulate", str(spec), "--window", "14", "--margin", "2", "--steps", "4"])
         assert code == 3 and data == b""
         assert "Ball(1, 16) of F_2 needs" in capsys.readouterr().err
+
+    def test_steps_past_memory_exit_three(self, tmp_path, monkeypatch, capsys):
+        """A simulate whose steps, charged ``_STEP_BYTES`` each beside its
+        region's charge, pass memory exits 3 before the run builds anything
+        a step; one step fewer runs. No large count is run: a refused
+        100,000-step run allocates under 64 KiB."""
+        spec = tmp_path / "pc3.json"
+        spec.write_text(json.dumps({"kind": "ProperColoring", "group": "Z^1", "k": 3}))
+        g = FreeAbelian(1)
+        memory = groups._ball_bytes(g, 4, False) + 8 * groups._STEP_BYTES
+        monkeypatch.setattr(groups, "physical_memory", lambda: memory - 1)
+        argv = ["simulate", str(spec), "--window", "2", "--margin", "2", "--out", str(tmp_path / "out.json")]
+        assert main([*argv, "--steps", "8"]) == 3
+        assert f"a run of 8 steps on Ball(1, 4) of Z^1 needs more than {memory - 1} bytes" in capsys.readouterr().err
+        assert main([*argv, "--steps", "7"]) == 0
+        monkeypatch.setattr(groups, "physical_memory", lambda: memory)
+        assert main([*argv, "--steps", "8"]) == 0
+        config = SimulationConfig(ideal_from_json({"kind": "ProperColoring", "group": "Z^1", "k": 3}), 2, 2, 100_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(groups.BudgetError, match="a run of 100000 steps"):
+                run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     def test_dseq_budget_exhaustion(self, tmp_path):
         code, data = run_to_file(tmp_path, ["dseq", "Z^1", "10", "--budget", "20"])

@@ -36,6 +36,11 @@ Laws under test:
    growth measured in fresh processes. The Z^d arrays built from lattice-point
    counts equal those of the lexsort-and-searchsorted construction they
    replaced, and ``lex_ball`` lists the same points in lexicographic order.
+   On F_k within pack_limit the norms are a read-only int64 view of the
+   packed length column; past it (F_1 at 41) and on Z^d they are an int64
+   array of their own. A 60-step run and its validation stay under a
+   measured rate a region point in fresh processes, and a run whose steps,
+   charged beside its region, pass memory is refused before it builds them.
 5. Conventions: minimum distance between sets is infinite when a set is
    empty; budget exhaustion raises loudly, and a negative budget is refused
    as a usage error. So are a group of rank or dimension 0, F_27 and up,
@@ -980,8 +985,9 @@ def _arrays_charge(g, r):
 
 _ROOT = Path(__file__).resolve().parents[1]
 
-# Builds Ball(1, r) of argv[1] after a warm-up, decoded, as ``ball_arrays``
-# or as a Region (argv[3]), and prints the growth in bytes of the process's
+# Builds Ball(1, r) of argv[1] after a warm-up, decoded, as ``ball_arrays``,
+# as a Region, or as the Region of a validated 60-step PC5 run with window
+# r - 2 and margin 2 (argv[3]), and prints the growth in bytes of the process's
 # peak resident set and the ball's size. The peak is VmHWM, not ru_maxrss,
 # which Linux carries over from the parent through exec. Before the build,
 # small objects (pymalloc's) and then larger ones (malloc's) are held until
@@ -992,12 +998,19 @@ _ROOT = Path(__file__).resolve().parents[1]
 _RATE_SCRIPT = """
 import re, sys
 from shiftcolor.groups import identity_ball, parse_group
-from shiftcolor.simulate import Region
+from shiftcolor.ideals import ProperColoring
+from shiftcolor.simulate import Region, SimulationConfig, run, trace_validate
 def status(field):
     with open("/proc/self/status") as f:
         return int(re.search(field + r":\\s*(\\d+) kB", f.read()).group(1)) * 1024
+def run_validated(g, r):
+    ideal = ProperColoring(g, 5)
+    trace = run(SimulationConfig(ideal, max(r - 2, 0), 2, 60))
+    assert trace_validate(trace, ideal).ok
+    return trace.region
 g, r = parse_group(sys.argv[1]), int(sys.argv[2])
-build = {"decoded": identity_ball, "arrays": lambda g, r: g.ball_arrays(r)[0], "region": Region}[sys.argv[3]]
+build = {"decoded": identity_ball, "arrays": lambda g, r: g.ball_arrays(r)[0], "region": Region,
+         "run": run_validated}[sys.argv[3]]
 build(g, 1)
 held = []
 for size in (32, 2048):
@@ -1012,7 +1025,8 @@ print(status("VmHWM") - before, n)
 
 def _peak_growth(spec, r, what):
     """(growth of the peak resident set, ball size) of building Ball(1, r)
-    of spec, ``what`` ("decoded", "arrays" or "region"), in a fresh process."""
+    of spec, ``what`` ("decoded", "arrays", "region" or "run"), in a fresh
+    process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(_ROOT / "src"), env.get("PYTHONPATH")) if p)
     result = subprocess.run([sys.executable, "-c", _RATE_SCRIPT, spec, str(r), what], env=env,
@@ -1076,6 +1090,47 @@ class TestArraysCharge:
             assert 0 < grown <= _arrays_charge(parse_group(spec), r)
             dtypes.append(groups.index_dtype(n))
         assert dtypes == [np.uint16, np.int32]
+
+
+class TestRunRate:
+    """A window run is measured beside the charge: its region's norms on
+    F_k are the packed length column, and a 60-step run with its
+    validation, its region included, stays under a rate a region point
+    taken from fresh-process measurements. The region's charge is not
+    lowered with the norms: it keeps their 8 bytes as a margin until a
+    run's own arrays are charged."""
+
+    @pytest.mark.parametrize("g, r", [(FreeGroup(1), 40), (FreeGroup(2), 5), (FreeGroup(3), 3), (FreeGroup(26), 2)])
+    def test_fk_norms_are_the_length_column(self, g, r):
+        assert r <= g.pack_limit
+        norms, _step, packed = g.ball_arrays(r)
+        region = Region(g, r)
+        for norms, packed in ((norms, packed), (region.norms, region.packed)):
+            assert norms.dtype == np.int64 and not norms.flags.writeable
+            assert np.shares_memory(norms, packed[:, 1])
+            assert norms.tolist() == packed[:, 1].tolist() == list(map(len, bfs_ball(g, g.identity(), r)))
+
+    @pytest.mark.parametrize("g, r", [(FreeGroup(1), 41), (FreeAbelian(1), 6), (FreeAbelian(2), 4),
+                                      (FreeAbelian(3), 3)])
+    def test_norms_are_their_own_array_past_pack_limit_and_on_zd(self, g, r):
+        region = Region(g, r)
+        assert region.norms.dtype == np.int64 and not region.norms.flags.writeable
+        assert not np.shares_memory(region.norms, region.packed)
+        assert region.norms.tolist() == [g.norm(x) for x in bfs_ball(g, g.identity(), r)]
+
+    @pytest.mark.parametrize("spec, radii, rate", [("F_2", (11, 12), 64), ("Z^2", (400, 500), 132)])
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux's /proc")
+    def test_run_stays_under_its_measured_rate(self, spec, radii, rate):
+        """In a fresh process, a 60-step PC5 run on Ball(1, r), window r - 2
+        and margin 2, and its validation grow the peak resident set by at
+        most ``rate`` bytes a region point, at two sizes per group (20 to
+        61 MB): on F_2 measured at 57.9 and 53.6 (T = 11, 12), 74.5 and
+        74.2 before the run's per-point arrays were narrowed, and on Z^2
+        at 122.1 and 121.4 (T = 400, 500), the region's own build."""
+        for r in radii:
+            grown, n = _peak_growth(spec, r, "run")
+            assert n == ball_size(parse_group(spec), r)
+            assert 0 < grown <= rate * n
 
 
 class TestDecodedCharge:

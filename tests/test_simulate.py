@@ -2289,3 +2289,116 @@ class TestExtract:
         omega = PartialColoring(Z1, {i: 0 if i < 3 else 1 for i in range(7)})
         for p in extract_patterns(omega, 1, min_occurrences=1):
             assert sorted(p.domain()) == [-1, 0, 1]
+
+
+# (group, largest region radius) for the prefix reads
+PREFIX_CASES = [(Z1, 12), (Z2, 6), (Z3, 4), (F1, 12), (F2, 4), (FreeGroup(3), 3)]
+
+
+class TestPrefixReads:
+    """A region is laid out by norm, so each "norm <= r" test reads the
+    prefix of ``Region.prefix(r)`` points, and equals the mask it replaced:
+    on Z^1-Z^3 and F_1-F_3, with T - s from below 0 to T."""
+
+    @staticmethod
+    def _region(data):
+        g, top = data.draw(st.sampled_from(PREFIX_CASES))
+        return _region_of(g, data.draw(st.integers(0, top)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_prefix_is_the_mask(self, data):
+        region = self._region(data)
+        r = data.draw(st.integers(-2, region.radius))
+        assert np.flatnonzero(region.norms <= r).tolist() == list(range(region.prefix(r)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_columns_compose_every_path_where_a_window_leaves(self, data):
+        region = self._region(data)
+        T = region.radius
+        s = data.draw(st.integers(0, T + 2))
+        points = np.array(data.draw(st.lists(st.integers(0, len(region) - 1), max_size=6)), dtype=np.int64)
+        every, compose = [], simulate._compose
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_compose", lambda *args: every.append(args[-1]) or compose(*args))
+            got = region.columns(s, points)
+        assert set(every) <= {bool((region.norms[points] + s > T).any())}
+        assert got.tolist() == reference_table(region, s)[:, points].tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_isolation_candidates(self, data):
+        region = self._region(data)
+        T = region.radius
+        radii = data.draw(st.lists(st.integers(0, T + 2), min_size=1, max_size=3))
+        seen, isolated = {}, simulate._isolated
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_isolated", lambda region, s, words, cand, k:
+                       seen.setdefault(s, cand) is None or isolated(region, s, words, cand, k))
+            simulate._isolated_supports(region, RandomField(region.group, 0, Fraction(1, 2)), region.codes, radii)
+        assert set(seen) == set(radii)
+        for s, cand in seen.items():
+            assert cand.tolist() == np.flatnonzero(region.norms + s <= T).tolist()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_interior_fill_and_safe_set(self, data):
+        """A run's interior size and fills, a hand trace's interior size,
+        and an equivariance check's safe size equal those of the masks."""
+        ideal, schedule, max_window = data.draw(st.sampled_from(REFERENCE_CASES))
+        config = _reference_config(
+            ideal, schedule, data.draw(st.integers(0, max_window)), data.draw(st.integers(0, 1)),
+            data.draw(st.integers(0, 8)), None, data.draw(st.integers(0, 2**32)), data.draw(st.booleans()),
+        )
+        trace = run(config)
+        region, T = trace.region, config.window_radius + config.margin
+        interior = region.norms <= config.window_radius
+        size = int(interior.sum())
+        assert trace.interior_size == SimulationTrace.from_elements(config, trace.assigned_sets).interior_size == size
+        filled = np.cumsum([int(interior[at].sum()) for _c, at in trace.steps], dtype=np.int64).tolist()
+        assert trace.fill_fractions == [0.0, *(f / size for f in filled)]
+        gamma = data.draw(st.sampled_from(region.elements))
+        report = equivariance_check(config, gamma)
+        cone = sum((2 * R_i for R_i in trace.reaches[:-1]), 0)
+        safe = np.append(region.norms + radius_ceil(cone) <= T, False)
+        assert report.safe_size == int((safe[:-1] & safe[region.right_translate(gamma)[0]]).sum())
+
+
+class TestNarrowArrays:
+    """A run keeps its colour codes and step numbers, and a trace its step
+    numbers, in the narrowest dtype that holds them, widened to int64 in
+    the windows the judge multiplies by its strides; none wraps."""
+
+    def test_narrowest(self):
+        narrowest = simulate._narrowest
+        assert (narrowest(NO_COLOR, 4), narrowest(NO_COLOR, 127), narrowest(NO_COLOR, 128)) == (np.int8, np.int8, np.int16)
+        assert (narrowest(255), narrowest(256), narrowest(2**16)) == (np.uint8, np.uint16, np.uint32)
+        assert narrowest(-3, 2**31) == np.int64
+
+    @pytest.mark.parametrize("g", [Z1, F2], ids=lambda g: g.name)
+    def test_palette_past_127_and_steps_past_255(self, g):
+        """Colours 128-199 of a 200-colour palette, with codes past int8,
+        over 300 steps, numbered past uint8: the run equals the scalar
+        reference run, validates clean, scatters its steps, and its
+        equivariance check equals the per-point check."""
+        ideal = ProperColoring(g, 200)
+        config = SimulationConfig(ideal, 30 if g is Z1 else 2, 2, 300, Fraction(1, 100), 2,
+                                  schedule=[128, 199, 150, 171])
+        trace = run(config)
+        assert trace.step_of.dtype == np.uint16
+        summary = trace.to_summary_jsonable(dump=True)
+        assert summary == reference_run(config).to_summary_jsonable(dump=True)
+        assert {s["color"] for s in summary["assigned_sets"] if s["elements"]} == {128, 199, 150, 171}
+        assert max(i for i, (_c, at) in enumerate(trace.steps, 1) if len(at)) > 255
+        assert trace_validate(trace, ideal).ok
+        assert trace.step_of.tolist() == scattered_steps(trace)
+        gamma = g.generators()[0]
+        assert equivariance_check(config, gamma).to_jsonable() == \
+            reference_equivariance_check(config, gamma).to_jsonable()
+
+    def test_point_listed_twice_in_one_step_refused(self):
+        trace = _hand_trace(PC3_F2, 3, 2, [(0, ("a", "b")), (1, ("Ab",))])
+        at = trace.steps[1][1]
+        with pytest.raises(ValueError, match=r"^trace point 'Ab' is coloured more than once$"):
+            dataclasses.replace(trace, steps=[trace.steps[0], (1, np.concatenate([at, at]))])
