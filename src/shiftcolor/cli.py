@@ -36,11 +36,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _read_json_file(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _parse_element(group, text: str):
     try:
         raw = json.loads(text)
@@ -74,11 +69,12 @@ def _emit(manifest: Dict[str, Any], payload: Any, out: Optional[str]) -> None:
         sys.stdout.buffer.write(data)
 
 
-def _load_ideal_spec(path: str) -> Tuple[IdealSpec, Any]:
-    """A spec file is either a bare ideal object (has "kind") or a wrapper
-    {"ideal": ..., "R": ...} carrying a join-bound spec alongside. The join
-    bound defaults to "derived", the one derived from the ideal's radii."""
-    obj = _read_json_file(path)
+def _load_ideal_spec(text: str) -> Tuple[IdealSpec, Any]:
+    """A spec file's text is either a bare ideal object (has "kind") or a
+    wrapper {"ideal": ..., "R": ...} carrying a join-bound spec alongside.
+    The join bound defaults to "derived", the one derived from the ideal's
+    radii."""
+    obj = json.loads(text)
     if isinstance(obj, dict) and "ideal" in obj:
         R = obj.get("R")
         return ideal_from_json(obj["ideal"]), "derived" if R is None else R
@@ -88,7 +84,7 @@ def _load_ideal_spec(path: str) -> Tuple[IdealSpec, Any]:
 # -- subcommand handlers (each returns payload, exit code) -----------------------
 
 
-def _cmd_ball(args) -> Tuple[dict, int]:
+def _cmd_ball(args, inputs) -> Tuple[dict, int]:
     g = parse_group(args.group)
     center = _parse_element(g, args.center)
     if isinstance(g, FreeAbelian):  # Ball(c, r) = Ball(1, r) + c, in sort_key (lexicographic) order
@@ -105,7 +101,7 @@ def _cmd_ball(args) -> Tuple[dict, int]:
     return payload, EXIT_CLEAN
 
 
-def _cmd_dseq(args) -> Tuple[dict, int]:
+def _cmd_dseq(args, inputs) -> Tuple[dict, int]:
     g = parse_group(args.group)
     seq = d_sequence(g, args.count, budget=args.budget)
     payload = {
@@ -117,7 +113,7 @@ def _cmd_dseq(args) -> Tuple[dict, int]:
     return payload, EXIT_CLEAN
 
 
-def _cmd_annulus(args) -> Tuple[dict, int]:
+def _cmd_annulus(args, inputs) -> Tuple[dict, int]:
     g = parse_group(args.group)
     D, witness = annulus_D(g, args.d, budget=args.budget)
     payload = {
@@ -129,8 +125,8 @@ def _cmd_annulus(args) -> Tuple[dict, int]:
     return payload, EXIT_CLEAN
 
 
-def _cmd_check(args) -> Tuple[dict, int]:
-    ideal, R_json = _load_ideal_spec(args.spec)
+def _cmd_check(args, inputs) -> Tuple[dict, int]:
+    ideal, R_json = _load_ideal_spec(inputs["spec"])
     budget = args.budget if args.budget is not None else 200
     if args.mode == "ideal-axioms":
         report = ideal_axioms_check(ideal, sample_budget=budget, seed=args.seed)
@@ -143,8 +139,8 @@ def _cmd_check(args) -> Tuple[dict, int]:
     return payload, EXIT_CLEAN if report.ok else EXIT_VIOLATION
 
 
-def _cmd_reduce(args) -> Tuple[dict, int]:
-    base, R_json = _load_ideal_spec(args.spec)
+def _cmd_reduce(args, inputs) -> Tuple[dict, int]:
+    base, R_json = _load_ideal_spec(inputs["spec"])
     reduced = ReducedIdeal(base, join_fn_from_json(R_json, base))
     report = check_reduction(reduced, args.budget if args.budget is not None else 50, args.seed)
     payload = report.to_jsonable()
@@ -153,8 +149,8 @@ def _cmd_reduce(args) -> Tuple[dict, int]:
     return payload, EXIT_CLEAN if report.ok else EXIT_VIOLATION
 
 
-def _cmd_simulate(args) -> Tuple[dict, int]:
-    ideal, _R = _load_ideal_spec(args.spec)
+def _cmd_simulate(args, inputs) -> Tuple[dict, int]:
+    ideal, _R = _load_ideal_spec(inputs["spec"])
     schedule = _parse_schedule(args.schedule) if args.schedule else None
     config = SimulationConfig(
         ideal=ideal,
@@ -175,7 +171,7 @@ def _cmd_simulate(args) -> Tuple[dict, int]:
     return payload, EXIT_CLEAN if validation.ok else EXIT_VIOLATION
 
 
-def _cmd_sparse(args) -> Tuple[dict, int]:
+def _cmd_sparse(args, inputs) -> Tuple[dict, int]:
     g = parse_group(args.group)
     d = _parse_int_list(args.d)
     if args.window < 0:
@@ -187,7 +183,7 @@ def _cmd_sparse(args) -> Tuple[dict, int]:
     return payload, EXIT_CLEAN if report.ok else EXIT_VIOLATION
 
 
-def _cmd_verify_infty(args) -> Tuple[dict, int]:
+def _cmd_verify_infty(args, inputs) -> Tuple[dict, int]:
     g = parse_group(args.group)
     d = _parse_int_list(args.d)
     report = infty_check(g, d, args.c, node_budget=args.budget)
@@ -205,17 +201,17 @@ def _cmd_verify_infty(args) -> Tuple[dict, int]:
     return payload, EXIT_CLEAN
 
 
-def _cmd_oracle_extend(args) -> Tuple[Any, int]:
-    ideal, _R = _load_ideal_spec(args.spec)
-    phi = PartialColoring.from_json(_read_json_file(args.pattern), group=ideal.group)
+def _cmd_oracle_extend(args, inputs) -> Tuple[Any, int]:
+    ideal, _R = _load_ideal_spec(inputs["spec"])
+    phi = PartialColoring.from_json(json.loads(inputs["pattern"]), group=ideal.group)
     report = extension_oracle(
         ideal, phi, args.radius, palette_max=args.palette_max, node_budget=args.budget
     )
     return report, EXIT_BUDGET if report.outcome == INCONCLUSIVE else EXIT_CLEAN
 
 
-def _cmd_extract(args) -> Tuple[dict, int]:
-    phi = PartialColoring.from_json(_read_json_file(args.pattern))
+def _cmd_extract(args, inputs) -> Tuple[dict, int]:
+    phi = PartialColoring.from_json(json.loads(inputs["pattern"]))
     patterns = extract_patterns(phi, args.radius, args.min_occurrences)
     payload = {
         "shape_radius": args.radius,
@@ -323,25 +319,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest_for(args) -> Dict[str, Any]:
-    params = {}
-    spec_paths = []
-    spec_contents = []
-    for key, value in sorted(vars(args).items()):
-        if key in ("handler", "command", "out"):
-            continue
-        if key in ("spec", "pattern") and isinstance(value, str):
-            spec_paths.append(value)
-            with open(value, "r", encoding="utf-8") as fh:
-                spec_contents.append(fh.read())
-        params[key] = value
+def _read_inputs(args) -> Dict[str, str]:
+    """The text of each input file (``spec``, ``pattern``), read once: the
+    manifest hashes the bytes the command then parses."""
+    inputs = {}
+    for key in ("pattern", "spec"):  # in the manifest's (sorted) order
+        if hasattr(args, key):
+            with open(getattr(args, key), "r", encoding="utf-8") as fh:
+                inputs[key] = fh.read()
+    return inputs
+
+
+def _manifest_for(args, inputs: Dict[str, str]) -> Dict[str, Any]:
+    params = {key: value for key, value in sorted(vars(args).items()) if key not in ("handler", "command", "out")}
     return build_manifest(
         command=args.command,
         params=params,
         seed=getattr(args, "seed", None),
         budget=getattr(args, "budget", None),
-        spec_paths=spec_paths,
-        spec_contents=spec_contents,
+        spec_paths=[getattr(args, key) for key in inputs],
+        spec_contents=list(inputs.values()),
         output_path=args.out,
     )
 
@@ -350,8 +347,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        manifest = _manifest_for(args)
-        payload, code = args.handler(args)
+        inputs = _read_inputs(args)
+        manifest = _manifest_for(args, inputs)
+        payload, code = args.handler(args, inputs)
         _emit(manifest, payload, args.out)
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)

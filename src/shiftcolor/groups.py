@@ -93,7 +93,7 @@ class Group:
     where that leaves the ball; on F_k a view of the (2k, n + 1) table in ``index_dtype(n)``
     that a Region keeps) and ``packed`` the rows of ``pack``. A negative radius gives
     the empty ball; BudgetError comes before allocating when the peak can
-    pass memory (``_refuse_oversize``). Packed arguments broadcast over
+    pass memory (``refuse_ball``). Packed arguments broadcast over
     every axis but the last."""
 
     name: str
@@ -188,7 +188,7 @@ class FreeAbelian(Group):
         order, which every translate keeps."""
         # Z^(k+1) in that order is the blocks x0 = -r..r, block x0 being the
         # points y of Ball_k(r) in its order with |x0| + |y| <= r
-        _refuse_oversize(self, radius)
+        refuse_ball(self, radius)
         x = np.arange(-radius, radius + 1)
         coords, norms = x[:, None], np.abs(x)
         for _ in range(self.dimension - 1):
@@ -246,7 +246,7 @@ class FreeAbelian(Group):
         # keeps x0 and moves y through the Z^k table, whose mark n_k for a
         # neighbour outside reads norm T + 1. Blocks past layer T start at
         # n, the mark in the new table.
-        _refuse_oversize(self, radius)
+        refuse_ball(self, radius)
         T = max(radius, -1)
         if T <= 0:  # no point, or the identity with every neighbour outside
             n = T + 1
@@ -463,7 +463,7 @@ class FreeGroup(Group):
         # column n), are filled in place, a range of parents at a time
         # (_ranges). The norms are the length column itself, read as int64,
         # and an int64 copy of it past pack_limit.
-        _refuse_oversize(self, radius)
+        refuse_ball(self, radius)
         gens, base, bits = self._generators, 2 * self.rank + 1, self._bits
         n = ball_size(self, radius)
         table = np.full((len(gens), n + 1), n, dtype=index_dtype(n))
@@ -625,10 +625,10 @@ def identity_ball(group: Group, r: Radius) -> tuple:
     ``Group.decode_ball`` and cached: the package's one copy of the balls
     about the identity, a tuple so no caller can change it. A rational r
     acts as its floor; a negative one gives the empty ball. Refused by
-    ``refuse_decoding`` before anything is built."""
+    ``refuse_ball`` before anything is built."""
     if isinstance(r, Infinity):
         raise ValueError("cannot enumerate a ball of infinite radius")
-    refuse_decoding(group, radius_floor(r))
+    refuse_ball(group, radius_floor(r), decoded=True)
     return tuple(group.decode_ball(*group.ball_arrays(radius_floor(r))))
 
 
@@ -647,8 +647,17 @@ def ball_size(group: Group, r: int) -> int:
 
 def physical_memory() -> int:
     """The machine's physical memory in bytes, the one reading that memory
-    bounds are judged against."""
+    bounds are judged against, by ``refuse`` alone."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def refuse(what: str, needed: int) -> None:
+    """Raise BudgetError, before anything is allocated, when ``needed``
+    bytes pass physical memory: the package's one memory refusal, naming
+    what was refused."""
+    memory = physical_memory()
+    if needed > memory:
+        raise BudgetError(f"{what} needs more than {memory} bytes of physical memory")
 
 
 def index_dtype(n: int) -> np.dtype:
@@ -673,7 +682,12 @@ def _ball_bytes(group: Group, radius: int, decoded: bool) -> int:
     list and tuple slots, the word, a str of 49 bytes and its letters, and
     a range's slice of parent words, 96 + radius; past pack_limit,
     numerals and fields are Python ints, 4 bytes per 30 bits and 64 more,
-    which cover their hashed codes. A quarter more covers the allocators' overhead."""
+    which cover their hashed codes. A quarter more covers the allocators'
+    overhead. F_k balls with k >= 2 hold over 2^radius points, so past
+    radius 64 they are charged 2^64 bytes, more than any memory, and never
+    counted."""
+    if isinstance(group, FreeGroup) and group.rank > 1 and radius > 64:
+        return 1 << 64
     n = ball_size(group, radius)
     cell = index_dtype(n).itemsize
     if isinstance(group, FreeGroup):
@@ -687,28 +701,12 @@ def _ball_bytes(group: Group, radius: int, decoded: bool) -> int:
     return n * (point + point // 4)
 
 
-def _refuse_oversize(group: Group, radius: int) -> None:
-    """Raise BudgetError, before anything is allocated, when ``ball_arrays``
-    of Ball(1, radius), and a Region built from them, can peak past the
-    machine's physical memory, at ``_ball_bytes``. F_k balls with k >= 2
-    hold over 2^radius points, so there a radius past the memory's bit
-    length is refused without computing the size."""
-    memory = physical_memory()
-    huge = isinstance(group, FreeGroup) and group.rank > 1 and radius > memory.bit_length()
-    if huge or _ball_bytes(group, radius, decoded=False) > memory:
-        raise BudgetError(f"Ball(1, {radius}) of {group.name} needs more than {memory} bytes "
-                          "of physical memory")
-
-
-def refuse_decoding(group: Group, radius: int) -> None:
-    """Raise BudgetError, before anything is built, when decoding Ball(1,
-    radius) can need more bytes than physical memory, at ``_ball_bytes``
-    decoded. The arrays' own charge comes first."""
-    _refuse_oversize(group, radius)
-    memory = physical_memory()
-    if _ball_bytes(group, radius, decoded=True) > memory:
-        raise BudgetError(f"the decoded Ball(1, {radius}) of {group.name} needs more than {memory} bytes "
-                          "of physical memory")
+def refuse_ball(group: Group, radius: int, decoded: bool = False) -> None:
+    """``refuse`` Ball(1, radius) of group at its charge, ``_ball_bytes``:
+    its arrays and a Region built from them, or with ``decoded`` their
+    elements too, a charge never below the arrays' own."""
+    refuse(f"{'the decoded ' if decoded else ''}Ball(1, {radius}) of {group.name}",
+           _ball_bytes(group, radius, decoded))
 
 
 # Bytes a window run keeps a step whatever its region: the step's entries
@@ -721,14 +719,10 @@ _STEP_BYTES = 2048
 
 
 def refuse_steps(group: Group, radius: int, steps: int) -> None:
-    """Raise BudgetError, before a window run on Ball(1, radius) builds
-    anything, when the region's charge (``_ball_bytes``) and _STEP_BYTES a
-    step pass physical memory. The region's own charge comes first."""
-    _refuse_oversize(group, radius)
-    memory = physical_memory()
-    if _ball_bytes(group, radius, decoded=False) + steps * _STEP_BYTES > memory:
-        raise BudgetError(f"a run of {steps} steps on Ball(1, {radius}) of {group.name} needs more than "
-                          f"{memory} bytes of physical memory")
+    """``refuse`` a window run on Ball(1, radius) at its region's charge
+    and _STEP_BYTES a step, a charge never below the region's own."""
+    refuse(f"a run of {steps} steps on Ball(1, {radius}) of {group.name}",
+           _ball_bytes(group, radius, decoded=False) + steps * _STEP_BYTES)
 
 
 # Pairs that dist_packed measures at once in a distance_block: its scratch

@@ -108,9 +108,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import (_PAIR_CELLS, BudgetError, FreeGroup, Group, ball_size, distance_block,
-                     identity_ball, index_dtype, parse_group, physical_memory, refuse_decoding,
-                     refuse_steps)
+from .groups import (_PAIR_CELLS, FreeGroup, Group, ball_size, distance_block,
+                     identity_ball, index_dtype, parse_group, refuse, refuse_ball, refuse_steps)
 from .ideals import NO_COLOR, IdealSpec, _check_d_sequence
 from .patterns import PartialColoring, _validate_color
 from .radii import Infinity, Radius, radius_ceil, radius_floor
@@ -166,8 +165,8 @@ class Region:
     @cached_property
     def elements(self) -> list:
         """The region's points in region order, decoded on first read, and
-        refused by ``refuse_decoding`` before that."""
-        refuse_decoding(self.group, self.radius)
+        refused by ``refuse_ball`` before that."""
+        refuse_ball(self.group, self.radius, decoded=True)
         return self.group.decode_ball(self.norms, self._step[:, :-1].T, self.packed)
 
     def columns(self, s: int, points: np.ndarray, what: str = "points") -> np.ndarray:
@@ -179,8 +178,8 @@ class Region:
         allocating past memory."""
         points = np.asarray(points)
         starts, layers = _paths(self.group, s)
-        _refuse_bytes(f"the radius-{s} windows of {len(points)} {what} of the {len(self)}-point region "
-                      f"of {self.group.name}", starts[-1] * len(points) * self._step.itemsize)
+        refuse(f"composing the radius-{s} windows of {len(points)} {what} of the {len(self)}-point region "
+               f"of {self.group.name}", starts[-1] * len(points) * self._step.itemsize)
         every = bool(len(points)) and int(points.max()) >= self.prefix(self.radius - s)
         out = np.empty((starts[-1], len(points)), dtype=self._step.dtype)
         out[0] = points
@@ -196,7 +195,7 @@ class Region:
         s reads a corner."""
         w = ball_size(self.group, s)
         if len(self._distances) < w:
-            _refuse_bytes(f"the radius-{s} slot distances of {self.group.name}", w * w * 8)
+            refuse(f"measuring the radius-{s} slot distances of {self.group.name}", w * w * 8)
             every = np.arange(w)
             self._distances = distance_block(self.group, self.group.ball_arrays(s)[2], every, every)
             self._distances.flags.writeable = False
@@ -292,14 +291,6 @@ def _compose(step: np.ndarray, inner: np.ndarray, rows: np.ndarray, layer: list,
         step[k].take(inner[j], out=row, mode="clip")  # every index is in range, and clip needs no buffer
         for j, k in via[1:] if every else ():
             np.minimum(row, step[k].take(inner[j]), out=row)
-
-
-def _refuse_bytes(what: str, needed: int) -> None:
-    """Raise BudgetError, before allocating, when ``needed`` bytes pass
-    physical memory."""
-    memory = physical_memory()
-    if needed > memory:
-        raise BudgetError(f"{what} need {needed} bytes, more than the {memory} bytes of physical memory")
 
 
 def _narrowest(*values: int) -> np.dtype:

@@ -6,7 +6,7 @@ of element codes that ``Region.locate``'s reading of the layout replaced."""
 
 import numpy as np
 
-from shiftcolor.groups import _refuse_oversize
+from shiftcolor.groups import refuse_ball
 from shiftcolor.radii import Infinity, radius_floor
 from shiftcolor.rng import element_codes
 
@@ -56,7 +56,7 @@ def sorted_ball_coords(self, radius):
     # Ball_d(r - |x0|) is a prefix of the norm-sorted Ball_d(r), so every
     # dimension costs one gather and one lexsort by (norm, coordinates),
     # which is breadth-first order with layers sorted by sort_key.
-    _refuse_oversize(self, radius)
+    refuse_ball(self, radius)
     radius = max(radius, -1)
     k = np.arange(2 * radius + 1)
     norms = (k + 1) // 2

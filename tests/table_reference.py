@@ -6,7 +6,7 @@ the region's index dtype."""
 
 import numpy as np
 
-from shiftcolor.groups import BudgetError, ball_size, physical_memory
+from shiftcolor.groups import ball_size, refuse
 
 
 def reference_table(region, s: int) -> np.ndarray:
@@ -24,10 +24,8 @@ def reference_table(region, s: int) -> np.ndarray:
     the table is refused before allocating when its bytes pass physical
     memory."""
     g, n = region.group, len(region)
-    needed, memory = n * ball_size(g, s) * region._step.itemsize, physical_memory()
-    if needed > memory:
-        raise BudgetError(f"the radius-{s} neighbour table of the {n}-point region of {g.name} "
-                          f"needs {needed} bytes, more than the {memory} bytes of physical memory")
+    refuse(f"the radius-{s} neighbour table of the {n}-point region of {g.name}",
+           n * ball_size(g, s) * region._step.itemsize)
     norms, step, _packed = g.ball_arrays(s)
     table = np.full((len(norms), n), n, dtype=region._step.dtype)
     table[0] = np.arange(n)

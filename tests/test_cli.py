@@ -15,7 +15,8 @@ Laws under test:
    the library does. ``reduce``'s payload is ``check_reduction``'s report,
    with its sampled patterns only under ``--dump``.
 2. Reports are byte-identical across reruns with identical inputs, and the
-   config hash tracks spec file *contents*, not just paths. A ``ball``
+   config hash tracks spec file *contents*, not just paths: each input
+   file is opened once, and the command parses the text it hashed. A ``ball``
    report at the benchmark's sizes is byte for byte the standard
    library's indented dump of its own parsed value.
 3. Payload fixtures: sorted ball enumerations (Z^d and F_k, on both sides
@@ -26,11 +27,14 @@ Laws under test:
    digits is written exactly.
 """
 
+import builtins
 import functools
+import io
 import json
 import sys
 import tempfile
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -551,6 +555,74 @@ class TestRunCommands:
         assert code == 0
         payload = payload_of(data)
         assert payload["count"] == 2
+
+
+def _input_argv(tmp_path, command):
+    """argv for ``command`` on a PC3 spec of Z^1 and a two-point pattern,
+    and its input paths."""
+    spec, pattern = tmp_path / "pc3.json", tmp_path / "pattern.json"
+    spec.write_text(json.dumps({"kind": "ProperColoring", "group": "Z^1", "k": 3}))
+    pattern.write_text(json.dumps({"group": "Z^1", "entries": [[0, 0], [2, 1]]}))
+    argv = {"simulate": ["simulate", str(spec), "--window", "2", "--margin", "2", "--steps", "4"],
+            "check": ["check", str(spec), "--mode", "local", "--budget", "20"],
+            "oracle-extend": ["oracle-extend", str(spec), str(pattern), "--radius", "2"],
+            "extract": ["extract", str(pattern), "--radius", "1"]}[command]
+    return argv, [a for a in argv if a in (str(spec), str(pattern))]
+
+
+class TestInputsReadOnce:
+    """Each input file is opened once: the manifest hashes its text and the
+    command parses that same text, so the hash covers the bytes run on."""
+
+    COMMANDS = ["simulate", "check", "oracle-extend", "extract"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_input_is_opened_once(self, tmp_path, monkeypatch, command):
+        argv, inputs = _input_argv(tmp_path, command)
+        opened, real_open = Counter(), builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened[str(file)] += 1
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+        assert {path: opened[path] for path in inputs} == dict.fromkeys(inputs, 1)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_file_rewritten_after_its_read_is_run_as_read(self, tmp_path, monkeypatch, command):
+        """Rewriting every input once it has been read changes nothing in
+        the report, its config hash included."""
+        argv, inputs = _input_argv(tmp_path, command)
+        code, expected = run_to_file(tmp_path, argv)
+        (tmp_path / "report.json").unlink()
+        real_open = builtins.open
+
+        def rewriting_open(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            if str(file) in inputs:
+                text = fh.read()
+                Path(file).write_text("not json")
+                return io.StringIO(text)
+            return fh
+
+        monkeypatch.setattr(builtins, "open", rewriting_open)
+        assert run_to_file(tmp_path, argv) == (code, expected) and code == 0
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("fault", ["missing", "malformed"])
+    def test_missing_or_malformed_inputs_exit_two(self, tmp_path, capsys, command, fault):
+        argv, inputs = _input_argv(tmp_path, command)
+        for path in inputs:  # one faulty input at a time
+            text = Path(path).read_text()
+            if fault == "missing":
+                Path(path).unlink()
+            else:
+                Path(path).write_text("{not json")
+            code, data = run_to_file(tmp_path, argv)
+            assert code == 2 and data == b""
+            assert capsys.readouterr().err.startswith("error: ")
+            Path(path).write_text(text)
 
 
 class TestUsageErrors:

@@ -2,7 +2,8 @@
 
 Laws under test:
 1. Metric laws, exactly: symmetry, right-invariance dist(ag, bg) = dist(a, b),
-   triangle inequality, identity of indiscernibles.
+   triangle inequality, identity of indiscernibles. Each family's dist is
+   the base definition |h g^-1| (``Group.dist``).
 2. Frozen small facts: reduced-word products, ball sizes, specific distances.
    Every ball about the identity is exactly the list the breadth-first
    search kept here returns, and every other ball is its right translate,
@@ -41,6 +42,11 @@ Laws under test:
    array of their own. A 60-step run and its validation stay under a
    measured rate a region point in fresh processes, and a run whose steps,
    charged beside its region, pass memory is refused before it builds them.
+   Every such preflight (``lex_ball``, both ``ball_arrays``,
+   ``identity_ball``, ``Region.elements``, ``run``, ``Region.columns`` and
+   ``Region.slot_distances``) is refused one byte below its charge, by
+   ``groups.refuse``'s one message and before anything large is
+   allocated, and not at the charge.
 5. Conventions: minimum distance between sets is infinite when a set is
    empty; budget exhaustion raises loudly, and a negative budget is refused
    as a usage error. So are a group of rank or dimension 0, F_27 and up,
@@ -67,19 +73,20 @@ from shiftcolor.groups import (
     DSequence,
     FreeAbelian,
     FreeGroup,
+    Group,
     PackingWitness,
     annulus_D,
     ball_size,
     d_sequence,
     identity_ball,
     parse_group,
-    refuse_decoding,
+    refuse_ball,
     set_dist,
 )
 from shiftcolor.radii import INF
 from shiftcolor.ideals import ProperColoring, grow_random_member, ideal_axioms_check
 from shiftcolor.rng import element_code, element_codes
-from shiftcolor.simulate import Region
+from shiftcolor.simulate import Region, SimulationConfig, run
 
 from ball_reference import bfs_ball, sorted_ball_arrays
 from packed_reference import numeral_dist_packed, numeral_mul_packed
@@ -212,6 +219,7 @@ class TestMetricLaws:
 
 
 def _metric_laws(g, a, b, c):
+    assert g.dist(a, b) == Group.dist(g, a, b)  # the override is the base definition's
     assert g.dist(a, b) == g.dist(b, a)
     assert g.dist(a, b) >= 0
     assert (g.dist(a, b) == 0) == (a == b)
@@ -959,16 +967,16 @@ class TestMemoryFloor:
             grow_random_member(P, random.Random(0), 3, radius=7)
 
 
-def _least_memory(refuse, g, r):
-    """The least physical memory at which ``refuse`` lets Ball(1, r) of g
-    through, found by bisection on the reading."""
+def _least_memory(g, r, decoded):
+    """The least physical memory at which ``refuse_ball`` lets Ball(1, r)
+    of g through, decoded or not, found by bisection on the reading."""
     lo, hi = 0, 1 << 64
     with pytest.MonkeyPatch.context() as mp:
         while lo < hi:
             mid = (lo + hi) // 2
             mp.setattr(groups, "physical_memory", lambda: mid)
             try:
-                refuse(g, r)
+                refuse_ball(g, r, decoded)
                 hi = mid
             except BudgetError:
                 lo = mid + 1
@@ -976,11 +984,11 @@ def _least_memory(refuse, g, r):
 
 
 def _decoded_charge(g, r):
-    return _least_memory(refuse_decoding, g, r)
+    return _least_memory(g, r, decoded=True)
 
 
 def _arrays_charge(g, r):
-    return _least_memory(groups._refuse_oversize, g, r)
+    return _least_memory(g, r, decoded=False)
 
 
 _ROOT = Path(__file__).resolve().parents[1]
@@ -1090,6 +1098,72 @@ class TestArraysCharge:
             assert 0 < grown <= _arrays_charge(parse_group(spec), r)
             dtypes.append(groups.index_dtype(n))
         assert dtypes == [np.uint16, np.int32]
+
+
+def _run_site():
+    config = SimulationConfig(ProperColoring(Z1, 3), 2, 2, 1000)
+    charge = groups._ball_bytes(Z1, 4, False) + 1000 * groups._STEP_BYTES
+    return "a run of 1000 steps on Ball(1, 4) of Z^1", charge, lambda: run(config)
+
+
+def _columns_site():
+    region = Region(Z1, 100_000)
+    points = np.arange(len(region))
+    what = f"composing the radius-2 windows of {len(region)} points of the {len(region)}-point region of Z^1"
+    return what, 5 * len(region) * region._step.itemsize, lambda: region.columns(2, points)
+
+
+def _elements_site():
+    region = Region(F2, 8)
+    return "the decoded Ball(1, 8) of F_2", groups._ball_bytes(F2, 8, True), lambda: region.elements
+
+
+def _slot_distances_site():
+    region, charge = Region(Z2, 14), ball_size(Z2, 14) ** 2 * 8
+    return "measuring the radius-14 slot distances of Z^2", charge, lambda: region.slot_distances(14)
+
+
+# Each place that refuses what cannot fit in memory, as (what it names,
+# its charge, the call), set up under the machine's own memory
+_PREFLIGHT_SITES = {
+    "lex_ball": lambda: ("Ball(1, 100) of Z^2", groups._ball_bytes(Z2, 100, False), lambda: Z2.lex_ball(100)),
+    "FreeAbelian.ball_arrays": lambda: ("Ball(1, 100) of Z^2", groups._ball_bytes(Z2, 100, False),
+                                        lambda: Z2.ball_arrays(100)),
+    "FreeGroup.ball_arrays": lambda: ("Ball(1, 8) of F_2", groups._ball_bytes(F2, 8, False),
+                                      lambda: F2.ball_arrays(8)),
+    "identity_ball": lambda: ("the decoded Ball(1, 8) of F_2", groups._ball_bytes(F2, 8, True),
+                              lambda: identity_ball(F2, 8)),
+    "Region.elements": _elements_site,
+    "run": _run_site,
+    "Region.columns": _columns_site,
+    "Region.slot_distances": _slot_distances_site,
+}
+
+
+class TestEveryPreflight:
+    """Every memory preflight goes through ``groups.refuse``: with physical
+    memory read one byte below a site's charge, it raises BudgetError
+    naming what it refused, with nothing large allocated first; at the
+    charge itself it is not refused."""
+
+    @pytest.mark.parametrize("site", _PREFLIGHT_SITES)
+    def test_refused_one_byte_below_its_charge(self, monkeypatch, site):
+        identity_ball.cache_clear()
+        what, charge, call = _PREFLIGHT_SITES[site]()
+        assert charge > 1 << 20
+        monkeypatch.setattr(groups, "physical_memory", lambda: charge - 1)
+        message = f"{what} needs more than {charge - 1} bytes of physical memory"
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=f"^{re.escape(message)}$"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        monkeypatch.setattr(groups, "physical_memory", lambda: charge)
+        assert call() is not None
+        identity_ball.cache_clear()
 
 
 class TestRunRate:

@@ -51,7 +51,8 @@ Laws under test:
    of no slots.
 9. Malformed specs are refused with a ValueError naming the fault: no
    colours, a fractional or too long h, a D of the wrong length, an
-   unknown kind and an infinite constant join radius.
+   unknown kind and an infinite constant join radius. A spec reads back
+   from its JSON, and its repr names its kind and that JSON.
 """
 
 import json
@@ -646,6 +647,9 @@ class TestJson:
         assert clone == kind
         probe = PartialColoring(kind.group, {kind.group.identity(): 0})
         assert clone.contains(probe) == kind.contains(probe)
+
+    def test_repr_names_the_kind_and_its_spec(self):
+        assert repr(ProperColoring(Z1, 3)) == "ProperColoring({'kind': 'ProperColoring', 'group': 'Z^1', 'k': 3})"
 
     @pytest.mark.parametrize(
         "build, message",

@@ -2,7 +2,8 @@
 
 Laws under test:
 1. Construction validates elements and colors and refuses conflicting
-   duplicate assignments; a pattern is immutable.
+   duplicate assignments; a pattern is immutable, and its repr lists its
+   entries in canonical order.
 2. Shift: dom(g . phi) = dom(phi) shifted, values follow; the action law
    shift(shift(phi, g), d) = shift(phi, d*g) holds exactly (left action);
    the shifted entries, built without a second validation, are valid;
@@ -105,6 +106,12 @@ class TestConstruction:
     def test_product_colors_allowed(self):
         phi = PartialColoring(Z1, {0: (2, 1)})
         assert phi[0] == (2, 1)
+
+    def test_repr_lists_entries_in_canonical_order(self):
+        words = PartialColoring(F2, {"a": 1, "": 0, "B": (2, 1)})
+        assert repr(words) == "PartialColoring(F_2, {'': 0, 'B': (2, 1), 'a': 1})"
+        points = PartialColoring(FreeAbelian(2), {(0, 1): 1, (0, 0): 0})
+        assert repr(points) == "PartialColoring(Z^2, {(0, 0): 0, (0, 1): 1})"
 
     def test_lookup(self):
         phi = PartialColoring(Z1, {0: 1, 3: 2})

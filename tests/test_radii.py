@@ -1,7 +1,8 @@
 """Radius arithmetic: exact rationals plus a single infinite value.
 
 Laws under test:
-1. Ordering: the infinite radius exceeds every finite radius, from both sides.
+1. Ordering: the infinite radius, written INF, exceeds every finite
+   radius, from both sides.
 2. Absorption: infinity + finite = infinity.
 3. Parsing accepts ints, Fractions, "p/q" strings, [num, den] pairs, "inf";
    rejects floats, bools, negatives, pairs of non-integers or of other
@@ -31,6 +32,7 @@ from shiftcolor.radii import (
 class TestInfinity:
     def test_singleton(self):
         assert Infinity() is INF
+        assert repr(INF) == "INF"
 
     def test_dominates_ints(self):
         assert INF > 10**9

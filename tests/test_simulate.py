@@ -849,7 +849,7 @@ class TestRegionKernel:
         points = np.arange(len(region))
         cells = len(region) * groups.ball_size(F2, 2)
         itemsize = region._step.itemsize
-        monkeypatch.setattr(simulate, "physical_memory", lambda: itemsize * cells - 1)
+        monkeypatch.setattr(groups, "physical_memory", lambda: itemsize * cells - 1)
         tracemalloc.start()
         try:
             with pytest.raises(groups.BudgetError, match="physical memory"):
@@ -860,26 +860,34 @@ class TestRegionKernel:
         finally:
             tracemalloc.stop()
         assert peak < 4 * cells
-        monkeypatch.setattr(simulate, "physical_memory", lambda: itemsize * cells)
+        monkeypatch.setattr(groups, "physical_memory", lambda: itemsize * cells)
         assert region.columns(2, points).shape == (groups.ball_size(F2, 2), len(region))
         assert len(simulate._isolated(region, 2, np.ones(len(region) + 1, dtype=np.uint8), points, 1)) == 1
-        monkeypatch.setattr(simulate, "physical_memory", lambda: 8 * 17**2 - 1)
+        monkeypatch.setattr(groups, "physical_memory", lambda: 8 * 17**2 - 1)
         with pytest.raises(groups.BudgetError, match="slot distances"):
             region.slot_distances(2)
         assert region._distances.shape == (0, 0)
-        monkeypatch.setattr(simulate, "physical_memory", lambda: 8 * 17**2)
+        monkeypatch.setattr(groups, "physical_memory", lambda: 8 * 17**2)
         assert region.slot_distances(2).shape == (17, 17)
 
     def test_oversized_table_exits_three(self, tmp_path, monkeypatch, capsys):
         """The CLI reports refused windows as an exhausted budget (exit 3):
         PC5 on F_2 at window 2 and margin 2 isolates at radius 2, and the
         windows about its 17 candidates, 17 x 17 cells, are refused under
-        their bytes, the index dtype's itemsize a cell."""
+        their bytes, the index dtype's itemsize a cell. The region's own
+        charge is far above those bytes, so memory reads them only once
+        windows are composed."""
         spec = tmp_path / "pc5.json"
         spec.write_text(json.dumps({"kind": "ProperColoring", "group": "F_2", "k": 5}))
         _region_of.cache_clear()
         itemsize = simulate.Region(F2, 0)._step.itemsize
-        monkeypatch.setattr(simulate, "physical_memory", lambda: itemsize * 17 * 17 - 1)
+        columns = simulate.Region.columns
+
+        def tight_columns(region, *args):
+            monkeypatch.setattr(groups, "physical_memory", lambda: itemsize * 17 * 17 - 1)
+            return columns(region, *args)
+
+        monkeypatch.setattr(simulate.Region, "columns", tight_columns)
         argv = ["simulate", str(spec), "--window", "2", "--margin", "2", "--steps", "8",
                 "--out", str(tmp_path / "out.json")]
         try:
@@ -1952,13 +1960,13 @@ class TestSparse:
         nothing allocated, whatever the memory; each chunk it composes holds
         about _CHUNK x 4,373 cells of uint16, under 9 MB, where the whole
         table held 13,121 x 4,373."""
-        monkeypatch.setattr(simulate, "physical_memory", lambda: 8 << 30)
+        monkeypatch.setattr(groups, "physical_memory", lambda: 8 << 30)
         region = simulate.Region(F2, 8)
         assert len(region) == 13_121 and groups.ball_size(F2, 7) == 4_373
         assert simulate._tabled(region, 7)
         rows = simulate._PAIR_CELLS // 4_373
         chunk = -(-simulate._CHUNK // rows) * rows
-        monkeypatch.setattr(simulate, "physical_memory", lambda: 2 * chunk * 4_373)
+        monkeypatch.setattr(groups, "physical_memory", lambda: 2 * chunk * 4_373)
         windows = next(simulate._window_blocks(region, 7, np.arange(len(region)), rows))[1]
         assert windows.shape == (4_373, rows) and windows.base.shape == (4_373, chunk)
         assert windows.base.nbytes < 9 << 20
