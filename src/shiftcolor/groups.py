@@ -28,13 +28,13 @@ product a few shifts and masks. Rows are machine integers while every norm
 is at most ``pack_limit``, and Python ints in object arrays past it, on
 which the same numpy code is exact; ``mul_packed`` takes Python ints
 itself where a product may pass ``pack_limit``. ``ball_arrays`` returns the
-ball in that form: its coordinates on Z^d, and on F_k rows filled a range
-of parents at a time, each word from its parent and first letter, beside
-the generator table in the layout a Region keeps. ``decode_ball`` reads
-the elements back: Z^d points from their coordinates, F_k words from
-their parents' words, by the same ranges. Indices are read from the same
-layout: of coordinate rows by ``FreeAbelian.ball_index``, and of every
-point times a letter by ``FreeGroup.right_table``.
+ball in that form beside its generator table (``Group``): its coordinates
+on Z^d, and on F_k rows filled a range of parents at a time, each word
+from its parent and first letter. ``decode_ball`` reads the elements
+back from the rows alone: Z^d points from their coordinates, F_k words
+from their parents' words, by the same ranges. Indices are read from the
+same layout: of coordinate rows by ``FreeAbelian.ball_index``, and of
+every point times a letter by ``FreeGroup.right_table``.
 
 Also here: the closed-form ball sizes, and the packing searches producing
 the radius sequences used by the distance-constrained ideals — minimal
@@ -78,8 +78,8 @@ class Group:
     - ``sort_key(g)``: the canonical (serialization) order key.
     - ``element_to_json(g)``: g's JSON form.
     - ``element_from_json(obj)``: the element of that JSON form; ValueError if malformed.
-    - ``ball_arrays(radius)``: Ball(1, radius) as arrays ``(norms, step, packed)``, see below.
-    - ``decode_ball(norms, step, packed)``: the elements of those arrays, in their order.
+    - ``ball_arrays(radius)``: Ball(1, radius) as arrays ``(table, packed)``, see below.
+    - ``decode_ball(packed)``: the elements of those packed rows, in their order.
     - ``element_at_distance(t)``: some element at distance exactly t from the identity.
     - ``pack(elements)``: the elements as the rows of one integer array.
     - ``mul_packed(A, B)``: the products a*b of packed rows, packed.
@@ -87,14 +87,15 @@ class Group:
     - ``spec_string()``: the group's spec, which ``parse_group`` reads back.
 
     ``ball_arrays`` builds the ball with no element object, breadth-first
-    and each layer sorted by ``sort_key``: ``norms`` are word lengths in
-    int64 (on F_k within pack_limit a read-only view of the length column
-    of ``packed``), ``step[i, k]`` the index of generators()[k] * x_i (n
-    where that leaves the ball; on F_k a view of the (2k, n + 1) table in ``index_dtype(n)``
-    that a Region keeps) and ``packed`` the rows of ``pack``. A negative radius gives
-    the empty ball; BudgetError comes before allocating when the peak can
-    pass memory (``refuse_ball``). Packed arguments broadcast over
-    every axis but the last."""
+    and each layer sorted by ``sort_key``, so the points of norm at most t
+    are its first ``ball_size(t)``. ``table`` is the generator table, a
+    row per generator in ``index_dtype(n)``, of shape (|S|, n + 1):
+    ``table[k, i]`` is the index of generators()[k] * x_i, or n where that
+    leaves the ball, as in the sentinel column n. ``packed`` holds the
+    rows of ``pack``. A negative radius gives the empty ball; BudgetError
+    comes before allocating when the peak can pass memory
+    (``refuse_ball``). Packed arguments broadcast over every axis but the
+    last."""
 
     name: str
     pack_limit: int  # the largest norm of a row of machine integers
@@ -245,12 +246,13 @@ class FreeAbelian(Group):
         # sorted by (x0, y). ±e_0 keeps y and moves x0; ±e_i for i >= 1
         # keeps x0 and moves y through the Z^k table, whose mark n_k for a
         # neighbour outside reads norm T + 1. Blocks past layer T start at
-        # n, the mark in the new table.
+        # n, the mark in the new table. The int64 (n, 2d) step is laid out
+        # as the generator table at the end.
         refuse_ball(self, radius)
         T = max(radius, -1)
         if T <= 0:  # no point, or the identity with every neighbour outside
             n = T + 1
-            return (np.zeros(n, dtype=np.int64), np.ones((n, 2 * self.dimension), dtype=np.int64),
+            return (np.full((2 * self.dimension, n + 1), n, dtype=index_dtype(n)),
                     np.zeros((n, self.dimension), dtype=np.int64))
         # Z^1 in place, with no temporary past half a column: index k is x
         # = (k + 1) // 2, negated at odd k, and x + 1 and x - 1 sit at k + 2
@@ -288,9 +290,12 @@ class FreeAbelian(Group):
             step += place.take(tail, axis=0)
             np.minimum(step, n, out=step)
             coords, norms = np.concatenate((head[:, None], coords.take(tail, axis=0)), axis=1), np.repeat(t, lengths)
-        return norms, step, coords
+            del start_of, head, tail  # before the next dimension's gathers or the table
+        table = np.full((2 * self.dimension, n + 1), n, dtype=index_dtype(n))
+        table[:, :n] = step.T
+        return table, coords
 
-    def decode_ball(self, norms, step, packed):
+    def decode_ball(self, packed):
         columns = packed.T.tolist()  # the coordinate rows
         return columns[0] if self.dimension == 1 else list(zip(*columns))
 
@@ -458,11 +463,8 @@ class FreeGroup(Group):
         # its parent's plus its first letter's digit times base^(t - 1), its
         # length its parent's plus 1, and its fields its parent's plus its
         # first letter's field b(t - 1) bits up. The packed rows, their
-        # columns contiguous, and the generator table, in the layout a Region
-        # keeps (a row per generator, in index_dtype(n), with the sentinel
-        # column n), are filled in place, a range of parents at a time
-        # (_ranges). The norms are the length column itself, read as int64,
-        # and an int64 copy of it past pack_limit.
+        # columns contiguous, and the generator table are filled in place, a
+        # range of parents at a time (_ranges).
         refuse_ball(self, radius)
         gens, base, bits = self._generators, 2 * self.rank + 1, self._bits
         n = ball_size(self, radius)
@@ -475,29 +477,26 @@ class FreeGroup(Group):
             digit, field = int(self._digit_of[ord(gens[j])]), int(self._field_of[ord(gens[j])])
             added = np.array([digit * base ** (t - 1), 1, field << bits * (t - 1)], dtype=packed.dtype)
             np.add(packed[start:stop], added, out=packed[child:end])
-        lengths = packed[:, 1]
-        norms = lengths.view(np.int64) if lengths.dtype == np.uint64 else lengths.astype(np.int64)
-        norms.flags.writeable = False
-        return norms, table[:, :n].T, packed
+        return table, packed
 
     def right_table(self, table: np.ndarray, radius: int, letter: str) -> np.ndarray:
         """R[i], the index of x_i * letter in Ball(1, radius), or n where that
-        leaves the ball, as at R[n]: from the ball's generator table in the
-        layout ``ball_arrays`` builds (a row per generator, the sentinel
-        column n), a range of parents at a time (``_ranges``). A child is
-        c = gens[j] * p, so c * letter = gens[j] * (p * letter), and p *
-        letter, one layer nearer the identity, lies in the ball."""
+        leaves the ball, as at R[n]: from the ball's generator table
+        (``ball_arrays``), a range of parents at a time (``_ranges``). A
+        child is c = gens[j] * p, so c * letter = gens[j] * (p * letter), and
+        p * letter, one layer nearer the identity, lies in the ball."""
         R = np.full(table.shape[1], table.shape[1] - 1, dtype=table.dtype)
         R[0] = table[self._generators.index(letter), 0]
         for _t, j, start, stop, child in self._ranges(radius):
             table[j].take(R[start:stop], out=R[child : child + stop - start], mode="clip")  # all in range
         return R
 
-    def decode_ball(self, norms, step, packed):
+    def decode_ball(self, packed):
         # In ball order, each word but the identity is its first letter
-        # followed by its parent's word, a range of parents at a time
-        words = [""][: len(norms)]
-        for _t, j, start, stop, _child in self._ranges(int(norms[-1]) if len(norms) else -1):
+        # followed by its parent's word, a range of parents at a time, to
+        # the last word's length
+        words = [""][: len(packed)]
+        for _t, j, start, stop, _child in self._ranges(int(packed[-1, 1]) if len(packed) else -1):
             words.extend(map(self._generators[j].__add__, words[start:stop]))
         return words
 
@@ -629,7 +628,7 @@ def identity_ball(group: Group, r: Radius) -> tuple:
     if isinstance(r, Infinity):
         raise ValueError("cannot enumerate a ball of infinite radius")
     refuse_ball(group, radius_floor(r), decoded=True)
-    return tuple(group.decode_ball(*group.ball_arrays(radius_floor(r))))
+    return tuple(group.decode_ball(group.ball_arrays(radius_floor(r))[1]))
 
 
 def ball_size(group: Group, r: int) -> int:
@@ -669,23 +668,23 @@ def index_dtype(n: int) -> np.dtype:
 def _ball_bytes(group: Group, radius: int, decoded: bool) -> int:
     """Bytes of Ball(1, radius): a closed-form bound on the peak of
     ``ball_arrays`` and a ``Region`` built from them, or with ``decoded``
-    of those and ``decode_ball``, per point. On Z^d the arrays are the
-    (n, 2d) int64 gathers and the coordinate rows, 96d + 48, and decoded
-    the same arrays with d int objects, a d-tuple and list slots, 104d +
-    80; the Region adds its generator table, 2d cells of ``index_dtype``;
-    its codes, sorted once where hashed, reuse the freed gathers. On
-    F_k the arrays are the (numeral, length, fields) rows, the scratch of
-    a range of children and the generator table built in place, 2k cells,
-    all the Region keeps; the norms are the length column, yet the 65
-    still counts the 8 bytes a separate int64 norms took, a margin kept
-    until a run's own arrays are charged beside the Region; decoded adds
-    list and tuple slots, the word, a str of 49 bytes and its letters, and
-    a range's slice of parent words, 96 + radius; past pack_limit,
-    numerals and fields are Python ints, 4 bytes per 30 bits and 64 more,
-    which cover their hashed codes. A quarter more covers the allocators'
-    overhead. F_k balls with k >= 2 hold over 2^radius points, so past
-    radius 64 they are charged 2^64 bytes, more than any memory, and never
-    counted."""
+    of those and ``decode_ball``, per point. On Z^d the build peaks on the
+    (n, 2d) int64 gathers beside the coordinate rows and the layers, 96d
+    + 48, and decoded on the same arrays with d int objects, a d-tuple and
+    list slots, 104d + 80; the generator table laid out from the gathers
+    adds 2d cells of ``index_dtype``; the Region's codes, sorted once
+    where hashed, reuse the freed gathers. On F_k the arrays are the
+    (numeral, length, fields) rows, the scratch of a range of children and
+    the generator table built in place, 2k cells, all the Region keeps.
+    No array holds norms, yet the charges are unchanged: the 65 still
+    counts 8 bytes of int64 norms, a margin kept until a run's own arrays
+    are charged beside the Region. Decoded adds list and tuple slots, the
+    word, a str of 49 bytes and its letters, and a range's slice of parent
+    words, 96 + radius; past pack_limit, numerals and fields are Python
+    ints, 4 bytes per 30 bits and 64 more, which cover their hashed codes.
+    A quarter more covers the allocators' overhead. F_k balls with k >= 2
+    hold over 2^radius points, so past radius 64 they are charged 2^64
+    bytes, more than any memory, and never counted."""
     if isinstance(group, FreeGroup) and group.rank > 1 and radius > 64:
         return 1 << 64
     n = ball_size(group, radius)

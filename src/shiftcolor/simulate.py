@@ -48,7 +48,7 @@ A region is laid out by norm, so the points of norm at most r are its
 first ``Region.prefix(r)`` points: every "|x| <= r" test (the interior,
 the isolation candidates, the safe set of the equivariance check, a
 window that stays inside) reads that prefix or compares an index with
-it, and builds no mask or ``norms + s`` array over the region. A run
+it, and builds no mask or norm array over the region. A run
 keeps each point's colour code and step number, and a trace its step
 numbers, in the narrowest dtype that holds them (``_narrowest``: int8
 codes up to 128 colours, uint8 step numbers up to 254 steps). Under NEP
@@ -109,7 +109,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import (_PAIR_CELLS, FreeGroup, Group, ball_size, distance_block,
-                     identity_ball, index_dtype, parse_group, refuse, refuse_ball, refuse_steps)
+                     identity_ball, parse_group, refuse, refuse_ball, refuse_steps)
 from .ideals import NO_COLOR, IdealSpec, _check_d_sequence
 from .patterns import PartialColoring, _validate_color
 from .radii import Infinity, Radius, radius_ceil, radius_floor
@@ -118,43 +118,32 @@ from .rng import RandomField, codes_hashed, element_code, element_codes
 
 
 class Region:
-    """Ball(1, radius) as the window process reads it, built from integer
-    arrays by ``Group.ball_arrays`` with no element object: the points'
-    norms (the breadth-first layer; on F_k within pack_limit a view of the
-    length column of ``packed``), the points in ``Group.pack``'s form
-    ``packed`` (Python ints on F_k past pack_limit letters), their element
-    codes, which key the field and are checked for collisions only where
-    ``codes_hashed`` says they may collide, and the generator table, a row
-    per generator: ``_step[k, i]`` is the index of gens[k] * x_i, and n
-    where that leaves the region, as in the sentinel column n, in the
-    narrowest dtype that holds n (``index_dtype``: uint16 below 2^16
-    points, int32 below 2^31). ``len(region)`` is n. Points are found by
-    the layout (``locate``, ``right_translate``). The elements, in
-    ``Group.ball``'s order, are decoded by
-    ``Group.decode_ball`` on the first read of ``elements``: reports that
-    name points read them. Windows about points are composed from the
-    generator table for the points that read them (``columns``), and no
-    table of them is kept; the slot distances are measured on first use."""
+    """Ball(1, radius) as the window process reads it, with no element
+    object: the generator table ``_step`` and the packed rows ``packed``
+    as ``Group.ball_arrays`` builds them, and the points' element codes,
+    which key the field and are checked for collisions only where
+    ``codes_hashed`` says they may collide. ``len(region)`` is n, the
+    sentinel index. Points are found by the layout (``locate``,
+    ``right_translate``). The elements, in ``Group.ball``'s order, are
+    decoded by ``Group.decode_ball`` on the first read of ``elements``:
+    reports that name points read them. Windows about points are composed
+    from the generator table for the points that read them (``columns``),
+    and no table of them is kept; the slot distances are measured on first
+    use."""
 
     def __init__(self, group: Group, radius: int):
         self.group = group
         self.radius = radius
-        self.norms, step, self.packed = group.ball_arrays(radius)
-        n = len(self.norms)
-        self._step = step.base  # the table F_k builds in this layout; Z^d's is laid out here
-        if self._step is None or self._step.shape != (step.shape[1], n + 1):
-            self._step = np.full((step.shape[1], n + 1), n, dtype=index_dtype(n))
-            self._step[:, :n] = step.T
-        del step  # before the codes, which can take its place
+        self._step, self.packed = group.ball_arrays(radius)
         self.codes = element_codes(group, self.packed)
         if codes_hashed(group, radius) and not np.diff(np.sort(self.codes)).all():  # else distinct by construction
             raise RuntimeError(f"element codes collide on the radius-{radius} region of {group.name}")
-        for a in (self.norms, self.codes, self._step, self.packed):
+        for a in (self.codes, self._step, self.packed):
             a.flags.writeable = False  # shared by every caller
         self._distances = np.zeros((0, 0), dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.norms)
+        return len(self.packed)
 
     def prefix(self, r: int) -> int:
         """The number of points of norm at most r, for r at most the
@@ -167,7 +156,7 @@ class Region:
         """The region's points in region order, decoded on first read, and
         refused by ``refuse_ball`` before that."""
         refuse_ball(self.group, self.radius, decoded=True)
-        return self.group.decode_ball(self.norms, self._step[:, :-1].T, self.packed)
+        return self.group.decode_ball(self.packed)
 
     def columns(self, s: int, points: np.ndarray, what: str = "points") -> np.ndarray:
         """Row j, column i: the index of w_j * x for x = points[i] and w_j
@@ -197,7 +186,7 @@ class Region:
         if len(self._distances) < w:
             refuse(f"measuring the radius-{s} slot distances of {self.group.name}", w * w * 8)
             every = np.arange(w)
-            self._distances = distance_block(self.group, self.group.ball_arrays(s)[2], every, every)
+            self._distances = distance_block(self.group, self.group.ball_arrays(s)[1], every, every)
             self._distances.flags.writeable = False
         return self._distances[:w, :w]
 
@@ -269,12 +258,13 @@ def _paths(group: Group, s: int) -> Tuple[List[int], List[list]]:
     identity, per offset w_t in offset order, every (j, k) with w_t =
     gens[k] * w_j and |w_j| = |w_t| - 1, j counted from the start of w_j's
     layer: read from the offsets' own generator table."""
-    norms, step, _packed = group.ball_arrays(s)
-    starts = [0, *np.bincount(norms, minlength=s + 1).cumsum().tolist()]
-    paths: List[List[Tuple[int, int]]] = [[] for _ in range(len(norms))]
-    pairs = np.nonzero(np.append(norms, -1)[step] > norms[:, None])  # a*w' one layer out
-    for j, k, t in zip(pairs[0].tolist(), pairs[1].tolist(), step[pairs].tolist()):
-        paths[t].append((j - starts[norms[j]], k))
+    table, _packed = group.ball_arrays(s)
+    starts = [ball_size(group, t) for t in range(-1, s + 1)]
+    layer = np.repeat(np.arange(s + 1), np.diff(starts))  # each offset's norm
+    paths: List[List[Tuple[int, int]]] = [[] for _ in range(len(layer))]
+    gen, off = np.nonzero(np.append(layer, -1)[table[:, :-1]] > layer)  # a*w' one layer out
+    for j, k, t in sorted(zip(off.tolist(), gen.tolist(), table[gen, off].tolist())):  # by w', then a
+        paths[t].append((j - starts[layer[j]], k))
     return starts, [paths[lo:hi] for lo, hi in zip(starts[1:], starts[2:])]
 
 
@@ -677,15 +667,16 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     # per step, at its 1-based index (none at 0, and past every step at
     # last + 1), through its colour: its colour code, and its window radius:
     # floor(r_c), or _NONLOCAL where r_c is infinite, or _LEAVES past the
-    # steps; a coloured point's window fits iff |x| + ceil(r_c) <= T
+    # steps; and the points whose window fits: x fits iff |x| + ceil(r_c)
+    # <= T, so iff x < prefix(T - ceil(r_c)), every x where r_c is infinite
     last, step_of = len(trace.steps), trace.step_of
     kind = np.array([-1, *kinds, -1], dtype=np.int64)
     palette_codes = [*map(ideal.color_code, palette)]
     floors = [_NONLOCAL if isinstance(rc, Infinity) else radius_floor(rc) for rc in radius]
-    ceils = [0 if isinstance(rc, Infinity) else radius_ceil(rc) for rc in radius]
+    fits = [len(region) if isinstance(rc, Infinity) else region.prefix(T - radius_ceil(rc)) for rc in radius]
     step_code = np.array([*palette_codes, NO_COLOR], dtype=np.int64)[kind]
     step_radius = np.array([*floors, _LEAVES], dtype=np.int64)[kind]
-    step_ceil = np.array([*ceils, 0], dtype=np.int64)[kind]
+    step_fits = np.array([*fits, 0], dtype=np.int64)[kind]
 
     colors = [c for c, _at in trace.steps]
 
@@ -697,7 +688,7 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     # the coloured points, in region order, whose window fits: judged, or
     # skipped as non-local
     coloured = np.flatnonzero(step_of[:-1] <= last)
-    centres = coloured[region.norms[coloured] + step_ceil[step_of[coloured]] <= T]
+    centres = coloured[coloured < step_fits[step_of[coloured]]]
     # one judge per window radius that some centre has, with its window's width
     judges = {r: (ideal.window_judge(region.slot_distances(r), palette_codes), ball_size(g, r))
               for r in sorted(set(step_radius[step_of[centres]].tolist()) - {_NONLOCAL})}

@@ -1,12 +1,13 @@
 """The breadth-first ball enumeration, kept as the tests' independent
 reference for ``Group.ball``, ``identity_ball`` and the array-built regions,
 the sort-and-search construction of Z^d balls that the lattice-point
-construction of ``FreeAbelian.ball_arrays`` replaced, and the sorted search
-of element codes that ``Region.locate``'s reading of the layout replaced."""
+construction of ``FreeAbelian.ball_arrays`` replaced, the sorted search
+of element codes that ``Region.locate``'s reading of the layout replaced,
+and the points' norms by the scalar ``Group.norm``."""
 
 import numpy as np
 
-from shiftcolor.groups import refuse_ball
+from shiftcolor.groups import index_dtype, refuse_ball
 from shiftcolor.radii import Infinity, radius_floor
 from shiftcolor.rng import element_codes
 
@@ -22,6 +23,13 @@ def code_search(region, elements):
     inside = np.flatnonzero(g.dist_packed(g.pack([g.identity()]), packed) <= region.radius)
     index[inside] = order[np.searchsorted(region.codes, element_codes(g, packed[inside]), sorter=order)]
     return index
+
+
+def ball_norms(group, elements) -> np.ndarray:
+    """Each element's norm by the scalar ``group.norm``, as int64: the
+    reference for every "|x| <= r" a test reads from a ball's layout, over
+    ``bfs_ball`` or a region's elements."""
+    return np.array([group.norm(x) for x in elements], dtype=np.int64)
 
 
 def bfs_ball(group, center, r):
@@ -75,8 +83,8 @@ def sorted_ball_coords(self, radius):
 
 
 def sorted_ball_arrays(self, radius):
-    """``FreeAbelian.ball_arrays`` by a lexsort per dimension and a
-    searchsorted of the neighbours' keys."""
+    """``FreeAbelian.ball_arrays``, ``(table, coords)``, by a lexsort per
+    dimension and a searchsorted of the neighbours' keys."""
     coords, norms = sorted_ball_coords(self, radius)
     n, d = coords.shape
     # Table entries: each row's neighbours along the generators (±e_i in
@@ -93,5 +101,6 @@ def sorted_ball_arrays(self, radius):
         for i in range(d) for sign, grows in ((1, coords[:, i] >= 0), (-1, coords[:, i] <= 0))
     ])
     hit = np.minimum(np.searchsorted(keys, wanted), n - 1)
-    step = np.where(keys[hit] == wanted, hit, n)
-    return norms, step, coords
+    table = np.full((2 * d, n + 1), n, dtype=index_dtype(n))
+    table[:, :n] = np.where(keys[hit] == wanted, hit, n).T
+    return table, coords

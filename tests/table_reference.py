@@ -8,6 +8,8 @@ import numpy as np
 
 from shiftcolor.groups import ball_size, refuse
 
+from ball_reference import ball_norms
+
 
 def reference_table(region, s: int) -> np.ndarray:
     """Row j, column i: the index of w_j * x_i for w_j offset j of Ball(1,
@@ -26,7 +28,9 @@ def reference_table(region, s: int) -> np.ndarray:
     g, n = region.group, len(region)
     refuse(f"the radius-{s} neighbour table of the {n}-point region of {g.name}",
            n * ball_size(g, s) * region._step.itemsize)
-    norms, step, _packed = g.ball_arrays(s)
+    offsets, packed = g.ball_arrays(s)
+    norms = ball_norms(g, g.decode_ball(packed))
+    step = offsets[:, :-1].T
     table = np.full((len(norms), n), n, dtype=region._step.dtype)
     table[0] = np.arange(n)
     pairs = np.nonzero(np.append(norms, -1)[step] > norms[:, None])  # a*w' one layer out

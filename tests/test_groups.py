@@ -37,11 +37,16 @@ Laws under test:
    growth measured in fresh processes. The Z^d arrays built from lattice-point
    counts equal those of the lexsort-and-searchsorted construction they
    replaced, and ``lex_ball`` lists the same points in lexicographic order.
-   On F_k within pack_limit the norms are a read-only int64 view of the
-   packed length column; past it (F_1 at 41) and on Z^d they are an int64
-   array of their own. A 60-step run and its validation stay under a
-   measured rate a region point in fresh processes, and a run whose steps,
-   charged beside its region, pass memory is refused before it builds them.
+   ``ball_arrays`` returns ``(table, packed)`` on both families and no
+   norms: the table has a row per generator and the sentinel column n in
+   ``index_dtype(n)``, on both sides of the uint16 bound, and its entries
+   are the indices of the scalar products, located in the breadth-first
+   ball; a Region keeps those arrays as they are and no norms, on F_k
+   the packed length column is the norm, and ``Region.prefix`` counts the
+   layers past pack_limit and on Z^d. A 60-step run and its validation
+   stay under a measured rate a region point in fresh processes, and a
+   run whose steps, charged beside its region, pass memory is refused
+   before it builds them.
    Every such preflight (``lex_ball``, both ``ball_arrays``,
    ``identity_ball``, ``Region.elements``, ``run``, ``Region.columns`` and
    ``Region.slot_distances``) is refused one byte below its charge, by
@@ -88,7 +93,7 @@ from shiftcolor.ideals import ProperColoring, grow_random_member, ideal_axioms_c
 from shiftcolor.rng import element_code, element_codes
 from shiftcolor.simulate import Region, SimulationConfig, run
 
-from ball_reference import bfs_ball, sorted_ball_arrays
+from ball_reference import ball_norms, bfs_ball, sorted_ball_arrays
 from packed_reference import numeral_dist_packed, numeral_mul_packed
 
 Z1 = FreeAbelian(1)
@@ -793,12 +798,12 @@ class TestPackedBall:
         spec, max_r = data.draw(st.sampled_from(_PACKED_BALL_CASES))
         g = parse_group(spec)
         r = data.draw(st.integers(-1, max_r))
-        norms, step, packed = g.ball_arrays(r)
-        elements = g.decode_ball(norms, step, packed)
+        _table, packed = g.ball_arrays(r)
+        elements = g.decode_ball(packed)
         assert (packed.dtype == object) == (r > g.pack_limit)
         assert packed.tolist() == g.pack(elements).tolist()
         if isinstance(g, FreeGroup):
-            assert packed[:, 1].tolist() == norms.tolist()
+            assert packed[:, 1].tolist() == ball_norms(g, elements).tolist()
         codes = element_codes(g, packed)
         assert codes.dtype == np.uint64
         assert codes.tolist() == [element_code(g, e) for e in elements]
@@ -819,9 +824,52 @@ class TestDecodeBall:
     def test_matches_breadth_first_reference(self, data):
         spec, lo, hi = data.draw(st.sampled_from(_DECODE_CASES))
         g, r = parse_group(spec), data.draw(st.integers(lo, hi))
-        norms, step, packed = g.ball_arrays(r)
+        _table, packed = g.ball_arrays(r)
         assert (packed.dtype == object) == (r > g.pack_limit)
-        assert g.decode_ball(norms, step, packed) == bfs_ball(g, g.identity(), r)
+        assert g.decode_ball(packed) == bfs_ball(g, g.identity(), r)
+
+
+# (group, radius) of the layout cases: Z^2 and F_2 on both sides of the
+# uint16 bound, 65,161 and 65,885 points, 39,365 and 118,097 points
+_LAYOUT_CASES = [("Z^1", 6), ("Z^2", 180), ("Z^2", 181), ("Z^3", 4), ("F_1", 41), ("F_2", 9), ("F_2", 10),
+                 ("F_3", 3)]
+
+
+class TestBallLayout:
+    """``ball_arrays`` returns ``(table, packed)`` on both families: the
+    (|S|, n + 1) generator table in ``index_dtype(n)`` with its sentinel
+    column n, whose entry [k, i] is the index of gens[k] * x_i, and the
+    packed rows that ``decode_ball`` reads alone. A Region keeps both as
+    given."""
+
+    @pytest.mark.parametrize("spec, T", _LAYOUT_CASES)
+    def test_table_is_the_located_product(self, spec, T):
+        g = parse_group(spec)
+        table, packed = g.ball_arrays(T)
+        ball = bfs_ball(g, g.identity(), T)
+        n, gens = len(ball), g.generators()
+        assert table.shape == (len(gens), n + 1)
+        assert table.dtype == groups.index_dtype(n) == (np.uint16 if n < 1 << 16 else np.int32)
+        assert (table[:, n] == n).all()
+        assert g.decode_ball(packed) == ball
+        # the first and last 64 points, and a sample between
+        index = {x: i for i, x in enumerate(ball)}
+        rng = random.Random(T)
+        sample = sorted({*range(min(n, 64)), *range(max(n - 64, 0), n), *rng.sample(range(n), min(n, 512))})
+        got = table[:, sample].T.tolist()
+        assert got == [[index.get(g.mul(a, ball[i]), n) for a in gens] for i in sample]
+        region = Region(g, T)
+        assert np.array_equal(region._step, table) and region._step.dtype == table.dtype
+        assert region.packed.tolist() == packed.tolist() and len(region) == n
+
+    @pytest.mark.parametrize("spec", ["Z^1", "Z^2", "F_1", "F_2"])
+    def test_empty_and_identity_balls(self, spec):
+        g = parse_group(spec)
+        for T, n in ((-1, 0), (0, 1)):
+            table, packed = g.ball_arrays(T)
+            assert table.shape == (len(g.generators()), n + 1) and table.dtype == np.uint16
+            assert (table == n).all()
+            assert g.decode_ball(packed) == bfs_ball(g, g.identity(), T)
 
 
 # The largest radius tested per dimension: 13,613 points at most (Z^2)
@@ -865,7 +913,7 @@ class TestLatticeBall:
         far[:, -1] = 2**70, -(2**63)
         for T in range(-1, top + 1):
             n = ball_size(g, T)
-            rows = g.ball_arrays(T + 1)[2]
+            rows = g.ball_arrays(T + 1)[1]
             index = g.ball_index(rows, T)
             assert index.dtype == np.int64
             assert index.tolist() == [*range(n), *[n] * (len(rows) - n)]
@@ -935,8 +983,8 @@ def test_offset_distances_past_the_packable_length(r):
 
 def _floor_bytes(g, r):
     """The generator table's bytes alone, with its sentinel column: int64
-    as ``ball_arrays`` builds it on Z^d, and ``index_dtype`` as it builds it
-    in place on F_k."""
+    as ``ball_arrays`` gathers it on Z^d before laying it out, and
+    ``index_dtype`` as it builds it in place on F_k."""
     n = ball_size(g, r)
     cell = groups.index_dtype(n).itemsize if isinstance(g, FreeGroup) else 8
     return n * (len(g.generators()) + 1) * cell
@@ -1017,7 +1065,7 @@ def run_validated(g, r):
     assert trace_validate(trace, ideal).ok
     return trace.region
 g, r = parse_group(sys.argv[1]), int(sys.argv[2])
-build = {"decoded": identity_ball, "arrays": lambda g, r: g.ball_arrays(r)[0], "region": Region,
+build = {"decoded": identity_ball, "arrays": lambda g, r: g.ball_arrays(r)[1], "region": Region,
          "run": run_validated}[sys.argv[3]]
 build(g, 1)
 held = []
@@ -1065,7 +1113,7 @@ class TestArraysCharge:
             tracemalloc.stop()
         assert peak < 1 << 16
         monkeypatch.setattr(groups, "physical_memory", lambda: charge)
-        assert len(g.ball_arrays(r)[0]) == len(Region(g, r)) == ball_size(g, r)
+        assert len(g.ball_arrays(r)[1]) == len(Region(g, r)) == ball_size(g, r)
 
     def test_f2_region_of_radius_16_refused_in_8_gib(self, monkeypatch):
         """Ball(1, 16) of F_2, 86,093,441 points, whose table alone fits in
@@ -1167,30 +1215,36 @@ class TestEveryPreflight:
 
 
 class TestRunRate:
-    """A window run is measured beside the charge: its region's norms on
-    F_k are the packed length column, and a 60-step run with its
+    """A window run is measured beside the charge: a Region keeps no norms,
+    only what ``ball_arrays`` returns, and a 60-step run with its
     validation, its region included, stays under a rate a region point
-    taken from fresh-process measurements. The region's charge is not
-    lowered with the norms: it keeps their 8 bytes as a margin until a
-    run's own arrays are charged."""
+    taken from fresh-process measurements. The region's charge still
+    counts 8 bytes a point for norms as a margin until a run's own arrays
+    are charged."""
 
     @pytest.mark.parametrize("g, r", [(FreeGroup(1), 40), (FreeGroup(2), 5), (FreeGroup(3), 3), (FreeGroup(26), 2)])
     def test_fk_norms_are_the_length_column(self, g, r):
+        """On F_k the norms are read from the packed length column, of the
+        ball's arrays and of a Region alike; ``decode_ball`` reads its
+        radius from the last row's."""
         assert r <= g.pack_limit
-        norms, _step, packed = g.ball_arrays(r)
         region = Region(g, r)
-        for norms, packed in ((norms, packed), (region.norms, region.packed)):
-            assert norms.dtype == np.int64 and not norms.flags.writeable
-            assert np.shares_memory(norms, packed[:, 1])
-            assert norms.tolist() == packed[:, 1].tolist() == list(map(len, bfs_ball(g, g.identity(), r)))
+        want = ball_norms(g, bfs_ball(g, g.identity(), r)).tolist()
+        for packed in (g.ball_arrays(r)[1], region.packed):
+            assert packed[:, 1].tolist() == want
+        assert not hasattr(region, "norms")
 
     @pytest.mark.parametrize("g, r", [(FreeGroup(1), 41), (FreeAbelian(1), 6), (FreeAbelian(2), 4),
                                       (FreeAbelian(3), 3)])
-    def test_norms_are_their_own_array_past_pack_limit_and_on_zd(self, g, r):
+    def test_prefix_counts_the_layers_past_pack_limit_and_on_zd(self, g, r):
+        """Where no packed column is the norm (F_k past pack_limit, Z^d),
+        ``Region.prefix(t)`` is the number of points of norm at most t,
+        and they are the first ones."""
         region = Region(g, r)
-        assert region.norms.dtype == np.int64 and not region.norms.flags.writeable
-        assert not np.shares_memory(region.norms, region.packed)
-        assert region.norms.tolist() == [g.norm(x) for x in bfs_ball(g, g.identity(), r)]
+        norms = ball_norms(g, region.elements)
+        assert norms.tolist() == sorted(norms.tolist())
+        assert [region.prefix(t) for t in range(-1, r + 1)] == [int((norms <= t).sum()) for t in range(-1, r + 1)]
+        assert not hasattr(region, "norms")
 
     @pytest.mark.parametrize("spec, radii, rate", [("F_2", (11, 12), 64), ("Z^2", (400, 500), 132)])
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from Linux's /proc")

@@ -14,9 +14,15 @@ Laws under test:
    extreme points' codes are hashed, on either side of every bound.
 4. Acceptance thresholds are exact binary fractions: p = 1/2 maps to 2^63.
 5. Same key, same bit — across instances; different seeds decorrelate.
+6. The field is iid Bernoulli(p) on every family: on regions of Z^1, Z^2
+   and F_2 of about 4 * 10^4 points, at p = 1/2 and 1/8 and fixed seeds,
+   the set bits of each step's mask, and of each pair of steps' masks
+   jointly, lie within Hoeffding's bound of their means.
 """
 
+import math
 import string
+from itertools import combinations
 import tracemalloc
 from fractions import Fraction
 
@@ -24,7 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from shiftcolor.groups import _PAIR_CELLS, FreeAbelian, FreeGroup, Group
+from shiftcolor.groups import _PAIR_CELLS, FreeAbelian, FreeGroup, Group, ball_size
 from shiftcolor import rng
 from shiftcolor.rng import (
     RandomField,
@@ -353,3 +359,36 @@ class TestBernoulli:
             RandomField(Z1, 0, Fraction(0))
         with pytest.raises(ValueError):
             RandomField(Z1, 0, Fraction(1))
+
+
+# A sum S of n independent indicators of mean q strays from nq by t or
+# more with probability at most 2 exp(-2 t^2 / n) (Hoeffding). At t =
+# sqrt(n ln(2 / 10^-9) / 2) that bound is 10^-9, so an iid field fails
+# one check at most once in 10^9 draws, and the 432 checks below together
+# at most about 4.3 * 10^-7 of the time.
+_FALSE_ALARM = 1e-9
+_STEPS = [0, 1, 2, 3, 63, 64, 1000, 2**40]
+
+
+def _hoeffding_slack(n: int) -> float:
+    return math.sqrt(n * math.log(2 / _FALSE_ALARM) / 2)
+
+
+class TestFieldStatistics:
+    """Per step, the set bits of ``RandomField.mask`` over a region's codes
+    number n p, and for each pair of steps the points set at both number
+    n p^2, each within Hoeffding's slack at a 10^-9 false alarm."""
+
+    @pytest.mark.parametrize("g, T", [(Z1, 20_000), (Z2, 140), (F2, 9)])
+    @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 8)])
+    @pytest.mark.parametrize("seed", [0, 2024])
+    def test_set_bits_per_step_and_per_pair_of_steps(self, g, T, p, seed):
+        n = ball_size(g, T)
+        assert 39_000 < n < 41_000
+        masks = RandomField(g, seed, p).mask(_STEPS, element_codes(g, g.ball_arrays(T)[1]))
+        assert masks.shape == (len(_STEPS), n)
+        slack = _hoeffding_slack(n)
+        for count in np.count_nonzero(masks, axis=1).tolist():
+            assert abs(count - n * p) < slack
+        for i, j in combinations(range(len(_STEPS)), 2):
+            assert abs(np.count_nonzero(masks[i] & masks[j]) - n * p * p) < slack

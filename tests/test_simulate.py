@@ -81,7 +81,10 @@ Laws under test:
 8. The validator reads its windows from the trace's region, building
    none even after a run on another geometry, and agrees with a
    brute-force validator over g.dist on Z^1, Z^2, Z^3 and F_2, with and
-   without warm-up, and on hand traces with failures. A run's
+   without warm-up, and on hand traces with failures. The points whose
+   windows it judges are the coloured x with |x| + ceil(r_c) <= T by
+   scalar norms, on Z^1, Z^2 and F_2, at r_c = 3/2 and beside colours of
+   infinite radius, which it skips as the brute force does. A run's
    trace holds region indices: it is validated and compared with no point
    located or validated again, and decoding it and building it again with
    ``SimulationTrace.from_elements`` gives the same indices and report, on
@@ -163,7 +166,7 @@ from shiftcolor.simulate import (
     trace_validate,
 )
 
-from ball_reference import bfs_ball, code_search
+from ball_reference import ball_norms, bfs_ball, code_search
 from run_reference import reference_run
 from table_reference import reference_table
 
@@ -462,7 +465,7 @@ class TestIsolationKernel:
         region = _region_of(*case)
         chunk = max(simulate._CHUNK, simulate._CHUNK_CELLS // groups.ball_size(region.group, s))
         masks = bernoulli_mask(3, range(2), region.codes, Fraction(1, 2))
-        cand = np.flatnonzero(region.norms + s <= region.radius)
+        cand = np.flatnonzero(ball_norms(region.group, region.elements) + s <= region.radius)
         live = cand[masks[:, cand].any(axis=0)]
         assert len(live) > chunk
         calls = count_calls(monkeypatch, simulate.Region, "columns")
@@ -665,7 +668,9 @@ def column_table(region, s):
     for w = a*w' one layer out, keeping whichever path stays in the region.
     The reference for ``Region._build_table``."""
     g, n = region.group, len(region)
-    norms, step, _packed = g.ball_arrays(s)
+    offsets, packed = g.ball_arrays(s)
+    norms = ball_norms(g, g.decode_ball(packed))
+    step = offsets[:, :-1].T
     moves = region._step.T.astype(np.int64)  # (n + 1, gens): the sentinel row maps to itself
     table = np.full((n, len(norms)), n, dtype=np.int64)
     table[:, 0] = np.arange(n)
@@ -737,7 +742,8 @@ class TestRegionKernel:
         n = len(ball)
         assert region.elements == ball
         assert region.locate(ball).tolist() == list(range(n))
-        assert region.norms.tolist() == [g.norm(e) for e in ball]
+        norms = ball_norms(g, ball)
+        assert [region.prefix(t) for t in range(r + 1)] == [int((norms <= t).sum()) for t in range(r + 1)]
         assert region.codes.tolist() == [element_code(g, e) for e in ball]
         gens = g.generators()
         index = {e: i for i, e in enumerate(ball)}
@@ -831,7 +837,7 @@ class TestRegionKernel:
         if data.draw(st.booleans()):
             region._step = region._step.astype(np.int32)
         n = len(region)
-        boundary = np.flatnonzero(region.norms == T)
+        boundary = np.flatnonzero(ball_norms(g, region.elements) == T)
         points = np.array(data.draw(st.lists(st.integers(0, n - 1), max_size=20)) + [int(boundary[0])])
         points = points[data.draw(st.permutations(range(len(points))))]
         for s in range(2 * T):
@@ -1117,6 +1123,30 @@ def per_window(ideal):
     return clone
 
 
+def _three_halves(g):
+    """An ideal on g of three colours, each of locality radius 3/2, whose
+    members are the proper colourings."""
+    proper = ProperColoring(g, 3)
+
+    class ThreeHalves(IdealSpec):
+        kind = "ThreeHalves"
+        group = g
+
+        def contains(self, phi):
+            return proper.contains(phi)
+
+        def locality_radius(self, color):
+            return Fraction(3, 2)
+
+        def max_color(self):
+            return 2
+
+        def to_json(self):
+            return {"kind": self.kind, "group": g.spec_string()}
+
+    return ThreeHalves()
+
+
 def _hand_trace(ideal, window_radius, margin, assigned_sets):
     config = SimulationConfig(ideal=ideal, window_radius=window_radius, margin=margin, steps=0)
     return SimulationTrace.from_elements(config, assigned_sets)
@@ -1209,6 +1239,39 @@ class TestValidatorAgainstBruteForce:
             assert fast.to_jsonable() == slow.to_jsonable()
             assert trace_validate(trace, per_window(ideal)).to_jsonable() == fast.to_jsonable()
         assert trace_validate(traces[0][1], dc_inf).skipped_nonlocal > 0
+
+    @pytest.mark.parametrize("g, window, margin", [(Z1, 6, 3), (Z2, 3, 3), (F2, 2, 2)])
+    @pytest.mark.parametrize("kind", ["three-halves", "infinite-height"])
+    def test_judged_points_are_the_mask_reference(self, monkeypatch, g, window, margin, kind):
+        """With every region point coloured, over four steps, the points
+        whose windows the validator judges are exactly the coloured x of
+        finite r_c with |x| + ceil(r_c) <= T, by scalar norms: at r_c = 3/2
+        (ceil 2, floor 1) and at the finite colour of a DistanceConstrained
+        ideal whose other height is infinite, whose windows are skipped as
+        the brute-force validator skips them. One layer more or less on
+        either side of T - ceil(r_c) changes the set."""
+        if kind == "three-halves":
+            ideal, colours = _three_halves(g), [0, 1, 2, 0]
+        else:
+            ideal, colours = DistanceConstrained(g, (1, 3), (3, INF)), [0, 1, 0, 1]
+        T = window + margin
+        elements = simulate.Region(g, T).elements
+        trace = _hand_trace(ideal, window, margin, [(c, elements[i::4]) for i, c in enumerate(colours)])
+        judged = set()
+        window_after = simulate._window_after
+        monkeypatch.setattr(simulate, "_window_after",
+                            lambda region, step_of, colors, j, r, t: judged.add(j) or
+                            window_after(region, step_of, colors, j, r, t))
+        report = trace_validate(trace, per_window(ideal))
+        norms, radius = ball_norms(g, elements), [ideal.locality_radius(c) for c in colours]
+        want = {x for x in range(len(elements)) if not isinstance(radius[x % 4], Infinity)
+                and norms[x] + radius_ceil(radius[x % 4]) <= T}
+        assert judged == want
+        for layer in (T - 3, T - 2, T - 1):  # both sides of the boundary are coloured
+            assert any(norms[x] == layer for x in want) == (layer <= T - 2)
+        slow = brute_force_validate(trace, ideal)
+        assert report.to_jsonable() == slow.to_jsonable() == trace_validate(trace, ideal).to_jsonable()
+        assert (report.skipped_nonlocal > 0) == (kind == "infinite-height")
 
     def test_hand_trace_entries_are_validated(self):
         for assigned in ([(0, (0,)), (-1, (5,))], [(0, (0, "x"))], [(True, (0,))]):
@@ -1553,7 +1616,7 @@ class TestStepWords:
                     assert mine.tolist() == []
                     continue
                 mask = field.mask([i], codes)[0]
-                cand = np.flatnonzero(mask & (region.norms + s <= T))
+                cand = np.flatnonzero(mask & (ball_norms(region.group, region.elements) + s <= T))
                 assert mine.tolist() == row_rule_isolated(reference_table(region, s).T, mask, cand)
 
     @settings(max_examples=40, deadline=None)
@@ -1745,7 +1808,7 @@ class TestDecodeWhereNamed:
     @pytest.mark.parametrize("spec, window, steps, p, seed, gamma, _other", CASES)
     def test_report_path_decodes_nothing(self, tmp_path, monkeypatch, spec, window, steps, p, seed, gamma,
                                          _other):
-        def refuse(group, norms, step, packed):
+        def refuse(group, packed):
             raise AssertionError("a report decoded a ball it does not name")
 
         for family in (FreeAbelian, FreeGroup):
@@ -1817,7 +1880,7 @@ def reference_equivariance_check(config, gamma, field_gamma=None, field=None):
     cone = 0
     for R_i in base.reaches[:-1]:
         cone = cone + 2 * R_i
-    safe = region.norms + radius_ceil(cone) <= T
+    safe = ball_norms(g, region.elements) + radius_ceil(cone) <= T
     index = index_dict(region)
     base_final, moved_final = base.final_coloring, moved.final_coloring
     report = EquivarianceReport(shift_element=g.element_to_json(gamma), safe_size=0, cone_radius=cone)
@@ -2164,9 +2227,9 @@ class TestTableConsumers:
             step_of[at], colour[at] = t, ideal.color_code(c)
             radius[at] = ideal.locality_radius(c)  # ProperColoring: 1
         reach = column_table(region, int(radius.max()))
-        windows = []
+        windows, norms = [], ball_norms(region.group, region.elements)
         for x in np.flatnonzero(step_of[:-1] <= last).tolist():
-            if region.norms[x] + radius[x] > T:
+            if norms[x] + radius[x] > T:
                 continue
             row = column_table(region, int(radius[x]))[x]
             for t in sorted(set(step_of[reach[x]].tolist())):
@@ -2318,7 +2381,8 @@ class TestPrefixReads:
     def test_prefix_is_the_mask(self, data):
         region = self._region(data)
         r = data.draw(st.integers(-2, region.radius))
-        assert np.flatnonzero(region.norms <= r).tolist() == list(range(region.prefix(r)))
+        norms = ball_norms(region.group, region.elements)
+        assert np.flatnonzero(norms <= r).tolist() == list(range(region.prefix(r)))
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -2331,7 +2395,7 @@ class TestPrefixReads:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simulate, "_compose", lambda *args: every.append(args[-1]) or compose(*args))
             got = region.columns(s, points)
-        assert set(every) <= {bool((region.norms[points] + s > T).any())}
+        assert set(every) <= {bool((ball_norms(region.group, region.elements)[points] + s > T).any())}
         assert got.tolist() == reference_table(region, s)[:, points].tolist()
 
     @settings(max_examples=60, deadline=None)
@@ -2347,7 +2411,7 @@ class TestPrefixReads:
             simulate._isolated_supports(region, RandomField(region.group, 0, Fraction(1, 2)), region.codes, radii)
         assert set(seen) == set(radii)
         for s, cand in seen.items():
-            assert cand.tolist() == np.flatnonzero(region.norms + s <= T).tolist()
+            assert cand.tolist() == np.flatnonzero(ball_norms(region.group, region.elements) + s <= T).tolist()
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -2361,7 +2425,8 @@ class TestPrefixReads:
         )
         trace = run(config)
         region, T = trace.region, config.window_radius + config.margin
-        interior = region.norms <= config.window_radius
+        norms = ball_norms(region.group, region.elements)
+        interior = norms <= config.window_radius
         size = int(interior.sum())
         assert trace.interior_size == SimulationTrace.from_elements(config, trace.assigned_sets).interior_size == size
         filled = np.cumsum([int(interior[at].sum()) for _c, at in trace.steps], dtype=np.int64).tolist()
@@ -2369,7 +2434,7 @@ class TestPrefixReads:
         gamma = data.draw(st.sampled_from(region.elements))
         report = equivariance_check(config, gamma)
         cone = sum((2 * R_i for R_i in trace.reaches[:-1]), 0)
-        safe = np.append(region.norms + radius_ceil(cone) <= T, False)
+        safe = np.append(norms + radius_ceil(cone) <= T, False)
         assert report.safe_size == int((safe[:-1] & safe[region.right_translate(gamma)[0]]).sum())
 
 
