@@ -15,7 +15,6 @@ always ``{"schema_version", "manifest", "payload"}``.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -107,8 +106,8 @@ def _cmd_dseq(args, inputs) -> Tuple[dict, int]:
     payload = {
         "group": g.spec_string(),
         "count": args.count,
-        "values": list(seq.values),
-        "witnesses": [None if w is None else dataclasses.asdict(w) for w in seq.witnesses],
+        "values": seq.values,
+        "witnesses": seq.witnesses,
     }
     return payload, EXIT_CLEAN
 
@@ -120,7 +119,7 @@ def _cmd_annulus(args, inputs) -> Tuple[dict, int]:
         "group": g.spec_string(),
         "d": args.d,
         "D": D,
-        "witness": dataclasses.asdict(witness),
+        "witness": witness,
     }
     return payload, EXIT_CLEAN
 
@@ -135,7 +134,7 @@ def _cmd_check(args, inputs) -> Tuple[dict, int]:
     else:  # join
         R = join_fn_from_json(R_json, ideal)
         report = check_join(ideal, R, tuple_size_max=3, samples=budget, seed=args.seed)
-    payload = {"mode": args.mode, "ideal": ideal.to_json(), "report": report}
+    payload = {"mode": args.mode, "ideal": ideal, "report": report}
     return payload, EXIT_CLEAN if report.ok else EXIT_VIOLATION
 
 
@@ -179,7 +178,7 @@ def _cmd_sparse(args, inputs) -> Tuple[dict, int]:
     coloring, report = sparse_run(g, d, window_radius=args.window, m=args.m, seed=args.seed)
     payload: Dict[str, Any] = {"report": report}
     if args.dump:
-        payload["coloring"] = coloring.to_json()
+        payload["coloring"] = coloring
     return payload, EXIT_CLEAN if report.ok else EXIT_VIOLATION
 
 
@@ -217,7 +216,7 @@ def _cmd_extract(args, inputs) -> Tuple[dict, int]:
         "shape_radius": args.radius,
         "min_occurrences": args.min_occurrences,
         "count": len(patterns),
-        "patterns": [p.to_json() for p in patterns],
+        "patterns": patterns,
     }
     return payload, EXIT_CLEAN
 

@@ -58,6 +58,7 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .radii import INF, Infinity, Radius, radius_floor
+from .reports import Report
 
 
 class BudgetError(RuntimeError):
@@ -751,7 +752,7 @@ def set_dist(group: Group, a: Iterable, b: Iterable) -> Radius:
 
 
 @dataclass(frozen=True)
-class PackingWitness:
+class PackingWitness(Report):
     """Certificate for one d-sequence step: two ball centers whose radius-d
     balls are disjoint and both contained in Ball(identity, enclosing)."""
 
@@ -835,7 +836,7 @@ def d_sequence(group, count: int, budget: int = 64) -> DSequence:
 
 
 @dataclass(frozen=True)
-class AnnulusWitness:
+class AnnulusWitness(Report):
     center: object
     inner_radius: int
     annulus_low: int

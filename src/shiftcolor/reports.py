@@ -22,7 +22,6 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from .patterns import PartialColoring
 from .radii import Infinity
 
 SCHEMA_VERSION = 1
@@ -30,9 +29,9 @@ TOOL_VERSION = "0.1.0"
 
 
 class Report:
-    """Base of the report dataclasses. A report's JSON is its fields, plus
-    ``ok`` where the class defines it; the values are encoded by
-    ``to_jsonable``."""
+    """Base of every dataclass the package encodes: reports, configs and
+    witnesses. Its JSON is its fields, plus ``ok`` where the class defines
+    it; the values are encoded by ``to_jsonable``."""
 
     def to_jsonable(self) -> Dict[str, Any]:
         out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
@@ -68,8 +67,6 @@ def to_jsonable(obj: Any, arrays: bool = False) -> Any:
         return float(obj)
     if isinstance(obj, np.bool_):
         return bool(obj)
-    if isinstance(obj, PartialColoring):
-        return obj.to_json()
     if hasattr(obj, "to_jsonable"):
         return to_jsonable(obj.to_jsonable(), arrays)
     if hasattr(obj, "to_json") and not isinstance(obj, type):

@@ -357,7 +357,7 @@ def _region_of(group: Group, radius: int) -> Region:
 
 
 @dataclass
-class SimulationConfig:
+class SimulationConfig(Report):
     ideal: IdealSpec
     window_radius: int
     margin: int
@@ -366,6 +366,9 @@ class SimulationConfig:
     seed: int = 0
     schedule: Optional[Sequence[int]] = None
     warmup: bool = True
+
+    def __post_init__(self):
+        self.p = Fraction(self.p)
 
     def cycle(self) -> List[int]:
         if self.schedule is not None:
@@ -395,18 +398,6 @@ class SimulationConfig:
             raise ValueError(
                 f"margin {self.margin} is smaller than twice the largest window radius ({max_r})"
             )
-
-    def to_jsonable(self) -> dict:
-        return {
-            "ideal": self.ideal.to_json(),
-            "window_radius": self.window_radius,
-            "margin": self.margin,
-            "steps": self.steps,
-            "p": str(Fraction(self.p)),
-            "seed": self.seed,
-            "schedule": None if self.schedule is None else list(self.schedule),
-            "warmup": self.warmup,
-        }
 
 
 def _locate_strictly(region: Region, elements: Sequence) -> np.ndarray:
@@ -480,7 +471,7 @@ class SimulationTrace:
     def to_summary_jsonable(self, dump: bool = False) -> dict:
         g = self.group
         out = {
-            "config": self.config.to_jsonable(),
+            "config": self.config,
             "region_size": len(self.region),
             "interior_size": self.interior_size,
             "steps": len(self.steps),
@@ -626,8 +617,8 @@ class ValidationReport(Report):
         return not self.failures
 
 
-# window_radius entries of trace_validate for windows it does not check
-_LEAVES, _NONLOCAL = -1, -2
+# trace_validate's window radius of a colour with none
+_NONLOCAL = -1
 
 
 def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport:
@@ -665,9 +656,9 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     R = radius_floor(max(finite)) if finite else 0
 
     # per step, at its 1-based index (none at 0, and past every step at
-    # last + 1), through its colour: its colour code, and its window radius:
-    # floor(r_c), or _NONLOCAL where r_c is infinite, or _LEAVES past the
-    # steps; and the points whose window fits: x fits iff |x| + ceil(r_c)
+    # last + 1, where only the code is read), through its colour: its colour
+    # code, its window radius: floor(r_c), or _NONLOCAL where r_c is
+    # infinite; and the points whose window fits: x fits iff |x| + ceil(r_c)
     # <= T, so iff x < prefix(T - ceil(r_c)), every x where r_c is infinite
     last, step_of = len(trace.steps), trace.step_of
     kind = np.array([-1, *kinds, -1], dtype=np.int64)
@@ -675,7 +666,7 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     floors = [_NONLOCAL if isinstance(rc, Infinity) else radius_floor(rc) for rc in radius]
     fits = [len(region) if isinstance(rc, Infinity) else region.prefix(T - radius_ceil(rc)) for rc in radius]
     step_code = np.array([*palette_codes, NO_COLOR], dtype=np.int64)[kind]
-    step_radius = np.array([*floors, _LEAVES], dtype=np.int64)[kind]
+    step_radius = np.array([*floors, 0], dtype=np.int64)[kind]
     step_fits = np.array([*fits, 0], dtype=np.int64)[kind]
 
     colors = [c for c, _at in trace.steps]
@@ -724,24 +715,15 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
 
 
 @dataclass
-class EquivarianceReport:
-    shift_element: object
+class EquivarianceReport(Report):
+    shift: object  # the shift element, as JSON
     safe_size: int
+    cone_radius: str  # str(cone), as a trace summary writes its reaches
     mismatches: List[dict] = field(default_factory=list)
-    cone_radius: object = 0
 
     @property
     def ok(self) -> bool:
         return not self.mismatches
-
-    def to_jsonable(self):
-        return {
-            "shift": self.shift_element,
-            "safe_size": self.safe_size,
-            "cone_radius": str(self.cone_radius),
-            "mismatches": self.mismatches,
-            "ok": self.ok,
-        }
 
 
 def equivariance_check(config: SimulationConfig, gamma, field: Optional[RandomField] = None) -> EquivarianceReport:
@@ -768,9 +750,7 @@ def equivariance_check(config: SimulationConfig, gamma, field: Optional[RandomFi
     # per safe point: its colour id in the second run, and the first's at its translate
     shifted = np.array(by_step[0], dtype=_narrowest(-1, len(ids)))[moved.step_of[:safe]]
     at_target = np.array(by_step[1], dtype=shifted.dtype)[base.step_of[index[:safe]]]
-    report = EquivarianceReport(
-        shift_element=g.element_to_json(gamma), safe_size=int(np.count_nonzero(counted)), cone_radius=cone
-    )
+    report = EquivarianceReport(g.element_to_json(gamma), int(np.count_nonzero(counted)), str(cone))
     colors = [*ids, None]  # id -1, no colour, reads the last entry
     differ = np.flatnonzero((shifted != at_target) & counted)
     for i, a, b in zip(differ.tolist(), shifted[differ].tolist(), at_target[differ].tolist()):

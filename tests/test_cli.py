@@ -6,8 +6,8 @@ Laws under test:
    checked property was found violated, 2 usage or I/O trouble, 3 budget
    exhausted before a conclusion, or a ball that cannot fit in memory,
    its table or its decoded elements, or a run whose steps cannot fit
-   beside its region. A negative ``--budget`` on every budgeted
-   subcommand, a negative ``--palette-max``, negative ``extract``
+   beside its region. Run as a script, the module exits with main's
+   code. A negative ``--budget`` on every budgeted subcommand, a negative ``--palette-max``, negative ``extract``
    arguments, a plain colour scheduled on a reduced spec, an extension
    search on a reduced spec, a malformed JSON schedule and a ``simulate``
    density outside (0, 1), named by the field's one message, are usage
@@ -31,9 +31,11 @@ import builtins
 import functools
 import io
 import json
+import runpy
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -101,6 +103,16 @@ class TestEnvelopeAndDeterminism:
         assert code == 0
         payload = payload_of(capsysbinary.readouterr().out)
         assert payload["result"] == [-2, -1, 0, 1, 2]
+
+    def test_module_runs_as_a_script(self, monkeypatch, capsysbinary):
+        """``python -m shiftcolor.cli`` exits with main's code."""
+        monkeypatch.setattr(sys, "argv", ["shiftcolor", "ball", "Z^1", "0", "1"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the module is imported already
+            with pytest.raises(SystemExit) as stop:
+                runpy.run_module("shiftcolor.cli", run_name="__main__")
+        assert stop.value.code == 0
+        assert payload_of(capsysbinary.readouterr().out)["result"] == [-1, 0, 1]
 
     def test_manifest_fields(self, tmp_path):
         code, data = run_to_file(tmp_path, ["ball", "Z^1", "0", "1"])

@@ -32,7 +32,11 @@ Laws under test:
    per-point check (one g.mul and one index lookup per point), also when a
    skewed kernel makes records differ. A substituted field, passed to the
    check and so to both runs, is a field on elements, so its runs are
-   equivariant too and equal the per-point check on it.
+   equivariant too and equal the per-point check on it. A report's bytes
+   are pinned, its cone written as ``str(cone)``: "6" after three steps at
+   radius 3/2, "15/2" after four at 5/4. A trace summary writes its
+   config's density as "1/8" whether it was given as a Fraction, a string
+   or a float.
 5. Sparse runs: the greedy colouring equals the all-pairs greedy, on
    Z^1-Z^3 and F_1-F_3 at every d_c in [0, 2T], so from table rows, from
    pair blocks and by the complete-graph shortcut; the frozen greedy table
@@ -150,6 +154,7 @@ from shiftcolor.ideals import (
 from shiftcolor.patterns import PartialColoring, shift
 from shiftcolor.radii import INF, Infinity, radius_ceil, radius_floor
 from shiftcolor.reduction import ReducedIdeal, SupRadiiJoin
+from shiftcolor.reports import canonical_json_bytes
 from shiftcolor.rng import RandomField, bernoulli_mask, bit, codes_hashed, element_code, element_codes
 from shiftcolor.simulate import (
     EquivarianceReport,
@@ -1790,6 +1795,37 @@ class TestEquivariance:
             assert report.to_jsonable() == reference_equivariance_check(cfg, gamma, field=field).to_jsonable()
 
 
+class TestReportBytes:
+    """The encodings of an equivariance report and of a run's config, byte
+    for byte."""
+
+    @pytest.mark.parametrize("g, window, radius, steps, gamma, cone, safe, shift", [
+        (Z1, 20, Fraction(3, 2), 3, 3, "6", 32, "3"),
+        (F2, 5, Fraction(3, 2), 3, "aB", "6", 5, '"aB"'),
+        (Z1, 20, Fraction(5, 4), 4, -2, "15/2", 29, "-2"),
+    ])
+    def test_equivariance_report_bytes(self, g, window, radius, steps, gamma, cone, safe, shift):
+        """``_three_halves`` at locality radius 3/2 and 5/4: a whole cone
+        reads as an integer, a proper one as p/q."""
+        class AtRadius(type(_three_halves(g))):
+            def locality_radius(self, color):
+                return radius
+
+        cfg = SimulationConfig(ideal=AtRadius(), window_radius=window, margin=3, steps=steps, seed=1)
+        expected = (f'{{\n  "cone_radius": "{cone}",\n  "mismatches": [],\n  "ok": true,\n'
+                    f'  "safe_size": {safe},\n  "shift": {shift}\n}}\n')
+        assert canonical_json_bytes(equivariance_check(cfg, gamma)) == expected.encode()
+
+    def test_summary_bytes_do_not_depend_on_how_p_is_given(self):
+        summaries = set()
+        for p in (Fraction(1, 8), "1/8", 0.125):
+            cfg = SimulationConfig(ideal=ProperColoring(Z2, 5), window_radius=6, margin=2, steps=4, p=p,
+                                   seed=3)
+            summaries.add(canonical_json_bytes(run(cfg).to_summary_jsonable(dump=True)))
+        assert len(summaries) == 1
+        assert json.loads(summaries.pop())["config"]["p"] == "1/8"
+
+
 class TestDecodeWhereNamed:
     """A region's elements are decoded only where a report names points. A
     simulate without --dump, whose validation passes, and an equivariance
@@ -1883,7 +1919,7 @@ def reference_equivariance_check(config, gamma, field_gamma=None, field=None):
     safe = ball_norms(g, region.elements) + radius_ceil(cone) <= T
     index = index_dict(region)
     base_final, moved_final = base.final_coloring, moved.final_coloring
-    report = EquivarianceReport(shift_element=g.element_to_json(gamma), safe_size=0, cone_radius=cone)
+    report = EquivarianceReport(shift=g.element_to_json(gamma), safe_size=0, cone_radius=str(cone))
     for i in np.nonzero(safe)[0]:
         j = index.get(targets[i])
         if j is None or not safe[j]:
