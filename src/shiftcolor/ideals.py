@@ -28,6 +28,9 @@ identity, as the window process builds one per radius, and the codes its
 rows may hold. The pairwise kinds answer with one gather from their bands
 compiled as a boolean table over (color, color, distance); every other
 ideal asks ``contains`` of each row's pattern, which stays the reference.
+A caller that knows that no pair of a row's slots past slot 0 is
+forbidden, as ``pair_reach`` lets the window process know, asks for a
+judge of the pairs through slot 0 alone (``centre_only``).
 The axioms check reads that table pair by pair: it measures each sample's
 slot pairs on packed elements of every size, before and after each shift,
 and looks each distance up. ``tests/axioms_reference.py`` keeps the
@@ -50,7 +53,7 @@ import numpy as np
 
 from .groups import _PAIR_CELLS, Group, ball_size, identity_ball, parse_group
 from .patterns import PartialColoring, shift
-from .radii import Infinity, Radius, as_int, as_radius, radius_ceil, radius_to_json
+from .radii import INF, Infinity, Radius, as_int, as_radius, radius_ceil, radius_to_json
 from .reports import Report
 
 
@@ -91,18 +94,28 @@ class IdealSpec:
         every window goes to ``contains``."""
         return UNCODED
 
-    def window_judge(self, D: np.ndarray, codes) -> Callable[[np.ndarray, Callable], np.ndarray]:
+    def window_judge(self, D: np.ndarray, codes,
+                     centre_only: bool = False) -> Callable[[np.ndarray, Callable], np.ndarray]:
         """``judge(C, window)``: whether each of many patterns, laid out on
         slots, is a member. C[i, a] codes the color at slot a of pattern i
         (``color_code``: one of ``codes``, or NO_COLOR for none) and
         ``window(i)`` builds pattern i. D, of shape (w, w), gives the
         distances between the slots of every pattern, laid out on the
         offsets w_0, w_1, ... of Ball(1, s): D[a, b] = |w_a w_b^-1|, so D
-        depends only on its width. What is fixed for every call on D and
-        those codes is prepared once, here. This default prepares nothing
-        and asks ``contains`` of each pattern in row order; it is the
-        reference for every override."""
+        depends only on its width. With ``centre_only`` the caller vouches
+        that no pair of a pattern's slots past slot 0, its centre, is
+        forbidden, which ``pair_reach`` lets it know, and a judge may read
+        only the pairs through slot 0. What is fixed for every call on D
+        and those codes is prepared once, here. This default prepares
+        nothing and asks ``contains`` of each whole pattern in row order;
+        it is the reference for every override."""
         return lambda C, window: np.array([self.contains(window(i)) for i in range(len(C))], dtype=bool)
+
+    def pair_reach(self, codes) -> Radius:
+        """The largest distance at which two points whose colors have
+        ``codes`` may make a pattern no member, where membership is decided
+        pair by pair; INF where it is not, as by default."""
+        return INF
 
     def extend_at(self, phi: PartialColoring, gamma, c_max: Optional[int] = None):
         """Least color c <= c_max with phi + (gamma, c) a member, or None.
@@ -278,26 +291,38 @@ class PairwiseIdeal(IdealSpec):
         self._forbid = table
         return table
 
-    def window_judge(self, D, codes):
+    def window_judge(self, D, codes, centre_only=False):
         """One gather through the bands compiled once for the codes and D: a
         pattern is a member iff no two of its slots a <= b hold colors
         forbidden at their distance. The table is symmetric in its colors,
-        so only slot pairs a <= b are read, and of those only the ones at a
-        distance where some pair of the codes is forbidden, each at a fixed
-        offset into the flat table. With UNCODED among the codes, the
-        per-row reference."""
+        so only slot pairs a <= b are read, with ``centre_only`` only the
+        pairs (0, b), and of those only the ones at a distance where some
+        pair of the codes is forbidden, each at a fixed offset into the
+        flat table. With UNCODED among the codes, the per-row reference."""
         codes = {int(c) for c in codes} | {NO_COLOR}
         if UNCODED in codes:
             return super().window_judge(D, codes)
         forbid = self._compiled(max(codes) + 1, int(D.max(initial=0)))
         used = np.array(sorted(codes)) + 2
         near = forbid[np.ix_(used, used)].any(axis=(0, 1))[D]
-        a, b = np.nonzero(np.triu(near))
+        a, b = np.nonzero(np.triu(near[:1] if centre_only else near))
         n_codes, n_t = forbid.shape[1:]
         strides = n_codes * n_t, n_t
         base = D[a, b] + 2 * sum(strides)  # codes are stored shifted by 2
         flat = forbid.ravel()
         return lambda C, window: _gather(flat, C, a, b, strides, base)
+
+    def pair_reach(self, codes):
+        """The largest hi of the bands between the colors of ``codes``: 0
+        where no two meet a band (OFF_PALETTE clashes only with its own
+        slot), INF where a band has no end, or where UNCODED leaves
+        membership to ``contains``."""
+        codes = {int(c) for c in codes}
+        if UNCODED in codes:
+            return INF
+        colors = [c for c in codes if c >= 0]
+        bands = [self._bands[a][b] for a in colors for b in colors]
+        return max([hi for _lo, hi in filter(None, bands)], default=0)
 
     def max_color(self):
         return self.palette_size - 1
@@ -606,6 +631,7 @@ def ideal_axioms_check(
     shifts = identity_ball(g, shift_radius)
     inverses = g.pack([g.inv(gamma) for gamma in shifts])
     block = max(1, _PAIR_CELLS // (len(shifts) * max(1, max_size * (max_size - 1) // 2)))
+    triangle = np.triu_indices(max(max_size, 0), 1)  # every slot pair a sample can have
     report = AxiomsReport()
     for start in range(0, sample_budget, block):
         samples = []  # (pattern, domain, subset masks, drawn subsets or None)
@@ -621,7 +647,7 @@ def ideal_axioms_check(
                 for row, sub in zip(keep, drawn):
                     row[[slot[e] for e in sub]] = True
             samples.append((phi, dom, keep, drawn))
-        verdicts = _judge_packed(P, samples, shifts, inverses)
+        verdicts = _judge_packed(P, samples, shifts, inverses, triangle)
         for (phi, dom, keep, drawn), (restricted, shifted) in zip(samples, verdicts):
             report.samples += 1
             for i in np.flatnonzero(np.logical_not(restricted)):
@@ -649,24 +675,25 @@ def _subset_masks(m: int) -> np.ndarray:
     return keep
 
 
-def _judge_packed(P: IdealSpec, samples: list, shifts, inverses):
+def _judge_packed(P: IdealSpec, samples: list, shifts, inverses, triangle):
     """The (restricted, shifted) verdicts of a block of samples, in order.
     A PairwiseIdeal whose block colours all have codes is judged pair by
     pair: the block's entries are packed in one call, each sample's slot
-    pairs are measured by ``dist_packed`` before the shifts and after each
-    (``mul_packed`` by the shifts' ``inverses``), and every distance is
-    read straight from the compiled bands (``_compiled``), as is each
-    slot's distance 0 to itself, at which only OFF_PALETTE clashes. A
-    restriction fails where it keeps both slots of a clashing pair, a shift
-    where some pair clashes after it. Any other ideal asks ``contains`` of
-    each restriction and shift."""
+    pairs, read from ``triangle`` (the pairs a < b of the largest sample
+    the audit can grow), are measured by ``dist_packed`` before the shifts
+    and after each (``mul_packed`` by the shifts' ``inverses``), and every
+    distance is read straight from the compiled bands (``_compiled``), as
+    is each slot's distance 0 to itself, at which only OFF_PALETTE clashes.
+    A restriction fails where it keeps both slots of a clashing pair, a
+    shift where some pair clashes after it. Any other ideal asks
+    ``contains`` of each restriction and shift."""
     coded = [P.color_code(c) for phi, *_ in samples for c in phi.entries.values()]
     if not isinstance(P, PairwiseIdeal) or UNCODED in coded:
         return [([P.contains(phi.restrict(compress(dom, row))) for row in keep],
                  [P.contains(shift(phi, gamma)) for gamma in shifts]) for phi, dom, keep, _ in samples]
     g = P.group
     sizes = np.array([len(dom) for _, dom, *_ in samples])
-    a, b = np.triu_indices(int(sizes.max()), 1)
+    a, b = triangle
     rows, pairs = np.nonzero(b < sizes[:, None])  # each sample's slot pairs, in order
     a, b = a[pairs], b[pairs]
     starts = np.cumsum(sizes) - sizes

@@ -63,17 +63,28 @@ share one isolation radius are folded, up to 64 at a time, into one word
 per point, a bit per step, and isolated together in one pass over the
 slots of their candidates' windows, read from ``Region.columns`` a chunk
 of candidates at a time, so a candidate drops once every bit it has
-meets another support point. The windows of every step's isolated points
-are then composed once per radius. A step drops its isolated points that
-are already coloured and judges the rest in one call of its radius's
-judge, then scatters the accepted points' colour code and step; the fill
-fractions come from the steps at the end. The candidates are more than
-2R_i apart, so no candidate's window holds another and they are judged
-independently. The validator judges a whole trace in one pass per window
-radius: every (step, point) pair whose window the step touched, on the
-window as it stood after that step, composed a chunk of coloured points
-at a time. Every pair in a window is judged, not only the pairs through
-the new point: without warm-up an old pair may already violate.
+meets another support point; the survivors are split by step a lowest
+set bit at a time (``_by_bit``). The windows of every step's isolated
+points are then composed once per radius. A step drops its isolated
+points that are already coloured and judges the rest in one call of its
+radius's judge, then scatters the accepted points' colour code and step;
+the fill fractions come from the steps at the end. The candidates are
+more than 2R_i apart, so no candidate's window holds another and they
+are judged independently.
+
+A window is judged on the pairs through its centre, slot 0, alone when
+every step with candidates has s_i at least the ideal's ``pair_reach``,
+the farthest distance at which two of the run's colours are forbidden:
+then each point's forbidden pairs with the points before it lay in its
+window when it was judged, two points of one step are farther apart than
+any forbidden pair, and so the coloured points never hold one. PC, DC
+and NU under warm-up, with s_i = floor(2 max r), always qualify. Without
+warm-up the first steps see less far and an old pair may already
+violate, and an ideal with no bands has no finite reach: there every
+pair in a window is judged. The validator judges a whole trace in one
+pass per window radius: every (step, point) pair whose window the step
+touched, on the window as it stood after that step, on every pair of the
+window, composed a chunk of coloured points at a time.
 
 A run draws its supports from ``run``'s ``field`` read at ``codes``: the
 config's RandomField and the region's codes by default. The equivariance
@@ -344,10 +355,28 @@ def _isolated(region: Region, s: int, words: np.ndarray, cand: np.ndarray, k: in
         for row in region.columns(s, cand[lo : lo + chunk], "candidates")[1:]:
             met |= words.take(row, mode="clip")  # 0 at the sentinel, never a support point
         alive[lo : lo + chunk] &= ~met
-    met = row = None  # the last chunk's windows, freed before the step masks below
+    met = row = None  # the last chunk's windows, freed before the split below
     keep = alive != 0
-    cand, alive = cand[keep], alive[keep]
-    return [cand[alive & (1 << j) != 0] for j in range(k)]
+    return _by_bit(cand[keep], alive[keep], k)
+
+
+def _by_bit(cand: np.ndarray, words: np.ndarray, k: int) -> List[np.ndarray]:
+    """Per bit j < k, the entries of ``cand``, in order, whose word in
+    ``words``, none of them 0, has bit j. Each word is peeled a lowest set
+    bit at a time, so the cost is the bits set plus the words times the
+    most bits one has, not k passes over the words."""
+    hits, bits = [cand[:0]], [np.zeros(0, dtype=np.uint8)]
+    while len(cand):
+        low = words & -words  # the lowest set bit, in two's complement
+        bits.append(np.bitwise_count(low - 1))  # its place
+        hits.append(cand)
+        words = words ^ low
+        keep = np.flatnonzero(words)
+        cand, words = cand[keep], words[keep]
+    hits, bits = np.concatenate(hits), np.concatenate(bits)
+    hits = hits[np.lexsort((hits, bits))]  # by bit, then in order
+    ends = np.cumsum(np.bincount(bits, minlength=k)).tolist()
+    return [hits[lo:hi] for lo, hi in zip([0, *ends], ends)]
 
 
 @lru_cache(maxsize=1)
@@ -558,11 +587,15 @@ def run(config: SimulationConfig, field: Optional[RandomField] = None,
     # every step's isolated supports, a pass over the window's slots per
     # radius and block of up to 64 steps
     isolated = _isolated_supports(region, field, codes, radii)
+    # windows are judged on their pairs through slot 0 alone where every
+    # step with candidates sees the farthest forbidden pair of the colours
+    reach = ideal.pair_reach(code_of.values())
+    centre_only = all(s >= reach for s, cand in zip(radii, isolated) if len(cand))
     # per isolation radius one judge, and the windows of every step's
     # candidates, composed at once, in step order
     judges, windows = {}, {}
     for s in {s for s, cand in zip(radii, isolated) if len(cand)}:
-        judges[s] = ideal.window_judge(region.slot_distances(s), code_of.values())
+        judges[s] = ideal.window_judge(region.slot_distances(s), code_of.values(), centre_only)
         windows[s] = region.columns(s, np.concatenate([cand for r, cand in zip(radii, isolated) if r == s]))
     start = dict.fromkeys(radii, 0)  # each radius's first column not yet read
 
@@ -638,8 +671,10 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     stood after step t (slots coloured later read NO_COLOR). The centres'
     radius-R windows are composed a chunk of blocks at a time
     (``_window_blocks``), and each radius-r window is their first |Ball(1,
-    r)| rows. Blocks keep every other scratch array within _PAIR_CELLS
-    cells. Failures are listed by step,
+    r)| rows. A block holds as many centres, and a judge call as many of
+    their (step, centre) pairs, as radius-R windows fill _PAIR_CELLS
+    cells, so every other scratch array stays within them whatever the
+    number of steps that touch a window. Failures are listed by step,
     then in ``sort_key`` order. A trace colours each point at most once
     (``SimulationTrace``), so a point's colour is its only one."""
     g = trace.group
@@ -683,27 +718,30 @@ def trace_validate(trace: SimulationTrace, ideal: IdealSpec) -> ValidationReport
     # one judge per window radius that some centre has, with its window's width
     judges = {r: (ideal.window_judge(region.slot_distances(r), palette_codes), ball_size(g, r))
               for r in sorted(set(step_radius[step_of[centres]].tolist()) - {_NONLOCAL})}
-    for block, reach in _window_blocks(region, R, centres, max(1, _PAIR_CELLS // ball_size(g, R) ** 2)):
+    rows = max(1, _PAIR_CELLS // ball_size(g, R))  # centres, or pairs, a block
+    for block, reach in _window_blocks(region, R, centres, rows):
         # the distinct steps, from x's own on, that colour a point of x's window
         touched = np.sort(step_of[reach.T], axis=1)
         keep = (touched >= step_of[block, None]) & (touched <= last)
         keep[:, 1:] &= touched[:, 1:] != touched[:, :-1]
-        a, b = np.nonzero(keep)
-        t, x = touched[a, b], block[a]
-        radii = step_radius[step_of[x]]
-        report.skipped_nonlocal += int((radii == _NONLOCAL).sum())
-        for r, (judge, w) in judges.items():
-            on = radii == r
-            if not on.any():
-                continue
-            tr, xr = t[on], x[on]
-            S = step_of[reach[:w, a[on]].T]
-            member = judge(
-                np.where(S <= tr[:, None], step_code[S], NO_COLOR),
-                lambda row: window_at(xr[row], r, tr[row]),
-            )
-            report.windows_checked += len(xr)
-            failing.extend(zip(tr[~member].tolist(), xr[~member].tolist()))
+        pairs = np.nonzero(keep)
+        for lo in range(0, len(pairs[0]), rows):
+            a, b = (p[lo : lo + rows] for p in pairs)
+            t, x = touched[a, b], block[a]
+            radii = step_radius[step_of[x]]
+            report.skipped_nonlocal += int((radii == _NONLOCAL).sum())
+            for r, (judge, w) in judges.items():
+                on = radii == r
+                if not on.any():
+                    continue
+                tr, xr = t[on], x[on]
+                S = step_of[reach[:w, a[on]].T]
+                member = judge(
+                    np.where(S <= tr[:, None], step_code[S], NO_COLOR),
+                    lambda row: window_at(xr[row], r, tr[row]),
+                )
+                report.windows_checked += len(xr)
+                failing.extend(zip(tr[~member].tolist(), xr[~member].tolist()))
     # region order is not sort_key order on Z^d
     elements = region.elements if failing else []
     for t, j in sorted(failing, key=lambda tj: (tj[0], g.sort_key(elements[tj[1]]))):

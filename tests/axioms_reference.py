@@ -64,9 +64,10 @@ def per_row_judge(P, D, codes):
     return lambda C, window: ~flat[C[:, a] * (n_codes * n_t) + C[:, b] * n_t + base].any(axis=1)
 
 
-def judge_by_matrices(P, samples, shifts, inverses):
+def judge_by_matrices(P, samples, shifts, inverses, _triangle=None):
     """The (restricted, shifted) verdicts of a block of samples, in order,
-    as ``ideals._judge_packed`` gives them. The block's entries are packed
+    as ``ideals._judge_packed`` gives them; it builds its own slot pairs
+    and ignores the audit's ``_triangle``. The block's entries are packed
     in one call and laid out on one width, padded with uncoloured slots;
     only each sample's own slot pairs are measured, in one ``dist_packed``
     call before the shift and one after, into (w, w) matrices per

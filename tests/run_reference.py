@@ -66,3 +66,10 @@ def reference_run(config, field=None) -> SimulationTrace:
         steps.append((c, np.array([index[x] for x in accepted], dtype=np.int64)))
         fills.append(sum(x in colour for x in interior) / len(interior))
     return SimulationTrace(config, _Points(points), len(interior), steps, fills, reaches, schedule)
+
+
+def split_by_comprehension(cand, words, k):
+    """Per bit j < k, the entries of ``cand`` whose word has bit j, in
+    order: a pass over the words per bit, as ``simulate._isolated`` once
+    split a block's survivors, and the reference for ``simulate._by_bit``."""
+    return [cand[words & (1 << j) != 0] for j in range(k)]

@@ -25,7 +25,8 @@ Laws under test:
    pack_limit; the pair-by-pair judge gives the reports of the matrix and
    window-judge one it replaced (axioms_reference.py), with violations
    injected by a wrong dist_packed and an off-palette colour, and with an
-   UNCODED colour judged pattern by pattern.
+   UNCODED colour judged pattern by pattern. The slot pairs are laid out
+   once per audit.
    A fresh process that runs the audit does not import numpy.ma. A
    negative sampling or shift radius is refused with a ValueError that
    names the parameter, by member growth and by the audit.
@@ -43,7 +44,11 @@ Laws under test:
    row, over Z^1-Z^3 and F_1-F_3 and at every radius the window process
    reaches; with UNCODED among its codes it is the reference, exceptions
    included, so a pair colour or a colour beyond the palette raises as
-   contains raises.
+   contains raises. With ``centre_only`` it reads only the pairs through
+   slot 0, and gives the reference's answers on rows whose other slots
+   form a member. ``pair_reach`` is the largest hi of the bands between
+   its codes, INF for an endless band, UNCODED and an ideal with no bands,
+   and no pair of the codes is forbidden past it in the compiled bands.
 8. The same holds for the reference judge with one matrix per row
    (``axioms_reference.per_row_judge``, the axioms audit's former form and
    the matrix judge's), each row laying a random choice of the offsets on
@@ -466,6 +471,17 @@ class TestAxiomsCheck:
         assert report.ok and report.samples == 60
         assert len(sizes) == 21 and sizes[0] == len(identity_ball(F2, 5))
         assert judged == [3] * 20
+
+    def test_one_triangle_per_audit(self):
+        """The slot pairs of the largest sample are laid out once per
+        audit, not once per block: one ``np.triu_indices`` over the 20
+        blocks of a 60-sample F_2 audit."""
+        triangles = []
+        triu = np.triu_indices
+        with mock.patch.object(np, "triu_indices", lambda *args: triangles.append(args) or triu(*args)):
+            report = ideal_axioms_check(ProperColoring(F2, 5), sample_budget=60, seed=0)
+        assert report.ok and report.samples == 60
+        assert triangles == [(5, 1)]
 
     def test_blocks_stream_within_pair_cells(self, monkeypatch):
         """Each block is judged before the next one grows, and no packed
@@ -1002,6 +1018,73 @@ class TestWindowJudge:
         for g, s in JUDGE_CASES:
             _judge_every_kind(g, s, identity_ball(g, s), rng, seen)
         assert all(seen.values()), seen
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_centre_judge_on_members_past_the_centre(self, data):
+        """With ``centre_only``, on windows whose slots past slot 0 form a
+        member, every kind's judge gives the reference's verdicts, and the
+        default judge, which asks ``contains`` of the whole window, is the
+        reference on every window."""
+        g, max_s = data.draw(st.sampled_from(JUDGE_CASES))
+        s = data.draw(st.integers(0, max_s))
+        P = data.draw(st.sampled_from(_judge_kinds(g)))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        offsets = identity_ball(g, s)
+        D = Region(g, s).slot_distances(s)
+        colors = rng.sample(range(_top(P)), rng.randint(1, _top(P)))
+        centers = [rng.choice(offsets) for _ in range(rng.randint(0, 12))]
+        C, patterns = _window_batch(P, offsets, centers, rng, colors)
+        codes = [P.color_code(c) for c in colors]
+        rest = [P.contains(phi.restrict([e for e in phi.domain() if e != x])) for phi, x in zip(patterns, centers)]
+        want = _reference(P, C, D, patterns.__getitem__)
+        got = P.window_judge(D, codes, centre_only=True)(C, patterns.__getitem__)
+        assert got[rest].tolist() == want[rest].tolist()
+        assert IdealSpec.window_judge(P, D, codes, True)(C, patterns.__getitem__).tolist() == want.tolist()
+
+    def test_centre_judge_reads_only_the_pairs_through_slot_0(self):
+        """Two neighbours of one colour past slot 0 make the window no
+        member; the judge on every pair rejects it, the centre judge does
+        not, and both reject a centre next to its own colour."""
+        offsets = identity_ball(Z1, 2)
+        D = Region(Z1, 2).slot_distances(2)
+        P = ProperColoring(Z1, 3)
+        patterns = [PartialColoring(Z1, {0: 0, 1: 1, 2: 1}), PartialColoring(Z1, {0: 0, -1: 0})]
+        C = np.full((2, len(offsets)), NO_COLOR, dtype=np.int64)
+        for row, phi in zip(C, patterns):
+            row[[offsets.index(x) for x in phi.domain()]] = list(phi.entries.values())
+        assert [P.contains(phi) for phi in patterns] == [False, False]
+        assert P.window_judge(D, [0, 1])(C, patterns.__getitem__).tolist() == [False, False]
+        assert P.window_judge(D, [0, 1], centre_only=True)(C, patterns.__getitem__).tolist() == [True, False]
+
+    def test_pair_reach(self):
+        """The largest hi of the bands between the codes: every band of PC,
+        DC and NU, past the diagonal too, INF for a band with no end, for
+        UNCODED and on a Reduced spec, and 0 where no band is met."""
+        PC, DC = ProperColoring(Z1, 3), DistanceConstrained(Z1, (1, 3), (3, 7))
+        NU, DC_inf = NotUniversal(Z1, (1, 3), (5, 13)), DistanceConstrained(Z1, (0, 1, 2), (1, 2, INF))
+        assert [PC.pair_reach(codes) for codes in ([], [NO_COLOR], [OFF_PALETTE], [0], [0, 1, 2])] == [0, 0, 0, 1, 1]
+        assert [DC.pair_reach(codes) for codes in ([0], [1], [0, 1], [0, UNCODED])] == [2, 6, 6, INF]
+        assert [NU.pair_reach(codes) for codes in ([0], [1], [0, 1])] == [5, 13, 13]
+        assert [DC_inf.pair_reach(codes) for codes in ([0], [1], [0, 1], [2])] == [0, 2, 2, INF]
+        reduced = ReducedIdeal(PC, SupRadiiJoin(lambda c: 1, description=[1, 1, 1]))
+        assert reduced.pair_reach([0]) == IdealSpec().pair_reach([0]) == INF
+
+    @pytest.mark.parametrize("g", [Z1, F2])
+    def test_pair_reach_bounds_the_compiled_bands(self, g):
+        """No two of the codes are forbidden past ``pair_reach`` in the
+        compiled bands, and a finite reach with a band is met at itself."""
+        for P in _judge_kinds(g):
+            for codes in [*([c] for c in range(P.palette_size)), list(range(P.palette_size))]:
+                reach = P.pair_reach(codes)
+                t_max = 40
+                forbid = P._compiled(max(codes) + 1, t_max)
+                used = np.array(codes) + 2
+                far = forbid[np.ix_(used, used)].any(axis=(0, 1))
+                if reach == INF:
+                    assert far[t_max]
+                else:
+                    assert not far[reach + 1 :].any() and (far[reach] or reach == 0)
 
     def test_uncoded_codes_take_the_reference(self, monkeypatch):
         """With UNCODED among the codes the judge is the per-row reference:

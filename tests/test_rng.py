@@ -13,6 +13,8 @@ Laws under test:
    ``codes_hashed`` says a ball holds a hashed code exactly where its
    extreme points' codes are hashed, on either side of every bound.
 4. Acceptance thresholds are exact binary fractions: p = 1/2 maps to 2^63.
+   A run's block of steps, drawn a chunk of codes at a time, mixes its
+   heads once; heads are kept, read-only, for at most eight sequences.
 5. Same key, same bit — across instances; different seeds decorrelate.
 6. The field is iid Bernoulli(p) on every family: on regions of Z^1, Z^2
    and F_2 of about 4 * 10^4 points, at p = 1/2 and 1/8 and fixed seeds,
@@ -297,6 +299,28 @@ class TestBernoulli:
             steps = range(first, first + count)
             masks = bernoulli_mask(seed, steps, codes, Fraction(1, 3))
             assert masks.tolist() == [[bit(seed, t, c, Fraction(1, 3)) for c in codes.tolist()] for t in steps]
+
+    def test_heads_once_per_block_of_steps(self, monkeypatch):
+        """A run draws a block of steps over its codes a chunk at a time,
+        a ``mask`` call a chunk, and mixes the block's heads once; heads
+        are kept, read-only, for at most eight step sequences."""
+        from shiftcolor import simulate
+        from shiftcolor.ideals import ProperColoring
+
+        config = simulate.SimulationConfig(ProperColoring(Z1, 3), 60, 2, 60, Fraction(1, 2), seed=1)
+        whole = simulate.run(config).to_summary_jsonable(dump=True)
+        monkeypatch.setattr(simulate, "_PAIR_CELLS", 59 * 8)  # 59 steps past warm-up, 8 codes a chunk
+        masks = []
+        mask = RandomField.mask
+        monkeypatch.setattr(RandomField, "mask", lambda self, *args: masks.append(args) or mask(self, *args))
+        rng._heads.cache_clear()
+        assert simulate.run(config).to_summary_jsonable(dump=True) == whole
+        assert [len(steps) for steps, _codes in masks] == [59] * 16  # 125 points
+        assert rng._heads.cache_info()[:3] == (15, 1, 8)  # hits, misses, maxsize
+        for first in range(20):
+            bernoulli_mask(3, range(first, first + 9), np.zeros(2, dtype=np.uint64), Fraction(1, 2))
+        assert rng._heads.cache_info().currsize == 8
+        assert not rng._heads(3, (1, 2)).flags.writeable
 
     def test_density_outside_the_open_interval_answers_as_bit(self, monkeypatch):
         """p <= 0 gives no support and p >= 1 full support, as ``bit`` does

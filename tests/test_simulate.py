@@ -23,7 +23,8 @@ Laws under test:
    steps (every word width and several blocks), with warm-up steps,
    several radii, radii past the region's, translated codes, substituted
    supports and chunks of any size; whole runs of those lengths equal the
-   scalar reference run.
+   scalar reference run. The survivors are split by step a lowest set bit
+   at a time, as a pass per step splits them, in every word width.
 3. Hard invariants on live runs: colorings grow monotonically, same-step
    points are farther apart than twice the step's reach, every local window
    of the final coloring is a member.
@@ -112,17 +113,23 @@ Laws under test:
    many steps the trace has; blocks of one cell give the same traces and
    reports. A run builds at most one window judge per isolation radius and
    calls it at most once per step; the validator builds at most one per
-   window radius.
+   window radius, on every pair of a window.
 11. The scalar reference run (``run_reference``: ``RandomField.value``
    bits, ``g.ball`` windows, ``contains``) gives identical summaries and
    dumps to ``run``, on Z^1-Z^3 and F_1-F_2, for the three pairwise kinds
    and for a Reduced spec with a pair schedule (the per-row fallback),
    with warm-up on and off, and on one substituted field passed to both,
-   which the reference reads through ``value``.
+   which the reference reads through ``value``. A run judges its windows
+   on the pairs through slot 0 alone exactly where every step with
+   candidates sees the ideal's ``pair_reach`` (the pairwise kinds under
+   warm-up), on every pair elsewhere, and its steps equal those of the run
+   that judges every pair, on Z^1-Z^3 and F_1-F_3.
 12. Window readers: the isolation kernel, the greedy (both also past the
    region's radius), run's gather on every judged step and the windows the
    validator judges, failures included, equal what the rows of the
-   row-major int64 reference table give, on Z^1-Z^3 and F_1-F_3; a run and
+   row-major int64 reference table give, on Z^1-Z^3 and F_1-F_3; the
+   validator's reports are the same bytes in blocks of one cell, of one
+   (step, centre) pair, of a few and at the default size; a run and
    its validation on a cached F_2 region peak below the bytes of the table
    the region once kept.
 """
@@ -172,7 +179,7 @@ from shiftcolor.simulate import (
 )
 
 from ball_reference import ball_norms, bfs_ball, code_search
-from run_reference import reference_run
+from run_reference import reference_run, split_by_comprehension
 from table_reference import reference_table
 
 Z1 = FreeAbelian(1)
@@ -412,6 +419,30 @@ def assert_steps_match_row_rule(rows, masks, cand, got):
     for mask, mine in zip(masks, got):
         assert mine.tolist() == row_rule_isolated(rows, mask, cand[mask[cand]])
         assert (np.diff(mine) > 0).all()  # region order
+
+
+class TestBitSplit:
+    """``_by_bit`` peels each word's lowest set bit and splits the words by
+    bit as a pass over them per bit does (``split_by_comprehension``), in
+    every word width, for blocks of 1, 7, 59 and 64 steps, from sparse
+    words to words with every bit set."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_comprehension(self, data):
+        width, k = data.draw(st.sampled_from([(w, k) for w in WORD_DTYPES for k in (1, 7, 59, 64) if k <= w]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+        n = data.draw(st.integers(0, 3000))
+        density = data.draw(st.sampled_from([1 / 64, 1 / 8, 1 / 2, 1]))
+        bits = [(rng.random(n) < density).astype(np.uint64) << np.uint64(j) for j in range(k)]
+        words = np.bitwise_or.reduce([np.zeros(n, dtype=np.uint64), *bits], axis=0)
+        drawn = data.draw(st.lists(st.integers(1, 2**k - 1), max_size=8))  # edge words too
+        words = np.concatenate([words, np.array(drawn, dtype=np.uint64)])
+        words = words[words != 0].astype(WORD_DTYPES[width])
+        cand = np.sort(rng.choice(4 * len(words) + 1, len(words), replace=False))
+        got = simulate._by_bit(cand, words, k)
+        assert len(got) == k
+        assert [a.tolist() for a in got] == [a.tolist() for a in split_by_comprehension(cand, words, k)]
 
 
 class TestIsolationKernel:
@@ -1393,14 +1424,15 @@ def count_calls(monkeypatch, owner, name):
 
 
 def count_judges(monkeypatch, ideal):
-    """Wrap ``ideal.window_judge`` to record each judge built (its D and
-    codes) and each call of a judge; returns both records."""
+    """Wrap ``ideal.window_judge`` to record each judge built (its D, codes
+    and whether it reads only the pairs through slot 0) and each call of a
+    judge; returns both records."""
     built, judged = [], []
     build = ideal.window_judge
 
-    def counted_build(D, codes):
-        built.append((D, list(codes)))
-        judge = build(D, codes)
+    def counted_build(D, codes, centre_only=False):
+        built.append((D, list(codes), centre_only))
+        judge = build(D, codes, centre_only)
 
         def counted_judge(C, window):
             judged.append(C)
@@ -1439,8 +1471,11 @@ class TestWholeRunPasses:
         # called once per step that has candidates
         widths = {groups.ball_size(region.group, s) for s in support_s}
         assert 0 < len(built) <= len(support_s)
-        assert {len(D) for D, _codes in built} <= widths
-        assert len({len(D) for D, _codes in built}) == len(built)
+        assert {len(D) for D, _codes, _centre in built} <= widths
+        assert len({len(D) for D, _codes, _centre in built}) == len(built)
+        # on the pairs through slot 0 under warm-up, where every isolation
+        # radius sees every forbidden pair of these kinds
+        assert {centre for _D, _codes, centre in built} == {config.warmup}
         assert 0 < len(judged) <= config.steps
         assert sum(len(at) > 0 for _c, at in trace.steps) <= len(judged)
         built.clear()
@@ -1453,7 +1488,8 @@ class TestWholeRunPasses:
         # at most one judge per window radius, built only for a radius some
         # coloured centre has
         assert 0 < len(built) <= len(radii)
-        assert len({len(D) for D, _codes in built}) == len(built)
+        assert len({len(D) for D, _codes, _centre in built}) == len(built)
+        assert not any(centre for _D, _codes, centre in built)  # every pair of a window
         assert 0 < len(judged) <= len(radii) * blocks < report.windows_checked
 
     def test_no_judge_without_a_coloured_centre(self, monkeypatch):
@@ -1686,6 +1722,71 @@ class TestStepOf:
         with pytest.raises(ValueError, match=r"^trace point 'b' is coloured more than once$"):
             dataclasses.replace(trace, steps=[*trace.steps, (2, trace.steps[0][1][1:])])
         assert trace.step_of.tolist() == scattered_steps(trace)
+
+
+def every_pair(ideal):
+    """The same ideal, vouching for no pair (``pair_reach`` INF), so that a
+    run judges every pair of each window."""
+    clone = copy.copy(ideal)
+    clone.__class__ = type("EveryPair" + type(ideal).__name__, (type(ideal),),
+                           {"pair_reach": lambda self, codes: INF})
+    return clone
+
+
+class TestCentreJudge:
+    """``run`` judges each window on its pairs through slot 0 exactly where
+    every step with candidates has an isolation radius at least the largest
+    distance at which two of the run's colours are forbidden: PC, DC and NU
+    under warm-up. Without warm-up its first steps see less far, and a
+    Reduced spec has no bands, so those runs judge every pair. Either way a
+    run's steps are those of the run that judges every pair, and of the
+    reference run, on Z^1-Z^3 and F_1-F_3."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_steps_equal_every_pair_run(self, data):
+        ideal, schedule, max_window = data.draw(st.sampled_from(STEP_OF_CASES))
+        config = _reference_config(
+            ideal, schedule, data.draw(st.integers(0, max_window)), data.draw(st.integers(0, 1)),
+            data.draw(st.integers(0, 12)), data.draw(st.sampled_from([Fraction(1, 2), Fraction(1, 8), None])),
+            data.draw(st.integers(0, 2**32)), data.draw(st.booleans()),
+        )
+        trace = run(config)
+        every = run(dataclasses.replace(config, ideal=every_pair(ideal)))
+        assert [(c, at.tolist()) for c, at in trace.steps] == [(c, at.tolist()) for c, at in every.steps]
+        assert trace.to_summary_jsonable(dump=True) == reference_run(config).to_summary_jsonable(dump=True)
+
+    @pytest.mark.parametrize("case", STEP_OF_CASES)
+    @pytest.mark.parametrize("warmup", [True, False])
+    def test_centre_only_where_every_radius_sees_every_pair(self, monkeypatch, case, warmup):
+        """Over a few seeds at the largest window: on the pairs through
+        slot 0 always under warm-up on the pairwise kinds, on every pair
+        in some run without it (where a first step at s = 0 has
+        candidates), and always on the Reduced spec. The farthest forbidden
+        pair of PC, DC and NU is at the largest locality radius."""
+        ideal, schedule, window = case
+        isolated = []
+        supports = simulate._isolated_supports
+        monkeypatch.setattr(simulate, "_isolated_supports",
+                            lambda *args: isolated.append(supports(*args)) or isolated[-1])
+        built, _judged = count_judges(monkeypatch, ideal)
+        modes = set()
+        for seed in range(4):
+            config = _reference_config(ideal, schedule, window, 0, 10, None, seed, warmup)
+            isolated.clear()
+            built.clear()
+            trace = run(config)
+            reach = INF if isinstance(ideal, ReducedIdeal) else max(map(ideal.locality_radius, config.cycle()))
+            active = [radius_floor(2 * R) for R, cand in zip(trace.reaches, isolated[0]) if len(cand)]
+            centre = {centre for _D, _codes, centre in built}
+            assert centre == ({all(s >= reach for s in active)} if active else set())
+            modes |= centre
+            every = run(dataclasses.replace(config, ideal=every_pair(ideal)))
+            assert trace.to_summary_jsonable(dump=True) == every.to_summary_jsonable(dump=True)
+        if warmup and not isinstance(ideal, ReducedIdeal):
+            assert modes == {True}
+        else:
+            assert False in modes
 
 
 class TestEquivariance:
@@ -2243,6 +2344,23 @@ class TestTableConsumers:
             colour[accepted] = config.ideal.color_code(c)
         assert expected and [C.tolist() for C in judged] == expected
         assert sum(len(at) for _c, at in trace.steps) > 0
+
+    @pytest.mark.parametrize("config", LAYOUT_CONFIGS)
+    def test_block_sizes_change_no_report_byte(self, monkeypatch, config):
+        """Validation reports, failures included, are the same bytes with
+        blocks of one cell, of one (step, centre) pair, of a few pairs,
+        and at the default size, and equal the brute-force validator's."""
+        trace = run(config)
+        ideal = config.ideal
+        R = max(radius_floor(ideal.locality_radius(c)) for c, _at in trace.steps)
+        pair = groups.ball_size(ideal.group, R)
+        reports = set()
+        for cells in (1, pair, 3 * pair + 1, simulate._PAIR_CELLS):
+            monkeypatch.setattr(simulate, "_PAIR_CELLS", cells)
+            reports.add(canonical_json_bytes(trace_validate(trace, ideal)))
+        monkeypatch.undo()
+        assert reports == {canonical_json_bytes(brute_force_validate(trace, ideal))}
+        assert not trace_validate(trace, ideal).ok
 
     @pytest.mark.parametrize("config", LAYOUT_CONFIGS)
     def test_validator_judges_reference_windows(self, monkeypatch, config):
